@@ -12,6 +12,7 @@ expression error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -139,23 +140,17 @@ class SystemExit2(Exception):
 def run_check(args) -> int:
     try:
         binding = _make_binding(args)
-    except (ValueError, SystemExit2) as exc:
+        # open the output first, so an unwritable path fails before any law runs
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as stream:
+            reports = lawsuite.run_suite(binding, cases=args.cases, seed=args.seed)
+            if args.format == "json":
+                json.dump(report_payload(binding, reports, args.seed), stream, indent=2)
+                stream.write("\n")
+            else:
+                render_text_report(binding, reports, stream)
+    except (ValueError, OSError, SystemExit2) as exc:
         print(f"dctool: {exc}", file=sys.stderr)
         return 2
-    reports = lawsuite.run_suite(binding, cases=args.cases, seed=args.seed)
-    if args.output:
-        stream = open(args.output, "w")
-    else:
-        stream = sys.stdout
-    try:
-        if args.format == "json":
-            json.dump(report_payload(binding, reports, args.seed), stream, indent=2)
-            stream.write("\n")
-        else:
-            render_text_report(binding, reports, stream)
-    finally:
-        if args.output:
-            stream.close()
     return 0 if lawsuite.all_pass(reports) else 1
 
 

@@ -112,6 +112,8 @@ class LawReport:
 
 def run_law(law_id: str, binding: ModelBinding, cases: int, seed: int) -> LawReport:
     """Evaluate one law; deterministic per (binding, seed, cases)."""
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     law = LAW_BY_ID[law_id]
     if law_id in binding.skips:
         return LawReport(

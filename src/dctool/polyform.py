@@ -187,11 +187,6 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact product in canonical form."""
-    return p * q
-
-
 @dataclass
 class PolyBundle:
     """An element of (polynomials) tensor (generators): one polynomial per variable."""

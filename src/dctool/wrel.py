@@ -7,6 +7,10 @@ a rig.  The operator family mirrors the polynomial model: `d_rel` puts one
 element into a bag (weighted by the resulting multiplicity), `dcirc_rel` pulls
 one out coefficient-free, `s_rel` pulls one out weighted by the inverse bag
 size, and `K_rel`/`J_rel` are the diagonal bag-size scalings built from them.
+Each operator is defined once for every base set: the unit-level operators
+are the general ones at the one-point base `UNIT_BASE`.  Permutations of
+tensor factors are applied as key relabels (`WeightedMatrix.relabel`), which
+cost O(nnz) and build no permutation matrix.
 
 Every operator shifts bag sizes by a fixed amount (+1, -1 or 0), so equations
 between composites of at most two size-shifting operators are exact on the
@@ -164,11 +168,6 @@ class WeightedMatrix:
     def identity(cls, rig, space):
         return cls(rig, space, space, {(p, p): rig.one for p in space.points()})
 
-    @classmethod
-    def from_function(cls, rig, row_space, col_space, fn):
-        """Build a 0/1 matrix from a point function rows -> cols."""
-        return cls(rig, row_space, col_space, {(p, fn(p)): rig.one for p in row_space.points()})
-
     def entry(self, r, c):
         return self.entries.get((r, c), self.rig.zero)
 
@@ -180,11 +179,21 @@ class WeightedMatrix:
             entries[key] = rig.add(entries[key], c) if key in entries else c
         return WeightedMatrix(rig, self.row_space, self.col_space, entries)
 
-    def scale(self, c):
-        rig = self.rig
-        return WeightedMatrix(
-            rig, self.row_space, self.col_space, {k: rig.mul(c, v) for k, v in self.entries.items()}
-        )
+    def relabel(self, fn, space, rows=False):
+        """Move the column keys (the row keys if `rows`) along the bijection `fn` into `space`.
+
+        Equal to composing with `perm_matrix(fn)` on the right (its transpose
+        on the left for rows), but O(nnz): no permutation matrix is built.
+        """
+        if rows:
+            entries = {(fn(r), c): v for (r, c), v in self.entries.items()}
+            row_space, col_space = space, self.col_space
+        else:
+            entries = {(r, fn(c)): v for (r, c), v in self.entries.items()}
+            row_space, col_space = self.row_space, space
+        if len(entries) != len(self.entries):
+            raise ValueError("relabelling map is not injective")
+        return WeightedMatrix(self.rig, row_space, col_space, entries)
 
     def transpose(self):
         return WeightedMatrix(
@@ -269,7 +278,7 @@ def tensor(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
 
 def perm_matrix(rig, row_space, col_space, fn) -> WeightedMatrix:
     """Permutation matrix induced by a bijection on points."""
-    return WeightedMatrix.from_function(rig, row_space, col_space, fn)
+    return WeightedMatrix(rig, row_space, col_space, {(p, fn(p)): rig.one for p in row_space.points()})
 
 
 # -- operator matrices ------------------------------------------------------
@@ -395,9 +404,10 @@ def _bag_difference(b: Bag, sub: Bag) -> Bag:
 
 # -- unit-object matrices ---------------------------------------------------
 # The monoidal unit is a singleton base set; its bag space is, up to notation,
-# the natural numbers below the truncation bound.  Strictness identifies
-# (unit tensor X) with X, so the unit-level operators live directly on the
-# singleton's bag space.
+# the natural numbers below the truncation bound.  The unit-level operators
+# d_R, d°_R, s_R, K_R, J_R and their inverses are the general operators taken
+# at UNIT_BASE, so d_R and s_R still carry the one-point atom factor (R x 1);
+# only the monoidal maps below work on bare unit bags.
 
 
 def unit_bags(trunc: Truncation) -> BagSpace:
@@ -408,59 +418,14 @@ def _nbag(n: int) -> Bag:
     return (UNIT_POINT,) * n
 
 
-def d_unit_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Unit-object insertion: (n, m) entry m * delta(n+1, m)."""
-    bags = unit_bags(trunc)
-    entries = {}
-    for n in range(trunc.D):
-        entries[(_nbag(n), _nbag(n + 1))] = rig.nat_value(n + 1)
-    return WeightedMatrix(rig, bags, bags, entries)
-
-
-def dcirc_unit_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Unit-object removal: (n, m) entry delta(n, m+1)."""
-    bags = unit_bags(trunc)
-    entries = {(_nbag(n), _nbag(n - 1)): rig.one for n in range(1, trunc.D + 1)}
-    return WeightedMatrix(rig, bags, bags, entries)
-
-
-def s_unit_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Unit-object integration: zero on the empty bag, else (1/n) * delta(n, m+1)."""
-    bags = unit_bags(trunc)
-    entries = {(_nbag(n), _nbag(n - 1)): rig.nat_inverse(n) for n in range(1, trunc.D + 1)}
-    return WeightedMatrix(rig, bags, bags, entries)
-
-
-def bang_zero_unit_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    bags = unit_bags(trunc)
-    return WeightedMatrix(rig, bags, bags, {((), ()): rig.one})
-
-
-def K_unit_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    return mat_compose(dcirc_unit_rel(rig, trunc), d_unit_rel(rig, trunc)) + bang_zero_unit_rel(
-        rig, trunc
+def spread_rel(rig: Rig, space, trunc: Truncation) -> WeightedMatrix:
+    """(m_R x 1) on `space`: pair every point with every unit bag, all entries one."""
+    return WeightedMatrix(
+        rig,
+        space,
+        PairSpace(unit_bags(trunc), space),
+        {(p, (_nbag(n), p)): rig.one for p in space.points() for n in range(trunc.D + 1)},
     )
-
-
-def J_unit_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    bags = unit_bags(trunc)
-    return mat_compose(dcirc_unit_rel(rig, trunc), d_unit_rel(rig, trunc)) + WeightedMatrix.identity(
-        rig, bags
-    )
-
-
-def K_inv_unit_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    bags = unit_bags(trunc)
-    entries = {((), ()): rig.one}
-    for n in range(1, trunc.D + 1):
-        entries[(_nbag(n), _nbag(n))] = rig.nat_inverse(n)
-    return WeightedMatrix(rig, bags, bags, entries)
-
-
-def J_inv_unit_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    bags = unit_bags(trunc)
-    entries = {(_nbag(n), _nbag(n)): rig.nat_inverse(n + 1) for n in range(trunc.D + 1)}
-    return WeightedMatrix(rig, bags, bags, entries)
 
 
 @dataclass
@@ -513,61 +478,50 @@ def seely_rel(base_x: BaseSet, base_y: BaseSet, rig: Rig, trunc: Truncation):
 def unit_reconstruct(base: BaseSet, rig: Rig, trunc: Truncation) -> dict:
     """Build K-inverse, J-inverse, and the integral from unit-object data only.
 
-    Uses the unit integration matrix, unit insertion, general removal, and the
-    unit monoidal maps; returns the three composites for comparison against
-    the directly defined operators.
+    Uses unit integration and insertion (s_R and d_R, the general operators at
+    UNIT_BASE), general removal, and the unit monoidal maps; returns the three
+    composites for comparison against the directly defined operators.  Key
+    relabels drop the one-point atom factor where a monoidal map needs a bare
+    unit bag.
     """
     bags = BagSpace(base, trunc.D)
     atoms = AtomSpace(base)
     ubags = unit_bags(trunc)
-    um = m_unit_rel(base, rig, trunc)
+    uatoms = AtomSpace(UNIT_BASE)
+    m_RA = m_unit_rel(base, rig, trunc).m_RA
     m_RR = m_unit_rel(UNIT_BASE, rig, trunc).m_RA  # ((n, m), k) -> gated n = m = k
-    s_u = s_unit_rel(rig, trunc)
-    d_u = d_unit_rel(rig, trunc)
-    dc = dcirc_rel(base, rig, trunc)
+    s_u = s_rel(UNIT_BASE, rig, trunc)
+    d_u = d_rel(UNIT_BASE, rig, trunc)
     id_bags = WeightedMatrix.identity(rig, bags)
-    id_atoms = WeightedMatrix.identity(rig, atoms)
+    spread = spread_rel(rig, bags, trunc)
 
     # J-inverse: spread over unit sizes, integrate the unit factor, regate.
-    spread = WeightedMatrix(
-        rig,
-        bags,
-        PairSpace(ubags, bags),
-        {(b, (_nbag(n), b)): rig.one for b in bags.points() for n in range(trunc.D + 1)},
-    )
-    j_inv = mat_compose(mat_compose(spread, tensor(s_u, id_bags)), um.m_RA)
+    j_inv = mat_compose(spread, tensor(s_u, id_bags))
+    j_inv = mat_compose(j_inv.relabel(lambda p: (p[0][0], p[1]), PairSpace(ubags, bags)), m_RA)
 
     # Integral: spread, integrate the unit factor while removing an element,
     # then regate the unit size against the remaining bag.
-    mid = mat_compose(spread, tensor(s_u, dc))
-    regate = WeightedMatrix(
-        rig,
-        PairSpace(ubags, PairSpace(bags, atoms)),
-        PairSpace(bags, atoms),
-        {
-            ((_nbag(len(b)), (b, x)), (b, x)): rig.one
-            for b in bags.points()
-            for x in base.atoms
-        },
+    def regroup(p):
+        (n, _), (b, x) = p
+        return ((n, b), x)
+
+    s_matrix = mat_compose(spread, tensor(s_u, dcirc_rel(base, rig, trunc)))
+    s_matrix = mat_compose(
+        s_matrix.relabel(regroup, PairSpace(PairSpace(ubags, bags), atoms)),
+        tensor(m_RA, WeightedMatrix.identity(rig, atoms)),
     )
-    s_matrix = mat_compose(mid, regate)
 
     # K-inverse: double spread, integrate both unit copies, merge the two unit
     # sizes, differentiate the unit factor, regate; plus the empty-bag block.
-    spread2 = WeightedMatrix(
-        rig,
-        bags,
-        PairSpace(PairSpace(ubags, ubags), bags),
-        {
-            (b, ((_nbag(n), _nbag(m)), b)): rig.one
-            for b in bags.points()
-            for n in range(trunc.D + 1)
-            for m in range(trunc.D + 1)
-        },
-    )
-    chain = mat_compose(spread2, tensor(tensor(s_u, s_u), id_bags))
-    chain = mat_compose(chain, tensor(m_RR, id_bags))
+    def merge_key(p):
+        ((n, x), (m, _)), b = p
+        return (((n, m), x), b)
+
+    chain = mat_compose(spread, tensor(spread_rel(rig, ubags, trunc), id_bags))
+    chain = mat_compose(chain, tensor(tensor(s_u, s_u), id_bags))
+    chain = chain.relabel(merge_key, PairSpace(PairSpace(PairSpace(ubags, ubags), uatoms), bags))
+    chain = mat_compose(chain, tensor(tensor(m_RR, WeightedMatrix.identity(rig, uatoms)), id_bags))
     chain = mat_compose(chain, tensor(d_u, id_bags))
-    k_inv = mat_compose(chain, um.m_RA) + bang_zero_rel(base, rig, trunc)
+    k_inv = mat_compose(chain, m_RA) + bang_zero_rel(base, rig, trunc)
 
     return {"K_inv": k_inv, "J_inv": j_inv, "s": s_matrix}

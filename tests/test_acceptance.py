@@ -14,6 +14,7 @@ import dctool.polyform as pf
 import dctool.smoothnum as sm
 import dctool.wrel as wr
 from dctool import bindings, cli, lawsuite
+from dctool.bindings import random_poly
 from dctool.polyform import Polynomial
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL
 from dctool.wrel import BagSpace, BaseSet, Truncation, WeightedMatrix, mat_compose
@@ -23,17 +24,6 @@ def announce(capsys, number, ok, detail):
     with capsys.disabled():
         print(f"\n[ACCEPTANCE {number}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
-
-
-def random_poly(rng, rig, arity, max_degree):
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        deg = rng.randint(0, max_degree)
-        exps = [0] * arity
-        for _ in range(deg):
-            exps[rng.randrange(arity)] += 1
-        terms[tuple(exps)] = rig.sample(rng)
-    return Polynomial(rig, arity, terms)
 
 
 def test_acceptance_1_polynomial_ftc2(capsys):
@@ -57,9 +47,9 @@ def test_acceptance_1_polynomial_ftc2(capsys):
 def test_acceptance_2_unit_identity_D8(capsys):
     t0 = time.perf_counter()
     trunc = Truncation(8)
-    s = wr.s_unit_rel(NONNEG_RATIONAL, trunc)
-    d = wr.d_unit_rel(NONNEG_RATIONAL, trunc)
-    b0 = wr.bang_zero_unit_rel(NONNEG_RATIONAL, trunc)
+    s = wr.s_rel(wr.UNIT_BASE, NONNEG_RATIONAL, trunc)
+    d = wr.d_rel(wr.UNIT_BASE, NONNEG_RATIONAL, trunc)
+    b0 = wr.bang_zero_rel(wr.UNIT_BASE, NONNEG_RATIONAL, trunc)
     ident = WeightedMatrix.identity(NONNEG_RATIONAL, wr.unit_bags(trunc))
     ok = (mat_compose(s, d) + b0).equal_on_safe_band(ident, trunc.safe_limit)
     elapsed = time.perf_counter() - t0
@@ -133,8 +123,9 @@ def test_acceptance_5_unit_reconstruction_round_trip(capsys):
             and rec["s"].equal_on_safe_band(wr.s_rel(base, rig, trunc), lim)
         )
     if ok:
-        s_extracted = mat_compose(wr.K_inv_unit_rel(rig, trunc), wr.dcirc_unit_rel(rig, trunc))
-        lhs = mat_compose(s_extracted, wr.d_unit_rel(rig, trunc)) + wr.bang_zero_unit_rel(rig, trunc)
+        unit = wr.UNIT_BASE
+        s_extracted = mat_compose(wr.K_inv_rel(unit, rig, trunc), wr.dcirc_rel(unit, rig, trunc))
+        lhs = mat_compose(s_extracted, wr.d_rel(unit, rig, trunc)) + wr.bang_zero_rel(unit, rig, trunc)
         ok = lhs.equal_on_safe_band(WeightedMatrix.identity(rig, wr.unit_bags(trunc)), lim)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0

@@ -95,6 +95,25 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--cases", "0"],
+        ["--cases", "-3"],
+        ["--max-degree", "0"],
+        ["--output", "{tmp}/missing/report.json"],
+    ],
+    ids=["zero-cases", "negative-cases", "zero-degree", "unwritable-output"],
+)
+def test_bad_check_arguments_exit_two_with_one_line(flags, tmp_path, capsys):
+    argv = ["check", "poly"] + [f.format(tmp=tmp_path) for f in flags]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dctool: "), captured.err
+
+
 def test_calculator_examples(capsys):
     cases = [
         (["poly", "--expr", "d(x^2*y)"], "[2*x*y, x^2]"),

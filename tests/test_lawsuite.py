@@ -77,6 +77,21 @@ def test_smooth_suite_is_inexact_everywhere():
     assert all(not r.exact for r in reports)
 
 
+def test_no_law_passes_on_zero_cases():
+    smooth_by_dim = {dim: make_smooth_binding(max_dim=dim) for dim in (1, 2, 3)}
+    for binding in (
+        make_poly_binding(NONNEG_RATIONAL),
+        make_rel_binding(NONNEG_RATIONAL),
+        make_rel_binding(BOOLEAN),
+        *smooth_by_dim.values(),
+    ):
+        for r in ls.run_suite(binding, cases=5, seed=0):
+            assert r.status != "pass" or r.cases >= 1, (binding.name, binding.params, r.law_id)
+        with pytest.raises(ValueError):
+            ls.run_law("L2", binding, cases=0, seed=0)
+    assert set(smooth_by_dim[1].skips) == set(smooth_by_dim[3].skips) | {"L6", "L20"}
+
+
 def test_negative_control_fails_with_counterexample():
     binding = make_poly_binding(NONNEG_RATIONAL, sabotage=True)
     reports = ls.run_suite(binding, cases=10, seed=0)

@@ -64,10 +64,10 @@ def test_base_set_rejects_duplicates():
 
 
 def test_d_unit_formula_instances():
-    d = wr.d_unit_rel(R, T4)
-    assert d.entry(nb(1), nb(2)) == Fraction(2)
-    assert d.entry(nb(0), nb(1)) == Fraction(1)
-    assert d.entry(nb(2), nb(2)) == Fraction(0)
+    d = wr.d_rel(UNIT_BASE, R, T4)
+    assert d.entry((nb(1), UNIT_POINT), nb(2)) == Fraction(2)
+    assert d.entry((nb(0), UNIT_POINT), nb(1)) == Fraction(1)
+    assert d.entry((nb(2), UNIT_POINT), nb(2)) == Fraction(0)
 
 
 def test_d_rel_multiplicity_coefficient():
@@ -79,8 +79,8 @@ def test_d_rel_multiplicity_coefficient():
 
 
 def test_dcirc_instances():
-    dc = wr.dcirc_unit_rel(R, T4)
-    assert dc.entry(nb(3), nb(2)) == Fraction(1)
+    dc = wr.dcirc_rel(UNIT_BASE, R, T4)
+    assert dc.entry(nb(3), (nb(2), UNIT_POINT)) == Fraction(1)
     assert all(r != nb(0) for (r, _c) in wr.dcirc_rel(XY, R, T4).entries)
     dcx = wr.dcirc_rel(XY, R, T4)
     assert dcx.entry(("x", "y"), (("y",), "x")) == Fraction(1)
@@ -95,11 +95,11 @@ def test_bang_zero_instances():
 
 
 def test_s_unit_formula_instances():
-    s = wr.s_unit_rel(R, T4)
-    assert s.entry(nb(1), nb(0)) == Fraction(1)
+    s = wr.s_rel(UNIT_BASE, R, T4)
+    assert s.entry(nb(1), (nb(0), UNIT_POINT)) == Fraction(1)
     for m in range(4):
-        assert s.entry(nb(0), nb(m)) == Fraction(0)
-    assert s.entry(nb(3), nb(2)) == Fraction(1, 3)
+        assert s.entry(nb(0), (nb(m), UNIT_POINT)) == Fraction(0)
+    assert s.entry(nb(3), (nb(2), UNIT_POINT)) == Fraction(1, 3)
 
 
 def test_s_rel_instances():
@@ -117,7 +117,7 @@ def test_boolean_integral_is_coderive():
 
 
 def test_unit_K_diagonal():
-    K = wr.K_unit_rel(R, Truncation(5))
+    K = wr.K_rel(UNIT_BASE, R, Truncation(5))
     expected = [1, 1, 2, 3]  # entries for n = 0..3 (safe under the truncation)
     for n, v in enumerate(expected):
         assert K.entry(nb(n), nb(n)) == Fraction(v)
@@ -169,13 +169,7 @@ def test_delta_cocommutative():
 def test_m_unit_laws():
     um = wr.m_unit_rel(XY, R, T4)
     bags = BagSpace(XY, T4.D)
-    ubags = wr.unit_bags(T4)
-    spread = WeightedMatrix(
-        R,
-        bags,
-        PairSpace(ubags, bags),
-        {(b, (nb(n), b)): R.one for b in bags.points() for n in range(T4.D + 1)},
-    )
+    spread = wr.spread_rel(R, bags, T4)
     ident = WeightedMatrix.identity(R, bags)
     assert mat_compose(spread, um.m_RA).equal_on_safe_band(ident, T4.safe_limit)
     ucom = wr.comonoid_rel(UNIT_BASE, R, T4)
@@ -263,3 +257,40 @@ def test_matrix_space_mismatch_raises():
     b = WeightedMatrix.identity(R, BagSpace(XY, 3))
     with pytest.raises(ValueError):
         mat_compose(a, b)
+
+
+# -- key relabels ------------------------------------------------------------
+
+
+def _random_fill(rng, rows, cols, n):
+    row_pts, col_pts = rows.points(), cols.points()
+    entries = {(rng.choice(row_pts), rng.choice(col_pts)): R.sample(rng) for _ in range(n)}
+    return WeightedMatrix(R, rows, cols, entries)
+
+
+def test_relabel_equals_composing_with_the_permutation_matrix():
+    rng = random.Random(3)
+    bags = BagSpace(XY, 3)
+    bb = PairSpace(bags, bags)
+    left, right = PairSpace(bb, bags), PairSpace(bags, bb)
+
+    def reassoc(p):  # not an involution: it changes the space
+        return (p[0][0], (p[0][1], p[1]))
+
+    def swap(p):
+        return (p[1], p[0])
+
+    for space, fn, target in ((left, reassoc, right), (bb, swap, bb)):
+        m = _random_fill(rng, space, space, 300)
+        perm = wr.perm_matrix(R, space, target, fn)
+        assert m.relabel(fn, target) == mat_compose(m, perm)
+        assert m.relabel(fn, target, rows=True) == mat_compose(perm.transpose(), m)
+
+
+def test_relabel_rejects_a_non_injective_map():
+    bags = BagSpace(XY, 2)
+    column = WeightedMatrix(R, bags, bags, {(b, ()): R.one for b in bags.points()})
+    with pytest.raises(ValueError):
+        column.relabel(lambda b: (), bags, rows=True)
+    with pytest.raises(ValueError):
+        column.transpose().relabel(lambda b: (), bags)
