@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(smooth)
     smooth.add_argument("--dim", type=int, default=3, help="largest corpus dimension to use (default 3)")
     smooth.add_argument("--order", type=int, default=32, help="quadrature order (default 32)")
-    smooth.add_argument("--tol-abs", type=float, default=1e-9)
+    smooth.add_argument("--tol-abs", type=float, default=1e-12)
     smooth.add_argument("--tol-rel", type=float, default=1e-6)
 
     calc = sub.add_parser("poly", help="evaluate a calculator expression")
@@ -159,7 +159,13 @@ def run_calc(args) -> int:
     try:
         ast = exprcalc.parse_expr(args.expr)
         value = exprcalc.eval_expr(ast, rig, arity=args.vars)
-    except (exprcalc.ParseError, exprcalc.EvalError, exprcalc.NegativeNotSupported) as exc:
+        if isinstance(value, PolyBundle) and args.coord is not None:
+            if not 1 <= args.coord <= value.arity:
+                raise SystemExit2(f"--coord must be between 1 and {value.arity}")
+            value = value.components[args.coord - 1]
+        # ValueError: a number too long for Python's integer-to-text conversion
+        text = value.render()
+    except (exprcalc.ParseError, exprcalc.EvalError, exprcalc.NegativeNotSupported, SystemExit2, ValueError) as exc:
         print(f"dctool: {exc}", file=sys.stderr)
         return 2
     except NotInvertible as exc:
@@ -169,12 +175,7 @@ def run_calc(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if isinstance(value, PolyBundle) and args.coord is not None:
-        if not 1 <= args.coord <= value.arity:
-            print(f"dctool: --coord must be between 1 and {value.arity}", file=sys.stderr)
-            return 2
-        value = value.components[args.coord - 1]
-    print(value.render())
+    print(text)
     return 0
 
 

@@ -13,6 +13,11 @@ Grammar (whitespace insignificant):
 Variables are the canonical names x, y, z, w; operator names are reserved.
 '-' evaluates only over a semiring with negatives.  `s(e, x)` integrates the
 coordinate bundle that has `e` in the slot of variable x and zero elsewhere.
+
+Products and powers share one work budget per expression, `WORK_LIMIT`
+coefficient-word products (powers by repeated squaring), charged before each
+multiplication runs; an expression over budget is an EvalError, so no input
+makes the calculator run for long.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .rig import Rig
 
 OP_NAMES = ("d", "int", "K", "Kinv", "J", "Jinv", "s")
 VAR_NAMES = pf.DEFAULT_NAMES
+WORK_LIMIT = 100_000  # coefficient-word products per expression
 
 
 class ParseError(Exception):
@@ -202,16 +208,38 @@ def infer_arity(node: Node) -> int:
     return max(indices, default=0) + 1
 
 
+def _size(p: Polynomial) -> int:
+    """Terms plus 64-bit words of the coefficients (Fractions or bools, both rationals)."""
+    return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64 for c in p.terms.values())
+
+
 def eval_expr(ast: Node, semiring: Rig, arity: int | None = None):
     """Evaluate to a Polynomial, or a PolyBundle when the outermost operator is
     `d` on a multivariate expression."""
+    needed = infer_arity(ast)
     if arity is None:
-        arity = infer_arity(ast)
-    seen: set = set()
-    _collect_vars(ast, seen)
-    for v in seen:
-        if VAR_NAMES.index(v) >= arity:
-            raise EvalError(f"variable {v!r} does not fit in {arity} variable(s)")
+        arity = needed
+    elif needed > arity:
+        raise EvalError(f"variable {VAR_NAMES[needed - 1]!r} does not fit in {arity} variable(s)")
+
+    budget = WORK_LIMIT
+
+    def product(p: Polynomial, q: Polynomial) -> Polynomial:
+        nonlocal budget
+        budget -= _size(p) * _size(q)
+        if budget < 0:
+            raise EvalError(f"the expression needs more than {WORK_LIMIT} coefficient products; make it smaller")
+        return p * q
+
+    def power(p: Polynomial, n: int) -> Polynomial:
+        acc = Polynomial.one(semiring, arity)
+        while n:
+            if n & 1:
+                acc = product(acc, p)
+            n >>= 1
+            if n:
+                p = product(p, p)
+        return acc
 
     def as_poly(node: Node) -> Polynomial:
         value = evaluate(node)
@@ -241,9 +269,9 @@ def eval_expr(ast: Node, semiring: Rig, arity: int | None = None):
             rhs = as_poly(node.payload[1])
             return lhs + rhs.scale(semiring.neg(semiring.one))
         if kind == "mul":
-            return as_poly(node.payload[0]) * as_poly(node.payload[1])
+            return product(as_poly(node.payload[0]), as_poly(node.payload[1]))
         if kind == "pow":
-            return as_poly(node.payload[0]) ** node.payload[1]
+            return power(as_poly(node.payload[0]), node.payload[1])
         if kind == "s":
             arg, var = node.payload
             p = as_poly(arg)

@@ -4,7 +4,17 @@ Each law is a pair of operator composites; a model binding supplies one
 deterministic check per law it supports (and a skip reason for laws it
 deliberately does not).  The runner evaluates checks on seeded inputs,
 short-circuits a law on its first counterexample, but always runs every law
-in the binding so one failure never hides another.
+in the binding so one failure never hides another: an exception raised
+inside a check fails that law, with the exception as its counterexample.
+
+The operator-algebra laws L9 and L12-L19 are written once, in the equation
+table `OPERATOR_LAWS`: each is a generator of (lhs, rhs, label) equations
+between composites of d, d°, s, !(0), K, J, K^{-1} and J^{-1}, taken from an
+`Operators` set on the general object or on the monoidal unit.  Composites
+read in matrix-vector order (`f;g` applied to v is f(g(v))).  Each exact
+model supplies both operator sets and one equality check: the relational
+model compares matrices on the safe band, the polynomial model applies both
+sides to seeded inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +22,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from functools import partial
+from typing import Any, Callable, Iterator, Mapping
 
 
 class UnboundOperator(Exception):
@@ -56,6 +67,92 @@ LAWS: tuple[Law, ...] = (
 LAW_BY_ID = {law.id: law for law in LAWS}
 
 
+@dataclass(frozen=True)
+class Operators:
+    """One model's operators on one object, for the equations of OPERATOR_LAWS.
+
+    `seq(f, g)` is g then f, `x1(f)` is f x 1, composites add with `+`, and
+    `rebuilt()` returns "K_inv", "J_inv" and "s" rebuilt from unit integration.
+    """
+
+    d: Any
+    dc: Any  # d°
+    s: Any
+    bang0: Any  # !(0)
+    K: Any
+    J: Any
+    K_inv: Any
+    J_inv: Any
+    id: Any  # identity on bags
+    id_x1: Any  # identity on bags x atoms
+    rebuilt: Callable[[], Mapping[str, Any]]
+    seq: Callable[[Any, Any], Any]
+    x1: Callable[[Any], Any]
+
+
+def _ftc2(o: Operators):
+    yield o.seq(o.s, o.d) + o.bang0, o.id, "second fundamental theorem fails"
+
+
+def _absorption(o: Operators):
+    for name, op in (("K", o.K), ("J", o.J)):
+        yield o.seq(op, o.bang0), o.bang0, f"{name} does not absorb the empty-bag projection"
+        yield o.seq(o.bang0, op), o.bang0, f"empty-bag projection does not absorb {name}"
+    yield o.seq(o.K, o.dc), o.seq(o.dc, o.x1(o.J)), "K/coderive intertwining fails"
+    yield o.seq(o.d, o.K), o.seq(o.x1(o.J), o.d), "derive/K intertwining fails"
+
+
+def _s_against_j(o: Operators):
+    yield o.seq(o.s, o.x1(o.J)), o.dc, "s;(J x 1) differs from the coderive"
+
+
+def _j_inverse(o: Operators):
+    yield o.rebuilt()["J_inv"], o.J_inv, "unit J-inverse formula fails"
+    yield o.seq(o.J, o.J_inv), o.id, "J;J^{-1} is not the identity"
+    yield o.seq(o.J_inv, o.J), o.id, "J^{-1};J is not the identity"
+
+
+def _kinv_formula(o: Operators):
+    return o.seq(o.seq(o.s, o.x1(o.J_inv)), o.d) + o.bang0
+
+
+def _k_inverse(o: Operators):
+    yield _kinv_formula(o), o.K_inv, "unit K-inverse formula fails"
+    yield o.seq(o.K_inv, o.dc), o.s, "K^{-1};d° differs from unit integration"
+
+
+def _round_trip(o: Operators):
+    kinv = _kinv_formula(o)
+    yield o.seq(kinv, o.K), o.id, "constructed inverse fails on the left"
+    yield o.seq(o.K, kinv), o.id, "constructed inverse fails on the right"
+    yield o.seq(o.seq(o.K_inv, o.dc), o.d) + o.bang0, o.id, "extracted integral violates the fundamental theorem"
+
+
+def _reconstruction(o: Operators):
+    rec = o.rebuilt()
+    yield rec["K_inv"], o.K_inv, "reconstructed K-inverse differs"
+    yield rec["J_inv"], o.J_inv, "reconstructed J-inverse differs"
+    yield rec["s"], o.s, "reconstructed integral differs"
+
+
+def _ftc1(o: Operators):
+    yield o.seq(o.d, o.s), o.id_x1, "first fundamental theorem fails"
+
+
+# law id -> (the object the law is stated on, its equations)
+OPERATOR_LAWS: dict[str, tuple[str, Callable[[Operators], Iterator[tuple]]]] = {
+    "L9": ("general", _absorption),
+    "L12": ("unit", _ftc2),
+    "L13": ("unit", _s_against_j),
+    "L14": ("unit", _j_inverse),
+    "L15": ("unit", _k_inverse),
+    "L16": ("unit", _round_trip),
+    "L17": ("general", _reconstruction),
+    "L18": ("general", _ftc2),
+    "L19": ("unit", _ftc1),
+}
+
+
 @dataclass
 class CheckOutcome:
     passed: bool
@@ -69,7 +166,13 @@ LawCheck = Callable[[random.Random, int], CheckOutcome]
 
 @dataclass
 class ModelBinding:
-    """Everything the runner needs: per-law checks, skips, and metadata."""
+    """Everything the runner needs: per-law checks, skips, and metadata.
+
+    `equations(law, at, rng, cases)`, when given, is the model's equality
+    check for the laws of OPERATOR_LAWS: it checks the (lhs, rhs, label)
+    equations `law` yields on the model's operator set `at`, "general" or
+    "unit".
+    """
 
     name: str
     semiring: str
@@ -77,10 +180,11 @@ class ModelBinding:
     checks: Mapping[str, LawCheck]
     skips: Mapping[str, str] = field(default_factory=dict)
     params: Mapping[str, object] = field(default_factory=dict)
+    equations: Callable[..., CheckOutcome] | None = None
 
     @property
     def mask(self):
-        return set(self.checks) | set(self.skips)
+        return set(self.checks) | set(self.skips) | (set(OPERATOR_LAWS) if self.equations else set())
 
 
 @dataclass
@@ -121,11 +225,17 @@ def run_law(law_id: str, binding: ModelBinding, cases: int, seed: int) -> LawRep
             skip_reason=binding.skips[law_id],
         )
     check = binding.checks.get(law_id)
+    if check is None and binding.equations and law_id in OPERATOR_LAWS:
+        at, table_law = OPERATOR_LAWS[law_id]
+        check = partial(binding.equations, table_law, at)
     if check is None:
         raise UnboundOperator(f"{binding.name} has no check bound for {law_id}")
     rng = random.Random(f"{seed}:{law_id}")
     t0 = time.perf_counter()
-    outcome = check(rng, cases)
+    try:
+        outcome = check(rng, cases)
+    except Exception as exc:  # a crashing check fails its own law only
+        outcome = CheckOutcome(False, 0, f"raised {type(exc).__name__}: {exc}")
     ms = (time.perf_counter() - t0) * 1000.0
     status = "pass" if outcome.passed else "fail"
     return LawReport(

@@ -10,8 +10,7 @@ exact equalities.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +25,7 @@ class QuadratureConfig:
     order: int = 32
     fd_step: float = 1e-5
     richardson_levels: int = 2
-    tol_abs: float = 1e-9
+    tol_abs: float = 1e-12
     tol_rel: float = 1e-6
 
     def __post_init__(self):
@@ -288,7 +287,7 @@ def builtin_corpus() -> list[SmoothMap]:
     return maps
 
 
-def gradient_field(potential: SmoothMap) -> BilinearizedMap:
+def gradient_field(potential: SmoothMap, cfg: QuadratureConfig = DEFAULT_CONFIG) -> BilinearizedMap:
     """The derivative pairing of a scalar potential: (x, v) -> grad(potential)(x) . v.
 
     Such fields satisfy the symmetry premise of the Poincare check by
@@ -298,7 +297,7 @@ def gradient_field(potential: SmoothMap) -> BilinearizedMap:
         raise ValueError("potential must be scalar-valued")
 
     def fn(x, v):
-        return directional_derivative(potential, x, v)
+        return directional_derivative(potential, x, v, cfg)
 
     return BilinearizedMap(potential.in_dim, 1, fn, f"grad[{potential.label}]")
 

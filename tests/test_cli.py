@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -129,6 +130,33 @@ def test_calculator_examples(capsys):
     for argv, expected in cases:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.strip() == expected, argv
+
+
+@pytest.mark.parametrize("expr", ["x^100000000", "(x+y+z+w)^60", "(x+y+z+w)^1000"])
+def test_calculator_large_powers_finish_quickly(expr, capsys):
+    t0 = time.perf_counter()
+    status = cli.main(["poly", "--expr", expr])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert elapsed < 2.0, elapsed
+    if status == 0:
+        assert captured.out.strip() and not captured.err
+    else:
+        assert status == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("dctool: "), captured.err
+
+
+def test_tol_abs_changes_a_smooth_verdict(tmp_path):
+    def l3_status(tol_abs):
+        _status, payload = run_json(
+            tmp_path, ["check", "smooth", "--cases", "10", "--tol-rel", "1e-15", "--tol-abs", tol_abs]
+        )
+        assert payload["params"]["tol_abs"] == float(tol_abs)
+        return next(law["status"] for law in payload["laws"] if law["id"] == "L3")
+
+    assert l3_status("1e-12") == "fail"
+    assert l3_status("1e-3") == "pass"
 
 
 def test_calculator_minus_only_over_rational(capsys):

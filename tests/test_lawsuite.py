@@ -3,8 +3,12 @@
 import pytest
 
 import dctool.lawsuite as ls
+import dctool.polyform as pf
+import dctool.wrel as wrel
+from dctool import cli
 from dctool.bindings import make_poly_binding, make_rel_binding, make_smooth_binding
-from dctool.rig import BOOLEAN, NONNEG_RATIONAL
+from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL
+from dctool.smoothnum import NonFinite
 
 
 def test_law_table_is_closed_and_annotated():
@@ -69,6 +73,66 @@ def test_boolean_rel_includes_collapse_law():
     reports = ls.run_suite(make_rel_binding(BOOLEAN), cases=5, seed=0)
     l24 = next(r for r in reports if r.law_id == "L24")
     assert l24.status == "pass"
+
+
+def test_boolean_poly_checks_collapse_law():
+    binding = make_poly_binding(BOOLEAN, variables=2, max_degree=4)
+    assert not binding.skips
+    reports = ls.run_suite(binding, cases=10, seed=0)
+    assert ls.all_pass(reports)
+    l24 = next(r for r in reports if r.law_id == "L24")
+    assert (l24.status, l24.cases) == ("pass", 10)
+
+
+def test_both_exact_models_evaluate_the_operator_table():
+    assert set(ls.OPERATOR_LAWS) == {"L9", "L12", "L13", "L14", "L15", "L16", "L17", "L18", "L19"}
+    for binding in (make_poly_binding(RATIONAL, variables=2, max_degree=4), make_rel_binding(RATIONAL)):
+        for law_id in ls.OPERATOR_LAWS:
+            assert ls.run_law(law_id, binding, cases=10, seed=0).status == "pass", (binding.name, law_id)
+
+
+def test_integral_weighted_by_one_over_n_plus_one_fails_the_second_fundamental_theorem(monkeypatch):
+    """s weighted by 1/(n+1) instead of 1/n, patched in before the bindings are built."""
+
+    def s_op_mutant(b):
+        return pf.J_inv_op(pf.mul_in(b))
+
+    def s_rel_mutant(base, rig, trunc):
+        bags = wrel.BagSpace(base, trunc.D)
+        entries = {
+            (b, (wrel.bag_remove(b, x), x)): rig.nat_inverse(len(b) + 1) for b in bags.points() for x in set(b)
+        }
+        return wrel.WeightedMatrix(rig, bags, wrel.PairSpace(bags, wrel.AtomSpace(base)), entries)
+
+    def statuses():
+        bindings = (make_poly_binding(NONNEG_RATIONAL), make_rel_binding(NONNEG_RATIONAL))
+        return [{law_id: ls.run_law(law_id, b, cases=10, seed=0).status for law_id in ("L12", "L18")} for b in bindings]
+
+    assert statuses() == [{"L12": "pass", "L18": "pass"}] * 2
+    monkeypatch.setattr(pf, "s_op", s_op_mutant)
+    monkeypatch.setattr(wrel, "s_rel", s_rel_mutant)
+    assert statuses() == [{"L12": "fail", "L18": "fail"}] * 2
+
+
+def test_an_exception_in_one_check_fails_only_that_law(monkeypatch, capsys):
+    def passes(rng, cases):
+        return ls.CheckOutcome(True, cases)
+
+    def raises(rng, cases):
+        raise NonFinite("probe returned nan")
+
+    checks = {law.id: passes for law in ls.LAWS}
+    checks["L2"] = raises
+    binding = ls.ModelBinding(name="fragile", semiring="none", exact=False, checks=checks)
+    reports = ls.run_suite(binding, cases=3, seed=0)
+    assert [r.law_id for r in reports] == [law.id for law in ls.LAWS]
+    by_id = {r.law_id: r for r in reports}
+    assert (by_id["L2"].status, by_id["L2"].counterexample) == ("fail", "raised NonFinite: probe returned nan")
+    assert all(r.status == "pass" for r in reports if r.law_id != "L2")
+
+    monkeypatch.setattr(cli, "_make_binding", lambda args: binding)
+    assert cli.main(["check", "smooth"]) == 1
+    assert "raised NonFinite" in capsys.readouterr().out
 
 
 def test_smooth_suite_is_inexact_everywhere():

@@ -183,6 +183,16 @@ def test_ftc1_at_unit():
         assert pf.grad1(pf.integrate1(p)) == p
 
 
+def test_one_variable_operators_are_the_general_ones_at_arity_one():
+    x = Polynomial.variable(R, 1, 0)
+    rng = random.Random(6)
+    for _ in range(200):
+        q = random_poly(rng, R, 1, 6)
+        assert pf.s_op(PolyBundle((q,))) == pf.integrate1(q)
+        assert pf.grad(q) == PolyBundle((pf.grad1(q),))
+        assert pf.mul_in(PolyBundle((q,))) == x * q
+
+
 def test_ftc2_any_arity():
     rng = random.Random(5)
     for _ in range(100):

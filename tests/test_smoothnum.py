@@ -81,6 +81,15 @@ def test_ftc2_residual_examples():
     assert sm.ftc2_residual(sin1, np.array([2.0])) < 1e-10
 
 
+def test_gradient_field_uses_the_given_config():
+    pot = SmoothMap(2, 1, lambda x: np.array([np.sin(x[0]) * x[1] ** 3]), "no-closed-form")
+    coarse = QuadratureConfig(fd_step=1e-2, richardson_levels=0)
+    x, v = np.array([0.4, 1.3]), np.array([1.0, -2.0])
+    got = sm.gradient_field(pot, coarse)(x, v)
+    assert np.array_equal(got, sm.fd_directional_derivative(pot, x, v, coarse))
+    assert not np.array_equal(got, sm.gradient_field(pot)(x, v))
+
+
 def test_poincare_residual_examples():
     # gradient of the potential x^2 + y^2
     pot = SmoothMap(
