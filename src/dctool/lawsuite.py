@@ -7,14 +7,17 @@ short-circuits a law on its first counterexample, but always runs every law
 in the binding so one failure never hides another: an exception raised
 inside a check fails that law, with the exception as its counterexample.
 
-The operator-algebra laws L9 and L12-L19 are written once, in the equation
+The operator-algebra laws L9 and L11-L19 are written once, in the equation
 table `OPERATOR_LAWS`: each is a generator of (lhs, rhs, label) equations
-between composites of d, d°, s, !(0), K, J, K^{-1} and J^{-1}, taken from an
-`Operators` set on the general object or on the monoidal unit.  Composites
-read in matrix-vector order (`f;g` applied to v is f(g(v))).  Each exact
-model supplies both operator sets and one equality check: the relational
-model compares matrices on the safe band, the polynomial model applies both
-sides to seeded inputs.
+between composites of d, d°, s, !(0), K, J, K^{-1}, J^{-1} and the unit
+monoidal maps m_{R,A} and m_R x 1, taken from an `Operators` set on the
+object the law is stated on and the one on the monoidal unit R.  Composites
+read in matrix-vector order (`f;g` applied to v is f(g(v))).  The unit
+reconstructions (L14, L17) move a unit operator f to the object A along
+`via_unit`: tag each bag with its size, apply f to the tag, forget the tag.
+Each exact model supplies both operator sets and one equality check: the
+relational model compares matrices on the safe band, the polynomial model
+applies both sides to seeded inputs.
 """
 
 from __future__ import annotations
@@ -71,8 +74,11 @@ LAW_BY_ID = {law.id: law for law in LAWS}
 class Operators:
     """One model's operators on one object, for the equations of OPERATOR_LAWS.
 
-    `seq(f, g)` is g then f, `x1(f)` is f x 1, composites add with `+`, and
-    `rebuilt()` returns "K_inv", "J_inv" and "s" rebuilt from unit integration.
+    `seq(f, g)` is g then f, `x1(f)` is f x 1, and composites add with `+`.
+    The unit monoidal maps: `gate` = m_{R,A} tags each bag with its size,
+    `spread` = m_R x 1 forgets the tag, `tag(f)` = f x 1 applies a unit-set
+    operator f on bare unit bags to the tag, and `atom` is bags = bags x atoms
+    on the one-point base (None on any other base).
     """
 
     d: Any
@@ -85,16 +91,29 @@ class Operators:
     J_inv: Any
     id: Any  # identity on bags
     id_x1: Any  # identity on bags x atoms
-    rebuilt: Callable[[], Mapping[str, Any]]
+    gate: Any
+    spread: Any
+    atom: Any
+    tag: Callable[[Any], Any]
     seq: Callable[[Any, Any], Any]
     x1: Callable[[Any], Any]
 
 
-def _ftc2(o: Operators):
+def via_unit(o: Operators, f):
+    """The unit-set operator f moved to the object of `o`: (m_R x 1)(f x 1) m_{R,A}."""
+    return o.seq(o.spread, o.seq(o.tag(f), o.gate))
+
+
+def _unit_j_inv(o: Operators, u: Operators):
+    """J^{-1} from unit integration, (m_R x 1)(s_R x 1) m_{R,A}."""
+    return via_unit(o, u.seq(u.s, u.atom))
+
+
+def _ftc2(o: Operators, u: Operators):
     yield o.seq(o.s, o.d) + o.bang0, o.id, "second fundamental theorem fails"
 
 
-def _absorption(o: Operators):
+def _absorption(o: Operators, u: Operators):
     for name, op in (("K", o.K), ("J", o.J)):
         yield o.seq(op, o.bang0), o.bang0, f"{name} does not absorb the empty-bag projection"
         yield o.seq(o.bang0, op), o.bang0, f"empty-bag projection does not absorb {name}"
@@ -102,12 +121,17 @@ def _absorption(o: Operators):
     yield o.seq(o.d, o.K), o.seq(o.x1(o.J), o.d), "derive/K intertwining fails"
 
 
-def _s_against_j(o: Operators):
+def _unit_pairing(o: Operators, u: Operators):
+    for name, unit_op, op in (("K", u.K, o.K), ("J", u.J, o.J)):
+        yield o.seq(o.tag(unit_op), o.gate), o.seq(o.gate, op), f"{name} does not respect the unit pairing"
+
+
+def _s_against_j(o: Operators, u: Operators):
     yield o.seq(o.s, o.x1(o.J)), o.dc, "s;(J x 1) differs from the coderive"
 
 
-def _j_inverse(o: Operators):
-    yield o.rebuilt()["J_inv"], o.J_inv, "unit J-inverse formula fails"
+def _j_inverse(o: Operators, u: Operators):
+    yield _unit_j_inv(o, u), o.J_inv, "unit J-inverse formula fails"
     yield o.seq(o.J, o.J_inv), o.id, "J;J^{-1} is not the identity"
     yield o.seq(o.J_inv, o.J), o.id, "J^{-1};J is not the identity"
 
@@ -116,32 +140,36 @@ def _kinv_formula(o: Operators):
     return o.seq(o.seq(o.s, o.x1(o.J_inv)), o.d) + o.bang0
 
 
-def _k_inverse(o: Operators):
+def _k_inverse(o: Operators, u: Operators):
     yield _kinv_formula(o), o.K_inv, "unit K-inverse formula fails"
     yield o.seq(o.K_inv, o.dc), o.s, "K^{-1};d° differs from unit integration"
 
 
-def _round_trip(o: Operators):
+def _round_trip(o: Operators, u: Operators):
     kinv = _kinv_formula(o)
     yield o.seq(kinv, o.K), o.id, "constructed inverse fails on the left"
     yield o.seq(o.K, kinv), o.id, "constructed inverse fails on the right"
     yield o.seq(o.seq(o.K_inv, o.dc), o.d) + o.bang0, o.id, "extracted integral violates the fundamental theorem"
 
 
-def _reconstruction(o: Operators):
-    rec = o.rebuilt()
-    yield rec["K_inv"], o.K_inv, "reconstructed K-inverse differs"
-    yield rec["J_inv"], o.J_inv, "reconstructed J-inverse differs"
-    yield rec["s"], o.s, "reconstructed integral differs"
+def _reconstruction(o: Operators, u: Operators):
+    # K_R^{-1}, not _kinv_formula(u): L15 already ties the two together, and
+    # the formula reads d, so a broken derivative would fail this law too
+    kinv = via_unit(o, u.K_inv)
+    yield kinv, o.K_inv, "reconstructed K-inverse differs"
+    yield _unit_j_inv(o, u), o.J_inv, "reconstructed J-inverse differs"
+    yield o.seq(kinv, o.dc), o.s, "reconstructed integral differs"
 
 
-def _ftc1(o: Operators):
+def _ftc1(o: Operators, u: Operators):
     yield o.seq(o.d, o.s), o.id_x1, "first fundamental theorem fails"
 
 
-# law id -> (the object the law is stated on, its equations)
-OPERATOR_LAWS: dict[str, tuple[str, Callable[[Operators], Iterator[tuple]]]] = {
+# law id -> (the object the law is stated on, its equations on (that object's
+# operators, the unit's operators))
+OPERATOR_LAWS: dict[str, tuple[str, Callable[[Operators, Operators], Iterator[tuple]]]] = {
     "L9": ("general", _absorption),
+    "L11": ("general", _unit_pairing),
     "L12": ("unit", _ftc2),
     "L13": ("unit", _s_against_j),
     "L14": ("unit", _j_inverse),
@@ -170,8 +198,8 @@ class ModelBinding:
 
     `equations(law, at, rng, cases)`, when given, is the model's equality
     check for the laws of OPERATOR_LAWS: it checks the (lhs, rhs, label)
-    equations `law` yields on the model's operator set `at`, "general" or
-    "unit".
+    equations `law(o, u)` yields, where o is the model's operator set `at`,
+    "general" or "unit", and u its unit set.
     """
 
     name: str

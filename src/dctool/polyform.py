@@ -5,9 +5,10 @@ maps in canonical graded-lex order.  On top of the arithmetic sits the operator
 family this package exists to check: the gradient `grad`, multiplication by the
 generators `mul_in`, evaluation at zero `eval0`, the degree-weighted operators
 `K_op`/`J_op` and their inverses, one-variable integration `integrate1`, the
-antiderivative integral `s_op`, the unit-grading maps `t_grade`/`eval_at_one`,
-variable-set splitting (`seely_split`/`seely_merge`), and coKleisli composition
-of polynomial maps with its Cartesian derivative.
+antiderivative integral `s_op`, the unit-grading maps `t_grade` (m_{R,A}),
+`eval_at_one` (m_R x 1) and `on_tag` (f x 1) on tagged polynomials,
+variable-set splitting (`seely_split`/`seely_merge`), and coKleisli
+composition of polynomial maps with its Cartesian derivative.
 
 All operators act in plain function-application order: `K_op(p)` means "apply
 the operator to p".  The degree-graded operators act block-diagonally on the
@@ -80,10 +81,6 @@ class Polynomial:
         exps = tuple(1 if j == i else 0 for j in range(arity))
         return cls(rig, arity, {exps: rig.one})
 
-    @classmethod
-    def monomial(cls, rig: Rig, arity: int, exps, c) -> "Polynomial":
-        return cls(rig, arity, {tuple(exps): c})
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -151,13 +148,6 @@ class Polynomial:
                     term = rig.mul(term, x)
             acc = rig.add(acc, term)
         return acc
-
-    def graded_parts(self) -> dict:
-        """Group terms by total degree: degree -> homogeneous Polynomial."""
-        parts: dict[int, dict] = {}
-        for exps, c in self.terms.items():
-            parts.setdefault(sum(exps), {})[exps] = c
-        return {n: Polynomial(self.rig, self.arity, t) for n, t in sorted(parts.items())}
 
     # -- rendering ----------------------------------------------------------
 
@@ -326,84 +316,39 @@ def s_op(b: PolyBundle) -> Polynomial:
 
 
 # -- unit-grading maps ------------------------------------------------------
+# A tagged polynomial has arity n + 1: variable 0 is a unit variable t that
+# carries a degree tag, the rest are the n variables of the untagged one.
 
 
-def t_grade(p: Polynomial):
-    """Tag each homogeneous block with its degree in a fresh unit variable t.
+def t_grade(p: Polynomial) -> Polynomial:
+    """Tag each homogeneous block with its degree: degree-n block b becomes t^n * b.
 
-    Returns a list of (t-monomial, block) pairs: degree-n block becomes
-    t^n (tensor) block.  `eval_at_one` is its two-sided inverse.
+    `eval_at_one` is its left inverse.
     """
-    rig = p.rig
-    return [
-        (Polynomial.monomial(rig, 1, (n,), rig.one), block)
-        for n, block in p.graded_parts().items()
-    ]
+    return Polynomial(p.rig, p.arity + 1, {(sum(e),) + e: c for e, c in p.terms.items()})
 
 
-def eval_at_one(pairs) -> Polynomial:
-    """Substitute t := 1 in the first tensor factor and sum.
-
-    `pairs` is a list of (arity-1 polynomial in t, polynomial) tensors; an
-    empty list is not meaningful here since the ambient arity would be unknown.
-    """
-    if not pairs:
-        raise ValueError("eval_at_one needs at least one tensor summand")
-    rig = pairs[0][1].rig
-    arity = pairs[0][1].arity
-    acc = Polynomial.zero(rig, arity)
-    for tp, xp in pairs:
-        if tp.arity != 1:
-            raise ValueError("first tensor factor must have arity 1")
-        scalar = tp.evaluate((rig.one,))
-        acc = acc + xp.scale(scalar)
-    return acc
+def eval_at_one(q: Polynomial) -> Polynomial:
+    """Forget the tag of a tagged polynomial: substitute t := 1."""
+    rig = q.rig
+    terms = {}
+    for (_, *rest), c in q.terms.items():
+        e = tuple(rest)
+        terms[e] = rig.add(terms[e], c) if e in terms else c
+    return Polynomial(rig, q.arity - 1, terms)
 
 
-# -- reconstructions of the inverses from one-variable integration ----------
-
-
-def _eval1_scalar(tp: Polynomial):
-    return tp.evaluate((tp.rig.one,))
-
-
-def jinv_via_unit(p: Polynomial) -> Polynomial:
-    """J inverse built from t_grade, integrate1 on the tag, and eval at 1."""
-    pairs = t_grade(p)
-    if not pairs:
-        return p
-    return eval_at_one([(integrate1(tp), xp) for tp, xp in pairs])
-
-
-def kinv_via_unit(p: Polynomial) -> Polynomial:
-    """K inverse built from unit-variable operations only.
-
-    Route: tag by degree, differentiate the tag, duplicate it diagonally,
-    integrate both copies, evaluate both at 1; add back the value at zero.
-    """
-    rig = p.rig
-    acc = eval0(p)
-    for tp, xp in t_grade(p):
-        dt = grad1(tp)
-        for (k,), c in dt.terms.items():
-            it = integrate1(Polynomial.monomial(rig, 1, (k,), rig.one))
-            iu = integrate1(Polynomial.monomial(rig, 1, (k,), rig.one))
-            scalar = rig.mul(c, rig.mul(_eval1_scalar(it), _eval1_scalar(iu)))
-            acc = acc + xp.scale(scalar)
-    return acc
-
-
-def s_via_unit(b: PolyBundle) -> Polynomial:
-    """Antiderivative integral built from t_grade, integrate1, and mul_in."""
-    rig = b.rig
-    arity = b.arity
-    acc = Polynomial.zero(rig, arity)
-    for i, comp in enumerate(b.components):
-        xi = Polynomial.variable(rig, arity, i)
-        for tp, xp in t_grade(comp):
-            scalar = _eval1_scalar(integrate1(tp))
-            acc = acc + (xi * xp).scale(scalar)
-    return acc
+def on_tag(fn, q: Polynomial) -> Polynomial:
+    """Apply the one-variable operator `fn` to the tag of a tagged polynomial (fn x 1)."""
+    rig = q.rig
+    by_rest: dict = {}
+    for (k, *rest), c in q.terms.items():
+        by_rest.setdefault(tuple(rest), {})[(k,)] = c
+    terms = {}
+    for rest, tag_terms in by_rest.items():
+        for (k,), c in fn(Polynomial(rig, 1, tag_terms)).terms.items():
+            terms[(k,) + rest] = c
+    return Polynomial(rig, q.arity, terms)
 
 
 # -- variable-set splitting -------------------------------------------------

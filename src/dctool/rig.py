@@ -8,7 +8,6 @@ point enters this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,13 +21,6 @@ class NotInvertible(Exception):
         super().__init__(f"{k} (as a sum of ones) is not invertible in {rig_name}")
         self.rig_name = rig_name
         self.k = k
-
-
-@dataclass(frozen=True)
-class RigDescriptor:
-    name: str
-    idempotent: bool
-    nat_invertible: bool
 
 
 class Rig:
@@ -65,9 +57,6 @@ class Rig:
 
     def render(self, a) -> str:
         return str(a)
-
-    def descriptor(self) -> RigDescriptor:
-        return RigDescriptor(self.name, self.idempotent, self.nat_invertible)
 
     def nat_value(self, k: int):
         """The element 1 + 1 + ... + 1 (k times); k = 0 gives zero."""
@@ -118,9 +107,6 @@ class RationalRig(NonNegRationalRig):
 
     def neg(self, a):
         return -a
-
-    def sub(self, a, b):
-        return a - b
 
 
 class BooleanRig(Rig):

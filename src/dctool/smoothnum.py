@@ -31,8 +31,9 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("quadrature order must be >= 2")
-        if self.tol_abs <= 0 or self.tol_rel <= 0 or self.fd_step <= 0:
-            raise ValueError("steps and tolerances must be positive")
+        # a nan fails every comparison and an inf passes every one
+        if not all(0 < v < float("inf") for v in (self.tol_abs, self.tol_rel, self.fd_step)):
+            raise ValueError("steps and tolerances must be positive and finite")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

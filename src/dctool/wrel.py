@@ -407,7 +407,9 @@ def _bag_difference(b: Bag, sub: Bag) -> Bag:
 # the natural numbers below the truncation bound.  The unit-level operators
 # d_R, d°_R, s_R, K_R, J_R and their inverses are the general operators taken
 # at UNIT_BASE, so d_R and s_R still carry the one-point atom factor (R x 1);
-# only the monoidal maps below work on bare unit bags.
+# only the monoidal maps below work on bare unit bags.  With them a unit
+# operator f moves to any base: m_{R,A} tags a bag with its size, f x 1 acts
+# on the tag, and m_R x 1 (`spread_rel`) forgets it (`lawsuite.via_unit`).
 
 
 def unit_bags(trunc: Truncation) -> BagSpace:
@@ -470,58 +472,3 @@ def seely_rel(base_x: BaseSet, base_y: BaseSet, rig: Rig, trunc: Truncation):
     entries = {(b, split(b)): rig.one for b in bags_xy.points()}
     chi = WeightedMatrix(rig, bags_xy, PairSpace(bags_x, bags_y), entries)
     return chi, chi.transpose()
-
-
-# -- reconstruction from the unit object ------------------------------------
-
-
-def unit_reconstruct(base: BaseSet, rig: Rig, trunc: Truncation) -> dict:
-    """Build K-inverse, J-inverse, and the integral from unit-object data only.
-
-    Uses unit integration and insertion (s_R and d_R, the general operators at
-    UNIT_BASE), general removal, and the unit monoidal maps; returns the three
-    composites for comparison against the directly defined operators.  Key
-    relabels drop the one-point atom factor where a monoidal map needs a bare
-    unit bag.
-    """
-    bags = BagSpace(base, trunc.D)
-    atoms = AtomSpace(base)
-    ubags = unit_bags(trunc)
-    uatoms = AtomSpace(UNIT_BASE)
-    m_RA = m_unit_rel(base, rig, trunc).m_RA
-    m_RR = m_unit_rel(UNIT_BASE, rig, trunc).m_RA  # ((n, m), k) -> gated n = m = k
-    s_u = s_rel(UNIT_BASE, rig, trunc)
-    d_u = d_rel(UNIT_BASE, rig, trunc)
-    id_bags = WeightedMatrix.identity(rig, bags)
-    spread = spread_rel(rig, bags, trunc)
-
-    # J-inverse: spread over unit sizes, integrate the unit factor, regate.
-    j_inv = mat_compose(spread, tensor(s_u, id_bags))
-    j_inv = mat_compose(j_inv.relabel(lambda p: (p[0][0], p[1]), PairSpace(ubags, bags)), m_RA)
-
-    # Integral: spread, integrate the unit factor while removing an element,
-    # then regate the unit size against the remaining bag.
-    def regroup(p):
-        (n, _), (b, x) = p
-        return ((n, b), x)
-
-    s_matrix = mat_compose(spread, tensor(s_u, dcirc_rel(base, rig, trunc)))
-    s_matrix = mat_compose(
-        s_matrix.relabel(regroup, PairSpace(PairSpace(ubags, bags), atoms)),
-        tensor(m_RA, WeightedMatrix.identity(rig, atoms)),
-    )
-
-    # K-inverse: double spread, integrate both unit copies, merge the two unit
-    # sizes, differentiate the unit factor, regate; plus the empty-bag block.
-    def merge_key(p):
-        ((n, x), (m, _)), b = p
-        return (((n, m), x), b)
-
-    chain = mat_compose(spread, tensor(spread_rel(rig, ubags, trunc), id_bags))
-    chain = mat_compose(chain, tensor(tensor(s_u, s_u), id_bags))
-    chain = chain.relabel(merge_key, PairSpace(PairSpace(PairSpace(ubags, ubags), uatoms), bags))
-    chain = mat_compose(chain, tensor(tensor(m_RR, WeightedMatrix.identity(rig, uatoms)), id_bags))
-    chain = mat_compose(chain, tensor(d_u, id_bags))
-    k_inv = mat_compose(chain, m_RA) + bang_zero_rel(base, rig, trunc)
-
-    return {"K_inv": k_inv, "J_inv": j_inv, "s": s_matrix}

@@ -99,15 +99,17 @@ def test_usage_errors_exit_two():
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--cases", "0"],
-        ["--cases", "-3"],
-        ["--max-degree", "0"],
-        ["--output", "{tmp}/missing/report.json"],
+        ["poly", "--cases", "0"],
+        ["poly", "--cases", "-3"],
+        ["poly", "--max-degree", "0"],
+        ["poly", "--output", "{tmp}/missing/report.json"],
+        ["smooth", "--tol-abs", "inf"],
+        ["smooth", "--tol-rel", "nan"],
     ],
-    ids=["zero-cases", "negative-cases", "zero-degree", "unwritable-output"],
+    ids=["zero-cases", "negative-cases", "zero-degree", "unwritable-output", "infinite-tol-abs", "nan-tol-rel"],
 )
 def test_bad_check_arguments_exit_two_with_one_line(flags, tmp_path, capsys):
-    argv = ["check", "poly"] + [f.format(tmp=tmp_path) for f in flags]
+    argv = ["check"] + [f.format(tmp=tmp_path) for f in flags]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -148,15 +150,17 @@ def test_calculator_large_powers_finish_quickly(expr, capsys):
 
 
 def test_tol_abs_changes_a_smooth_verdict(tmp_path):
-    def l3_status(tol_abs):
+    laws = ("L3", "L19", "L20")
+
+    def statuses(tol_abs):
         _status, payload = run_json(
             tmp_path, ["check", "smooth", "--cases", "10", "--tol-rel", "1e-15", "--tol-abs", tol_abs]
         )
         assert payload["params"]["tol_abs"] == float(tol_abs)
-        return next(law["status"] for law in payload["laws"] if law["id"] == "L3")
+        return [law["status"] for law in payload["laws"] if law["id"] in laws]
 
-    assert l3_status("1e-12") == "fail"
-    assert l3_status("1e-3") == "pass"
+    assert statuses("1e-12") == ["fail"] * len(laws)
+    assert statuses("1e-3") == ["pass"] * len(laws)
 
 
 def test_calculator_minus_only_over_rational(capsys):

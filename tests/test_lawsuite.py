@@ -85,7 +85,7 @@ def test_boolean_poly_checks_collapse_law():
 
 
 def test_both_exact_models_evaluate_the_operator_table():
-    assert set(ls.OPERATOR_LAWS) == {"L9", "L12", "L13", "L14", "L15", "L16", "L17", "L18", "L19"}
+    assert set(ls.OPERATOR_LAWS) == {"L9", "L11", "L12", "L13", "L14", "L15", "L16", "L17", "L18", "L19"}
     for binding in (make_poly_binding(RATIONAL, variables=2, max_degree=4), make_rel_binding(RATIONAL)):
         for law_id in ls.OPERATOR_LAWS:
             assert ls.run_law(law_id, binding, cases=10, seed=0).status == "pass", (binding.name, law_id)
@@ -112,6 +112,10 @@ def test_integral_weighted_by_one_over_n_plus_one_fails_the_second_fundamental_t
     monkeypatch.setattr(pf, "s_op", s_op_mutant)
     monkeypatch.setattr(wrel, "s_rel", s_rel_mutant)
     assert statuses() == [{"L12": "fail", "L18": "fail"}] * 2
+    # every law that reads s fails, in both models, and no other law does
+    for binding in (make_poly_binding(NONNEG_RATIONAL), make_rel_binding(NONNEG_RATIONAL)):
+        failing = [r.law_id for r in ls.run_suite(binding, cases=10, seed=0) if r.status == "fail"]
+        assert failing == [f"L{n}" for n in range(12, 21)], (binding.name, failing)
 
 
 def test_an_exception_in_one_check_fails_only_that_law(monkeypatch, capsys):

@@ -145,7 +145,11 @@ def test_K_inverse_round_trip_on_200_random_polynomials():
 
 def test_jinv_matches_unit_reconstruction():
     x2y = poly(R, 2, {(2, 1): 1})
-    assert pf.jinv_via_unit(x2y) == pf.J_inv_op(x2y)
+
+    def s_unit(q):
+        return pf.s_op(PolyBundle((q,)))
+
+    assert pf.eval_at_one(pf.on_tag(s_unit, pf.t_grade(x2y))) == pf.J_inv_op(x2y)
 
 
 # -- integration -------------------------------------------------------------
@@ -212,27 +216,20 @@ def test_poincare_symmetric_bundles():
 
 
 def test_t_grade_examples():
+    # the tag t is variable 0 of the tagged polynomial
     x2y = poly(R, 2, {(2, 1): 1})
-    pairs = pf.t_grade(x2y)
-    assert len(pairs) == 1
-    tp, xp = pairs[0]
-    assert tp == poly(R, 1, {(3,): 1})
-    assert xp == x2y
+    assert pf.t_grade(x2y) == poly(R, 3, {(3, 2, 1): 1})
     c = Polynomial.const(R, 2, Fraction(2))
-    (tp, xp), = pf.t_grade(c)
-    assert tp == Polynomial.one(R, 1)
-    assert xp == c
+    assert pf.t_grade(c) == poly(R, 3, {(0, 0, 0): 2})
 
 
 def test_eval_at_one_examples():
-    t2 = poly(R, 1, {(2,): 1})
+    t2_xy = poly(R, 3, {(2, 1, 1): 1})
     xy = poly(R, 2, {(1, 1): 1})
-    assert pf.eval_at_one([(t2, xy)]) == xy
+    assert pf.eval_at_one(t2_xy) == xy
     rng = random.Random(8)
     for _ in range(50):
         p = random_poly(rng, R, rng.randint(1, 3), 5)
-        if p.is_zero():
-            continue
         assert pf.eval_at_one(pf.t_grade(p)) == p
 
 

@@ -127,9 +127,3 @@ def test_wrong_idempotent_flag_is_detected():
     results = rig_laws_check(MisflaggedBool(), samples=10, seed=0)
     flag = next(r for r in results if r.axiom == "idempotent-flag")
     assert not flag.passed
-
-
-def test_descriptor_round_trip():
-    d = BOOLEAN.descriptor()
-    assert d.name == "boolean"
-    assert d.idempotent and d.nat_invertible

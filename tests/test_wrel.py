@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import dctool.wrel as wr
+from dctool.bindings import make_rel_binding
+from dctool.lawsuite import run_law
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL
 from dctool.wrel import (
     BagSpace,
@@ -201,16 +203,14 @@ def test_seely_requires_disjoint_atoms():
 
 
 def test_unit_reconstruction_matches_direct_operators():
-    rec = wr.unit_reconstruct(XY, R, T4)
-    lim = T4.safe_limit
-    assert rec["J_inv"].equal_on_safe_band(wr.J_inv_rel(XY, R, T4), lim)
-    assert rec["K_inv"].equal_on_safe_band(wr.K_inv_rel(XY, R, T4), lim)
-    assert rec["s"].equal_on_safe_band(wr.s_rel(XY, R, T4), lim)
+    binding = make_rel_binding(R, base_size=2, truncation=4)
+    assert run_law("L17", binding, cases=10, seed=0).status == "pass"
 
 
 def test_unit_reconstruction_boolean_integral_is_coderive():
-    rec = wr.unit_reconstruct(XY, B, T4)
-    assert rec["s"].equal_on_safe_band(wr.dcirc_rel(XY, B, T4), T4.safe_limit)
+    # over boolean the reconstructed integral is the direct s (L17), which is d° (L24)
+    binding = make_rel_binding(B, base_size=2, truncation=4)
+    assert [run_law(law_id, binding, cases=10, seed=0).status for law_id in ("L17", "L24")] == ["pass", "pass"]
 
 
 # -- composition oracle and structure ----------------------------------------
