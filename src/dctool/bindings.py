@@ -30,6 +30,7 @@ from .wrel import (
     UnitSpace,
     UNIT_BASE,
     WeightedMatrix,
+    compose_tensor,
     mat_compose,
     perm_matrix,
     tensor,
@@ -455,6 +456,9 @@ def make_rel_binding(
     comparisons, evaluated when the law runs and stopped at the first
     difference; `cases` counts the comparisons made.  Tensor-factor
     permutations are key relabels, not compositions with permutation matrices.
+    The bespoke laws with a large first factor (L1, L3, L7) restrict that
+    factor to the safe-band rows and evaluate each f;(g x h) with
+    `compose_tensor`, so their tensor factors are never materialized.
     """
     if not 1 <= base_size <= len(ATOM_NAMES):
         raise ValueError("base_size out of range")
@@ -495,6 +499,7 @@ def make_rel_binding(
 
     o, u = operators(base), operators(UNIT_BASE)
     d, dc, s, bang0, K, J, x1, id_bags = o.d, o.dc, o.s, o.bang0, o.K, o.J, o.x1, o.id
+    id_atoms = WeightedMatrix.identity(rig, atoms)
     com = wrel.comonoid_rel(base, rig, trunc)
     ucom = wrel.comonoid_rel(UNIT_BASE, rig, trunc)
     m_R = wrel.m_unit_rel(UNIT_BASE, rig, trunc).m_R
@@ -518,19 +523,20 @@ def make_rel_binding(
 
     @equations
     def l1():
-        lhs = mat_compose(com.delta, tensor(com.delta, id_bags))
+        delta = com.delta.restrict_rows(limit)
+        lhs = compose_tensor(delta, com.delta, id_bags)
         yield (
             lhs.relabel(lambda p: (p[0][0], (p[0][1], p[1])), PairSpace(bags, PairSpace(bags, bags))),
-            mat_compose(com.delta, tensor(id_bags, com.delta)),
+            compose_tensor(delta, id_bags, com.delta),
             "comultiplication not coassociative",
         )
         # counit laws, with the unit factor projected away
-        lhs = mat_compose(com.delta, tensor(com.counit, id_bags))
+        lhs = compose_tensor(delta, com.counit, id_bags)
         yield lhs.relabel(lambda p: p[1], bags), id_bags, "left counit fails"
-        lhs = mat_compose(com.delta, tensor(id_bags, com.counit))
+        lhs = compose_tensor(delta, id_bags, com.counit)
         yield lhs.relabel(lambda p: p[0], bags), id_bags, "right counit fails"
-        swapped = com.delta.relabel(lambda p: (p[1], p[0]), com.delta.col_space)
-        yield swapped, com.delta, "comultiplication not cocommutative"
+        swapped = delta.relabel(lambda p: (p[1], p[0]), delta.col_space)
+        yield swapped, delta, "comultiplication not cocommutative"
 
     @equations
     def l2():
@@ -539,18 +545,16 @@ def make_rel_binding(
 
     @equations
     def l3():
-        split = x1(com.delta)  # ((b1, b2), x) columns
+        split = x1(com.delta.restrict_rows(limit))  # ((b1, b2), x) columns
         # summand that differentiates the left split part
-        term1 = mat_compose(
-            split.relabel(lambda p: ((p[0][0], p[1]), p[0][1]), PairSpace(pair_ba, bags)),
-            tensor(d, id_bags),
+        term1 = compose_tensor(
+            split.relabel(lambda p: ((p[0][0], p[1]), p[0][1]), PairSpace(pair_ba, bags)), d, id_bags
         )
         # summand that differentiates the right split part
-        term2 = mat_compose(
-            split.relabel(lambda p: (p[0][0], (p[0][1], p[1])), PairSpace(bags, pair_ba)),
-            tensor(id_bags, d),
+        term2 = compose_tensor(
+            split.relabel(lambda p: (p[0][0], (p[0][1], p[1])), PairSpace(bags, pair_ba)), id_bags, d
         )
-        yield mat_compose(d, com.delta), term1 + term2, "Leibniz fails"
+        yield mat_compose(d.restrict_rows(limit), com.delta), term1 + term2, "Leibniz fails"
 
     @equations
     def l5():
@@ -564,9 +568,9 @@ def make_rel_binding(
 
     @equations
     def l7():
-        rhs = mat_compose(x1(dc).relabel(swap_atoms, pair_baa), x1(d))
+        rhs = compose_tensor(x1(dc.restrict_rows(limit)).relabel(swap_atoms, pair_baa), d, id_atoms)
         rhs = rhs + WeightedMatrix.identity(rig, pair_ba)
-        yield mat_compose(d, dc), rhs, "derive/coderive exchange fails"
+        yield mat_compose(d.restrict_rows(limit), dc), rhs, "derive/coderive exchange fails"
 
     @equations
     def l8():

@@ -57,7 +57,7 @@ LAWS: tuple[Law, ...] = (
     Law("L14", "J inverse from unit integration", "J_R^{-1} = (m_R x 1)(s_R x 1) m_{R,R}"),
     Law("L15", "K inverse from unit integration", "K_R^{-1} = s_R J_R^{-1} d_R + !(0);  s_R = K_R^{-1} d°_R"),
     Law("L16", "unit round-trip", "s_R with s_R d_R + !(0) = 1 inverts K_R, and K_R^{-1} d°_R satisfies the same identity"),
-    Law("L17", "reconstruction from the unit", "K^{-1}, J^{-1}, s rebuilt from s_R equal the direct operators"),
+    Law("L17", "reconstruction from the unit", "K^{-1} and s = K^{-1} d° rebuilt from K_R^{-1}, and J^{-1} from s_R, equal the direct operators"),
     Law("L18", "second fundamental theorem", "s d + !(0) = 1  on every object"),
     Law("L19", "first fundamental theorem at the unit", "d_R s_R = 1"),
     Law("L20", "Poincare condition", "symmetric f implies d ; s ; f = f"),

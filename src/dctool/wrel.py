@@ -15,7 +15,10 @@ cost O(nnz) and build no permutation matrix.
 Every operator shifts bag sizes by a fixed amount (+1, -1 or 0), so equations
 between composites of at most two size-shifting operators are exact on the
 "safe band" of bags whose size stays at least `margin` below the truncation
-bound.  All law checks quantify over that band only.
+bound.  All law checks quantify over that band only.  Row r of f;g depends
+only on row r of f, so a law may evaluate a composite from the safe-band rows
+of its first factor (`WeightedMatrix.restrict_rows`) outward, and
+`compose_tensor` evaluates f;(g x h) without materializing g x h.
 """
 
 from __future__ import annotations
@@ -134,6 +137,11 @@ def point_weight(space, point) -> int:
     return 0
 
 
+def _in_band(space, points, limit: int) -> set:
+    """The members of `points` whose largest bag has at most `limit` atoms."""
+    return {p for p in points if point_weight(space, p) <= limit}
+
+
 def render_point(point) -> str:
     if isinstance(point, tuple) and all(isinstance(a, str) for a in point):
         return "[" + ",".join(point) + "]"
@@ -216,35 +224,46 @@ class WeightedMatrix:
     def __hash__(self):
         raise TypeError("WeightedMatrix is not hashable")
 
-    def restrict_safe(self, limit: int):
-        """Drop entries whose row or column contains a bag larger than `limit`."""
-        entries = {
-            (r, c): v
-            for (r, c), v in self.entries.items()
-            if point_weight(self.row_space, r) <= limit and point_weight(self.col_space, c) <= limit
-        }
+    def restrict_rows(self, limit: int):
+        """Drop entries whose row contains a bag larger than `limit`.
+
+        Row r of f;g depends only on row r of f, so restricting the first
+        factor of a composite restricts the composite exactly.
+        """
+        rows = _in_band(self.row_space, {r for r, _ in self.entries}, limit)
+        entries = {(r, c): v for (r, c), v in self.entries.items() if r in rows}
         return WeightedMatrix(self.rig, self.row_space, self.col_space, entries)
 
     def first_difference(self, other, limit: int):
-        """First safe-band entry where the matrices disagree, or None."""
-        if self.row_space != other.row_space or self.col_space != other.col_space:
-            raise ValueError("matrix space mismatch")
-        a = self.restrict_safe(limit)
-        b = other.restrict_safe(limit)
-        keys = sorted(set(a.entries) | set(b.entries), key=repr)
-        for key in keys:
-            va = a.entries.get(key, self.rig.zero)
-            vb = b.entries.get(key, self.rig.zero)
-            if not self.rig.eq(va, vb):
-                r, c = key
-                return (
-                    f"entry ({render_point(r)}, {render_point(c)}): "
-                    f"{self.rig.render(va)} != {self.rig.render(vb)}"
-                )
-        return None
+        """First safe-band entry, in `repr` order of the keys, where the matrices disagree, or None."""
+        self._check_spaces(other)
+        rig, a, b = self.rig, self.entries, other.entries
+        keys = a.keys() | b.keys()
+        rows = _in_band(self.row_space, {r for r, _ in keys}, limit)
+        cols = _in_band(self.col_space, {c for _, c in keys}, limit)
+        differ = [
+            key
+            for key in keys
+            if key[0] in rows and key[1] in cols and not rig.eq(a.get(key, rig.zero), b.get(key, rig.zero))
+        ]
+        if not differ:
+            return None
+        r, c = key = min(differ, key=repr)
+        return (
+            f"entry ({render_point(r)}, {render_point(c)}): "
+            f"{rig.render(a.get(key, rig.zero))} != {rig.render(b.get(key, rig.zero))}"
+        )
 
     def equal_on_safe_band(self, other, limit: int) -> bool:
         return self.first_difference(other, limit) is None
+
+
+def _by_row(m: WeightedMatrix):
+    """Row key -> [(column key, value)] over m's entries."""
+    rows = defaultdict(list)
+    for (y, z), c in m.entries.items():
+        rows[y].append((z, c))
+    return rows
 
 
 def mat_compose(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
@@ -252,9 +271,7 @@ def mat_compose(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
     if f.col_space != g.row_space:
         raise ValueError("matrix space mismatch: f.col_space != g.row_space")
     rig = f.rig
-    g_by_row = defaultdict(list)
-    for (y, z), c in g.entries.items():
-        g_by_row[y].append((z, c))
+    g_by_row = _by_row(g)
     entries = {}
     for (x, y), a in f.entries.items():
         for z, b in g_by_row.get(y, ()):
@@ -274,6 +291,28 @@ def tensor(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
     return WeightedMatrix(
         rig, PairSpace(f.row_space, g.row_space), PairSpace(f.col_space, g.col_space), entries
     )
+
+
+def compose_tensor(f: WeightedMatrix, g: WeightedMatrix, h: WeightedMatrix) -> WeightedMatrix:
+    """f;(g x h): equal to `mat_compose(f, tensor(g, h))`, without building g x h.
+
+    Walks f's entries and only the rows of g and h that they reach, so the
+    cost follows f: a row-restricted f pays for its own rows only.
+    """
+    if f.col_space != PairSpace(g.row_space, h.row_space):
+        raise ValueError("matrix space mismatch: f.col_space != g.row_space x h.row_space")
+    rig = f.rig
+    g_by_row, h_by_row = _by_row(g), _by_row(h)
+    entries = {}
+    for (x, (y1, y2)), a in f.entries.items():
+        h_row = h_by_row.get(y2, ())
+        for z1, b in g_by_row.get(y1, ()):
+            ab = rig.mul(a, b)
+            for z2, c in h_row:
+                key = (x, (z1, z2))
+                v = rig.mul(ab, c)
+                entries[key] = rig.add(entries[key], v) if key in entries else v
+    return WeightedMatrix(rig, f.row_space, PairSpace(g.col_space, h.col_space), entries)
 
 
 def perm_matrix(rig, row_space, col_space, fn) -> WeightedMatrix:

@@ -118,6 +118,45 @@ def test_integral_weighted_by_one_over_n_plus_one_fails_the_second_fundamental_t
         assert failing == [f"L{n}" for n in range(12, 21)], (binding.name, failing)
 
 
+def test_comultiplication_weighting_one_two_splits_fails_exactly_the_comonoid_and_leibniz_laws(monkeypatch):
+    """Delta weights the splits with |b1| = 1 and |b2| = 2 by 2: L1 and L3 still see it in the safe band."""
+    comonoid_rel = wrel.comonoid_rel
+
+    def comonoid_mutant(base, rig, trunc):
+        com = comonoid_rel(base, rig, trunc)
+        entries = {
+            (b, (b1, b2)): rig.nat_value(2) if (len(b1), len(b2)) == (1, 2) else v
+            for (b, (b1, b2)), v in com.delta.entries.items()
+        }
+        delta = wrel.WeightedMatrix(rig, com.delta.row_space, com.delta.col_space, entries)
+        return wrel.Comonoid(delta, com.counit, com.eps)
+
+    monkeypatch.setattr(wrel, "comonoid_rel", comonoid_mutant)
+    for rig in (NONNEG_RATIONAL, RATIONAL):
+        reports = ls.run_suite(make_rel_binding(rig, base_size=3, truncation=6), cases=10, seed=0)
+        failing = {r.law_id: r.counterexample for r in reports if r.status == "fail"}
+        assert failing == {
+            "L1": "comultiplication not coassociative: entry ([a,a,a], ([a], ([a], [a]))): 1 != 2",
+            "L3": "Leibniz fails: entry (([a,a], a), ([a], [a,a])): 6 != 3",
+        }, rig.name
+
+
+def test_rel_suite_never_builds_a_matrix_beyond_the_safe_band_rows(monkeypatch):
+    """A count, not a timing: the full Kronecker products of L1 held 77,616 entries at base 3, D 6."""
+    largest = 0
+    init = wrel.WeightedMatrix.__init__
+
+    def counting_init(self, rig, row_space, col_space, entries=None):
+        nonlocal largest
+        largest = max(largest, len(entries or ()))
+        init(self, rig, row_space, col_space, entries)
+
+    monkeypatch.setattr(wrel.WeightedMatrix, "__init__", counting_init)
+    for rig in (NONNEG_RATIONAL, BOOLEAN):
+        assert ls.all_pass(ls.run_suite(make_rel_binding(rig, base_size=3, truncation=6), cases=50, seed=0))
+    assert 0 < largest <= 10_000
+
+
 def test_an_exception_in_one_check_fails_only_that_law(monkeypatch, capsys):
     def passes(rng, cases):
         return ls.CheckOutcome(True, cases)

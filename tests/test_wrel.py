@@ -8,7 +8,7 @@ import pytest
 import dctool.wrel as wr
 from dctool.bindings import make_rel_binding
 from dctool.lawsuite import run_law
-from dctool.rig import BOOLEAN, NONNEG_RATIONAL
+from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RIGS
 from dctool.wrel import (
     BagSpace,
     BaseSet,
@@ -18,7 +18,9 @@ from dctool.wrel import (
     UNIT_POINT,
     WeightedMatrix,
     bag,
+    compose_tensor,
     mat_compose,
+    tensor,
 )
 
 R = NONNEG_RATIONAL
@@ -262,10 +264,10 @@ def test_matrix_space_mismatch_raises():
 # -- key relabels ------------------------------------------------------------
 
 
-def _random_fill(rng, rows, cols, n):
+def _random_fill(rng, rows, cols, n, rig=R):
     row_pts, col_pts = rows.points(), cols.points()
-    entries = {(rng.choice(row_pts), rng.choice(col_pts)): R.sample(rng) for _ in range(n)}
-    return WeightedMatrix(R, rows, cols, entries)
+    entries = {(rng.choice(row_pts), rng.choice(col_pts)): rig.sample(rng) for _ in range(n)}
+    return WeightedMatrix(rig, rows, cols, entries)
 
 
 def test_relabel_equals_composing_with_the_permutation_matrix():
@@ -294,3 +296,60 @@ def test_relabel_rejects_a_non_injective_map():
         column.relabel(lambda b: (), bags, rows=True)
     with pytest.raises(ValueError):
         column.transpose().relabel(lambda b: (), bags)
+
+
+# -- composites with a tensor, from the safe-band rows -----------------------
+
+
+@pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
+def test_compose_tensor_equals_composing_with_the_kronecker_product(rig):
+    rng = random.Random(11)
+    bags, atoms = BagSpace(XY, 4), wr.AtomSpace(XY)
+    limit = T4.safe_limit
+    for g_rows, g_cols, h_rows, h_cols in ((bags, bags, bags, bags), (bags, atoms, atoms, bags)):
+        f = _random_fill(rng, bags, PairSpace(g_rows, h_rows), 120, rig)
+        # f's columns reach rows of g and h outside the safe band
+        assert any(wr.point_weight(f.col_space, c) > limit for _, c in f.entries)
+        for _ in range(3):
+            g = _random_fill(rng, g_rows, g_cols, 40, rig)
+            h = _random_fill(rng, h_rows, h_cols, 40, rig)
+            assert compose_tensor(f, g, h) == mat_compose(f, tensor(g, h))
+    with pytest.raises(ValueError):  # f's columns are bags x atoms, not atoms x bags
+        compose_tensor(f, h, g)
+
+
+@pytest.mark.parametrize("D", [4, 5, 6])
+@pytest.mark.parametrize("base_size", [1, 2, 3])
+def test_band_first_composite_is_the_full_composite_on_the_safe_band_rows(base_size, D):
+    base, trunc = BaseSet(("a", "b", "c")[:base_size]), Truncation(D)
+    limit = trunc.safe_limit
+    com, d = wr.comonoid_rel(base, R, trunc), wr.d_rel(base, R, trunc)
+    ident = WeightedMatrix.identity(R, BagSpace(base, D))
+    delta = com.delta.restrict_rows(limit)
+    for g, h in ((com.delta, ident), (ident, com.delta), (com.counit, ident)):
+        full = mat_compose(com.delta, tensor(g, h))
+        band_first = compose_tensor(delta, g, h)
+        assert band_first == full.restrict_rows(limit)
+    assert mat_compose(d.restrict_rows(limit), com.delta) == mat_compose(d, com.delta).restrict_rows(limit)
+
+
+def test_first_difference_reports_the_first_safe_band_key_in_repr_order():
+    bags = BagSpace(XY, 4)
+    ident = {(b, b): R.one for b in bags.points()}
+    changed = {
+        (("x", "x", "x"), ("x", "x", "x")): R.nat_value(2),  # row and column outside the band
+        ((), ("x", "x", "y")): R.one,  # column outside the band
+        (("y",), ("y",)): R.nat_value(3),
+        (("x",), ("x",)): R.nat_value(2),
+    }
+    a = WeightedMatrix(R, bags, bags, ident)
+    b = WeightedMatrix(R, bags, bags, {**ident, **changed})
+    assert a.first_difference(b, T4.safe_limit) == "entry ([x], [x]): 1 != 2"
+    del changed[(("x",), ("x",))]
+    b = WeightedMatrix(R, bags, bags, {**ident, **changed, (("x", "y"), ("x", "y")): R.zero})
+    # repr puts ('x', 'y') before ('x',) and ('y',)
+    assert a.first_difference(b, T4.safe_limit) == "entry ([x,y], [x,y]): 1 != 0"
+    assert b.first_difference(a, T4.safe_limit) == "entry ([x,y], [x,y]): 0 != 1"
+    b = WeightedMatrix(R, bags, bags, {**ident, **changed})
+    assert a.first_difference(b, 1) == "entry ([y], [y]): 1 != 3"
+    assert a.first_difference(b, 0) is None
