@@ -35,8 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the law suite for one model")
     model_sub = check.add_subparsers(dest="model", required=True)
 
-    def add_common(p):
-        p.add_argument("--semiring", choices=SEMIRING_CHOICES, default="nonneg-rational")
+    def add_common(p, semiring=True):
+        # the smooth model computes over the reals only, so it takes no --semiring
+        if semiring:
+            p.add_argument("--semiring", choices=SEMIRING_CHOICES, default="nonneg-rational")
         p.add_argument("--cases", type=int, default=50, help="seeded cases per law (default 50)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -58,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--truncation", type=int, default=4, help="maximum bag size D (default 4)")
 
     smooth = model_sub.add_parser("smooth", help="numerical smooth-map model")
-    add_common(smooth)
+    add_common(smooth, semiring=False)
     smooth.add_argument("--dim", type=int, default=3, help="largest corpus dimension to use (default 3)")
     smooth.add_argument("--order", type=int, default=32, help="quadrature order (default 32)")
     smooth.add_argument("--tol-abs", type=float, default=1e-12)
@@ -120,15 +122,14 @@ def report_payload(binding, reports, seed: int) -> dict:
 
 
 def _make_binding(args) -> lawsuite.ModelBinding:
-    rig = RIGS[args.semiring]
     if args.model == "poly":
         if args.vars < 1:
             raise SystemExit2("--vars must be >= 1")
         return bindings.make_poly_binding(
-            rig, variables=args.vars, max_degree=args.max_degree, sabotage=args.sabotage
+            RIGS[args.semiring], variables=args.vars, max_degree=args.max_degree, sabotage=args.sabotage
         )
     if args.model == "rel":
-        return bindings.make_rel_binding(rig, base_size=args.base_size, truncation=args.truncation)
+        return bindings.make_rel_binding(RIGS[args.semiring], base_size=args.base_size, truncation=args.truncation)
     cfg = QuadratureConfig(order=args.order, tol_abs=args.tol_abs, tol_rel=args.tol_rel)
     return bindings.make_smooth_binding(cfg, max_dim=args.dim)
 

@@ -6,14 +6,24 @@ differences, or a supplied closed form) and the [0,1] line integral
 S[g](x) = integral of g(t*x, x) dt computed by fixed-order Gauss-Legendre
 quadrature.  The calculus identities are checked as residual bounds, never as
 exact equalities.
+
+Maps evaluate a batch of points per call: a batch has shape (n, k), one point
+per column, and its values have shape (m, k).  Each quadrature and each
+Richardson stencil is therefore one call of the map under test.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+# leggauss builds an order x order companion matrix, and a quadrature batch
+# holds order x points floats
+MAX_ORDER = 1024
 
 
 class NonFinite(Exception):
@@ -29,8 +39,8 @@ class QuadratureConfig:
     tol_rel: float = 1e-6
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("quadrature order must be >= 2")
+        if not 2 <= self.order <= MAX_ORDER:
+            raise ValueError(f"quadrature order must be between 2 and {MAX_ORDER}")
         # a nan fails every comparison and an inf passes every one
         if not all(0 < v < float("inf") for v in (self.tol_abs, self.tol_rel, self.fd_step)):
             raise ValueError("steps and tolerances must be positive and finite")
@@ -39,9 +49,65 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+@functools.cache
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the order-point Gauss-Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    # map [-1, 1] to [0, 1]
+    ts, ws = 0.5 * (nodes + 1.0), 0.5 * weights
+    ts.flags.writeable = ws.flags.writeable = False
+    return ts, ws
+
+
+def _batch(*arrays):
+    """The arguments as float arrays of shape (n,), or of one shape (n, k).
+
+    Arguments of shape (n, *batch) are broadcast against each other, a single
+    point or direction of shape (n,) against all of them, and the batch is
+    flattened into k columns.  Returns the arrays and the batch shape, which
+    is () when every argument is a single point.
+    """
+    arrays = [np.asarray(a, float) for a in arrays]
+    batch = np.broadcast_shapes(*(a.shape[1:] for a in arrays))
+    if not batch:
+        return arrays, batch
+    k = math.prod(batch)
+    flat = []
+    for a in arrays:
+        a = a.reshape(a.shape[:1] + (1,) * (len(batch) + 1 - a.ndim) + a.shape[1:])
+        flat.append(np.broadcast_to(a, a.shape[:1] + batch).reshape(len(a), k))
+    return flat, batch
+
+
+def _evaluate(fn, out_dim: int, label: str, *args) -> np.ndarray:
+    """fn at one point, shape (m,), or at a batch of points in one call, shape (m, *batch).
+
+    A constant output broadcasts over the batch.  Every value is checked to be
+    finite.
+    """
+    args, batch = _batch(*args)
+    y = np.asarray(fn(*args), float)
+    if batch:
+        y = np.broadcast_to(y.reshape(out_dim, -1), (out_dim, args[0].shape[1]))
+    else:
+        y = np.atleast_1d(y)
+    finite = np.isfinite(y)
+    if not finite.all():
+        x = args[0][:, np.argmin(finite.all(axis=0))] if batch else args[0]
+        raise NonFinite(f"{label} returned a non-finite value at {x}")
+    return y.reshape((out_dim,) + batch) if batch else y
+
+
 @dataclass
 class SmoothMap:
     """A deterministic evaluator for a smooth function R^n -> R^m.
+
+    Called on a point of shape (n,) it returns shape (m,); called on a batch
+    of shape (n, k), one point per column, it makes one call of `fn` and
+    returns shape (m, k).  `fn` and `exact_derivative` must therefore work
+    column-wise: index coordinates as `x[i]` and reduce over axis 0.  A
+    constant output broadcasts over the batch, a single direction against a
+    batch of points, and a nested batch (n, *batch) is flattened into k.
 
     `exact_derivative(x, v)`, when present, is the closed-form directional
     derivative; finite differences serve as its cross-check.
@@ -55,16 +121,15 @@ class SmoothMap:
     transcendental: bool = False
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.atleast_1d(np.asarray(self.fn(x), dtype=float))
-        if not np.all(np.isfinite(y)):
-            raise NonFinite(f"{self.label} returned a non-finite value at {x}")
-        return y
+        return _evaluate(self.fn, self.out_dim, self.label, x)
 
 
 @dataclass
 class BilinearizedMap:
-    """A smooth map R^n x R^n -> R^m that is linear in its second argument."""
+    """A smooth map R^n x R^n -> R^m that is linear in its second argument.
+
+    Takes points and directions in the batch convention of `SmoothMap`.
+    """
 
     in_dim: int
     out_dim: int
@@ -72,29 +137,27 @@ class BilinearizedMap:
     label: str
 
     def __call__(self, x, y) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(self.fn(np.asarray(x, float), np.asarray(y, float)), float))
-        if not np.all(np.isfinite(out)):
-            raise NonFinite(f"{self.label} returned a non-finite value")
-        return out
+        return _evaluate(self.fn, self.out_dim, self.label, x, y)
 
 
 def fd_directional_derivative(f: SmoothMap, x, v, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Central-difference directional derivative with Richardson extrapolation."""
-    x = np.asarray(x, float)
-    v = np.asarray(v, float)
-    h0 = cfg.fd_step * (1.0 + float(np.linalg.norm(x)))
+    """Central-difference directional derivative with Richardson extrapolation.
 
-    def central(h):
-        return (f(x + h * v) - f(x - h * v)) / (2.0 * h)
-
+    The whole stencil, 2 * (levels + 1) points per column, is one call of f.
+    """
+    (x, v), batch = _batch(x, v)
     levels = cfg.richardson_levels
-    table = [central(h0 / 2.0**i) for i in range(levels + 1)]
+    h0 = cfg.fd_step * (1.0 + np.sqrt(np.sum(x * x, axis=0)))
+    steps = np.multiply.outer(h0, 1.0 / 2.0 ** np.arange(levels + 1))
+    y = f(x[..., None] + v[..., None] * np.concatenate([steps, -steps], axis=-1))
+    central = (y[..., : levels + 1] - y[..., levels + 1 :]) / (2.0 * steps)
+    table = [central[..., i] for i in range(levels + 1)]
     for j in range(1, levels + 1):
         factor = 4.0**j
         table = [
             (factor * table[i + 1] - table[i]) / (factor - 1.0) for i in range(len(table) - 1)
         ]
-    return table[0]
+    return table[0].reshape((-1,) + batch)
 
 
 def directional_derivative(f: SmoothMap, x, v, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -104,12 +167,7 @@ def directional_derivative(f: SmoothMap, x, v, cfg: QuadratureConfig = DEFAULT_C
     central differences.
     """
     if f.exact_derivative is not None:
-        x = np.asarray(x, float)
-        v = np.asarray(v, float)
-        out = np.atleast_1d(np.asarray(f.exact_derivative(x, v), float))
-        if not np.all(np.isfinite(out)):
-            raise NonFinite(f"{f.label} exact derivative returned a non-finite value")
-        return out
+        return _evaluate(f.exact_derivative, f.out_dim, f"{f.label} exact derivative", x, v)
     return fd_directional_derivative(f, x, v, cfg)
 
 
@@ -121,15 +179,13 @@ def bilinearize(f: SmoothMap, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Bilinea
 
 
 def line_integral_S(g: BilinearizedMap, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Gauss-Legendre quadrature of t -> g(t*x, x) over [0, 1]."""
-    x = np.asarray(x, float)
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.order)
-    # map [-1, 1] to [0, 1]
-    ts = 0.5 * (nodes + 1.0)
-    ws = 0.5 * weights
-    acc = np.zeros(g.out_dim)
-    for t, w in zip(ts, ws):
-        acc = acc + w * g(t * x, x)
+    """Gauss-Legendre quadrature of t -> g(t*x, x) over [0, 1].
+
+    All nodes of all columns of x are one call of g.
+    """
+    x = np.asarray(x, float)[..., None]
+    ts, ws = gauss_legendre(cfg.order)
+    acc = g(x * ts, x) @ ws
     if not np.all(np.isfinite(acc)):
         raise NonFinite(f"line integral of {g.label} is non-finite")
     return acc
@@ -280,7 +336,7 @@ def builtin_corpus() -> list[SmoothMap]:
             lambda x: np.array([np.exp(-(x[0] ** 2 + x[1] ** 2 + x[2] ** 2) / 4.0)]),
             "gauss3",
             exact_derivative=lambda x, v: np.array(
-                [np.exp(-(x @ x) / 4.0) * (-(x @ v) / 2.0)]
+                [np.exp(-np.sum(x * x, axis=0) / 4.0) * (-np.sum(x * v, axis=0) / 2.0)]
             ),
             transcendental=True,
         )

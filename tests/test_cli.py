@@ -96,6 +96,14 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+def test_smooth_takes_no_semiring(capsys):
+    # the smooth model computes over the reals; a semiring flag would be ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "smooth", "--semiring", "boolean"])
+    assert exc.value.code == 2
+    assert "--semiring" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -105,8 +113,14 @@ def test_usage_errors_exit_two():
         ["poly", "--output", "{tmp}/missing/report.json"],
         ["smooth", "--tol-abs", "inf"],
         ["smooth", "--tol-rel", "nan"],
+        # refused by QuadratureConfig before any node or batch is built
+        ["smooth", "--order", "1025"],
+        ["smooth", "--order", "10000000000"],
     ],
-    ids=["zero-cases", "negative-cases", "zero-degree", "unwritable-output", "infinite-tol-abs", "nan-tol-rel"],
+    ids=[
+        "zero-cases", "negative-cases", "zero-degree", "unwritable-output", "infinite-tol-abs", "nan-tol-rel",
+        "order-above-limit", "huge-order",
+    ],
 )
 def test_bad_check_arguments_exit_two_with_one_line(flags, tmp_path, capsys):
     argv = ["check"] + [f.format(tmp=tmp_path) for f in flags]
@@ -161,6 +175,16 @@ def test_tol_abs_changes_a_smooth_verdict(tmp_path):
 
     assert statuses("1e-12") == ["fail"] * len(laws)
     assert statuses("1e-3") == ["pass"] * len(laws)
+
+
+def test_tol_rel_reaches_the_mixed_partials_check(tmp_path):
+    # L6 compares at ten times --tol-rel: 1e-5 at the default
+    status, payload = run_json(tmp_path, ["check", "smooth", "--cases", "10", "--tol-rel", "1e-15"])
+    l6 = next(law for law in payload["laws"] if law["id"] == "L6")
+    assert status == 1
+    assert l6["status"] == "fail" and "mixed partials differ" in l6["counterexample"]
+    _status, payload = run_json(tmp_path, ["check", "smooth", "--cases", "10"])
+    assert next(law for law in payload["laws"] if law["id"] == "L6")["status"] == "pass"
 
 
 def test_calculator_minus_only_over_rational(capsys):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import dctool.smoothnum as sm
+from dctool import lawsuite
+from dctool.bindings import make_smooth_binding
 from dctool.smoothnum import (
     BilinearizedMap,
     DEFAULT_CONFIG,
@@ -23,6 +25,9 @@ def test_config_validation():
         QuadratureConfig(tol_abs=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(fd_step=-1e-5)
+    with pytest.raises(ValueError):
+        QuadratureConfig(order=sm.MAX_ORDER + 1)
+    assert QuadratureConfig(order=sm.MAX_ORDER).order == sm.MAX_ORDER
 
 
 def test_corpus_shape():
@@ -155,3 +160,119 @@ def test_sample_point_box_and_determinism():
     b = sm.sample_point(random.Random(5), 3)
     assert np.array_equal(a, b)
     assert np.all(np.abs(a) <= 2.0)
+
+
+def _relative_gap(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+
+
+def test_batched_and_pointwise_evaluation_agree():
+    rng = random.Random(7)
+    for f in sm.builtin_corpus():
+        X = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(8)])
+        V = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(8)])
+        v = V[:, 0]
+        values = f(X)
+        exact = sm.directional_derivative(f, X, V)
+        fd = sm.fd_directional_derivative(f, X, V)
+        # a single direction broadcasts against the batch of points
+        exact_one_v = sm.directional_derivative(f, X, v)
+        fd_one_v = sm.fd_directional_derivative(f, X, v)
+        for out in (values, exact, fd, exact_one_v, fd_one_v):
+            assert out.shape == (f.out_dim, 8), f.label
+        for j in range(8):
+            x = X[:, j]
+            assert _relative_gap(values[:, j], f(x)) <= 1e-15, f.label
+            assert _relative_gap(exact[:, j], f.exact_derivative(x, V[:, j])) <= 1e-15, f.label
+            assert _relative_gap(fd[:, j], sm.fd_directional_derivative(f, x, V[:, j])) <= 1e-15, f.label
+            assert _relative_gap(exact_one_v[:, j], f.exact_derivative(x, v)) <= 1e-15, f.label
+            assert _relative_gap(fd_one_v[:, j], sm.fd_directional_derivative(f, x, v)) <= 1e-15, f.label
+        # a nested batch is flattened into columns and keeps its shape
+        nested = f(X.reshape(f.in_dim, 2, 4))
+        assert nested.shape == (f.out_dim, 2, 4)
+        assert np.array_equal(nested.reshape(f.out_dim, 8), values)
+
+
+def test_constant_output_broadcasts_over_the_batch():
+    const = SmoothMap(3, 2, lambda x: np.array([4.0, -1.0]), "const")
+    got = const(np.ones((3, 5)))
+    assert got.shape == (2, 5)
+    assert np.array_equal(got, np.tile([[4.0], [-1.0]], 5))
+    zero = BilinearizedMap(2, 1, lambda x, y: np.zeros(1), "zero")
+    assert np.array_equal(zero(np.ones((2, 3)), np.ones(2)), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("order", [2, 16, 64])
+def test_line_integral_matches_a_per_node_loop(order):
+    cfg = QuadratureConfig(order=order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    rng = random.Random(order)
+    for f in sm.builtin_corpus():
+        g = sm.bilinearize(f, cfg)
+        for _ in range(3):
+            x = sm.sample_point(rng, f.in_dim)
+            reference = np.zeros(f.out_dim)
+            for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+                reference = reference + w * g(t * x, x)
+            assert _relative_gap(sm.line_integral_S(g, x, cfg), reference) <= 1e-13, f.label
+        X = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(4)])
+        batched = sm.line_integral_S(g, X, cfg)
+        for j in range(4):
+            assert _relative_gap(batched[:, j], sm.line_integral_S(g, X[:, j], cfg)) <= 1e-13, f.label
+
+
+def test_one_non_finite_node_of_a_batch_is_detected():
+    ts, _ws = sm.gauss_legendre(DEFAULT_CONFIG.order)
+    bad_node = ts[5]
+    g = BilinearizedMap(1, 1, lambda x, y: np.where(x == bad_node, np.nan, x) * y, "hole")
+    with pytest.raises(NonFinite, match="hole"):
+        sm.line_integral_S(g, np.array([1.0]))
+    assert np.isfinite(sm.line_integral_S(g, np.array([0.5]))).all()
+    f = SmoothMap(1, 1, lambda x: 1.0 / np.where(x == 3.0, 0.0, x), "recip")
+    with pytest.raises(NonFinite, match=r"recip returned a non-finite value at \[3\.\]"):
+        with np.errstate(divide="ignore"):
+            f(np.array([[1.0, 2.0, 3.0, 4.0]]))
+
+
+def test_nodes_are_computed_once_per_order_and_read_only(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(order):
+        calls.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    sm.gauss_legendre.cache_clear()
+    binding = make_smooth_binding(QuadratureConfig(order=24))
+    assert calls == []  # building the binding computes no nodes
+    lawsuite.run_suite(binding, cases=10, seed=0)
+    lawsuite.run_suite(binding, cases=10, seed=1)
+    assert calls == [24]
+    ts, ws = sm.gauss_legendre(24)
+    for arr in (ts, ws):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    sm.gauss_legendre.cache_clear()
+
+
+def test_map_calls_do_not_grow_with_the_quadrature_order(monkeypatch):
+    calls = []
+    for cls in (SmoothMap, BilinearizedMap):
+        original = cls.__call__
+
+        def counting(self, *args, original=original):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "__call__", counting)
+
+    def suite_calls(order):
+        calls.clear()
+        reports = lawsuite.run_suite(make_smooth_binding(QuadratureConfig(order=order)), cases=10, seed=0)
+        assert lawsuite.all_pass(reports)
+        return len(calls)
+
+    assert suite_calls(16) == suite_calls(64)
