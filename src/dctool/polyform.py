@@ -10,6 +10,15 @@ antiderivative integral `s_op`, the unit-grading maps `t_grade` (m_{R,A}),
 variable-set splitting (`seely_split`/`seely_merge`), and coKleisli
 composition of polynomial maps with its Cartesian derivative.
 
+Canonical form: `terms` maps arity-length tuples of non-negative exponents to
+nonzero coefficients.  The public constructor `Polynomial(rig, arity, terms)`
+validates its input (any iterable key, arity, sign of every exponent) and
+drops zero coefficients.  Every operator of this module builds its result
+from canonical operands, so it goes through the trusted
+`Polynomial._canonical`, which only drops zero coefficients (sums of
+rationals can cancel); the named constructors `zero`, `const`, `one` and
+`variable` build their keys themselves and use it too.
+
 All operators act in plain function-application order: `K_op(p)` means "apply
 the operator to p".  The degree-graded operators act block-diagonally on the
 graded-lex canonical form, which keeps both the implementation and the law
@@ -19,6 +28,7 @@ counterexample rendering simple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .rig import Rig
 
@@ -62,15 +72,26 @@ class Polynomial:
                 canon[exps] = c
         self.terms = canon
 
+    @classmethod
+    def _canonical(cls, rig: Rig, arity: int, terms: dict) -> "Polynomial":
+        """Trusted constructor: every key of `terms` is already an arity-length
+        tuple of non-negative exponents.  Only zero coefficients are dropped."""
+        p = object.__new__(cls)
+        p.rig = rig
+        p.arity = arity
+        is_zero = rig.is_zero
+        p.terms = {e: c for e, c in terms.items() if not is_zero(c)}
+        return p
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, rig: Rig, arity: int) -> "Polynomial":
-        return cls(rig, arity)
+        return cls._canonical(rig, arity, {})
 
     @classmethod
     def const(cls, rig: Rig, arity: int, c) -> "Polynomial":
-        return cls(rig, arity, {(0,) * arity: c})
+        return cls._canonical(rig, arity, {(0,) * arity: c})
 
     @classmethod
     def one(cls, rig: Rig, arity: int) -> "Polynomial":
@@ -79,7 +100,7 @@ class Polynomial:
     @classmethod
     def variable(cls, rig: Rig, arity: int, i: int) -> "Polynomial":
         exps = tuple(1 if j == i else 0 for j in range(arity))
-        return cls(rig, arity, {exps: rig.one})
+        return cls._canonical(rig, arity, {exps: rig.one})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -89,7 +110,7 @@ class Polynomial:
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = rig.add(terms[exps], c) if exps in terms else c
-        return Polynomial(rig, self.arity, terms)
+        return Polynomial._canonical(rig, self.arity, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         _check_arity(self.arity, other.arity)
@@ -97,22 +118,14 @@ class Polynomial:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = rig.mul(c1, c2)
                 terms[e] = rig.add(terms[e], c) if e in terms else c
-        return Polynomial(rig, self.arity, terms)
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        acc = Polynomial.one(self.rig, self.arity)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return Polynomial._canonical(rig, self.arity, terms)
 
     def scale(self, c) -> "Polynomial":
         rig = self.rig
-        return Polynomial(rig, self.arity, {e: rig.mul(c, v) for e, v in self.terms.items()})
+        return Polynomial._canonical(rig, self.arity, {e: rig.mul(c, v) for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -237,7 +250,7 @@ def grad(p: Polynomial) -> PolyBundle:
             e = exps[:i] + (k - 1,) + exps[i + 1 :]
             v = rig.mul(rig.nat_value(k), c)
             terms[e] = rig.add(terms[e], v) if e in terms else v
-        comps.append(Polynomial(rig, p.arity, terms))
+        comps.append(Polynomial._canonical(rig, p.arity, terms))
     return PolyBundle(tuple(comps))
 
 
@@ -249,12 +262,17 @@ def grad1(p: Polynomial) -> Polynomial:
 
 
 def mul_in(b: PolyBundle) -> Polynomial:
-    """Multiply each component by its generator and sum: b -> sum_i x_i * b_i."""
+    """Multiply each component by its generator and sum: b -> sum_i x_i * b_i.
+
+    Multiplying by x_i shifts exponent i by one, so no product is formed.
+    """
     rig = b.rig
-    acc = Polynomial.zero(rig, b.arity)
+    terms = {}
     for i, comp in enumerate(b.components):
-        acc = acc + Polynomial.variable(rig, b.arity, i) * comp
-    return acc
+        for exps, c in comp.terms.items():
+            e = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+            terms[e] = rig.add(terms[e], c) if e in terms else c
+    return Polynomial._canonical(rig, b.arity, terms)
 
 
 def eval0(p: Polynomial) -> Polynomial:
@@ -281,7 +299,7 @@ def _graded_scale(p: Polynomial, factor):
     terms = {}
     for exps, c in p.terms.items():
         terms[exps] = rig.mul(factor(sum(exps)), c)
-    return Polynomial(rig, p.arity, terms)
+    return Polynomial._canonical(rig, p.arity, terms)
 
 
 def K_inv_op(p: Polynomial) -> Polynomial:
@@ -304,7 +322,7 @@ def integrate1(p: Polynomial) -> Polynomial:
     terms = {}
     for (k,), c in p.terms.items():
         terms[(k + 1,)] = rig.mul(rig.nat_inverse(k + 1), c)
-    return Polynomial(rig, 1, terms)
+    return Polynomial._canonical(rig, 1, terms)
 
 
 def s_op(b: PolyBundle) -> Polynomial:
@@ -325,30 +343,30 @@ def t_grade(p: Polynomial) -> Polynomial:
 
     `eval_at_one` is its left inverse.
     """
-    return Polynomial(p.rig, p.arity + 1, {(sum(e),) + e: c for e, c in p.terms.items()})
+    return Polynomial._canonical(p.rig, p.arity + 1, {(sum(e),) + e: c for e, c in p.terms.items()})
 
 
 def eval_at_one(q: Polynomial) -> Polynomial:
     """Forget the tag of a tagged polynomial: substitute t := 1."""
     rig = q.rig
     terms = {}
-    for (_, *rest), c in q.terms.items():
-        e = tuple(rest)
+    for exps, c in q.terms.items():
+        e = exps[1:]
         terms[e] = rig.add(terms[e], c) if e in terms else c
-    return Polynomial(rig, q.arity - 1, terms)
+    return Polynomial._canonical(rig, q.arity - 1, terms)
 
 
 def on_tag(fn, q: Polynomial) -> Polynomial:
     """Apply the one-variable operator `fn` to the tag of a tagged polynomial (fn x 1)."""
     rig = q.rig
     by_rest: dict = {}
-    for (k, *rest), c in q.terms.items():
-        by_rest.setdefault(tuple(rest), {})[(k,)] = c
+    for exps, c in q.terms.items():
+        by_rest.setdefault(exps[1:], {})[exps[:1]] = c
     terms = {}
     for rest, tag_terms in by_rest.items():
-        for (k,), c in fn(Polynomial(rig, 1, tag_terms)).terms.items():
-            terms[(k,) + rest] = c
-    return Polynomial(rig, q.arity, terms)
+        for tag, c in fn(Polynomial._canonical(rig, 1, tag_terms)).terms.items():
+            terms[tag + rest] = c
+    return Polynomial._canonical(rig, q.arity, terms)
 
 
 # -- variable-set splitting -------------------------------------------------
@@ -391,7 +409,7 @@ def seely_merge(t: SplitTensor) -> Polynomial:
     for (le, re), c in t.terms.items():
         e = tuple(le) + tuple(re)
         terms[e] = rig.add(terms[e], c) if e in terms else c
-    return Polynomial(rig, arity, terms)
+    return Polynomial._canonical(rig, arity, terms)
 
 
 # -- polynomial maps --------------------------------------------------------
@@ -434,18 +452,30 @@ class PolyMap:
 
 
 def substitute(p: Polynomial, args) -> Polynomial:
-    """Evaluate p at a tuple of polynomials (all of one common arity)."""
+    """Evaluate p at a tuple of polynomials (all of one common arity).
+
+    The powers of each argument are built once per call, each from the one
+    below it, and exponent-0 factors are skipped.
+    """
     if len(args) != p.arity:
         raise ValueError("argument count must match arity")
     rig = p.rig
     arity = args[0].arity if args else 0
-    acc = Polynomial.zero(rig, arity)
+    powers = [[None, a] for a in args]  # powers[i][e] is args[i] ** e, e >= 1
+    terms = {}
     for exps, c in p.terms.items():
-        term = Polynomial.const(rig, arity, c)
-        for a, e in zip(args, exps):
-            term = term * a**e
-        acc = acc + term
-    return acc
+        term = None
+        for a, pw, e in zip(args, powers, exps):
+            if e == 0:
+                continue
+            while len(pw) <= e:
+                pw.append(pw[-1] * a)
+            term = pw[e].scale(c) if term is None else term * pw[e]
+        if term is None:
+            term = Polynomial.const(rig, arity, c)
+        for e, v in term.terms.items():
+            terms[e] = rig.add(terms[e], v) if e in terms else v
+    return Polynomial._canonical(rig, arity, terms)
 
 
 def cokleisli_compose(g: PolyMap, f: PolyMap) -> PolyMap:
@@ -466,7 +496,7 @@ def extend_arity(p: Polynomial, new_arity: int, offset: int = 0) -> Polynomial:
     for exps, c in p.terms.items():
         e = (0,) * offset + exps + (0,) * (new_arity - offset - p.arity)
         terms[e] = c
-    return Polynomial(p.rig, new_arity, terms)
+    return Polynomial._canonical(p.rig, new_arity, terms)
 
 
 def cartesian_derivative(f: PolyMap) -> PolyMap:
@@ -502,10 +532,9 @@ def apply_linear(matrix, p: Polynomial) -> Polynomial:
     rows = len(matrix)
     if any(len(row) != p.arity for row in matrix):
         raise ValueError("matrix shape does not match polynomial arity")
-    images = []
-    for j in range(p.arity):
-        acc = Polynomial.zero(rig, rows)
-        for i in range(rows):
-            acc = acc + Polynomial.variable(rig, rows, i).scale(matrix[i][j])
-        images.append(acc)
+    units = [tuple(1 if k == i else 0 for k in range(rows)) for i in range(rows)]
+    images = [
+        Polynomial._canonical(rig, rows, {units[i]: matrix[i][j] for i in range(rows)})
+        for j in range(p.arity)
+    ]
     return substitute(p, images)

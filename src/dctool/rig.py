@@ -28,7 +28,8 @@ class Rig:
 
     Subclasses fix the element representation and provide `zero`, `one`,
     `add`, `mul`, `eq` and a seeded `sample`.  Values are immutable; every
-    operation is pure.
+    operation is pure.  `is_zero` and `nat_value` have generic definitions
+    here; a subclass may override them with a closed form that agrees.
     """
 
     name: str = "abstract"
@@ -87,8 +88,16 @@ class NonNegRationalRig(Rig):
     def mul(self, a, b):
         return a * b
 
+    def is_zero(self, a) -> bool:
+        return not a
+
     def sample(self, rng):
         return Fraction(rng.randrange(0, 8), rng.randrange(1, 7))
+
+    def nat_value(self, k: int):
+        if k < 0:
+            raise ValueError("nat_value requires k >= 0")
+        return Fraction(k)
 
     def nat_inverse(self, k: int):
         if k < 1:
@@ -125,8 +134,16 @@ class BooleanRig(Rig):
     def mul(self, a, b):
         return a and b
 
+    def is_zero(self, a) -> bool:
+        return not a
+
     def sample(self, rng):
         return rng.random() < 0.5
+
+    def nat_value(self, k: int):
+        if k < 0:
+            raise ValueError("nat_value requires k >= 0")
+        return k > 0
 
     def render(self, a) -> str:
         return "1" if a else "0"

@@ -19,6 +19,11 @@ bound.  All law checks quantify over that band only.  Row r of f;g depends
 only on row r of f, so a law may evaluate a composite from the safe-band rows
 of its first factor (`WeightedMatrix.restrict_rows`) outward, and
 `compose_tensor` evaluates f;(g x h) without materializing g x h.
+
+The public constructor `WeightedMatrix(...)` drops zero entries.  `relabel`,
+`restrict_rows`, `transpose`, `identity` and `perm_matrix` move or select
+entries that are already nonzero, so they build through the trusted
+`WeightedMatrix._canonical`, which tests none.
 """
 
 from __future__ import annotations
@@ -169,12 +174,22 @@ class WeightedMatrix:
         self.entries = canon
 
     @classmethod
+    def _canonical(cls, rig, row_space, col_space, entries: dict) -> "WeightedMatrix":
+        """Trusted constructor: every value of `entries` is already nonzero, so none is tested."""
+        m = object.__new__(cls)
+        m.rig = rig
+        m.row_space = row_space
+        m.col_space = col_space
+        m.entries = entries
+        return m
+
+    @classmethod
     def zero(cls, rig, row_space, col_space):
         return cls(rig, row_space, col_space)
 
     @classmethod
     def identity(cls, rig, space):
-        return cls(rig, space, space, {(p, p): rig.one for p in space.points()})
+        return cls._canonical(rig, space, space, {(p, p): rig.one for p in space.points()})
 
     def entry(self, r, c):
         return self.entries.get((r, c), self.rig.zero)
@@ -201,10 +216,10 @@ class WeightedMatrix:
             row_space, col_space = self.row_space, space
         if len(entries) != len(self.entries):
             raise ValueError("relabelling map is not injective")
-        return WeightedMatrix(self.rig, row_space, col_space, entries)
+        return WeightedMatrix._canonical(self.rig, row_space, col_space, entries)
 
     def transpose(self):
-        return WeightedMatrix(
+        return WeightedMatrix._canonical(
             self.rig, self.col_space, self.row_space, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
@@ -232,7 +247,7 @@ class WeightedMatrix:
         """
         rows = _in_band(self.row_space, {r for r, _ in self.entries}, limit)
         entries = {(r, c): v for (r, c), v in self.entries.items() if r in rows}
-        return WeightedMatrix(self.rig, self.row_space, self.col_space, entries)
+        return WeightedMatrix._canonical(self.rig, self.row_space, self.col_space, entries)
 
     def first_difference(self, other, limit: int):
         """First safe-band entry, in `repr` order of the keys, where the matrices disagree, or None."""
@@ -317,7 +332,8 @@ def compose_tensor(f: WeightedMatrix, g: WeightedMatrix, h: WeightedMatrix) -> W
 
 def perm_matrix(rig, row_space, col_space, fn) -> WeightedMatrix:
     """Permutation matrix induced by a bijection on points."""
-    return WeightedMatrix(rig, row_space, col_space, {(p, fn(p)): rig.one for p in row_space.points()})
+    entries = {(p, fn(p)): rig.one for p in row_space.points()}
+    return WeightedMatrix._canonical(rig, row_space, col_space, entries)
 
 
 # -- operator matrices ------------------------------------------------------

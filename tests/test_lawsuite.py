@@ -145,13 +145,21 @@ def test_rel_suite_never_builds_a_matrix_beyond_the_safe_band_rows(monkeypatch):
     """A count, not a timing: the full Kronecker products of L1 held 77,616 entries at base 3, D 6."""
     largest = 0
     init = wrel.WeightedMatrix.__init__
+    canonical = wrel.WeightedMatrix._canonical
 
     def counting_init(self, rig, row_space, col_space, entries=None):
         nonlocal largest
         largest = max(largest, len(entries or ()))
         init(self, rig, row_space, col_space, entries)
 
+    def counting_canonical(cls, rig, row_space, col_space, entries):
+        nonlocal largest
+        largest = max(largest, len(entries))
+        return canonical(rig, row_space, col_space, entries)
+
+    # The validating constructor and the trusted one of relabel, restrict_rows and the identities.
     monkeypatch.setattr(wrel.WeightedMatrix, "__init__", counting_init)
+    monkeypatch.setattr(wrel.WeightedMatrix, "_canonical", classmethod(counting_canonical))
     for rig in (NONNEG_RATIONAL, BOOLEAN):
         assert ls.all_pass(ls.run_suite(make_rel_binding(rig, base_size=3, truncation=6), cases=50, seed=0))
     assert 0 < largest <= 10_000

@@ -1,11 +1,13 @@
 """Semiring layer: frozen examples, axiom checker, and negative controls."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from dctool.rig import (
     BOOLEAN,
+    NAT_PROBE_BOUND,
     NONNEG_RATIONAL,
     RATIONAL,
     RIGS,
@@ -33,6 +35,30 @@ def test_nat_value_is_additive_and_multiplicative():
             for b in range(6):
                 assert rig.eq(rig.nat_value(a + b), rig.add(rig.nat_value(a), rig.nat_value(b)))
                 assert rig.eq(rig.nat_value(a * b), rig.mul(rig.nat_value(a), rig.nat_value(b)))
+
+
+def test_nat_value_closed_forms_equal_the_sum_of_ones():
+    for rig in ALL_RIGS:
+        for k in range(NAT_PROBE_BOUND + 1):
+            generic = Rig.nat_value(rig, k)
+            assert rig.eq(rig.nat_value(k), generic), (rig.name, k)
+            assert type(rig.nat_value(k)) is type(generic), (rig.name, k)
+
+
+def test_nat_value_rejects_negative_k():
+    for rig in ALL_RIGS:
+        with pytest.raises(ValueError):
+            rig.nat_value(-1)
+
+
+def test_is_zero_agrees_with_eq_zero():
+    rng = random.Random(3)
+    for rig in ALL_RIGS:
+        values = [rig.sample(rng) for _ in range(200)] + [rig.zero, rig.one]
+        values += [False] if rig is BOOLEAN else [Fraction(0), Fraction(0, 5)]
+        assert any(rig.eq(a, rig.zero) for a in values) and not all(rig.eq(a, rig.zero) for a in values)
+        for a in values:
+            assert rig.is_zero(a) == rig.eq(a, rig.zero) == Rig.is_zero(rig, a), (rig.name, a)
 
 
 def test_nat_inverse_examples():
