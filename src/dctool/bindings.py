@@ -3,8 +3,9 @@
 Each `make_*_binding` closes over a model configuration and returns a
 ModelBinding whose checks evaluate both sides of the corresponding law,
 exactly for the polynomial and relational models and to tolerance for the
-numerical one.  Counterexamples are rendered in the model's canonical text
-form so reports are stable across runs.
+numerical one.  Each check yields one counterexample or None per case, and
+`lawsuite.run_law` reads and counts them.  Counterexamples are rendered in
+the model's canonical text form so reports are stable across runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import polyform as pf
 from . import smoothnum as sm
 from . import wrel
-from .lawsuite import CheckOutcome, ModelBinding, Operators
+from .lawsuite import ModelBinding, Operators
 from .polyform import Polynomial, PolyBundle, PolyMap
 from .rig import Rig
 from .wrel import (
@@ -37,18 +38,9 @@ from .wrel import (
 )
 
 
-def _first_counterexample(counterexamples):
-    """Read counterexamples (None for a passing case) up to the first real one; `cases` counts those read."""
-    n = 0
-    for n, cex in enumerate(counterexamples, 1):
-        if cex:
-            return CheckOutcome(False, n, cex)
-    return CheckOutcome(True, n, None)
-
-
 def _loop(rng, cases, one_case):
-    """Run one_case until a counterexample appears; short-circuit on failure."""
-    return _first_counterexample(one_case(rng) for _ in range(cases))
+    """The counterexamples (or None) of `cases` seeded runs of one_case, each drawn when read."""
+    return (one_case(rng) for _ in range(cases))
 
 
 # ===========================================================================
@@ -100,6 +92,17 @@ def _bundle_map(fn, b: PolyBundle) -> PolyBundle:
     return PolyBundle(tuple(fn(c) for c in b.components))
 
 
+def _asymmetry(b: PolyBundle):
+    """The first (i, j), in row-major order, where d_j b_i != d_i b_j, or None when b is symmetric."""
+    partials = [pf.grad(c).components for c in b.components]
+    for i, row in enumerate(partials):
+        # (j, i) with j < i was compared as (i, j) before
+        for j in range(i + 1, len(partials)):
+            if row[j] != partials[j][i]:
+                return i, j
+    return None
+
+
 def make_poly_binding(
     rig: Rig,
     variables: int = 3,
@@ -143,7 +146,6 @@ def make_poly_binding(
             op(grad, dst=bundle), op(pf.mul_in, src=bundle), op(pf.s_op, src=bundle), op(pf.eval0),
             op(pf.K_op), op(pf.J_op), op(pf.K_inv_op), op(pf.J_inv_op),
             id=op(lambda p: p),
-            id_x1=op(lambda b: b, bundle, bundle),
             gate=op(pf.t_grade, dst=tagged),
             spread=op(pf.eval_at_one, src=tagged),
             atom=op(lambda q: PolyBundle((q,)), dst=bundle) if arity == 1 else None,
@@ -272,13 +274,9 @@ def make_poly_binding(
     def l6(rng, cases):
         def one(rng):
             p = rp(rng)
-            b = grad(p)
-            for i in range(variables):
-                bi = pf.grad(b.components[i])
-                for j in range(variables):
-                    bj = pf.grad(b.components[j])
-                    if bi.components[j] != bj.components[i]:
-                        return fail("mixed partials differ", ("p", p), ("i", str(i)), ("j", str(j)))
+            ij = _asymmetry(grad(p))
+            if ij is not None:
+                return fail("mixed partials differ", ("p", p), ("i", str(ij[0])), ("j", str(ij[1])))
             return None
 
         return _loop(rng, cases, one)
@@ -330,10 +328,8 @@ def make_poly_binding(
         def one(rng):
             q = rp(rng)
             b = pf.grad(q)
-            for i in range(variables):
-                for j in range(variables):
-                    if pf.grad(b.components[i]).components[j] != pf.grad(b.components[j]).components[i]:
-                        return fail("generator produced an asymmetric bundle", ("q", q))
+            if _asymmetry(b) is not None:
+                return fail("generator produced an asymmetric bundle", ("q", q))
             if pf.grad(pf.s_op(b)) != b:
                 return fail("integrating then deriving loses the field", ("b", b.render()))
             return None
@@ -380,12 +376,12 @@ def make_poly_binding(
                 [rig.nat_value(rng.randint(0, 3)) for _ in range(variables)] for _ in range(rows)
             ]
             lhs = pf.grad(pf.apply_linear(matrix, p))
-            gp = pf.grad(p)
+            images = [pf.apply_linear(matrix, c) for c in pf.grad(p).components]
             comps = []
             for i in range(rows):
                 acc = Polynomial.zero(rig, rows)
-                for j in range(variables):
-                    acc = acc + pf.apply_linear(matrix, gp.components[j]).scale(matrix[i][j])
+                for j, image in enumerate(images):
+                    acc = acc + image.scale(matrix[i][j])
                 comps.append(acc)
             rhs = PolyBundle(tuple(comps))
             if lhs != rhs:
@@ -452,9 +448,9 @@ def make_rel_binding(
     m_{R,A} from `m_unit_rel` (also read by L10), m_R x 1 = `spread_rel`, f x 1
     as a tensor with the identity on bags and, on UNIT_BASE only, the
     ((n, *), n) matrix that adds the one-point atom factor.  A law that is a
-    list of equations is a generator of (lhs, rhs, label[, limit])
-    comparisons, evaluated when the law runs and stopped at the first
-    difference; `cases` counts the comparisons made.  Tensor-factor
+    list of equations yields one comparison `cmp(lhs, rhs, label[, limit])`
+    per equation, built when the runner reads it, so the runner stops at the
+    first difference and `cases` counts the comparisons made.  Tensor-factor
     permutations are key relabels, not compositions with permutation matrices.
     The bespoke laws with a large first factor (L1, L3, L7) restrict that
     factor to the safe-band rows and evaluate each f;(g x h) with
@@ -488,7 +484,6 @@ def make_rel_binding(
                 wrel.K_rel, wrel.J_rel, wrel.K_inv_rel, wrel.J_inv_rel,
             )),
             id=id_b,
-            id_x1=WeightedMatrix.identity(rig, PairSpace(b_bags, b_atoms)),
             gate=wrel.m_unit_rel(b, rig, trunc).m_RA,
             spread=wrel.spread_rel(rig, b_bags, trunc),
             atom=atom,
@@ -510,41 +505,31 @@ def make_rel_binding(
         return ((b, y), x)
 
     def cmp(lhs, rhs, label, lim=limit):
+        """The counterexample of lhs = rhs on rows and columns up to `lim`, or None."""
         diff = lhs.first_difference(rhs, lim)
         return None if diff is None else f"{label}: {diff}"
 
-    def compare(comparisons):
-        """Compare each (lhs, rhs, label[, limit]) in turn, up to the first difference."""
-        return _first_counterexample(cmp(lhs, rhs, label, *lim) for lhs, rhs, label, *lim in comparisons)
-
-    def equations(comparisons):
-        """A check comparing the equations of `comparisons()`."""
-        return lambda rng, cases: compare(comparisons())
-
-    @equations
-    def l1():
+    def l1(rng, cases):
         delta = com.delta.restrict_rows(limit)
         lhs = compose_tensor(delta, com.delta, id_bags)
-        yield (
+        yield cmp(
             lhs.relabel(lambda p: (p[0][0], (p[0][1], p[1])), PairSpace(bags, PairSpace(bags, bags))),
             compose_tensor(delta, id_bags, com.delta),
             "comultiplication not coassociative",
         )
         # counit laws, with the unit factor projected away
         lhs = compose_tensor(delta, com.counit, id_bags)
-        yield lhs.relabel(lambda p: p[1], bags), id_bags, "left counit fails"
+        yield cmp(lhs.relabel(lambda p: p[1], bags), id_bags, "left counit fails")
         lhs = compose_tensor(delta, id_bags, com.counit)
-        yield lhs.relabel(lambda p: p[0], bags), id_bags, "right counit fails"
+        yield cmp(lhs.relabel(lambda p: p[0], bags), id_bags, "right counit fails")
         swapped = delta.relabel(lambda p: (p[1], p[0]), delta.col_space)
-        yield swapped, delta, "comultiplication not cocommutative"
+        yield cmp(swapped, delta, "comultiplication not cocommutative")
 
-    @equations
-    def l2():
+    def l2(rng, cases):
         zero = WeightedMatrix.zero(rig, pair_ba, UnitSpace())
-        yield mat_compose(d, com.counit), zero, "derivative of a constant is nonzero"
+        yield cmp(mat_compose(d, com.counit), zero, "derivative of a constant is nonzero")
 
-    @equations
-    def l3():
+    def l3(rng, cases):
         split = x1(com.delta.restrict_rows(limit))  # ((b1, b2), x) columns
         # summand that differentiates the left split part
         term1 = compose_tensor(
@@ -554,39 +539,34 @@ def make_rel_binding(
         term2 = compose_tensor(
             split.relabel(lambda p: (p[0][0], (p[0][1], p[1])), PairSpace(bags, pair_ba)), id_bags, d
         )
-        yield mat_compose(d.restrict_rows(limit), com.delta), term1 + term2, "Leibniz fails"
+        yield cmp(mat_compose(d.restrict_rows(limit), com.delta), term1 + term2, "Leibniz fails")
 
-    @equations
-    def l5():
+    def l5(rng, cases):
         rhs = WeightedMatrix(rig, pair_ba, atoms, {(((), x), x): rig.one for x in base.atoms})
-        yield mat_compose(d, com.eps), rhs, "derivative of a linear map is not constant"
+        yield cmp(mat_compose(d, com.eps), rhs, "derivative of a linear map is not constant")
 
-    @equations
-    def l6():
+    def l6(rng, cases):
         lhs = mat_compose(x1(d), d)
-        yield lhs, lhs.relabel(swap_atoms, pair_baa, rows=True), "interchange fails"
+        yield cmp(lhs, lhs.relabel(swap_atoms, pair_baa, rows=True), "interchange fails")
 
-    @equations
-    def l7():
+    def l7(rng, cases):
         rhs = compose_tensor(x1(dc.restrict_rows(limit)).relabel(swap_atoms, pair_baa), d, id_atoms)
         rhs = rhs + WeightedMatrix.identity(rig, pair_ba)
-        yield mat_compose(d.restrict_rows(limit), dc), rhs, "derive/coderive exchange fails"
+        yield cmp(mat_compose(d.restrict_rows(limit), dc), rhs, "derive/coderive exchange fails")
 
-    @equations
-    def l8():
+    def l8(rng, cases):
         k_diag = {(b, b): (rig.one if not b else rig.nat_value(len(b))) for b in bags.points()}
-        yield K, WeightedMatrix(rig, bags, bags, k_diag), "K is not the bag-size scaling"
+        yield cmp(K, WeightedMatrix(rig, bags, bags, k_diag), "K is not the bag-size scaling")
         j_diag = {(b, b): rig.nat_value(len(b) + 1) for b in bags.points()}
-        yield J, WeightedMatrix(rig, bags, bags, j_diag), "J is not the bag-size-plus-one scaling"
+        yield cmp(J, WeightedMatrix(rig, bags, bags, j_diag), "J is not the bag-size-plus-one scaling")
 
-    @equations
-    def l10():
-        yield mat_compose(o.spread, o.gate), id_bags, "unit pairing is not split by the all-ones row"
+    def l10(rng, cases):
+        yield cmp(mat_compose(o.spread, o.gate), id_bags, "unit pairing is not split by the all-ones row")
         one_mat = WeightedMatrix(rig, UnitSpace(), uatoms, {(wrel.UNIT_POINT, wrel.UNIT_POINT): rig.one})
-        yield mat_compose(m_R, ucom.eps), one_mat, "m_R against the linear counit fails"
+        yield cmp(mat_compose(m_R, ucom.eps), one_mat, "m_R against the linear counit fails")
         unit_id = WeightedMatrix.identity(rig, UnitSpace())
-        yield mat_compose(m_R, ucom.counit), unit_id, "m_R against the comonoid counit fails"
-        yield mat_compose(mat_compose(m_R, u.dc), u.atom), m_R, "m_R is not fixed by the unit coderive"
+        yield cmp(mat_compose(m_R, ucom.counit), unit_id, "m_R against the comonoid counit fails")
+        yield cmp(mat_compose(mat_compose(m_R, u.dc), u.atom), m_R, "m_R is not fixed by the unit coderive")
 
     def l20(rng, cases):
         ds = mat_compose(d, s)
@@ -612,16 +592,15 @@ def make_rel_binding(
 
         return _loop(rng, min(cases, 10), one)
 
-    @equations
-    def l22():
+    def l22(rng, cases):
         half = max(1, base_size // 2)
         chi, chi_inv = wrel.seely_rel(BaseSet(base.atoms[:half]), BaseSet(base.atoms[half:]), rig, trunc)
         id_xy = WeightedMatrix.identity(rig, chi.row_space)
-        yield mat_compose(chi, chi_inv), id_xy, "split;merge is not the identity", trunc.D
+        yield cmp(mat_compose(chi, chi_inv), id_xy, "split;merge is not the identity", trunc.D)
         # a pair of half-bags only merges back when the combined size fits under
         # the truncation bound, so quantify over halves of at most D // 2
         id_split = WeightedMatrix.identity(rig, chi.col_space)
-        yield mat_compose(chi_inv, chi), id_split, "merge;split is not the identity", min(limit, trunc.D // 2)
+        yield cmp(mat_compose(chi_inv, chi), id_split, "merge;split is not the identity", min(limit, trunc.D // 2))
 
     def l23(rng, cases):
         def one(rng):
@@ -636,9 +615,8 @@ def make_rel_binding(
 
         return _loop(rng, min(cases, 5), one)
 
-    @equations
-    def l24():
-        yield s, dc, "integral does not collapse to the coderive", trunc.D
+    def l24(rng, cases):
+        yield cmp(s, dc, "integral does not collapse to the coderive", trunc.D)
 
     checks = {
         "L1": l1, "L2": l2, "L3": l3, "L5": l5, "L6": l6, "L7": l7, "L8": l8,
@@ -656,7 +634,7 @@ def make_rel_binding(
         checks=checks,
         skips=skips,
         params={"base_size": base_size, "truncation": truncation, "margin": margin},
-        equations=lambda law, at, rng, cases: compare(law(o if at == "general" else u, u)),
+        equations=lambda law, at, rng, cases: (cmp(*eq) for eq in law(o if at == "general" else u, u)),
     )
 
 
@@ -665,14 +643,24 @@ def make_rel_binding(
 # ===========================================================================
 
 
+def _sample(rng, cases, items):
+    """(item, x) for each item in turn and `cases // len(items)` (at least one) seeded points x.
+
+    An item is a map or a tuple whose first entry is the map x is a point of.
+    An item's points are drawn together when the loop reaches it, before the
+    law draws anything for them.
+    """
+    for item in items:
+        f = item[0] if isinstance(item, tuple) else item
+        for x in [sm.sample_point(rng, f.in_dim) for _ in range(max(1, cases // len(items)))]:
+            yield item, x
+
+
 def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3) -> ModelBinding:
     cfg = cfg or sm.QuadratureConfig()
     if not 1 <= max_dim <= 3:
         raise ValueError("max_dim must be between 1 and 3")
     corpus = [f for f in sm.builtin_corpus() if f.in_dim <= max_dim]
-
-    def points(rng, f, n):
-        return [sm.sample_point(rng, f.in_dim) for _ in range(n)]
 
     def fail(label, f, x, lhs, rhs):
         return (
@@ -687,52 +675,42 @@ def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3
             return None
         return fail(label, f, x, lhs, rhs)
 
-    def probes(law):
-        """A check reading one counterexample or None per probe point from `law(rng, cases)`."""
-        return lambda rng, cases: _first_counterexample(law(rng, cases))
+    def within(label, f, x, residual, bound):
+        """None when the residual is at most its bound, else the counterexample."""
+        return fail(label, f, x, residual, bound) if residual > bound else None
 
-    @probes
     def l2(rng, cases):
-        consts = [f for f in corpus if f.label.startswith("const")]
-        for f in consts:
-            for x in points(rng, f, max(1, cases // len(consts))):
-                v = sm.sample_point(rng, f.in_dim)
-                got = sm.fd_directional_derivative(f, x, v, cfg)
-                yield close("constant has nonzero derivative", f, x, got, np.zeros(f.out_dim))
+        for f, x in _sample(rng, cases, [f for f in corpus if f.label.startswith("const")]):
+            v = sm.sample_point(rng, f.in_dim)
+            got = sm.fd_directional_derivative(f, x, v, cfg)
+            yield close("constant has nonzero derivative", f, x, got, np.zeros(f.out_dim))
 
-    @probes
     def l3(rng, cases):
         scalars = [f for f in corpus if f.out_dim == 1]
         pairs = [(f, g) for f in scalars for g in scalars if f.in_dim == g.in_dim]
-        for f, g in pairs:
-            for x in points(rng, f, max(1, cases // len(pairs))):
-                v = sm.sample_point(rng, f.in_dim)
-                prod = sm.SmoothMap(f.in_dim, 1, lambda z, f=f, g=g: f(z) * g(z), "prod")
-                lhs = sm.fd_directional_derivative(prod, x, v, cfg)
-                rhs = f(x) * sm.directional_derivative(g, x, v, cfg) + g(x) * sm.directional_derivative(f, x, v, cfg)
-                yield close("Leibniz fails", f, x, lhs, rhs)
+        for (f, g), x in _sample(rng, cases, pairs):
+            v = sm.sample_point(rng, f.in_dim)
+            prod = sm.SmoothMap(f.in_dim, 1, lambda z, f=f, g=g: f(z) * g(z), "prod")
+            lhs = sm.fd_directional_derivative(prod, x, v, cfg)
+            rhs = f(x) * sm.directional_derivative(g, x, v, cfg) + g(x) * sm.directional_derivative(f, x, v, cfg)
+            yield close("Leibniz fails", f, x, lhs, rhs)
 
-    @probes
     def l4(rng, cases):
         pairs = [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim]
-        for f, g in pairs:
-            for x in points(rng, f, max(1, cases // max(1, len(pairs)))):
-                v = sm.sample_point(rng, f.in_dim)
-                comp = sm.SmoothMap(f.in_dim, g.out_dim, lambda z, f=f, g=g: g(f(z)), "comp")
-                lhs = sm.fd_directional_derivative(comp, x, v, cfg)
-                inner = sm.directional_derivative(f, x, v, cfg)
-                rhs = sm.directional_derivative(g, f(x), inner, cfg)
-                yield close(f"chain rule fails ({g.label} o {f.label})", f, x, lhs, rhs)
+        for (f, g), x in _sample(rng, cases, pairs):
+            v = sm.sample_point(rng, f.in_dim)
+            comp = sm.SmoothMap(f.in_dim, g.out_dim, lambda z, f=f, g=g: g(f(z)), "comp")
+            lhs = sm.fd_directional_derivative(comp, x, v, cfg)
+            inner = sm.directional_derivative(f, x, v, cfg)
+            rhs = sm.directional_derivative(g, f(x), inner, cfg)
+            yield close(f"chain rule fails ({g.label} o {f.label})", f, x, lhs, rhs)
 
-    @probes
     def l5(rng, cases):
-        linears = [f for f in corpus if f.label.startswith(("id", "linear"))]
-        for f in linears:
-            for x in points(rng, f, max(1, cases // len(linears))):
-                v = sm.sample_point(rng, f.in_dim)
-                d1 = sm.fd_directional_derivative(f, x, v, cfg)
-                d2 = sm.fd_directional_derivative(f, np.zeros(f.in_dim), v, cfg)
-                yield close("linear derivative depends on base point", f, x, d1, d2)
+        for f, x in _sample(rng, cases, [f for f in corpus if f.label.startswith(("id", "linear"))]):
+            v = sm.sample_point(rng, f.in_dim)
+            d1 = sm.fd_directional_derivative(f, x, v, cfg)
+            d2 = sm.fd_directional_derivative(f, np.zeros(f.in_dim), v, cfg)
+            yield close("linear derivative depends on base point", f, x, d1, d2)
         # linearity of the derivative in the direction argument
         for f in corpus[: max(1, cases // 10)]:
             x = sm.sample_point(rng, f.in_dim)
@@ -746,60 +724,47 @@ def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3
     # scalar maps of two or more variables: the inputs of L6 and L20
     potentials = [f for f in corpus if f.out_dim == 1 and f.in_dim >= 2]
 
-    @probes
     def l6(rng, cases):
-        for f in potentials:
-            for x in points(rng, f, max(1, cases // len(potentials))):
-                ei, ej = np.eye(f.in_dim)[:2]
-                # closed-form derivative inside, finite difference outside, so
-                # the two orders really are computed along different routes
-                partial_j = sm.SmoothMap(
-                    f.in_dim, 1, lambda z, f=f, ej=ej: sm.directional_derivative(f, z, ej, cfg), "dj"
-                )
-                partial_i = sm.SmoothMap(
-                    f.in_dim, 1, lambda z, f=f, ei=ei: sm.directional_derivative(f, z, ei, cfg), "di"
-                )
-                lhs = sm.fd_directional_derivative(partial_j, x, ei, cfg)
-                rhs = sm.fd_directional_derivative(partial_i, x, ej, cfg)
-                # a difference quotient of a derivative: one digit looser than --tol-rel
-                yield close("mixed partials differ", f, x, lhs, rhs, tol_rel=10 * cfg.tol_rel)
+        for f, x in _sample(rng, cases, potentials):
+            ei, ej = np.eye(f.in_dim)[:2]
+            # closed-form derivative inside, finite difference outside, so
+            # the two orders really are computed along different routes
+            partial_j = sm.SmoothMap(f.in_dim, 1, lambda z, f=f, ej=ej: sm.directional_derivative(f, z, ej, cfg), "dj")
+            partial_i = sm.SmoothMap(f.in_dim, 1, lambda z, f=f, ei=ei: sm.directional_derivative(f, z, ei, cfg), "di")
+            lhs = sm.fd_directional_derivative(partial_j, x, ei, cfg)
+            rhs = sm.fd_directional_derivative(partial_i, x, ej, cfg)
+            # a difference quotient of a derivative: one digit looser than --tol-rel
+            yield close("mixed partials differ", f, x, lhs, rhs, tol_rel=10 * cfg.tol_rel)
 
-    @probes
     def l18(rng, cases):
-        for f in corpus:
-            tol = 1e-7 if f.transcendental else 1e-8
-            for x in points(rng, f, max(1, cases // len(corpus))):
-                r = sm.ftc2_residual(f, x, cfg)
-                bound = tol * (1.0 + float(np.linalg.norm(f(x))))
-                yield fail("fundamental theorem residual too large", f, x, r, bound) if r > bound else None
+        for f, x in _sample(rng, cases, corpus):
+            bound = (1e-7 if f.transcendental else 1e-8) * (1.0 + float(np.linalg.norm(f(x))))
+            yield within("fundamental theorem residual too large", f, x, sm.ftc2_residual(f, x, cfg), bound)
 
-    @probes
     def l19(rng, cases):
-        members = [f for f in corpus if f.in_dim == 1 and f.out_dim == 1]
-        for f in members:
-            bil = sm.BilinearizedMap(1, 1, lambda x, y, f=f: f(x) * y, f"lin[{f.label}]")
-            for x in points(rng, f, max(1, cases // len(members))):
-                v = np.array([rng.uniform(-2, 2)])
-                r = sm.poincare_residual(bil, x, v, cfg)
-                bound = max(cfg.tol_abs, cfg.tol_rel * (1.0 + abs(float(f(x)[0] * v[0]))))
-                yield fail("derivative of the integral misses the integrand", f, x, r, bound) if r > bound else None
+        members = [
+            (f, sm.BilinearizedMap(1, 1, lambda x, y, f=f: f(x) * y, f"lin[{f.label}]"))
+            for f in corpus
+            if f.in_dim == 1 and f.out_dim == 1
+        ]
+        for (f, bil), x in _sample(rng, cases, members):
+            v = np.array([rng.uniform(-2, 2)])
+            bound = max(cfg.tol_abs, cfg.tol_rel * (1.0 + abs(float(f(x)[0] * v[0]))))
+            r = sm.poincare_residual(bil, x, v, cfg)
+            yield within("derivative of the integral misses the integrand", f, x, r, bound)
 
-    @probes
     def l20(rng, cases):
-        for f in potentials:
-            field = sm.gradient_field(f, cfg)
-            for x in points(rng, f, max(1, cases // len(potentials))):
-                v = sm.sample_point(rng, f.in_dim)
-                r = sm.poincare_residual(field, x, v, cfg)
-                bound = max(cfg.tol_abs, cfg.tol_rel * (1.0 + float(np.max(np.abs(field(x, v))))))
-                yield fail("Poincare residual too large", f, x, r, bound) if r > bound else None
+        for (f, field), x in _sample(rng, cases, [(f, sm.gradient_field(f, cfg)) for f in potentials]):
+            v = sm.sample_point(rng, f.in_dim)
+            bound = max(cfg.tol_abs, cfg.tol_rel * (1.0 + float(np.max(np.abs(field(x, v))))))
+            yield within("Poincare residual too large", f, x, sm.poincare_residual(field, x, v, cfg), bound)
 
-    @probes
     def l21(rng, cases):
+        # draws each map's shift c before its points, so it keeps its own loop
         for f in corpus[:6]:
             c = rng.uniform(-1, 1)
             g = sm.SmoothMap(f.in_dim, f.out_dim, lambda z, f=f, c=c: f(z) + c, "shift")
-            for x in points(rng, f, max(1, cases // 6)):
+            for x in [sm.sample_point(rng, f.in_dim) for _ in range(max(1, cases // 6))]:
                 v = sm.sample_point(rng, f.in_dim)
                 lhs = sm.fd_directional_derivative(f, x, v, cfg)
                 rhs = sm.fd_directional_derivative(g, x, v, cfg)

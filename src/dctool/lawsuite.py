@@ -2,10 +2,14 @@
 
 Each law is a pair of operator composites; a model binding supplies one
 deterministic check per law it supports (and a skip reason for laws it
-deliberately does not).  The runner evaluates checks on seeded inputs,
-short-circuits a law on its first counterexample, but always runs every law
-in the binding so one failure never hides another: an exception raised
-inside a check fails that law, with the exception as its counterexample.
+deliberately does not).  A check is a callable `(rng, cases)` that yields, for
+each case it checks in turn, the case's rendered counterexample or None when
+the case holds.  `run_law` is the only reader of these results: it stops at
+the first counterexample, and a law's `cases` counts the cases read up to and
+including it.  A check that yields no case fails.  The runner always runs
+every law in the binding so one failure never hides another: an exception
+raised inside a check fails that law with `cases` 0 and the exception as its
+counterexample.
 
 The operator-algebra laws L9 and L11-L19 are written once, in the equation
 table `OPERATOR_LAWS`: each is a generator of (lhs, rhs, label) equations
@@ -26,7 +30,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
 class UnboundOperator(Exception):
@@ -90,7 +94,6 @@ class Operators:
     K_inv: Any
     J_inv: Any
     id: Any  # identity on bags
-    id_x1: Any  # identity on bags x atoms
     gate: Any
     spread: Any
     atom: Any
@@ -162,7 +165,7 @@ def _reconstruction(o: Operators, u: Operators):
 
 
 def _ftc1(o: Operators, u: Operators):
-    yield o.seq(o.d, o.s), o.id_x1, "first fundamental theorem fails"
+    yield o.seq(o.d, o.s), o.x1(o.id), "first fundamental theorem fails"
 
 
 # law id -> (the object the law is stated on, its equations on (that object's
@@ -181,25 +184,24 @@ OPERATOR_LAWS: dict[str, tuple[str, Callable[[Operators, Operators], Iterator[tu
 }
 
 
-@dataclass
-class CheckOutcome:
-    passed: bool
-    cases: int
-    counterexample: str | None = None
-
-
-# A check takes (rng, cases) and returns a CheckOutcome.
-LawCheck = Callable[[random.Random, int], CheckOutcome]
+# A check takes (rng, cases) and yields a counterexample or None per case checked.
+LawCheck = Callable[[random.Random, int], Iterable[str | None]]
 
 
 @dataclass
 class ModelBinding:
     """Everything the runner needs: per-law checks, skips, and metadata.
 
-    `equations(law, at, rng, cases)`, when given, is the model's equality
-    check for the laws of OPERATOR_LAWS: it checks the (lhs, rhs, label)
-    equations `law(o, u)` yields, where o is the model's operator set `at`,
-    "general" or "unit", and u its unit set.
+    Each check is a `LawCheck`: `check(rng, cases)` yields one rendered
+    counterexample, or None, per case it checks, and builds each case only
+    when the runner reads it, so the runner can stop at the first
+    counterexample.  The `cases` argument asks for a run size; each model
+    spreads it over its inputs in its own way, and the report counts the
+    cases the runner read.  `equations(law, at, rng, cases)`, when given,
+    is the model's check for the laws of OPERATOR_LAWS, with the same
+    yield: it checks the (lhs, rhs, label) equations `law(o, u)` yields,
+    where o is the model's operator set `at`, "general" or "unit", and u
+    its unit set.
     """
 
     name: str
@@ -208,7 +210,7 @@ class ModelBinding:
     checks: Mapping[str, LawCheck]
     skips: Mapping[str, str] = field(default_factory=dict)
     params: Mapping[str, object] = field(default_factory=dict)
-    equations: Callable[..., CheckOutcome] | None = None
+    equations: Callable[..., Iterable[str | None]] | None = None
 
     @property
     def mask(self):
@@ -259,17 +261,19 @@ def run_law(law_id: str, binding: ModelBinding, cases: int, seed: int) -> LawRep
     if check is None:
         raise UnboundOperator(f"{binding.name} has no check bound for {law_id}")
     rng = random.Random(f"{seed}:{law_id}")
+    read, counterexample = 0, None
     t0 = time.perf_counter()
     try:
-        outcome = check(rng, cases)
+        for read, counterexample in enumerate(check(rng, cases), 1):
+            if counterexample:
+                break
+        else:
+            counterexample = None if read else "no case was checked"
     except Exception as exc:  # a crashing check fails its own law only
-        outcome = CheckOutcome(False, 0, f"raised {type(exc).__name__}: {exc}")
+        read, counterexample = 0, f"raised {type(exc).__name__}: {exc}"
     ms = (time.perf_counter() - t0) * 1000.0
-    status = "pass" if outcome.passed else "fail"
-    return LawReport(
-        law_id, law.citation, binding.name, status, outcome.cases, outcome.counterexample,
-        ms, binding.exact,
-    )
+    status = "fail" if counterexample else "pass"
+    return LawReport(law_id, law.citation, binding.name, status, read, counterexample, ms, binding.exact)
 
 
 def run_suite(binding: ModelBinding, cases: int = 50, seed: int = 0) -> list[LawReport]:

@@ -45,6 +45,12 @@ def test_golden_check_rel_boolean(tmp_path):
     assert payload == load_golden("check_rel_boolean_seed42.json")
 
 
+def test_golden_check_smooth(tmp_path):
+    status, payload = run_json(tmp_path, ["check", "smooth", "--seed", "42"])
+    assert status == 0
+    assert payload == load_golden("check_smooth_seed42.json")
+
+
 def test_seed_reproducibility_end_to_end(tmp_path):
     _s1, a = run_json(tmp_path, ["check", "rel", "--seed", "9"])
     _s2, b = run_json(tmp_path, ["check", "rel", "--seed", "9"])

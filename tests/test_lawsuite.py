@@ -6,7 +6,7 @@ import dctool.lawsuite as ls
 import dctool.polyform as pf
 import dctool.wrel as wrel
 from dctool import cli
-from dctool.bindings import make_poly_binding, make_rel_binding, make_smooth_binding
+from dctool.bindings import _asymmetry, make_poly_binding, make_rel_binding, make_smooth_binding
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL
 from dctool.smoothnum import NonFinite
 
@@ -167,7 +167,7 @@ def test_rel_suite_never_builds_a_matrix_beyond_the_safe_band_rows(monkeypatch):
 
 def test_an_exception_in_one_check_fails_only_that_law(monkeypatch, capsys):
     def passes(rng, cases):
-        return ls.CheckOutcome(True, cases)
+        return [None] * cases
 
     def raises(rng, cases):
         raise NonFinite("probe returned nan")
@@ -184,6 +184,48 @@ def test_an_exception_in_one_check_fails_only_that_law(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_make_binding", lambda args: binding)
     assert cli.main(["check", "smooth"]) == 1
     assert "raised NonFinite" in capsys.readouterr().out
+
+
+def _one_law_binding(check):
+    return ls.ModelBinding(name="fake", semiring="none", exact=True, checks={"L2": check})
+
+
+def test_a_check_that_yields_no_case_fails():
+    report = ls.run_law("L2", _one_law_binding(lambda rng, cases: iter(())), cases=5, seed=0)
+    assert (report.status, report.cases, report.counterexample) == ("fail", 0, "no case was checked")
+
+
+def test_the_runner_stops_at_the_first_counterexample_and_counts_the_cases_read():
+    evaluated = []
+
+    def check(rng, cases):
+        for n in range(1, cases + 1):
+            evaluated.append(n)
+            yield f"case {n} fails" if n >= 3 else None
+
+    report = ls.run_law("L2", _one_law_binding(check), cases=10, seed=0)
+    assert (report.status, report.cases, report.counterexample) == ("fail", 3, "case 3 fails")
+    assert evaluated == [1, 2, 3]
+
+
+def test_a_check_that_raises_after_passing_cases_reads_zero_cases():
+    def check(rng, cases):
+        yield None
+        yield None
+        raise NonFinite("third probe returned nan")
+
+    report = ls.run_law("L2", _one_law_binding(check), cases=10, seed=0)
+    assert (report.status, report.cases) == ("fail", 0)
+    assert report.counterexample == "raised NonFinite: third probe returned nan"
+
+
+def test_poly_asymmetry_scan_finds_the_first_asymmetric_pair():
+    x = [pf.Polynomial.variable(NONNEG_RATIONAL, 3, i) for i in range(3)]
+    zero = pf.Polynomial.zero(NONNEG_RATIONAL, 3)
+    assert _asymmetry(pf.grad(x[0] * x[1] * x[2])) is None
+    # d_2 b_1 = 1 but d_1 b_2 = 0; the pairs (0, 1) and (0, 2) are symmetric
+    assert _asymmetry(pf.PolyBundle((zero, x[2], zero))) == (1, 2)
+    assert _asymmetry(pf.PolyBundle((x[2], x[2], zero))) == (0, 2)
 
 
 def test_smooth_suite_is_inexact_everywhere():
