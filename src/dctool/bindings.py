@@ -478,11 +478,13 @@ def make_rel_binding(
             atom = WeightedMatrix(
                 rig, PairSpace(ubags, uatoms), ubags, {((n, wrel.UNIT_POINT), n): rig.one for n in ubags.points()}
             )
+        d, dc = wrel.d_rel(b, rig, trunc), wrel.dcirc_rel(b, rig, trunc)
+        # K and J share one d°;d
+        dcd = mat_compose(dc, d)
         return Operators(
-            *(op(b, rig, trunc) for op in (
-                wrel.d_rel, wrel.dcirc_rel, wrel.s_rel, wrel.bang_zero_rel,
-                wrel.K_rel, wrel.J_rel, wrel.K_inv_rel, wrel.J_inv_rel,
-            )),
+            d, dc, wrel.s_rel(b, rig, trunc), wrel.bang_zero_rel(b, rig, trunc),
+            wrel.K_rel(b, rig, trunc, dcd), wrel.J_rel(b, rig, trunc, dcd),
+            wrel.K_inv_rel(b, rig, trunc), wrel.J_inv_rel(b, rig, trunc),
             id=id_b,
             gate=wrel.m_unit_rel(b, rig, trunc).m_RA,
             spread=wrel.spread_rel(rig, b_bags, trunc),
@@ -643,20 +645,33 @@ def make_rel_binding(
 # ===========================================================================
 
 
-def _sample(rng, cases, items):
-    """(item, x) for each item in turn and `cases // len(items)` (at least one) seeded points x.
+def _points(rng, dim, k):
+    """k seeded points of R^dim, drawn one after another, as the columns of one (dim, k) batch."""
+    return np.column_stack([sm.sample_point(rng, dim) for _ in range(k)])
 
-    An item is a map or a tuple whose first entry is the map x is a point of.
-    An item's points are drawn together when the loop reaches it, before the
-    law draws anything for them.
+
+def _sample(rng, cases, items):
+    """(item, X) for each item in turn, X the (n, k) batch of its `cases // len(items)` (at least one) seeded points.
+
+    An item is a map or a tuple whose first entry is the map the columns of X
+    are points of.  The points are drawn one per column, in column order, when
+    the loop reaches the item.  A law draws its per-point extras (directions,
+    scalars) for the whole batch right after X, one column after another, so
+    the rng stream is the one of drawing each point and then its extras in
+    turn, and column j is case j of the item.
     """
     for item in items:
         f = item[0] if isinstance(item, tuple) else item
-        for x in [sm.sample_point(rng, f.in_dim) for _ in range(max(1, cases // len(items)))]:
-            yield item, x
+        yield item, _points(rng, f.in_dim, max(1, cases // len(items)))
 
 
 def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3) -> ModelBinding:
+    """Tolerance-based law binding for the numerical smooth-map model.
+
+    Each law evaluates each of its sides once per corpus item, on all of that
+    item's probe points as one (n, k) batch, and then yields one
+    counterexample or None per column, in column order.
+    """
     cfg = cfg or sm.QuadratureConfig()
     if not 1 <= max_dim <= 3:
         raise ValueError("max_dim must be between 1 and 3")
@@ -669,48 +684,48 @@ def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3
             f"rhs={np.array2string(np.atleast_1d(np.asarray(rhs, float)), precision=10)}"
         )
 
-    def close(label, f, x, lhs, rhs, tol_rel=None):
-        """None when lhs and rhs agree to the configured tolerances, else the counterexample."""
-        if sm.rel_close(lhs, rhs, tol_rel or cfg.tol_rel, cfg.tol_abs):
-            return None
-        return fail(label, f, x, lhs, rhs)
+    def close(label, f, X, lhs, rhs, tol_rel=None):
+        """Per column of X, one point or a batch of them: None when lhs and rhs agree to the
+        configured tolerances, else the counterexample."""
+        X, lhs, rhs = (np.reshape(a, (len(a), -1)) for a in (X, lhs, rhs))
+        for x, a, b in zip(X.T, lhs.T, rhs.T):
+            yield None if sm.rel_close(a, b, tol_rel or cfg.tol_rel, cfg.tol_abs) else fail(label, f, x, a, b)
 
-    def within(label, f, x, residual, bound):
-        """None when the residual is at most its bound, else the counterexample."""
-        return fail(label, f, x, residual, bound) if residual > bound else None
+    def within(label, f, X, residual, bound):
+        """Per column of the batch X: None when its residual is at most its bound, else the counterexample."""
+        for x, r, b in zip(X.T, residual, bound):
+            yield fail(label, f, x, r, b) if r > b else None
 
     def l2(rng, cases):
-        for f, x in _sample(rng, cases, [f for f in corpus if f.label.startswith("const")]):
-            v = sm.sample_point(rng, f.in_dim)
-            got = sm.fd_directional_derivative(f, x, v, cfg)
-            yield close("constant has nonzero derivative", f, x, got, np.zeros(f.out_dim))
+        for f, X in _sample(rng, cases, [f for f in corpus if f.label.startswith("const")]):
+            got = sm.fd_directional_derivative(f, X, _points(rng, f.in_dim, X.shape[1]), cfg)
+            yield from close("constant has nonzero derivative", f, X, got, np.zeros_like(got))
 
     def l3(rng, cases):
         scalars = [f for f in corpus if f.out_dim == 1]
         pairs = [(f, g) for f in scalars for g in scalars if f.in_dim == g.in_dim]
-        for (f, g), x in _sample(rng, cases, pairs):
-            v = sm.sample_point(rng, f.in_dim)
+        for (f, g), X in _sample(rng, cases, pairs):
+            V = _points(rng, f.in_dim, X.shape[1])
             prod = sm.SmoothMap(f.in_dim, 1, lambda z, f=f, g=g: f(z) * g(z), "prod")
-            lhs = sm.fd_directional_derivative(prod, x, v, cfg)
-            rhs = f(x) * sm.directional_derivative(g, x, v, cfg) + g(x) * sm.directional_derivative(f, x, v, cfg)
-            yield close("Leibniz fails", f, x, lhs, rhs)
+            lhs = sm.fd_directional_derivative(prod, X, V, cfg)
+            rhs = f(X) * sm.directional_derivative(g, X, V, cfg) + g(X) * sm.directional_derivative(f, X, V, cfg)
+            yield from close("Leibniz fails", f, X, lhs, rhs)
 
     def l4(rng, cases):
         pairs = [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim]
-        for (f, g), x in _sample(rng, cases, pairs):
-            v = sm.sample_point(rng, f.in_dim)
+        for (f, g), X in _sample(rng, cases, pairs):
+            V = _points(rng, f.in_dim, X.shape[1])
             comp = sm.SmoothMap(f.in_dim, g.out_dim, lambda z, f=f, g=g: g(f(z)), "comp")
-            lhs = sm.fd_directional_derivative(comp, x, v, cfg)
-            inner = sm.directional_derivative(f, x, v, cfg)
-            rhs = sm.directional_derivative(g, f(x), inner, cfg)
-            yield close(f"chain rule fails ({g.label} o {f.label})", f, x, lhs, rhs)
+            lhs = sm.fd_directional_derivative(comp, X, V, cfg)
+            rhs = sm.directional_derivative(g, f(X), sm.directional_derivative(f, X, V, cfg), cfg)
+            yield from close(f"chain rule fails ({g.label} o {f.label})", f, X, lhs, rhs)
 
     def l5(rng, cases):
-        for f, x in _sample(rng, cases, [f for f in corpus if f.label.startswith(("id", "linear"))]):
-            v = sm.sample_point(rng, f.in_dim)
-            d1 = sm.fd_directional_derivative(f, x, v, cfg)
-            d2 = sm.fd_directional_derivative(f, np.zeros(f.in_dim), v, cfg)
-            yield close("linear derivative depends on base point", f, x, d1, d2)
+        for f, X in _sample(rng, cases, [f for f in corpus if f.label.startswith(("id", "linear"))]):
+            V = _points(rng, f.in_dim, X.shape[1])
+            d1 = sm.fd_directional_derivative(f, X, V, cfg)
+            d2 = sm.fd_directional_derivative(f, np.zeros_like(X), V, cfg)
+            yield from close("linear derivative depends on base point", f, X, d1, d2)
         # linearity of the derivative in the direction argument
         for f in corpus[: max(1, cases // 10)]:
             x = sm.sample_point(rng, f.in_dim)
@@ -719,27 +734,27 @@ def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3
             a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
             lhs = sm.directional_derivative(f, x, a * v + b * w, cfg)
             rhs = a * sm.directional_derivative(f, x, v, cfg) + b * sm.directional_derivative(f, x, w, cfg)
-            yield close("derivative not linear in direction", f, x, lhs, rhs)
+            yield from close("derivative not linear in direction", f, x, lhs, rhs)
 
     # scalar maps of two or more variables: the inputs of L6 and L20
     potentials = [f for f in corpus if f.out_dim == 1 and f.in_dim >= 2]
 
     def l6(rng, cases):
-        for f, x in _sample(rng, cases, potentials):
+        for f, X in _sample(rng, cases, potentials):
             ei, ej = np.eye(f.in_dim)[:2]
             # closed-form derivative inside, finite difference outside, so
             # the two orders really are computed along different routes
             partial_j = sm.SmoothMap(f.in_dim, 1, lambda z, f=f, ej=ej: sm.directional_derivative(f, z, ej, cfg), "dj")
             partial_i = sm.SmoothMap(f.in_dim, 1, lambda z, f=f, ei=ei: sm.directional_derivative(f, z, ei, cfg), "di")
-            lhs = sm.fd_directional_derivative(partial_j, x, ei, cfg)
-            rhs = sm.fd_directional_derivative(partial_i, x, ej, cfg)
+            lhs = sm.fd_directional_derivative(partial_j, X, ei, cfg)
+            rhs = sm.fd_directional_derivative(partial_i, X, ej, cfg)
             # a difference quotient of a derivative: one digit looser than --tol-rel
-            yield close("mixed partials differ", f, x, lhs, rhs, tol_rel=10 * cfg.tol_rel)
+            yield from close("mixed partials differ", f, X, lhs, rhs, tol_rel=10 * cfg.tol_rel)
 
     def l18(rng, cases):
-        for f, x in _sample(rng, cases, corpus):
-            bound = (1e-7 if f.transcendental else 1e-8) * (1.0 + float(np.linalg.norm(f(x))))
-            yield within("fundamental theorem residual too large", f, x, sm.ftc2_residual(f, x, cfg), bound)
+        for f, X in _sample(rng, cases, corpus):
+            bound = (1e-7 if f.transcendental else 1e-8) * (1.0 + np.linalg.norm(f(X), axis=0))
+            yield from within("fundamental theorem residual too large", f, X, sm.ftc2_residual(f, X, cfg), bound)
 
     def l19(rng, cases):
         members = [
@@ -747,31 +762,32 @@ def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3
             for f in corpus
             if f.in_dim == 1 and f.out_dim == 1
         ]
-        for (f, bil), x in _sample(rng, cases, members):
-            v = np.array([rng.uniform(-2, 2)])
-            bound = max(cfg.tol_abs, cfg.tol_rel * (1.0 + abs(float(f(x)[0] * v[0]))))
-            r = sm.poincare_residual(bil, x, v, cfg)
-            yield within("derivative of the integral misses the integrand", f, x, r, bound)
+        for (f, bil), X in _sample(rng, cases, members):
+            V = np.array([[rng.uniform(-2, 2) for _ in range(X.shape[1])]])
+            bound = np.maximum(cfg.tol_abs, cfg.tol_rel * (1.0 + np.abs(f(X)[0] * V[0])))
+            r = sm.poincare_residual(bil, X, V, cfg)
+            yield from within("derivative of the integral misses the integrand", f, X, r, bound)
 
     def l20(rng, cases):
-        for (f, field), x in _sample(rng, cases, [(f, sm.gradient_field(f, cfg)) for f in potentials]):
-            v = sm.sample_point(rng, f.in_dim)
-            bound = max(cfg.tol_abs, cfg.tol_rel * (1.0 + float(np.max(np.abs(field(x, v))))))
-            yield within("Poincare residual too large", f, x, sm.poincare_residual(field, x, v, cfg), bound)
+        for (f, field), X in _sample(rng, cases, [(f, sm.gradient_field(f, cfg)) for f in potentials]):
+            V = _points(rng, f.in_dim, X.shape[1])
+            bound = np.maximum(cfg.tol_abs, cfg.tol_rel * (1.0 + np.max(np.abs(field(X, V)), axis=0)))
+            yield from within("Poincare residual too large", f, X, sm.poincare_residual(field, X, V, cfg), bound)
 
     def l21(rng, cases):
         # draws each map's shift c before its points, so it keeps its own loop
         for f in corpus[:6]:
             c = rng.uniform(-1, 1)
             g = sm.SmoothMap(f.in_dim, f.out_dim, lambda z, f=f, c=c: f(z) + c, "shift")
-            for x in [sm.sample_point(rng, f.in_dim) for _ in range(max(1, cases // 6))]:
-                v = sm.sample_point(rng, f.in_dim)
-                lhs = sm.fd_directional_derivative(f, x, v, cfg)
-                rhs = sm.fd_directional_derivative(g, x, v, cfg)
-                zero = np.zeros(f.in_dim)
-                yield close("shifted map changed the derivative", f, x, lhs, rhs) or close(
-                    "maps with equal derivatives differ beyond a constant", f, x, f(x) - f(zero), g(x) - g(zero)
-                )
+            X = _points(rng, f.in_dim, max(1, cases // 6))
+            V = _points(rng, f.in_dim, X.shape[1])
+            zero = np.zeros_like(X)
+            derivatives = close(
+                "shifted map changed the derivative", f, X,
+                sm.fd_directional_derivative(f, X, V, cfg), sm.fd_directional_derivative(g, X, V, cfg),
+            )
+            values = close("maps with equal derivatives differ beyond a constant", f, X, f(X) - f(zero), g(X) - g(zero))
+            yield from (a or b for a, b in zip(derivatives, values))
 
     checks = {
         "L2": l2, "L3": l3, "L4": l4, "L5": l5, "L6": l6,

@@ -65,9 +65,13 @@ def _batch(*arrays):
     Arguments of shape (n, *batch) are broadcast against each other, a single
     point or direction of shape (n,) against all of them, and the batch is
     flattened into k columns.  Returns the arrays and the batch shape, which
-    is () when every argument is a single point.
+    is () when every argument is a single point.  Arguments that already share
+    one shape need no broadcast and are only flattened.
     """
     arrays = [np.asarray(a, float) for a in arrays]
+    shape = arrays[0].shape
+    if all(a.shape == shape for a in arrays):
+        return ([a.reshape(shape[0], -1) for a in arrays] if len(shape) > 2 else arrays), shape[1:]
     batch = np.broadcast_shapes(*(a.shape[1:] for a in arrays))
     if not batch:
         return arrays, batch
@@ -87,10 +91,10 @@ def _evaluate(fn, out_dim: int, label: str, *args) -> np.ndarray:
     """
     args, batch = _batch(*args)
     y = np.asarray(fn(*args), float)
-    if batch:
-        y = np.broadcast_to(y.reshape(out_dim, -1), (out_dim, args[0].shape[1]))
-    else:
+    if not batch:
         y = np.atleast_1d(y)
+    elif y.shape != (out_dim, args[0].shape[1]):
+        y = np.broadcast_to(y.reshape(out_dim, -1), (out_dim, args[0].shape[1]))
     finite = np.isfinite(y)
     if not finite.all():
         x = args[0][:, np.argmin(finite.all(axis=0))] if batch else args[0]
@@ -191,11 +195,21 @@ def line_integral_S(g: BilinearizedMap, x, cfg: QuadratureConfig = DEFAULT_CONFI
     return acc
 
 
-def ftc2_residual(f: SmoothMap, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Sup-norm defect of: integral of the derivative along [0,x], plus f(0), minus f(x)."""
+def _sup_by_column(x: np.ndarray, defect: np.ndarray):
+    """The sup norm of each column of defect: a float for one point x, else one value per column."""
+    sup = np.max(np.abs(defect), axis=0)
+    return float(sup) if x.ndim == 1 else sup
+
+
+def ftc2_residual(f: SmoothMap, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Sup-norm defect of: integral of the derivative along [0,x], plus f(0), minus f(x).
+
+    x is one point (a float is returned) or a batch of points (one residual
+    per column).
+    """
     x = np.asarray(x, float)
     s = line_integral_S(bilinearize(f, cfg), x, cfg)
-    return float(np.max(np.abs(s + f(np.zeros(f.in_dim)) - f(x))))
+    return _sup_by_column(x, s + f(np.zeros_like(x)) - f(x))
 
 
 def integral_map(g: BilinearizedMap, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SmoothMap:
@@ -203,17 +217,17 @@ def integral_map(g: BilinearizedMap, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
     return SmoothMap(g.in_dim, g.out_dim, lambda x: line_integral_S(g, x, cfg), f"S[{g.label}]")
 
 
-def poincare_residual(F: BilinearizedMap, x, v, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def poincare_residual(F: BilinearizedMap, x, v, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Sup-norm defect of: derivative of the line integral of F, minus F.
 
-    Caller is responsible for the symmetry premise (F the derivative pairing
-    of a gradient field, or one-dimensional).
+    x and v are one point and direction (a float is returned) or batches of
+    them (one residual per column).  Caller is responsible for the symmetry
+    premise (F the derivative pairing of a gradient field, or one-dimensional).
     """
     x = np.asarray(x, float)
     v = np.asarray(v, float)
-    s_of_f = integral_map(F, cfg)
-    lhs = fd_directional_derivative(s_of_f, x, v, cfg)
-    return float(np.max(np.abs(lhs - F(x, v))))
+    lhs = fd_directional_derivative(integral_map(F, cfg), x, v, cfg)
+    return _sup_by_column(x, lhs - F(x, v))
 
 
 # -- corpus -----------------------------------------------------------------

@@ -387,19 +387,29 @@ def s_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     return WeightedMatrix(rig, bags, PairSpace(bags, atoms), entries)
 
 
-def K_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Remove-then-insert plus the empty-bag projection; diagonal with weight |b|."""
-    return mat_compose(dcirc_rel(base, rig, trunc), d_rel(base, rig, trunc)) + bang_zero_rel(
-        base, rig, trunc
-    )
+def K_rel(base: BaseSet, rig: Rig, trunc: Truncation, dcd: WeightedMatrix | None = None) -> WeightedMatrix:
+    """Remove-then-insert plus the empty-bag projection; diagonal with weight |b|.
+
+    `dcd` is d°;d on the same bags, for a caller that has already built it.
+    """
+    if dcd is None:
+        dcd = _dcirc_d(base, rig, trunc)
+    return dcd + bang_zero_rel(base, rig, trunc)
 
 
-def J_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Remove-then-insert plus the identity; diagonal with weight |b| + 1."""
+def J_rel(base: BaseSet, rig: Rig, trunc: Truncation, dcd: WeightedMatrix | None = None) -> WeightedMatrix:
+    """Remove-then-insert plus the identity; diagonal with weight |b| + 1.
+
+    `dcd` is d°;d on the same bags, for a caller that has already built it.
+    """
+    if dcd is None:
+        dcd = _dcirc_d(base, rig, trunc)
     bags, _ = spaces(base, trunc)
-    return mat_compose(dcirc_rel(base, rig, trunc), d_rel(base, rig, trunc)) + WeightedMatrix.identity(
-        rig, bags
-    )
+    return dcd + WeightedMatrix.identity(rig, bags)
+
+
+def _dcirc_d(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
+    return mat_compose(dcirc_rel(base, rig, trunc), d_rel(base, rig, trunc))
 
 
 def K_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
@@ -428,8 +438,7 @@ def comonoid_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Comonoid:
     unit = UnitSpace()
     delta_entries = {}
     for b in bags.points():
-        for b1 in _sub_bags(b):
-            b2 = _bag_difference(b, b1)
+        for b1, b2 in _sub_bags(b):
             delta_entries[(b, (b1, b2))] = rig.one
     delta = WeightedMatrix(rig, bags, PairSpace(bags, bags), delta_entries)
     counit = WeightedMatrix(rig, bags, unit, {((), UNIT_POINT): rig.one})
@@ -438,23 +447,15 @@ def comonoid_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Comonoid:
 
 
 def _sub_bags(b: Bag):
+    """Each sub-bag of b with its complement in b, both read off one choice of multiplicities."""
     counts = Counter(b)
     atoms = sorted(counts)
-    choices = [range(counts[a] + 1) for a in atoms]
-    for pick in product(*choices):
-        sub = []
+    for pick in product(*(range(counts[a] + 1) for a in atoms)):
+        sub, rest = [], []
         for a, k in zip(atoms, pick):
             sub.extend([a] * k)
-        yield tuple(sorted(sub))
-
-
-def _bag_difference(b: Bag, sub: Bag) -> Bag:
-    counts = Counter(b)
-    counts.subtract(Counter(sub))
-    out = []
-    for a, k in sorted(counts.items()):
-        out.extend([a] * k)
-    return tuple(out)
+            rest.extend([a] * (counts[a] - k))
+        yield tuple(sub), tuple(rest)
 
 
 # -- unit-object matrices ---------------------------------------------------

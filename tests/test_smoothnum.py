@@ -276,3 +276,97 @@ def test_map_calls_do_not_grow_with_the_quadrature_order(monkeypatch):
         return len(calls)
 
     assert suite_calls(16) == suite_calls(64)
+
+
+def test_residuals_on_a_batch_match_the_per_column_calls():
+    rng = random.Random(3)
+    corpus = sm.builtin_corpus()
+    for f in corpus:
+        X = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(5)])
+        batched = sm.ftc2_residual(f, X)
+        assert batched.shape == (5,), f.label
+        for j in range(5):
+            single = sm.ftc2_residual(f, X[:, j])
+            assert isinstance(single, float)
+            assert abs(batched[j] - single) <= 1e-9, f.label
+    fields = [sm.gradient_field(f) for f in corpus if f.out_dim == 1 and f.in_dim >= 2]
+    fields += [BilinearizedMap(1, 1, lambda x, y, f=f: f(x) * y, f.label) for f in corpus if f.in_dim == f.out_dim == 1]
+    for F in fields:
+        X = np.column_stack([sm.sample_point(rng, F.in_dim) for _ in range(5)])
+        V = np.column_stack([sm.sample_point(rng, F.in_dim) for _ in range(5)])
+        batched = sm.poincare_residual(F, X, V)
+        assert batched.shape == (5,), F.label
+        for j in range(5):
+            single = sm.poincare_residual(F, X[:, j], V[:, j])
+            assert isinstance(single, float)
+            assert abs(batched[j] - single) <= 1e-9, F.label
+
+
+def test_smooth_suite_work_counts(monkeypatch):
+    """Each law evaluates an item's probe points as one batch: 1,884 map calls when it evaluated them one by one."""
+    calls = []
+    for cls in (SmoothMap, BilinearizedMap):
+        original = cls.__call__
+
+        def counting(self, *args, original=original):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "__call__", counting)
+    reports = lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)
+    assert lawsuite.all_pass(reports)
+    assert len(calls) <= 900
+
+
+def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_column(monkeypatch):
+    """gauss3's closed-form derivative doubles the direction's first coordinate where x[0] > 1.
+
+    The failing laws, their case counts and counterexamples were computed
+    when each law still evaluated one probe point at a time: batching an
+    item's points must keep the rng stream and stop at the same column.
+    """
+    builtin_corpus = sm.builtin_corpus
+
+    def corpus():
+        maps = builtin_corpus()
+        for f in maps:
+            if f.label == "gauss3":
+
+                def broken(x, v, exact=f.exact_derivative):
+                    w = np.array(v, float)
+                    w[0] = np.where(x[0] > 1.0, 2.0, 1.0) * v[0]
+                    return exact(x, w)
+
+                f.exact_derivative = broken
+        return maps
+
+    monkeypatch.setattr(sm, "builtin_corpus", corpus)
+    reports = lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)
+    failing = {r.law_id: (r.cases, r.counterexample) for r in reports if r.status == "fail"}
+    assert failing == {
+        "L3": (42, "Leibniz fails: map=poly3 x=[ 1.339396 -0.879792  1.54241 ] lhs=[0.5439071901] rhs=[0.5456679083]"),
+        "L4": (
+            78,
+            "chain rule fails (id1 o gauss3): map=gauss3 x=[ 1.777488 -0.864492 -0.53423 ] "
+            "lhs=[0.6808976549] rhs=[1.2392769013]",
+        ),
+        # the fourth potential, 12 points: its fifth column
+        "L6": (
+            41,
+            "mixed partials differ: map=gauss3 x=[ 1.76496  -0.690859 -0.221356] "
+            "lhs=[-0.1226612998] rhs=[-0.2453225997]",
+        ),
+        # the last item, 3 points: its second column
+        "L18": (
+            44,
+            "fundamental theorem residual too large: map=gauss3 x=[ 1.558085 -1.053949 -0.525639] "
+            "lhs=[0.1838174927] rhs=[1.3853193136e-07]",
+        ),
+        # the fourth potential, 12 points: its third column
+        "L20": (
+            39,
+            "Poincare residual too large: map=gauss3 x=[1.34946  0.585092 1.992821] "
+            "lhs=[0.044278935] rhs=[1.2196956575e-06]",
+        ),
+    }
+    assert {r.status for r in reports if r.law_id not in failing} == {"pass", "skipped"}

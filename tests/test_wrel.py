@@ -1,7 +1,9 @@
 """Bag-matrix model: frozen entry oracles and structural invariants."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -141,6 +143,27 @@ def test_boolean_K_is_identity():
     assert K.equal_on_safe_band(ident, T4.safe_limit)
 
 
+def test_rel_binding_builds_d_and_dcirc_once_per_base_set_and_shares_them_with_K_and_J(monkeypatch):
+    built = Counter()
+    for name in ("d_rel", "dcirc_rel"):
+        original = getattr(wr, name)
+
+        def counting(base, rig, trunc, name=name, original=original):
+            built[name, base] += 1
+            return original(base, rig, trunc)
+
+        monkeypatch.setattr(wr, name, counting)
+    base = BaseSet(("a", "b", "c"))
+    make_rel_binding(R, base_size=3, truncation=6)
+    assert built == {(name, b): 1 for name in ("d_rel", "dcirc_rel") for b in (base, UNIT_BASE)}
+    # the shared d°;d gives the K and J of the stand-alone constructors
+    trunc = Truncation(6)
+    for b in (base, UNIT_BASE):
+        dcd = mat_compose(wr.dcirc_rel(b, R, trunc), wr.d_rel(b, R, trunc))
+        assert wr.K_rel(b, R, trunc, dcd) == wr.K_rel(b, R, trunc)
+        assert wr.J_rel(b, R, trunc, dcd) == wr.J_rel(b, R, trunc)
+
+
 # -- comonoid ----------------------------------------------------------------
 
 
@@ -165,6 +188,20 @@ def test_delta_cocommutative():
     com = wr.comonoid_rel(XY, R, T4)
     for (b, (b1, b2)), v in com.delta.entries.items():
         assert com.delta.entry(b, (b2, b1)) == v
+
+
+@pytest.mark.parametrize("D", [4, 5, 6])
+@pytest.mark.parametrize("base_size", [1, 2, 3, 4])
+def test_delta_matches_a_reference_built_from_multiset_differences(base_size, D):
+    base = BaseSet(("a", "b", "c", "d")[:base_size])
+    reference = {}
+    for b in BagSpace(base, D).points():
+        # every sub-multiset, as the distinct choices of positions of b
+        for sub in {bag(*c) for r in range(len(b) + 1) for c in combinations(b, r)}:
+            rest = Counter(b) - Counter(sub)
+            reference[(b, (sub, bag(*rest.elements())))] = R.one
+    com = wr.comonoid_rel(base, R, Truncation(D))
+    assert com.delta == WeightedMatrix(R, com.delta.row_space, com.delta.col_space, reference)
 
 
 # -- unit monoidal maps ------------------------------------------------------
