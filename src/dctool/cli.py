@@ -124,7 +124,7 @@ def report_payload(binding, reports, seed: int) -> dict:
 def _make_binding(args) -> lawsuite.ModelBinding:
     if args.model == "poly":
         if args.vars < 1:
-            raise SystemExit2("--vars must be >= 1")
+            raise ValueError("--vars must be >= 1")
         return bindings.make_poly_binding(
             RIGS[args.semiring], variables=args.vars, max_degree=args.max_degree, sabotage=args.sabotage
         )
@@ -132,10 +132,6 @@ def _make_binding(args) -> lawsuite.ModelBinding:
         return bindings.make_rel_binding(RIGS[args.semiring], base_size=args.base_size, truncation=args.truncation)
     cfg = QuadratureConfig(order=args.order, tol_abs=args.tol_abs, tol_rel=args.tol_rel)
     return bindings.make_smooth_binding(cfg, max_dim=args.dim)
-
-
-class SystemExit2(Exception):
-    """Usage-level error raised after argparse has finished."""
 
 
 def run_check(args) -> int:
@@ -149,7 +145,7 @@ def run_check(args) -> int:
                 stream.write("\n")
             else:
                 render_text_report(binding, reports, stream)
-    except (ValueError, OSError, SystemExit2) as exc:
+    except (ValueError, OSError) as exc:
         print(f"dctool: {exc}", file=sys.stderr)
         return 2
     return 0 if lawsuite.all_pass(reports) else 1
@@ -162,11 +158,11 @@ def run_calc(args) -> int:
         value = exprcalc.eval_expr(ast, rig, arity=args.vars)
         if isinstance(value, PolyBundle) and args.coord is not None:
             if not 1 <= args.coord <= value.arity:
-                raise SystemExit2(f"--coord must be between 1 and {value.arity}")
+                raise ValueError(f"--coord must be between 1 and {value.arity}")
             value = value.components[args.coord - 1]
         # ValueError: a number too long for Python's integer-to-text conversion
         text = value.render()
-    except (exprcalc.ParseError, exprcalc.EvalError, exprcalc.NegativeNotSupported, SystemExit2, ValueError) as exc:
+    except (exprcalc.ParseError, exprcalc.EvalError, exprcalc.NegativeNotSupported, ValueError) as exc:
         print(f"dctool: {exc}", file=sys.stderr)
         return 2
     except NotInvertible as exc:

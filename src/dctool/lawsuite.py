@@ -11,7 +11,7 @@ every law in the binding so one failure never hides another: an exception
 raised inside a check fails that law with `cases` 0 and the exception as its
 counterexample.
 
-The operator-algebra laws L9 and L11-L19 are written once, in the equation
+The operator-algebra laws L8, L9 and L11-L19 are written once, in the equation
 table `OPERATOR_LAWS`: each is a generator of (lhs, rhs, label) equations
 between composites of d, d°, s, !(0), K, J, K^{-1}, J^{-1} and the unit
 monoidal maps m_{R,A} and m_R x 1, taken from an `Operators` set on the
@@ -112,6 +112,14 @@ def _unit_j_inv(o: Operators, u: Operators):
     return via_unit(o, u.seq(u.s, u.atom))
 
 
+def _inverses(o: Operators, u: Operators):
+    # K and J are built as d°;d + !(0) and d°;d + 1 and their inverses are the
+    # closed-form degree scalings, so each equation holds exactly when the
+    # built operator is the degree scaling the citation defines
+    for name, op, inv in (("K", o.K, o.K_inv), ("J", o.J, o.J_inv)):
+        yield o.seq(op, inv), o.id, f"{name};{name}^{{-1}} is not the identity"
+
+
 def _ftc2(o: Operators, u: Operators):
     yield o.seq(o.s, o.d) + o.bang0, o.id, "second fundamental theorem fails"
 
@@ -171,6 +179,7 @@ def _ftc1(o: Operators, u: Operators):
 # law id -> (the object the law is stated on, its equations on (that object's
 # operators, the unit's operators))
 OPERATOR_LAWS: dict[str, tuple[str, Callable[[Operators, Operators], Iterator[tuple]]]] = {
+    "L8": ("general", _inverses),
     "L9": ("general", _absorption),
     "L11": ("general", _unit_pairing),
     "L12": ("unit", _ftc2),
@@ -206,7 +215,6 @@ class ModelBinding:
 
     name: str
     semiring: str
-    exact: bool
     checks: Mapping[str, LawCheck]
     skips: Mapping[str, str] = field(default_factory=dict)
     params: Mapping[str, object] = field(default_factory=dict)
@@ -221,12 +229,10 @@ class ModelBinding:
 class LawReport:
     law_id: str
     citation: str
-    model: str
     status: str  # pass | fail | skipped
     cases: int
     counterexample: str | None
     ms: float
-    exact: bool
     skip_reason: str | None = None
 
     def to_dict(self) -> dict:
@@ -250,10 +256,7 @@ def run_law(law_id: str, binding: ModelBinding, cases: int, seed: int) -> LawRep
         raise ValueError(f"cases must be >= 1, got {cases}")
     law = LAW_BY_ID[law_id]
     if law_id in binding.skips:
-        return LawReport(
-            law_id, law.citation, binding.name, "skipped", 0, None, 0.0, binding.exact,
-            skip_reason=binding.skips[law_id],
-        )
+        return LawReport(law_id, law.citation, "skipped", 0, None, 0.0, binding.skips[law_id])
     check = binding.checks.get(law_id)
     if check is None and binding.equations and law_id in OPERATOR_LAWS:
         at, table_law = OPERATOR_LAWS[law_id]
@@ -273,7 +276,7 @@ def run_law(law_id: str, binding: ModelBinding, cases: int, seed: int) -> LawRep
         read, counterexample = 0, f"raised {type(exc).__name__}: {exc}"
     ms = (time.perf_counter() - t0) * 1000.0
     status = "fail" if counterexample else "pass"
-    return LawReport(law_id, law.citation, binding.name, status, read, counterexample, ms, binding.exact)
+    return LawReport(law_id, law.citation, status, read, counterexample, ms)
 
 
 def run_suite(binding: ModelBinding, cases: int = 50, seed: int = 0) -> list[LawReport]:

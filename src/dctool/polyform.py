@@ -314,23 +314,19 @@ def J_inv_op(p: Polynomial) -> Polynomial:
     return _graded_scale(p, lambda n: rig.nat_inverse(n + 1))
 
 
-def integrate1(p: Polynomial) -> Polynomial:
-    """One-variable integration with zero constant: r*x^k -> r/(k+1) * x^(k+1)."""
-    if p.arity != 1:
-        raise ValueError("integrate1 requires arity 1")
-    rig = p.rig
-    terms = {}
-    for (k,), c in p.terms.items():
-        terms[(k + 1,)] = rig.mul(rig.nat_inverse(k + 1), c)
-    return Polynomial._canonical(rig, 1, terms)
-
-
 def s_op(b: PolyBundle) -> Polynomial:
     """Antiderivative integral of a bundle: K_inv_op after mul_in.
 
     On a monomial component x^a (tensor) e_i this gives x_i * x^a / (|a|+1).
     """
     return K_inv_op(mul_in(b))
+
+
+def integrate1(p: Polynomial) -> Polynomial:
+    """One-variable integration with zero constant, r*x^k -> r/(k+1) * x^(k+1): s_op on (p,)."""
+    if p.arity != 1:
+        raise ValueError("integrate1 requires arity 1")
+    return s_op(PolyBundle((p,)))
 
 
 # -- unit-grading maps ------------------------------------------------------

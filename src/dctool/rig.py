@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-NAT_PROBE_BOUND = 64
-
 
 class NotInvertible(Exception):
     """nat_inverse(k) has no solution in the given rig."""
@@ -34,7 +32,6 @@ class Rig:
 
     name: str = "abstract"
     idempotent: bool = False
-    nat_invertible: bool = False
     has_negatives: bool = False
 
     zero: object
@@ -77,7 +74,6 @@ class NonNegRationalRig(Rig):
     """Non-negative rationals with exact arbitrary-precision arithmetic."""
 
     name = "nonneg-rational"
-    nat_invertible = True
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -123,7 +119,6 @@ class BooleanRig(Rig):
 
     name = "boolean"
     idempotent = True
-    nat_invertible = True
 
     zero = False
     one = True
@@ -172,8 +167,8 @@ def rig_laws_check(rig: Rig, samples: int = 100, seed: int = 0) -> list[AxiomRes
     """Evaluate the commutative-semiring axioms on seeded random triples.
 
     Returns one result per axiom, with a rendered counterexample on failure.
-    Also cross-checks the `idempotent` and `nat_invertible` flags against the
-    instance's actual behaviour.
+    Also cross-checks the `idempotent` flag against the instance's actual
+    behaviour.
     """
     import random
 
@@ -208,27 +203,6 @@ def rig_laws_check(rig: Rig, samples: int = 100, seed: int = 0) -> list[AxiomRes
             "idempotent-flag",
             idem == rig.idempotent,
             None if idem == rig.idempotent else f"1+1={'1' if idem else '!=1'} but flag says {rig.idempotent}",
-        )
-    )
-
-    inv_ok = True
-    inv_bad = None
-    for k in range(1, NAT_PROBE_BOUND + 1):
-        try:
-            r = rig.nat_inverse(k)
-        except NotInvertible:
-            inv_ok = False
-            inv_bad = f"k={k} not invertible"
-            break
-        if not rig.eq(rig.mul(r, rig.nat_value(k)), rig.one):
-            inv_ok = False
-            inv_bad = f"nat_inverse({k}) * nat_value({k}) != 1"
-            break
-    results.append(
-        AxiomResult(
-            "nat-invertible-flag",
-            inv_ok == rig.nat_invertible,
-            None if inv_ok == rig.nat_invertible else (inv_bad or "flag mismatch"),
         )
     )
     return results

@@ -15,7 +15,6 @@ Richardson stencil is therefore one call of the map under test.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -60,27 +59,17 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batch(*arrays):
-    """The arguments as float arrays of shape (n,), or of one shape (n, k).
+    """The arguments as float arrays of one shape, (n,) or (n, k).
 
-    Arguments of shape (n, *batch) are broadcast against each other, a single
-    point or direction of shape (n,) against all of them, and the batch is
-    flattened into k columns.  Returns the arrays and the batch shape, which
-    is () when every argument is a single point.  Arguments that already share
-    one shape need no broadcast and are only flattened.
+    Every argument must have the same shape, (n,) for a single point or
+    direction or (n, *batch) for a batch, which is flattened into k columns.
+    Returns the arrays and the batch shape, which is () for a single point.
     """
     arrays = [np.asarray(a, float) for a in arrays]
     shape = arrays[0].shape
-    if all(a.shape == shape for a in arrays):
-        return ([a.reshape(shape[0], -1) for a in arrays] if len(shape) > 2 else arrays), shape[1:]
-    batch = np.broadcast_shapes(*(a.shape[1:] for a in arrays))
-    if not batch:
-        return arrays, batch
-    k = math.prod(batch)
-    flat = []
-    for a in arrays:
-        a = a.reshape(a.shape[:1] + (1,) * (len(batch) + 1 - a.ndim) + a.shape[1:])
-        flat.append(np.broadcast_to(a, a.shape[:1] + batch).reshape(len(a), k))
-    return flat, batch
+    if any(a.shape != shape for a in arrays):
+        raise ValueError(f"arguments of shapes {[a.shape for a in arrays]} differ; broadcast them first")
+    return ([a.reshape(shape[0], -1) for a in arrays] if len(shape) > 2 else arrays), shape[1:]
 
 
 def _evaluate(fn, out_dim: int, label: str, *args) -> np.ndarray:
@@ -110,8 +99,9 @@ class SmoothMap:
     of shape (n, k), one point per column, it makes one call of `fn` and
     returns shape (m, k).  `fn` and `exact_derivative` must therefore work
     column-wise: index coordinates as `x[i]` and reduce over axis 0.  A
-    constant output broadcasts over the batch, a single direction against a
-    batch of points, and a nested batch (n, *batch) is flattened into k.
+    constant output broadcasts over the batch, and a nested batch (n, *batch)
+    is flattened into k.  Points and directions passed together share one
+    shape.
 
     `exact_derivative(x, v)`, when present, is the closed-form directional
     derivative; finite differences serve as its cross-check.
@@ -189,16 +179,11 @@ def line_integral_S(g: BilinearizedMap, x, cfg: QuadratureConfig = DEFAULT_CONFI
     """
     x = np.asarray(x, float)[..., None]
     ts, ws = gauss_legendre(cfg.order)
-    acc = g(x * ts, x) @ ws
+    nodes = x * ts
+    acc = g(nodes, np.broadcast_to(x, nodes.shape)) @ ws
     if not np.all(np.isfinite(acc)):
         raise NonFinite(f"line integral of {g.label} is non-finite")
     return acc
-
-
-def _sup_by_column(x: np.ndarray, defect: np.ndarray):
-    """The sup norm of each column of defect: a float for one point x, else one value per column."""
-    sup = np.max(np.abs(defect), axis=0)
-    return float(sup) if x.ndim == 1 else sup
 
 
 def ftc2_residual(f: SmoothMap, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -209,12 +194,7 @@ def ftc2_residual(f: SmoothMap, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """
     x = np.asarray(x, float)
     s = line_integral_S(bilinearize(f, cfg), x, cfg)
-    return _sup_by_column(x, s + f(np.zeros_like(x)) - f(x))
-
-
-def integral_map(g: BilinearizedMap, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SmoothMap:
-    """The line integral of g packaged as a smooth map x -> S[g](x)."""
-    return SmoothMap(g.in_dim, g.out_dim, lambda x: line_integral_S(g, x, cfg), f"S[{g.label}]")
+    return np.max(np.abs(s + f(np.zeros_like(x)) - f(x)), axis=0)
 
 
 def poincare_residual(F: BilinearizedMap, x, v, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -224,10 +204,8 @@ def poincare_residual(F: BilinearizedMap, x, v, cfg: QuadratureConfig = DEFAULT_
     them (one residual per column).  Caller is responsible for the symmetry
     premise (F the derivative pairing of a gradient field, or one-dimensional).
     """
-    x = np.asarray(x, float)
-    v = np.asarray(v, float)
-    lhs = fd_directional_derivative(integral_map(F, cfg), x, v, cfg)
-    return _sup_by_column(x, lhs - F(x, v))
+    integral = SmoothMap(F.in_dim, F.out_dim, lambda z: line_integral_S(F, z, cfg), f"S[{F.label}]")
+    return np.max(np.abs(fd_directional_derivative(integral, x, v, cfg) - F(x, v)), axis=0)
 
 
 # -- corpus -----------------------------------------------------------------
@@ -366,11 +344,7 @@ def gradient_field(potential: SmoothMap, cfg: QuadratureConfig = DEFAULT_CONFIG)
     """
     if potential.out_dim != 1:
         raise ValueError("potential must be scalar-valued")
-
-    def fn(x, v):
-        return directional_derivative(potential, x, v, cfg)
-
-    return BilinearizedMap(potential.in_dim, 1, fn, f"grad[{potential.label}]")
+    return bilinearize(potential, cfg)
 
 
 def sample_point(rng, dim: int, low: float = -2.0, high: float = 2.0) -> np.ndarray:

@@ -172,22 +172,16 @@ def test_batched_and_pointwise_evaluation_agree():
     for f in sm.builtin_corpus():
         X = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(8)])
         V = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(8)])
-        v = V[:, 0]
         values = f(X)
         exact = sm.directional_derivative(f, X, V)
         fd = sm.fd_directional_derivative(f, X, V)
-        # a single direction broadcasts against the batch of points
-        exact_one_v = sm.directional_derivative(f, X, v)
-        fd_one_v = sm.fd_directional_derivative(f, X, v)
-        for out in (values, exact, fd, exact_one_v, fd_one_v):
+        for out in (values, exact, fd):
             assert out.shape == (f.out_dim, 8), f.label
         for j in range(8):
             x = X[:, j]
             assert _relative_gap(values[:, j], f(x)) <= 1e-15, f.label
             assert _relative_gap(exact[:, j], f.exact_derivative(x, V[:, j])) <= 1e-15, f.label
             assert _relative_gap(fd[:, j], sm.fd_directional_derivative(f, x, V[:, j])) <= 1e-15, f.label
-            assert _relative_gap(exact_one_v[:, j], f.exact_derivative(x, v)) <= 1e-15, f.label
-            assert _relative_gap(fd_one_v[:, j], sm.fd_directional_derivative(f, x, v)) <= 1e-15, f.label
         # a nested batch is flattened into columns and keeps its shape
         nested = f(X.reshape(f.in_dim, 2, 4))
         assert nested.shape == (f.out_dim, 2, 4)
@@ -200,7 +194,21 @@ def test_constant_output_broadcasts_over_the_batch():
     assert got.shape == (2, 5)
     assert np.array_equal(got, np.tile([[4.0], [-1.0]], 5))
     zero = BilinearizedMap(2, 1, lambda x, y: np.zeros(1), "zero")
-    assert np.array_equal(zero(np.ones((2, 3)), np.ones(2)), np.zeros((1, 3)))
+    assert np.array_equal(zero(np.ones((2, 3)), np.ones((2, 3))), np.zeros((1, 3)))
+
+
+def test_points_and_directions_of_different_shapes_are_refused():
+    f = next(f for f in sm.builtin_corpus() if f.label == "gauss3")
+    X = np.ones((3, 4))
+    for v in (np.ones(3), np.ones((3, 1)), np.ones((3, 5)), np.ones((3, 2, 2))):
+        with pytest.raises(ValueError, match="shapes"):
+            sm.directional_derivative(f, X, v)
+        with pytest.raises(ValueError, match="shapes"):
+            sm.fd_directional_derivative(f, X, v)
+        with pytest.raises(ValueError, match="shapes"):
+            sm.bilinearize(f)(X, v)
+    # a single point and a single direction still pair up
+    assert sm.directional_derivative(f, X[:, 0], np.ones(3)).shape == (1,)
 
 
 @pytest.mark.parametrize("order", [2, 16, 64])
