@@ -209,7 +209,7 @@ def infer_arity(node: Node) -> int:
 
 
 def _size(p: Polynomial) -> int:
-    """Terms plus 64-bit words of the coefficients (Fractions or bools, both rationals)."""
+    """Terms plus 64-bit words of the coefficients (ints, Fractions or bools, all rationals)."""
     return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64 for c in p.terms.values())
 
 

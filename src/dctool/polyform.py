@@ -14,10 +14,19 @@ Canonical form: `terms` maps arity-length tuples of non-negative exponents to
 nonzero coefficients.  The public constructor `Polynomial(rig, arity, terms)`
 validates its input (any iterable key, arity, sign of every exponent) and
 drops zero coefficients.  Every operator of this module builds its result
-from canonical operands, so it goes through the trusted
-`Polynomial._canonical`, which only drops zero coefficients (sums of
-rationals can cancel); the named constructors `zero`, `const`, `one` and
-`variable` build their keys themselves and use it too.
+from canonical operands through the trusted `Polynomial._canonical`, which
+tests nothing.  A zero coefficient can then arise in two places only, and is
+dropped where it arises (the rig properties behind this are listed in
+`rig.Rig`):
+
+- a sum that can cancel: an accumulation over a rig with `has_negatives`
+  (`+`, `*`, `mul_in`, `eval_at_one`, `substitute`, `seely_merge`);
+- a scalar from outside: `scale(c)`, `const(c)`, the entries of
+  `apply_linear`'s matrix and the raw terms of a `SplitTensor`.
+
+A product of nonzero coefficients, a multiplicity `nat_value(k)` and an
+inverse `nat_inverse(k)` are never zero, so `grad`, `_graded_scale`,
+`t_grade`, `on_tag` and `extend_arity` test nothing.
 
 All operators act in plain function-application order: `K_op(p)` means "apply
 the operator to p".  The degree-graded operators act block-diagonally on the
@@ -30,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .rig import Rig
+from .rig import Rig, drop_cancelled
 
 MultiIndex = tuple  # tuple[int, ...]; arity-length exponent vector
 
@@ -75,12 +84,12 @@ class Polynomial:
     @classmethod
     def _canonical(cls, rig: Rig, arity: int, terms: dict) -> "Polynomial":
         """Trusted constructor: every key of `terms` is already an arity-length
-        tuple of non-negative exponents.  Only zero coefficients are dropped."""
+        tuple of non-negative exponents and every coefficient is nonzero.
+        `terms` is kept, not copied."""
         p = object.__new__(cls)
         p.rig = rig
         p.arity = arity
-        is_zero = rig.is_zero
-        p.terms = {e: c for e, c in terms.items() if not is_zero(c)}
+        p.terms = terms
         return p
 
     # -- constructors -------------------------------------------------------
@@ -91,7 +100,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, rig: Rig, arity: int, c) -> "Polynomial":
-        return cls._canonical(rig, arity, {(0,) * arity: c})
+        return cls._canonical(rig, arity, {} if rig.is_zero(c) else {(0,) * arity: c})
 
     @classmethod
     def one(cls, rig: Rig, arity: int) -> "Polynomial":
@@ -110,7 +119,7 @@ class Polynomial:
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = rig.add(terms[exps], c) if exps in terms else c
-        return Polynomial._canonical(rig, self.arity, terms)
+        return Polynomial._canonical(rig, self.arity, drop_cancelled(rig, terms))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         _check_arity(self.arity, other.arity)
@@ -121,10 +130,12 @@ class Polynomial:
                 e = tuple(map(add, e1, e2))
                 c = rig.mul(c1, c2)
                 terms[e] = rig.add(terms[e], c) if e in terms else c
-        return Polynomial._canonical(rig, self.arity, terms)
+        return Polynomial._canonical(rig, self.arity, drop_cancelled(rig, terms))
 
     def scale(self, c) -> "Polynomial":
         rig = self.rig
+        if rig.is_zero(c):
+            return Polynomial.zero(rig, self.arity)
         return Polynomial._canonical(rig, self.arity, {e: rig.mul(c, v) for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -242,14 +253,12 @@ def grad(p: Polynomial) -> PolyBundle:
     rig = p.rig
     comps = []
     for i in range(p.arity):
-        terms = {}
-        for exps, c in p.terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            e = exps[:i] + (k - 1,) + exps[i + 1 :]
-            v = rig.mul(rig.nat_value(k), c)
-            terms[e] = rig.add(terms[e], v) if e in terms else v
+        # lowering exponent i is injective on the monomials it keeps
+        terms = {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: rig.mul(rig.nat_value(exps[i]), c)
+            for exps, c in p.terms.items()
+            if exps[i]
+        }
         comps.append(Polynomial._canonical(rig, p.arity, terms))
     return PolyBundle(tuple(comps))
 
@@ -272,7 +281,7 @@ def mul_in(b: PolyBundle) -> Polynomial:
         for exps, c in comp.terms.items():
             e = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
             terms[e] = rig.add(terms[e], c) if e in terms else c
-    return Polynomial._canonical(rig, b.arity, terms)
+    return Polynomial._canonical(rig, b.arity, drop_cancelled(rig, terms))
 
 
 def eval0(p: Polynomial) -> Polynomial:
@@ -296,10 +305,7 @@ def J_op(p: Polynomial) -> Polynomial:
 def _graded_scale(p: Polynomial, factor):
     """Scale each homogeneous block of degree n by factor(n)."""
     rig = p.rig
-    terms = {}
-    for exps, c in p.terms.items():
-        terms[exps] = rig.mul(factor(sum(exps)), c)
-    return Polynomial._canonical(rig, p.arity, terms)
+    return Polynomial._canonical(rig, p.arity, {e: rig.mul(factor(sum(e)), c) for e, c in p.terms.items()})
 
 
 def K_inv_op(p: Polynomial) -> Polynomial:
@@ -349,7 +355,7 @@ def eval_at_one(q: Polynomial) -> Polynomial:
     for exps, c in q.terms.items():
         e = exps[1:]
         terms[e] = rig.add(terms[e], c) if e in terms else c
-    return Polynomial._canonical(rig, q.arity - 1, terms)
+    return Polynomial._canonical(rig, q.arity - 1, drop_cancelled(rig, terms))
 
 
 def on_tag(fn, q: Polynomial) -> Polynomial:
@@ -398,14 +404,18 @@ def seely_split(p: Polynomial, left_vars: int) -> SplitTensor:
 
 
 def seely_merge(t: SplitTensor) -> Polynomial:
-    """Two-sided inverse of seely_split: concatenate exponent vectors."""
+    """Two-sided inverse of seely_split: concatenate exponent vectors.
+
+    A `SplitTensor` may be built by hand, so every coefficient is tested.
+    """
     rig = t.rig
+    is_zero = rig.is_zero
     arity = t.left_arity + t.right_arity
     terms = {}
     for (le, re), c in t.terms.items():
         e = tuple(le) + tuple(re)
         terms[e] = rig.add(terms[e], c) if e in terms else c
-    return Polynomial._canonical(rig, arity, terms)
+    return Polynomial._canonical(rig, arity, {e: c for e, c in terms.items() if not is_zero(c)})
 
 
 # -- polynomial maps --------------------------------------------------------
@@ -471,7 +481,7 @@ def substitute(p: Polynomial, args) -> Polynomial:
             term = Polynomial.const(rig, arity, c)
         for e, v in term.terms.items():
             terms[e] = rig.add(terms[e], v) if e in terms else v
-    return Polynomial._canonical(rig, arity, terms)
+    return Polynomial._canonical(rig, arity, drop_cancelled(rig, terms))
 
 
 def cokleisli_compose(g: PolyMap, f: PolyMap) -> PolyMap:
@@ -530,7 +540,9 @@ def apply_linear(matrix, p: Polynomial) -> Polynomial:
         raise ValueError("matrix shape does not match polynomial arity")
     units = [tuple(1 if k == i else 0 for k in range(rows)) for i in range(rows)]
     images = [
-        Polynomial._canonical(rig, rows, {units[i]: matrix[i][j] for i in range(rows)})
+        Polynomial._canonical(
+            rig, rows, {units[i]: matrix[i][j] for i in range(rows) if not rig.is_zero(matrix[i][j])}
+        )
         for j in range(p.arity)
     ]
     return substitute(p, images)

@@ -2,13 +2,17 @@
 
 Every coefficient that flows through the polynomial and matrix layers is an
 opaque value owned by one of these rig instances.  All arithmetic is exact:
-rationals are `fractions.Fraction`, booleans are plain `bool`.  No floating
-point enters this module.
+a rational is an `int` when it is integral and a `fractions.Fraction`
+otherwise (Python mixes the two exactly, and both render alike), booleans are
+plain `bool`.  So the natural-number weights of the operators (multiplicities,
+identities, comultiplication entries) stay `int` and never pay for a
+`Fraction` product.  No floating point enters this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 
@@ -28,6 +32,17 @@ class Rig:
     `add`, `mul`, `eq` and a seeded `sample`.  Values are immutable; every
     operation is pure.  `is_zero` and `nat_value` have generic definitions
     here; a subclass may override them with a closed form that agrees.
+
+    The polynomial and matrix layers test a coefficient for zero only where a
+    zero can appear, and rely on three properties that `rig_laws_check`
+    checks as axioms:
+
+    - no zero divisors: a * b = 0 only if a = 0 or b = 0, so a product of
+      nonzero coefficients is never dropped;
+    - nat values are nonzero: nat_value(k) != 0 for k >= 1, so a
+      multiplicity never vanishes;
+    - zero-sum-free unless `has_negatives`: a + b = 0 only if a = b = 0, so
+      only a sum over a rig with negatives can cancel.
     """
 
     name: str = "abstract"
@@ -70,13 +85,18 @@ class Rig:
         raise NotInvertible(self.name, k)
 
 
+def _small(q: Fraction):
+    """q as an `int` when it is integral, else q itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class NonNegRationalRig(Rig):
     """Non-negative rationals with exact arbitrary-precision arithmetic."""
 
     name = "nonneg-rational"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -88,17 +108,17 @@ class NonNegRationalRig(Rig):
         return not a
 
     def sample(self, rng):
-        return Fraction(rng.randrange(0, 8), rng.randrange(1, 7))
+        return _small(Fraction(rng.randrange(0, 8), rng.randrange(1, 7)))
 
     def nat_value(self, k: int):
         if k < 0:
             raise ValueError("nat_value requires k >= 0")
-        return Fraction(k)
+        return k
 
     def nat_inverse(self, k: int):
         if k < 1:
             raise ValueError("nat_inverse requires k >= 1")
-        return Fraction(1, k)
+        return _small(Fraction(1, k))
 
 
 class RationalRig(NonNegRationalRig):
@@ -108,7 +128,7 @@ class RationalRig(NonNegRationalRig):
     has_negatives = True
 
     def sample(self, rng):
-        return Fraction(rng.randrange(-7, 8), rng.randrange(1, 7))
+        return _small(Fraction(rng.randrange(-7, 8), rng.randrange(1, 7)))
 
     def neg(self, a):
         return -a
@@ -150,6 +170,18 @@ class BooleanRig(Rig):
         return self.one
 
 
+def drop_cancelled(rig: Rig, values: dict) -> dict:
+    """`values`, just accumulated over `rig`, without the zeros a cancelling sum left.
+
+    Only a rig with negatives can sum nonzero values to zero, so over any
+    other rig `values` is returned as it is.
+    """
+    if not rig.has_negatives:
+        return values
+    is_zero = rig.is_zero
+    return {k: v for k, v in values.items() if not is_zero(v)}
+
+
 NONNEG_RATIONAL = NonNegRationalRig()
 RATIONAL = RationalRig()
 BOOLEAN = BooleanRig()
@@ -167,8 +199,10 @@ def rig_laws_check(rig: Rig, samples: int = 100, seed: int = 0) -> list[AxiomRes
     """Evaluate the commutative-semiring axioms on seeded random triples.
 
     Returns one result per axiom, with a rendered counterexample on failure.
-    Also cross-checks the `idempotent` flag against the instance's actual
-    behaviour.
+    Besides the semiring axioms it checks the three properties the zero rule
+    of the polynomial and matrix layers relies on (see `Rig`), the
+    nat-value one for k = 1 .. `samples`, and cross-checks the `idempotent`
+    flag against the instance's actual behaviour.
     """
     import random
 
@@ -187,6 +221,15 @@ def rig_laws_check(rig: Rig, samples: int = 100, seed: int = 0) -> list[AxiomRes
         ("distributivity", lambda a, b, c: rig.eq(rig.mul(a, rig.add(b, c)), rig.add(rig.mul(a, b), rig.mul(a, c)))),
         ("zero-annihilates", lambda a, b, c: rig.is_zero(rig.mul(a, rig.zero))),
     ]
+    # properties of a pair, checked on every pair of sampled values: a zero
+    # product or sum of two random draws is rare
+    pair_axioms = [
+        ("no-zero-divisors", lambda a, b: not rig.is_zero(rig.mul(a, b)) or rig.is_zero(a) or rig.is_zero(b)),
+        (
+            "zero-sum-free-unless-negatives",
+            lambda a, b: rig.has_negatives or not rig.is_zero(rig.add(a, b)) or (rig.is_zero(a) and rig.is_zero(b)),
+        ),
+    ]
 
     results = []
     for name, law in axioms:
@@ -196,6 +239,17 @@ def rig_laws_check(rig: Rig, samples: int = 100, seed: int = 0) -> list[AxiomRes
                 bad = f"a={rig.render(a)} b={rig.render(b)} c={rig.render(c)}"
                 break
         results.append(AxiomResult(name, bad is None, bad))
+    values = [x for triple in triples for x in triple]
+    for name, law in pair_axioms:
+        bad = next(
+            (f"a={rig.render(a)} b={rig.render(b)}" for a, b in combinations(values, 2) if not law(a, b)), None
+        )
+        results.append(AxiomResult(name, bad is None, bad))
+
+    vanishing = next((k for k in range(1, samples + 1) if rig.is_zero(rig.nat_value(k))), None)
+    results.append(
+        AxiomResult("nat-values-nonzero", vanishing is None, None if vanishing is None else f"nat_value({vanishing}) = 0")
+    )
 
     idem = rig.eq(rig.add(rig.one, rig.one), rig.one)
     results.append(

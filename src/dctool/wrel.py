@@ -20,10 +20,15 @@ only on row r of f, so a law may evaluate a composite from the safe-band rows
 of its first factor (`WeightedMatrix.restrict_rows`) outward, and
 `compose_tensor` evaluates f;(g x h) without materializing g x h.
 
-The public constructor `WeightedMatrix(...)` drops zero entries.  `relabel`,
-`restrict_rows`, `transpose`, `identity` and `perm_matrix` move or select
-entries that are already nonzero, so they build through the trusted
-`WeightedMatrix._canonical`, which tests none.
+The public constructor `WeightedMatrix(...)` drops zero entries.  Everything
+else builds through the trusted `WeightedMatrix._canonical`, which tests
+none, because a zero entry can only come from a sum that cancels (the rig
+properties behind this are listed in `rig.Rig`): `relabel`, `restrict_rows`,
+`transpose`, `identity` and `perm_matrix` move or select nonzero entries;
+`tensor` multiplies nonzero entries; `mat_compose`, `compose_tensor` and `+`
+sum products of them, and drop a cancelled sum only over a rig with
+`has_negatives`; and the operator matrices below are weighted by `one`,
+multiplicities `nat_value(k)` and inverses `nat_inverse(k)` with k >= 1.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
-from .rig import Rig
+from .rig import Rig, drop_cancelled
 
 UNIT_POINT = "*"
 
@@ -185,7 +190,7 @@ class WeightedMatrix:
 
     @classmethod
     def zero(cls, rig, row_space, col_space):
-        return cls(rig, row_space, col_space)
+        return cls._canonical(rig, row_space, col_space, {})
 
     @classmethod
     def identity(cls, rig, space):
@@ -200,7 +205,7 @@ class WeightedMatrix:
         entries = dict(self.entries)
         for key, c in other.entries.items():
             entries[key] = rig.add(entries[key], c) if key in entries else c
-        return WeightedMatrix(rig, self.row_space, self.col_space, entries)
+        return WeightedMatrix._canonical(rig, self.row_space, self.col_space, drop_cancelled(rig, entries))
 
     def relabel(self, fn, space, rows=False):
         """Move the column keys (the row keys if `rows`) along the bijection `fn` into `space`.
@@ -293,7 +298,7 @@ def mat_compose(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
             key = (x, z)
             v = rig.mul(a, b)
             entries[key] = rig.add(entries[key], v) if key in entries else v
-    return WeightedMatrix(rig, f.row_space, g.col_space, entries)
+    return WeightedMatrix._canonical(rig, f.row_space, g.col_space, drop_cancelled(rig, entries))
 
 
 def tensor(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
@@ -303,7 +308,7 @@ def tensor(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
     for (r1, c1), a in f.entries.items():
         for (r2, c2), b in g.entries.items():
             entries[((r1, r2), (c1, c2))] = rig.mul(a, b)
-    return WeightedMatrix(
+    return WeightedMatrix._canonical(
         rig, PairSpace(f.row_space, g.row_space), PairSpace(f.col_space, g.col_space), entries
     )
 
@@ -327,7 +332,9 @@ def compose_tensor(f: WeightedMatrix, g: WeightedMatrix, h: WeightedMatrix) -> W
                 key = (x, (z1, z2))
                 v = rig.mul(ab, c)
                 entries[key] = rig.add(entries[key], v) if key in entries else v
-    return WeightedMatrix(rig, f.row_space, PairSpace(g.col_space, h.col_space), entries)
+    return WeightedMatrix._canonical(
+        rig, f.row_space, PairSpace(g.col_space, h.col_space), drop_cancelled(rig, entries)
+    )
 
 
 def perm_matrix(rig, row_space, col_space, fn) -> WeightedMatrix:
@@ -355,7 +362,7 @@ def d_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
         for x in base.atoms:
             b2 = bag_add(b, x)
             entries[((b, x), b2)] = rig.nat_value(bag_count(b2, x))
-    return WeightedMatrix(rig, PairSpace(bags, atoms), bags, entries)
+    return WeightedMatrix._canonical(rig, PairSpace(bags, atoms), bags, entries)
 
 
 def dcirc_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
@@ -365,13 +372,13 @@ def dcirc_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     for b in bags.points():
         for x in set(b):
             entries[(b, (bag_remove(b, x), x))] = rig.one
-    return WeightedMatrix(rig, bags, PairSpace(bags, atoms), entries)
+    return WeightedMatrix._canonical(rig, bags, PairSpace(bags, atoms), entries)
 
 
 def bang_zero_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     """Projection onto the empty bag."""
     bags, _ = spaces(base, trunc)
-    return WeightedMatrix(rig, bags, bags, {((), ()): rig.one})
+    return WeightedMatrix._canonical(rig, bags, bags, {((), ()): rig.one})
 
 
 def s_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
@@ -384,7 +391,7 @@ def s_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
         w = rig.nat_inverse(len(b))
         for x in set(b):
             entries[(b, (bag_remove(b, x), x))] = w
-    return WeightedMatrix(rig, bags, PairSpace(bags, atoms), entries)
+    return WeightedMatrix._canonical(rig, bags, PairSpace(bags, atoms), entries)
 
 
 def K_rel(base: BaseSet, rig: Rig, trunc: Truncation, dcd: WeightedMatrix | None = None) -> WeightedMatrix:
@@ -417,13 +424,13 @@ def K_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     entries = {}
     for b in bags.points():
         entries[(b, b)] = rig.one if not b else rig.nat_inverse(len(b))
-    return WeightedMatrix(rig, bags, bags, entries)
+    return WeightedMatrix._canonical(rig, bags, bags, entries)
 
 
 def J_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     bags, _ = spaces(base, trunc)
     entries = {(b, b): rig.nat_inverse(len(b) + 1) for b in bags.points()}
-    return WeightedMatrix(rig, bags, bags, entries)
+    return WeightedMatrix._canonical(rig, bags, bags, entries)
 
 
 @dataclass
@@ -440,9 +447,9 @@ def comonoid_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Comonoid:
     for b in bags.points():
         for b1, b2 in _sub_bags(b):
             delta_entries[(b, (b1, b2))] = rig.one
-    delta = WeightedMatrix(rig, bags, PairSpace(bags, bags), delta_entries)
-    counit = WeightedMatrix(rig, bags, unit, {((), UNIT_POINT): rig.one})
-    eps = WeightedMatrix(rig, bags, atoms, {((x,), x): rig.one for x in base.atoms})
+    delta = WeightedMatrix._canonical(rig, bags, PairSpace(bags, bags), delta_entries)
+    counit = WeightedMatrix._canonical(rig, bags, unit, {((), UNIT_POINT): rig.one})
+    eps = WeightedMatrix._canonical(rig, bags, atoms, {((x,), x): rig.one for x in base.atoms})
     return Comonoid(delta, counit, eps)
 
 
@@ -478,7 +485,7 @@ def _nbag(n: int) -> Bag:
 
 def spread_rel(rig: Rig, space, trunc: Truncation) -> WeightedMatrix:
     """(m_R x 1) on `space`: pair every point with every unit bag, all entries one."""
-    return WeightedMatrix(
+    return WeightedMatrix._canonical(
         rig,
         space,
         PairSpace(unit_bags(trunc), space),
@@ -495,11 +502,11 @@ class UnitMonoidal:
 def m_unit_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> UnitMonoidal:
     ubags = unit_bags(trunc)
     bags = BagSpace(base, trunc.D)
-    m_R = WeightedMatrix(
+    m_R = WeightedMatrix._canonical(
         rig, UnitSpace(), ubags, {(UNIT_POINT, _nbag(n)): rig.one for n in range(trunc.D + 1)}
     )
     entries = {((_nbag(len(b)), b), b): rig.one for b in bags.points()}
-    m_RA = WeightedMatrix(rig, PairSpace(ubags, bags), bags, entries)
+    m_RA = WeightedMatrix._canonical(rig, PairSpace(ubags, bags), bags, entries)
     return UnitMonoidal(m_R, m_RA)
 
 
@@ -526,5 +533,5 @@ def seely_rel(base_x: BaseSet, base_y: BaseSet, rig: Rig, trunc: Truncation):
         return (left, right)
 
     entries = {(b, split(b)): rig.one for b in bags_xy.points()}
-    chi = WeightedMatrix(rig, bags_xy, PairSpace(bags_x, bags_y), entries)
+    chi = WeightedMatrix._canonical(rig, bags_xy, PairSpace(bags_x, bags_y), entries)
     return chi, chi.transpose()

@@ -380,6 +380,28 @@ def test_cancelling_sums_and_products_drop_zero_coefficients():
     tagged = poly(Q, 2, {(1, 1): 1, (2, 1): -1})
     assert pf.eval_at_one(tagged).is_zero()
     assert pf.seely_merge(pf.SplitTensor(Q, 1, 1, {((1,), (1,)): Fraction(0)})).is_zero()
+    # a zero that comes from outside is dropped over every rig, cancelling or not
+    for rig in (R, BOOLEAN):
+        split = pf.SplitTensor(rig, 1, 1, {((1,), (1,)): rig.zero, ((2,), (0,)): rig.one})
+        merged = pf.seely_merge(split)
+        assert_canonical(merged)
+        assert merged.terms == {(2, 0): rig.one}
+        p = Polynomial(rig, 2, {(1, 1): rig.one, (2, 0): rig.one})
+        image = pf.apply_linear([[rig.one, rig.zero], [rig.zero, rig.one]], p)
+        assert_canonical(image)
+        assert image == p
+        assert pf.apply_linear([[rig.zero, rig.zero]], p).is_zero()
+
+
+def test_integer_coefficients_stay_ints():
+    rng = random.Random(8)
+    seen = 0
+    for _ in range(30):
+        p = Polynomial(R, 3, {k: R.nat_value(rng.randint(1, 9)) for k in random_poly(rng, R, 3, 5).terms})
+        for out in (*pf.grad(p).components, pf.K_op(p), pf.J_op(p)):
+            assert all(type(c) is int for c in out.terms.values()), out
+            seen += len(out.terms)
+    assert seen > 100
 
 
 def test_public_constructor_still_validates():

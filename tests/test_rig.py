@@ -12,6 +12,7 @@ from dctool.rig import (
     RIGS,
     NotInvertible,
     NonNegRationalRig,
+    RationalRig,
     BooleanRig,
     Rig,
     rig_laws_check,
@@ -152,3 +153,68 @@ def test_wrong_idempotent_flag_is_detected():
     results = rig_laws_check(MisflaggedBool(), samples=10, seed=0)
     flag = next(r for r in results if r.axiom == "idempotent-flag")
     assert not flag.passed
+
+
+def _failed(rig, samples=100):
+    return {r.axiom for r in rig_laws_check(rig, samples=samples, seed=0) if not r.passed}
+
+
+def test_zero_divisors_are_detected():
+    class PairRig(Rig):
+        """Pairs of naturals, componentwise: (1, 0) * (0, 1) = 0."""
+
+        name = "nat-pairs"
+        zero = (0, 0)
+        one = (1, 1)
+
+        def add(self, a, b):
+            return (a[0] + b[0], a[1] + b[1])
+
+        def mul(self, a, b):
+            return (a[0] * b[0], a[1] * b[1])
+
+        def sample(self, rng):
+            return (rng.randrange(3), rng.randrange(3))
+
+    assert _failed(PairRig()) == {"no-zero-divisors"}
+
+
+def test_a_vanishing_nat_value_is_detected():
+    class Z2(Rig):
+        """Integers mod 2: 1 + 1 = 0, so nat_value(2) vanishes."""
+
+        name = "z2"
+        has_negatives = True
+        zero = 0
+        one = 1
+
+        def add(self, a, b):
+            return (a + b) % 2
+
+        def mul(self, a, b):
+            return a * b
+
+        def sample(self, rng):
+            return rng.randrange(2)
+
+    assert _failed(Z2(), samples=10) == {"nat-values-nonzero"}
+    bad = next(r for r in rig_laws_check(Z2(), samples=10) if r.axiom == "nat-values-nonzero")
+    assert bad.counterexample == "nat_value(2) = 0"
+
+
+def test_negatives_behind_a_false_flag_are_detected():
+    class Unflagged(RationalRig):
+        name = "unflagged-rational"
+        has_negatives = False
+
+    assert _failed(Unflagged()) == {"zero-sum-free-unless-negatives"}
+
+
+def test_integral_samples_are_ints_and_the_draws_are_unchanged():
+    for rig, low in ((NONNEG_RATIONAL, 0), (RATIONAL, -7)):
+        rng, ref = random.Random(4), random.Random(4)
+        for _ in range(200):
+            c = rig.sample(rng)
+            assert c == Fraction(ref.randrange(low, 8), ref.randrange(1, 7))
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
+    assert type(NONNEG_RATIONAL.zero) is type(NONNEG_RATIONAL.one) is type(NONNEG_RATIONAL.nat_value(5)) is int

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -390,3 +391,80 @@ def test_first_difference_reports_the_first_safe_band_key_in_repr_order():
     b = WeightedMatrix(R, bags, bags, {**ident, **changed})
     assert a.first_difference(b, 1) == "entry ([y], [y]): 1 != 3"
     assert a.first_difference(b, 0) is None
+
+
+# -- the zero rule -------------------------------------------------------------
+
+
+def _reference(rig, rows, cols, products):
+    """The matrix of the sums of `products(r, c)`, built by the public constructor,
+    and the number of nonempty sums that cancelled to zero."""
+    entries, cancelled = {}, 0
+    for r in rows.points():
+        for c in cols.points():
+            terms = products(r, c)
+            if terms:
+                entries[(r, c)] = total = reduce(rig.add, terms)
+                cancelled += rig.is_zero(total)
+    return WeightedMatrix(rig, rows, cols, entries), cancelled
+
+
+def _unit_fill(rng, rows, cols, n, rig):
+    """Entries one, or minus one where the rig has it, so that sums often cancel."""
+    minus = rig.neg(rig.one) if rig.has_negatives else rig.one
+    row_pts, col_pts = rows.points(), cols.points()
+    entries = {(rng.choice(row_pts), rng.choice(col_pts)): rng.choice((rig.one, minus)) for _ in range(n)}
+    return WeightedMatrix(rig, rows, cols, entries)
+
+
+@pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
+def test_composites_sums_and_tensors_have_no_zero_entry(rig):
+    rng = random.Random(29)
+    bags, atoms = BagSpace(XY, 2), wr.AtomSpace(XY)
+    pairs = PairSpace(bags, atoms)
+    cancelled = 0
+    for fill in (_random_fill, _unit_fill):
+        for _ in range(8):
+            f, g = fill(rng, bags, bags, 12, rig), fill(rng, bags, bags, 12, rig)
+            h = fill(rng, atoms, atoms, 3, rig)
+            fp = fill(rng, bags, pairs, 14, rig)
+            cases = [
+                (f + g, lambda r, c: [m.entries[(r, c)] for m in (f, g) if (r, c) in m.entries]),
+                (
+                    mat_compose(f, g),
+                    lambda r, c: [
+                        rig.mul(a, g.entries[(y, c)]) for (x, y), a in f.entries.items() if x == r and (y, c) in g.entries
+                    ],
+                ),
+                (
+                    tensor(f, h),
+                    lambda r, c: [rig.mul(f.entries[(r[0], c[0])], h.entries[(r[1], c[1])])]
+                    if (r[0], c[0]) in f.entries and (r[1], c[1]) in h.entries
+                    else [],
+                ),
+                (
+                    compose_tensor(fp, g, h),
+                    lambda r, c: [
+                        rig.mul(rig.mul(a, g.entries[(y1, c[0])]), h.entries[(y2, c[1])])
+                        for (x, (y1, y2)), a in fp.entries.items()
+                        if x == r and (y1, c[0]) in g.entries and (y2, c[1]) in h.entries
+                    ],
+                ),
+            ]
+            for result, products in cases:
+                assert not any(rig.is_zero(v) for v in result.entries.values())
+                expected, n = _reference(rig, result.row_space, result.col_space, products)
+                assert result == expected
+                cancelled += n
+    # the rational sums do cancel, and only they can
+    assert (cancelled > 0) == rig.has_negatives
+
+
+def test_operator_weights_stay_ints():
+    base, trunc = BaseSet(("a", "b", "c")), Truncation(5)
+    com = wr.comonoid_rel(base, R, trunc)
+    for m in (
+        wr.d_rel(base, R, trunc), wr.dcirc_rel(base, R, trunc), wr.K_rel(base, R, trunc), wr.J_rel(base, R, trunc),
+        com.delta, com.counit, com.eps,
+    ):
+        assert m.entries and all(type(v) is int for v in m.entries.values())
