@@ -630,149 +630,189 @@ def _points(rng, dim, k):
     return np.column_stack([sm.sample_point(rng, dim) for _ in range(k)])
 
 
-def _sample(rng, cases, items):
-    """(item, X) for each item in turn, X the (n, k) batch of its `cases // len(items)` (at least one) seeded points.
+class _Batch:
+    """A shape class of a law's probe points: k columns of X (and directions V) per item, in item
+    order; `index` holds the items' places in the law's list and owners[j] the maps of column j."""
 
-    An item is a map or a tuple whose first entry is the map the columns of X
-    are points of.  The points are drawn one per column, in column order, when
-    the loop reaches the item.  A law draws its per-point extras (directions,
-    scalars) for the whole batch right after X, one column after another, so
-    the rng stream is the one of drawing each point and then its extras in
-    turn, and column j is case j of the item.
+    def __init__(self, rows, k):
+        self.index, self.items, drawn = zip(*rows)
+        self.X, *V = (np.concatenate(points, axis=1) for points in zip(*drawn))
+        self.V = V[0] if V else None
+        self.k = k
+        self.owners = [maps for maps in self.items for _ in range(k)]
+
+    def family(self, i=0):
+        return sm.family([maps[i] for maps in self.items])
+
+
+def _sample(rng, cases, items, directions=False, alone=False):
+    """The whole law's probe points, one `_Batch` per shape class of its items, or per item if `alone`.
+
+    An item is a map or a tuple of maps, the first the points belong to, and
+    its shape class is its maps' dimensions.  Each item gets `cases //
+    len(items)` (at least one) seeded points, then, with `directions`, one
+    direction per point: the rng stream of drawing the items one by one.
     """
-    for item in items:
-        f = item[0] if isinstance(item, tuple) else item
-        yield item, _points(rng, f.in_dim, max(1, cases // len(items)))
+    k = max(1, cases // len(items))
+    classes = {}
+    for index, item in enumerate(items):
+        maps = item if isinstance(item, tuple) else (item,)
+        drawn = [_points(rng, maps[0].in_dim, k) for _ in range(1 + directions)]
+        key = index if alone else tuple((f.in_dim, f.out_dim) for f in maps)
+        classes.setdefault(key, []).append((index, maps, drawn))
+    return [_Batch(rows, k) for rows in classes.values()]
+
+
+def _check(rng, cases, items, decide, directions=False, alone=False):
+    """decide(batch), one verdict per column of each of `_sample`'s batches, yielded item by item in
+    item order; a batch is decided when the first of its items is reached."""
+    where = {i: (b, r) for b in _sample(rng, cases, items, directions, alone) for r, i in enumerate(b.index)}
+    decided = {}
+    for b, r in (where[i] for i in range(len(items))):
+        if id(b) not in decided:
+            decided[id(b)] = decide(b)
+        yield from decided[id(b)][r * b.k : (r + 1) * b.k]
+
+
+def _verdicts(label, b, bad, lhs, rhs):
+    """Per column j of batch b: the counterexample where bad[j] holds, else None."""
+    return [_fail(label, b, j, lhs, rhs) if wrong else None for j, wrong in enumerate(bad)]
+
+
+def _fail(label, b, j, lhs, rhs):
+    maps = b.owners[j]
+    return (
+        f"{label if isinstance(label, str) else label(*maps)}: map={maps[0].label} "
+        f"x={np.array2string(b.X[:, j], precision=6)} "
+        f"lhs={np.array2string(np.atleast_1d(np.asarray(lhs[..., j], float)), precision=10)} "
+        f"rhs={np.array2string(np.atleast_1d(np.asarray(rhs[..., j], float)), precision=10)}"
+    )
 
 
 def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3) -> ModelBinding:
     """Tolerance-based law binding for the numerical smooth-map model.
 
-    Each law evaluates each of its sides once per corpus item, on all of that
-    item's probe points as one (n, k) batch, and then yields one
-    counterexample or None per column, in column order.
+    Each law draws all its probe points first and evaluates each side once per
+    shape class of its items, through family maps that call each corpus map
+    once; it yields one counterexample or None per column, in item order.
     """
     cfg = cfg or sm.QuadratureConfig()
     if not 1 <= max_dim <= 3:
         raise ValueError("max_dim must be between 1 and 3")
     corpus = [f for f in sm.builtin_corpus() if f.in_dim <= max_dim]
 
-    def fail(label, f, x, lhs, rhs):
-        return (
-            f"{label}: map={f.label} x={np.array2string(np.asarray(x), precision=6)} "
-            f"lhs={np.array2string(np.atleast_1d(np.asarray(lhs, float)), precision=10)} "
-            f"rhs={np.array2string(np.atleast_1d(np.asarray(rhs, float)), precision=10)}"
-        )
+    def close(label, b, lhs, rhs, tol_rel=None):
+        """Per column of batch b: None when lhs and rhs agree to the configured tolerances, else the counterexample."""
+        return _verdicts(label, b, ~sm.rel_close(lhs, rhs, tol_rel or cfg.tol_rel, cfg.tol_abs), lhs, rhs)
 
-    def close(label, f, X, lhs, rhs, tol_rel=None):
-        """Per column of X, one point or a batch of them: None when lhs and rhs agree to the
-        configured tolerances, else the counterexample."""
-        X, lhs, rhs = (np.reshape(a, (len(a), -1)) for a in (X, lhs, rhs))
-        for x, a, b in zip(X.T, lhs.T, rhs.T):
-            yield None if sm.rel_close(a, b, tol_rel or cfg.tol_rel, cfg.tol_abs) else fail(label, f, x, a, b)
+    def derivative(f, b, V=None):
+        return sm.directional_derivative(f, b.X, b.V if V is None else V, cfg)
 
-    def within(label, f, X, residual, bound):
-        """Per column of the batch X: None when its residual is at most its bound, else the counterexample."""
-        for x, r, b in zip(X.T, residual, bound):
-            yield fail(label, f, x, r, b) if r > b else None
+    def fd(f, b, X=None):
+        return sm.fd_directional_derivative(f, b.X if X is None else X, b.V, cfg)
 
     def l2(rng, cases):
-        for f, X in _sample(rng, cases, [f for f in corpus if f.label.startswith("const")]):
-            got = sm.fd_directional_derivative(f, X, _points(rng, f.in_dim, X.shape[1]), cfg)
-            yield from close("constant has nonzero derivative", f, X, got, np.zeros_like(got))
+        def decide(b):
+            got = fd(b.family(), b)
+            return close("constant has nonzero derivative", b, got, np.zeros_like(got))
+
+        return _check(rng, cases, [f for f in corpus if f.label.startswith("const")], decide, True)
 
     def l3(rng, cases):
+        def decide(b):
+            F, G = b.family(0), b.family(1)
+            lhs = fd(sm.SmoothMap(F.in_dim, 1, lambda z: F(z) * G(z), "prod"), b)
+            return close("Leibniz fails", b, lhs, F(b.X) * derivative(G, b) + G(b.X) * derivative(F, b))
+
         scalars = [f for f in corpus if f.out_dim == 1]
-        pairs = [(f, g) for f in scalars for g in scalars if f.in_dim == g.in_dim]
-        for (f, g), X in _sample(rng, cases, pairs):
-            V = _points(rng, f.in_dim, X.shape[1])
-            prod = sm.SmoothMap(f.in_dim, 1, lambda z, f=f, g=g: f(z) * g(z), "prod")
-            lhs = sm.fd_directional_derivative(prod, X, V, cfg)
-            rhs = f(X) * sm.directional_derivative(g, X, V, cfg) + g(X) * sm.directional_derivative(f, X, V, cfg)
-            yield from close("Leibniz fails", f, X, lhs, rhs)
+        return _check(rng, cases, [(f, g) for f in scalars for g in scalars if f.in_dim == g.in_dim], decide, True)
 
     def l4(rng, cases):
-        pairs = [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim]
-        for (f, g), X in _sample(rng, cases, pairs):
-            V = _points(rng, f.in_dim, X.shape[1])
-            comp = sm.SmoothMap(f.in_dim, g.out_dim, lambda z, f=f, g=g: g(f(z)), "comp")
-            lhs = sm.fd_directional_derivative(comp, X, V, cfg)
-            rhs = sm.directional_derivative(g, f(X), sm.directional_derivative(f, X, V, cfg), cfg)
-            yield from close(f"chain rule fails ({g.label} o {f.label})", f, X, lhs, rhs)
+        def decide(b):
+            F, G = b.family(0), b.family(1)
+            lhs = fd(sm.SmoothMap(F.in_dim, G.out_dim, lambda z: G(F(z)), "comp"), b)
+            rhs = sm.directional_derivative(G, F(b.X), derivative(F, b), cfg)
+            return close(lambda f, g: f"chain rule fails ({g.label} o {f.label})", b, lhs, rhs)
+
+        return _check(rng, cases, [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim], decide, True)
 
     def l5(rng, cases):
-        for f, X in _sample(rng, cases, [f for f in corpus if f.label.startswith(("id", "linear"))]):
-            V = _points(rng, f.in_dim, X.shape[1])
-            d1 = sm.fd_directional_derivative(f, X, V, cfg)
-            d2 = sm.fd_directional_derivative(f, np.zeros_like(X), V, cfg)
-            yield from close("linear derivative depends on base point", f, X, d1, d2)
-        # linearity of the derivative in the direction argument
+        def decide(b):
+            F = b.family()
+            return close("linear derivative depends on base point", b, fd(F, b), fd(F, b, np.zeros_like(b.X)))
+
+        yield from _check(rng, cases, [f for f in corpus if f.label.startswith(("id", "linear"))], decide, True)
+        # linearity of the derivative in the direction argument, one point per map
         for f in corpus[: max(1, cases // 10)]:
-            x = sm.sample_point(rng, f.in_dim)
-            v = sm.sample_point(rng, f.in_dim)
-            w = sm.sample_point(rng, f.in_dim)
-            a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            lhs = sm.directional_derivative(f, x, a * v + b * w, cfg)
-            rhs = a * sm.directional_derivative(f, x, v, cfg) + b * sm.directional_derivative(f, x, w, cfg)
-            yield from close("derivative not linear in direction", f, x, lhs, rhs)
+            b = _sample(rng, 1, [f], directions=True)[0]
+            w = _points(rng, f.in_dim, 1)
+            s, t = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            lhs, rhs = derivative(f, b, s * b.V + t * w), s * derivative(f, b) + t * derivative(f, b, w)
+            yield from close("derivative not linear in direction", b, lhs, rhs)
 
     # scalar maps of two or more variables: the inputs of L6 and L20
     potentials = [f for f in corpus if f.out_dim == 1 and f.in_dim >= 2]
 
     def l6(rng, cases):
-        for f, X in _sample(rng, cases, potentials):
+        def decide(b):
+            F = b.family()
             # the first two unit directions, as (n, 1) columns to broadcast against a batch
-            ei, ej = np.eye(f.in_dim)[:2, :, None]
+            ei, ej = np.eye(F.in_dim)[:2, :, None]
+
             # closed-form derivative inside, finite difference outside, so
             # the two orders really are computed along different routes
-            partial_j = sm.SmoothMap(
-                f.in_dim, 1, lambda z, f=f, ej=ej: sm.directional_derivative(f, z, np.broadcast_to(ej, z.shape), cfg), "dj"
-            )
-            partial_i = sm.SmoothMap(
-                f.in_dim, 1, lambda z, f=f, ei=ei: sm.directional_derivative(f, z, np.broadcast_to(ei, z.shape), cfg), "di"
-            )
-            lhs = sm.fd_directional_derivative(partial_j, X, np.broadcast_to(ei, X.shape), cfg)
-            rhs = sm.fd_directional_derivative(partial_i, X, np.broadcast_to(ej, X.shape), cfg)
-            # a difference quotient of a derivative: one digit looser than --tol-rel
-            yield from close("mixed partials differ", f, X, lhs, rhs, tol_rel=10 * cfg.tol_rel)
+            def partial(e):
+                return sm.SmoothMap(
+                    F.in_dim, 1, lambda z: sm.directional_derivative(F, z, np.broadcast_to(e, z.shape), cfg), "d"
+                )
 
+            lhs = sm.fd_directional_derivative(partial(ej), b.X, np.broadcast_to(ei, b.X.shape), cfg)
+            rhs = sm.fd_directional_derivative(partial(ei), b.X, np.broadcast_to(ej, b.X.shape), cfg)
+            # a difference quotient of a derivative: one digit looser than --tol-rel
+            return close("mixed partials differ", b, lhs, rhs, tol_rel=10 * cfg.tol_rel)
+
+        return _check(rng, cases, potentials, decide)
+
+    # L18-L20 batch each item alone: a quadrature sums its nodes by a
+    # matrix-vector product whose rounding depends on its number of rows
     def l18(rng, cases):
-        for f, X in _sample(rng, cases, corpus):
-            bound = (1e-7 if f.transcendental else 1e-8) * (1.0 + np.linalg.norm(f(X), axis=0))
-            yield from within("fundamental theorem residual too large", f, X, sm.ftc2_residual(f, X, cfg), bound)
+        def decide(b):
+            F = b.family()
+            bound = (1e-7 if F.transcendental else 1e-8) * (1.0 + np.linalg.norm(F(b.X), axis=0))
+            residual = sm.ftc2_residual(F, b.X, cfg)
+            return _verdicts("fundamental theorem residual too large", b, residual > bound, residual, bound)
+
+        return _check(rng, cases, corpus, decide, alone=True)
 
     def l19(rng, cases):
-        members = [
-            (f, sm.BilinearizedMap(1, 1, lambda x, y, f=f: f(x) * y, f"lin[{f.label}]"))
-            for f in corpus
-            if f.in_dim == 1 and f.out_dim == 1
-        ]
-        for (f, bil), X in _sample(rng, cases, members):
-            V = np.array([[rng.uniform(-2, 2) for _ in range(X.shape[1])]])
-            bound = np.maximum(cfg.tol_abs, cfg.tol_rel * (1.0 + np.abs(f(X)[0] * V[0])))
-            r = sm.poincare_residual(bil, X, V, cfg)
-            yield from within("derivative of the integral misses the integrand", f, X, r, bound)
+        def decide(b):
+            F = b.family()
+            bound = np.maximum(cfg.tol_abs, cfg.tol_rel * (1.0 + np.abs(F(b.X)[0] * b.V[0])))
+            lin = sm.BilinearizedMap(1, 1, lambda x, y: F(x) * y, f"lin[{F.label}]")
+            residual = sm.poincare_residual(lin, b.X, b.V, cfg)
+            return _verdicts("derivative of the integral misses the integrand", b, residual > bound, residual, bound)
+
+        return _check(rng, cases, [f for f in corpus if f.in_dim == f.out_dim == 1], decide, True, True)
 
     def l20(rng, cases):
-        for (f, field), X in _sample(rng, cases, [(f, sm.gradient_field(f, cfg)) for f in potentials]):
-            V = _points(rng, f.in_dim, X.shape[1])
-            bound = np.maximum(cfg.tol_abs, cfg.tol_rel * (1.0 + np.max(np.abs(field(X, V)), axis=0)))
-            yield from within("Poincare residual too large", f, X, sm.poincare_residual(field, X, V, cfg), bound)
+        def decide(b):
+            field = sm.gradient_field(b.family(), cfg)
+            bound = np.maximum(cfg.tol_abs, cfg.tol_rel * (1.0 + np.max(np.abs(field(b.X, b.V)), axis=0)))
+            residual = sm.poincare_residual(field, b.X, b.V, cfg)
+            return _verdicts("Poincare residual too large", b, residual > bound, residual, bound)
+
+        return _check(rng, cases, potentials, decide, True, True)
 
     def l21(rng, cases):
         # draws each map's shift c before its points, so it keeps its own loop
         for f in corpus[:6]:
             c = rng.uniform(-1, 1)
             g = sm.SmoothMap(f.in_dim, f.out_dim, lambda z, f=f, c=c: f(z) + c, "shift")
-            X = _points(rng, f.in_dim, max(1, cases // 6))
-            V = _points(rng, f.in_dim, X.shape[1])
-            zero = np.zeros_like(X)
-            derivatives = close(
-                "shifted map changed the derivative", f, X,
-                sm.fd_directional_derivative(f, X, V, cfg), sm.fd_directional_derivative(g, X, V, cfg),
-            )
-            values = close("maps with equal derivatives differ beyond a constant", f, X, f(X) - f(zero), g(X) - g(zero))
-            yield from (a or b for a, b in zip(derivatives, values))
+            b = _sample(rng, cases // 6, [f], directions=True)[0]
+            X, zero = b.X, np.zeros_like(b.X)
+            derivatives = close("shifted map changed the derivative", b, fd(f, b), fd(g, b))
+            values = close("maps with equal derivatives differ beyond a constant", b, f(X) - f(zero), g(X) - g(zero))
+            yield from (d or v for d, v in zip(derivatives, values))
 
     checks = {
         "L2": l2, "L3": l3, "L4": l4, "L5": l5, "L6": l6,

@@ -9,7 +9,8 @@ exact equalities.
 
 Maps evaluate a batch of points per call: a batch has shape (n, k), one point
 per column, and its values have shape (m, k).  Each quadrature and each
-Richardson stencil is therefore one call of the map under test.
+Richardson stencil is therefore one call of the map under test, and a family
+map serves in one call maps that own different columns of a batch.
 """
 
 from __future__ import annotations
@@ -132,6 +133,39 @@ class BilinearizedMap:
 
     def __call__(self, x, y) -> np.ndarray:
         return _evaluate(self.fn, self.out_dim, self.label, x, y)
+
+
+def family(maps: list[SmoothMap]) -> SmoothMap:
+    """One map over a batch cut into len(maps) equal runs of columns, run r owned by maps[r].
+
+    A call evaluates each member once, on its runs joined in column order, so a
+    NonFinite names the member and its first bad column.  The closed-form
+    derivative, present when every member has one, works the same way.  A batch
+    that repeats each column in a row (a stencil, quadrature nodes) keeps the runs.
+    """
+    runs = {}
+    for r, f in enumerate(maps):
+        runs.setdefault(id(f), (f, []))[1].append(r)
+    if len(runs) == 1:
+        return maps[0]
+
+    def joined(evaluate):
+        def fn(*args):
+            args = [x.reshape(len(x), len(maps), -1) for x in args]
+            y = np.empty((maps[0].out_dim,) + args[0].shape[1:])
+            for f, rs in runs.values():
+                part = evaluate(f, *(np.concatenate([x[:, r] for r in rs], axis=1) for x in args))
+                part = part.reshape(len(y), len(rs), -1)
+                for i, r in enumerate(rs):
+                    y[:, r] = part[:, i]
+            return y.reshape(len(y), -1)
+
+        return fn
+
+    exact = None
+    if all(f.exact_derivative for f in maps):
+        exact = joined(lambda f, x, v: _evaluate(f.exact_derivative, f.out_dim, f"{f.label} exact derivative", x, v))
+    return SmoothMap(maps[0].in_dim, maps[0].out_dim, joined(lambda f, x: f(x)), "family", exact)
 
 
 def fd_directional_derivative(f: SmoothMap, x, v, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -352,8 +386,8 @@ def sample_point(rng, dim: int, low: float = -2.0, high: float = 2.0) -> np.ndar
     return np.array([rng.uniform(low, high) for _ in range(dim)])
 
 
-def rel_close(a, b, tol_rel: float, tol_abs: float = 1e-12) -> bool:
-    a = np.atleast_1d(np.asarray(a, float))
-    b = np.atleast_1d(np.asarray(b, float))
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b))) <= max(tol_abs, tol_rel * scale)
+def rel_close(a, b, tol_rel: float, tol_abs: float = 1e-12):
+    """Whether a and b agree to tol_rel times max(1, |a|, |b|), or to tol_abs: one verdict per column of a batch."""
+    a, b = (np.atleast_1d(np.asarray(v, float)) for v in (a, b))
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0)))
+    return np.max(np.abs(a - b), axis=0) <= np.maximum(tol_abs, tol_rel * scale)

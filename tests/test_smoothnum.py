@@ -1,5 +1,6 @@
 """Numerical model: corpus probes, quadrature oracles, and residual bounds."""
 
+import collections
 import math
 import random
 
@@ -310,20 +311,156 @@ def test_residuals_on_a_batch_match_the_per_column_calls():
             assert abs(batched[j] - single) <= 1e-9, F.label
 
 
-def test_smooth_suite_work_counts(monkeypatch):
-    """Each law evaluates an item's probe points as one batch: 1,884 map calls when it evaluated them one by one."""
-    calls = []
+def _count_calls(monkeypatch, key):
+    """A Counter of key(map) over every SmoothMap and BilinearizedMap call from now on."""
+    calls = collections.Counter()
     for cls in (SmoothMap, BilinearizedMap):
         original = cls.__call__
 
         def counting(self, *args, original=original):
-            calls.append(1)
+            calls[key(self)] += 1
             return original(self, *args)
 
         monkeypatch.setattr(cls, "__call__", counting)
+    return calls
+
+
+def test_smooth_suite_work_counts(monkeypatch):
+    """Each law draws its probe points as one batch per shape class and evaluates each side once per
+    class, a family map counting as one call besides its members' own: 329 map calls, against 735 when
+    L3 and L4 evaluated each pair of maps on its own and 1,884 when each law evaluated one point at a time."""
+    calls = _count_calls(monkeypatch, lambda f: None)
     reports = lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)
     assert lawsuite.all_pass(reports)
-    assert len(calls) <= 900
+    assert sum(calls.values()) <= 329
+
+
+def test_leibniz_and_chain_rule_call_each_corpus_map_once_per_step_and_shape_class(monkeypatch):
+    """However many pairs share a map, L3 and L4 evaluate it once per law step and shape class.
+
+    L3 evaluates a scalar map as f and as g of the product f * g, each over two steps: the product's
+    finite-difference stencil and the plain values.  L4 evaluates a map as f of g o f over two steps,
+    the stencil of g o f and f(X), and as g over one, the stencil.  Closed-form derivatives are not
+    map calls.
+    """
+    law = [None]
+    calls = _count_calls(monkeypatch, lambda f: (law[0], f.label))
+    binding = make_smooth_binding(max_dim=3)
+    for law[0] in ("L3", "L4"):
+        assert lawsuite.run_law(law[0], binding, cases=50, seed=0).status == "pass"
+    corpus = sm.builtin_corpus()
+    for f in corpus:
+        assert calls["L3", f.label] == (4 if f.out_dim == 1 else 0), f.label
+        as_f = {(f.in_dim, f.out_dim, g.out_dim) for g in corpus if g.in_dim == f.out_dim}
+        as_g = {(h.in_dim, h.out_dim, f.out_dim) for h in corpus if h.out_dim == f.in_dim}
+        assert calls["L4", f.label] == 2 * len(as_f) + len(as_g), f.label
+    # 552 when each of the 44 Leibniz and 83 chain-rule pairs was evaluated on its own
+    assert sum(n for (law_id, _), n in calls.items() if law_id in ("L3", "L4")) <= 150
+
+
+def _counted(f, calls):
+    """A copy of the map f whose value and closed-form derivative calls are counted in `calls`."""
+
+    def value(x):
+        calls[f.label] += 1
+        return f.fn(x)
+
+    def exact(x, v):
+        calls[f"{f.label} exact derivative"] += 1
+        return f.exact_derivative(x, v)
+
+    return SmoothMap(f.in_dim, f.out_dim, value, f.label, exact_derivative=exact)
+
+
+def test_a_family_map_evaluates_each_member_once_on_its_runs():
+    corpus = {f.label: f for f in sm.builtin_corpus()}
+    calls = collections.Counter()
+    members = {label: _counted(corpus[label], calls) for label in ("square1", "sin1", "exp1", "const1")}
+    # square1 owns two runs; const1 returns one value that broadcasts over its runs
+    owners = [members[label] for label in ("square1", "sin1", "square1", "exp1", "const1")]
+    F = sm.family(owners)
+    rng = random.Random(11)
+    k = 3
+    X = np.column_stack([sm.sample_point(rng, 1) for _ in range(len(owners) * k)])
+    V = np.column_stack([sm.sample_point(rng, 1) for _ in range(len(owners) * k)])
+    runs = [slice(r * k, (r + 1) * k) for r in range(len(owners))]
+    cfg = QuadratureConfig(order=16)
+
+    def each_member_once(*suffixes):
+        assert calls == {f"{label}{suffix}": 1 for label in members for suffix in suffixes}
+        calls.clear()
+
+    # a plain batch
+    values = F(X)
+    each_member_once("")
+    for f, run in zip(owners, runs):
+        assert np.array_equal(values[:, run], f(X[:, run])), f.label
+    calls.clear()
+    # a finite-difference stencil repeats each column 2 * (levels + 1) times
+    fd = sm.fd_directional_derivative(F, X, V, cfg)
+    each_member_once("")
+    for f, run in zip(owners, runs):
+        assert np.array_equal(fd[:, run], sm.fd_directional_derivative(f, X[:, run], V[:, run], cfg)), f.label
+    calls.clear()
+    # the closed-form derivative at the nodes of a line integral, which repeats each column `order` times
+    integral = sm.line_integral_S(sm.bilinearize(F, cfg), X, cfg)
+    each_member_once(" exact derivative")
+    for f, run in zip(owners, runs):
+        # the nodes are summed by one matrix-vector product, whose rounding depends on its number of rows
+        assert _relative_gap(integral[:, run], sm.line_integral_S(sm.bilinearize(f, cfg), X[:, run], cfg)) <= 1e-15
+    # one member is the member itself, and a batch that does not split into the runs is refused
+    assert sm.family([members["sin1"]] * 3) is members["sin1"]
+    with pytest.raises(ValueError):
+        F(np.ones((1, 7)))
+
+
+def test_a_non_finite_family_value_names_the_member_and_its_first_bad_column():
+    square = next(f for f in sm.builtin_corpus() if f.label == "square1")
+    hole = SmoothMap(
+        1, 1, lambda x: np.where(x > 2.5, np.nan, x), "hole",
+        exact_derivative=lambda x, v: np.where(x > 2.5, np.inf, v),
+    )
+    F = sm.family([square, hole, square, hole])
+    # hole owns columns 2-3 and 6-7; it is non-finite at columns 3 and 6
+    X = np.array([[0.1, 0.2, 0.3, 2.7, 0.5, 0.6, 2.9, 0.8]])
+    with pytest.raises(NonFinite, match=r"^hole returned a non-finite value at \[2\.7\]$"):
+        F(X)
+    with pytest.raises(NonFinite, match=r"^hole exact derivative returned a non-finite value at \[2\.7\]$"):
+        sm.directional_derivative(F, X, np.ones_like(X))
+    X[0, 3] = 0.4
+    with pytest.raises(NonFinite, match=r"\[2\.9\]"):
+        F(X)
+    X[0, 6] = 0.7
+    got = F(X)
+    assert np.array_equal(got[:, [0, 1, 4, 5]], X[:, [0, 1, 4, 5]] ** 2)
+    assert np.array_equal(got[:, [2, 3, 6, 7]], X[:, [2, 3, 6, 7]])
+
+
+def _rel_close_per_point(a, b, tol_rel, tol_abs):
+    """The one-point rule: max |a - b| <= max(tol_abs, tol_rel * max(1, max |a|, max |b|))."""
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) <= max(tol_abs, tol_rel * scale)
+
+
+def test_rel_close_gives_each_column_of_a_batch_the_verdict_of_its_own_call():
+    rng = np.random.default_rng(12)
+    # columns of magnitude 1e-3 to 1e3, so some scales are lifted to 1 and others are not
+    a = rng.uniform(-1, 1, (3, 60)) * 10.0 ** rng.integers(-3, 4, 60)
+    # differences of 1e-15 to 1e-1, relative to each column, so both verdicts occur
+    b = a + rng.uniform(-1, 1, (3, 60)) * np.maximum(1.0, np.abs(a).max(axis=0)) * 10.0 ** rng.integers(-15, 0, 60)
+    for tol_rel, tol_abs in ((1e-6, 1e-12), (1e-9, 1e-4), (1e-12, 1e-12), (1e-3, 1e-2)):
+        got = sm.rel_close(a, b, tol_rel, tol_abs)
+        assert got.shape == (60,)
+        expected = [_rel_close_per_point(a[:, j], b[:, j], tol_rel, tol_abs) for j in range(60)]
+        assert got.tolist() == expected
+        assert got.tolist() == [bool(sm.rel_close(a[:, j], b[:, j], tol_rel, tol_abs)) for j in range(60)]
+        assert 0 < sum(expected) < 60
+    # the tol_abs floor: a difference of 1e-5 on values below 1 passes at tol_abs 1e-4 only
+    small, shifted = np.array([[0.3], [0.2]]), np.array([[0.3 + 1e-5], [0.2]])
+    assert sm.rel_close(small, shifted, 1e-9, 1e-4).tolist() == [True]
+    assert sm.rel_close(small, shifted, 1e-9, 1e-6).tolist() == [False]
+    # scales below 1 count as 1: a difference of 5e-7 on values of 1e-3 passes at tol_rel 1e-6
+    assert sm.rel_close(small * 1e-3, small * 1e-3 + 5e-7, 1e-6, 1e-12).tolist() == [True]
 
 
 def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_column(monkeypatch):
@@ -378,3 +515,44 @@ def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_
         ),
     }
     assert {r.status for r in reports if r.law_id not in failing} == {"pass", "skipped"}
+
+
+def test_a_chain_rule_failing_in_two_shape_classes_reports_the_first_failing_pair_in_pair_order(monkeypatch):
+    """id1's closed-form derivative doubles the direction where x > 1.
+
+    L4 then fails on the pairs (id1 o f) whose f leaves a point above 1.  At seed 105 these are
+    (id1 o prod2) and (id1 o poly3), the 47th and 72nd of the 83 pairs, in the shape classes
+    (2, 1, 1) and (3, 1, 1); every pair of the first class (1, 1, 1) passes.  The reports and the
+    stream of L4 verdicts were computed when each pair was evaluated on its own, in pair order.
+    """
+    builtin_corpus = sm.builtin_corpus
+
+    def corpus():
+        maps = builtin_corpus()
+        for f in maps:
+            if f.label == "id1":
+
+                def broken(x, v, exact=f.exact_derivative):
+                    return exact(x, np.where(x > 1.0, 2.0, 1.0) * v)
+
+                f.exact_derivative = broken
+        return maps
+
+    monkeypatch.setattr(sm, "builtin_corpus", corpus)
+    binding = make_smooth_binding(max_dim=3)
+    reports = lawsuite.run_suite(binding, cases=50, seed=105)
+    chain_rule_fails = [
+        (47, "chain rule fails (id1 o prod2): map=prod2 x=[1.215426 0.939176] lhs=[1.2973115219] rhs=[2.5946230438]"),
+        (
+            72,
+            "chain rule fails (id1 o poly3): map=poly3 x=[ 1.33028  -1.814027 -1.597353] "
+            "lhs=[11.4998711211] rhs=[22.9997422423]",
+        ),
+    ]
+    assert {r.law_id: (r.cases, r.counterexample) for r in reports if r.status == "fail"} == {
+        "L3": (1, "Leibniz fails: map=id1 x=[1.937921] lhs=[3.3105474024] rhs=[6.6210948045]"),
+        "L4": chain_rule_fails[0],
+    }
+    stream = list(binding.checks["L4"](random.Random("105:L4"), 50))
+    assert len(stream) == 83
+    assert [(case, text) for case, text in enumerate(stream, 1) if text] == chain_rule_fails
