@@ -645,8 +645,8 @@ class _Batch:
         return sm.family([maps[i] for maps in self.items])
 
 
-def _sample(rng, cases, items, directions=False, alone=False):
-    """The whole law's probe points, one `_Batch` per shape class of its items, or per item if `alone`.
+def _sample(rng, cases, items, directions=False):
+    """The whole law's probe points, one `_Batch` per shape class of its items.
 
     An item is a map or a tuple of maps, the first the points belong to, and
     its shape class is its maps' dimensions.  Each item gets `cases //
@@ -658,15 +658,14 @@ def _sample(rng, cases, items, directions=False, alone=False):
     for index, item in enumerate(items):
         maps = item if isinstance(item, tuple) else (item,)
         drawn = [_points(rng, maps[0].in_dim, k) for _ in range(1 + directions)]
-        key = index if alone else tuple((f.in_dim, f.out_dim) for f in maps)
-        classes.setdefault(key, []).append((index, maps, drawn))
+        classes.setdefault(tuple((f.in_dim, f.out_dim) for f in maps), []).append((index, maps, drawn))
     return [_Batch(rows, k) for rows in classes.values()]
 
 
-def _check(rng, cases, items, decide, directions=False, alone=False):
+def _check(rng, cases, items, decide, directions=False):
     """decide(batch), one verdict per column of each of `_sample`'s batches, yielded item by item in
     item order; a batch is decided when the first of its items is reached."""
-    where = {i: (b, r) for b in _sample(rng, cases, items, directions, alone) for r, i in enumerate(b.index)}
+    where = {i: (b, r) for b in _sample(rng, cases, items, directions) for r, i in enumerate(b.index)}
     decided = {}
     for b, r in (where[i] for i in range(len(items))):
         if id(b) not in decided:
@@ -701,15 +700,20 @@ def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3
         raise ValueError("max_dim must be between 1 and 3")
     corpus = [f for f in sm.builtin_corpus() if f.in_dim <= max_dim]
 
-    def close(label, b, lhs, rhs, tol_rel=None):
+    def close(label, b, lhs, rhs):
         """Per column of batch b: None when lhs and rhs agree to the configured tolerances, else the counterexample."""
-        return _verdicts(label, b, ~sm.rel_close(lhs, rhs, tol_rel or cfg.tol_rel, cfg.tol_abs), lhs, rhs)
+        return _verdicts(label, b, ~sm.rel_close(lhs, rhs, cfg.tol_rel, cfg.tol_abs), lhs, rhs)
+
+    def small(label, b, residual, value):
+        """Per column of batch b: None when the residual is within max(tol_abs, tol_rel * (1 + max |value|))."""
+        bound = np.maximum(cfg.tol_abs, cfg.tol_rel * (1.0 + np.max(np.abs(value), axis=0)))
+        return _verdicts(label, b, residual > bound, residual, bound)
 
     def derivative(f, b, V=None):
-        return sm.directional_derivative(f, b.X, b.V if V is None else V, cfg)
+        return sm.directional_derivative(f, b.X, b.V if V is None else V)
 
     def fd(f, b, X=None):
-        return sm.fd_directional_derivative(f, b.X if X is None else X, b.V, cfg)
+        return sm.fd_directional_derivative(f, b.X if X is None else X, b.V)
 
     def l2(rng, cases):
         def decide(b):
@@ -731,7 +735,7 @@ def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3
         def decide(b):
             F, G = b.family(0), b.family(1)
             lhs = fd(sm.SmoothMap(F.in_dim, G.out_dim, lambda z: G(F(z)), "comp"), b)
-            rhs = sm.directional_derivative(G, F(b.X), derivative(F, b), cfg)
+            rhs = sm.directional_derivative(G, F(b.X), derivative(F, b))
             return close(lambda f, g: f"chain rule fails ({g.label} o {f.label})", b, lhs, rhs)
 
         return _check(rng, cases, [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim], decide, True)
@@ -759,49 +763,42 @@ def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3
             # the first two unit directions, as (n, 1) columns to broadcast against a batch
             ei, ej = np.eye(F.in_dim)[:2, :, None]
 
-            # closed-form derivative inside, finite difference outside, so
+            # closed-form derivative inside, complex step outside, so
             # the two orders really are computed along different routes
             def partial(e):
                 return sm.SmoothMap(
-                    F.in_dim, 1, lambda z: sm.directional_derivative(F, z, np.broadcast_to(e, z.shape), cfg), "d"
+                    F.in_dim, 1, lambda z: sm.directional_derivative(F, z, np.broadcast_to(e, z.shape)), "d"
                 )
 
-            lhs = sm.fd_directional_derivative(partial(ej), b.X, np.broadcast_to(ei, b.X.shape), cfg)
-            rhs = sm.fd_directional_derivative(partial(ei), b.X, np.broadcast_to(ej, b.X.shape), cfg)
-            # a difference quotient of a derivative: one digit looser than --tol-rel
-            return close("mixed partials differ", b, lhs, rhs, tol_rel=10 * cfg.tol_rel)
+            lhs = sm.fd_directional_derivative(partial(ej), b.X, np.broadcast_to(ei, b.X.shape))
+            rhs = sm.fd_directional_derivative(partial(ei), b.X, np.broadcast_to(ej, b.X.shape))
+            return close("mixed partials differ", b, lhs, rhs)
 
         return _check(rng, cases, potentials, decide)
 
-    # L18-L20 batch each item alone: a quadrature sums its nodes by a
-    # matrix-vector product whose rounding depends on its number of rows
     def l18(rng, cases):
         def decide(b):
             F = b.family()
-            bound = (1e-7 if F.transcendental else 1e-8) * (1.0 + np.linalg.norm(F(b.X), axis=0))
-            residual = sm.ftc2_residual(F, b.X, cfg)
-            return _verdicts("fundamental theorem residual too large", b, residual > bound, residual, bound)
+            return small("fundamental theorem residual too large", b, sm.ftc2_residual(F, b.X, cfg), F(b.X))
 
-        return _check(rng, cases, corpus, decide, alone=True)
+        return _check(rng, cases, corpus, decide)
 
     def l19(rng, cases):
         def decide(b):
             F = b.family()
-            bound = np.maximum(cfg.tol_abs, cfg.tol_rel * (1.0 + np.abs(F(b.X)[0] * b.V[0])))
             lin = sm.BilinearizedMap(1, 1, lambda x, y: F(x) * y, f"lin[{F.label}]")
             residual = sm.poincare_residual(lin, b.X, b.V, cfg)
-            return _verdicts("derivative of the integral misses the integrand", b, residual > bound, residual, bound)
+            return small("derivative of the integral misses the integrand", b, residual, F(b.X) * b.V)
 
-        return _check(rng, cases, [f for f in corpus if f.in_dim == f.out_dim == 1], decide, True, True)
+        return _check(rng, cases, [f for f in corpus if f.in_dim == f.out_dim == 1], decide, True)
 
     def l20(rng, cases):
         def decide(b):
-            field = sm.gradient_field(b.family(), cfg)
-            bound = np.maximum(cfg.tol_abs, cfg.tol_rel * (1.0 + np.max(np.abs(field(b.X, b.V)), axis=0)))
+            field = sm.gradient_field(b.family())
             residual = sm.poincare_residual(field, b.X, b.V, cfg)
-            return _verdicts("Poincare residual too large", b, residual > bound, residual, bound)
+            return small("Poincare residual too large", b, residual, field(b.X, b.V))
 
-        return _check(rng, cases, potentials, decide, True, True)
+        return _check(rng, cases, potentials, decide, True)
 
     def l21(rng, cases):
         # draws each map's shift c before its points, so it keeps its own loop

@@ -20,7 +20,7 @@ import sys
 from . import bindings, exprcalc, lawsuite
 from .polyform import PolyBundle
 from .rig import RIGS, NotInvertible
-from .smoothnum import QuadratureConfig
+from .smoothnum import DEFAULT_CONFIG, QuadratureConfig
 
 SEMIRING_CHOICES = tuple(RIGS)
 
@@ -62,9 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     smooth = model_sub.add_parser("smooth", help="numerical smooth-map model")
     add_common(smooth, semiring=False)
     smooth.add_argument("--dim", type=int, default=3, help="largest corpus dimension to use (default 3)")
-    smooth.add_argument("--order", type=int, default=32, help="quadrature order (default 32)")
-    smooth.add_argument("--tol-abs", type=float, default=1e-12)
-    smooth.add_argument("--tol-rel", type=float, default=1e-6)
+    order, tol_abs, tol_rel = DEFAULT_CONFIG.order, DEFAULT_CONFIG.tol_abs, DEFAULT_CONFIG.tol_rel
+    smooth.add_argument("--order", type=int, default=order, help=f"quadrature order (default {order})")
+    smooth.add_argument("--tol-abs", type=float, default=tol_abs)
+    smooth.add_argument("--tol-rel", type=float, default=tol_rel)
 
     calc = sub.add_parser("poly", help="evaluate a calculator expression")
     calc.add_argument("--expr", required=True)

@@ -1,16 +1,21 @@
 """Numerical smooth maps on small Euclidean spaces.
 
 A desk-scale, tolerance-based counterpart to the two exact models: smooth maps
-R^n -> R^m with directional derivatives (Richardson-extrapolated central
-differences, or a supplied closed form) and the [0,1] line integral
-S[g](x) = integral of g(t*x, x) dt computed by fixed-order Gauss-Legendre
-quadrature.  The calculus identities are checked as residual bounds, never as
-exact equalities.
+R^n -> R^m with directional derivatives (a complex step, or a supplied closed
+form) and the [0,1] line integral S[g](x) = integral of g(t*x, x) dt computed
+by fixed-order Gauss-Legendre quadrature.  The calculus identities are checked
+as residual bounds, never as exact equalities.
+
+The complex step Im f(x + i*h*v) / h, with h = 1e-30, is the directional
+derivative of a complex-analytic f to rounding error: it subtracts nothing, so
+no step size trades truncation against cancellation, and one tolerance,
+`tol_rel` (default 1e-10), serves every law.  Map bodies and closed forms must
+therefore be complex-analytic (see `SmoothMap`).
 
 Maps evaluate a batch of points per call: a batch has shape (n, k), one point
 per column, and its values have shape (m, k).  Each quadrature and each
-Richardson stencil is therefore one call of the map under test, and a family
-map serves in one call maps that own different columns of a batch.
+complex step is therefore one call of the map under test, and a family map
+serves in one call maps that own different columns of a batch.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ import numpy as np
 # holds order x points floats
 MAX_ORDER = 1024
 
+# the imaginary step h: Im f(x + i*h*v) is h * D[f](x, v) up to a relative
+# h**2 = 1e-60, and a normal float while |D[f](x, v)| > 1e-278
+COMPLEX_STEP = 1e-30
+
 
 class NonFinite(Exception):
     """An evaluator returned NaN or infinity at a probe point."""
@@ -33,17 +42,15 @@ class NonFinite(Exception):
 @dataclass
 class QuadratureConfig:
     order: int = 32
-    fd_step: float = 1e-5
-    richardson_levels: int = 2
     tol_abs: float = 1e-12
-    tol_rel: float = 1e-6
+    tol_rel: float = 1e-10
 
     def __post_init__(self):
         if not 2 <= self.order <= MAX_ORDER:
             raise ValueError(f"quadrature order must be between 2 and {MAX_ORDER}")
         # a nan fails every comparison and an inf passes every one
-        if not all(0 < v < float("inf") for v in (self.tol_abs, self.tol_rel, self.fd_step)):
-            raise ValueError("steps and tolerances must be positive and finite")
+        if not all(0 < v < float("inf") for v in (self.tol_abs, self.tol_rel)):
+            raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -60,13 +67,13 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batch(*arrays):
-    """The arguments as float arrays of one shape, (n,) or (n, k).
+    """The arguments as float or complex arrays of one shape, (n,) or (n, k).
 
     Every argument must have the same shape, (n,) for a single point or
     direction or (n, *batch) for a batch, which is flattened into k columns.
     Returns the arrays and the batch shape, which is () for a single point.
     """
-    arrays = [np.asarray(a, float) for a in arrays]
+    arrays = [np.asarray(a, complex if np.iscomplexobj(a) else float) for a in arrays]
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
         raise ValueError(f"arguments of shapes {[a.shape for a in arrays]} differ; broadcast them first")
@@ -80,7 +87,7 @@ def _evaluate(fn, out_dim: int, label: str, *args) -> np.ndarray:
     finite.
     """
     args, batch = _batch(*args)
-    y = np.asarray(fn(*args), float)
+    y = np.asarray(fn(*args))
     if not batch:
         y = np.atleast_1d(y)
     elif y.shape != (out_dim, args[0].shape[1]):
@@ -105,7 +112,12 @@ class SmoothMap:
     shape.
 
     `exact_derivative(x, v)`, when present, is the closed-form directional
-    derivative; finite differences serve as its cross-check.
+    derivative; the complex step serves as its cross-check.
+
+    `fn` and `exact_derivative` must be complex-analytic: the complex step
+    evaluates them at complex points and reads the derivative off the
+    imaginary part.  So no `abs`, no casts to float and no comparisons, except
+    on `x.real`; np.sin, np.exp, powers, products and `np.sum` are fine.
     """
 
     in_dim: int
@@ -113,7 +125,6 @@ class SmoothMap:
     fn: Callable[[np.ndarray], np.ndarray]
     label: str
     exact_derivative: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    transcendental: bool = False
 
     def __call__(self, x) -> np.ndarray:
         return _evaluate(self.fn, self.out_dim, self.label, x)
@@ -141,7 +152,7 @@ def family(maps: list[SmoothMap]) -> SmoothMap:
     A call evaluates each member once, on its runs joined in column order, so a
     NonFinite names the member and its first bad column.  The closed-form
     derivative, present when every member has one, works the same way.  A batch
-    that repeats each column in a row (a stencil, quadrature nodes) keeps the runs.
+    that repeats each column in a row (quadrature nodes) keeps the runs.
     """
     runs = {}
     for r, f in enumerate(maps):
@@ -152,7 +163,7 @@ def family(maps: list[SmoothMap]) -> SmoothMap:
     def joined(evaluate):
         def fn(*args):
             args = [x.reshape(len(x), len(maps), -1) for x in args]
-            y = np.empty((maps[0].out_dim,) + args[0].shape[1:])
+            y = np.empty((maps[0].out_dim,) + args[0].shape[1:], np.result_type(*args))
             for f, rs in runs.values():
                 part = evaluate(f, *(np.concatenate([x[:, r] for r in rs], axis=1) for x in args))
                 part = part.reshape(len(y), len(rs), -1)
@@ -168,53 +179,44 @@ def family(maps: list[SmoothMap]) -> SmoothMap:
     return SmoothMap(maps[0].in_dim, maps[0].out_dim, joined(lambda f, x: f(x)), "family", exact)
 
 
-def fd_directional_derivative(f: SmoothMap, x, v, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Central-difference directional derivative with Richardson extrapolation.
+def fd_directional_derivative(f: SmoothMap, x, v):
+    """Complex-step directional derivative: Im f(x + i*h*v) / h, one call of f.
 
-    The whole stencil, 2 * (levels + 1) points per column, is one call of f.
+    A complex step nested in another would read the outer step's imaginary
+    part as its own, so a point that is already complex is refused.
     """
     (x, v), batch = _batch(x, v)
-    levels = cfg.richardson_levels
-    h0 = cfg.fd_step * (1.0 + np.sqrt(np.sum(x * x, axis=0)))
-    steps = np.multiply.outer(h0, 1.0 / 2.0 ** np.arange(levels + 1))
-    y = f(x[..., None] + v[..., None] * np.concatenate([steps, -steps], axis=-1))
-    central = (y[..., : levels + 1] - y[..., levels + 1 :]) / (2.0 * steps)
-    table = [central[..., i] for i in range(levels + 1)]
-    for j in range(1, levels + 1):
-        factor = 4.0**j
-        table = [
-            (factor * table[i + 1] - table[i]) / (factor - 1.0) for i in range(len(table) - 1)
-        ]
-    return table[0].reshape((-1,) + batch)
+    if np.iscomplexobj(x) and x.imag.any():
+        raise ValueError(f"{f.label}: complex step at a complex point; give the map a closed-form derivative")
+    return (f(x + COMPLEX_STEP * 1j * v).imag / COMPLEX_STEP).reshape((-1,) + batch)
 
 
-def directional_derivative(f: SmoothMap, x, v, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def directional_derivative(f: SmoothMap, x, v):
     """Directional derivative of f at x along v.
 
-    Uses the closed form when the map carries one, otherwise extrapolated
-    central differences.
+    Uses the closed form when the map carries one, otherwise the complex step.
     """
     if f.exact_derivative is not None:
         return _evaluate(f.exact_derivative, f.out_dim, f"{f.label} exact derivative", x, v)
-    return fd_directional_derivative(f, x, v, cfg)
+    return fd_directional_derivative(f, x, v)
 
 
-def bilinearize(f: SmoothMap, cfg: QuadratureConfig = DEFAULT_CONFIG) -> BilinearizedMap:
+def bilinearize(f: SmoothMap) -> BilinearizedMap:
     """The directional derivative of f viewed as a map linear in its second slot."""
-    return BilinearizedMap(
-        f.in_dim, f.out_dim, lambda x, y: directional_derivative(f, x, y, cfg), f"D[{f.label}]"
-    )
+    return BilinearizedMap(f.in_dim, f.out_dim, lambda x, y: directional_derivative(f, x, y), f"D[{f.label}]")
 
 
 def line_integral_S(g: BilinearizedMap, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Gauss-Legendre quadrature of t -> g(t*x, x) over [0, 1].
 
-    All nodes of all columns of x are one call of g.
+    All nodes of all columns of x are one call of g.  Each column's nodes are
+    summed on their own, so a column's integral does not depend on the batch
+    it is in.
     """
-    x = np.asarray(x, float)[..., None]
+    x = np.asarray(x)[..., None]
     ts, ws = gauss_legendre(cfg.order)
     nodes = x * ts
-    acc = g(nodes, np.broadcast_to(x, nodes.shape)) @ ws
+    acc = np.sum(g(nodes, np.broadcast_to(x, nodes.shape)) * ws, axis=-1)
     if not np.all(np.isfinite(acc)):
         raise NonFinite(f"line integral of {g.label} is non-finite")
     return acc
@@ -227,7 +229,7 @@ def ftc2_residual(f: SmoothMap, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
     per column).
     """
     x = np.asarray(x, float)
-    s = line_integral_S(bilinearize(f, cfg), x, cfg)
+    s = line_integral_S(bilinearize(f), x, cfg)
     return np.max(np.abs(s + f(np.zeros_like(x)) - f(x)), axis=0)
 
 
@@ -239,7 +241,7 @@ def poincare_residual(F: BilinearizedMap, x, v, cfg: QuadratureConfig = DEFAULT_
     premise (F the derivative pairing of a gradient field, or one-dimensional).
     """
     integral = SmoothMap(F.in_dim, F.out_dim, lambda z: line_integral_S(F, z, cfg), f"S[{F.label}]")
-    return np.max(np.abs(fd_directional_derivative(integral, x, v, cfg) - F(x, v)), axis=0)
+    return np.max(np.abs(fd_directional_derivative(integral, x, v) - F(x, v)), axis=0)
 
 
 # -- corpus -----------------------------------------------------------------
@@ -287,7 +289,6 @@ def builtin_corpus() -> list[SmoothMap]:
             lambda x: np.sin(x),
             "sin1",
             exact_derivative=lambda x, v: np.cos(x) * v,
-            transcendental=True,
         )
     )
     maps.append(
@@ -297,7 +298,6 @@ def builtin_corpus() -> list[SmoothMap]:
             lambda x: np.exp(0.3 * x),
             "exp1",
             exact_derivative=lambda x, v: 0.3 * np.exp(0.3 * x) * v,
-            transcendental=True,
         )
     )
 
@@ -333,7 +333,6 @@ def builtin_corpus() -> list[SmoothMap]:
             exact_derivative=lambda x, v: np.array(
                 [np.cos(x[0]) * np.cos(x[1]) * v[0] - np.sin(x[0]) * np.sin(x[1]) * v[1]]
             ),
-            transcendental=True,
         )
     )
 
@@ -364,13 +363,12 @@ def builtin_corpus() -> list[SmoothMap]:
             exact_derivative=lambda x, v: np.array(
                 [np.exp(-np.sum(x * x, axis=0) / 4.0) * (-np.sum(x * v, axis=0) / 2.0)]
             ),
-            transcendental=True,
         )
     )
     return maps
 
 
-def gradient_field(potential: SmoothMap, cfg: QuadratureConfig = DEFAULT_CONFIG) -> BilinearizedMap:
+def gradient_field(potential: SmoothMap) -> BilinearizedMap:
     """The derivative pairing of a scalar potential: (x, v) -> grad(potential)(x) . v.
 
     Such fields satisfy the symmetry premise of the Poincare check by
@@ -378,7 +376,7 @@ def gradient_field(potential: SmoothMap, cfg: QuadratureConfig = DEFAULT_CONFIG)
     """
     if potential.out_dim != 1:
         raise ValueError("potential must be scalar-valued")
-    return bilinearize(potential, cfg)
+    return bilinearize(potential)
 
 
 def sample_point(rng, dim: int, low: float = -2.0, high: float = 2.0) -> np.ndarray:

@@ -143,10 +143,9 @@ def test_acceptance_7_numerical_residuals(capsys):
     rng = random.Random(7)
     ok = True
     for f in corpus:
-        tol = 1e-7 if f.transcendental else 1e-8
         for _ in range(100):
             x = sm.sample_point(rng, f.in_dim)
-            if sm.ftc2_residual(f, x, cfg) > tol * (1.0 + float(np.linalg.norm(f(x)))):
+            if sm.ftc2_residual(f, x, cfg) > 1e-10 * (1.0 + float(np.linalg.norm(f(x)))):
                 ok = False
                 break
         if not ok:
@@ -156,7 +155,7 @@ def test_acceptance_7_numerical_residuals(capsys):
             for _ in range(20):
                 x = sm.sample_point(rng, f.in_dim)
                 v = sm.sample_point(rng, f.in_dim)
-                fd = sm.fd_directional_derivative(f, x, v, cfg)
+                fd = sm.fd_directional_derivative(f, x, v)
                 if not sm.rel_close(fd, f.exact_derivative(x, v), 1e-6):
                     ok = False
                     break

@@ -4,9 +4,11 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 from dctool import cli
+from dctool import smoothnum as sm
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -170,26 +172,44 @@ def test_calculator_large_powers_finish_quickly(expr, capsys):
 
 
 def test_tol_abs_changes_a_smooth_verdict(tmp_path):
-    laws = ("L3", "L19", "L20")
+    # every residual law and every law comparing a closed form with a numerical derivative
+    laws = ("L3", "L4", "L18", "L19", "L20")
 
     def statuses(tol_abs):
         _status, payload = run_json(
-            tmp_path, ["check", "smooth", "--cases", "10", "--tol-rel", "1e-15", "--tol-abs", tol_abs]
+            tmp_path, ["check", "smooth", "--cases", "10", "--tol-rel", "1e-16", "--tol-abs", tol_abs]
         )
         assert payload["params"]["tol_abs"] == float(tol_abs)
         return [law["status"] for law in payload["laws"] if law["id"] in laws]
 
-    assert statuses("1e-12") == ["fail"] * len(laws)
+    assert statuses("1e-16") == ["fail"] * len(laws)
     assert statuses("1e-3") == ["pass"] * len(laws)
 
 
-def test_tol_rel_reaches_the_mixed_partials_check(tmp_path):
-    # L6 compares at ten times --tol-rel: 1e-5 at the default
-    status, payload = run_json(tmp_path, ["check", "smooth", "--cases", "10", "--tol-rel", "1e-15"])
+def test_tol_rel_reaches_the_mixed_partials_check(tmp_path, monkeypatch):
+    # gauss3's closed form off by 1e-9 along the second coordinate: L6 compares at --tol-rel
+    builtin_corpus = sm.builtin_corpus
+
+    def corpus():
+        maps = builtin_corpus()
+        for f in maps:
+            if f.label == "gauss3":
+
+                def off(x, v, exact=f.exact_derivative):
+                    w = np.array(v)
+                    w[1] = w[1] * (1.0 + 1e-9)
+                    return exact(x, w)
+
+                f.exact_derivative = off
+        return maps
+
+    monkeypatch.setattr(sm, "builtin_corpus", corpus)
+    status, payload = run_json(tmp_path, ["check", "smooth", "--cases", "10"])
     l6 = next(law for law in payload["laws"] if law["id"] == "L6")
     assert status == 1
-    assert l6["status"] == "fail" and "mixed partials differ" in l6["counterexample"]
-    _status, payload = run_json(tmp_path, ["check", "smooth", "--cases", "10"])
+    assert (l6["status"], l6["cases"]) == ("fail", 8)
+    assert "mixed partials differ: map=gauss3" in l6["counterexample"]
+    _status, payload = run_json(tmp_path, ["check", "smooth", "--cases", "10", "--tol-rel", "1e-6"])
     assert next(law for law in payload["laws"] if law["id"] == "L6")["status"] == "pass"
 
 

@@ -25,7 +25,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(tol_abs=0.0)
     with pytest.raises(ValueError):
-        QuadratureConfig(fd_step=-1e-5)
+        QuadratureConfig(tol_rel=float("nan"))
     with pytest.raises(ValueError):
         QuadratureConfig(order=sm.MAX_ORDER + 1)
     assert QuadratureConfig(order=sm.MAX_ORDER).order == sm.MAX_ORDER
@@ -41,14 +41,14 @@ def test_corpus_shape():
 
 
 def test_every_member_passes_fd_vs_exact_probe():
+    """The complex step matches each closed form to rounding error, 1e-13 relative, at 200 points."""
     rng = random.Random(0)
     for f in sm.builtin_corpus():
-        for _ in range(10):
-            x = sm.sample_point(rng, f.in_dim)
-            v = sm.sample_point(rng, f.in_dim)
-            fd = sm.fd_directional_derivative(f, x, v)
-            exact = f.exact_derivative(x, v)
-            assert sm.rel_close(fd, exact, 1e-6), f.label
+        X = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(200)])
+        V = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(200)])
+        step = sm.fd_directional_derivative(f, X, V)
+        exact = sm.directional_derivative(f, X, V)
+        assert sm.rel_close(step, exact, 1e-13, 1e-300).all(), f.label
 
 
 def test_directional_derivative_examples():
@@ -87,15 +87,6 @@ def test_ftc2_residual_examples():
     assert sm.ftc2_residual(sin1, np.array([2.0])) < 1e-10
 
 
-def test_gradient_field_uses_the_given_config():
-    pot = SmoothMap(2, 1, lambda x: np.array([np.sin(x[0]) * x[1] ** 3]), "no-closed-form")
-    coarse = QuadratureConfig(fd_step=1e-2, richardson_levels=0)
-    x, v = np.array([0.4, 1.3]), np.array([1.0, -2.0])
-    got = sm.gradient_field(pot, coarse)(x, v)
-    assert np.array_equal(got, sm.fd_directional_derivative(pot, x, v, coarse))
-    assert not np.array_equal(got, sm.gradient_field(pot)(x, v))
-
-
 def test_poincare_residual_examples():
     # gradient of the potential x^2 + y^2
     pot = SmoothMap(
@@ -111,6 +102,22 @@ def test_poincare_residual_examples():
     assert sm.poincare_residual(zero, np.ones(2), np.ones(2)) < 1e-12
     one_dim = BilinearizedMap(1, 1, lambda x, y: np.cos(x) * y, "cos*y")
     assert sm.poincare_residual(one_dim, np.array([1.1]), np.array([0.8])) < 1e-7
+
+
+def test_a_nested_complex_step_is_refused():
+    """Without a closed form, the Poincare check would take a complex step of a complex step.
+
+    The inner step would read the outer one's imaginary part as its own and
+    return a wrong derivative (a residual of 1.1 here), so it raises instead.
+    """
+    pot = SmoothMap(2, 1, lambda x: np.array([x[0] ** 2 + x[1] ** 2]), "sumsq-without-closed-form")
+    field = sm.gradient_field(pot)
+    x, v = np.array([0.7, -0.3]), np.array([1.0, 0.5])
+    assert np.allclose(field(x, v), [2.0 * 0.7 - 2.0 * 0.3 * 0.5])
+    with pytest.raises(ValueError, match="sumsq-without-closed-form"):
+        sm.poincare_residual(field, x, v)
+    with pytest.raises(ValueError, match="sumsq-without-closed-form"):
+        sm.fd_directional_derivative(pot, x + 1e-3j, v)
 
 
 def test_linear_maps_pull_through_integrals():
@@ -218,17 +225,19 @@ def test_line_integral_matches_a_per_node_loop(order):
     nodes, weights = np.polynomial.legendre.leggauss(order)
     rng = random.Random(order)
     for f in sm.builtin_corpus():
-        g = sm.bilinearize(f, cfg)
+        g = sm.bilinearize(f)
         for _ in range(3):
             x = sm.sample_point(rng, f.in_dim)
             reference = np.zeros(f.out_dim)
             for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
                 reference = reference + w * g(t * x, x)
             assert _relative_gap(sm.line_integral_S(g, x, cfg), reference) <= 1e-13, f.label
+        # each column's nodes are summed on their own, so a column's integral does not depend on its batch
         X = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(4)])
         batched = sm.line_integral_S(g, X, cfg)
         for j in range(4):
-            assert _relative_gap(batched[:, j], sm.line_integral_S(g, X[:, j], cfg)) <= 1e-13, f.label
+            assert np.array_equal(batched[:, j], sm.line_integral_S(g, X[:, j], cfg)), f.label
+            assert np.array_equal(batched[:, j : j + 2], sm.line_integral_S(g, X[:, j : j + 2], cfg)), f.label
 
 
 def test_one_non_finite_node_of_a_batch_is_detected():
@@ -327,20 +336,21 @@ def _count_calls(monkeypatch, key):
 
 def test_smooth_suite_work_counts(monkeypatch):
     """Each law draws its probe points as one batch per shape class and evaluates each side once per
-    class, a family map counting as one call besides its members' own: 329 map calls, against 735 when
-    L3 and L4 evaluated each pair of maps on its own and 1,884 when each law evaluated one point at a time."""
+    class, a family map counting as one call besides its members' own: 314 map calls, against 329 when
+    L18-L20 evaluated each item on its own, 735 when L3 and L4 also evaluated each pair of maps on its
+    own, and 1,884 when each law evaluated one point at a time."""
     calls = _count_calls(monkeypatch, lambda f: None)
     reports = lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)
     assert lawsuite.all_pass(reports)
-    assert sum(calls.values()) <= 329
+    assert sum(calls.values()) <= 314
 
 
 def test_leibniz_and_chain_rule_call_each_corpus_map_once_per_step_and_shape_class(monkeypatch):
     """However many pairs share a map, L3 and L4 evaluate it once per law step and shape class.
 
     L3 evaluates a scalar map as f and as g of the product f * g, each over two steps: the product's
-    finite-difference stencil and the plain values.  L4 evaluates a map as f of g o f over two steps,
-    the stencil of g o f and f(X), and as g over one, the stencil.  Closed-form derivatives are not
+    complex step and the plain values.  L4 evaluates a map as f of g o f over two steps, the complex
+    step of g o f and f(X), and as g over one, the complex step.  Closed-form derivatives are not
     map calls.
     """
     law = [None]
@@ -396,18 +406,17 @@ def test_a_family_map_evaluates_each_member_once_on_its_runs():
     for f, run in zip(owners, runs):
         assert np.array_equal(values[:, run], f(X[:, run])), f.label
     calls.clear()
-    # a finite-difference stencil repeats each column 2 * (levels + 1) times
-    fd = sm.fd_directional_derivative(F, X, V, cfg)
+    # a complex step evaluates the complex batch X + i h V
+    fd = sm.fd_directional_derivative(F, X, V)
     each_member_once("")
     for f, run in zip(owners, runs):
-        assert np.array_equal(fd[:, run], sm.fd_directional_derivative(f, X[:, run], V[:, run], cfg)), f.label
+        assert np.array_equal(fd[:, run], sm.fd_directional_derivative(f, X[:, run], V[:, run])), f.label
     calls.clear()
     # the closed-form derivative at the nodes of a line integral, which repeats each column `order` times
-    integral = sm.line_integral_S(sm.bilinearize(F, cfg), X, cfg)
+    integral = sm.line_integral_S(sm.bilinearize(F), X, cfg)
     each_member_once(" exact derivative")
     for f, run in zip(owners, runs):
-        # the nodes are summed by one matrix-vector product, whose rounding depends on its number of rows
-        assert _relative_gap(integral[:, run], sm.line_integral_S(sm.bilinearize(f, cfg), X[:, run], cfg)) <= 1e-15
+        assert np.array_equal(integral[:, run], sm.line_integral_S(sm.bilinearize(f), X[:, run], cfg)), f.label
     # one member is the member itself, and a batch that does not split into the runs is refused
     assert sm.family([members["sin1"]] * 3) is members["sin1"]
     with pytest.raises(ValueError):
@@ -468,7 +477,10 @@ def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_
 
     The failing laws, their case counts and counterexamples were computed
     when each law still evaluated one probe point at a time: batching an
-    item's points must keep the rng stream and stop at the same column.
+    item's points must keep the rng stream and stop at the same column.  The
+    broken closed form is complex-analytic off x[0].real = 1, so the complex
+    step sees the same break; only the L18 and L20 bounds moved, with the
+    default --tol-rel.
     """
     builtin_corpus = sm.builtin_corpus
 
@@ -478,8 +490,8 @@ def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_
             if f.label == "gauss3":
 
                 def broken(x, v, exact=f.exact_derivative):
-                    w = np.array(v, float)
-                    w[0] = np.where(x[0] > 1.0, 2.0, 1.0) * v[0]
+                    w = np.array(v)
+                    w[0] = np.where(x[0].real > 1.0, 2.0, 1.0) * v[0]
                     return exact(x, w)
 
                 f.exact_derivative = broken
@@ -505,16 +517,38 @@ def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_
         "L18": (
             44,
             "fundamental theorem residual too large: map=gauss3 x=[ 1.558085 -1.053949 -0.525639] "
-            "lhs=[0.1838174927] rhs=[1.3853193136e-07]",
+            "lhs=[0.1838174927] rhs=[1.3853193136e-10]",
         ),
         # the fourth potential, 12 points: its third column
         "L20": (
             39,
             "Poincare residual too large: map=gauss3 x=[1.34946  0.585092 1.992821] "
-            "lhs=[0.044278935] rhs=[1.2196956575e-06]",
+            "lhs=[0.044278935] rhs=[1.2196956575e-10]",
         ),
     }
     assert {r.status for r in reports if r.law_id not in failing} == {"pass", "skipped"}
+
+
+def test_a_derivative_off_by_1e_9_fails_at_the_default_tolerance(monkeypatch):
+    """Every nonlinear closed-form derivative scaled by 1 + 1e-9.
+
+    The complex step is exact to rounding error, so the default --tol-rel of
+    1e-10 sees the error where the closed forms meet a numerical derivative
+    or a quadrature; at 1e-6, the old default, every law passes.
+    """
+    builtin_corpus = sm.builtin_corpus
+
+    def corpus():
+        maps = builtin_corpus()
+        for f in maps:
+            if not f.label.startswith(("id", "const", "linear")):
+                f.exact_derivative = lambda x, v, exact=f.exact_derivative: exact(x, v) * (1.0 + 1e-9)
+        return maps
+
+    monkeypatch.setattr(sm, "builtin_corpus", corpus)
+    reports = lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)
+    assert {r.law_id: r.cases for r in reports if r.status == "fail"} == {"L3": 3, "L4": 4, "L18": 7}
+    assert lawsuite.all_pass(lawsuite.run_suite(make_smooth_binding(QuadratureConfig(tol_rel=1e-6)), cases=50, seed=0))
 
 
 def test_a_chain_rule_failing_in_two_shape_classes_reports_the_first_failing_pair_in_pair_order(monkeypatch):
@@ -523,7 +557,8 @@ def test_a_chain_rule_failing_in_two_shape_classes_reports_the_first_failing_pai
     L4 then fails on the pairs (id1 o f) whose f leaves a point above 1.  At seed 105 these are
     (id1 o prod2) and (id1 o poly3), the 47th and 72nd of the 83 pairs, in the shape classes
     (2, 1, 1) and (3, 1, 1); every pair of the first class (1, 1, 1) passes.  The reports and the
-    stream of L4 verdicts were computed when each pair was evaluated on its own, in pair order.
+    stream of L4 verdicts were computed when each pair was evaluated on its own, in pair order; the
+    complex step moved the last digit of the L3 lhs and of the second L4 lhs.
     """
     builtin_corpus = sm.builtin_corpus
 
@@ -533,7 +568,7 @@ def test_a_chain_rule_failing_in_two_shape_classes_reports_the_first_failing_pai
             if f.label == "id1":
 
                 def broken(x, v, exact=f.exact_derivative):
-                    return exact(x, np.where(x > 1.0, 2.0, 1.0) * v)
+                    return exact(x, np.where(x.real > 1.0, 2.0, 1.0) * v)
 
                 f.exact_derivative = broken
         return maps
@@ -546,11 +581,11 @@ def test_a_chain_rule_failing_in_two_shape_classes_reports_the_first_failing_pai
         (
             72,
             "chain rule fails (id1 o poly3): map=poly3 x=[ 1.33028  -1.814027 -1.597353] "
-            "lhs=[11.4998711211] rhs=[22.9997422423]",
+            "lhs=[11.4998711212] rhs=[22.9997422423]",
         ),
     ]
     assert {r.law_id: (r.cases, r.counterexample) for r in reports if r.status == "fail"} == {
-        "L3": (1, "Leibniz fails: map=id1 x=[1.937921] lhs=[3.3105474024] rhs=[6.6210948045]"),
+        "L3": (1, "Leibniz fails: map=id1 x=[1.937921] lhs=[3.3105474023] rhs=[6.6210948045]"),
         "L4": chain_rule_fails[0],
     }
     stream = list(binding.checks["L4"](random.Random("105:L4"), 50))
