@@ -2,8 +2,8 @@
 
 Grammar (whitespace insignificant):
 
-    expr     := term (('+' | '-') term)*
-    term     := factor ('*' factor)*
+    expr     := term (('+' | '-') term)*          one n-ary "sum" node
+    term     := factor ('*' factor)*               one n-ary "product" node
     factor   := atom ('^' nat)?
     atom     := rational | ident | opcall | '(' expr ')'
     opcall   := ('d' | 'int' | 'K' | 'Kinv' | 'J' | 'Jinv') '(' expr ')'
@@ -13,6 +13,10 @@ Grammar (whitespace insignificant):
 Variables are the canonical names x, y, z, w; operator names are reserved.
 '-' evaluates only over a semiring with negatives.  `s(e, x)` integrates the
 coordinate bundle that has `e` in the slot of variable x and zero elsewhere.
+
+A chain of '+'/'-' terms or of '*' factors is one node, evaluated by
+iteration, so a long chain costs no recursion; parentheses and operator calls
+nest at most `MAX_NESTING` deep, and deeper input is a ParseError.
 
 Products and powers share one work budget per expression, `WORK_LIMIT`
 coefficient-word products (powers by repeated squaring), charged before each
@@ -32,6 +36,7 @@ from .rig import Rig
 OP_NAMES = ("d", "int", "K", "Kinv", "J", "Jinv", "s")
 VAR_NAMES = pf.DEFAULT_NAMES
 WORK_LIMIT = 100_000  # coefficient-word products per expression
+MAX_NESTING = 100  # parentheses and operator calls, one inside another
 
 
 class ParseError(Exception):
@@ -56,7 +61,8 @@ class EvalError(Exception):
 
 @dataclass(frozen=True)
 class Node:
-    kind: str  # const | var | add | sub | mul | pow | op | s
+    kind: str  # const | var | sum | product | pow | op | s
+    # a sum's payload holds (negated, term) pairs, a product's its factors
     payload: tuple
 
 
@@ -96,6 +102,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -119,18 +126,25 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        node = self.term()
+        terms = [(False, self.term())]
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = Node("add" if op == "+" else "sub", (node, rhs))
-        return node
+            terms.append((self.advance()[0] == "-", self.term()))
+        return terms[0][1] if len(terms) == 1 else Node("sum", tuple(terms))
 
     def term(self) -> Node:
-        node = self.factor()
+        factors = [self.factor()]
         while self.peek()[0] == "*":
             self.advance()
-            node = Node("mul", (node, self.factor()))
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else Node("product", tuple(factors))
+
+    def nested(self, tok) -> Node:
+        """The expression inside the parenthesis or operator call opened at tok."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
+        self.depth += 1
+        node = self.expr()
+        self.depth -= 1
         return node
 
     def factor(self) -> Node:
@@ -153,14 +167,13 @@ class _Parser:
                 return Node("const", (Fraction(num, den_tok[1]),))
             return Node("const", (Fraction(num),))
         if tok[0] == "(":
-            node = self.expr()
+            node = self.nested(tok)
             self.expect(")")
             return node
         if tok[0] == "name":
             name = tok[1]
             if name in OP_NAMES:
-                self.expect("(")
-                arg = self.expr()
+                arg = self.nested(self.expect("("))
                 if name == "s":
                     self.expect(",")
                     var_tok = self.expect("name")
@@ -184,27 +197,23 @@ def parse_expr(source: str) -> Node:
 # -- evaluation -------------------------------------------------------------
 
 
-def _collect_vars(node: Node, seen: set):
-    kind = node.kind
-    if kind == "var":
-        seen.add(node.payload[0])
-    elif kind in ("add", "sub", "mul"):
-        _collect_vars(node.payload[0], seen)
-        _collect_vars(node.payload[1], seen)
-    elif kind == "pow":
-        _collect_vars(node.payload[0], seen)
-    elif kind == "op":
-        _collect_vars(node.payload[1], seen)
-    elif kind == "s":
-        _collect_vars(node.payload[0], seen)
-        seen.add(node.payload[1])
+def _variables(node: Node) -> set:
+    """The variable names the expression mentions."""
+    seen, todo = set(), [node]
+    while todo:
+        node = todo.pop()
+        if node.kind in ("var", "s"):
+            seen.add(node.payload[-1])
+        for item in node.payload:
+            item = item[1] if isinstance(item, tuple) else item  # a sum's (negated, term)
+            if isinstance(item, Node):
+                todo.append(item)
+    return seen
 
 
 def infer_arity(node: Node) -> int:
     """Smallest canonical variable prefix covering the expression; at least 1."""
-    seen: set = set()
-    _collect_vars(node, seen)
-    indices = [VAR_NAMES.index(v) for v in seen]
+    indices = [VAR_NAMES.index(v) for v in _variables(node)]
     return max(indices, default=0) + 1
 
 
@@ -258,18 +267,23 @@ def eval_expr(ast: Node, semiring: Rig, arity: int | None = None):
             return Polynomial.const(semiring, arity, c)
         if kind == "var":
             return Polynomial.variable(semiring, arity, VAR_NAMES.index(node.payload[0]))
-        if kind == "add":
-            return as_poly(node.payload[0]) + as_poly(node.payload[1])
-        if kind == "sub":
-            if not semiring.has_negatives:
+        if kind == "sum":
+            if not semiring.has_negatives and any(negated for negated, _ in node.payload):
                 raise NegativeNotSupported(
                     f"'-' is not available over {semiring.name}; use the rational field"
                 )
-            lhs = as_poly(node.payload[0])
-            rhs = as_poly(node.payload[1])
-            return lhs + rhs.scale(semiring.neg(semiring.one))
-        if kind == "mul":
-            return product(as_poly(node.payload[0]), as_poly(node.payload[1]))
+            (_, acc), *rest = node.payload  # the first term is never negated
+            acc = as_poly(acc)
+            for negated, term in rest:
+                p = as_poly(term)
+                acc = acc + (p.scale(semiring.neg(semiring.one)) if negated else p)
+            return acc
+        if kind == "product":
+            acc, *rest = node.payload
+            acc = as_poly(acc)
+            for factor in rest:
+                acc = product(acc, as_poly(factor))
+            return acc
         if kind == "pow":
             return power(as_poly(node.payload[0]), node.payload[1])
         if kind == "s":

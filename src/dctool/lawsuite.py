@@ -11,7 +11,7 @@ every law in the binding so one failure never hides another: an exception
 raised inside a check fails that law with `cases` 0 and the exception as its
 counterexample.
 
-The operator-algebra laws L8, L9 and L11-L19 are written once, in the equation
+The operator-algebra laws L8, L9 and L11-L20 are written once, in the equation
 table `OPERATOR_LAWS`: each is a generator of (lhs, rhs, label) equations
 between composites of d, d°, s, !(0), K, J, K^{-1}, J^{-1} and the unit
 monoidal maps m_{R,A} and m_R x 1, taken from an `Operators` set on the
@@ -19,9 +19,13 @@ object the law is stated on and the one on the monoidal unit R.  Composites
 read in matrix-vector order (`f;g` applied to v is f(g(v))).  The unit
 reconstructions (L14, L17) move a unit operator f to the object A along
 `via_unit`: tag each bag with its size, apply f to the tag, forget the tag.
-Each exact model supplies both operator sets and one equality check: the
-relational model compares matrices on the safe band, the polynomial model
-applies both sides to seeded inputs.
+The Poincare condition (L20), d;s;f = f for a symmetric f, is stated on the
+exact maps f = d;g, which are the symmetric maps the models generate, as
+d;s;d = d.  Each exact model supplies both operator sets and one equality
+check: the relational model compares matrices on the safe band, the
+polynomial model applies both sides to seeded inputs.  The smooth model has
+no operator sets; its L18-L20 compare the two sides of the same equations,
+`_ftc2`, `_ftc1` and `_poincare`, at probe points.
 """
 
 from __future__ import annotations
@@ -176,6 +180,12 @@ def _ftc1(o: Operators, u: Operators):
     yield o.seq(o.d, o.s), o.x1(o.id), "first fundamental theorem fails"
 
 
+def _poincare(o: Operators, u: Operators):
+    # every symmetric f the models generate is exact, f = d;g, and d;s;f = f
+    # holds for every g exactly when d;s;d = d
+    yield o.seq(o.seq(o.d, o.s), o.d), o.d, "derivative of the integral loses the field"
+
+
 # law id -> (the object the law is stated on, its equations on (that object's
 # operators, the unit's operators))
 OPERATOR_LAWS: dict[str, tuple[str, Callable[[Operators, Operators], Iterator[tuple]]]] = {
@@ -190,6 +200,7 @@ OPERATOR_LAWS: dict[str, tuple[str, Callable[[Operators, Operators], Iterator[tu
     "L17": ("general", _reconstruction),
     "L18": ("general", _ftc2),
     "L19": ("unit", _ftc1),
+    "L20": ("general", _poincare),
 }
 
 

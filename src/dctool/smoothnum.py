@@ -4,7 +4,7 @@ A desk-scale, tolerance-based counterpart to the two exact models: smooth maps
 R^n -> R^m with directional derivatives (a complex step, or a supplied closed
 form) and the [0,1] line integral S[g](x) = integral of g(t*x, x) dt computed
 by fixed-order Gauss-Legendre quadrature.  The calculus identities are checked
-as residual bounds, never as exact equalities.
+to a tolerance (`rel_close`), never as exact equalities.
 
 The complex step Im f(x + i*h*v) / h, with h = 1e-30, is the directional
 derivative of a complex-analytic f to rounding error: it subtracts nothing, so
@@ -222,28 +222,6 @@ def line_integral_S(g: BilinearizedMap, x, cfg: QuadratureConfig = DEFAULT_CONFI
     return acc
 
 
-def ftc2_residual(f: SmoothMap, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Sup-norm defect of: integral of the derivative along [0,x], plus f(0), minus f(x).
-
-    x is one point (a float is returned) or a batch of points (one residual
-    per column).
-    """
-    x = np.asarray(x, float)
-    s = line_integral_S(bilinearize(f), x, cfg)
-    return np.max(np.abs(s + f(np.zeros_like(x)) - f(x)), axis=0)
-
-
-def poincare_residual(F: BilinearizedMap, x, v, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Sup-norm defect of: derivative of the line integral of F, minus F.
-
-    x and v are one point and direction (a float is returned) or batches of
-    them (one residual per column).  Caller is responsible for the symmetry
-    premise (F the derivative pairing of a gradient field, or one-dimensional).
-    """
-    integral = SmoothMap(F.in_dim, F.out_dim, lambda z: line_integral_S(F, z, cfg), f"S[{F.label}]")
-    return np.max(np.abs(fd_directional_derivative(integral, x, v) - F(x, v)), axis=0)
-
-
 # -- corpus -----------------------------------------------------------------
 
 
@@ -366,17 +344,6 @@ def builtin_corpus() -> list[SmoothMap]:
         )
     )
     return maps
-
-
-def gradient_field(potential: SmoothMap) -> BilinearizedMap:
-    """The derivative pairing of a scalar potential: (x, v) -> grad(potential)(x) . v.
-
-    Such fields satisfy the symmetry premise of the Poincare check by
-    construction.
-    """
-    if potential.out_dim != 1:
-        raise ValueError("potential must be scalar-valued")
-    return bilinearize(potential)
 
 
 def sample_point(rng, dim: int, low: float = -2.0, high: float = 2.0) -> np.ndarray:

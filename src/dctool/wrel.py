@@ -14,7 +14,7 @@ cost O(nnz) and build no permutation matrix.
 
 Every operator shifts bag sizes by a fixed amount (+1, -1 or 0), so equations
 between composites of at most two size-shifting operators are exact on the
-"safe band" of bags whose size stays at least `margin` below the truncation
+"safe band" of bags whose size stays at least `MARGIN` below the truncation
 bound.  All law checks quantify over that band only.  Row r of f;g depends
 only on row r of f, so a law may evaluate a composite from the safe-band rows
 of its first factor (`WeightedMatrix.restrict_rows`) outward, and
@@ -85,22 +85,24 @@ def enumerate_bags(base: BaseSet, max_size: int):
     return out
 
 
+# bag sizes kept free below the truncation bound: a composite of at most two
+# size-shifting operators is exact on the bags of at most D - MARGIN atoms
+MARGIN = 2
+
+
 @dataclass(frozen=True)
 class Truncation:
-    """Maximum bag size D plus the margin kept free for size-shifting composites."""
+    """Maximum bag size D; the safe band is the bags of at most D - MARGIN atoms."""
 
     D: int
-    margin: int = 2
 
     def __post_init__(self):
-        if self.margin < 2:
-            raise ValueError("margin must be >= 2")
-        if self.D < self.margin:
-            raise ValueError("truncation bound smaller than margin")
+        if self.D < MARGIN:
+            raise ValueError(f"truncation bound smaller than the margin {MARGIN}")
 
     @property
     def safe_limit(self) -> int:
-        return self.D - self.margin
+        return self.D - MARGIN
 
 
 # -- index spaces -----------------------------------------------------------
@@ -258,13 +260,13 @@ class WeightedMatrix:
         """First safe-band entry, in `repr` order of the keys, where the matrices disagree, or None."""
         self._check_spaces(other)
         rig, a, b = self.rig, self.entries, other.entries
-        keys = a.keys() | b.keys()
-        rows = _in_band(self.row_space, {r for r, _ in keys}, limit)
-        cols = _in_band(self.col_space, {c for _, c in keys}, limit)
+        # most keys agree, so weigh only the bags of keys whose values differ
         differ = [
             key
-            for key in keys
-            if key[0] in rows and key[1] in cols and not rig.eq(a.get(key, rig.zero), b.get(key, rig.zero))
+            for key in a.keys() | b.keys()
+            if not rig.eq(a.get(key, rig.zero), b.get(key, rig.zero))
+            and point_weight(self.row_space, key[0]) <= limit
+            and point_weight(self.col_space, key[1]) <= limit
         ]
         if not differ:
             return None

@@ -145,7 +145,9 @@ def test_acceptance_7_numerical_residuals(capsys):
     for f in corpus:
         for _ in range(100):
             x = sm.sample_point(rng, f.in_dim)
-            if sm.ftc2_residual(f, x, cfg) > 1e-10 * (1.0 + float(np.linalg.norm(f(x)))):
+            # S[Df](x) + f(0) - f(x)
+            residual = np.max(np.abs(sm.line_integral_S(sm.bilinearize(f), x, cfg) + f(np.zeros_like(x)) - f(x)))
+            if residual > 1e-10 * (1.0 + float(np.linalg.norm(f(x)))):
                 ok = False
                 break
         if not ok:
@@ -164,12 +166,15 @@ def test_acceptance_7_numerical_residuals(capsys):
     if ok:
         potentials = [f for f in corpus if f.out_dim == 1 and f.in_dim >= 2]
         for f in potentials:
-            field = sm.gradient_field(f)
+            field = sm.bilinearize(f)
+            integral = sm.SmoothMap(f.in_dim, 1, lambda z, field=field: sm.line_integral_S(field, z, cfg), "S")
             for _ in range(20):
                 x = sm.sample_point(rng, f.in_dim)
                 v = sm.sample_point(rng, f.in_dim)
                 scale = 1.0 + float(np.max(np.abs(field(x, v))))
-                if sm.poincare_residual(field, x, v, cfg) > 1e-6 * scale:
+                # D[S[field]](x, v) - field(x, v)
+                residual = np.max(np.abs(sm.fd_directional_derivative(integral, x, v) - field(x, v)))
+                if residual > 1e-6 * scale:
                     ok = False
                     break
             if not ok:

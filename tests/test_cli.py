@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from dctool import cli
+from dctool import cli, exprcalc
 from dctool import smoothnum as sm
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -169,6 +169,38 @@ def test_calculator_large_powers_finish_quickly(expr, capsys):
         assert status == 2 and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("dctool: "), captured.err
+
+
+def test_calculator_long_chains_are_one_node(capsys):
+    """A '+' chain and a '*' chain are each evaluated by iteration, whatever their length."""
+    for expr, expected in (("+".join(["x"] * 5000), "5000*x"), ("*".join(["x"] * 600), "x^600")):
+        assert cli.main(["poly", "--expr", expr]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == expected and not captured.err
+    assert cli.main(["poly", "--expr", "-".join(["x"] * 500), "--semiring", "rational"]) == 0
+    assert capsys.readouterr().out.strip() == "-498*x"
+
+
+@pytest.mark.parametrize(
+    "opening, depth",
+    [("(", 1000), ("(", 250), ("K(", 300), ("(", exprcalc.MAX_NESTING + 1)],
+    ids=["parens-1000", "parens-250", "K-300", "parens-bound+1"],
+)
+def test_calculator_deep_nesting_is_a_usage_error(opening, depth, capsys):
+    """Nesting past the bound is refused with one dctool: line and exit 2, never a traceback."""
+    assert cli.main(["poly", "--expr", opening * depth + "x" + ")" * depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the position is that of the first parenthesis past the bound
+    position = len(opening) * (exprcalc.MAX_NESTING + 1) - 1
+    assert captured.err == f"dctool: nesting deeper than {exprcalc.MAX_NESTING} levels (at position {position})\n"
+
+
+def test_calculator_nesting_at_the_bound_is_evaluated(capsys):
+    depth = exprcalc.MAX_NESTING
+    for expr in ("(" * depth + "x" + ")" * depth, "Kinv(K(" * (depth // 2) + "x^3" + "))" * (depth // 2)):
+        assert cli.main(["poly", "--expr", expr]) == 0
+        assert capsys.readouterr().out.strip() in ("x", "x^3")
 
 
 def test_tol_abs_changes_a_smooth_verdict(tmp_path):

@@ -84,7 +84,7 @@ def test_boolean_poly_checks_collapse_law():
 
 
 def test_both_exact_models_evaluate_the_operator_table():
-    assert set(ls.OPERATOR_LAWS) == {"L8", "L9", "L11", "L12", "L13", "L14", "L15", "L16", "L17", "L18", "L19"}
+    assert set(ls.OPERATOR_LAWS) == {"L8", "L9", "L11", "L12", "L13", "L14", "L15", "L16", "L17", "L18", "L19", "L20"}
     for binding in (make_poly_binding(RATIONAL, variables=2, max_degree=4), make_rel_binding(RATIONAL)):
         for law_id in ls.OPERATOR_LAWS:
             assert ls.run_law(law_id, binding, cases=10, seed=0).status == "pass", (binding.name, law_id)

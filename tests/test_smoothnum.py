@@ -78,13 +78,28 @@ def test_line_integral_examples():
         assert abs(got[0] - math.sin(xv)) < 1e-12
 
 
+def _integral(g):
+    """S[g] as a smooth map, x -> the line integral of t -> g(t*x, x)."""
+    return SmoothMap(g.in_dim, g.out_dim, lambda z: sm.line_integral_S(g, z), f"S[{g.label}]")
+
+
+def _ftc2_residual(f, x):
+    """max |S[Df](x) + f(0) - f(x)|."""
+    return np.max(np.abs(sm.line_integral_S(sm.bilinearize(f), x) + f(np.zeros_like(x)) - f(x)))
+
+
+def _poincare_residual(g, x, v):
+    """max |D[S[g]](x, v) - g(x, v)|."""
+    return np.max(np.abs(sm.fd_directional_derivative(_integral(g), x, v) - g(x, v)))
+
+
 def test_ftc2_residual_examples():
     square = next(f for f in sm.builtin_corpus() if f.label == "square1")
-    assert sm.ftc2_residual(square, np.array([3.0])) < 1e-10
+    assert _ftc2_residual(square, np.array([3.0])) < 1e-10
     const = next(f for f in sm.builtin_corpus() if f.label == "const1")
-    assert sm.ftc2_residual(const, np.array([1.4])) < 1e-12
+    assert _ftc2_residual(const, np.array([1.4])) < 1e-12
     sin1 = next(f for f in sm.builtin_corpus() if f.label == "sin1")
-    assert sm.ftc2_residual(sin1, np.array([2.0])) < 1e-10
+    assert _ftc2_residual(sin1, np.array([2.0])) < 1e-10
 
 
 def test_poincare_residual_examples():
@@ -95,13 +110,13 @@ def test_poincare_residual_examples():
         "sumsq",
         exact_derivative=lambda x, v: np.array([2.0 * x[0] * v[0] + 2.0 * x[1] * v[1]]),
     )
-    field = sm.gradient_field(pot)
-    r = sm.poincare_residual(field, np.array([0.7, -0.3]), np.array([1.0, 0.5]))
+    field = sm.bilinearize(pot)
+    r = _poincare_residual(field, np.array([0.7, -0.3]), np.array([1.0, 0.5]))
     assert r < 1e-7
     zero = BilinearizedMap(2, 1, lambda x, y: np.zeros(1), "zero")
-    assert sm.poincare_residual(zero, np.ones(2), np.ones(2)) < 1e-12
+    assert _poincare_residual(zero, np.ones(2), np.ones(2)) < 1e-12
     one_dim = BilinearizedMap(1, 1, lambda x, y: np.cos(x) * y, "cos*y")
-    assert sm.poincare_residual(one_dim, np.array([1.1]), np.array([0.8])) < 1e-7
+    assert _poincare_residual(one_dim, np.array([1.1]), np.array([0.8])) < 1e-7
 
 
 def test_a_nested_complex_step_is_refused():
@@ -111,11 +126,11 @@ def test_a_nested_complex_step_is_refused():
     return a wrong derivative (a residual of 1.1 here), so it raises instead.
     """
     pot = SmoothMap(2, 1, lambda x: np.array([x[0] ** 2 + x[1] ** 2]), "sumsq-without-closed-form")
-    field = sm.gradient_field(pot)
+    field = sm.bilinearize(pot)
     x, v = np.array([0.7, -0.3]), np.array([1.0, 0.5])
     assert np.allclose(field(x, v), [2.0 * 0.7 - 2.0 * 0.3 * 0.5])
     with pytest.raises(ValueError, match="sumsq-without-closed-form"):
-        sm.poincare_residual(field, x, v)
+        sm.fd_directional_derivative(_integral(field), x, v)
     with pytest.raises(ValueError, match="sumsq-without-closed-form"):
         sm.fd_directional_derivative(pot, x + 1e-3j, v)
 
@@ -296,30 +311,6 @@ def test_map_calls_do_not_grow_with_the_quadrature_order(monkeypatch):
     assert suite_calls(16) == suite_calls(64)
 
 
-def test_residuals_on_a_batch_match_the_per_column_calls():
-    rng = random.Random(3)
-    corpus = sm.builtin_corpus()
-    for f in corpus:
-        X = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(5)])
-        batched = sm.ftc2_residual(f, X)
-        assert batched.shape == (5,), f.label
-        for j in range(5):
-            single = sm.ftc2_residual(f, X[:, j])
-            assert isinstance(single, float)
-            assert abs(batched[j] - single) <= 1e-9, f.label
-    fields = [sm.gradient_field(f) for f in corpus if f.out_dim == 1 and f.in_dim >= 2]
-    fields += [BilinearizedMap(1, 1, lambda x, y, f=f: f(x) * y, f.label) for f in corpus if f.in_dim == f.out_dim == 1]
-    for F in fields:
-        X = np.column_stack([sm.sample_point(rng, F.in_dim) for _ in range(5)])
-        V = np.column_stack([sm.sample_point(rng, F.in_dim) for _ in range(5)])
-        batched = sm.poincare_residual(F, X, V)
-        assert batched.shape == (5,), F.label
-        for j in range(5):
-            single = sm.poincare_residual(F, X[:, j], V[:, j])
-            assert isinstance(single, float)
-            assert abs(batched[j] - single) <= 1e-9, F.label
-
-
 def _count_calls(monkeypatch, key):
     """A Counter of key(map) over every SmoothMap and BilinearizedMap call from now on."""
     calls = collections.Counter()
@@ -336,13 +327,14 @@ def _count_calls(monkeypatch, key):
 
 def test_smooth_suite_work_counts(monkeypatch):
     """Each law draws its probe points as one batch per shape class and evaluates each side once per
-    class, a family map counting as one call besides its members' own: 314 map calls, against 329 when
-    L18-L20 evaluated each item on its own, 735 when L3 and L4 also evaluated each pair of maps on its
-    own, and 1,884 when each law evaluated one point at a time."""
+    class, a family map counting as one call besides its members' own: 285 map calls, against 314 when
+    L18-L20 evaluated f(x) and the field a second time for a residual bound, 329 when they evaluated
+    each item on its own, 735 when L3 and L4 also evaluated each pair of maps on its own, and 1,884
+    when each law evaluated one point at a time."""
     calls = _count_calls(monkeypatch, lambda f: None)
     reports = lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)
     assert lawsuite.all_pass(reports)
-    assert sum(calls.values()) <= 314
+    assert sum(calls.values()) <= 285
 
 
 def test_leibniz_and_chain_rule_call_each_corpus_map_once_per_step_and_shape_class(monkeypatch):
@@ -479,8 +471,8 @@ def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_
     when each law still evaluated one probe point at a time: batching an
     item's points must keep the rng stream and stop at the same column.  The
     broken closed form is complex-analytic off x[0].real = 1, so the complex
-    step sees the same break; only the L18 and L20 bounds moved, with the
-    default --tol-rel.
+    step sees the same break.  L18 and L20 report the two sides of their
+    equations, whose difference is the residual they used to report.
     """
     builtin_corpus = sm.builtin_corpus
 
@@ -516,14 +508,14 @@ def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_
         # the last item, 3 points: its second column
         "L18": (
             44,
-            "fundamental theorem residual too large: map=gauss3 x=[ 1.558085 -1.053949 -0.525639] "
-            "lhs=[0.1838174927] rhs=[1.3853193136e-10]",
+            "second fundamental theorem fails: map=gauss3 x=[ 1.558085 -1.053949 -0.525639] "
+            "lhs=[0.201501821] rhs=[0.3853193136]",
         ),
         # the fourth potential, 12 points: its third column
         "L20": (
             39,
-            "Poincare residual too large: map=gauss3 x=[1.34946  0.585092 1.992821] "
-            "lhs=[0.044278935] rhs=[1.2196956575e-10]",
+            "derivative of the integral loses the field: map=gauss3 x=[1.34946  0.585092 1.992821] "
+            "lhs=[0.1754167224] rhs=[0.2196956575]",
         ),
     }
     assert {r.status for r in reports if r.law_id not in failing} == {"pass", "skipped"}
@@ -591,3 +583,23 @@ def test_a_chain_rule_failing_in_two_shape_classes_reports_the_first_failing_pai
     stream = list(binding.checks["L4"](random.Random("105:L4"), 50))
     assert len(stream) == 83
     assert [(case, text) for case, text in enumerate(stream, 1) if text] == chain_rule_fails
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_an_integral_weighted_by_t_fails_exactly_the_fundamental_theorems_and_poincare(monkeypatch, seed):
+    """line_integral_S weights its nodes by t, so S computes the integral of t * g(t*x, x).
+
+    L18, L19 and L20 are the laws that integrate, and each fails at its first case.
+    """
+
+    def t_weighted(g, x, cfg=DEFAULT_CONFIG):
+        x = np.asarray(x)[..., None]
+        ts, ws = sm.gauss_legendre(cfg.order)
+        nodes = x * ts
+        return np.sum(g(nodes, np.broadcast_to(x, nodes.shape)) * ws * ts, axis=-1)
+
+    binding = make_smooth_binding(max_dim=3)
+    assert lawsuite.all_pass(lawsuite.run_suite(binding, cases=50, seed=seed))
+    monkeypatch.setattr(sm, "line_integral_S", t_weighted)
+    reports = lawsuite.run_suite(binding, cases=50, seed=seed)
+    assert {r.law_id: r.cases for r in reports if r.status == "fail"} == {"L18": 1, "L19": 1, "L20": 1}

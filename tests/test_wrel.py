@@ -56,9 +56,7 @@ def test_enumerate_bags_counts():
 
 def test_truncation_validation():
     with pytest.raises(ValueError):
-        Truncation(4, margin=1)
-    with pytest.raises(ValueError):
-        Truncation(1, margin=2)
+        Truncation(1)
     assert Truncation(5).safe_limit == 3
 
 
