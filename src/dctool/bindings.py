@@ -1,11 +1,15 @@
-"""Per-model law bindings: seeded generators plus one check per supported law.
+"""Law bindings of the two exact models: seeded generators plus one check per supported law.
 
-Each `make_*_binding` closes over a model configuration and returns a
-ModelBinding whose checks evaluate both sides of the corresponding law,
-exactly for the polynomial and relational models and to tolerance for the
-numerical one.  Each check yields one counterexample or None per case, and
-`lawsuite.run_law` reads and counts them.  Counterexamples are rendered in
-the model's canonical text form so reports are stable across runs.
+`make_poly_binding` and `make_rel_binding` close over a model configuration
+and return a ModelBinding whose checks evaluate both sides of the
+corresponding law exactly.  Each check yields one counterexample or None per
+case, and `lawsuite.run_law` reads and counts them.  Counterexamples are
+rendered in the model's canonical text form so reports are stable across
+runs.
+
+The numerical model's binding lives in `smoothnum`, with the numpy it needs;
+`make_smooth_binding` here imports it at its first call, so that the exact
+models never load numpy.
 """
 
 from __future__ import annotations
@@ -14,10 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
 from . import polyform as pf
-from . import smoothnum as sm
 from . import wrel
 from .lawsuite import ModelBinding, Operators
 from .polyform import Polynomial, PolyBundle, PolyMap
@@ -36,6 +37,19 @@ from .wrel import (
     perm_matrix,
     tensor,
 )
+
+
+def make_smooth_binding(cfg=None, max_dim: int = 3) -> ModelBinding:
+    """`smoothnum.make_smooth_binding`, importing smoothnum (and numpy) at the first call.
+
+    That call also puts smoothnum's function in this one's place, so later
+    calls through `bindings` run no import statement, whose cost is tens of
+    microseconds right after a garbage collection.
+    """
+    global make_smooth_binding
+    from .smoothnum import make_smooth_binding
+
+    return make_smooth_binding(cfg, max_dim)
 
 
 def _loop(rng, cases, one_case):
@@ -283,12 +297,13 @@ def make_poly_binding(
         def one(rng):
             b = random_bundle(rng, rig, variables, max_degree - 1)
             lhs = pf.grad(pf.mul_in(b))
+            partials = [pf.grad(c).components for c in b.components]
             comps = []
             for j in range(variables):
                 acc = b.components[j]
                 for i in range(variables):
                     xi = Polynomial.variable(rig, variables, i)
-                    acc = acc + xi * pf.grad(b.components[i]).components[j]
+                    acc = acc + xi * partials[i][j]
                 comps.append(acc)
             rhs = PolyBundle(tuple(comps))
             if lhs != rhs:
@@ -390,7 +405,10 @@ def make_poly_binding(
 # ===========================================================================
 
 
-ATOM_NAMES = ("a", "b", "c", "d")
+# the atoms of a base of n are the first n names, generated in sorted order;
+# the bag spaces grow as C(n + D, D), so larger bases are refused
+MAX_BASE_SIZE = 6
+ATOM_NAMES = tuple(chr(ord("a") + i) for i in range(MAX_BASE_SIZE))
 
 
 def _random_matrix(rng, rig, row_space, col_space, density=0.3):
@@ -428,8 +446,8 @@ def make_rel_binding(
     each f;(g x h) with `compose_tensor`, so their tensor factors are never
     materialized.
     """
-    if not 1 <= base_size <= len(ATOM_NAMES):
-        raise ValueError("base_size out of range")
+    if not 1 <= base_size <= MAX_BASE_SIZE:
+        raise ValueError(f"base_size must be between 1 and {MAX_BASE_SIZE}")
     base = BaseSet(ATOM_NAMES[:base_size])
     trunc = Truncation(truncation)
     limit = trunc.safe_limit
@@ -591,218 +609,4 @@ def make_rel_binding(
         skips=skips,
         params={"base_size": base_size, "truncation": truncation, "margin": wrel.MARGIN},
         equations=lambda law, at, rng, cases: (cmp(*eq) for eq in law(o if at == "general" else u, u)),
-    )
-
-
-# ===========================================================================
-# numerical smooth-map model
-# ===========================================================================
-
-
-def _points(rng, dim, k):
-    """k seeded points of R^dim, drawn one after another, as the columns of one (dim, k) batch."""
-    return np.column_stack([sm.sample_point(rng, dim) for _ in range(k)])
-
-
-class _Batch:
-    """A shape class of a law's probe points: k columns of X (and directions V) per item, in item
-    order; `index` holds the items' places in the law's list and owners[j] the maps of column j."""
-
-    def __init__(self, rows, k):
-        self.index, self.items, drawn = zip(*rows)
-        self.X, *V = (np.concatenate(points, axis=1) for points in zip(*drawn))
-        self.V = V[0] if V else None
-        self.k = k
-        self.owners = [maps for maps in self.items for _ in range(k)]
-
-    def family(self, i=0):
-        return sm.family([maps[i] for maps in self.items])
-
-
-def _sample(rng, cases, items, directions=False):
-    """The whole law's probe points, one `_Batch` per shape class of its items.
-
-    An item is a map or a tuple of maps, the first the points belong to, and
-    its shape class is its maps' dimensions.  Each item gets `cases //
-    len(items)` (at least one) seeded points, then, with `directions`, one
-    direction per point: the rng stream of drawing the items one by one.
-    """
-    k = max(1, cases // len(items))
-    classes = {}
-    for index, item in enumerate(items):
-        maps = item if isinstance(item, tuple) else (item,)
-        drawn = [_points(rng, maps[0].in_dim, k) for _ in range(1 + directions)]
-        classes.setdefault(tuple((f.in_dim, f.out_dim) for f in maps), []).append((index, maps, drawn))
-    return [_Batch(rows, k) for rows in classes.values()]
-
-
-def _check(rng, cases, items, decide, directions=False):
-    """decide(batch), one verdict per column of each of `_sample`'s batches, yielded item by item in
-    item order; a batch is decided when the first of its items is reached."""
-    where = {i: (b, r) for b in _sample(rng, cases, items, directions) for r, i in enumerate(b.index)}
-    decided = {}
-    for b, r in (where[i] for i in range(len(items))):
-        if id(b) not in decided:
-            decided[id(b)] = decide(b)
-        yield from decided[id(b)][r * b.k : (r + 1) * b.k]
-
-
-def _verdicts(label, b, bad, lhs, rhs):
-    """Per column j of batch b: the counterexample where bad[j] holds, else None."""
-    return [_fail(label, b, j, lhs, rhs) if wrong else None for j, wrong in enumerate(bad)]
-
-
-def _fail(label, b, j, lhs, rhs):
-    maps = b.owners[j]
-    return (
-        f"{label if isinstance(label, str) else label(*maps)}: map={maps[0].label} "
-        f"x={np.array2string(b.X[:, j], precision=6)} "
-        f"lhs={np.array2string(np.atleast_1d(np.asarray(lhs[..., j], float)), precision=10)} "
-        f"rhs={np.array2string(np.atleast_1d(np.asarray(rhs[..., j], float)), precision=10)}"
-    )
-
-
-def make_smooth_binding(cfg: sm.QuadratureConfig | None = None, max_dim: int = 3) -> ModelBinding:
-    """Tolerance-based law binding for the numerical smooth-map model.
-
-    Each law draws all its probe points first and evaluates each side once per
-    shape class of its items, through family maps that call each corpus map
-    once; it yields one counterexample or None per column, in item order.
-    """
-    cfg = cfg or sm.QuadratureConfig()
-    if not 1 <= max_dim <= 3:
-        raise ValueError("max_dim must be between 1 and 3")
-    corpus = [f for f in sm.builtin_corpus() if f.in_dim <= max_dim]
-
-    def close(label, b, lhs, rhs):
-        """Per column of batch b: None when lhs and rhs agree to the configured tolerances, else the counterexample."""
-        return _verdicts(label, b, ~sm.rel_close(lhs, rhs, cfg.tol_rel, cfg.tol_abs), lhs, rhs)
-
-    def derivative(f, b, V=None):
-        return sm.directional_derivative(f, b.X, b.V if V is None else V)
-
-    def fd(f, b, X=None):
-        return sm.fd_directional_derivative(f, b.X if X is None else X, b.V)
-
-    def l2(rng, cases):
-        def decide(b):
-            got = fd(b.family(), b)
-            return close("constant has nonzero derivative", b, got, np.zeros_like(got))
-
-        return _check(rng, cases, [f for f in corpus if f.label.startswith("const")], decide, True)
-
-    def l3(rng, cases):
-        def decide(b):
-            F, G = b.family(0), b.family(1)
-            lhs = fd(sm.SmoothMap(F.in_dim, 1, lambda z: F(z) * G(z), "prod"), b)
-            return close("Leibniz fails", b, lhs, F(b.X) * derivative(G, b) + G(b.X) * derivative(F, b))
-
-        scalars = [f for f in corpus if f.out_dim == 1]
-        return _check(rng, cases, [(f, g) for f in scalars for g in scalars if f.in_dim == g.in_dim], decide, True)
-
-    def l4(rng, cases):
-        def decide(b):
-            F, G = b.family(0), b.family(1)
-            lhs = fd(sm.SmoothMap(F.in_dim, G.out_dim, lambda z: G(F(z)), "comp"), b)
-            rhs = sm.directional_derivative(G, F(b.X), derivative(F, b))
-            return close(lambda f, g: f"chain rule fails ({g.label} o {f.label})", b, lhs, rhs)
-
-        return _check(rng, cases, [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim], decide, True)
-
-    def l5(rng, cases):
-        def decide(b):
-            F = b.family()
-            return close("linear derivative depends on base point", b, fd(F, b), fd(F, b, np.zeros_like(b.X)))
-
-        yield from _check(rng, cases, [f for f in corpus if f.label.startswith(("id", "linear"))], decide, True)
-        # linearity of the derivative in the direction argument, one point per map
-        for f in corpus[: max(1, cases // 10)]:
-            b = _sample(rng, 1, [f], directions=True)[0]
-            w = _points(rng, f.in_dim, 1)
-            s, t = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            lhs, rhs = derivative(f, b, s * b.V + t * w), s * derivative(f, b) + t * derivative(f, b, w)
-            yield from close("derivative not linear in direction", b, lhs, rhs)
-
-    # scalar maps of two or more variables: the inputs of L6 and L20
-    potentials = [f for f in corpus if f.out_dim == 1 and f.in_dim >= 2]
-
-    def l6(rng, cases):
-        def decide(b):
-            F = b.family()
-            # the first two unit directions, as (n, 1) columns to broadcast against a batch
-            ei, ej = np.eye(F.in_dim)[:2, :, None]
-
-            # closed-form derivative inside, complex step outside, so
-            # the two orders really are computed along different routes
-            def partial(e):
-                return sm.SmoothMap(
-                    F.in_dim, 1, lambda z: sm.directional_derivative(F, z, np.broadcast_to(e, z.shape)), "d"
-                )
-
-            lhs = sm.fd_directional_derivative(partial(ej), b.X, np.broadcast_to(ei, b.X.shape))
-            rhs = sm.fd_directional_derivative(partial(ei), b.X, np.broadcast_to(ej, b.X.shape))
-            return close("mixed partials differ", b, lhs, rhs)
-
-        return _check(rng, cases, potentials, decide)
-
-    # L18-L20 state the two sides of the table equations `_ftc2`, `_ftc1` and
-    # `_poincare` at probe points, with bilinearize as d and line_integral_S as s
-    def l18(rng, cases):
-        # s;d + !(0) = 1: S[Df](x) + f(0) against f(x)
-        def decide(b):
-            F = b.family()
-            lhs = sm.line_integral_S(sm.bilinearize(F), b.X, cfg) + F(np.zeros_like(b.X))
-            return close("second fundamental theorem fails", b, lhs, F(b.X))
-
-        return _check(rng, cases, corpus, decide)
-
-    def derived_integral(label, g, b):
-        """d;s;g = g: D[S[g]](x, v) against g(x, v), per column of batch b."""
-        integral = sm.SmoothMap(g.in_dim, g.out_dim, lambda z: sm.line_integral_S(g, z, cfg), f"S[{g.label}]")
-        return close(label, b, fd(integral, b), g(b.X, b.V))
-
-    def l19(rng, cases):
-        def decide(b):
-            F = b.family()
-            lin = sm.BilinearizedMap(1, 1, lambda x, y: F(x) * y, f"lin[{F.label}]")
-            return derived_integral("first fundamental theorem fails", lin, b)
-
-        return _check(rng, cases, [f for f in corpus if f.in_dim == f.out_dim == 1], decide, True)
-
-    def l20(rng, cases):
-        def decide(b):
-            return derived_integral("derivative of the integral loses the field", sm.bilinearize(b.family()), b)
-
-        return _check(rng, cases, potentials, decide, True)
-
-    def l21(rng, cases):
-        # draws each map's shift c before its points, so it keeps its own loop
-        for f in corpus[:6]:
-            c = rng.uniform(-1, 1)
-            g = sm.SmoothMap(f.in_dim, f.out_dim, lambda z, f=f, c=c: f(z) + c, "shift")
-            b = _sample(rng, cases // 6, [f], directions=True)[0]
-            X, zero = b.X, np.zeros_like(b.X)
-            derivatives = close("shifted map changed the derivative", b, fd(f, b), fd(g, b))
-            values = close("maps with equal derivatives differ beyond a constant", b, f(X) - f(zero), g(X) - g(zero))
-            yield from (d or v for d, v in zip(derivatives, values))
-
-    checks = {
-        "L2": l2, "L3": l3, "L4": l4, "L5": l5, "L6": l6,
-        "L18": l18, "L19": l19, "L20": l20, "L21": l21,
-    }
-    skips = {
-        law_id: "needs the exact operator algebra of the symbolic models"
-        for law_id in ("L1", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "L14", "L15", "L16", "L17", "L22", "L23")
-    }
-    skips["L24"] = "real coefficients are not additively idempotent"
-    if not potentials:
-        for law_id in ("L6", "L20"):
-            del checks[law_id]
-            skips[law_id] = "the corpus has no scalar map of two or more variables"
-    return ModelBinding(
-        name="smooth",
-        semiring="real",
-        checks=checks,
-        skips=skips,
-        params={"max_dim": max_dim, "order": cfg.order, "tol_abs": cfg.tol_abs, "tol_rel": cfg.tol_rel},
     )

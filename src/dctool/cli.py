@@ -20,7 +20,6 @@ import sys
 from . import bindings, exprcalc, lawsuite
 from .polyform import PolyBundle
 from .rig import RIGS, NotInvertible
-from .smoothnum import DEFAULT_CONFIG, QuadratureConfig
 
 SEMIRING_CHOICES = tuple(RIGS)
 
@@ -62,10 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     smooth = model_sub.add_parser("smooth", help="numerical smooth-map model")
     add_common(smooth, semiring=False)
     smooth.add_argument("--dim", type=int, default=3, help="largest corpus dimension to use (default 3)")
-    order, tol_abs, tol_rel = DEFAULT_CONFIG.order, DEFAULT_CONFIG.tol_abs, DEFAULT_CONFIG.tol_rel
-    smooth.add_argument("--order", type=int, default=order, help=f"quadrature order (default {order})")
-    smooth.add_argument("--tol-abs", type=float, default=tol_abs)
-    smooth.add_argument("--tol-rel", type=float, default=tol_rel)
+    # unset flags keep smoothnum.QuadratureConfig's defaults, so that parsing imports no numpy
+    smooth.add_argument("--order", type=int, help="quadrature order (the report's params show the default)")
+    smooth.add_argument("--tol-abs", type=float)
+    smooth.add_argument("--tol-rel", type=float)
 
     calc = sub.add_parser("poly", help="evaluate a calculator expression")
     calc.add_argument("--expr", required=True)
@@ -131,8 +130,11 @@ def _make_binding(args) -> lawsuite.ModelBinding:
         )
     if args.model == "rel":
         return bindings.make_rel_binding(RIGS[args.semiring], base_size=args.base_size, truncation=args.truncation)
-    cfg = QuadratureConfig(order=args.order, tol_abs=args.tol_abs, tol_rel=args.tol_rel)
-    return bindings.make_smooth_binding(cfg, max_dim=args.dim)
+    # numpy is imported by the numerical model only
+    from . import smoothnum
+
+    given = {k: getattr(args, k) for k in ("order", "tol_abs", "tol_rel") if getattr(args, k) is not None}
+    return smoothnum.make_smooth_binding(smoothnum.QuadratureConfig(**given), max_dim=args.dim)
 
 
 def run_check(args) -> int:

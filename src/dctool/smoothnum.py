@@ -16,6 +16,9 @@ Maps evaluate a batch of points per call: a batch has shape (n, k), one point
 per column, and its values have shape (m, k).  Each quadrature and each
 complex step is therefore one call of the map under test, and a family map
 serves in one call maps that own different columns of a batch.
+
+The model's law binding, `make_smooth_binding`, lives here too, so that numpy
+is imported only by runs of the numerical model.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .lawsuite import ModelBinding
 
 # leggauss builds an order x order companion matrix, and a quadrature batch
 # holds order x points floats
@@ -356,3 +361,215 @@ def rel_close(a, b, tol_rel: float, tol_abs: float = 1e-12):
     a, b = (np.atleast_1d(np.asarray(v, float)) for v in (a, b))
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0)))
     return np.max(np.abs(a - b), axis=0) <= np.maximum(tol_abs, tol_rel * scale)
+
+
+# -- law binding ------------------------------------------------------------
+
+
+def _points(rng, dim, k):
+    """k seeded points of R^dim, drawn one after another, as the columns of one (dim, k) batch."""
+    return np.column_stack([sample_point(rng, dim) for _ in range(k)])
+
+
+class _ProbeBatch:
+    """A shape class of a law's probe points: k columns of X (and directions V) per item, in item
+    order; `index` holds the items' places in the law's list and owners[j] the maps of column j."""
+
+    def __init__(self, rows, k):
+        self.index, self.items, drawn = zip(*rows)
+        self.X, *V = (np.concatenate(points, axis=1) for points in zip(*drawn))
+        self.V = V[0] if V else None
+        self.k = k
+        self.owners = [maps for maps in self.items for _ in range(k)]
+
+    def family(self, i=0):
+        return family([maps[i] for maps in self.items])
+
+
+def _sample(rng, cases, items, directions=False):
+    """The whole law's probe points, one `_ProbeBatch` per shape class of its items.
+
+    An item is a map or a tuple of maps, the first the points belong to, and
+    its shape class is its maps' dimensions.  Each item gets `cases //
+    len(items)` (at least one) seeded points, then, with `directions`, one
+    direction per point: the rng stream of drawing the items one by one.
+    """
+    k = max(1, cases // len(items))
+    classes = {}
+    for index, item in enumerate(items):
+        maps = item if isinstance(item, tuple) else (item,)
+        drawn = [_points(rng, maps[0].in_dim, k) for _ in range(1 + directions)]
+        classes.setdefault(tuple((f.in_dim, f.out_dim) for f in maps), []).append((index, maps, drawn))
+    return [_ProbeBatch(rows, k) for rows in classes.values()]
+
+
+def _check(rng, cases, items, decide, directions=False):
+    """decide(batch), one verdict per column of each of `_sample`'s batches, yielded item by item in
+    item order; a batch is decided when the first of its items is reached."""
+    where = {i: (b, r) for b in _sample(rng, cases, items, directions) for r, i in enumerate(b.index)}
+    decided = {}
+    for b, r in (where[i] for i in range(len(items))):
+        if id(b) not in decided:
+            decided[id(b)] = decide(b)
+        yield from decided[id(b)][r * b.k : (r + 1) * b.k]
+
+
+def _verdicts(label, b, bad, lhs, rhs):
+    """Per column j of batch b: the counterexample where bad[j] holds, else None."""
+    return [_fail(label, b, j, lhs, rhs) if wrong else None for j, wrong in enumerate(bad)]
+
+
+def _fail(label, b, j, lhs, rhs):
+    maps = b.owners[j]
+    return (
+        f"{label if isinstance(label, str) else label(*maps)}: map={maps[0].label} "
+        f"x={np.array2string(b.X[:, j], precision=6)} "
+        f"lhs={np.array2string(np.atleast_1d(np.asarray(lhs[..., j], float)), precision=10)} "
+        f"rhs={np.array2string(np.atleast_1d(np.asarray(rhs[..., j], float)), precision=10)}"
+    )
+
+
+def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -> ModelBinding:
+    """Tolerance-based law binding for the numerical smooth-map model.
+
+    Each law draws all its probe points first and evaluates each side once per
+    shape class of its items, through family maps that call each corpus map
+    once; it yields one counterexample or None per column, in item order.
+    """
+    cfg = cfg or QuadratureConfig()
+    if not 1 <= max_dim <= 3:
+        raise ValueError("max_dim must be between 1 and 3")
+    corpus = [f for f in builtin_corpus() if f.in_dim <= max_dim]
+
+    def close(label, b, lhs, rhs):
+        """Per column of batch b: None when lhs and rhs agree to the configured tolerances, else the counterexample."""
+        return _verdicts(label, b, ~rel_close(lhs, rhs, cfg.tol_rel, cfg.tol_abs), lhs, rhs)
+
+    def derivative(f, b, V=None):
+        return directional_derivative(f, b.X, b.V if V is None else V)
+
+    def fd(f, b, X=None):
+        return fd_directional_derivative(f, b.X if X is None else X, b.V)
+
+    def l2(rng, cases):
+        def decide(b):
+            got = fd(b.family(), b)
+            return close("constant has nonzero derivative", b, got, np.zeros_like(got))
+
+        return _check(rng, cases, [f for f in corpus if f.label.startswith("const")], decide, True)
+
+    def l3(rng, cases):
+        def decide(b):
+            F, G = b.family(0), b.family(1)
+            lhs = fd(SmoothMap(F.in_dim, 1, lambda z: F(z) * G(z), "prod"), b)
+            return close("Leibniz fails", b, lhs, F(b.X) * derivative(G, b) + G(b.X) * derivative(F, b))
+
+        scalars = [f for f in corpus if f.out_dim == 1]
+        return _check(rng, cases, [(f, g) for f in scalars for g in scalars if f.in_dim == g.in_dim], decide, True)
+
+    def l4(rng, cases):
+        def decide(b):
+            F, G = b.family(0), b.family(1)
+            lhs = fd(SmoothMap(F.in_dim, G.out_dim, lambda z: G(F(z)), "comp"), b)
+            rhs = directional_derivative(G, F(b.X), derivative(F, b))
+            return close(lambda f, g: f"chain rule fails ({g.label} o {f.label})", b, lhs, rhs)
+
+        return _check(rng, cases, [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim], decide, True)
+
+    def l5(rng, cases):
+        def decide(b):
+            F = b.family()
+            return close("linear derivative depends on base point", b, fd(F, b), fd(F, b, np.zeros_like(b.X)))
+
+        yield from _check(rng, cases, [f for f in corpus if f.label.startswith(("id", "linear"))], decide, True)
+        # linearity of the derivative in the direction argument, one point per map
+        for f in corpus[: max(1, cases // 10)]:
+            b = _sample(rng, 1, [f], directions=True)[0]
+            w = _points(rng, f.in_dim, 1)
+            s, t = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            lhs, rhs = derivative(f, b, s * b.V + t * w), s * derivative(f, b) + t * derivative(f, b, w)
+            yield from close("derivative not linear in direction", b, lhs, rhs)
+
+    # scalar maps of two or more variables: the inputs of L6 and L20
+    potentials = [f for f in corpus if f.out_dim == 1 and f.in_dim >= 2]
+
+    def l6(rng, cases):
+        def decide(b):
+            F = b.family()
+            # the first two unit directions, as (n, 1) columns to broadcast against a batch
+            ei, ej = np.eye(F.in_dim)[:2, :, None]
+
+            # closed-form derivative inside, complex step outside, so
+            # the two orders really are computed along different routes
+            def partial(e):
+                return SmoothMap(
+                    F.in_dim, 1, lambda z: directional_derivative(F, z, np.broadcast_to(e, z.shape)), "d"
+                )
+
+            lhs = fd_directional_derivative(partial(ej), b.X, np.broadcast_to(ei, b.X.shape))
+            rhs = fd_directional_derivative(partial(ei), b.X, np.broadcast_to(ej, b.X.shape))
+            return close("mixed partials differ", b, lhs, rhs)
+
+        return _check(rng, cases, potentials, decide)
+
+    # L18-L20 state the two sides of the table equations `_ftc2`, `_ftc1` and
+    # `_poincare` at probe points, with bilinearize as d and line_integral_S as s
+    def l18(rng, cases):
+        # s;d + !(0) = 1: S[Df](x) + f(0) against f(x)
+        def decide(b):
+            F = b.family()
+            lhs = line_integral_S(bilinearize(F), b.X, cfg) + F(np.zeros_like(b.X))
+            return close("second fundamental theorem fails", b, lhs, F(b.X))
+
+        return _check(rng, cases, corpus, decide)
+
+    def derived_integral(label, g, b):
+        """d;s;g = g: D[S[g]](x, v) against g(x, v), per column of batch b."""
+        integral = SmoothMap(g.in_dim, g.out_dim, lambda z: line_integral_S(g, z, cfg), f"S[{g.label}]")
+        return close(label, b, fd(integral, b), g(b.X, b.V))
+
+    def l19(rng, cases):
+        def decide(b):
+            F = b.family()
+            lin = BilinearizedMap(1, 1, lambda x, y: F(x) * y, f"lin[{F.label}]")
+            return derived_integral("first fundamental theorem fails", lin, b)
+
+        return _check(rng, cases, [f for f in corpus if f.in_dim == f.out_dim == 1], decide, True)
+
+    def l20(rng, cases):
+        def decide(b):
+            return derived_integral("derivative of the integral loses the field", bilinearize(b.family()), b)
+
+        return _check(rng, cases, potentials, decide, True)
+
+    def l21(rng, cases):
+        # draws each map's shift c before its points, so it keeps its own loop
+        for f in corpus[:6]:
+            c = rng.uniform(-1, 1)
+            g = SmoothMap(f.in_dim, f.out_dim, lambda z, f=f, c=c: f(z) + c, "shift")
+            b = _sample(rng, cases // 6, [f], directions=True)[0]
+            X, zero = b.X, np.zeros_like(b.X)
+            derivatives = close("shifted map changed the derivative", b, fd(f, b), fd(g, b))
+            values = close("maps with equal derivatives differ beyond a constant", b, f(X) - f(zero), g(X) - g(zero))
+            yield from (d or v for d, v in zip(derivatives, values))
+
+    checks = {
+        "L2": l2, "L3": l3, "L4": l4, "L5": l5, "L6": l6,
+        "L18": l18, "L19": l19, "L20": l20, "L21": l21,
+    }
+    skips = {
+        law_id: "needs the exact operator algebra of the symbolic models"
+        for law_id in ("L1", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "L14", "L15", "L16", "L17", "L22", "L23")
+    }
+    skips["L24"] = "real coefficients are not additively idempotent"
+    if not potentials:
+        for law_id in ("L6", "L20"):
+            del checks[law_id]
+            skips[law_id] = "the corpus has no scalar map of two or more variables"
+    return ModelBinding(
+        name="smooth",
+        semiring="real",
+        checks=checks,
+        skips=skips,
+        params={"max_dim": max_dim, "order": cfg.order, "tol_abs": cfg.tol_abs, "tol_rel": cfg.tol_rel},
+    )

@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from dctool import cli, exprcalc
+import dctool
+from dctool import bindings, cli, exprcalc
 from dctool import smoothnum as sm
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -119,6 +122,7 @@ def test_smooth_takes_no_semiring(capsys):
         ["poly", "--cases", "-3"],
         ["poly", "--max-degree", "0"],
         ["poly", "--output", "{tmp}/missing/report.json"],
+        ["rel", "--base-size", "7"],
         ["smooth", "--tol-abs", "inf"],
         ["smooth", "--tol-rel", "nan"],
         # refused by QuadratureConfig before any node or batch is built
@@ -126,7 +130,8 @@ def test_smooth_takes_no_semiring(capsys):
         ["smooth", "--order", "10000000000"],
     ],
     ids=[
-        "zero-cases", "negative-cases", "zero-degree", "unwritable-output", "infinite-tol-abs", "nan-tol-rel",
+        "zero-cases", "negative-cases", "zero-degree", "unwritable-output", "base-size-above-limit",
+        "infinite-tol-abs", "nan-tol-rel",
         "order-above-limit", "huge-order",
     ],
 )
@@ -272,3 +277,44 @@ def test_list_laws(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 24
     assert payload[11]["id"] == "L12"
+
+
+# (argv of cli.main, or None for a bare `import dctool`, and whether numpy is then loaded)
+IMPORT_CASES = {
+    "import": (None, False),
+    "check-poly": (["check", "poly", "--cases", "5"], False),
+    "check-rel": (["check", "rel", "--cases", "5"], False),
+    "calculator": (["poly", "--expr", "K(x*y)"], False),
+    "list-laws": (["list-laws"], False),
+    "check-smooth": (["check", "smooth", "--cases", "5"], True),
+}
+
+
+@pytest.mark.parametrize("argv, loads_numpy", list(IMPORT_CASES.values()), ids=list(IMPORT_CASES))
+def test_only_the_smooth_model_imports_numpy(argv, loads_numpy):
+    # a fresh interpreter, since this one has numpy loaded already
+    if argv is None:
+        code = "import sys, dctool; print(0, 'numpy' in sys.modules)"
+    else:
+        code = (
+            "import contextlib, io, sys\n"
+            "from dctool import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main({argv!r})\n"
+            "print(status, 'numpy' in sys.modules)\n"
+        )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loads_numpy)]
+
+
+def test_the_smooth_binding_keeps_its_old_names():
+    # bindings.make_smooth_binding and dctool.make_smooth_binding import smoothnum at their first call
+    cfg = sm.QuadratureConfig(order=8)
+    for make in (bindings.make_smooth_binding, dctool.make_smooth_binding):
+        binding = make(cfg, max_dim=2)
+        assert binding.params == sm.make_smooth_binding(cfg, max_dim=2).params == {
+            "max_dim": 2, "order": 8, "tol_abs": 1e-12, "tol_rel": 1e-10,
+        }

@@ -9,13 +9,13 @@ import pytest
 
 import dctool.smoothnum as sm
 from dctool import lawsuite
-from dctool.bindings import make_smooth_binding
 from dctool.smoothnum import (
     BilinearizedMap,
     DEFAULT_CONFIG,
     NonFinite,
     QuadratureConfig,
     SmoothMap,
+    make_smooth_binding,
 )
 
 

@@ -9,8 +9,8 @@ from itertools import combinations
 import pytest
 
 import dctool.wrel as wr
-from dctool.bindings import make_rel_binding
-from dctool.lawsuite import run_law
+from dctool.bindings import ATOM_NAMES, make_rel_binding
+from dctool.lawsuite import run_law, run_suite
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RIGS
 from dctool.wrel import (
     BagSpace,
@@ -249,6 +249,23 @@ def test_unit_reconstruction_boolean_integral_is_coderive():
     # over boolean the reconstructed integral is the direct s (L17), which is d° (L24)
     binding = make_rel_binding(B, base_size=2, truncation=4)
     assert [run_law(law_id, binding, cases=10, seed=0).status for law_id in ("L17", "L24")] == ["pass", "pass"]
+
+
+# -- base size ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
+def test_base_five_passes_every_checked_law(rig):
+    reports = run_suite(make_rel_binding(rig, base_size=5, truncation=4), cases=10, seed=0)
+    assert [r.law_id for r in reports if r.status == "fail"] == []
+    assert sum(r.status == "pass" for r in reports) >= 22
+
+
+def test_atom_names_are_sorted_and_bases_above_six_are_refused():
+    # the first four names are those of the golden reports
+    assert ATOM_NAMES == ("a", "b", "c", "d", "e", "f")
+    with pytest.raises(ValueError, match="between 1 and 6"):
+        make_rel_binding(R, base_size=7)
 
 
 # -- composition oracle and structure ----------------------------------------
