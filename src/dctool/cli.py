@@ -17,11 +17,14 @@ import json
 import os
 import sys
 
-from . import bindings, exprcalc, lawsuite
-from .polyform import PolyBundle
+# a command imports the one model it runs, in `_make_binding` or `run_calc`
+from . import lawsuite
 from .rig import RIGS, NotInvertible
 
 SEMIRING_CHOICES = tuple(RIGS)
+NOT_INVERTIBLE_HINT = (
+    "the operator needs every positive sum of the multiplicative unit to be invertible in the chosen semiring"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,11 +128,15 @@ def _make_binding(args) -> lawsuite.ModelBinding:
     if args.model == "poly":
         if args.vars < 1:
             raise ValueError("--vars must be >= 1")
-        return bindings.make_poly_binding(
+        from .polyform import make_poly_binding
+
+        return make_poly_binding(
             RIGS[args.semiring], variables=args.vars, max_degree=args.max_degree, sabotage=args.sabotage
         )
     if args.model == "rel":
-        return bindings.make_rel_binding(RIGS[args.semiring], base_size=args.base_size, truncation=args.truncation)
+        from .wrel import make_rel_binding
+
+        return make_rel_binding(RIGS[args.semiring], base_size=args.base_size, truncation=args.truncation)
     # numpy is imported by the numerical model only
     from . import smoothnum
 
@@ -151,10 +158,16 @@ def run_check(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"dctool: {exc}", file=sys.stderr)
         return 2
+    except NotInvertible as exc:  # an operator's weights over a rig such as the naturals
+        print(f"dctool: {exc}; {NOT_INVERTIBLE_HINT}", file=sys.stderr)
+        return 2
     return 0 if lawsuite.all_pass(reports) else 1
 
 
 def run_calc(args) -> int:
+    from . import exprcalc
+    from .polyform import PolyBundle
+
     rig = RIGS[args.semiring]
     try:
         ast = exprcalc.parse_expr(args.expr)
@@ -169,11 +182,7 @@ def run_calc(args) -> int:
         print(f"dctool: {exc}", file=sys.stderr)
         return 2
     except NotInvertible as exc:
-        print(
-            f"dctool: {exc}; the operator needs every positive sum of the "
-            "multiplicative unit to be invertible in the chosen semiring",
-            file=sys.stderr,
-        )
+        print(f"dctool: {exc}; {NOT_INVERTIBLE_HINT}", file=sys.stderr)
         return 2
     print(text)
     return 0

@@ -26,8 +26,8 @@ makes the calculator run for long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import polyform as pf
 from .polyform import Polynomial, PolyBundle
@@ -59,8 +59,7 @@ class EvalError(Exception):
 # -- AST --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     kind: str  # const | var | sum | product | pow | op | s
     # a sum's payload holds (negated, term) pairs, a product's its factors
     payload: tuple
@@ -204,10 +203,9 @@ def _variables(node: Node) -> set:
         node = todo.pop()
         if node.kind in ("var", "s"):
             seen.add(node.payload[-1])
-        for item in node.payload:
-            item = item[1] if isinstance(item, tuple) else item  # a sum's (negated, term)
-            if isinstance(item, Node):
-                todo.append(item)
+        # a sum's payload holds (negated, term) pairs
+        items = (term for _, term in node.payload) if node.kind == "sum" else node.payload
+        todo.extend(item for item in items if isinstance(item, Node))
     return seen
 
 

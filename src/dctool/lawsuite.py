@@ -26,23 +26,26 @@ check: the relational model compares matrices on the safe band, the
 polynomial model applies both sides to seeded inputs.  The smooth model has
 no operator sets; its L18-L20 compare the two sides of the same equations,
 `_ftc2`, `_ftc1` and `_poincare`, at probe points.
+
+Each model's binding ends that model's module (`polyform.make_poly_binding`,
+`wrel.make_rel_binding`, `smoothnum.make_smooth_binding`), so a run imports
+only the model it checks; the exact bindings share `repeat_case`.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class UnboundOperator(Exception):
     """A binding claims a law it has no check for."""
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(NamedTuple):
     id: str
     name: str
     citation: str  # the equation or rule the law asserts, in operator notation
@@ -78,8 +81,7 @@ LAWS: tuple[Law, ...] = (
 LAW_BY_ID = {law.id: law for law in LAWS}
 
 
-@dataclass(frozen=True)
-class Operators:
+class Operators(NamedTuple):
     """One model's operators on one object, for the equations of OPERATOR_LAWS.
 
     `seq(f, g)` is g then f, `x1(f)` is f x 1, and composites add with `+`.
@@ -208,8 +210,12 @@ OPERATOR_LAWS: dict[str, tuple[str, Callable[[Operators, Operators], Iterator[tu
 LawCheck = Callable[[random.Random, int], Iterable[str | None]]
 
 
-@dataclass
-class ModelBinding:
+def repeat_case(rng, cases, one_case):
+    """The counterexamples (or None) of `cases` seeded runs of one_case, each drawn when read."""
+    return (one_case(rng) for _ in range(cases))
+
+
+class ModelBinding(NamedTuple):
     """Everything the runner needs: per-law checks, skips, and metadata.
 
     Each check is a `LawCheck`: `check(rng, cases)` yields one rendered
@@ -221,14 +227,16 @@ class ModelBinding:
     is the model's check for the laws of OPERATOR_LAWS, with the same
     yield: it checks the (lhs, rhs, label) equations `law(o, u)` yields,
     where o is the model's operator set `at`, "general" or "unit", and u
-    its unit set.
+    its unit set.  Bindings build it positionally: right after a garbage
+    collection, when a build is timed, a keyword call costs a microsecond more.
     """
 
     name: str
     semiring: str
     checks: Mapping[str, LawCheck]
-    skips: Mapping[str, str] = field(default_factory=dict)
-    params: Mapping[str, object] = field(default_factory=dict)
+    # the defaults are read-only, so no two bindings share a mutable mapping
+    skips: Mapping[str, str] = MappingProxyType({})
+    params: Mapping[str, object] = MappingProxyType({})
     equations: Callable[..., Iterable[str | None]] | None = None
 
     @property
@@ -236,8 +244,7 @@ class ModelBinding:
         return set(self.checks) | set(self.skips) | (set(OPERATOR_LAWS) if self.equations else set())
 
 
-@dataclass
-class LawReport:
+class LawReport(NamedTuple):
     law_id: str
     citation: str
     status: str  # pass | fail | skipped

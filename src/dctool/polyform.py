@@ -32,13 +32,18 @@ All operators act in plain function-application order: `K_op(p)` means "apply
 the operator to p".  The degree-graded operators act block-diagonally on the
 graded-lex canonical form, which keeps both the implementation and the law
 counterexample rendering simple.
+
+The model's law binding, `make_poly_binding`, with its seeded generators,
+ends this module, so a run of another model never imports it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from operator import add
+from typing import Callable
 
+from .lawsuite import ModelBinding, Operators, repeat_case
 from .rig import Rig, drop_cancelled
 
 MultiIndex = tuple  # tuple[int, ...]; arity-length exponent vector
@@ -201,14 +206,13 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-@dataclass
 class PolyBundle:
     """An element of (polynomials) tensor (generators): one polynomial per variable."""
 
-    components: tuple
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        self.components = tuple(self.components)
+    def __init__(self, components):
+        self.components = tuple(components)
         arity = len(self.components)
         for c in self.components:
             _check_arity(c.arity, arity, "bundle components")
@@ -374,14 +378,13 @@ def on_tag(fn, q: Polynomial) -> Polynomial:
 # -- variable-set splitting -------------------------------------------------
 
 
-@dataclass
 class SplitTensor:
     """Sum of tensor pairs: mapping (left exponents, right exponents) -> coeff."""
 
-    rig: Rig
-    left_arity: int
-    right_arity: int
-    terms: dict
+    __slots__ = ("rig", "left_arity", "right_arity", "terms")
+
+    def __init__(self, rig: Rig, left_arity: int, right_arity: int, terms: dict):
+        self.rig, self.left_arity, self.right_arity, self.terms = rig, left_arity, right_arity, terms
 
     def __eq__(self, other):
         if not isinstance(other, SplitTensor):
@@ -421,16 +424,14 @@ def seely_merge(t: SplitTensor) -> Polynomial:
 # -- polynomial maps --------------------------------------------------------
 
 
-@dataclass
 class PolyMap:
     """A polynomial map R^n -> R^m: one coordinate polynomial per output."""
 
-    in_arity: int
-    out_arity: int
-    coordinates: tuple
+    __slots__ = ("in_arity", "out_arity", "coordinates")
 
-    def __post_init__(self):
-        self.coordinates = tuple(self.coordinates)
+    def __init__(self, in_arity: int, out_arity: int, coordinates):
+        self.in_arity, self.out_arity = in_arity, out_arity
+        self.coordinates = tuple(coordinates)
         if len(self.coordinates) != self.out_arity:
             raise ValueError("coordinate count must equal out_arity")
         for c in self.coordinates:
@@ -546,3 +547,344 @@ def apply_linear(matrix, p: Polynomial) -> Polynomial:
         for j in range(p.arity)
     ]
     return substitute(p, images)
+
+
+# -- law binding ------------------------------------------------------------
+
+
+def random_poly(rng, rig: Rig, arity: int, max_degree: int) -> Polynomial:
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        deg = rng.randint(0, max_degree)
+        exps = [0] * arity
+        for _ in range(deg):
+            exps[rng.randrange(arity)] += 1
+        c = rig.sample(rng)
+        key = tuple(exps)
+        terms[key] = rig.add(terms[key], c) if key in terms else c
+    return Polynomial(rig, arity, terms)
+
+
+def random_bundle(rng, rig: Rig, arity: int, max_degree: int) -> PolyBundle:
+    return PolyBundle(tuple(random_poly(rng, rig, arity, max_degree) for _ in range(arity)))
+
+
+def random_polymap(rng, rig: Rig, in_arity: int, out_arity: int, max_degree: int) -> PolyMap:
+    return PolyMap(
+        in_arity,
+        out_arity,
+        tuple(random_poly(rng, rig, in_arity, max_degree) for _ in range(out_arity)),
+    )
+
+
+class PolyOp:
+    """An operator `fn` between two types, each ("poly", arity), ("bundle", arity) or ("tagged", arity).
+
+    A ("tagged", n) value is a `t_grade`-style polynomial of arity n + 1.
+    """
+
+    __slots__ = ("src", "dst", "fn")
+
+    def __init__(self, src: tuple, dst: tuple, fn: Callable):
+        self.src, self.dst, self.fn = src, dst, fn
+
+    def __add__(self, other: "PolyOp") -> "PolyOp":
+        return PolyOp(self.src, self.dst, lambda v: self.fn(v) + other.fn(v))
+
+
+def _bundle_map(fn, b: PolyBundle) -> PolyBundle:
+    return PolyBundle(tuple(fn(c) for c in b.components))
+
+
+def _asymmetry(b: PolyBundle):
+    """The first (i, j), in row-major order, where d_j b_i != d_i b_j, or None when b is symmetric."""
+    partials = [grad(c).components for c in b.components]
+    for i, row in enumerate(partials):
+        # (j, i) with j < i was compared as (i, j) before
+        for j in range(i + 1, len(partials)):
+            if row[j] != partials[j][i]:
+                return i, j
+    return None
+
+
+def make_poly_binding(
+    rig: Rig,
+    variables: int = 3,
+    max_degree: int = 6,
+    sabotage: bool = False,
+) -> ModelBinding:
+    """Exact law binding for the polynomial model.
+
+    The laws of `lawsuite.OPERATOR_LAWS` run on the operators at `variables`
+    and at arity 1 (d = grad, d° = mul_in, s = s_op, !(0) = eval0; the unit
+    monoidal maps are t_grade, eval_at_one and on_tag, and the one-point
+    atom factor wraps an arity-1 polynomial as a one-component bundle).  Both
+    sides of each equation are applied to `cases` seeded inputs of its input
+    type, one `random_poly` or `random_bundle` per type and case; no law
+    takes a tagged input.  L24 is checked over an additively idempotent rig.
+
+    `sabotage` deliberately breaks the gradient so it keeps constant terms;
+    used as the negative control that the suite actually detects failures.
+    The sabotaged gradient is the d of both operator sets.
+    """
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+
+    derive = grad
+    if sabotage:
+        def derive(p):
+            b = grad(p)
+            return PolyBundle((b.components[0] + eval0(p),) + b.components[1:])
+
+    def operators(at):
+        """The operator set `at`: "general" at `variables`, "unit" at arity 1."""
+        arity = variables if at == "general" else 1
+        poly, bundle, tagged = ("poly", arity), ("bundle", arity), ("tagged", arity)
+
+        def op(fn, src=poly, dst=poly):
+            return PolyOp(src, dst, fn)
+
+        return Operators(
+            op(derive, dst=bundle), op(mul_in, src=bundle), op(s_op, src=bundle), op(eval0),
+            op(K_op), op(J_op), op(K_inv_op), op(J_inv_op),
+            id=op(lambda p: p),
+            gate=op(t_grade, dst=tagged),
+            spread=op(eval_at_one, src=tagged),
+            atom=op(lambda q: PolyBundle((q,)), dst=bundle) if arity == 1 else None,
+            tag=lambda f: op(partial(on_tag, f.fn), tagged, tagged),
+            seq=lambda f, g: PolyOp(g.src, f.dst, lambda v: f.fn(g.fn(v))),
+            x1=lambda f: op(lambda b: _bundle_map(f.fn, b), bundle, bundle),
+        )
+
+    def rp(rng, arity=None, deg=None):
+        return random_poly(rng, rig, arity or variables, deg or max_degree)
+
+    def fail(label, *polys):
+        rendered = "; ".join(
+            f"{n} = {v.render() if hasattr(v, 'render') else v}" for n, v in polys
+        )
+        return f"{label}: {rendered}"
+
+    def equations(law, at, rng, cases):
+        """Apply both sides of each (lhs, rhs, label) `law` yields on the operator set `at` to `cases` seeded inputs."""
+        u = operators("unit")
+        eqs = list(law(u if at == "unit" else operators(at), u))
+        types = list(dict.fromkeys(lhs.src for lhs, _, _ in eqs))
+        draw = {"poly": random_poly, "bundle": random_bundle}
+        degree = {"poly": max_degree, "bundle": max_degree - 1}
+
+        def one(rng):
+            inputs = {(kind, n): draw[kind](rng, rig, n, degree[kind]) for kind, n in types}
+            for lhs, rhs, label in eqs:
+                v = inputs[lhs.src]
+                a, b = lhs.fn(v), rhs.fn(v)
+                if a != b:
+                    return fail(label, ("input", v), ("lhs", a), ("rhs", b))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    # -- individual laws ---------------------------------------------------
+
+    def l1(rng, cases):
+        def one(rng):
+            p, q, r = rp(rng), rp(rng), rp(rng)
+            if (p * q) * r != p * (q * r):
+                return fail("product not associative", ("p", p), ("q", q), ("r", r))
+            if p * q != q * p:
+                return fail("product not commutative", ("p", p), ("q", q))
+            if p * Polynomial.one(rig, p.arity) != p:
+                return fail("one not a unit", ("p", p))
+            f = random_polymap(rng, rig, 2, 2, 2)
+            g = random_polymap(rng, rig, 2, 2, 2)
+            h = random_polymap(rng, rig, 2, 2, 2)
+            lhs = cokleisli_compose(cokleisli_compose(h, g), f)
+            rhs = cokleisli_compose(h, cokleisli_compose(g, f))
+            if lhs != rhs:
+                return fail("composition not associative", ("f", f.render()), ("g", g.render()))
+            ident = PolyMap.identity(rig, 2)
+            if cokleisli_compose(f, ident) != f or cokleisli_compose(ident, f) != f:
+                return fail("identity not a unit", ("f", f.render()))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l2(rng, cases):
+        def one(rng):
+            c = Polynomial.const(rig, variables, rig.sample(rng))
+            if not derive(c).is_zero():
+                return fail("gradient of a constant is nonzero", ("c", c), ("grad", derive(c).render()))
+            p = rp(rng)
+            if derive(p + c) != derive(p):
+                return fail("constant shifts the gradient", ("p", p), ("c", c))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l3(rng, cases):
+        def one(rng):
+            p, q = rp(rng), rp(rng)
+            lhs = derive(p * q)
+            rhs = _bundle_map(lambda c: p * c, derive(q)) + _bundle_map(lambda c: q * c, derive(p))
+            if lhs != rhs:
+                return fail("Leibniz fails", ("p", p), ("q", q), ("lhs", lhs.render()), ("rhs", rhs.render()))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l4(rng, cases):
+        def one(rng):
+            n = rng.randint(1, 3)
+            m = rng.randint(1, 3)
+            k = rng.randint(1, 3)
+            f = random_polymap(rng, rig, n, m, 3)
+            g = random_polymap(rng, rig, m, k, 3)
+            lhs = cartesian_derivative(cokleisli_compose(g, f))
+            # (x, v) -> (f(x), D[f](x, v)), then D[g]
+            df = cartesian_derivative(f)
+            lifted = tuple(extend_arity(c, 2 * n, 0) for c in f.coordinates)
+            pairing = PolyMap(2 * n, 2 * m, lifted + df.coordinates)
+            rhs = cokleisli_compose(cartesian_derivative(g), pairing)
+            if lhs != rhs:
+                return fail("chain rule fails", ("f", f.render()), ("g", g.render()))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l5(rng, cases):
+        def one(rng):
+            p = rp(rng, deg=1)
+            b = derive(p)
+            if any(c.total_degree() > 0 for c in b.components):
+                return fail("gradient of an affine map is not constant", ("p", p))
+            lin = PolyMap(
+                variables,
+                variables,
+                tuple(
+                    Polynomial.variable(rig, variables, i).scale(rig.sample(rng))
+                    for i in range(variables)
+                ),
+            )
+            dlin = cartesian_derivative(lin)
+            for c in dlin.coordinates:
+                if any(any(e[:variables]) for e in c.terms):
+                    return fail("derivative of a linear map depends on the base point", ("map", lin.render()))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l6(rng, cases):
+        def one(rng):
+            p = rp(rng)
+            ij = _asymmetry(derive(p))
+            if ij is not None:
+                return fail("mixed partials differ", ("p", p), ("i", str(ij[0])), ("j", str(ij[1])))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l7(rng, cases):
+        def one(rng):
+            b = random_bundle(rng, rig, variables, max_degree - 1)
+            lhs = grad(mul_in(b))
+            partials = [grad(c).components for c in b.components]
+            comps = []
+            for j in range(variables):
+                acc = b.components[j]
+                for i in range(variables):
+                    xi = Polynomial.variable(rig, variables, i)
+                    acc = acc + xi * partials[i][j]
+                comps.append(acc)
+            rhs = PolyBundle(tuple(comps))
+            if lhs != rhs:
+                return fail("derive/coderive exchange fails", ("b", b.render()))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l10(rng, cases):
+        def one(rng):
+            p = rp(rng)
+            if eval_at_one(t_grade(p)) != p:
+                return fail("degree tagging is not split by evaluation at one", ("p", p))
+            q = rp(rng, arity=1)
+            if not rig.eq(mul_in(PolyBundle((q,))).evaluate((rig.one,)), q.evaluate((rig.one,))):
+                return fail("unit coderive does not collapse under evaluation at one", ("q", q))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l21(rng, cases):
+        def one(rng):
+            p = rp(rng)
+            c = Polynomial.const(rig, variables, rig.sample(rng))
+            q = p + c
+            if derive(p) != derive(q):
+                return fail("generator broke the equal-derivative premise", ("p", p))
+            if p + eval0(q) != q + eval0(p):
+                return fail("Taylor (additive form) fails", ("p", p), ("q", q))
+            if rig.has_negatives:
+                minus_one = rig.neg(rig.one)
+                lhs = p + eval0(p).scale(minus_one)
+                rhs = q + eval0(q).scale(minus_one)
+                if lhs != rhs:
+                    return fail("Taylor (subtraction form) fails", ("p", p), ("q", q))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l22(rng, cases):
+        def one(rng):
+            p = rp(rng)
+            k = rng.randint(0, variables)
+            t = seely_split(p, k)
+            if seely_merge(t) != p:
+                return fail("merge after split is not the identity", ("p", p))
+            if seely_split(seely_merge(t), k) != t:
+                return fail("split after merge is not the identity", ("p", p))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    def l23(rng, cases):
+        def one(rng):
+            p = rp(rng)
+            rows = rng.randint(1, 3)
+            matrix = [
+                [rig.nat_value(rng.randint(0, 3)) for _ in range(variables)] for _ in range(rows)
+            ]
+            lhs = grad(apply_linear(matrix, p))
+            images = [apply_linear(matrix, c) for c in grad(p).components]
+            comps = []
+            for i in range(rows):
+                acc = Polynomial.zero(rig, rows)
+                for j, image in enumerate(images):
+                    acc = acc + image.scale(matrix[i][j])
+                comps.append(acc)
+            rhs = PolyBundle(tuple(comps))
+            if lhs != rhs:
+                return fail("gradient is not natural in linear substitution", ("p", p))
+            return None
+
+        return repeat_case(rng, cases, one)
+
+    checks = {
+        "L1": l1, "L2": l2, "L3": l3, "L4": l4, "L5": l5, "L6": l6, "L7": l7,
+        "L10": l10, "L21": l21, "L22": l22, "L23": l23,
+    }
+    skips = {}
+    if rig.idempotent:
+        def collapse(o, u):
+            yield o.s, o.dc, "integral does not collapse to the coderive"
+
+        checks["L24"] = partial(equations, collapse, "general")
+    else:
+        skips["L24"] = "integral/coderive collapse needs an additively idempotent coefficient rig"
+    return ModelBinding(
+        "poly",
+        rig.name,
+        checks,
+        skips,
+        {"variables": variables, "max_degree": max_degree, "sabotage": sabotage},
+        equations,
+    )

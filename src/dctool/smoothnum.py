@@ -24,8 +24,6 @@ is imported only by runs of the numerical model.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,18 +42,16 @@ class NonFinite(Exception):
     """An evaluator returned NaN or infinity at a probe point."""
 
 
-@dataclass
 class QuadratureConfig:
-    order: int = 32
-    tol_abs: float = 1e-12
-    tol_rel: float = 1e-10
+    __slots__ = ("order", "tol_abs", "tol_rel")
 
-    def __post_init__(self):
-        if not 2 <= self.order <= MAX_ORDER:
+    def __init__(self, order: int = 32, tol_abs: float = 1e-12, tol_rel: float = 1e-10):
+        if not 2 <= order <= MAX_ORDER:
             raise ValueError(f"quadrature order must be between 2 and {MAX_ORDER}")
         # a nan fails every comparison and an inf passes every one
-        if not all(0 < v < float("inf") for v in (self.tol_abs, self.tol_rel)):
+        if not all(0 < v < float("inf") for v in (tol_abs, tol_rel)):
             raise ValueError("tolerances must be positive and finite")
+        self.order, self.tol_abs, self.tol_rel = order, tol_abs, tol_rel
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -104,7 +100,6 @@ def _evaluate(fn, out_dim: int, label: str, *args) -> np.ndarray:
     return y.reshape((out_dim,) + batch) if batch else y
 
 
-@dataclass
 class SmoothMap:
     """A deterministic evaluator for a smooth function R^n -> R^m.
 
@@ -125,27 +120,26 @@ class SmoothMap:
     on `x.real`; np.sin, np.exp, powers, products and `np.sum` are fine.
     """
 
-    in_dim: int
-    out_dim: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str
-    exact_derivative: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    __slots__ = ("in_dim", "out_dim", "fn", "label", "exact_derivative")
+
+    def __init__(self, in_dim: int, out_dim: int, fn, label: str, exact_derivative=None):
+        self.in_dim, self.out_dim, self.fn, self.label = in_dim, out_dim, fn, label
+        self.exact_derivative = exact_derivative
 
     def __call__(self, x) -> np.ndarray:
         return _evaluate(self.fn, self.out_dim, self.label, x)
 
 
-@dataclass
 class BilinearizedMap:
     """A smooth map R^n x R^n -> R^m that is linear in its second argument.
 
     Takes points and directions in the batch convention of `SmoothMap`.
     """
 
-    in_dim: int
-    out_dim: int
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    label: str
+    __slots__ = ("in_dim", "out_dim", "fn", "label")
+
+    def __init__(self, in_dim: int, out_dim: int, fn, label: str):
+        self.in_dim, self.out_dim, self.fn, self.label = in_dim, out_dim, fn, label
 
     def __call__(self, x, y) -> np.ndarray:
         return _evaluate(self.fn, self.out_dim, self.label, x, y)
@@ -439,6 +433,9 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
     cfg = cfg or QuadratureConfig()
     if not 1 <= max_dim <= 3:
         raise ValueError("max_dim must be between 1 and 3")
+    # the rule's first use pays for numpy's first linear-algebra call, which
+    # belongs to the build, not to the first law that integrates (L18)
+    gauss_legendre(cfg.order)
     corpus = [f for f in builtin_corpus() if f.in_dim <= max_dim]
 
     def close(label, b, lhs, rhs):
@@ -567,9 +564,9 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
             del checks[law_id]
             skips[law_id] = "the corpus has no scalar map of two or more variables"
     return ModelBinding(
-        name="smooth",
-        semiring="real",
-        checks=checks,
-        skips=skips,
-        params={"max_dim": max_dim, "order": cfg.order, "tol_abs": cfg.tol_abs, "tol_rel": cfg.tol_rel},
+        "smooth",
+        "real",
+        checks,
+        skips,
+        {"max_dim": max_dim, "order": cfg.order, "tol_abs": cfg.tol_abs, "tol_rel": cfg.tol_rel},
     )

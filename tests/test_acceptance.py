@@ -13,11 +13,10 @@ import numpy as np
 import dctool.polyform as pf
 import dctool.smoothnum as sm
 import dctool.wrel as wr
-from dctool import bindings, cli, lawsuite
-from dctool.bindings import random_poly
-from dctool.polyform import Polynomial
+from dctool import cli, lawsuite
+from dctool.polyform import Polynomial, make_poly_binding, random_poly
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL
-from dctool.wrel import BagSpace, BaseSet, Truncation, WeightedMatrix, mat_compose
+from dctool.wrel import BagSpace, BaseSet, Truncation, WeightedMatrix, make_rel_binding, mat_compose
 
 
 def announce(capsys, number, ok, detail):
@@ -90,7 +89,7 @@ def test_acceptance_5_unit_reconstruction_round_trip(capsys):
     # polynomial side: the unit J-inverse formula and the reconstructions of
     # K^{-1}, J^{-1} and s from the unit, as the law table states them
     for variables in (1, 2, 3):
-        binding = bindings.make_poly_binding(NONNEG_RATIONAL, variables=variables, max_degree=5)
+        binding = make_poly_binding(NONNEG_RATIONAL, variables=variables, max_degree=5)
         for law_id in ("L14", "L17"):
             ok = ok and lawsuite.run_law(law_id, binding, cases=100, seed=5).status == "pass"
     # converse: the integral extracted from the K-inverse satisfies FTC2
@@ -108,7 +107,7 @@ def test_acceptance_5_unit_reconstruction_round_trip(capsys):
     trunc = Truncation(4)
     lim = trunc.safe_limit
     if ok:
-        binding = bindings.make_rel_binding(rig, base_size=2, truncation=4)
+        binding = make_rel_binding(rig, base_size=2, truncation=4)
         ok = lawsuite.run_law("L17", binding, cases=100, seed=5).status == "pass"
     if ok:
         unit = wr.UNIT_BASE
@@ -122,12 +121,12 @@ def test_acceptance_5_unit_reconstruction_round_trip(capsys):
 
 def test_acceptance_6_full_exact_suites(capsys):
     t0 = time.perf_counter()
-    poly_reports = lawsuite.run_suite(bindings.make_poly_binding(NONNEG_RATIONAL), cases=50, seed=0)
-    rel_reports = lawsuite.run_suite(bindings.make_rel_binding(NONNEG_RATIONAL), cases=50, seed=0)
+    poly_reports = lawsuite.run_suite(make_poly_binding(NONNEG_RATIONAL), cases=50, seed=0)
+    rel_reports = lawsuite.run_suite(make_rel_binding(NONNEG_RATIONAL), cases=50, seed=0)
     ok = lawsuite.all_pass(poly_reports) and lawsuite.all_pass(rel_reports)
     # failure reporting contract: a broken model yields a rendered counterexample
     bad = lawsuite.run_suite(
-        bindings.make_poly_binding(NONNEG_RATIONAL, sabotage=True), cases=10, seed=0
+        make_poly_binding(NONNEG_RATIONAL, sabotage=True), cases=10, seed=0
     )
     failing = [r for r in bad if r.status == "fail"]
     ok = ok and failing and all(r.counterexample for r in failing)

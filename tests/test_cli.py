@@ -12,6 +12,7 @@ import pytest
 import dctool
 from dctool import bindings, cli, exprcalc
 from dctool import smoothnum as sm
+from dctool.rig import RIGS, NonNegRationalRig, Rig
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -142,6 +143,24 @@ def test_bad_check_arguments_exit_two_with_one_line(flags, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("dctool: "), captured.err
+
+
+class NaturalRig(NonNegRationalRig):
+    """The naturals: no sum of ones but 1 itself has an inverse."""
+
+    def nat_inverse(self, k):
+        return 1 if k == 1 else Rig.nat_inverse(self, k)
+
+
+def test_a_rig_without_inverses_is_a_usage_error(monkeypatch, capsys):
+    # the rel binding builds s, which weights a bag of n atoms by 1/n, before any law runs
+    monkeypatch.setitem(RIGS, "nonneg-rational", NaturalRig())
+    assert cli.main(["check", "rel", "--semiring", "nonneg-rational"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dctool: 2 (as a sum of ones) is not invertible"), captured.err
+    assert lines[0].endswith(cli.NOT_INVERTIBLE_HINT)
 
 
 def test_calculator_examples(capsys):
@@ -279,39 +298,46 @@ def test_list_laws(capsys):
     assert payload[11]["id"] == "L12"
 
 
-# (argv of cli.main, or None for a bare `import dctool`, and whether numpy is then loaded)
+POLY, REL, SMOOTH, CALC = "dctool.polyform", "dctool.wrel", "dctool.smoothnum", "dctool.exprcalc"
+
+# argv of cli.main (None for a bare `import dctool`), the modules the command
+# loads, and the modules it leaves out of sys.modules
 IMPORT_CASES = {
-    "import": (None, False),
-    "check-poly": (["check", "poly", "--cases", "5"], False),
-    "check-rel": (["check", "rel", "--cases", "5"], False),
-    "calculator": (["poly", "--expr", "K(x*y)"], False),
-    "list-laws": (["list-laws"], False),
-    "check-smooth": (["check", "smooth", "--cases", "5"], True),
+    "import": (None, (), (POLY, REL, SMOOTH, CALC, "numpy", "dataclasses")),
+    "check-poly": (["check", "poly", "--cases", "5"], (POLY,), (REL, SMOOTH, CALC, "numpy", "dataclasses")),
+    "check-rel": (["check", "rel", "--cases", "5"], (REL,), (POLY, SMOOTH, CALC, "numpy", "dataclasses")),
+    "calculator": (["poly", "--expr", "K(x*y)"], (POLY, CALC), (REL, SMOOTH, "numpy", "dataclasses")),
+    "list-laws": (["list-laws"], (), (POLY, REL, SMOOTH, CALC, "numpy", "dataclasses")),
+    "check-smooth": (["check", "smooth", "--cases", "5"], (SMOOTH, "numpy"), (POLY, REL, CALC, "dataclasses")),
 }
 
 
-@pytest.mark.parametrize("argv, loads_numpy", list(IMPORT_CASES.values()), ids=list(IMPORT_CASES))
-def test_only_the_smooth_model_imports_numpy(argv, loads_numpy):
-    # a fresh interpreter, since this one has numpy loaded already
+@pytest.mark.parametrize("argv, loaded, left_out", list(IMPORT_CASES.values()), ids=list(IMPORT_CASES))
+def test_only_the_smooth_model_imports_numpy(argv, loaded, left_out):
+    # each command imports its own model only; a fresh interpreter, since this one has them all
+    names = loaded + left_out
     if argv is None:
-        code = "import sys, dctool; print(0, 'numpy' in sys.modules)"
+        code = f"import sys, dctool; print(0, *(m in sys.modules for m in {names!r}))"
     else:
         code = (
             "import contextlib, io, sys\n"
             "from dctool import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    status = cli.main({argv!r})\n"
-            "print(status, 'numpy' in sys.modules)\n"
+            f"print(status, *(m in sys.modules for m in {names!r}))\n"
         )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", str(loads_numpy)]
+    status, *present = proc.stdout.split()
+    assert status == "0"
+    assert dict(zip(names, present)) == {m: str(m in loaded) for m in names}
 
 
 def test_the_smooth_binding_keeps_its_old_names():
-    # bindings.make_smooth_binding and dctool.make_smooth_binding import smoothnum at their first call
+    # the names bench/ reads: bindings.make_smooth_binding imports smoothnum at its first call, and
+    # dctool.make_smooth_binding at its first use
     cfg = sm.QuadratureConfig(order=8)
     for make in (bindings.make_smooth_binding, dctool.make_smooth_binding):
         binding = make(cfg, max_dim=2)

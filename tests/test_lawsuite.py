@@ -6,9 +6,10 @@ import dctool.lawsuite as ls
 import dctool.polyform as pf
 import dctool.wrel as wrel
 from dctool import cli
-from dctool.bindings import _asymmetry, make_poly_binding, make_rel_binding, make_smooth_binding
+from dctool.polyform import _asymmetry, make_poly_binding
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL
-from dctool.smoothnum import NonFinite
+from dctool.smoothnum import NonFinite, make_smooth_binding
+from dctool.wrel import make_rel_binding
 
 
 def test_law_table_is_closed_and_annotated():

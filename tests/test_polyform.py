@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 import dctool.polyform as pf
 from dctool import lawsuite
-from dctool.bindings import make_poly_binding, random_poly
-from dctool.polyform import Polynomial, PolyBundle, PolyMap
+from dctool.polyform import Polynomial, PolyBundle, PolyMap, make_poly_binding, random_poly
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL, NonNegRationalRig
 
 R = NONNEG_RATIONAL

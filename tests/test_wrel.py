@@ -9,19 +9,22 @@ from itertools import combinations
 import pytest
 
 import dctool.wrel as wr
-from dctool.bindings import ATOM_NAMES, make_rel_binding
 from dctool.lawsuite import run_law, run_suite
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RIGS
 from dctool.wrel import (
+    ATOM_NAMES,
+    AtomSpace,
     BagSpace,
     BaseSet,
     PairSpace,
     Truncation,
     UNIT_BASE,
     UNIT_POINT,
+    UnitSpace,
     WeightedMatrix,
     bag,
     compose_tensor,
+    make_rel_binding,
     mat_compose,
     tensor,
 )
@@ -63,6 +66,24 @@ def test_truncation_validation():
 def test_base_set_rejects_duplicates():
     with pytest.raises(ValueError):
         BaseSet(("x", "x"))
+
+
+def test_spaces_are_immutable_values_of_their_own_type():
+    same = BaseSet(("x", "y"))
+    assert same == XY and hash(same) == hash(XY)
+    assert BagSpace(same, 2) == BagSpace(XY, 2) and hash(BagSpace(same, 2)) == hash(BagSpace(XY, 2))
+    assert PairSpace(BagSpace(same, 2), AtomSpace(same)) == PairSpace(BagSpace(XY, 2), AtomSpace(XY))
+    assert UnitSpace() == UnitSpace() and hash(UnitSpace()) == hash(UnitSpace())
+    assert BagSpace(XY, 2) != BagSpace(XY, 3) and Truncation(4) == T4 != Truncation(5)
+    # equal fields never make values of different types equal
+    assert BagSpace(XY, 2) != PairSpace(XY, 2) and PairSpace(XY, 2) != BagSpace(XY, 2)
+    assert AtomSpace(XY) != (XY,) and (XY,) != AtomSpace(XY)
+    assert len({BagSpace(XY, 2), BagSpace(same, 2), PairSpace(XY, 2), AtomSpace(XY), (XY,)}) == 4
+    values = {"max_size": BagSpace(XY, 2), "base": AtomSpace(XY), "size": UnitSpace(), "atoms": XY, "D": T4}
+    for name, value in values.items():
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert BagSpace(XY, 2).max_size == 2 and XY.atoms == ("x", "y")
 
 
 # -- derivation operators ----------------------------------------------------
@@ -312,6 +333,12 @@ def test_matrix_space_mismatch_raises():
     b = WeightedMatrix.identity(R, BagSpace(XY, 3))
     with pytest.raises(ValueError):
         mat_compose(a, b)
+    # a pair space with the fields of a bag space is still another space
+    f = WeightedMatrix.zero(R, UnitSpace(), BagSpace(XY, 2))
+    with pytest.raises(ValueError):
+        mat_compose(f, WeightedMatrix.zero(R, PairSpace(XY, 2), UnitSpace()))
+    with pytest.raises(ValueError):
+        f + WeightedMatrix.zero(R, UnitSpace(), PairSpace(XY, 2))
 
 
 # -- key relabels ------------------------------------------------------------
