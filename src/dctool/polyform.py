@@ -1,7 +1,7 @@
 """Exact multivariate polynomials and their differentiation/integration operators.
 
-Polynomials over an arbitrary rig, stored sparsely as multi-index -> coefficient
-maps in canonical graded-lex order.  On top of the arithmetic sits the operator
+Polynomials over an arbitrary rig, stored sparsely (see "Canonical form" below)
+and rendered in graded-lex order.  On top of the arithmetic sits the operator
 family this package exists to check: the gradient `grad`, multiplication by the
 generators `mul_in`, evaluation at zero `eval0`, the degree-weighted operators
 `K_op`/`J_op` and their inverses, one-variable integration `integrate1`, the
@@ -10,23 +10,27 @@ antiderivative integral `s_op`, the unit-grading maps `t_grade` (m_{R,A}),
 variable-set splitting (`seely_split`/`seely_merge`), and coKleisli
 composition of polynomial maps with its Cartesian derivative.
 
-Canonical form: `terms` maps arity-length tuples of non-negative exponents to
-nonzero coefficients.  The public constructor `Polynomial(rig, arity, terms)`
-validates its input (any iterable key, arity, sign of every exponent) and
-drops zero coefficients.  Every operator of this module builds its result
-from canonical operands through the trusted `Polynomial._canonical`, which
-tests nothing.  A zero coefficient can then arise in two places only, and is
-dropped where it arises (the rig properties behind this are listed in
-`rig.Rig`):
+Canonical form: a polynomial holds numerators over one shared denominator,
+FLINT's `fmpq_poly` layout.  `num` maps arity-length tuples of non-negative
+exponents to nonzero numerators and `den` is one positive int, so the
+coefficient of a term is `rig.join(num[e], den)` (see `Rig.split`).  Over the
+rational rigs the numerators are ints, so the operators add and multiply
+ints; over the boolean rig every `den` is 1.  A `den` is brought to lowest
+terms only when it passes `DEN_BOUND`, and equality cross-multiplies, so
+equal polynomials may hold different `den`s.  A `Fraction` is made only at
+the edges: the read-only view `terms` (an `int` when integral, else a
+`Fraction`), which `evaluate`, `render` and `seely_split` read.
 
-- a sum that can cancel: an accumulation over a rig with `has_negatives`
-  (`+`, `*`, `mul_in`, `eval_at_one`, `substitute`, `seely_merge`);
-- a scalar from outside: `scale(c)`, `const(c)`, the entries of
-  `apply_linear`'s matrix and the raw terms of a `SplitTensor`.
-
-A product of nonzero coefficients, a multiplicity `nat_value(k)` and an
-inverse `nat_inverse(k)` are never zero, so `grad`, `_graded_scale`,
-`t_grade`, `on_tag` and `extend_arity` test nothing.
+The public constructor `Polynomial(rig, arity, terms)` validates its input
+(any iterable key, arity, sign of every exponent, each coefficient through
+`rig.split`) and drops zero coefficients; `apply_linear` and `seely_merge`
+build through it.  Every other operator builds its result from canonical
+operands through the trusted `_canonical`, which tests nothing:
+a product of nonzero numerators, a multiplicity `nat_value(k)` and an
+inverse `nat_inverse(k)` are never zero (the rig properties behind this are
+listed in `rig.Rig`), so a zero arises only in a sum over a rig with
+`has_negatives`, where `drop_cancelled` drops it, or in a scalar from
+outside (`scale(c)`, `const(c)`), which is tested where it enters.
 
 All operators act in plain function-application order: `K_op(p)` means "apply
 the operator to p".  The degree-graded operators act block-diagonally on the
@@ -40,7 +44,9 @@ ends this module, so a run of another model never imports it.
 from __future__ import annotations
 
 from functools import partial
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 from typing import Callable
 
 from .lawsuite import ModelBinding, Operators, repeat_case
@@ -49,6 +55,8 @@ from .rig import Rig, drop_cancelled
 MultiIndex = tuple  # tuple[int, ...]; arity-length exponent vector
 
 DEFAULT_NAMES = ("x", "y", "z", "w")
+
+DEN_BOUND = 1 << 60  # a shared denominator above this is reduced to lowest terms
 
 
 def _check_arity(a, b, what="operands"):
@@ -68,44 +76,48 @@ def var_names(arity: int) -> tuple[str, ...]:
 
 
 class Polynomial:
-    """Sparse exact polynomial: mapping multi-index -> nonzero rig coefficient."""
+    """Sparse exact polynomial: multi-index -> nonzero numerator, over one shared `den`."""
 
-    __slots__ = ("rig", "arity", "terms")
+    __slots__ = ("rig", "arity", "num", "den")
 
     def __init__(self, rig: Rig, arity: int, terms=None):
-        self.rig = rig
-        self.arity = arity
-        canon = {}
+        num, den = {}, 1
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != arity:
                 raise ValueError(f"multi-index {exps} does not match arity {arity}")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            if not rig.is_zero(c):
-                canon[exps] = c
-        self.terms = canon
+            n, d = rig.split(c)
+            if not rig.is_zero(n):
+                if d != den:
+                    num, den = _grow(num, den, d)
+                    n *= den // d
+                num[exps] = n
+        self.rig = rig
+        self.arity = arity
+        self.num = num
+        self.den = den
 
-    @classmethod
-    def _canonical(cls, rig: Rig, arity: int, terms: dict) -> "Polynomial":
-        """Trusted constructor: every key of `terms` is already an arity-length
-        tuple of non-negative exponents and every coefficient is nonzero.
-        `terms` is kept, not copied."""
-        p = object.__new__(cls)
-        p.rig = rig
-        p.arity = arity
-        p.terms = terms
-        return p
+    @property
+    def terms(self):
+        """Read-only view of the coefficients as rig values: multi-index -> join(numerator, den)."""
+        num, den = self.num, self.den
+        if den != 1:
+            join = self.rig.join
+            num = {e: join(n, den) for e, n in num.items()}
+        return MappingProxyType(num)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, rig: Rig, arity: int) -> "Polynomial":
-        return cls._canonical(rig, arity, {})
+        return _canonical(rig, arity, {})
 
     @classmethod
     def const(cls, rig: Rig, arity: int, c) -> "Polynomial":
-        return cls._canonical(rig, arity, {} if rig.is_zero(c) else {(0,) * arity: c})
+        n, d = rig.split(c)
+        return _canonical(rig, arity, {} if rig.is_zero(n) else {(0,) * arity: n}, d)
 
     @classmethod
     def one(cls, rig: Rig, arity: int) -> "Polynomial":
@@ -113,42 +125,48 @@ class Polynomial:
 
     @classmethod
     def variable(cls, rig: Rig, arity: int, i: int) -> "Polynomial":
-        exps = tuple(1 if j == i else 0 for j in range(arity))
-        return cls._canonical(rig, arity, {exps: rig.one})
+        return _canonical(rig, arity, {(0,) * i + (1,) + (0,) * (arity - i - 1): rig.one})
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         _check_arity(self.arity, other.arity)
         rig = self.rig
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = rig.add(terms[exps], c) if exps in terms else c
-        return Polynomial._canonical(rig, self.arity, drop_cancelled(rig, terms))
+        num, den, other_num = dict(self.num), self.den, other.num
+        if other.den != den:
+            num, den = _grow(num, den, other.den)
+            other_num, den = _grow(other_num, other.den, den)
+        for e, n in other_num.items():
+            num[e] = rig.add(num[e], n) if e in num else n
+        return _canonical(rig, self.arity, drop_cancelled(rig, num), den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         _check_arity(self.arity, other.arity)
         rig = self.rig
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        num = {}
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
                 e = tuple(map(add, e1, e2))
                 c = rig.mul(c1, c2)
-                terms[e] = rig.add(terms[e], c) if e in terms else c
-        return Polynomial._canonical(rig, self.arity, drop_cancelled(rig, terms))
+                num[e] = rig.add(num[e], c) if e in num else c
+        return _canonical(rig, self.arity, drop_cancelled(rig, num), self.den * other.den)
 
     def scale(self, c) -> "Polynomial":
         rig = self.rig
-        if rig.is_zero(c):
+        n, d = rig.split(c)
+        if rig.is_zero(n):
             return Polynomial.zero(rig, self.arity)
-        return Polynomial._canonical(rig, self.arity, {e: rig.mul(c, v) for e, v in self.terms.items()})
+        return _canonical(rig, self.arity, {e: rig.mul(n, v) for e, v in self.num.items()}, self.den * d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.arity != other.arity or set(self.terms) != set(other.terms):
+        a, b, d1, d2 = self.num, other.num, self.den, other.den
+        if self.arity != other.arity:
             return False
-        return all(self.rig.eq(c, other.terms[e]) for e, c in self.terms.items())
+        if d1 == d2:
+            return a == b
+        return a.keys() == b.keys() and all(n * d2 == b[e] * d1 for e, n in a.items())
 
     def __hash__(self):
         raise TypeError("Polynomial is not hashable")
@@ -156,13 +174,10 @@ class Polynomial:
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.arity, self.rig.zero)
+        return max((sum(e) for e in self.num), default=0)
 
     def evaluate(self, point):
         """Evaluate at a tuple of rig elements."""
@@ -181,19 +196,19 @@ class Polynomial:
     # -- rendering ----------------------------------------------------------
 
     def render(self, names=None) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         names = names or var_names(self.arity)
         pieces = []
-        for exps in sorted(self.terms, key=grlex_key):
-            c = self.terms[exps]
+        for exps in sorted(terms, key=grlex_key):
             factors = []
             for name, e in zip(names, exps):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            cs = self.rig.render(c)
+            cs = self.rig.render(terms[exps])
             if not factors:
                 pieces.append(cs)
             elif cs == "1":
@@ -204,6 +219,26 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.render()})"
+
+
+def _grow(num: dict, den: int, d: int) -> tuple:
+    """`num` over `den` rewritten over l = lcm(den, d), and l."""
+    grown = lcm(den, d)
+    return ({e: n * (grown // den) for e, n in num.items()} if grown != den else num), grown
+
+
+def _canonical(rig: Rig, arity: int, num: dict, den: int = 1) -> Polynomial:
+    """Trusted constructor: every key of `num` is already an arity-length
+    tuple of non-negative exponents and every numerator is nonzero.  `num`
+    is kept, not copied, unless `den` passes `DEN_BOUND`."""
+    if den > DEN_BOUND and (g := gcd(den, *num.values())) > 1:
+        num, den = {e: n // g for e, n in num.items()}, den // g
+    p = object.__new__(Polynomial)
+    p.rig = rig
+    p.arity = arity
+    p.num = num
+    p.den = den
+    return p
 
 
 class PolyBundle:
@@ -252,18 +287,18 @@ def grad(p: Polynomial) -> PolyBundle:
     """Gradient: component i is the partial derivative in variable i.
 
     The exponent k comes out as the coefficient nat_value(k), so this works
-    over any rig.
+    over any rig; nat_value(1) is one, so exponent 1 multiplies by nothing.
     """
     rig = p.rig
     comps = []
     for i in range(p.arity):
         # lowering exponent i is injective on the monomials it keeps
         terms = {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: rig.mul(rig.nat_value(exps[i]), c)
-            for exps, c in p.terms.items()
-            if exps[i]
+            exps[:i] + (k - 1,) + exps[i + 1 :]: c if k == 1 else rig.mul(rig.nat_value(k), c)
+            for exps, c in p.num.items()
+            if (k := exps[i])
         }
-        comps.append(Polynomial._canonical(rig, p.arity, terms))
+        comps.append(_canonical(rig, p.arity, terms, p.den))
     return PolyBundle(tuple(comps))
 
 
@@ -280,17 +315,22 @@ def mul_in(b: PolyBundle) -> Polynomial:
     Multiplying by x_i shifts exponent i by one, so no product is formed.
     """
     rig = b.rig
-    terms = {}
+    terms, den = {}, 1
     for i, comp in enumerate(b.components):
-        for exps, c in comp.terms.items():
+        comp_num = comp.num
+        if comp.den != den:
+            terms, den = _grow(terms, den, comp.den)
+            comp_num, den = _grow(comp_num, comp.den, den)
+        for exps, c in comp_num.items():
             e = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
             terms[e] = rig.add(terms[e], c) if e in terms else c
-    return Polynomial._canonical(rig, b.arity, drop_cancelled(rig, terms))
+    return _canonical(rig, b.arity, drop_cancelled(rig, terms), den)
 
 
 def eval0(p: Polynomial) -> Polynomial:
     """Evaluate at zero: the constant polynomial carrying p's constant term."""
-    return Polynomial.const(p.rig, p.arity, p.constant_coefficient())
+    zero = (0,) * p.arity
+    return _canonical(p.rig, p.arity, {zero: p.num[zero]} if zero in p.num else {}, p.den)
 
 
 def K_op(p: Polynomial) -> Polynomial:
@@ -307,9 +347,26 @@ def J_op(p: Polynomial) -> Polynomial:
 
 
 def _graded_scale(p: Polynomial, factor):
-    """Scale each homogeneous block of degree n by factor(n)."""
+    """Scale each homogeneous block of degree n by factor(n), each factor split once.
+
+    A factor with numerator one, such as every inverse over the rational
+    rigs, changes only the denominator.
+    """
     rig = p.rig
-    return Polynomial._canonical(rig, p.arity, {e: rig.mul(factor(sum(e)), c) for e, c in p.terms.items()})
+    factors, terms, den = {}, {}, 1
+    for e, c in p.num.items():
+        n = sum(e)
+        f = factors.get(n)
+        if f is None:
+            f = factors[n] = rig.split(factor(n))
+        a, d = f
+        if a != rig.one:
+            c = rig.mul(a, c)
+        if d != den:
+            terms, den = _grow(terms, den, d)
+            c *= den // d
+        terms[e] = c
+    return _canonical(rig, p.arity, terms, p.den * den)
 
 
 def K_inv_op(p: Polynomial) -> Polynomial:
@@ -349,30 +406,35 @@ def t_grade(p: Polynomial) -> Polynomial:
 
     `eval_at_one` is its left inverse.
     """
-    return Polynomial._canonical(p.rig, p.arity + 1, {(sum(e),) + e: c for e, c in p.terms.items()})
+    return _canonical(p.rig, p.arity + 1, {(sum(e),) + e: c for e, c in p.num.items()}, p.den)
 
 
 def eval_at_one(q: Polynomial) -> Polynomial:
     """Forget the tag of a tagged polynomial: substitute t := 1."""
     rig = q.rig
     terms = {}
-    for exps, c in q.terms.items():
+    for exps, c in q.num.items():
         e = exps[1:]
         terms[e] = rig.add(terms[e], c) if e in terms else c
-    return Polynomial._canonical(rig, q.arity - 1, drop_cancelled(rig, terms))
+    return _canonical(rig, q.arity - 1, drop_cancelled(rig, terms), q.den)
 
 
 def on_tag(fn, q: Polynomial) -> Polynomial:
     """Apply the one-variable operator `fn` to the tag of a tagged polynomial (fn x 1)."""
     rig = q.rig
     by_rest: dict = {}
-    for exps, c in q.terms.items():
+    for exps, c in q.num.items():
         by_rest.setdefault(exps[1:], {})[exps[:1]] = c
-    terms = {}
+    terms, den = {}, 1
     for rest, tag_terms in by_rest.items():
-        for tag, c in fn(Polynomial._canonical(rig, 1, tag_terms)).terms.items():
+        image = fn(_canonical(rig, 1, tag_terms, q.den))
+        image_num = image.num
+        if image.den != den:
+            terms, den = _grow(terms, den, image.den)
+            image_num, den = _grow(image_num, image.den, den)
+        for tag, c in image_num.items():
             terms[tag + rest] = c
-    return Polynomial._canonical(rig, q.arity, terms)
+    return _canonical(rig, q.arity, terms, den)
 
 
 # -- variable-set splitting -------------------------------------------------
@@ -389,11 +451,12 @@ class SplitTensor:
     def __eq__(self, other):
         if not isinstance(other, SplitTensor):
             return NotImplemented
-        if (self.left_arity, self.right_arity) != (other.left_arity, other.right_arity):
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.rig.eq(c, other.terms[k]) for k, c in self.terms.items())
+        a, b = self.terms, other.terms
+        return (
+            (self.left_arity, self.right_arity) == (other.left_arity, other.right_arity)
+            and a.keys() == b.keys()
+            and all(self.rig.eq(c, b[k]) for k, c in a.items())
+        )
 
 
 def seely_split(p: Polynomial, left_vars: int) -> SplitTensor:
@@ -409,16 +472,14 @@ def seely_split(p: Polynomial, left_vars: int) -> SplitTensor:
 def seely_merge(t: SplitTensor) -> Polynomial:
     """Two-sided inverse of seely_split: concatenate exponent vectors.
 
-    A `SplitTensor` may be built by hand, so every coefficient is tested.
+    A `SplitTensor` may be built by hand, so the result is validated.
     """
     rig = t.rig
-    is_zero = rig.is_zero
-    arity = t.left_arity + t.right_arity
     terms = {}
     for (le, re), c in t.terms.items():
         e = tuple(le) + tuple(re)
         terms[e] = rig.add(terms[e], c) if e in terms else c
-    return Polynomial._canonical(rig, arity, {e: c for e, c in terms.items() if not is_zero(c)})
+    return Polynomial(rig, t.left_arity + t.right_arity, terms)
 
 
 # -- polynomial maps --------------------------------------------------------
@@ -462,27 +523,31 @@ def substitute(p: Polynomial, args) -> Polynomial:
     """Evaluate p at a tuple of polynomials (all of one common arity).
 
     The powers of each argument are built once per call, each from the one
-    below it, and exponent-0 factors are skipped.
+    below it, and exponent-0 factors are skipped.  The sum is kept over the
+    least common denominator of the products so far.
     """
     if len(args) != p.arity:
         raise ValueError("argument count must match arity")
     rig = p.rig
     arity = args[0].arity if args else 0
+    const = _canonical(rig, arity, {(0,) * arity: rig.one})
     powers = [[None, a] for a in args]  # powers[i][e] is args[i] ** e, e >= 1
-    terms = {}
-    for exps, c in p.terms.items():
-        term = None
+    terms, den = {}, 1
+    for exps, c in p.num.items():
+        term = const
         for a, pw, e in zip(args, powers, exps):
             if e == 0:
                 continue
             while len(pw) <= e:
                 pw.append(pw[-1] * a)
-            term = pw[e].scale(c) if term is None else term * pw[e]
-        if term is None:
-            term = Polynomial.const(rig, arity, c)
-        for e, v in term.terms.items():
+            term = pw[e] if term is const else term * pw[e]
+        if term.den != den:
+            terms, den = _grow(terms, den, term.den)
+            c *= den // term.den
+        for e, v in term.num.items():
+            v = rig.mul(c, v)
             terms[e] = rig.add(terms[e], v) if e in terms else v
-    return Polynomial._canonical(rig, arity, drop_cancelled(rig, terms))
+    return _canonical(rig, arity, drop_cancelled(rig, terms), p.den * den)
 
 
 def cokleisli_compose(g: PolyMap, f: PolyMap) -> PolyMap:
@@ -500,10 +565,10 @@ def extend_arity(p: Polynomial, new_arity: int, offset: int = 0) -> Polynomial:
     if offset + p.arity > new_arity:
         raise ValueError("extension does not fit")
     terms = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.num.items():
         e = (0,) * offset + exps + (0,) * (new_arity - offset - p.arity)
         terms[e] = c
-    return Polynomial._canonical(p.rig, new_arity, terms)
+    return _canonical(p.rig, new_arity, terms, p.den)
 
 
 def cartesian_derivative(f: PolyMap) -> PolyMap:
@@ -535,17 +600,11 @@ def apply_linear(matrix, p: Polynomial) -> Polynomial:
     convention is the one under which the gradient transforms by applying the
     matrix to the component list (checked by the naturality law).
     """
-    rig = p.rig
     rows = len(matrix)
     if any(len(row) != p.arity for row in matrix):
         raise ValueError("matrix shape does not match polynomial arity")
     units = [tuple(1 if k == i else 0 for k in range(rows)) for i in range(rows)]
-    images = [
-        Polynomial._canonical(
-            rig, rows, {units[i]: matrix[i][j] for i in range(rows) if not rig.is_zero(matrix[i][j])}
-        )
-        for j in range(p.arity)
-    ]
+    images = [Polynomial(p.rig, rows, {units[i]: matrix[i][j] for i in range(rows)}) for j in range(p.arity)]
     return substitute(p, images)
 
 
@@ -767,7 +826,7 @@ def make_poly_binding(
             )
             dlin = cartesian_derivative(lin)
             for c in dlin.coordinates:
-                if any(any(e[:variables]) for e in c.terms):
+                if any(any(e[:variables]) for e in c.num):
                     return fail("derivative of a linear map depends on the base point", ("map", lin.render()))
             return None
 

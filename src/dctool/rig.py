@@ -71,6 +71,24 @@ class Rig:
     def render(self, a) -> str:
         return str(a)
 
+    def split(self, c):
+        """`c` as (n, d), a numerator of this rig and a positive int, with join(n, d) = c.
+
+        The polynomial layer keeps one d per polynomial, adds and multiplies
+        numerators with `add` and `mul` and compares them with `==`, so the
+        numerators must be closed under both and `==` must be their equality.
+        A rig whose d can exceed 1 needs `int` numerators, which that layer
+        also scales, cross-multiplies and reduces as ints.  Every coefficient
+        enters that layer here: a value that is not an element of the rig
+        raises a `ValueError` that names it.  This generic rig takes every
+        value as its own numerator over d = 1.
+        """
+        return c, 1
+
+    def join(self, n, d: int):
+        """The element n / d, for a numerator n and a d made from `split` results by int arithmetic."""
+        return n
+
     def nat_value(self, k: int):
         """The element 1 + 1 + ... + 1 (k times); k = 0 gives zero."""
         if k < 0:
@@ -109,6 +127,15 @@ class NonNegRationalRig(Rig):
 
     def sample(self, rng):
         return _small(Fraction(rng.randrange(0, 8), rng.randrange(1, 7)))
+
+    def split(self, c):
+        # an int is its own numerator over 1; a bool is not a rational here
+        if isinstance(c, (int, Fraction)) and not isinstance(c, bool) and (self.has_negatives or c >= 0):
+            return c.numerator, c.denominator
+        raise ValueError(f"coefficient {c!r} is not an element of {self.name}")
+
+    def join(self, n, d: int):
+        return n if d == 1 else _small(Fraction(n, d))
 
     def nat_value(self, k: int):
         if k < 0:
@@ -162,6 +189,11 @@ class BooleanRig(Rig):
 
     def render(self, a) -> str:
         return "1" if a else "0"
+
+    def split(self, c):
+        if type(c) is not bool:
+            raise ValueError(f"coefficient {c!r} is not an element of {self.name}")
+        return c, 1
 
     def nat_inverse(self, k: int):
         if k < 1:

@@ -43,6 +43,13 @@ def test_golden_check_poly(tmp_path):
     assert payload == load_golden("check_poly_seed42.json")
 
 
+def test_golden_check_poly_sabotage(tmp_path):
+    """A failing report: the rendered coefficients of every counterexample are pinned."""
+    status, payload = run_json(tmp_path, ["check", "poly", "--seed", "42", "--sabotage"])
+    assert status == 1
+    assert payload == load_golden("check_poly_sabotage_seed42.json")
+
+
 def test_golden_check_rel_boolean(tmp_path):
     status, payload = run_json(
         tmp_path, ["check", "rel", "--seed", "42", "--semiring", "boolean"]

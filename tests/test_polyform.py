@@ -5,6 +5,7 @@ Derivative claims are cross-checked by an independent formal-limit oracle
 code never validates itself.
 """
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -308,7 +309,7 @@ def test_apply_linear_examples():
 
 
 # -- canonical form ----------------------------------------------------------
-# Operators build their results through the trusted `Polynomial._canonical`;
+# Operators build their results through the trusted `polyform._canonical`;
 # each result must be what the validating public constructor makes of it.
 
 
@@ -410,6 +411,109 @@ def test_public_constructor_still_validates():
         Polynomial(R, 2, {(1, -1): Fraction(1)})
     p = Polynomial(R, 2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert p.terms == {(0, 1): Fraction(2)}
+
+
+# -- representation: integer numerators over one shared denominator -----------
+
+
+def at(rig, terms, point):
+    """The sum of c * x^e over `terms` at `point`, term by term in the rig's own
+    arithmetic: exact `Fraction` arithmetic over the rationals."""
+    acc = rig.zero
+    for exps, c in terms.items():
+        for x, e in zip(point, exps):
+            for _ in range(e):
+                c = rig.mul(c, x)
+        acc = rig.add(acc, c)
+    return acc
+
+
+def representation_cases(rig, rng):
+    """(name, result, oracle) per operator; oracle(point) is the result's value at
+    `point`, computed from the operands' `.terms` alone, never their `num` or `den`."""
+    one, nat, inv = rig.one, rig.nat_value, rig.nat_inverse
+    p, q = random_poly(rng, rig, 3, 5), random_poly(rng, rig, 3, 5)
+    b = PolyBundle(tuple(random_poly(rng, rig, 3, 4) for _ in range(3)))
+    tagged = pf.t_grade(p) + random_poly(rng, rig, 4, 5)
+    args = tuple(random_poly(rng, rig, 3, 2) for _ in range(3))
+    c = rig.sample(rng)
+
+    def value(r):
+        return lambda x: at(rig, r.terms, x)
+
+    def weighted(r, weight, shift=lambda e: e):
+        return lambda x: at(rig, {shift(e): rig.mul(weight(e), v) for e, v in r.terms.items()}, x)
+
+    yield "+", p + q, lambda x: rig.add(value(p)(x), value(q)(x))
+    yield "*", p * q, lambda x: rig.mul(value(p)(x), value(q)(x))
+    yield "scale", p.scale(c), lambda x: rig.mul(c, value(p)(x))
+    for i, component in enumerate(pf.grad(p).components):
+        yield "grad", component, lambda x, i=i: at(
+            rig, {e[:i] + (e[i] - 1,) + e[i + 1 :]: rig.mul(nat(e[i]), v) for e, v in p.terms.items() if e[i]}, x
+        )
+    yield "mul_in", pf.mul_in(b), lambda x: functools.reduce(
+        rig.add, (rig.mul(xi, value(bi)(x)) for xi, bi in zip(x, b.components)), rig.zero
+    )
+    yield "K", pf.K_op(p), weighted(p, lambda e: nat(sum(e)) if sum(e) else one)
+    yield "J", pf.J_op(p), weighted(p, lambda e: nat(sum(e) + 1))
+    yield "K inverse", pf.K_inv_op(p), weighted(p, lambda e: inv(sum(e)) if sum(e) else one)
+    yield "J inverse", pf.J_inv_op(p), weighted(p, lambda e: inv(sum(e) + 1))
+    yield "substitute", pf.substitute(p, args), lambda x: at(rig, p.terms, [value(a)(x) for a in args])
+    yield "on_tag", pf.on_tag(pf.K_inv_op, tagged), weighted(tagged, lambda e: inv(e[0]) if e[0] else one)
+    yield "on_tag", pf.on_tag(pf.integrate1, tagged), weighted(
+        tagged, lambda e: inv(e[0] + 1), lambda e: (e[0] + 1,) + e[1:]
+    )
+
+
+@pytest.mark.parametrize("rig", [R, Q, BOOLEAN], ids=lambda r: r.name)
+def test_numerators_over_one_denominator_hold_the_operator_results(rig):
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(30):
+        for name, out, oracle in representation_cases(rig, rng):
+            seen.add(name)
+            assert Polynomial(rig, out.arity, out.terms) == out, name
+            for v in out.terms.values():
+                expected = bool if rig is BOOLEAN else int if v.denominator == 1 else Fraction
+                assert type(v) is expected, (name, v)
+            assert rig is not BOOLEAN or out.den == 1, name
+            for _ in range(3):
+                point = tuple(rig.sample(rng) for _ in range(out.arity))
+                assert rig.eq(out.evaluate(point), oracle(point)), (name, point)
+    assert seen == {"+", "*", "scale", "grad", "mul_in", "K", "J", "K inverse", "J inverse", "substitute", "on_tag"}
+
+
+def test_a_denominator_is_reduced_only_past_the_bound():
+    half = Polynomial(Q, 1, {(1,): Fraction(1, 2)})
+    whole = half + half
+    assert (whole.num, whole.den) == ({(1,): 2}, 2)  # lazily left as 2/2
+    assert whole.terms == {(1,): 1} and type(whole.terms[(1,)]) is int
+    assert whole == Polynomial.variable(Q, 1, 0)  # equal across denominators 2 and 1
+    tiny = Polynomial(Q, 1, {(1,): Fraction(2, 2**40)})  # 1/2^39, held in lowest terms
+    square = (tiny + tiny) * (tiny + tiny)  # (2/2^39)^2 = 4/2^78, past the bound
+    assert square.den > pf.DEN_BOUND and (square.num, square.den) == ({(2,): 1}, 2**76)
+    assert square.terms == {(2,): Fraction(1, 2**76)}
+
+
+@pytest.mark.parametrize("rig", [R, Q])
+def test_a_float_coefficient_is_refused(rig):
+    with pytest.raises(ValueError, match=r"coefficient 0\.1 is not an element of"):
+        Polynomial(rig, 1, {(2,): 0.1, (1,): 0.5})
+    x = Polynomial.variable(rig, 1, 0)
+    for build in (lambda: x.scale(0.5), lambda: Polynomial.const(rig, 1, 0.5)):
+        with pytest.raises(ValueError, match=r"0\.5"):
+            build()
+
+
+def test_a_value_outside_the_rig_is_refused():
+    with pytest.raises(ValueError, match="coefficient 2 is not an element of boolean"):
+        Polynomial(BOOLEAN, 1, {(1,): 2})
+    assert Polynomial(BOOLEAN, 1, {(1,): True}) == Polynomial.variable(BOOLEAN, 1, 0)
+    with pytest.raises(ValueError, match="coefficient -1 is not an element of nonneg-rational"):
+        Polynomial(R, 1, {(1,): -1})
+    with pytest.raises(ValueError, match="coefficient True is not an element of rational"):
+        Polynomial(Q, 1, {(1,): True})
+    assert Polynomial(Q, 1, {(1,): -1}).terms == {(1,): -1}
 
 
 def naive_substitute(p, args):

@@ -1,6 +1,7 @@
 """Semiring layer: frozen examples, axiom checker, and negative controls."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,3 +219,27 @@ def test_integral_samples_are_ints_and_the_draws_are_unchanged():
             assert c == Fraction(ref.randrange(low, 8), ref.randrange(1, 7))
             assert type(c) is (int if c.denominator == 1 else Fraction), c
     assert type(NONNEG_RATIONAL.zero) is type(NONNEG_RATIONAL.one) is type(NONNEG_RATIONAL.nat_value(5)) is int
+
+
+@pytest.mark.parametrize("rig", ALL_RIGS, ids=lambda r: r.name)
+def test_split_and_join_invert_each_other(rig):
+    rng = random.Random(6)
+    for _ in range(200):
+        c = rig.sample(rng)
+        n, d = rig.split(c)
+        assert type(d) is int and d >= 1 and (d == 1 or rig is not BOOLEAN)
+        back = rig.join(n, d)
+        assert rig.eq(back, c) and type(back) is type(c), (c, n, d)
+    if rig is not BOOLEAN:
+        # a pair the polynomial layer made need not be in lowest terms
+        assert rig.join(2, 4) == Fraction(1, 2) and type(rig.join(4, 2)) is int
+
+
+@pytest.mark.parametrize("rig", ALL_RIGS, ids=lambda r: r.name)
+def test_split_refuses_what_is_not_an_element(rig):
+    outside = [0.5, "1", None] + ([True] if rig is not BOOLEAN else [1, 0, Fraction(1)])
+    if rig is NONNEG_RATIONAL:
+        outside.append(Fraction(-1, 2))
+    for value in outside:
+        with pytest.raises(ValueError, match=re.escape(f"coefficient {value!r} is not an element of {rig.name}")):
+            rig.split(value)
