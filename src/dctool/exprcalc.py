@@ -27,6 +27,7 @@ makes the calculator run for long.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from . import polyform as pf
@@ -216,8 +217,9 @@ def infer_arity(node: Node) -> int:
 
 
 def _size(p: Polynomial) -> int:
-    """Terms plus 64-bit words of the coefficients (ints, Fractions or bools, all rationals)."""
-    return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64 for c in p.terms.values())
+    """Terms plus 64-bit words of the coefficients in lowest terms, read from `num` and `den`."""
+    den = p.den
+    return sum(1 + ((n // (g := gcd(n, den))).bit_length() + (den // g).bit_length()) // 64 for n in p.num.values())
 
 
 def eval_expr(ast: Node, semiring: Rig, arity: int | None = None):

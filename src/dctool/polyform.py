@@ -30,7 +30,8 @@ a product of nonzero numerators, a multiplicity `nat_value(k)` and an
 inverse `nat_inverse(k)` are never zero (the rig properties behind this are
 listed in `rig.Rig`), so a zero arises only in a sum over a rig with
 `has_negatives`, where `drop_cancelled` drops it, or in a scalar from
-outside (`scale(c)`, `const(c)`), which is tested where it enters.
+outside (`scale(c)`, `const(c)`) or a draw (`random_poly`), which is tested
+where it enters.
 
 All operators act in plain function-application order: `K_op(p)` means "apply
 the operator to p".  The degree-graded operators act block-diagonally on the
@@ -50,7 +51,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from .lawsuite import ModelBinding, Operators, repeat_case
-from .rig import Rig, drop_cancelled
+from .rig import Rig, drop_cancelled, randbelow
 
 MultiIndex = tuple  # tuple[int, ...]; arity-length exponent vector
 
@@ -94,10 +95,7 @@ class Polynomial:
                     num, den = _grow(num, den, d)
                     n *= den // d
                 num[exps] = n
-        self.rig = rig
-        self.arity = arity
-        self.num = num
-        self.den = den
+        self.rig, self.arity, self.num, self.den = rig, arity, num, den
 
     @property
     def terms(self):
@@ -463,9 +461,7 @@ def seely_split(p: Polynomial, left_vars: int) -> SplitTensor:
     """Re-index each monomial as (first left_vars variables) tensor (the rest)."""
     if not 0 <= left_vars <= p.arity:
         raise ValueError("left_vars out of range")
-    terms = {}
-    for exps, c in p.terms.items():
-        terms[(exps[:left_vars], exps[left_vars:])] = c
+    terms = {(e[:left_vars], e[left_vars:]): c for e, c in p.terms.items()}
     return SplitTensor(p.rig, left_vars, p.arity - left_vars, terms)
 
 
@@ -509,11 +505,7 @@ class PolyMap:
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
             return NotImplemented
-        return (
-            self.in_arity == other.in_arity
-            and self.out_arity == other.out_arity
-            and self.coordinates == other.coordinates
-        )
+        return (self.in_arity, self.out_arity, self.coordinates) == (other.in_arity, other.out_arity, other.coordinates)
 
     def render(self) -> str:
         return "(" + ", ".join(c.render() for c in self.coordinates) + ")"
@@ -553,9 +545,7 @@ def substitute(p: Polynomial, args) -> Polynomial:
 def cokleisli_compose(g: PolyMap, f: PolyMap) -> PolyMap:
     """Coordinate-wise substitution: (g . f)(x) = g(f(x))."""
     if g.in_arity != f.out_arity:
-        raise ValueError(
-            f"arity mismatch: cannot compose {g.in_arity}-ary map after {f.out_arity} outputs"
-        )
+        raise ValueError(f"arity mismatch: cannot compose {g.in_arity}-ary map after {f.out_arity} outputs")
     coords = tuple(substitute(c, f.coordinates) for c in g.coordinates)
     return PolyMap(f.in_arity, g.out_arity, coords)
 
@@ -564,11 +554,8 @@ def extend_arity(p: Polynomial, new_arity: int, offset: int = 0) -> Polynomial:
     """Embed p into a larger variable set, shifting its variables by offset."""
     if offset + p.arity > new_arity:
         raise ValueError("extension does not fit")
-    terms = {}
-    for exps, c in p.num.items():
-        e = (0,) * offset + exps + (0,) * (new_arity - offset - p.arity)
-        terms[e] = c
-    return _canonical(p.rig, new_arity, terms, p.den)
+    before, after = (0,) * offset, (0,) * (new_arity - offset - p.arity)
+    return _canonical(p.rig, new_arity, {before + e + after: c for e, c in p.num.items()}, p.den)
 
 
 def cartesian_derivative(f: PolyMap) -> PolyMap:
@@ -584,9 +571,7 @@ def cartesian_derivative(f: PolyMap) -> PolyMap:
         jac = grad(c)
         acc = Polynomial.zero(rig, 2 * n)
         for j in range(n):
-            dj = extend_arity(jac.components[j], 2 * n, 0)
-            vj = Polynomial.variable(rig, 2 * n, n + j)
-            acc = acc + dj * vj
+            acc = acc + extend_arity(jac.components[j], 2 * n, 0) * Polynomial.variable(rig, 2 * n, n + j)
         coords.append(acc)
     return PolyMap(2 * n, f.out_arity, tuple(coords))
 
@@ -612,16 +597,27 @@ def apply_linear(matrix, p: Polynomial) -> Polynomial:
 
 
 def random_poly(rng, rig: Rig, arity: int, max_degree: int) -> Polynomial:
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        deg = rng.randint(0, max_degree)
+    """A seeded polynomial of 1-4 terms, the same for a seed on Python 3.10-3.13.
+
+    Each term has a uniform degree in 0..`max_degree`, a uniform variable per unit of degree and a
+    coefficient from `rig.draw`; terms on one monomial are summed.  The other draws are `randbelow`'s.
+    """
+    drawn, bits, k = {}, rng.getrandbits, arity.bit_length()
+    for _ in range(1 + randbelow(rng, 4)):
         exps = [0] * arity
-        for _ in range(deg):
-            exps[rng.randrange(arity)] += 1
-        c = rig.sample(rng)
-        key = tuple(exps)
-        terms[key] = rig.add(terms[key], c) if key in terms else c
-    return Polynomial(rig, arity, terms)
+        for _ in range(randbelow(rng, max_degree + 1)):
+            i = bits(k) if arity else randbelow(rng, arity)  # randbelow inlined; it refuses arity 0
+            while i >= arity:
+                i = bits(k)
+            exps[i] += 1
+        key, c = tuple(exps), rig.draw(rng)
+        if key in drawn:
+            c = rig.split(rig.add(rig.join(*drawn[key]), rig.join(*c)))
+        drawn[key] = c
+    is_zero = rig.is_zero
+    den = lcm(*[d for n, d in drawn.values() if not is_zero(n)])  # the den the validating constructor grows
+    num = {e: n * (den // d) if d != den else n for e, (n, d) in drawn.items() if not is_zero(n)}
+    return _canonical(rig, arity, num, den)
 
 
 def random_bundle(rng, rig: Rig, arity: int, max_degree: int) -> PolyBundle:
@@ -629,11 +625,7 @@ def random_bundle(rng, rig: Rig, arity: int, max_degree: int) -> PolyBundle:
 
 
 def random_polymap(rng, rig: Rig, in_arity: int, out_arity: int, max_degree: int) -> PolyMap:
-    return PolyMap(
-        in_arity,
-        out_arity,
-        tuple(random_poly(rng, rig, in_arity, max_degree) for _ in range(out_arity)),
-    )
+    return PolyMap(in_arity, out_arity, tuple(random_poly(rng, rig, in_arity, max_degree) for _ in range(out_arity)))
 
 
 class PolyOp:
@@ -719,10 +711,7 @@ def make_poly_binding(
         return random_poly(rng, rig, arity or variables, deg or max_degree)
 
     def fail(label, *polys):
-        rendered = "; ".join(
-            f"{n} = {v.render() if hasattr(v, 'render') else v}" for n, v in polys
-        )
-        return f"{label}: {rendered}"
+        return f"{label}: " + "; ".join(f"{n} = {v.render() if hasattr(v, 'render') else v}" for n, v in polys)
 
     def equations(law, at, rng, cases):
         """Apply both sides of each (lhs, rhs, label) `law` yields on the operator set `at` to `cases` seeded inputs."""
@@ -793,9 +782,7 @@ def make_poly_binding(
 
     def l4(rng, cases):
         def one(rng):
-            n = rng.randint(1, 3)
-            m = rng.randint(1, 3)
-            k = rng.randint(1, 3)
+            n, m, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
             f = random_polymap(rng, rig, n, m, 3)
             g = random_polymap(rng, rig, m, k, 3)
             lhs = cartesian_derivative(cokleisli_compose(g, f))
@@ -816,14 +803,8 @@ def make_poly_binding(
             b = derive(p)
             if any(c.total_degree() > 0 for c in b.components):
                 return fail("gradient of an affine map is not constant", ("p", p))
-            lin = PolyMap(
-                variables,
-                variables,
-                tuple(
-                    Polynomial.variable(rig, variables, i).scale(rig.sample(rng))
-                    for i in range(variables)
-                ),
-            )
+            coords = tuple(Polynomial.variable(rig, variables, i).scale(rig.sample(rng)) for i in range(variables))
+            lin = PolyMap(variables, variables, coords)
             dlin = cartesian_derivative(lin)
             for c in dlin.coordinates:
                 if any(any(e[:variables]) for e in c.num):
@@ -909,9 +890,7 @@ def make_poly_binding(
         def one(rng):
             p = rp(rng)
             rows = rng.randint(1, 3)
-            matrix = [
-                [rig.nat_value(rng.randint(0, 3)) for _ in range(variables)] for _ in range(rows)
-            ]
+            matrix = [[rig.nat_value(rng.randint(0, 3)) for _ in range(variables)] for _ in range(rows)]
             lhs = grad(apply_linear(matrix, p))
             images = [apply_linear(matrix, c) for c in grad(p).components]
             comps = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import NamedTuple
 
 
@@ -25,13 +26,28 @@ class NotInvertible(Exception):
         self.k = k
 
 
+def randbelow(rng, n: int) -> int:
+    """`rng.randrange(n)` by the same draws, CPython 3.10-3.13's `_randbelow_with_getrandbits` loop.
+
+    A width n < 1 raises a `ValueError`, where the loop would never end.
+    """
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 class Rig:
     """A commutative semiring with decidable exact equality.
 
     Subclasses fix the element representation and provide `zero`, `one`,
-    `add`, `mul`, `eq` and a seeded `sample`.  Values are immutable; every
-    operation is pure.  `is_zero` and `nat_value` have generic definitions
-    here; a subclass may override them with a closed form that agrees.
+    `add`, `mul`, `eq` and a seeded `draw`, which `sample` joins.  Values
+    are immutable; every operation is pure.  `is_zero` and `nat_value` have
+    generic definitions here; a subclass may override them with a closed
+    form that agrees.
 
     The polynomial and matrix layers test a coefficient for zero only where a
     zero can appear, and rely on three properties that `rig_laws_check`
@@ -64,9 +80,13 @@ class Rig:
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero)
 
-    def sample(self, rng):
-        """Draw a small element, deterministic per rng state."""
+    def draw(self, rng):
+        """A small element drawn from `rng`, as the (n, d) of `split`."""
         raise NotImplementedError
+
+    def sample(self, rng):
+        """The joined `draw`: a small element, deterministic per rng state."""
+        return self.join(*self.draw(rng))
 
     def render(self, a) -> str:
         return str(a)
@@ -112,6 +132,7 @@ class NonNegRationalRig(Rig):
     """Non-negative rationals with exact arbitrary-precision arithmetic."""
 
     name = "nonneg-rational"
+    low, span = 0, 8  # `draw` gives n / d for n uniform in low .. low + span - 1 and d in 1 .. 6
 
     zero = 0
     one = 1
@@ -125,8 +146,10 @@ class NonNegRationalRig(Rig):
     def is_zero(self, a) -> bool:
         return not a
 
-    def sample(self, rng):
-        return _small(Fraction(rng.randrange(0, 8), rng.randrange(1, 7)))
+    def draw(self, rng):
+        n, d = self.low + randbelow(rng, self.span), 1 + randbelow(rng, 6)
+        g = gcd(n, d)
+        return n // g, d // g
 
     def split(self, c):
         # an int is its own numerator over 1; a bool is not a rational here
@@ -153,9 +176,7 @@ class RationalRig(NonNegRationalRig):
 
     name = "rational"
     has_negatives = True
-
-    def sample(self, rng):
-        return _small(Fraction(rng.randrange(-7, 8), rng.randrange(1, 7)))
+    low, span = -7, 15
 
     def neg(self, a):
         return -a
@@ -179,8 +200,8 @@ class BooleanRig(Rig):
     def is_zero(self, a) -> bool:
         return not a
 
-    def sample(self, rng):
-        return rng.random() < 0.5
+    def draw(self, rng):
+        return rng.random() < 0.5, 1
 
     def nat_value(self, k: int):
         if k < 0:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -200,6 +201,29 @@ def test_calculator_large_powers_finish_quickly(expr, capsys):
         assert status == 2 and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("dctool: "), captured.err
+
+
+def test_calculator_size_is_the_lowest_terms_coefficient_formula():
+    """`_size` reads `num` and `den` but counts the words of each coefficient in lowest terms."""
+    from fractions import Fraction
+
+    import dctool.polyform as pf
+
+    def by_coefficients(p):
+        return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64 for c in p.terms.values())
+
+    rng, unreduced = random.Random(18), 0
+    for rig in RIGS.values():
+        big = rig.one if rig.name == "boolean" else Fraction(2**61 + 1, 3**25)
+        for _ in range(40):
+            p = pf.random_poly(rng, rig, 3, 5)
+            q = pf.J_inv_op(p * pf.random_poly(rng, rig, 3, 5) * p).scale(big)
+            for r in (p, q, q * q, q + pf.K_inv_op(q)):
+                assert exprcalc._size(r) == by_coefficients(r), r
+                naive = sum(1 + (n.bit_length() + r.den.bit_length()) // 64 for n in r.num.values())
+                unreduced += naive != exprcalc._size(r)
+    # the sum of the bit lengths of num and den would have moved the budget
+    assert unreduced
 
 
 def test_calculator_long_chains_are_one_node(capsys):

@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import stream_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -616,6 +617,16 @@ def test_taylor_both_forms():
         assert p + pf.eval0(p).scale(minus_one) == q + pf.eval0(q).scale(minus_one)
         # additive form, no negatives needed
         assert p + pf.eval0(q) == q + pf.eval0(p)
+
+
+def test_random_polynomials_are_the_randrange_reference_draws():
+    """random_poly, random_bundle and random_polymap over every rig, arities 1-5, degrees 1-10, 300 seeds."""
+    stream_oracle.check_random_polys()
+
+
+def test_an_empty_width_is_refused_promptly():
+    """randbelow(0), and random_poly with no variables or a negative degree, raise and do not hang."""
+    stream_oracle.check_empty_widths()
 
 
 def test_poly_suite_work_counts(monkeypatch):
