@@ -260,10 +260,10 @@ def eval_expr(ast: Node, semiring: Rig, arity: int | None = None):
         kind = node.kind
         if kind == "const":
             (q,) = node.payload
-            if semiring.name == "boolean":
-                c = semiring.one if q != 0 else semiring.zero
-            else:
-                c = q
+            # the rig's own image of n/d
+            c = semiring.nat_value(q.numerator)
+            if q.denominator > 1:
+                c = semiring.mul(c, semiring.nat_inverse(q.denominator))
             return Polynomial.const(semiring, arity, c)
         if kind == "var":
             return Polynomial.variable(semiring, arity, VAR_NAMES.index(node.payload[0]))

@@ -345,9 +345,9 @@ def builtin_corpus() -> list[SmoothMap]:
     return maps
 
 
-def sample_point(rng, dim: int, low: float = -2.0, high: float = 2.0) -> np.ndarray:
-    """Seeded uniform draw from the test box."""
-    return np.array([rng.uniform(low, high) for _ in range(dim)])
+def sample_point(rng, dim: int) -> np.ndarray:
+    """Seeded uniform draw from the test box [-2, 2]^dim."""
+    return _points(rng, dim, 1)[:, 0]
 
 
 def rel_close(a, b, tol_rel: float, tol_abs: float = 1e-12):
@@ -361,8 +361,9 @@ def rel_close(a, b, tol_rel: float, tol_abs: float = 1e-12):
 
 
 def _points(rng, dim, k):
-    """k seeded points of R^dim, drawn one after another, as the columns of one (dim, k) batch."""
-    return np.column_stack([sample_point(rng, dim) for _ in range(k)])
+    """k seeded points of the test box, drawn one after another, as the columns of one (dim, k) batch."""
+    draws = [rng.uniform(-2.0, 2.0) for _ in range(dim * k)]
+    return np.reshape(draws, (k, dim)).T
 
 
 class _ProbeBatch:

@@ -6,18 +6,22 @@ every composition sum is finite and exact.  Morphisms are sparse matrices over
 a rig.  The operator family mirrors the polynomial model: `d_rel` puts one
 element into a bag (weighted by the resulting multiplicity), `dcirc_rel` pulls
 one out coefficient-free, `s_rel` pulls one out weighted by the inverse bag
-size, and `K_rel`/`J_rel` are the diagonal bag-size scalings built from them.
-Each operator is defined once for every base set: the unit-level operators
-are the general ones at the one-point base `UNIT_BASE`.  Permutations of
-tensor factors are applied as key relabels (`WeightedMatrix.relabel`), which
-cost O(nnz) and build no permutation matrix.
+size, and K and J are the diagonal bag-size scalings d°;d + !(0) and d°;d + 1.
+`operators_rel` builds the whole operator set of one base set, so each
+operator is defined once for every base set: the unit-level operators are the
+general ones at the one-point base `UNIT_BASE`.  Permutations of tensor
+factors and of atoms are applied as key relabels (`WeightedMatrix.relabel`),
+which cost O(nnz) and build no permutation matrix.
 
 Every operator shifts bag sizes by a fixed amount (+1, -1 or 0), so equations
 between composites of at most two size-shifting operators are exact on the
 "safe band" of bags whose size stays at least `MARGIN` below the truncation
-bound.  All law checks quantify over that band only.  Row r of f;g depends
-only on row r of f, so a law may evaluate a composite from the safe-band rows
-of its first factor (`WeightedMatrix.restrict_rows`) outward, and
+bound.  The law checks compare both sides on that band, with two exceptions:
+L22 compares split;merge on every bag up to the bound D and merge;split on
+the pairs of halves of at most min(D - MARGIN, D // 2) atoms, and L24, which
+composes nothing, compares every entry up to D.  Row r of f;g depends only
+on row r of f, so a law may evaluate a composite from the safe-band rows of
+its first factor (`WeightedMatrix.restrict_rows`) outward, and
 `compose_tensor` evaluates f;(g x h) without materializing g x h.
 
 The public constructor `WeightedMatrix(...)` drops zero entries.  Everything
@@ -30,9 +34,10 @@ sum products of them, and drop a cancelled sum only over a rig with
 `has_negatives`; and the operator matrices below are weighted by `one`,
 multiplicities `nat_value(k)` and inverses `nat_inverse(k)` with k >= 1.
 
-The model's law binding, `make_rel_binding`, ends this module.  It calls
-`mat_compose`, `tensor` and `perm_matrix` as module globals, where a tracer
-that patches them finds every call.
+The model's law binding, `make_rel_binding`, ends this module.  It reads
+`mat_compose` and `tensor` as module globals when it is built and when a law
+runs, so a tracer that patches them before the binding is built finds every
+call.
 """
 
 from __future__ import annotations
@@ -377,7 +382,11 @@ def compose_tensor(f: WeightedMatrix, g: WeightedMatrix, h: WeightedMatrix) -> W
 
 
 def perm_matrix(rig, row_space, col_space, fn) -> WeightedMatrix:
-    """Permutation matrix induced by a bijection on points."""
+    """Permutation matrix induced by a bijection on points.
+
+    Nothing in `src` calls it: the binding permutes by `relabel`.  It is the
+    reference `relabel` is tested against, and the benchmark reads it.
+    """
     entries = {(p, fn(p)): rig.one for p in row_space.points()}
     return WeightedMatrix._canonical(rig, row_space, col_space, entries)
 
@@ -385,15 +394,9 @@ def perm_matrix(rig, row_space, col_space, fn) -> WeightedMatrix:
 # -- operator matrices ------------------------------------------------------
 
 
-def spaces(base: BaseSet, trunc: Truncation):
-    bags = BagSpace(base, trunc.D)
-    atoms = AtomSpace(base)
-    return bags, atoms
-
-
 def d_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     """Insert one element into a bag, weighted by its multiplicity afterwards."""
-    bags, atoms = spaces(base, trunc)
+    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
     entries = {}
     for b in bags.points():
         if len(b) >= trunc.D:
@@ -406,7 +409,7 @@ def d_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
 
 def dcirc_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     """Remove one element from a bag, coefficient-free."""
-    bags, atoms = spaces(base, trunc)
+    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
     entries = {}
     for b in bags.points():
         for x in set(b):
@@ -416,13 +419,13 @@ def dcirc_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
 
 def bang_zero_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     """Projection onto the empty bag."""
-    bags, _ = spaces(base, trunc)
+    bags = BagSpace(base, trunc.D)
     return WeightedMatrix._canonical(rig, bags, bags, {((), ()): rig.one})
 
 
 def s_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     """Remove one element, weighted by the inverse of the source bag size."""
-    bags, atoms = spaces(base, trunc)
+    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
     entries = {}
     for b in bags.points():
         if not b:
@@ -433,33 +436,8 @@ def s_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     return WeightedMatrix._canonical(rig, bags, PairSpace(bags, atoms), entries)
 
 
-def K_rel(base: BaseSet, rig: Rig, trunc: Truncation, dcd: WeightedMatrix | None = None) -> WeightedMatrix:
-    """Remove-then-insert plus the empty-bag projection; diagonal with weight |b|.
-
-    `dcd` is d°;d on the same bags, for a caller that has already built it.
-    """
-    if dcd is None:
-        dcd = _dcirc_d(base, rig, trunc)
-    return dcd + bang_zero_rel(base, rig, trunc)
-
-
-def J_rel(base: BaseSet, rig: Rig, trunc: Truncation, dcd: WeightedMatrix | None = None) -> WeightedMatrix:
-    """Remove-then-insert plus the identity; diagonal with weight |b| + 1.
-
-    `dcd` is d°;d on the same bags, for a caller that has already built it.
-    """
-    if dcd is None:
-        dcd = _dcirc_d(base, rig, trunc)
-    bags, _ = spaces(base, trunc)
-    return dcd + WeightedMatrix.identity(rig, bags)
-
-
-def _dcirc_d(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    return mat_compose(dcirc_rel(base, rig, trunc), d_rel(base, rig, trunc))
-
-
 def K_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    bags, _ = spaces(base, trunc)
+    bags = BagSpace(base, trunc.D)
     entries = {}
     for b in bags.points():
         entries[(b, b)] = rig.one if not b else rig.nat_inverse(len(b))
@@ -467,7 +445,7 @@ def K_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
 
 
 def J_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    bags, _ = spaces(base, trunc)
+    bags = BagSpace(base, trunc.D)
     entries = {(b, b): rig.nat_inverse(len(b) + 1) for b in bags.points()}
     return WeightedMatrix._canonical(rig, bags, bags, entries)
 
@@ -479,7 +457,7 @@ class Comonoid(NamedTuple):
 
 
 def comonoid_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Comonoid:
-    bags, atoms = spaces(base, trunc)
+    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
     unit = UnitSpace()
     delta_entries = {}
     for b in bags.points():
@@ -531,20 +509,50 @@ def spread_rel(rig: Rig, space, trunc: Truncation) -> WeightedMatrix:
     )
 
 
-class UnitMonoidal(NamedTuple):
-    m_R: WeightedMatrix  # unit point -> every unit bag, all entries one
-    m_RA: WeightedMatrix  # (unit bag of size n, bag b) -> b, gated on n = |b|
-
-
-def m_unit_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> UnitMonoidal:
-    ubags = unit_bags(trunc)
+def gate_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
+    """m_{R,A}: (unit bag of size n, bag b) -> b, gated on n = |b|."""
     bags = BagSpace(base, trunc.D)
-    m_R = WeightedMatrix._canonical(
-        rig, UnitSpace(), ubags, {(UNIT_POINT, _nbag(n)): rig.one for n in range(trunc.D + 1)}
-    )
     entries = {((_nbag(len(b)), b), b): rig.one for b in bags.points()}
-    m_RA = WeightedMatrix._canonical(rig, PairSpace(ubags, bags), bags, entries)
-    return UnitMonoidal(m_R, m_RA)
+    return WeightedMatrix._canonical(rig, PairSpace(unit_bags(trunc), bags), bags, entries)
+
+
+def m_R_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
+    """m_R: the unit point -> every unit bag, all entries one."""
+    return WeightedMatrix._canonical(
+        rig, UnitSpace(), unit_bags(trunc), {(UNIT_POINT, _nbag(n)): rig.one for n in range(trunc.D + 1)}
+    )
+
+
+# -- operator sets ----------------------------------------------------------
+
+
+def operators_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Operators:
+    """d, d°, s, !(0), K, J, K^{-1}, J^{-1} and the unit monoidal maps on the bags of `base`.
+
+    K = d°;d + !(0) is diagonal with weight |b| and J = d°;d + 1 with weight
+    |b| + 1; both add to one d°;d.  On UNIT_BASE these are the unit-level
+    operators, and `atom` is the ((n, *), n) matrix that adds the one-point
+    atom factor.  Operators compose by matrix product; f x 1 is a tensor with
+    the identity on atoms (`x1`) or on bags (`tag`).
+    """
+    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
+    id_bags, id_atoms = WeightedMatrix.identity(rig, bags), WeightedMatrix.identity(rig, atoms)
+    atom = None
+    if base == UNIT_BASE:
+        atom = WeightedMatrix(rig, PairSpace(bags, atoms), bags, {((n, UNIT_POINT), n): rig.one for n in bags.points()})
+    d, dc, bang0 = d_rel(base, rig, trunc), dcirc_rel(base, rig, trunc), bang_zero_rel(base, rig, trunc)
+    dcd = mat_compose(dc, d)
+    return Operators(
+        d, dc, s_rel(base, rig, trunc), bang0, dcd + bang0, dcd + id_bags,
+        K_inv_rel(base, rig, trunc), J_inv_rel(base, rig, trunc),
+        id=id_bags,
+        gate=gate_rel(base, rig, trunc),
+        spread=spread_rel(rig, bags, trunc),
+        atom=atom,
+        tag=lambda f: tensor(f, id_bags),
+        seq=mat_compose,
+        x1=lambda f: tensor(f, id_atoms),
+    )
 
 
 # -- bag splitting over a disjoint union ------------------------------------
@@ -583,11 +591,11 @@ MAX_BASE_SIZE = 6
 ATOM_NAMES = tuple(chr(ord("a") + i) for i in range(MAX_BASE_SIZE))
 
 
-def _random_matrix(rng, rig, row_space, col_space, density=0.3):
+def _random_matrix(rng, rig, row_space, col_space):
     cols = col_space.points()
     entries = {}
     for r in row_space.points():
-        if rng.random() < density:
+        if rng.random() < 0.3:
             c = cols[rng.randrange(len(cols))]
             v = rig.sample(rng)
             entries[(r, c)] = v
@@ -601,18 +609,17 @@ def make_rel_binding(
 ) -> ModelBinding:
     """Exact law binding for the truncated bag-matrix model.
 
-    Each operator is built once per base set: on the model's base set and on
+    `operators_rel` builds one operator set on the model's base set and one on
     UNIT_BASE, where the general operators are the unit-level d_R, d°_R, s_R,
     K_R and J_R (d_R and s_R keep the one-point atom factor, as `R x 1` in the
-    law citations).  The laws of `lawsuite.OPERATOR_LAWS` run on these two
-    operator sets, composing by matrix product.  Their unit monoidal maps are
-    m_{R,A} from `m_unit_rel` (also read by L10), m_R x 1 = `spread_rel`, f x 1
-    as a tensor with the identity on bags and, on UNIT_BASE only, the
-    ((n, *), n) matrix that adds the one-point atom factor.  A law that is a
+    law citations); every operator is built once per base set.  The laws of
+    `lawsuite.OPERATOR_LAWS` run on these two sets, and L10 reads the gate
+    m_{R,A} of the first and m_R from `m_R_rel`.  A law that is a
     list of equations yields one comparison `cmp(lhs, rhs, label[, limit])`
     per equation, built when the runner reads it, so the runner stops at the
-    first difference and `cases` counts the comparisons made.  Tensor-factor
-    permutations are key relabels, not compositions with permutation matrices.
+    first difference and `cases` counts the comparisons made.  Every
+    permutation, of tensor factors (L1, L3, L6, L7) or of atoms (L23), is a key
+    relabel, not a composition with a permutation matrix.
     The bespoke laws with a large first factor (L1, L3, L7, L21)
     restrict that factor to the safe-band rows, and L1, L3 and L7 evaluate
     each f;(g x h) with `compose_tensor`, so their tensor factors are never
@@ -628,40 +635,14 @@ def make_rel_binding(
     atoms = AtomSpace(base)
     pair_ba = PairSpace(bags, atoms)
     pair_baa = PairSpace(pair_ba, atoms)
-    ubags = unit_bags(trunc)
     uatoms = AtomSpace(UNIT_BASE)
 
-    def operators(b):
-        """d, d°, s, !(0), K, J, K^{-1}, J^{-1} and the unit monoidal maps on the bags of base set b."""
-        b_bags, b_atoms = BagSpace(b, trunc.D), AtomSpace(b)
-        id_b, id_atoms = WeightedMatrix.identity(rig, b_bags), WeightedMatrix.identity(rig, b_atoms)
-        atom = None
-        if b == UNIT_BASE:
-            atom = WeightedMatrix(
-                rig, PairSpace(ubags, uatoms), ubags, {((n, UNIT_POINT), n): rig.one for n in ubags.points()}
-            )
-        d, dc = d_rel(b, rig, trunc), dcirc_rel(b, rig, trunc)
-        # K and J share one d°;d
-        dcd = mat_compose(dc, d)
-        return Operators(
-            d, dc, s_rel(b, rig, trunc), bang_zero_rel(b, rig, trunc),
-            K_rel(b, rig, trunc, dcd), J_rel(b, rig, trunc, dcd),
-            K_inv_rel(b, rig, trunc), J_inv_rel(b, rig, trunc),
-            id=id_b,
-            gate=m_unit_rel(b, rig, trunc).m_RA,
-            spread=spread_rel(rig, b_bags, trunc),
-            atom=atom,
-            tag=lambda f: tensor(f, id_b),
-            seq=lambda f, g: mat_compose(f, g),
-            x1=lambda f: tensor(f, id_atoms),
-        )
-
-    o, u = operators(base), operators(UNIT_BASE)
+    o, u = operators_rel(base, rig, trunc), operators_rel(UNIT_BASE, rig, trunc)
     d, dc, s, bang0, x1, id_bags = o.d, o.dc, o.s, o.bang0, o.x1, o.id
     id_atoms = WeightedMatrix.identity(rig, atoms)
     com = comonoid_rel(base, rig, trunc)
     ucom = comonoid_rel(UNIT_BASE, rig, trunc)
-    m_R = m_unit_rel(UNIT_BASE, rig, trunc).m_R
+    m_R = m_R_rel(rig, trunc)
 
     def swap_atoms(p):
         """((b, x), y) -> ((b, y), x): the symmetry sigma of L6 and L7."""
@@ -750,15 +731,15 @@ def make_rel_binding(
         yield cmp(mat_compose(chi_inv, chi), id_split, "merge;split is not the identity", min(limit, trunc.D // 2))
 
     def l23(rng, cases):
+        bag_points = bags.points()
+
         def one(rng):
             image = list(base.atoms)
             rng.shuffle(image)
             phi = dict(zip(base.atoms, image))
-            push_bags = perm_matrix(rig, bags, bags, lambda b: tuple(sorted(phi[a] for a in b)))
-            push_pair = perm_matrix(rig, pair_ba, pair_ba, lambda p: (tuple(sorted(phi[a] for a in p[0])), phi[p[1]]))
-            return cmp(
-                mat_compose(d, push_bags), mat_compose(push_pair, d), "derivative is not natural along atom permutations"
-            )
+            push = {b: tuple(sorted(phi[a] for a in b)) for b in bag_points}
+            moved = d.relabel(lambda p: (push[p[0]], phi[p[1]]), pair_ba, rows=True).relabel(push.__getitem__, bags)
+            return cmp(d, moved, "derivative is not natural along atom permutations")
 
         return repeat_case(rng, min(cases, 5), one)
 

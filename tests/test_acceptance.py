@@ -66,7 +66,7 @@ def test_acceptance_3_general_bags(capsys):
     b0 = wr.bang_zero_rel(base, rig, trunc)
     ident = WeightedMatrix.identity(rig, BagSpace(base, trunc.D))
     ok = (mat_compose(s, d) + b0).equal_on_safe_band(ident, trunc.safe_limit)
-    kk = mat_compose(wr.K_inv_rel(base, rig, trunc), wr.K_rel(base, rig, trunc))
+    kk = mat_compose(wr.K_inv_rel(base, rig, trunc), wr.operators_rel(base, rig, trunc).K)
     ok = ok and kk.equal_on_safe_band(ident, trunc.safe_limit)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0

@@ -1,5 +1,6 @@
 """Command line: golden JSON reports, exit codes, and the calculator."""
 
+import importlib
 import json
 import os
 import random
@@ -366,9 +367,20 @@ def test_only_the_smooth_model_imports_numpy(argv, loaded, left_out):
     assert dict(zip(names, present)) == {m: str(m in loaded) for m in names}
 
 
+def test_the_names_bench_reads_from_bindings_are_the_model_modules_own():
+    from dctool import polyform, wrel
+
+    importlib.reload(bindings)  # as a fresh import finds them, before any call
+    assert sorted(bindings.__all__) == sorted(
+        ["make_poly_binding", "make_rel_binding", "make_smooth_binding", "mat_compose", "perm_matrix", "tensor"]
+    )
+    homes = {"make_poly_binding": polyform, "make_smooth_binding": sm}
+    for name in bindings.__all__:
+        assert getattr(bindings, name) is getattr(homes.get(name, wrel), name), name
+
+
 def test_the_smooth_binding_keeps_its_old_names():
-    # the names bench/ reads: bindings.make_smooth_binding imports smoothnum at its first call, and
-    # dctool.make_smooth_binding at its first use
+    # the names bench/ reads: dctool.make_smooth_binding imports smoothnum at its first use
     cfg = sm.QuadratureConfig(order=8)
     for make in (bindings.make_smooth_binding, dctool.make_smooth_binding):
         binding = make(cfg, max_dim=2)

@@ -103,7 +103,16 @@ def test_doubling_K_J_or_an_inverse_fails_L8_in_both_exact_models(monkeypatch, n
         return twice
 
     monkeypatch.setattr(pf, f"{name}_op", doubled(getattr(pf, f"{name}_op")))
-    monkeypatch.setattr(wrel, f"{name}_rel", doubled(getattr(wrel, f"{name}_rel")))
+    if name in ("K", "J"):
+        operators_rel = wrel.operators_rel
+
+        def doubled_set(*args):
+            o = operators_rel(*args)
+            return o._replace(**{name: getattr(o, name) + getattr(o, name)})
+
+        monkeypatch.setattr(wrel, "operators_rel", doubled_set)
+    else:
+        monkeypatch.setattr(wrel, f"{name}_rel", doubled(getattr(wrel, f"{name}_rel")))
     op = name[0]
     for binding in (make_poly_binding(NONNEG_RATIONAL), make_rel_binding(NONNEG_RATIONAL)):
         report = ls.run_law("L8", binding, cases=10, seed=0)

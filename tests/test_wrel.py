@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 import dctool.wrel as wr
-from dctool.lawsuite import run_law, run_suite
+from dctool.lawsuite import all_pass, run_law, run_suite
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RIGS
 from dctool.wrel import (
     ATOM_NAMES,
@@ -143,14 +143,14 @@ def test_boolean_integral_is_coderive():
 
 
 def test_unit_K_diagonal():
-    K = wr.K_rel(UNIT_BASE, R, Truncation(5))
+    K = wr.operators_rel(UNIT_BASE, R, Truncation(5)).K
     expected = [1, 1, 2, 3]  # entries for n = 0..3 (safe under the truncation)
     for n, v in enumerate(expected):
         assert K.entry(nb(n), nb(n)) == Fraction(v)
 
 
 def test_K_inverse_inverts_on_safe_band():
-    K = wr.K_rel(XY, R, T4)
+    K = wr.operators_rel(XY, R, T4).K
     K_inv = wr.K_inv_rel(XY, R, T4)
     ident = WeightedMatrix.identity(R, BagSpace(XY, T4.D))
     assert mat_compose(K_inv, K).equal_on_safe_band(ident, T4.safe_limit)
@@ -158,7 +158,7 @@ def test_K_inverse_inverts_on_safe_band():
 
 
 def test_boolean_K_is_identity():
-    K = wr.K_rel(XY, B, T4)
+    K = wr.operators_rel(XY, B, T4).K
     ident = WeightedMatrix.identity(B, BagSpace(XY, T4.D))
     assert K.equal_on_safe_band(ident, T4.safe_limit)
 
@@ -176,12 +176,6 @@ def test_rel_binding_builds_d_and_dcirc_once_per_base_set_and_shares_them_with_K
     base = BaseSet(("a", "b", "c"))
     make_rel_binding(R, base_size=3, truncation=6)
     assert built == {(name, b): 1 for name in ("d_rel", "dcirc_rel") for b in (base, UNIT_BASE)}
-    # the shared d°;d gives the K and J of the stand-alone constructors
-    trunc = Truncation(6)
-    for b in (base, UNIT_BASE):
-        dcd = mat_compose(wr.dcirc_rel(b, R, trunc), wr.d_rel(b, R, trunc))
-        assert wr.K_rel(b, R, trunc, dcd) == wr.K_rel(b, R, trunc)
-        assert wr.J_rel(b, R, trunc, dcd) == wr.J_rel(b, R, trunc)
 
 
 # -- comonoid ----------------------------------------------------------------
@@ -228,15 +222,15 @@ def test_delta_matches_a_reference_built_from_multiset_differences(base_size, D)
 
 
 def test_m_unit_laws():
-    um = wr.m_unit_rel(XY, R, T4)
+    m_R = wr.m_R_rel(R, T4)
     bags = BagSpace(XY, T4.D)
     spread = wr.spread_rel(R, bags, T4)
     ident = WeightedMatrix.identity(R, bags)
-    assert mat_compose(spread, um.m_RA).equal_on_safe_band(ident, T4.safe_limit)
+    assert mat_compose(spread, wr.gate_rel(XY, R, T4)).equal_on_safe_band(ident, T4.safe_limit)
     ucom = wr.comonoid_rel(UNIT_BASE, R, T4)
-    m_eps = mat_compose(um.m_R, ucom.eps)
+    m_eps = mat_compose(m_R, ucom.eps)
     assert m_eps.entry(UNIT_POINT, UNIT_POINT) == Fraction(1)
-    m_e = mat_compose(um.m_R, ucom.counit)
+    m_e = mat_compose(m_R, ucom.counit)
     assert m_e.entry(UNIT_POINT, UNIT_POINT) == Fraction(1)
 
 
@@ -313,7 +307,7 @@ def test_operators_shift_bag_sizes_by_fixed_amounts():
     dc = wr.dcirc_rel(XY, R, T4)
     for (row, (b, _x)) in dc.entries:
         assert len(b) == len(row) - 1
-    for (row, col) in wr.K_rel(XY, R, T4).entries:
+    for (row, col) in wr.operators_rel(XY, R, T4).K.entries:
         assert len(row) == len(col)
     s = wr.s_rel(XY, R, T4)
     for (row, (b, _x)) in s.entries:
@@ -322,7 +316,7 @@ def test_operators_shift_bag_sizes_by_fixed_amounts():
 
 def test_generator_matrices_respect_margin():
     # entries emitted by the operator builders never exceed the declared bound
-    for mat in (wr.d_rel(XY, R, T4), wr.s_rel(XY, R, T4), wr.K_rel(XY, R, T4)):
+    for mat in (wr.d_rel(XY, R, T4), wr.s_rel(XY, R, T4), wr.operators_rel(XY, R, T4).K):
         for (r, c) in mat.entries:
             assert wr.point_weight(mat.row_space, r) <= T4.D
             assert wr.point_weight(mat.col_space, c) <= T4.D
@@ -376,6 +370,41 @@ def test_relabel_rejects_a_non_injective_map():
         column.relabel(lambda b: (), bags, rows=True)
     with pytest.raises(ValueError):
         column.transpose().relabel(lambda b: (), bags)
+
+
+def test_a_rel_suite_permutes_by_relabel_only(monkeypatch):
+    calls = 0
+    perm_matrix = wr.perm_matrix
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return perm_matrix(*args)
+
+    monkeypatch.setattr(wr, "perm_matrix", counting)
+    for rig in RIGS.values():
+        assert all_pass(run_suite(make_rel_binding(rig, base_size=3, truncation=5), cases=10, seed=0))
+    assert calls == 0
+
+
+@pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
+def test_a_derivative_weighted_by_the_atom_it_inserts_fails_naturality(monkeypatch, rig):
+    """d weighted by the index of the atom it inserts (a by 0, b by 1, c by 2) is not natural along
+    atom permutations, over every rig: the boolean one still loses the entries of a."""
+    d_rel = wr.d_rel
+
+    def d_mutant(base, rig, trunc):
+        d = d_rel(base, rig, trunc)
+        entries = {
+            ((b, x), c): rig.mul(v, rig.nat_value(base.atoms.index(x))) for ((b, x), c), v in d.entries.items()
+        }
+        return WeightedMatrix(rig, d.row_space, d.col_space, entries)
+
+    assert run_law("L23", make_rel_binding(rig, base_size=3), cases=10, seed=0).status == "pass"
+    monkeypatch.setattr(wr, "d_rel", d_mutant)
+    report = run_law("L23", make_rel_binding(rig, base_size=3), cases=10, seed=0)
+    assert report.status == "fail"
+    assert report.counterexample.startswith("derivative is not natural along atom permutations: entry ")
 
 
 # -- composites with a tensor, from the safe-band rows -----------------------
@@ -505,8 +534,6 @@ def test_composites_sums_and_tensors_have_no_zero_entry(rig):
 def test_operator_weights_stay_ints():
     base, trunc = BaseSet(("a", "b", "c")), Truncation(5)
     com = wr.comonoid_rel(base, R, trunc)
-    for m in (
-        wr.d_rel(base, R, trunc), wr.dcirc_rel(base, R, trunc), wr.K_rel(base, R, trunc), wr.J_rel(base, R, trunc),
-        com.delta, com.counit, com.eps,
-    ):
+    o = wr.operators_rel(base, R, trunc)
+    for m in (o.d, o.dc, o.K, o.J, com.delta, com.counit, com.eps):
         assert m.entries and all(type(v) is int for v in m.entries.values())
