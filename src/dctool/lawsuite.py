@@ -11,21 +11,25 @@ every law in the binding so one failure never hides another: an exception
 raised inside a check fails that law with `cases` 0 and the exception as its
 counterexample.
 
-The operator-algebra laws L8, L9 and L11-L20 are written once, in the equation
-table `OPERATOR_LAWS`: each is a generator of (lhs, rhs, label) equations
-between composites of d, d°, s, !(0), K, J, K^{-1}, J^{-1} and the unit
-monoidal maps m_{R,A} and m_R x 1, taken from an `Operators` set on the
-object the law is stated on and the one on the monoidal unit R.  Composites
-read in matrix-vector order (`f;g` applied to v is f(g(v))).  The unit
-reconstructions (L14, L17) move a unit operator f to the object A along
-`via_unit`: tag each bag with its size, apply f to the tag, forget the tag.
-The Poincare condition (L20), d;s;f = f for a symmetric f, is stated on the
-exact maps f = d;g, which are the symmetric maps the models generate, as
-d;s;d = d.  Each exact model supplies both operator sets and one equality
-check: the relational model compares matrices on the safe band, the
-polynomial model applies both sides to seeded inputs.  The smooth model has
-no operator sets; its L18-L20 compare the two sides of the same equations,
-`_ftc2`, `_ftc1` and `_poincare`, at probe points.
+The operator-algebra laws L8, L9, L11-L20 and L24 are written once, in their
+rows of the law table `LAWS`: each row names the object the law is stated on
+and a generator of (lhs, rhs, label) equations between composites of d, d°,
+s, !(0), K, J, K^{-1}, J^{-1} and the unit monoidal maps m_{R,A} and
+m_R x 1, taken from an `Operators` set on that object and the one on the
+monoidal unit R.  Composites read in matrix-vector order (`f;g` applied to v
+is f(g(v))).  The unit reconstructions (L14, L17) move a unit operator f to
+the object A along `via_unit`: tag each bag with its size, apply f to the
+tag, forget the tag.  The Poincare condition (L20), d;s;f = f for a
+symmetric f, is stated on the exact maps f = d;g, which are the symmetric
+maps the models generate, as d;s;d = d.  The idempotent collapse (L24) is
+s = d°; a binding over a rig that is not additively idempotent skips it.
+Each exact model supplies both operator sets and one equality check: the
+relational model compares matrices on the safe band, the polynomial model
+applies both sides to seeded inputs.  The smooth model has no operator sets;
+its L18-L20 compare the two sides of the same equations, `_ftc2`, `_ftc1`
+and `_poincare`, at probe points.  The other laws need operators the sets do
+not have (Delta, sigma, e and eps, chi) or take premises or random maps, so
+each binding checks them by hand.
 
 Each model's binding ends that model's module (`polyform.make_poly_binding`,
 `wrel.make_rel_binding`, `smoothnum.make_smooth_binding`), so a run imports
@@ -45,44 +49,8 @@ class UnboundOperator(Exception):
     """A binding claims a law it has no check for."""
 
 
-class Law(NamedTuple):
-    id: str
-    name: str
-    citation: str  # the equation or rule the law asserts, in operator notation
-
-
-LAWS: tuple[Law, ...] = (
-    Law("L1", "comonoid / substitution unit", "Delta cocommutative comonoid; coKleisli composition associative and unital"),
-    Law("L2", "constant rule", "d ; e = 0  (derivative of a constant vanishes)"),
-    Law("L3", "Leibniz rule", "d ; Delta = (Delta x 1)(1 x sigma)(d x 1) + (Delta x 1)(1 x d)"),
-    Law("L4", "chain rule", "D[g o f](x, v) = D[g](f(x), D[f](x, v))"),
-    Law("L5", "linear rule", "d ; eps = e x 1  (derivative of a linear map is constant)"),
-    Law("L6", "interchange rule", "(d x 1) ; d = (1 x sigma)(d x 1) ; d"),
-    Law("L7", "derive/coderive exchange", "d ; d° = (d° x 1)(1 x sigma)(d x 1) + 1"),
-    Law("L8", "K and J definitions", "K = d° ; d + !(0)   and   J = d° ; d + 1"),
-    Law("L9", "K/J absorption and intertwining", "K !(0) = !(0) = !(0) K;  K d° = d° (J x 1);  d K = (J x 1) d"),
-    Law("L10", "unit monoidal laws", "(m_R x 1) m_{R,A} = 1;  m_R eps = 1;  m_R e = 1;  m_R d° = m_R"),
-    Law("L11", "K/J respect the unit pairing", "(K_R x 1) m_{R,A} = m_{R,A} K_A  (and the J version)"),
-    Law("L12", "second fundamental theorem at the unit", "s_R d_R + !(0) = 1"),
-    Law("L13", "s against J", "s_R J_R = d°_R"),
-    Law("L14", "J inverse from unit integration", "J_R^{-1} = (m_R x 1)(s_R x 1) m_{R,R}"),
-    Law("L15", "K inverse from unit integration", "K_R^{-1} = s_R J_R^{-1} d_R + !(0);  s_R = K_R^{-1} d°_R"),
-    Law("L16", "unit round-trip", "s_R with s_R d_R + !(0) = 1 inverts K_R, and K_R^{-1} d°_R satisfies the same identity"),
-    Law("L17", "reconstruction from the unit", "K^{-1} and s = K^{-1} d° rebuilt from K_R^{-1}, and J^{-1} from s_R, equal the direct operators"),
-    Law("L18", "second fundamental theorem", "s d + !(0) = 1  on every object"),
-    Law("L19", "first fundamental theorem at the unit", "d_R s_R = 1"),
-    Law("L20", "Poincare condition", "symmetric f implies d ; s ; f = f"),
-    Law("L21", "Taylor property", "d f = d g implies f + !(0) g = g + !(0) f"),
-    Law("L22", "bag/variable splitting is invertible", "chi ; chi^{-1} = 1 = chi^{-1} ; chi"),
-    Law("L23", "naturality of the derivative", "d commutes with relabelling along linear/base maps"),
-    Law("L24", "idempotent collapse of the integral", "additively idempotent coefficients: s = d°"),
-)
-
-LAW_BY_ID = {law.id: law for law in LAWS}
-
-
 class Operators(NamedTuple):
-    """One model's operators on one object, for the equations of OPERATOR_LAWS.
+    """One model's operators on one object, for the equations of the table laws.
 
     `seq(f, g)` is g then f, `x1(f)` is f x 1, and composites add with `+`.
     The unit monoidal maps: `gate` = m_{R,A} tags each bag with its size,
@@ -188,22 +156,53 @@ def _poincare(o: Operators, u: Operators):
     yield o.seq(o.seq(o.d, o.s), o.d), o.d, "derivative of the integral loses the field"
 
 
-# law id -> (the object the law is stated on, its equations on (that object's
-# operators, the unit's operators))
-OPERATOR_LAWS: dict[str, tuple[str, Callable[[Operators, Operators], Iterator[tuple]]]] = {
-    "L8": ("general", _inverses),
-    "L9": ("general", _absorption),
-    "L11": ("general", _unit_pairing),
-    "L12": ("unit", _ftc2),
-    "L13": ("unit", _s_against_j),
-    "L14": ("unit", _j_inverse),
-    "L15": ("unit", _k_inverse),
-    "L16": ("unit", _round_trip),
-    "L17": ("general", _reconstruction),
-    "L18": ("general", _ftc2),
-    "L19": ("unit", _ftc1),
-    "L20": ("general", _poincare),
-}
+def _collapse(o: Operators, u: Operators):
+    yield o.s, o.dc, "integral does not collapse to the coderive"
+
+
+class Law(NamedTuple):
+    """One row of the law table.
+
+    A table law also names the object its equations are stated on, `at`
+    ("general" or "unit"), and `equations(o, u)`, the generator of its
+    (lhs, rhs, label) equations on that object's operators o and the unit's u.
+    """
+
+    id: str
+    name: str
+    citation: str  # the equation or rule the law asserts, in operator notation
+    at: str | None = None
+    equations: Callable[[Operators, Operators], Iterator[tuple]] | None = None
+
+
+LAWS: tuple[Law, ...] = (
+    Law("L1", "comonoid / substitution unit", "Delta cocommutative comonoid; coKleisli composition associative and unital"),
+    Law("L2", "constant rule", "d ; e = 0  (derivative of a constant vanishes)"),
+    Law("L3", "Leibniz rule", "d ; Delta = (Delta x 1)(1 x sigma)(d x 1) + (Delta x 1)(1 x d)"),
+    Law("L4", "chain rule", "D[g o f](x, v) = D[g](f(x), D[f](x, v))"),
+    Law("L5", "linear rule", "d ; eps = e x 1  (derivative of a linear map is constant)"),
+    Law("L6", "interchange rule", "(d x 1) ; d = (1 x sigma)(d x 1) ; d"),
+    Law("L7", "derive/coderive exchange", "d ; d° = (d° x 1)(1 x sigma)(d x 1) + 1"),
+    Law("L8", "K and J definitions", "K = d° ; d + !(0)   and   J = d° ; d + 1", "general", _inverses),
+    Law("L9", "K/J absorption and intertwining", "K !(0) = !(0) = !(0) K;  K d° = d° (J x 1);  d K = (J x 1) d", "general", _absorption),
+    Law("L10", "unit monoidal laws", "(m_R x 1) m_{R,A} = 1;  m_R eps = 1;  m_R e = 1;  m_R d° = m_R"),
+    Law("L11", "K/J respect the unit pairing", "(K_R x 1) m_{R,A} = m_{R,A} K_A  (and the J version)", "general", _unit_pairing),
+    Law("L12", "second fundamental theorem at the unit", "s_R d_R + !(0) = 1", "unit", _ftc2),
+    Law("L13", "s against J", "s_R J_R = d°_R", "unit", _s_against_j),
+    Law("L14", "J inverse from unit integration", "J_R^{-1} = (m_R x 1)(s_R x 1) m_{R,R}", "unit", _j_inverse),
+    Law("L15", "K inverse from unit integration", "K_R^{-1} = s_R J_R^{-1} d_R + !(0);  s_R = K_R^{-1} d°_R", "unit", _k_inverse),
+    Law("L16", "unit round-trip", "s_R with s_R d_R + !(0) = 1 inverts K_R, and K_R^{-1} d°_R satisfies the same identity", "unit", _round_trip),
+    Law("L17", "reconstruction from the unit", "K^{-1} and s = K^{-1} d° rebuilt from K_R^{-1}, and J^{-1} from s_R, equal the direct operators", "general", _reconstruction),
+    Law("L18", "second fundamental theorem", "s d + !(0) = 1  on every object", "general", _ftc2),
+    Law("L19", "first fundamental theorem at the unit", "d_R s_R = 1", "unit", _ftc1),
+    Law("L20", "Poincare condition", "symmetric f implies d ; s ; f = f", "general", _poincare),
+    Law("L21", "Taylor property", "d f = d g implies f + !(0) g = g + !(0) f"),
+    Law("L22", "bag/variable splitting is invertible", "chi ; chi^{-1} = 1 = chi^{-1} ; chi"),
+    Law("L23", "naturality of the derivative", "d commutes with relabelling along linear/base maps"),
+    Law("L24", "idempotent collapse of the integral", "additively idempotent coefficients: s = d°", "general", _collapse),
+)
+
+LAW_BY_ID = {law.id: law for law in LAWS}
 
 
 # A check takes (rng, cases) and yields a counterexample or None per case checked.
@@ -224,10 +223,11 @@ class ModelBinding(NamedTuple):
     counterexample.  The `cases` argument asks for a run size; each model
     spreads it over its inputs in its own way, and the report counts the
     cases the runner read.  `equations(law, at, rng, cases)`, when given,
-    is the model's check for the laws of OPERATOR_LAWS, with the same
-    yield: it checks the (lhs, rhs, label) equations `law(o, u)` yields,
-    where o is the model's operator set `at`, "general" or "unit", and u
-    its unit set.  Bindings build it positionally: right after a garbage
+    is the model's check for every law whose `LAWS` row has equations, with
+    the same yield: it checks the (lhs, rhs, label) equations `law(o, u)`
+    yields, where o is the model's operator set `at`, "general" or "unit",
+    and u its unit set.  A table law has no entry in `checks`, which would
+    override its row.  Bindings build it positionally: right after a garbage
     collection, when a build is timed, a keyword call costs a microsecond more.
     """
 
@@ -241,7 +241,8 @@ class ModelBinding(NamedTuple):
 
     @property
     def mask(self):
-        return set(self.checks) | set(self.skips) | (set(OPERATOR_LAWS) if self.equations else set())
+        table = {law.id for law in LAWS if law.equations} if self.equations else set()
+        return set(self.checks) | set(self.skips) | table
 
 
 class LawReport(NamedTuple):
@@ -276,9 +277,8 @@ def run_law(law_id: str, binding: ModelBinding, cases: int, seed: int) -> LawRep
     if law_id in binding.skips:
         return LawReport(law_id, law.citation, "skipped", 0, None, 0.0, binding.skips[law_id])
     check = binding.checks.get(law_id)
-    if check is None and binding.equations and law_id in OPERATOR_LAWS:
-        at, table_law = OPERATOR_LAWS[law_id]
-        check = partial(binding.equations, table_law, at)
+    if check is None and binding.equations and law.equations:
+        check = partial(binding.equations, law.equations, law.at)
     if check is None:
         raise UnboundOperator(f"{binding.name} has no check bound for {law_id}")
     rng = random.Random(f"{seed}:{law_id}")
@@ -299,7 +299,8 @@ def run_law(law_id: str, binding: ModelBinding, cases: int, seed: int) -> LawRep
 
 def run_suite(binding: ModelBinding, cases: int = 50, seed: int = 0) -> list[LawReport]:
     """Run every law in the binding's mask, in table order."""
-    return [run_law(law.id, binding, cases, seed) for law in LAWS if law.id in binding.mask]
+    mask = binding.mask
+    return [run_law(law.id, binding, cases, seed) for law in LAWS if law.id in mask]
 
 
 def all_pass(reports) -> bool:

@@ -562,18 +562,15 @@ def cartesian_derivative(f: PolyMap) -> PolyMap:
     """Directional derivative as a polynomial map on doubled input arity.
 
     Input variables split as (x_1..x_n, v_1..v_n); coordinate i is
-    sum_j (d f_i / d x_j)(x) * v_j.
+    sum_j (d f_i / d x_j)(x) * v_j, `mul_in` of the 2n-component bundle
+    (0, ..., 0, d f_i / d x_1, ..., d f_i / d x_n).
     """
-    rig = f.rig
-    n = f.in_arity
-    coords = []
-    for c in f.coordinates:
-        jac = grad(c)
-        acc = Polynomial.zero(rig, 2 * n)
-        for j in range(n):
-            acc = acc + extend_arity(jac.components[j], 2 * n, 0) * Polynomial.variable(rig, 2 * n, n + j)
-        coords.append(acc)
-    return PolyMap(2 * n, f.out_arity, tuple(coords))
+    n = 2 * f.in_arity
+    zeros = (Polynomial.zero(f.rig, n),) * f.in_arity
+    coords = tuple(
+        mul_in(PolyBundle(zeros + tuple(extend_arity(p, n) for p in grad(c).components))) for c in f.coordinates
+    )
+    return PolyMap(n, f.out_arity, coords)
 
 
 def apply_linear(matrix, p: Polynomial) -> Polynomial:
@@ -629,18 +626,18 @@ def random_polymap(rng, rig: Rig, in_arity: int, out_arity: int, max_degree: int
 
 
 class PolyOp:
-    """An operator `fn` between two types, each ("poly", arity), ("bundle", arity) or ("tagged", arity).
+    """An operator `fn` on inputs of type `src`: ("poly", arity), ("bundle", arity) or ("tagged", arity).
 
     A ("tagged", n) value is a `t_grade`-style polynomial of arity n + 1.
     """
 
-    __slots__ = ("src", "dst", "fn")
+    __slots__ = ("src", "fn")
 
-    def __init__(self, src: tuple, dst: tuple, fn: Callable):
-        self.src, self.dst, self.fn = src, dst, fn
+    def __init__(self, src: tuple, fn: Callable):
+        self.src, self.fn = src, fn
 
     def __add__(self, other: "PolyOp") -> "PolyOp":
-        return PolyOp(self.src, self.dst, lambda v: self.fn(v) + other.fn(v))
+        return PolyOp(self.src, lambda v: self.fn(v) + other.fn(v))
 
 
 def _bundle_map(fn, b: PolyBundle) -> PolyBundle:
@@ -666,17 +663,19 @@ def make_poly_binding(
 ) -> ModelBinding:
     """Exact law binding for the polynomial model.
 
-    The laws of `lawsuite.OPERATOR_LAWS` run on the operators at `variables`
-    and at arity 1 (d = grad, d° = mul_in, s = s_op, !(0) = eval0; the unit
-    monoidal maps are t_grade, eval_at_one and on_tag, and the one-point
-    atom factor wraps an arity-1 polynomial as a one-component bundle).  Both
-    sides of each equation are applied to `cases` seeded inputs of its input
-    type, one `random_poly` or `random_bundle` per type and case; no law
-    takes a tagged input.  L24 is checked over an additively idempotent rig.
+    The laws with equations in their `lawsuite.LAWS` row, L24 among them, run
+    on the operators at `variables` and at arity 1 (d = grad, d° = mul_in,
+    s = s_op, !(0) = eval0; the unit monoidal maps are t_grade, eval_at_one
+    and on_tag, and the one-point atom factor wraps an arity-1 polynomial as
+    a one-component bundle).  Both sides of each equation are applied to
+    `cases` seeded inputs of its input type, one `random_poly` or
+    `random_bundle` per type and case; no law takes a tagged input.  L24 is
+    skipped over a rig that is not additively idempotent.
 
     `sabotage` deliberately breaks the gradient so it keeps constant terms;
     used as the negative control that the suite actually detects failures.
-    The sabotaged gradient is the d of both operator sets.
+    The sabotaged gradient is the d of both operator sets; L7, and L6's
+    second derivative, use the plain `grad`.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -692,19 +691,19 @@ def make_poly_binding(
         arity = variables if at == "general" else 1
         poly, bundle, tagged = ("poly", arity), ("bundle", arity), ("tagged", arity)
 
-        def op(fn, src=poly, dst=poly):
-            return PolyOp(src, dst, fn)
+        def op(fn, src=poly):
+            return PolyOp(src, fn)
 
         return Operators(
-            op(derive, dst=bundle), op(mul_in, src=bundle), op(s_op, src=bundle), op(eval0),
+            op(derive), op(mul_in, bundle), op(s_op, bundle), op(eval0),
             op(K_op), op(J_op), op(K_inv_op), op(J_inv_op),
             id=op(lambda p: p),
-            gate=op(t_grade, dst=tagged),
-            spread=op(eval_at_one, src=tagged),
-            atom=op(lambda q: PolyBundle((q,)), dst=bundle) if arity == 1 else None,
-            tag=lambda f: op(partial(on_tag, f.fn), tagged, tagged),
-            seq=lambda f, g: PolyOp(g.src, f.dst, lambda v: f.fn(g.fn(v))),
-            x1=lambda f: op(lambda b: _bundle_map(f.fn, b), bundle, bundle),
+            gate=op(t_grade),
+            spread=op(eval_at_one, tagged),
+            atom=op(lambda q: PolyBundle((q,))) if arity == 1 else None,
+            tag=lambda f: op(partial(on_tag, f.fn), tagged),
+            seq=lambda f, g: PolyOp(g.src, lambda v: f.fn(g.fn(v))),
+            x1=lambda f: op(lambda b: _bundle_map(f.fn, b), bundle),
         )
 
     def rp(rng, arity=None, deg=None):
@@ -828,14 +827,9 @@ def make_poly_binding(
             b = random_bundle(rng, rig, variables, max_degree - 1)
             lhs = grad(mul_in(b))
             partials = [grad(c).components for c in b.components]
-            comps = []
-            for j in range(variables):
-                acc = b.components[j]
-                for i in range(variables):
-                    xi = Polynomial.variable(rig, variables, i)
-                    acc = acc + xi * partials[i][j]
-                comps.append(acc)
-            rhs = PolyBundle(tuple(comps))
+            rhs = PolyBundle(tuple(
+                bj + mul_in(PolyBundle(tuple(row[j] for row in partials))) for j, bj in enumerate(b.components)
+            ))
             if lhs != rhs:
                 return fail("derive/coderive exchange fails", ("b", b.render()))
             return None
@@ -911,12 +905,7 @@ def make_poly_binding(
         "L10": l10, "L21": l21, "L22": l22, "L23": l23,
     }
     skips = {}
-    if rig.idempotent:
-        def collapse(o, u):
-            yield o.s, o.dc, "integral does not collapse to the coderive"
-
-        checks["L24"] = partial(equations, collapse, "general")
-    else:
+    if not rig.idempotent:
         skips["L24"] = "integral/coderive collapse needs an additively idempotent coefficient rig"
     return ModelBinding(
         "poly",

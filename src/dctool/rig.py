@@ -110,12 +110,19 @@ class Rig:
         return n
 
     def nat_value(self, k: int):
-        """The element 1 + 1 + ... + 1 (k times); k = 0 gives zero."""
+        """The element 1 + 1 + ... + 1 (k times); k = 0 gives zero.
+
+        Summed by doubling, in at most 2 * k.bit_length() - 1 additions.
+        """
         if k < 0:
             raise ValueError("nat_value requires k >= 0")
-        acc = self.zero
-        for _ in range(k):
-            acc = self.add(acc, self.one)
+        acc, power = self.zero, self.one
+        while k:
+            if k & 1:
+                acc = self.add(acc, power)
+            k >>= 1
+            if k:
+                power = self.add(power, power)
         return acc
 
     def nat_inverse(self, k: int):

@@ -41,10 +41,26 @@ def test_nat_value_is_additive_and_multiplicative():
 
 def test_nat_value_closed_forms_equal_the_sum_of_ones():
     for rig in ALL_RIGS:
+        ones = rig.zero
         for k in range(65):
-            generic = Rig.nat_value(rig, k)
-            assert rig.eq(rig.nat_value(k), generic), (rig.name, k)
-            assert type(rig.nat_value(k)) is type(generic), (rig.name, k)
+            for value in (rig.nat_value(k), Rig.nat_value(rig, k)):
+                assert rig.eq(value, ones), (rig.name, k)
+                assert type(value) is type(ones), (rig.name, k)
+            ones = rig.add(ones, rig.one)
+
+
+def test_generic_nat_value_adds_by_doubling():
+    class Counting(NonNegRationalRig):
+        nat_value = Rig.nat_value
+        adds = 0
+
+        def add(self, a, b):
+            self.adds += 1
+            return super().add(a, b)
+
+    rig = Counting()
+    assert rig.nat_value(10**13) == 10**13
+    assert rig.adds <= 2 * 44
 
 
 def test_nat_value_rejects_negative_k():
