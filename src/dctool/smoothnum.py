@@ -398,6 +398,12 @@ def _sample(rng, cases, items, directions=False):
     return [_ProbeBatch(rows, k) for rows in classes.values()]
 
 
+def _spread(maps, n):
+    """n of `maps` (all of them if fewer), evenly spaced over the list, so a short pick reaches every dimension."""
+    n = min(n, len(maps))
+    return [maps[i * len(maps) // n] for i in range(n)]
+
+
 def _check(rng, cases, items, decide, directions=False):
     """decide(batch), one verdict per column of each of `_sample`'s batches, yielded item by item in
     item order; a batch is decided when the first of its items is reached."""
@@ -481,7 +487,7 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
 
         yield from _check(rng, cases, [f for f in corpus if f.label.startswith(("id", "linear"))], decide, True)
         # linearity of the derivative in the direction argument, one point per map
-        for f in corpus[: max(1, cases // 10)]:
+        for f in _spread(corpus, max(1, cases // 10)):
             b = _sample(rng, 1, [f], directions=True)[0]
             w = _points(rng, f.in_dim, 1)
             s, t = rng.uniform(-2, 2), rng.uniform(-2, 2)
@@ -542,7 +548,7 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
 
     def l21(rng, cases):
         # draws each map's shift c before its points, so it keeps its own loop
-        for f in corpus[:6]:
+        for f in _spread(corpus, 6):
             c = rng.uniform(-1, 1)
             g = SmoothMap(f.in_dim, f.out_dim, lambda z, f=f, c=c: f(z) + c, "shift")
             b = _sample(rng, cases // 6, [f], directions=True)[0]

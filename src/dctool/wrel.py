@@ -1,17 +1,26 @@
 """Finite multisets and exact weighted matrices over enumerated index spaces.
 
 Objects are small enumerated base sets; the exponential of a base set is the
-space of bags (finite multisets) of its atoms, truncated at a maximum size so
+space of bags (finite multisets) of its atoms, truncated at a maximum size D so
 every composition sum is finite and exact.  Morphisms are sparse matrices over
-a rig.  The operator family mirrors the polynomial model: `d_rel` puts one
-element into a bag (weighted by the resulting multiplicity), `dcirc_rel` pulls
-one out coefficient-free, `s_rel` pulls one out weighted by the inverse bag
-size, and K and J are the diagonal bag-size scalings d°;d + !(0) and d°;d + 1.
-`operators_rel` builds the whole operator set of one base set, so each
-operator is defined once for every base set: the unit-level operators are the
-general ones at the one-point base `UNIT_BASE`.  Permutations of tensor
-factors and of atoms are applied as key relabels (`WeightedMatrix.relabel`),
-which cost O(nnz) and build no permutation matrix.
+a rig.  Permutations of tensor factors and of atoms are applied as key
+relabels (`WeightedMatrix.relabel`), which cost O(nnz) and build no
+permutation matrix.
+
+Every column of a morphism of the relational model is finite, so each
+operator is written once, as its column formula: column c lists the finitely
+many (row, weight) pairs it reaches.  The family mirrors the polynomial
+model: column b of `d_rel` reaches (b - x, x) weighted by the multiplicity of
+x in b; column (b, x) of `dcirc_rel` reaches the bag b + x coefficient-free,
+and that of `s_rel` reaches it weighted by 1/(|b| + 1); K and J are the
+diagonal bag-size scalings d°;d + !(0) and d°;d + 1.  Delta and the split chi
+of a disjoint union are one formula, bag union: column (b1, b2) reaches
+b1 + b2.  `_from_columns` turns a formula into its matrix and is the only
+code that truncates: it keeps exactly the rows that lie in the row space, so
+no builder compares a bag size with D.  `operators_rel` builds the whole
+operator set of one base set, so each operator is defined once for every base
+set: the unit-level operators are the general ones at the one-point base
+`UNIT_BASE`.
 
 Every operator shifts bag sizes by a fixed amount (+1, -1 or 0), so equations
 between composites of at most two size-shifting operators are exact on the
@@ -31,7 +40,7 @@ properties behind this are listed in `rig.Rig`): `relabel`, `restrict_rows`,
 `transpose`, `identity` and `perm_matrix` move or select nonzero entries;
 `tensor` multiplies nonzero entries; `mat_compose`, `compose_tensor` and `+`
 sum products of them, and drop a cancelled sum only over a rig with
-`has_negatives`; and the operator matrices below are weighted by `one`,
+`has_negatives`; and the column formulas below are weighted by `one`,
 multiplicities `nat_value(k)` and inverses `nat_inverse(k)` with k >= 1.
 
 The model's law binding, `make_rel_binding`, ends this module.  It reads
@@ -42,7 +51,8 @@ call.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import functools
+from collections import defaultdict
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
@@ -388,63 +398,76 @@ def perm_matrix(rig, row_space, col_space, fn) -> WeightedMatrix:
     return WeightedMatrix._canonical(rig, row_space, col_space, entries)
 
 
-# -- operator matrices ------------------------------------------------------
+# -- operator matrices: column formulas -------------------------------------
+
+
+@functools.cache
+def _points(space) -> tuple:
+    """The points of `space`, enumerated once per space."""
+    return tuple(space.points())
+
+
+@functools.cache
+def _members(space) -> frozenset:
+    """The points of `space` as a set, built once per space."""
+    return frozenset(_points(space))
+
+
+def _from_columns(rig: Rig, row_space, col_space, column, cols=None) -> WeightedMatrix:
+    """The matrix whose column c holds `column(c)`, over `cols` (by default every point of `col_space`),
+    keeping exactly the rows that lie in `row_space`."""
+    rows = _members(row_space)
+    entries = {(r, c): w for c in (_points(col_space) if cols is None else cols) for r, w in column(c) if r in rows}
+    return WeightedMatrix._canonical(rig, row_space, col_space, entries)
+
+
+def _bag_union(rig: Rig, row_space: BagSpace, col_space: PairSpace) -> WeightedMatrix:
+    """Delta and chi: column (b1, b2) reaches the one row b1 + b2, the bag union, with weight one.
+
+    Visited over the pairs whose total size fits the row space, the only columns with an entry.
+    """
+    left, right = col_space.left, col_space.right
+    cols = [(b1, b2) for b1 in _points(left) for b2 in _points(BagSpace(right.base, row_space.max_size - len(b1)))]
+    return _from_columns(rig, row_space, col_space, lambda c: [(bag(*c[0], *c[1]), rig.one)], cols)
 
 
 def d_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Insert one element into a bag, weighted by its multiplicity afterwards."""
+    """Insert one element into a bag, weighted by its multiplicity afterwards: column b reaches (b - x, x)."""
     bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
-    entries = {}
-    for b in bags.points():
-        if len(b) >= trunc.D:
-            continue
-        for x in base.atoms:
-            b2 = bag_add(b, x)
-            entries[((b, x), b2)] = rig.nat_value(bag_count(b2, x))
-    return WeightedMatrix._canonical(rig, PairSpace(bags, atoms), bags, entries)
+    return _from_columns(
+        rig, PairSpace(bags, atoms), bags,
+        lambda b: [((bag_remove(b, x), x), rig.nat_value(bag_count(b, x))) for x in set(b)],
+    )
 
 
 def dcirc_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Remove one element from a bag, coefficient-free."""
+    """Remove one element from a bag, coefficient-free: column (b, x) reaches b + x."""
     bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
-    entries = {}
-    for b in bags.points():
-        for x in set(b):
-            entries[(b, (bag_remove(b, x), x))] = rig.one
-    return WeightedMatrix._canonical(rig, bags, PairSpace(bags, atoms), entries)
+    return _from_columns(rig, bags, PairSpace(bags, atoms), lambda c: [(bag_add(*c), rig.one)])
 
 
 def bang_zero_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Projection onto the empty bag."""
+    """Projection onto the empty bag: its column is the only one with an entry."""
     bags = BagSpace(base, trunc.D)
-    return WeightedMatrix._canonical(rig, bags, bags, {((), ()): rig.one})
+    return _from_columns(rig, bags, bags, lambda b: [(b, rig.one)], cols=[()])
 
 
 def s_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Remove one element, weighted by the inverse of the source bag size."""
+    """Remove one element, weighted by the inverse of the source bag size: column (b, x) reaches b + x."""
     bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
-    entries = {}
-    for b in bags.points():
-        if not b:
-            continue
-        w = rig.nat_inverse(len(b))
-        for x in set(b):
-            entries[(b, (bag_remove(b, x), x))] = w
-    return WeightedMatrix._canonical(rig, bags, PairSpace(bags, atoms), entries)
+    return _from_columns(
+        rig, bags, PairSpace(bags, atoms), lambda c: [(bag_add(*c), rig.nat_inverse(len(c[0]) + 1))]
+    )
 
 
 def K_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     bags = BagSpace(base, trunc.D)
-    entries = {}
-    for b in bags.points():
-        entries[(b, b)] = rig.one if not b else rig.nat_inverse(len(b))
-    return WeightedMatrix._canonical(rig, bags, bags, entries)
+    return _from_columns(rig, bags, bags, lambda b: [(b, rig.nat_inverse(len(b)) if b else rig.one)])
 
 
 def J_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
     bags = BagSpace(base, trunc.D)
-    entries = {(b, b): rig.nat_inverse(len(b) + 1) for b in bags.points()}
-    return WeightedMatrix._canonical(rig, bags, bags, entries)
+    return _from_columns(rig, bags, bags, lambda b: [(b, rig.nat_inverse(len(b) + 1))])
 
 
 class Comonoid(NamedTuple):
@@ -454,28 +477,13 @@ class Comonoid(NamedTuple):
 
 
 def comonoid_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Comonoid:
-    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
-    unit = UnitSpace()
-    delta_entries = {}
-    for b in bags.points():
-        for b1, b2 in _sub_bags(b):
-            delta_entries[(b, (b1, b2))] = rig.one
-    delta = WeightedMatrix._canonical(rig, bags, PairSpace(bags, bags), delta_entries)
-    counit = WeightedMatrix._canonical(rig, bags, unit, {((), UNIT_POINT): rig.one})
-    eps = WeightedMatrix._canonical(rig, bags, atoms, {((x,), x): rig.one for x in base.atoms})
-    return Comonoid(delta, counit, eps)
-
-
-def _sub_bags(b: Bag):
-    """Each sub-bag of b with its complement in b, both read off one choice of multiplicities."""
-    counts = Counter(b)
-    atoms = sorted(counts)
-    for pick in product(*(range(counts[a] + 1) for a in atoms)):
-        sub, rest = [], []
-        for a, k in zip(atoms, pick):
-            sub.extend([a] * k)
-            rest.extend([a] * (counts[a] - k))
-        yield tuple(sub), tuple(rest)
+    """Delta is the bag union; the counit's column reaches the empty bag and eps's column x the bag [x]."""
+    bags = BagSpace(base, trunc.D)
+    return Comonoid(
+        _bag_union(rig, bags, PairSpace(bags, bags)),
+        _from_columns(rig, bags, UnitSpace(), lambda c: [((), rig.one)]),
+        _from_columns(rig, bags, AtomSpace(base), lambda x: [((x,), rig.one)]),
+    )
 
 
 # -- unit-object matrices ---------------------------------------------------
@@ -497,27 +505,19 @@ def _nbag(n: int) -> Bag:
 
 
 def spread_rel(rig: Rig, space, trunc: Truncation) -> WeightedMatrix:
-    """(m_R x 1) on `space`: pair every point with every unit bag, all entries one."""
-    return WeightedMatrix._canonical(
-        rig,
-        space,
-        PairSpace(unit_bags(trunc), space),
-        {(p, (_nbag(n), p)): rig.one for p in space.points() for n in range(trunc.D + 1)},
-    )
+    """(m_R x 1) on `space`: column (n, p) reaches p, for every unit bag n."""
+    return _from_columns(rig, space, PairSpace(unit_bags(trunc), space), lambda c: [(c[1], rig.one)])
 
 
 def gate_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """m_{R,A}: (unit bag of size n, bag b) -> b, gated on n = |b|."""
+    """m_{R,A}: column b reaches (n, b) for the unit bag n of size |b|."""
     bags = BagSpace(base, trunc.D)
-    entries = {((_nbag(len(b)), b), b): rig.one for b in bags.points()}
-    return WeightedMatrix._canonical(rig, PairSpace(unit_bags(trunc), bags), bags, entries)
+    return _from_columns(rig, PairSpace(unit_bags(trunc), bags), bags, lambda b: [((_nbag(len(b)), b), rig.one)])
 
 
 def m_R_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """m_R: the unit point -> every unit bag, all entries one."""
-    return WeightedMatrix._canonical(
-        rig, UnitSpace(), unit_bags(trunc), {(UNIT_POINT, _nbag(n)): rig.one for n in range(trunc.D + 1)}
-    )
+    """m_R: every unit bag's column reaches the unit point."""
+    return _from_columns(rig, UnitSpace(), unit_bags(trunc), lambda n: [(UNIT_POINT, rig.one)])
 
 
 # -- operator sets ----------------------------------------------------------
@@ -536,7 +536,7 @@ def operators_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Operators:
     id_bags, id_atoms = WeightedMatrix.identity(rig, bags), WeightedMatrix.identity(rig, atoms)
     atom = None
     if base == UNIT_BASE:
-        atom = WeightedMatrix(rig, PairSpace(bags, atoms), bags, {((n, UNIT_POINT), n): rig.one for n in bags.points()})
+        atom = _from_columns(rig, PairSpace(bags, atoms), bags, lambda n: [((n, UNIT_POINT), rig.one)])
     d, dc, bang0 = d_rel(base, rig, trunc), dcirc_rel(base, rig, trunc), bang_zero_rel(base, rig, trunc)
     dcd = mat_compose(dc, d)
     return Operators(
@@ -564,18 +564,8 @@ def seely_rel(base_x: BaseSet, base_y: BaseSet, rig: Rig, trunc: Truncation):
     if set(base_x.atoms) & set(base_y.atoms):
         raise ValueError("base sets must be disjoint")
     combined = BaseSet(tuple(sorted(base_x.atoms + base_y.atoms)))
-    bags_xy = BagSpace(combined, trunc.D)
-    bags_x = BagSpace(base_x, trunc.D)
-    bags_y = BagSpace(base_y, trunc.D)
-    xset = set(base_x.atoms)
-
-    def split(b):
-        left = tuple(a for a in b if a in xset)
-        right = tuple(a for a in b if a not in xset)
-        return (left, right)
-
-    entries = {(b, split(b)): rig.one for b in bags_xy.points()}
-    chi = WeightedMatrix._canonical(rig, bags_xy, PairSpace(bags_x, bags_y), entries)
+    halves = PairSpace(BagSpace(base_x, trunc.D), BagSpace(base_y, trunc.D))
+    chi = _bag_union(rig, BagSpace(combined, trunc.D), halves)
     return chi, chi.transpose()
 
 

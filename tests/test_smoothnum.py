@@ -555,6 +555,35 @@ def test_a_derivative_off_by_1e_9_fails_at_the_default_tolerance(monkeypatch):
     assert lawsuite.all_pass(lawsuite.run_suite(make_smooth_binding(QuadratureConfig(tol_rel=1e-6)), cases=50, seed=0))
 
 
+def test_a_derivative_bent_in_the_direction_on_every_2d_and_3d_map_fails_l5(monkeypatch):
+    """Every 2-D and 3-D closed-form derivative gains 1e-6 * v[0] * v[1], which is not linear in v.
+
+    L5's direction half takes its maps evenly spaced over the corpus, so it
+    reaches every dimension: it fails at its third map, linear2, case 51 of 53.
+    A pick of the first maps reached only the six 1-D maps and passed.
+    """
+    corpus_maps = sm.builtin_corpus()
+    for n in (max(1, 50 // 10), 6):  # L5's direction half at --cases 50, and L21
+        assert {f.in_dim for f in sm._spread(corpus_maps, n)} == {1, 2, 3}
+    builtin_corpus = sm.builtin_corpus
+
+    def corpus():
+        maps = builtin_corpus()
+        for f in maps:
+            if f.in_dim >= 2:
+
+                def bent(x, v, exact=f.exact_derivative, m=f.out_dim):
+                    return np.reshape(exact(x, v), (m, -1)) + 1e-6 * v[0] * v[1]
+
+                f.exact_derivative = bent
+        return maps
+
+    monkeypatch.setattr(sm, "builtin_corpus", corpus)
+    reports = {r.law_id: r for r in lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)}
+    assert (reports["L5"].status, reports["L5"].cases) == ("fail", 51)
+    assert reports["L5"].counterexample.startswith("derivative not linear in direction: map=linear2 ")
+
+
 def test_a_chain_rule_failing_in_two_shape_classes_reports_the_first_failing_pair_in_pair_order(monkeypatch):
     """id1's closed-form derivative doubles the direction where x > 1.
 

@@ -315,11 +315,27 @@ def test_operators_shift_bag_sizes_by_fixed_amounts():
 
 
 def test_generator_matrices_respect_margin():
-    # entries emitted by the operator builders never exceed the declared bound
-    for mat in (wr.d_rel(XY, R, T4), wr.s_rel(XY, R, T4), wr.operators_rel(XY, R, T4).K):
+    # every entry of every builder's matrix lies in its declared row and column
+    # spaces: a column formula reaching a row outside them is truncated there
+    o, u, com = wr.operators_rel(XY, R, T4), wr.operators_rel(UNIT_BASE, R, T4), wr.comonoid_rel(XY, R, T4)
+    chi, chi_inv = wr.seely_rel(BaseSet(("x",)), BaseSet(("y",)), R, T4)
+    mats = {
+        "d": o.d, "d°": o.dc, "s": o.s, "!(0)": o.bang0, "K": o.K, "J": o.J, "K^-1": o.K_inv, "J^-1": o.J_inv,
+        "Delta": com.delta, "counit": com.counit, "eps": com.eps,
+        "m_R x 1": wr.spread_rel(R, BagSpace(XY, T4.D), T4), "m_{R,A}": wr.gate_rel(XY, R, T4),
+        "m_R": wr.m_R_rel(R, T4), "atom": u.atom, "chi": chi, "chi^-1": chi_inv,
+    }
+    for name, mat in mats.items():
+        assert mat.entries, name
+        rows, cols = set(mat.row_space.points()), set(mat.col_space.points())
         for (r, c) in mat.entries:
+            assert r in rows and c in cols, (name, r, c)
             assert wr.point_weight(mat.row_space, r) <= T4.D
             assert wr.point_weight(mat.col_space, c) <= T4.D
+    # column (b, x) of d° and s reaches the bag b + x, outside the bags when |b| = D
+    for mat in (o.dc, o.s):
+        sizes = {len(b) for _, (b, _x) in mat.entries}
+        assert sizes == set(range(T4.D))
 
 
 def test_matrix_space_mismatch_raises():
