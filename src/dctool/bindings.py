@@ -1,8 +1,8 @@
 """The names the benchmark reads, re-exported from the model modules that define them.
 
-Nothing in the package imports this module.  The rel binding looks up `mat_compose` and `tensor` in
-`wrel` and calls no `perm_matrix`, so a tracer that patches the three here and in `wrel` counts each
-call once.
+Nothing in the package imports this module.  The rel binding's bespoke laws look up `mat_compose` and
+`tensor` in `wrel`, its table laws evaluate column operators and call neither, and no law calls
+`perm_matrix`, so a tracer that patches the three here and in `wrel` counts each call once.
 """
 
 from .polyform import make_poly_binding

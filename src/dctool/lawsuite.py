@@ -24,7 +24,8 @@ symmetric f, is stated on the exact maps f = d;g, which are the symmetric
 maps the models generate, as d;s;d = d.  The idempotent collapse (L24) is
 s = d°; a binding over a rig that is not additively idempotent skips it.
 Each exact model supplies both operator sets and one equality check: the
-relational model compares matrices on the safe band, the polynomial model
+relational model evaluates both sides, untruncated, on every column of at
+most D - MARGIN atoms and compares every row they reach; the polynomial model
 applies both sides to seeded inputs.  The smooth model has no operator sets;
 its L18-L20 compare the two sides of the same equations, `_ftc2`, `_ftc1`
 and `_poincare`, at probe points.  The other laws need operators the sets do

@@ -1,37 +1,42 @@
 """Finite multisets and exact weighted matrices over enumerated index spaces.
 
 Objects are small enumerated base sets; the exponential of a base set is the
-space of bags (finite multisets) of its atoms, truncated at a maximum size D so
-every composition sum is finite and exact.  Morphisms are sparse matrices over
-a rig.  Permutations of tensor factors and of atoms are applied as key
-relabels (`WeightedMatrix.relabel`), which cost O(nnz) and build no
-permutation matrix.
+space of bags (finite multisets) of its atoms, enumerated up to a maximum
+size D.  Morphisms are column operators, or sparse matrices over a rig
+between such spaces.  Permutations of tensor factors and of atoms are
+applied as key relabels (`WeightedMatrix.relabel`), which cost O(nnz) and
+build no permutation matrix.
 
-Every column of a morphism of the relational model is finite, so each
-operator is written once, as its column formula: column c lists the finitely
-many (row, weight) pairs it reaches.  The family mirrors the polynomial
-model: column b of `d_rel` reaches (b - x, x) weighted by the multiplicity of
-x in b; column (b, x) of `dcirc_rel` reaches the bag b + x coefficient-free,
-and that of `s_rel` reaches it weighted by 1/(|b| + 1); K and J are the
-diagonal bag-size scalings d°;d + !(0) and d°;d + 1.  Delta and the split chi
-of a disjoint union are one formula, bag union: column (b1, b2) reaches
-b1 + b2.  `_from_columns` turns a formula into its matrix and is the only
-code that truncates: it keeps exactly the rows that lie in the row space, so
-no builder compares a bag size with D.  `operators_rel` builds the whole
-operator set of one base set, so each operator is defined once for every base
-set: the unit-level operators are the general ones at the one-point base
-`UNIT_BASE`.
+Every column of a morphism of the relational model is finite, whatever the
+bag size, so each operator is written once, as a column operator
+(`ColumnOp`): `column(c)` is column c as {row: weight}, and no row is ever
+truncated.  The family mirrors the polynomial model: column b of d reaches
+(b - x, x) weighted by the multiplicity of x in b; column (b, x) of d°
+reaches the bag b + x coefficient-free, and that of s reaches it weighted by
+1/(|b| + 1); K and J are the diagonal bag-size scalings d°;d + !(0) and
+d°;d + 1.  Column operators add, compose (`col_seq`: column c of f;g is the
+columns of f summed along column c of g) and act on the first factor of a
+pair (`ColumnOp.on_left`, which is both f x 1 and a unit operator on the
+size tag).  `operators_rel` builds the whole operator set of one base set,
+so each operator is defined once for every base set: the unit-level
+operators are the general ones at the one-point base `UNIT_BASE`.
 
-Every operator shifts bag sizes by a fixed amount (+1, -1 or 0), so equations
-between composites of at most two size-shifting operators are exact on the
-"safe band" of bags whose size stays at least `MARGIN` below the truncation
-bound.  The law checks compare both sides on that band, L24 (s = d°) among
-them: at base 3 and D 6 that is 35 of the 84 row bags.  L22 alone has its own
-scope: it compares split;merge on every bag up to the bound D and merge;split
-on the pairs of halves of at most min(D - MARGIN, D // 2) atoms.  Row r of
-f;g depends only on row r of f, so a law may evaluate a composite from the
-safe-band rows of its first factor (`WeightedMatrix.restrict_rows`) outward,
-and `compose_tensor` evaluates f;(g x h) without materializing g x h.
+The table laws evaluate both sides of each equation on every source column
+of at most D - `MARGIN` atoms and compare every row those columns reach.
+The bespoke laws compare matrices over the bags of at most D atoms:
+`ColumnOp.matrix` turns an operator into one, through `_from_columns`, the
+only code that truncates: it keeps exactly the rows that lie in the row
+space.  Delta and the split chi of a disjoint union are one formula, bag
+union: column (b1, b2) reaches b1 + b2.  Every operator shifts bag sizes by
+a fixed amount (+1, -1 or 0), so equations between truncated composites of
+at most two size-shifting operators are exact on the "safe band" of bags
+whose size stays at least `MARGIN` below D, and the bespoke laws compare
+there.  L22 alone has its own scope: it compares split;merge on every bag up
+to the bound D and merge;split on the pairs of halves of at most
+min(D - MARGIN, D // 2) atoms.  Row r of f;g depends only on row r of f, so
+a law may evaluate a composite from the safe-band rows of its first factor
+(`WeightedMatrix.restrict_rows`) outward, and `compose_tensor` evaluates
+f;(g x h) without materializing g x h.
 
 The public constructor `WeightedMatrix(...)` drops zero entries.  Everything
 else builds through the trusted `WeightedMatrix._canonical`, which tests
@@ -40,20 +45,20 @@ properties behind this are listed in `rig.Rig`): `relabel`, `restrict_rows`,
 `transpose`, `identity` and `perm_matrix` move or select nonzero entries;
 `tensor` multiplies nonzero entries; `mat_compose`, `compose_tensor` and `+`
 sum products of them, and drop a cancelled sum only over a rig with
-`has_negatives`; and the column formulas below are weighted by `one`,
-multiplicities `nat_value(k)` and inverses `nat_inverse(k)` with k >= 1.
+`has_negatives`, as the column operators' `+` and `col_seq` do; and the
+column formulas are weighted by `one`, multiplicities `nat_value(k)` and
+inverses `nat_inverse(k)` with k >= 1.
 
-The model's law binding, `make_rel_binding`, ends this module.  It reads
-`mat_compose` and `tensor` as module globals when it is built and when a law
-runs, so a tracer that patches them before the binding is built finds every
-call.
+The model's law binding, `make_rel_binding`, ends this module.  Only its
+bespoke laws build matrices; they read `mat_compose` and `tensor` as module
+globals when a law runs, so a tracer that patches them finds every call.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from typing import NamedTuple
 
 from .lawsuite import ModelBinding, Operators, repeat_case
@@ -198,9 +203,10 @@ def point_weight(space, point) -> int:
     return 0
 
 
-def _in_band(space, points, limit: int) -> set:
-    """The members of `points` whose largest bag has at most `limit` atoms."""
-    return {p for p in points if point_weight(space, p) <= limit}
+@functools.cache
+def _band(space, limit: int) -> frozenset:
+    """The points of `space` whose largest bag has at most `limit` atoms, found once per space."""
+    return frozenset(p for p in _points(space) if point_weight(space, p) <= limit)
 
 
 def render_point(point) -> str:
@@ -301,7 +307,7 @@ class WeightedMatrix:
         Row r of f;g depends only on row r of f, so restricting the first
         factor of a composite restricts the composite exactly.
         """
-        rows = _in_band(self.row_space, {r for r, _ in self.entries}, limit)
+        rows = _band(self.row_space, limit)
         entries = {(r, c): v for (r, c), v in self.entries.items() if r in rows}
         return WeightedMatrix._canonical(self.rig, self.row_space, self.col_space, entries)
 
@@ -324,9 +330,6 @@ class WeightedMatrix:
             f"entry ({render_point(r)}, {render_point(c)}): "
             f"{rig.render(a.get(key, rig.zero))} != {rig.render(b.get(key, rig.zero))}"
         )
-
-    def equal_on_safe_band(self, other, limit: int) -> bool:
-        return self.first_difference(other, limit) is None
 
 
 def _by_row(m: WeightedMatrix):
@@ -398,7 +401,7 @@ def perm_matrix(rig, row_space, col_space, fn) -> WeightedMatrix:
     return WeightedMatrix._canonical(rig, row_space, col_space, entries)
 
 
-# -- operator matrices: column formulas -------------------------------------
+# -- operators: column formulas --------------------------------------------
 
 
 @functools.cache
@@ -416,9 +419,55 @@ def _members(space) -> frozenset:
 def _from_columns(rig: Rig, row_space, col_space, column, cols=None) -> WeightedMatrix:
     """The matrix whose column c holds `column(c)`, over `cols` (by default every point of `col_space`),
     keeping exactly the rows that lie in `row_space`."""
-    rows = _members(row_space)
-    entries = {(r, c): w for c in (_points(col_space) if cols is None else cols) for r, w in column(c) if r in rows}
+    rows, cols = _members(row_space), (_points(col_space) if cols is None else cols)
+    entries = {(r, c): w for c in cols for r, w in column(c).items() if r in rows}
     return WeightedMatrix._canonical(rig, row_space, col_space, entries)
+
+
+class ColumnOp:
+    """A linear map given by its columns: `column(c)` is column c as {row: weight}, nonzero weights only.
+
+    The points of `col_space` are the columns a law reads; a formula also
+    takes larger columns (`operators_rel` says how large) and truncates no
+    row, so a composite is exact on every column.  With `memo`, each column
+    is computed once and shared: a caller must not change it.
+    """
+
+    __slots__ = ("rig", "col_space", "column")
+
+    def __init__(self, rig: Rig, col_space, column, memo: bool = False):
+        self.rig = rig
+        self.col_space = col_space
+        self.column = functools.cache(column) if memo else column
+
+    def __add__(self, other: "ColumnOp") -> "ColumnOp":
+        rig, f, g = self.rig, self.column, other.column
+        return ColumnOp(rig, self.col_space, lambda c: _sum(rig, chain(f(c).items(), g(c).items())))
+
+    def on_left(self, space) -> "ColumnOp":
+        """f x 1: this operator on the first factor of a pair whose second factor is a point of `space`."""
+        f, pairs = self.column, PairSpace(self.col_space, space)
+        return ColumnOp(self.rig, pairs, lambda c: {(r, c[1]): w for r, w in f(c[0]).items()})
+
+    def matrix(self, row_space) -> WeightedMatrix:
+        """The matrix of this operator, truncated to the rows that lie in `row_space`."""
+        return _from_columns(self.rig, row_space, self.col_space, self.column)
+
+
+def _sum(rig: Rig, terms) -> dict:
+    """{row: the sum of its weights} over the (row, weight) pairs `terms`, without cancelled sums."""
+    out = {}
+    for r, w in terms:
+        out[r] = rig.add(out[r], w) if r in out else w
+    return drop_cancelled(rig, out)
+
+
+def col_seq(f: ColumnOp, g: ColumnOp) -> ColumnOp:
+    """f;g, that is g then f: column c sums column y of f weighted by g(y, c), as `mat_compose` does."""
+    rig, fc, gc = f.rig, f.column, g.column
+    return ColumnOp(
+        rig, g.col_space, lambda c: _sum(rig, ((r, rig.mul(a, b)) for y, b in gc(c).items() for r, a in fc(y).items()))
+    )
 
 
 def _bag_union(rig: Rig, row_space: BagSpace, col_space: PairSpace) -> WeightedMatrix:
@@ -428,46 +477,7 @@ def _bag_union(rig: Rig, row_space: BagSpace, col_space: PairSpace) -> WeightedM
     """
     left, right = col_space.left, col_space.right
     cols = [(b1, b2) for b1 in _points(left) for b2 in _points(BagSpace(right.base, row_space.max_size - len(b1)))]
-    return _from_columns(rig, row_space, col_space, lambda c: [(bag(*c[0], *c[1]), rig.one)], cols)
-
-
-def d_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Insert one element into a bag, weighted by its multiplicity afterwards: column b reaches (b - x, x)."""
-    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
-    return _from_columns(
-        rig, PairSpace(bags, atoms), bags,
-        lambda b: [((bag_remove(b, x), x), rig.nat_value(bag_count(b, x))) for x in set(b)],
-    )
-
-
-def dcirc_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Remove one element from a bag, coefficient-free: column (b, x) reaches b + x."""
-    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
-    return _from_columns(rig, bags, PairSpace(bags, atoms), lambda c: [(bag_add(*c), rig.one)])
-
-
-def bang_zero_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Projection onto the empty bag: its column is the only one with an entry."""
-    bags = BagSpace(base, trunc.D)
-    return _from_columns(rig, bags, bags, lambda b: [(b, rig.one)], cols=[()])
-
-
-def s_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """Remove one element, weighted by the inverse of the source bag size: column (b, x) reaches b + x."""
-    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
-    return _from_columns(
-        rig, bags, PairSpace(bags, atoms), lambda c: [(bag_add(*c), rig.nat_inverse(len(c[0]) + 1))]
-    )
-
-
-def K_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    bags = BagSpace(base, trunc.D)
-    return _from_columns(rig, bags, bags, lambda b: [(b, rig.nat_inverse(len(b)) if b else rig.one)])
-
-
-def J_inv_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    bags = BagSpace(base, trunc.D)
-    return _from_columns(rig, bags, bags, lambda b: [(b, rig.nat_inverse(len(b) + 1))])
+    return _from_columns(rig, row_space, col_space, lambda c: {bag(*c[0], *c[1]): rig.one}, cols)
 
 
 class Comonoid(NamedTuple):
@@ -481,74 +491,64 @@ def comonoid_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Comonoid:
     bags = BagSpace(base, trunc.D)
     return Comonoid(
         _bag_union(rig, bags, PairSpace(bags, bags)),
-        _from_columns(rig, bags, UnitSpace(), lambda c: [((), rig.one)]),
-        _from_columns(rig, bags, AtomSpace(base), lambda x: [((x,), rig.one)]),
+        _from_columns(rig, bags, UnitSpace(), lambda c: {(): rig.one}),
+        _from_columns(rig, bags, AtomSpace(base), lambda x: {(x,): rig.one}),
     )
 
 
-# -- unit-object matrices ---------------------------------------------------
-# The monoidal unit is a singleton base set; its bag space is, up to notation,
-# the natural numbers below the truncation bound.  The unit-level operators
-# d_R, d°_R, s_R, K_R, J_R and their inverses are the general operators taken
-# at UNIT_BASE, so d_R and s_R still carry the one-point atom factor (R x 1);
-# only the monoidal maps below work on bare unit bags.  With them a unit
-# operator f moves to any base: m_{R,A} tags a bag with its size, f x 1 acts
-# on the tag, and m_R x 1 (`spread_rel`) forgets it (`lawsuite.via_unit`).
-
-
-def unit_bags(trunc: Truncation) -> BagSpace:
-    return BagSpace(UNIT_BASE, trunc.D)
-
-
-def _nbag(n: int) -> Bag:
-    return (UNIT_POINT,) * n
-
-
-def spread_rel(rig: Rig, space, trunc: Truncation) -> WeightedMatrix:
-    """(m_R x 1) on `space`: column (n, p) reaches p, for every unit bag n."""
-    return _from_columns(rig, space, PairSpace(unit_bags(trunc), space), lambda c: [(c[1], rig.one)])
-
-
-def gate_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> WeightedMatrix:
-    """m_{R,A}: column b reaches (n, b) for the unit bag n of size |b|."""
-    bags = BagSpace(base, trunc.D)
-    return _from_columns(rig, PairSpace(unit_bags(trunc), bags), bags, lambda b: [((_nbag(len(b)), b), rig.one)])
+# -- unit-object operators --------------------------------------------------
+# The monoidal unit is a singleton base set; its bags are, up to notation, the
+# natural numbers.  The unit-level operators d_R, d°_R, s_R, K_R, J_R and
+# their inverses are the general operators taken at UNIT_BASE, so d_R and s_R
+# still carry the one-point atom factor (R x 1); only the monoidal maps work
+# on bare unit bags.  With them a unit operator f moves to any base: m_{R,A}
+# tags a bag with its size, f x 1 acts on the tag, and m_R x 1 forgets it
+# (`lawsuite.via_unit`).
 
 
 def m_R_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
     """m_R: every unit bag's column reaches the unit point."""
-    return _from_columns(rig, UnitSpace(), unit_bags(trunc), lambda n: [(UNIT_POINT, rig.one)])
+    return _from_columns(rig, UnitSpace(), BagSpace(UNIT_BASE, trunc.D), lambda n: {UNIT_POINT: rig.one})
 
 
 # -- operator sets ----------------------------------------------------------
 
 
-def operators_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Operators:
-    """d, d°, s, !(0), K, J, K^{-1}, J^{-1} and the unit monoidal maps on the bags of `base`.
+def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
+    """d, d°, s, !(0), K, J, K^{-1}, J^{-1} and the unit monoidal maps on the bags of `base`, as column
+    operators from the bags of at most `size` atoms (paired with an atom, or tagged, where the operator
+    needs it).
 
     K = d°;d + !(0) is diagonal with weight |b| and J = d°;d + 1 with weight
-    |b| + 1; both add to one d°;d.  On UNIT_BASE these are the unit-level
-    operators, and `atom` is the ((n, *), n) matrix that adds the one-point
-    atom factor.  Operators compose by matrix product; f x 1 is a tensor with
-    the identity on atoms (`x1`) or on bags (`tag`).
+    |b| + 1; both add to one d°;d.  The columns of the primitive operators and
+    of K and J are memoized, once per operator set.  s, K^{-1} and J^{-1}
+    read one table of the inverses 1/n, n from 1 to size + 2, computed here,
+    so a rig without them raises `NotInvertible` when the set is built, and
+    they take the columns of at most size + 1 atoms, three more than the
+    sources of the table laws.  On
+    UNIT_BASE these are the unit-level operators, and `atom` adds the
+    one-point atom factor, column n reaching (n, *).  f x 1 is `on_left`,
+    with the atoms (`x1`) or the bags (`tag`) as the second factor.
     """
-    bags, atoms = BagSpace(base, trunc.D), AtomSpace(base)
-    id_bags, id_atoms = WeightedMatrix.identity(rig, bags), WeightedMatrix.identity(rig, atoms)
-    atom = None
-    if base == UNIT_BASE:
-        atom = _from_columns(rig, PairSpace(bags, atoms), bags, lambda n: [((n, UNIT_POINT), rig.one)])
-    d, dc, bang0 = d_rel(base, rig, trunc), dcirc_rel(base, rig, trunc), bang_zero_rel(base, rig, trunc)
-    dcd = mat_compose(dc, d)
+    one = rig.one
+    bags, atoms = BagSpace(base, size), AtomSpace(base)
+    pairs = PairSpace(bags, atoms)
+    inv = [one] + [rig.nat_inverse(n) for n in range(1, size + 3)]  # inv[0] is K^{-1} on the empty bag
+    op = functools.partial(ColumnOp, rig, memo=True)  # a memoized operator: op(col_space, column)
+
+    d = op(bags, lambda b: {(bag_remove(b, x), x): rig.nat_value(bag_count(b, x)) for x in set(b)})
+    dc = op(pairs, lambda c: {bag_add(*c): one})
+    bang0 = op(bags, lambda b: {} if b else {b: one})
+    id_bags = ColumnOp(rig, bags, lambda b: {b: one})
+    dcd = col_seq(dc, d)
     return Operators(
-        d, dc, s_rel(base, rig, trunc), bang0, dcd + bang0, dcd + id_bags,
-        K_inv_rel(base, rig, trunc), J_inv_rel(base, rig, trunc),
-        id=id_bags,
-        gate=gate_rel(base, rig, trunc),
-        spread=spread_rel(rig, bags, trunc),
-        atom=atom,
-        tag=lambda f: tensor(f, id_bags),
-        seq=mat_compose,
-        x1=lambda f: tensor(f, id_atoms),
+        d, dc, op(pairs, lambda c: {bag_add(*c): inv[len(c[0]) + 1]}), bang0,
+        op(bags, (dcd + bang0).column), op(bags, (dcd + id_bags).column),
+        op(bags, lambda b: {b: inv[len(b)]}), op(bags, lambda b: {b: inv[len(b) + 1]}),
+        id=id_bags, gate=op(bags, lambda b: {((UNIT_POINT,) * len(b), b): one}),
+        spread=op(PairSpace(BagSpace(UNIT_BASE, size), bags), lambda c: {c[1]: one}),
+        atom=op(bags, lambda n: {(n, UNIT_POINT): one}) if base == UNIT_BASE else None,
+        tag=lambda f: f.on_left(bags), seq=col_seq, x1=lambda f: f.on_left(atoms),
     )
 
 
@@ -594,18 +594,22 @@ def make_rel_binding(
     base_size: int = 2,
     truncation: int = 4,
 ) -> ModelBinding:
-    """Exact law binding for the truncated bag-matrix model.
+    """Exact law binding for the bag-matrix model.
 
-    `operators_rel` builds one operator set on the model's base set and one on
-    UNIT_BASE, where the general operators are the unit-level d_R, d°_R, s_R,
-    K_R and J_R (d_R and s_R keep the one-point atom factor, as `R x 1` in the
-    law citations); every operator is built once per base set.  The laws with
-    equations in their `lawsuite.LAWS` row, L24 among them, run on these two
-    sets and compare on the safe band; L10 reads the gate m_{R,A} of the
-    first and m_R from `m_R_rel`.  A law that is a list of equations yields
-    one comparison `cmp(lhs, rhs, label[, limit])` per equation, built when
-    the runner reads it, so the runner stops at the first difference and
-    `cases` counts the comparisons made.  Every
+    `operators_rel` builds one set of column operators on the model's base set
+    and one on UNIT_BASE, where the general operators are the unit-level d_R,
+    d°_R, s_R, K_R and J_R (d_R and s_R keep the one-point atom factor, as
+    `R x 1` in the law citations); every operator is defined once per base
+    set.  The laws with equations in their `lawsuite.LAWS` row, L24 among
+    them, run on these two sets: each side is evaluated, untruncated, on
+    every source column of at most D - MARGIN atoms, and every row those
+    columns reach is compared.  The bespoke laws compare matrices on the safe
+    band: d, d° and !(0) are the first set's operators truncated to the bags
+    of at most D atoms, and L10 reads the gate m_{R,A}, m_R x 1, d°_R and
+    `atom` truncated alike, and m_R from `m_R_rel`.  A law that is a list of
+    equations yields one comparison `cmp(lhs, rhs, label[, limit])` per
+    equation, built when the runner reads it, so the runner stops at the
+    first difference and `cases` counts the comparisons made.  Every
     permutation, of tensor factors (L1, L3, L6, L7) or of atoms (L23), is a key
     relabel, not a composition with a permutation matrix.
     The bespoke laws with a large first factor (L1, L3, L7, L21)
@@ -625,9 +629,9 @@ def make_rel_binding(
     pair_baa = PairSpace(pair_ba, atoms)
     uatoms = AtomSpace(UNIT_BASE)
 
-    o, u = operators_rel(base, rig, trunc), operators_rel(UNIT_BASE, rig, trunc)
-    d, dc, bang0, x1, id_bags = o.d, o.dc, o.bang0, o.x1, o.id
-    id_atoms = WeightedMatrix.identity(rig, atoms)
+    o, u = operators_rel(base, rig, trunc.D), operators_rel(UNIT_BASE, rig, trunc.D)
+    d, dc, bang0 = o.d.matrix(pair_ba), o.dc.matrix(bags), o.bang0.matrix(bags)
+    id_bags, id_atoms = WeightedMatrix.identity(rig, bags), WeightedMatrix.identity(rig, atoms)
     com = comonoid_rel(base, rig, trunc)
     ucom = comonoid_rel(UNIT_BASE, rig, trunc)
     m_R = m_R_rel(rig, trunc)
@@ -641,6 +645,11 @@ def make_rel_binding(
         """The counterexample of lhs = rhs on rows and columns up to `lim`, or None."""
         diff = lhs.first_difference(rhs, lim)
         return None if diff is None else f"{label}: {diff}"
+
+    def columns(op):
+        """op's columns of at most `limit` atoms, as a matrix whose rows (row space None) are never truncated."""
+        entries = {(r, c): w for c in _band(op.col_space, limit) for r, w in op.column(c).items()}
+        return WeightedMatrix._canonical(rig, None, op.col_space, entries)
 
     def l1(rng, cases):
         delta = com.delta.restrict_rows(limit)
@@ -663,7 +672,7 @@ def make_rel_binding(
         yield cmp(mat_compose(d, com.counit), zero, "derivative of a constant is nonzero")
 
     def l3(rng, cases):
-        split = x1(com.delta.restrict_rows(limit))  # ((b1, b2), x) columns
+        split = tensor(com.delta.restrict_rows(limit), id_atoms)  # ((b1, b2), x) columns
         # summand that differentiates the left split part
         term1 = compose_tensor(
             split.relabel(lambda p: ((p[0][0], p[1]), p[0][1]), PairSpace(pair_ba, bags)), d, id_bags
@@ -679,21 +688,24 @@ def make_rel_binding(
         yield cmp(mat_compose(d, com.eps), rhs, "derivative of a linear map is not constant")
 
     def l6(rng, cases):
-        lhs = mat_compose(x1(d), d)
+        lhs = mat_compose(tensor(d, id_atoms), d)
         yield cmp(lhs, lhs.relabel(swap_atoms, pair_baa, rows=True), "interchange fails")
 
     def l7(rng, cases):
-        rhs = compose_tensor(x1(dc.restrict_rows(limit)).relabel(swap_atoms, pair_baa), d, id_atoms)
+        rhs = compose_tensor(tensor(dc.restrict_rows(limit), id_atoms).relabel(swap_atoms, pair_baa), d, id_atoms)
         rhs = rhs + WeightedMatrix.identity(rig, pair_ba)
         yield cmp(mat_compose(d.restrict_rows(limit), dc), rhs, "derive/coderive exchange fails")
 
     def l10(rng, cases):
-        yield cmp(mat_compose(o.spread, o.gate), id_bags, "unit pairing is not split by the all-ones row")
+        ubags = BagSpace(UNIT_BASE, trunc.D)
+        gate, spread = o.gate.matrix(PairSpace(ubags, bags)), o.spread.matrix(bags)
+        yield cmp(mat_compose(spread, gate), id_bags, "unit pairing is not split by the all-ones row")
         one_mat = WeightedMatrix(rig, UnitSpace(), uatoms, {(UNIT_POINT, UNIT_POINT): rig.one})
         yield cmp(mat_compose(m_R, ucom.eps), one_mat, "m_R against the linear counit fails")
         unit_id = WeightedMatrix.identity(rig, UnitSpace())
         yield cmp(mat_compose(m_R, ucom.counit), unit_id, "m_R against the comonoid counit fails")
-        yield cmp(mat_compose(mat_compose(m_R, u.dc), u.atom), m_R, "m_R is not fixed by the unit coderive")
+        u_dc, u_atom = u.dc.matrix(ubags), u.atom.matrix(PairSpace(ubags, uatoms))
+        yield cmp(mat_compose(mat_compose(m_R, u_dc), u_atom), m_R, "m_R is not fixed by the unit coderive")
 
     def l21(rng, cases):
         d_band = d.restrict_rows(limit)  # !(0) has one row, the empty bag, so it is band-only already
@@ -744,5 +756,7 @@ def make_rel_binding(
         checks,
         skips,
         {"base_size": base_size, "truncation": truncation, "margin": MARGIN},
-        lambda law, at, rng, cases: (cmp(*eq) for eq in law(o if at == "general" else u, u)),
+        lambda law, at, rng, cases: (
+            cmp(columns(lhs), columns(rhs), label) for lhs, rhs, label in law(o if at == "general" else u, u)
+        ),
     )

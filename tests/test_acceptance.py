@@ -16,7 +16,12 @@ import dctool.wrel as wr
 from dctool import cli, lawsuite
 from dctool.polyform import Polynomial, make_poly_binding, random_poly
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL
-from dctool.wrel import BagSpace, BaseSet, Truncation, WeightedMatrix, make_rel_binding, mat_compose
+from dctool.wrel import BagSpace, BaseSet, make_rel_binding
+
+
+def is_identity(op, points):
+    """Whether column b of the column operator `op` is the bag b, weighted one, for every b in `points`."""
+    return all(op.column(b) == {b: op.rig.one} for b in points)
 
 
 def announce(capsys, number, ok, detail):
@@ -45,12 +50,8 @@ def test_acceptance_1_polynomial_ftc2(capsys):
 
 def test_acceptance_2_unit_identity_D8(capsys):
     t0 = time.perf_counter()
-    trunc = Truncation(8)
-    s = wr.s_rel(wr.UNIT_BASE, NONNEG_RATIONAL, trunc)
-    d = wr.d_rel(wr.UNIT_BASE, NONNEG_RATIONAL, trunc)
-    b0 = wr.bang_zero_rel(wr.UNIT_BASE, NONNEG_RATIONAL, trunc)
-    ident = WeightedMatrix.identity(NONNEG_RATIONAL, wr.unit_bags(trunc))
-    ok = (mat_compose(s, d) + b0).equal_on_safe_band(ident, trunc.safe_limit)
+    u = wr.operators_rel(wr.UNIT_BASE, NONNEG_RATIONAL, 8)
+    ok = is_identity(u.seq(u.s, u.d) + u.bang0, BagSpace(wr.UNIT_BASE, 8).points())
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     announce(capsys, 2, ok, f"unit s·d + !(0) = identity at D=8, exact, {elapsed:.3f}s (< 1s)")
@@ -59,15 +60,9 @@ def test_acceptance_2_unit_identity_D8(capsys):
 def test_acceptance_3_general_bags(capsys):
     t0 = time.perf_counter()
     base = BaseSet(("a", "b", "c"))
-    trunc = Truncation(5)
-    rig = NONNEG_RATIONAL
-    s = wr.s_rel(base, rig, trunc)
-    d = wr.d_rel(base, rig, trunc)
-    b0 = wr.bang_zero_rel(base, rig, trunc)
-    ident = WeightedMatrix.identity(rig, BagSpace(base, trunc.D))
-    ok = (mat_compose(s, d) + b0).equal_on_safe_band(ident, trunc.safe_limit)
-    kk = mat_compose(wr.K_inv_rel(base, rig, trunc), wr.operators_rel(base, rig, trunc).K)
-    ok = ok and kk.equal_on_safe_band(ident, trunc.safe_limit)
+    o = wr.operators_rel(base, NONNEG_RATIONAL, 5)
+    bags = BagSpace(base, 5).points()
+    ok = is_identity(o.seq(o.s, o.d) + o.bang0, bags) and is_identity(o.seq(o.K_inv, o.K), bags)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     announce(capsys, 3, ok, f"|X|=3, D=5 FTC2 and K-inverse identities exact, {elapsed:.2f}s (< 30s)")
@@ -76,8 +71,8 @@ def test_acceptance_3_general_bags(capsys):
 def test_acceptance_4_idempotent_collapse(capsys):
     t0 = time.perf_counter()
     base = BaseSet(("a", "b", "c"))
-    trunc = Truncation(5)
-    ok = wr.s_rel(base, BOOLEAN, trunc) == wr.dcirc_rel(base, BOOLEAN, trunc)
+    o = wr.operators_rel(base, BOOLEAN, 5)
+    ok = all(o.s.column(c) == o.dc.column(c) for c in o.s.col_space.points())
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
     announce(capsys, 4, ok, f"Boolean integral equals the coderive entrywise, {elapsed:.3f}s (< 5s)")
@@ -103,17 +98,13 @@ def test_acceptance_5_unit_reconstruction_round_trip(capsys):
                 ok = False
                 break
     # relational side
-    rig = NONNEG_RATIONAL
-    trunc = Truncation(4)
-    lim = trunc.safe_limit
     if ok:
-        binding = make_rel_binding(rig, base_size=2, truncation=4)
+        binding = make_rel_binding(NONNEG_RATIONAL, base_size=2, truncation=4)
         ok = lawsuite.run_law("L17", binding, cases=100, seed=5).status == "pass"
     if ok:
-        unit = wr.UNIT_BASE
-        s_extracted = mat_compose(wr.K_inv_rel(unit, rig, trunc), wr.dcirc_rel(unit, rig, trunc))
-        lhs = mat_compose(s_extracted, wr.d_rel(unit, rig, trunc)) + wr.bang_zero_rel(unit, rig, trunc)
-        ok = lhs.equal_on_safe_band(WeightedMatrix.identity(rig, wr.unit_bags(trunc)), lim)
+        u = wr.operators_rel(wr.UNIT_BASE, NONNEG_RATIONAL, 4)
+        lhs = u.seq(u.seq(u.K_inv, u.dc), u.d) + u.bang0
+        ok = is_identity(lhs, BagSpace(wr.UNIT_BASE, 4).points())
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     announce(capsys, 5, ok, f"unit-data reconstructions equal direct operators on both exact models, {elapsed:.2f}s (< 30s)")

@@ -1,5 +1,7 @@
 """Suite runner: table closure, determinism, masks, and the negative control."""
 
+from collections import Counter
+
 import pytest
 
 import dctool.lawsuite as ls
@@ -103,14 +105,35 @@ def test_no_exact_binding_overrides_a_table_law():
             assert not table & set(binding.checks), (binding.name, rig.name)
 
 
+def _mutate_rel_operators(monkeypatch, **mutants):
+    """Every rel operator set built from now on has each named operator replaced by `mutant(o, rig)`."""
+    operators_rel = wrel.operators_rel
+
+    def mutated(base, rig, size):
+        o = operators_rel(base, rig, size)
+        return o._replace(**{name: mutant(o, rig) for name, mutant in mutants.items()})
+
+    monkeypatch.setattr(wrel, "operators_rel", mutated)
+
+
+def _s_without_row_a(o, rig):
+    s = o.s.column
+    return wrel.ColumnOp(rig, o.s.col_space, lambda c: {r: w for r, w in s(c).items() if r != ("a",)})
+
+
+def _s_over_n_plus_one(o, rig):
+    """s weighted by 1/(n + 1), n the size of the bag it reaches."""
+    return wrel.ColumnOp(rig, o.s.col_space, lambda c: {wrel.bag_add(*c): rig.nat_inverse(len(c[0]) + 2)})
+
+
+def _gate_one_too_large(o, rig):
+    """m_{R,A} tagging each bag b with the unit bag of |b| + 1 points."""
+    return wrel.ColumnOp(rig, o.gate.col_space, lambda b: {((wrel.UNIT_POINT,) * (len(b) + 1), b): rig.one})
+
+
 def test_a_broken_integral_fails_the_collapse_law_in_both_exact_models(monkeypatch):
     """Over the boolean rig s = d° (L24): an s without the row of bag [a], or blind to the last bundle component, fails it."""
-    s_rel, s_op = wrel.s_rel, pf.s_op
-
-    def s_rel_mutant(base, rig, trunc):
-        s = s_rel(base, rig, trunc)
-        entries = {key: v for key, v in s.entries.items() if key[0] != ("a",)}
-        return wrel.WeightedMatrix(rig, s.row_space, s.col_space, entries)
+    s_op = pf.s_op
 
     def s_op_mutant(b):
         return s_op(pf.PolyBundle(b.components[:-1] + (pf.Polynomial.zero(b.rig, b.arity),)))
@@ -120,7 +143,7 @@ def test_a_broken_integral_fails_the_collapse_law_in_both_exact_models(monkeypat
         return [ls.run_law("L24", binding, cases=10, seed=0) for binding in bindings]
 
     assert [(r.status, r.cases) for r in l24()] == [("pass", 1), ("pass", 10)]
-    monkeypatch.setattr(wrel, "s_rel", s_rel_mutant)
+    _mutate_rel_operators(monkeypatch, s=_s_without_row_a)
     monkeypatch.setattr(pf, "s_op", s_op_mutant)
     rel, poly = l24()
     label = "integral does not collapse to the coderive: "
@@ -141,16 +164,7 @@ def test_doubling_K_J_or_an_inverse_fails_L8_in_both_exact_models(monkeypatch, n
         return twice
 
     monkeypatch.setattr(pf, f"{name}_op", doubled(getattr(pf, f"{name}_op")))
-    if name in ("K", "J"):
-        operators_rel = wrel.operators_rel
-
-        def doubled_set(*args):
-            o = operators_rel(*args)
-            return o._replace(**{name: getattr(o, name) + getattr(o, name)})
-
-        monkeypatch.setattr(wrel, "operators_rel", doubled_set)
-    else:
-        monkeypatch.setattr(wrel, f"{name}_rel", doubled(getattr(wrel, f"{name}_rel")))
+    _mutate_rel_operators(monkeypatch, **{name: lambda o, rig: getattr(o, name) + getattr(o, name)})
     op = name[0]
     for binding in (make_poly_binding(NONNEG_RATIONAL), make_rel_binding(NONNEG_RATIONAL)):
         report = ls.run_law("L8", binding, cases=10, seed=0)
@@ -164,20 +178,13 @@ def test_integral_weighted_by_one_over_n_plus_one_fails_the_second_fundamental_t
     def s_op_mutant(b):
         return pf.J_inv_op(pf.mul_in(b))
 
-    def s_rel_mutant(base, rig, trunc):
-        bags = wrel.BagSpace(base, trunc.D)
-        entries = {
-            (b, (wrel.bag_remove(b, x), x)): rig.nat_inverse(len(b) + 1) for b in bags.points() for x in set(b)
-        }
-        return wrel.WeightedMatrix(rig, bags, wrel.PairSpace(bags, wrel.AtomSpace(base)), entries)
-
     def statuses():
         bindings = (make_poly_binding(NONNEG_RATIONAL), make_rel_binding(NONNEG_RATIONAL))
         return [{law_id: ls.run_law(law_id, b, cases=10, seed=0).status for law_id in ("L12", "L18")} for b in bindings]
 
     assert statuses() == [{"L12": "pass", "L18": "pass"}] * 2
     monkeypatch.setattr(pf, "s_op", s_op_mutant)
-    monkeypatch.setattr(wrel, "s_rel", s_rel_mutant)
+    _mutate_rel_operators(monkeypatch, s=_s_over_n_plus_one)
     assert statuses() == [{"L12": "fail", "L18": "fail"}] * 2
     # every law that reads s fails, in both models, and no other law does
     for binding in (make_poly_binding(NONNEG_RATIONAL), make_rel_binding(NONNEG_RATIONAL)):
@@ -206,6 +213,43 @@ def test_comultiplication_weighting_one_two_splits_fails_exactly_the_comonoid_an
             "L1": "comultiplication not coassociative: entry ([a,a,a], ([a], ([a], [a]))): 1 != 2",
             "L3": "Leibniz fails: entry (([a,a], a), ([a], [a,a])): 6 != 3",
         }, rig.name
+
+
+@pytest.mark.parametrize(
+    "mutants, failing",
+    [
+        ({"s": _s_over_n_plus_one}, [f"L{n}" for n in range(12, 21)]),
+        ({"K_inv": lambda o, rig: o.J_inv}, ["L8", "L15", "L16", "L17"]),
+        ({"gate": _gate_one_too_large}, ["L11", "L14", "L17"]),
+    ],
+    ids=["s-over-n-plus-one", "K-inverse-is-J-inverse", "gate-one-too-large"],
+)
+def test_each_rel_operator_mutant_fails_exactly_its_laws(monkeypatch, mutants, failing):
+    """The operator mutants of the relational model, each failing a fixed set of laws at base 3, D 6."""
+    _mutate_rel_operators(monkeypatch, **mutants)
+    reports = ls.run_suite(make_rel_binding(NONNEG_RATIONAL, base_size=3, truncation=6), cases=50, seed=0)
+    assert [r.law_id for r in reports if r.status == "fail"] == failing
+
+
+def test_rel_table_laws_compose_no_matrix(monkeypatch):
+    """The table laws evaluate column operators; only the bespoke laws call `mat_compose` and `tensor`."""
+    calls = Counter()
+    for name in ("mat_compose", "tensor"):
+        original = getattr(wrel, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(wrel, name, counting)
+    table = [law.id for law in ls.LAWS if law.equations]
+    for rig in (NONNEG_RATIONAL, BOOLEAN):
+        binding = make_rel_binding(rig, base_size=3, truncation=6)
+        statuses = {ls.run_law(law_id, binding, cases=50, seed=0).status for law_id in table}
+        assert statuses == ({"pass"} if rig.idempotent else {"pass", "skipped"})
+    assert calls == Counter()
+    assert ls.run_law("L6", binding, cases=50, seed=0).status == "pass"
+    assert calls == Counter(mat_compose=1, tensor=1)
 
 
 def test_rel_suite_never_builds_a_matrix_beyond_the_safe_band_rows(monkeypatch):

@@ -39,6 +39,16 @@ def nb(n):
     return (UNIT_POINT,) * n
 
 
+def entry(op, row, col):
+    """The weight of column `col` of a column operator at `row`, zero where the column has no entry."""
+    return op.column(col).get(row, op.rig.zero)
+
+
+def columns(op):
+    """Every column of `op` at a point of its column space."""
+    return {c: op.column(c) for c in op.col_space.points()}
+
+
 # -- bags and spaces ---------------------------------------------------------
 
 
@@ -90,92 +100,96 @@ def test_spaces_are_immutable_values_of_their_own_type():
 
 
 def test_d_unit_formula_instances():
-    d = wr.d_rel(UNIT_BASE, R, T4)
-    assert d.entry((nb(1), UNIT_POINT), nb(2)) == Fraction(2)
-    assert d.entry((nb(0), UNIT_POINT), nb(1)) == Fraction(1)
-    assert d.entry((nb(2), UNIT_POINT), nb(2)) == Fraction(0)
+    d = wr.operators_rel(UNIT_BASE, R, 4).d
+    assert entry(d, (nb(1), UNIT_POINT), nb(2)) == Fraction(2)
+    assert entry(d, (nb(0), UNIT_POINT), nb(1)) == Fraction(1)
+    assert entry(d, (nb(2), UNIT_POINT), nb(2)) == Fraction(0)
 
 
 def test_d_rel_multiplicity_coefficient():
-    d = wr.d_rel(XY, R, T4)
-    assert d.entry(((), "x"), ("x",)) == Fraction(1)
-    assert d.entry((("y",), "x"), ("x", "y")) == Fraction(1)
-    assert d.entry((("x",), "x"), ("x", "x")) == Fraction(2)
-    assert d.entry((("x", "x"), "x"), ("x", "x", "x")) == Fraction(3)
+    d = wr.operators_rel(XY, R, 4).d
+    assert entry(d, ((), "x"), ("x",)) == Fraction(1)
+    assert entry(d, (("y",), "x"), ("x", "y")) == Fraction(1)
+    assert entry(d, (("x",), "x"), ("x", "x")) == Fraction(2)
+    assert entry(d, (("x", "x"), "x"), ("x", "x", "x")) == Fraction(3)
 
 
 def test_dcirc_instances():
-    dc = wr.dcirc_rel(UNIT_BASE, R, T4)
-    assert dc.entry(nb(3), (nb(2), UNIT_POINT)) == Fraction(1)
-    assert all(r != nb(0) for (r, _c) in wr.dcirc_rel(XY, R, T4).entries)
-    dcx = wr.dcirc_rel(XY, R, T4)
-    assert dcx.entry(("x", "y"), (("y",), "x")) == Fraction(1)
-    assert dcx.entry(("x", "x"), (("x",), "x")) == Fraction(1)
+    dc = wr.operators_rel(UNIT_BASE, R, 4).dc
+    assert entry(dc, nb(3), (nb(2), UNIT_POINT)) == Fraction(1)
+    dcx = wr.operators_rel(XY, R, 4).dc
+    assert all(() not in column for column in columns(dcx).values())
+    assert entry(dcx, ("x", "y"), (("y",), "x")) == Fraction(1)
+    assert entry(dcx, ("x", "x"), (("x",), "x")) == Fraction(1)
 
 
 def test_bang_zero_instances():
-    b0 = wr.bang_zero_rel(XY, R, T4)
-    assert b0.entry((), ()) == Fraction(1)
-    assert b0.entry(("x",), ()) == Fraction(0)
-    assert mat_compose(b0, b0) == b0
+    b0 = wr.operators_rel(XY, R, 4).bang0
+    assert entry(b0, (), ()) == Fraction(1)
+    assert entry(b0, ("x",), ()) == Fraction(0)
+    assert columns(wr.col_seq(b0, b0)) == columns(b0)
 
 
 def test_s_unit_formula_instances():
-    s = wr.s_rel(UNIT_BASE, R, T4)
-    assert s.entry(nb(1), (nb(0), UNIT_POINT)) == Fraction(1)
+    s = wr.operators_rel(UNIT_BASE, R, 4).s
+    assert entry(s, nb(1), (nb(0), UNIT_POINT)) == Fraction(1)
     for m in range(4):
-        assert s.entry(nb(0), (nb(m), UNIT_POINT)) == Fraction(0)
-    assert s.entry(nb(3), (nb(2), UNIT_POINT)) == Fraction(1, 3)
+        assert entry(s, nb(0), (nb(m), UNIT_POINT)) == Fraction(0)
+    assert entry(s, nb(3), (nb(2), UNIT_POINT)) == Fraction(1, 3)
 
 
 def test_s_rel_instances():
-    s = wr.s_rel(XY, R, T4)
-    assert s.entry(("x", "x"), (("x",), "x")) == Fraction(1, 2)
-    assert all(r != () for (r, _c) in s.entries)
-    assert s.entry(("x", "y"), (("y",), "x")) == Fraction(1, 2)
+    s = wr.operators_rel(XY, R, 4).s
+    assert entry(s, ("x", "x"), (("x",), "x")) == Fraction(1, 2)
+    assert all(() not in column for column in columns(s).values())
+    assert entry(s, ("x", "y"), (("y",), "x")) == Fraction(1, 2)
 
 
 def test_boolean_integral_is_coderive():
-    assert wr.s_rel(XY, B, T4) == wr.dcirc_rel(XY, B, T4)
+    o = wr.operators_rel(XY, B, 4)
+    assert columns(o.s) == columns(o.dc)
 
 
 # -- K and J -----------------------------------------------------------------
 
 
 def test_unit_K_diagonal():
-    K = wr.operators_rel(UNIT_BASE, R, Truncation(5)).K
-    expected = [1, 1, 2, 3]  # entries for n = 0..3 (safe under the truncation)
+    K = wr.operators_rel(UNIT_BASE, R, 5).K
+    expected = [1, 1, 2, 3, 4, 5]  # entries for n = 0..5: no column is truncated
     for n, v in enumerate(expected):
-        assert K.entry(nb(n), nb(n)) == Fraction(v)
+        assert entry(K, nb(n), nb(n)) == Fraction(v)
 
 
 def test_K_inverse_inverts_on_safe_band():
-    K = wr.operators_rel(XY, R, T4).K
-    K_inv = wr.K_inv_rel(XY, R, T4)
-    ident = WeightedMatrix.identity(R, BagSpace(XY, T4.D))
-    assert mat_compose(K_inv, K).equal_on_safe_band(ident, T4.safe_limit)
-    assert mat_compose(K, K_inv).equal_on_safe_band(ident, T4.safe_limit)
+    o = wr.operators_rel(XY, R, 4)
+    ident = {b: {b: R.one} for b in BagSpace(XY, 4).points()}
+    assert columns(o.seq(o.K_inv, o.K)) == ident
+    assert columns(o.seq(o.K, o.K_inv)) == ident
 
 
 def test_boolean_K_is_identity():
-    K = wr.operators_rel(XY, B, T4).K
-    ident = WeightedMatrix.identity(B, BagSpace(XY, T4.D))
-    assert K.equal_on_safe_band(ident, T4.safe_limit)
+    K = wr.operators_rel(XY, B, 4).K
+    assert columns(K) == {b: {b: B.one} for b in BagSpace(XY, 4).points()}
 
 
 def test_rel_binding_builds_d_and_dcirc_once_per_base_set_and_shares_them_with_K_and_J(monkeypatch):
     built = Counter()
-    for name in ("d_rel", "dcirc_rel"):
-        original = getattr(wr, name)
+    operators_rel = wr.operators_rel
 
-        def counting(base, rig, trunc, name=name, original=original):
-            built[name, base] += 1
-            return original(base, rig, trunc)
+    def counting(base, rig, size):
+        built[base] += 1
+        return operators_rel(base, rig, size)
 
-        monkeypatch.setattr(wr, name, counting)
+    monkeypatch.setattr(wr, "operators_rel", counting)
     base = BaseSet(("a", "b", "c"))
     make_rel_binding(R, base_size=3, truncation=6)
-    assert built == {(name, b): 1 for name in ("d_rel", "dcirc_rel") for b in (base, UNIT_BASE)}
+    assert built == {base: 1, UNIT_BASE: 1}
+    # K and J read the set's own memoized d and d°: each column of d is computed once for both
+    o = operators_rel(base, R, 6)
+    bags = BagSpace(base, 6).points()
+    for b in bags:
+        o.K.column(b), o.J.column(b)
+    assert (o.d.column.cache_info().misses, o.d.column.cache_info().hits) == (len(bags), len(bags))
 
 
 # -- comonoid ----------------------------------------------------------------
@@ -223,10 +237,8 @@ def test_delta_matches_a_reference_built_from_multiset_differences(base_size, D)
 
 def test_m_unit_laws():
     m_R = wr.m_R_rel(R, T4)
-    bags = BagSpace(XY, T4.D)
-    spread = wr.spread_rel(R, bags, T4)
-    ident = WeightedMatrix.identity(R, bags)
-    assert mat_compose(spread, wr.gate_rel(XY, R, T4)).equal_on_safe_band(ident, T4.safe_limit)
+    o = wr.operators_rel(XY, R, 4)
+    assert columns(o.seq(o.spread, o.gate)) == {b: {b: R.one} for b in BagSpace(XY, 4).points()}
     ucom = wr.comonoid_rel(UNIT_BASE, R, T4)
     m_eps = mat_compose(m_R, ucom.eps)
     assert m_eps.entry(UNIT_POINT, UNIT_POINT) == Fraction(1)
@@ -301,29 +313,29 @@ def test_boolean_composition_matches_relational_oracle():
 
 
 def test_operators_shift_bag_sizes_by_fixed_amounts():
-    d = wr.d_rel(XY, R, T4)
-    for ((b, _x), col) in d.entries:
-        assert len(col) == len(b) + 1
-    dc = wr.dcirc_rel(XY, R, T4)
-    for (row, (b, _x)) in dc.entries:
-        assert len(b) == len(row) - 1
-    for (row, col) in wr.operators_rel(XY, R, T4).K.entries:
-        assert len(row) == len(col)
-    s = wr.s_rel(XY, R, T4)
-    for (row, (b, _x)) in s.entries:
-        assert len(b) == len(row) - 1
+    o = wr.operators_rel(XY, R, 4)
+    for col, column in columns(o.d).items():
+        assert all(len(col) == len(b) + 1 for b, _x in column)
+    for op in (o.dc, o.s):
+        for (b, _x), column in columns(op).items():
+            assert all(len(b) == len(row) - 1 for row in column)
+    for col, column in columns(o.K).items():
+        assert all(len(row) == len(col) for row in column)
 
 
 def test_generator_matrices_respect_margin():
-    # every entry of every builder's matrix lies in its declared row and column
+    # every entry of every operator's matrix lies in its declared row and column
     # spaces: a column formula reaching a row outside them is truncated there
-    o, u, com = wr.operators_rel(XY, R, T4), wr.operators_rel(UNIT_BASE, R, T4), wr.comonoid_rel(XY, R, T4)
+    o, u, com = wr.operators_rel(XY, R, 4), wr.operators_rel(UNIT_BASE, R, 4), wr.comonoid_rel(XY, R, T4)
     chi, chi_inv = wr.seely_rel(BaseSet(("x",)), BaseSet(("y",)), R, T4)
-    mats = {
-        "d": o.d, "d°": o.dc, "s": o.s, "!(0)": o.bang0, "K": o.K, "J": o.J, "K^-1": o.K_inv, "J^-1": o.J_inv,
-        "Delta": com.delta, "counit": com.counit, "eps": com.eps,
-        "m_R x 1": wr.spread_rel(R, BagSpace(XY, T4.D), T4), "m_{R,A}": wr.gate_rel(XY, R, T4),
-        "m_R": wr.m_R_rel(R, T4), "atom": u.atom, "chi": chi, "chi^-1": chi_inv,
+    bags, ubags = BagSpace(XY, 4), BagSpace(UNIT_BASE, 4)
+    pairs = PairSpace(bags, AtomSpace(XY))
+    mats = {name: getattr(o, name).matrix(bags) for name in ("dc", "s", "bang0", "K", "J", "K_inv", "J_inv")}
+    mats |= {
+        "d": o.d.matrix(pairs), "Delta": com.delta, "counit": com.counit, "eps": com.eps,
+        "m_R x 1": o.spread.matrix(bags), "m_{R,A}": o.gate.matrix(PairSpace(ubags, bags)),
+        "m_R": wr.m_R_rel(R, T4), "atom": u.atom.matrix(PairSpace(ubags, AtomSpace(UNIT_BASE))),
+        "chi": chi, "chi^-1": chi_inv,
     }
     for name, mat in mats.items():
         assert mat.entries, name
@@ -332,10 +344,12 @@ def test_generator_matrices_respect_margin():
             assert r in rows and c in cols, (name, r, c)
             assert wr.point_weight(mat.row_space, r) <= T4.D
             assert wr.point_weight(mat.col_space, c) <= T4.D
-    # column (b, x) of d° and s reaches the bag b + x, outside the bags when |b| = D
-    for mat in (o.dc, o.s):
-        sizes = {len(b) for _, (b, _x) in mat.entries}
+    # column (b, x) of d° and s reaches the bag b + x, outside the bags when |b| = D,
+    # so the matrix drops that row and the column operator keeps it
+    for name in ("dc", "s"):
+        sizes = {len(b) for _, (b, _x) in mats[name].entries}
         assert sizes == set(range(T4.D))
+        assert [len(r) for r in getattr(o, name).column((("x",) * 4, "y"))] == [5]
 
 
 def test_matrix_space_mismatch_raises():
@@ -407,17 +421,22 @@ def test_a_rel_suite_permutes_by_relabel_only(monkeypatch):
 def test_a_derivative_weighted_by_the_atom_it_inserts_fails_naturality(monkeypatch, rig):
     """d weighted by the index of the atom it inserts (a by 0, b by 1, c by 2) is not natural along
     atom permutations, over every rig: the boolean one still loses the entries of a."""
-    d_rel = wr.d_rel
+    operators_rel = wr.operators_rel
 
-    def d_mutant(base, rig, trunc):
-        d = d_rel(base, rig, trunc)
-        entries = {
-            ((b, x), c): rig.mul(v, rig.nat_value(base.atoms.index(x))) for ((b, x), c), v in d.entries.items()
-        }
-        return WeightedMatrix(rig, d.row_space, d.col_space, entries)
+    def d_mutant(base, rig, size):
+        o = operators_rel(base, rig, size)
+        weight = {x: rig.nat_value(i) for i, x in enumerate(base.atoms)}
+        d = o.d.column
+        return o._replace(
+            d=wr.ColumnOp(
+                rig,
+                o.d.col_space,
+                lambda c: {(b, x): rig.mul(v, weight[x]) for (b, x), v in d(c).items() if not rig.is_zero(weight[x])},
+            )
+        )
 
     assert run_law("L23", make_rel_binding(rig, base_size=3), cases=10, seed=0).status == "pass"
-    monkeypatch.setattr(wr, "d_rel", d_mutant)
+    monkeypatch.setattr(wr, "operators_rel", d_mutant)
     report = run_law("L23", make_rel_binding(rig, base_size=3), cases=10, seed=0)
     assert report.status == "fail"
     assert report.counterexample.startswith("derivative is not natural along atom permutations: entry ")
@@ -448,7 +467,8 @@ def test_compose_tensor_equals_composing_with_the_kronecker_product(rig):
 def test_band_first_composite_is_the_full_composite_on_the_safe_band_rows(base_size, D):
     base, trunc = BaseSet(("a", "b", "c")[:base_size]), Truncation(D)
     limit = trunc.safe_limit
-    com, d = wr.comonoid_rel(base, R, trunc), wr.d_rel(base, R, trunc)
+    com = wr.comonoid_rel(base, R, trunc)
+    d = wr.operators_rel(base, R, D).d.matrix(PairSpace(BagSpace(base, D), AtomSpace(base)))
     ident = WeightedMatrix.identity(R, BagSpace(base, D))
     delta = com.delta.restrict_rows(limit)
     for g, h in ((com.delta, ident), (ident, com.delta), (com.counit, ident)):
@@ -550,6 +570,9 @@ def test_composites_sums_and_tensors_have_no_zero_entry(rig):
 def test_operator_weights_stay_ints():
     base, trunc = BaseSet(("a", "b", "c")), Truncation(5)
     com = wr.comonoid_rel(base, R, trunc)
-    o = wr.operators_rel(base, R, trunc)
-    for m in (o.d, o.dc, o.K, o.J, com.delta, com.counit, com.eps):
+    o = wr.operators_rel(base, R, 5)
+    for m in (com.delta, com.counit, com.eps):
         assert m.entries and all(type(v) is int for v in m.entries.values())
+    for op in (o.d, o.dc, o.K, o.J):
+        weights = [v for column in columns(op).values() for v in column.values()]
+        assert weights and all(type(v) is int for v in weights)
