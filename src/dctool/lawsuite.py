@@ -30,7 +30,10 @@ applies both sides to seeded inputs.  The smooth model has no operator sets;
 its L18-L20 compare the two sides of the same equations, `_ftc2`, `_ftc1`
 and `_poincare`, at probe points.  The other laws need operators the sets do
 not have (Delta, sigma, e and eps, chi) or take premises or random maps, so
-each binding checks them by hand.
+each binding states them itself.  The relational binding writes each of them
+but the Taylor property (L21) as (lhs, rhs, label) equations between its
+column operators and compares them as it compares the table laws; L21 draws
+random maps and compares matrices.
 
 Each model's binding ends that model's module (`polyform.make_poly_binding`,
 `wrel.make_rel_binding`, `smoothnum.make_smooth_binding`), so a run imports

@@ -1,57 +1,51 @@
-"""Finite multisets and exact weighted matrices over enumerated index spaces.
+"""Finite multisets and the exact column operators of the relational model.
 
 Objects are small enumerated base sets; the exponential of a base set is the
 space of bags (finite multisets) of its atoms, enumerated up to a maximum
-size D.  Morphisms are column operators, or sparse matrices over a rig
-between such spaces.  Permutations of tensor factors and of atoms are
-applied as key relabels (`WeightedMatrix.relabel`), which cost O(nnz) and
-build no permutation matrix.
+size D.  Every column of a morphism of the relational model is finite,
+whatever the bag size, so each morphism is written once, as a column
+operator (`ColumnOp`): `column(c)` is column c as {row: weight}, and no row
+is ever truncated.  The family mirrors the polynomial model: column b of d
+reaches (b - x, x) weighted by the multiplicity of x in b; column (b, x) of
+d° reaches the bag b + x coefficient-free, and that of s reaches it weighted
+by 1/(|b| + 1); K and J are the diagonal bag-size scalings d°;d + !(0) and
+d°;d + 1.  Delta and the split chi of a disjoint union are one formula, bag
+union (`merge`): column (b1, b2) reaches b1 + b2; column b of chi^{-1}
+reaches the pair of b's two parts.  Column operators add, compose
+(`col_seq`: column c of f;g is the columns of f summed along column c of g)
+and act on one factor of a pair (`ColumnOp.on_left`, f x 1, which is also a
+unit operator on the size tag, and `ColumnOp.on_right`, 1 x f).  A map of
+points, such as a permutation of tensor factors or of atoms, an associator
+or a unitor, is the operator `relabel` builds.  `operators_rel` builds the
+whole operator set of one base set, so each operator is defined once for
+every base set: the unit-level operators are the general ones at the
+one-point base `UNIT_BASE`.
 
-Every column of a morphism of the relational model is finite, whatever the
-bag size, so each operator is written once, as a column operator
-(`ColumnOp`): `column(c)` is column c as {row: weight}, and no row is ever
-truncated.  The family mirrors the polynomial model: column b of d reaches
-(b - x, x) weighted by the multiplicity of x in b; column (b, x) of d°
-reaches the bag b + x coefficient-free, and that of s reaches it weighted by
-1/(|b| + 1); K and J are the diagonal bag-size scalings d°;d + !(0) and
-d°;d + 1.  Column operators add, compose (`col_seq`: column c of f;g is the
-columns of f summed along column c of g) and act on the first factor of a
-pair (`ColumnOp.on_left`, which is both f x 1 and a unit operator on the
-size tag).  `operators_rel` builds the whole operator set of one base set,
-so each operator is defined once for every base set: the unit-level
-operators are the general ones at the one-point base `UNIT_BASE`.
-
-The table laws evaluate both sides of each equation on every source column
-of at most D - `MARGIN` atoms and compare every row those columns reach.
-The bespoke laws compare matrices over the bags of at most D atoms:
-`ColumnOp.matrix` turns an operator into one, through `_from_columns`, the
-only code that truncates: it keeps exactly the rows that lie in the row
-space.  Delta and the split chi of a disjoint union are one formula, bag
-union: column (b1, b2) reaches b1 + b2.  Every operator shifts bag sizes by
-a fixed amount (+1, -1 or 0), so equations between truncated composites of
-at most two size-shifting operators are exact on the "safe band" of bags
-whose size stays at least `MARGIN` below D, and the bespoke laws compare
-there.  L22 alone has its own scope: it compares split;merge on every bag up
-to the bound D and merge;split on the pairs of halves of at most
-min(D - MARGIN, D // 2) atoms.  Row r of f;g depends only on row r of f, so
-a law may evaluate a composite from the safe-band rows of its first factor
-(`WeightedMatrix.restrict_rows`) outward, and `compose_tensor` evaluates
-f;(g x h) without materializing g x h.
+Every law but L21 compares two column operators (`ColumnOp.first_difference`)
+on every source column of at most N atoms, `point_weight` counting every bag
+atom of a point, and compares every row those columns reach.  N is D -
+`MARGIN` unless a law says otherwise.  The Taylor property (L21) alone
+compares sparse matrices (`WeightedMatrix`) over the bags of at most D
+atoms: `ColumnOp.matrix`, the only code that truncates, keeps exactly the
+rows that lie in the row space, and L21 compares on the "safe band" of rows
+and columns of at most D - `MARGIN` atoms, where a composite of at most two
+size-shifting operators is exact.  Row r of f;g depends only on row r of f,
+so L21 evaluates d;f from the safe-band rows of d (`restrict_rows`).
 
 The public constructor `WeightedMatrix(...)` drops zero entries.  Everything
 else builds through the trusted `WeightedMatrix._canonical`, which tests
 none, because a zero entry can only come from a sum that cancels (the rig
-properties behind this are listed in `rig.Rig`): `relabel`, `restrict_rows`,
-`transpose`, `identity` and `perm_matrix` move or select nonzero entries;
-`tensor` multiplies nonzero entries; `mat_compose`, `compose_tensor` and `+`
-sum products of them, and drop a cancelled sum only over a rig with
-`has_negatives`, as the column operators' `+` and `col_seq` do; and the
-column formulas are weighted by `one`, multiplicities `nat_value(k)` and
-inverses `nat_inverse(k)` with k >= 1.
+properties behind this are listed in `rig.Rig`): `restrict_rows`,
+`ColumnOp.matrix` and `perm_matrix` move or select nonzero entries; `tensor`
+multiplies nonzero entries; `mat_compose` and `+` sum products of them, and
+drop a cancelled sum only over a rig with `has_negatives`, as the column
+operators' `+` and `col_seq` do; and the column formulas are weighted by
+`one`, multiplicities `nat_value(k)` and inverses `nat_inverse(k)` with
+k >= 1.
 
-The model's law binding, `make_rel_binding`, ends this module.  Only its
-bespoke laws build matrices; they read `mat_compose` and `tensor` as module
-globals when a law runs, so a tracer that patches them finds every call.
+The model's law binding, `make_rel_binding`, ends this module.  Only L21
+builds matrices; it reads `mat_compose` as a module global when it runs, so
+a tracer that patches it finds every call.
 """
 
 from __future__ import annotations
@@ -131,24 +125,9 @@ def enumerate_bags(base: BaseSet, max_size: int):
     return out
 
 
-# bag sizes kept free below the truncation bound: a composite of at most two
-# size-shifting operators is exact on the bags of at most D - MARGIN atoms
+# bag sizes kept free below the truncation bound D: the laws compare the
+# source columns of at most D - MARGIN atoms
 MARGIN = 2
-
-
-class Truncation(_Value):
-    """Maximum bag size D; the safe band is the bags of at most D - MARGIN atoms."""
-
-    __slots__ = ("D",)
-
-    def __init__(self, D: int):
-        if D < MARGIN:
-            raise ValueError(f"truncation bound smaller than the margin {MARGIN}")
-        self._freeze(D=D)
-
-    @property
-    def safe_limit(self) -> int:
-        return self.D - MARGIN
 
 
 # -- index spaces -----------------------------------------------------------
@@ -195,18 +174,24 @@ class PairSpace(_Value):
 
 
 def point_weight(space, point) -> int:
-    """Largest bag size occurring inside a point of the given space."""
+    """The number of bag atoms in a point of the given space."""
     if isinstance(space, BagSpace):
         return len(point)
     if isinstance(space, PairSpace):
-        return max(point_weight(space.left, point[0]), point_weight(space.right, point[1]))
+        return point_weight(space.left, point[0]) + point_weight(space.right, point[1])
     return 0
 
 
 @functools.cache
-def _band(space, limit: int) -> frozenset:
-    """The points of `space` whose largest bag has at most `limit` atoms, found once per space."""
-    return frozenset(p for p in _points(space) if point_weight(space, p) <= limit)
+def _band(space, limit: int) -> tuple:
+    """The points of `space` of at most `limit` bag atoms, enumerated directly, once per space and limit."""
+    if isinstance(space, BagSpace):
+        return tuple(enumerate_bags(space.base, min(limit, space.max_size)))
+    if isinstance(space, PairSpace):
+        return tuple(
+            (l, r) for l in _band(space.left, limit) for r in _band(space.right, limit - point_weight(space.left, l))
+        )
+    return _points(space)
 
 
 def render_point(point) -> str:
@@ -220,8 +205,13 @@ def render_point(point) -> str:
 # -- matrices ---------------------------------------------------------------
 
 
+def _difference_text(rig: Rig, key, a, b) -> str:
+    r, c = key
+    return f"entry ({render_point(r)}, {render_point(c)}): {rig.render(a)} != {rig.render(b)}"
+
+
 class WeightedMatrix:
-    """Sparse exact matrix between two enumerated index spaces."""
+    """Sparse exact matrix between two enumerated index spaces; only the Taylor property (L21) builds one."""
 
     __slots__ = ("rig", "row_space", "col_space", "entries")
 
@@ -245,14 +235,6 @@ class WeightedMatrix:
         m.entries = entries
         return m
 
-    @classmethod
-    def zero(cls, rig, row_space, col_space):
-        return cls._canonical(rig, row_space, col_space, {})
-
-    @classmethod
-    def identity(cls, rig, space):
-        return cls._canonical(rig, space, space, {(p, p): rig.one for p in space.points()})
-
     def entry(self, r, c):
         return self.entries.get((r, c), self.rig.zero)
 
@@ -263,27 +245,6 @@ class WeightedMatrix:
         for key, c in other.entries.items():
             entries[key] = rig.add(entries[key], c) if key in entries else c
         return WeightedMatrix._canonical(rig, self.row_space, self.col_space, drop_cancelled(rig, entries))
-
-    def relabel(self, fn, space, rows=False):
-        """Move the column keys (the row keys if `rows`) along the bijection `fn` into `space`.
-
-        Equal to composing with `perm_matrix(fn)` on the right (its transpose
-        on the left for rows), but O(nnz): no permutation matrix is built.
-        """
-        if rows:
-            entries = {(fn(r), c): v for (r, c), v in self.entries.items()}
-            row_space, col_space = space, self.col_space
-        else:
-            entries = {(r, fn(c)): v for (r, c), v in self.entries.items()}
-            row_space, col_space = self.row_space, space
-        if len(entries) != len(self.entries):
-            raise ValueError("relabelling map is not injective")
-        return WeightedMatrix._canonical(self.rig, row_space, col_space, entries)
-
-    def transpose(self):
-        return WeightedMatrix._canonical(
-            self.rig, self.col_space, self.row_space, {(c, r): v for (r, c), v in self.entries.items()}
-        )
 
     def _check_spaces(self, other):
         if self.row_space != other.row_space or self.col_space != other.col_space:
@@ -302,12 +263,12 @@ class WeightedMatrix:
         raise TypeError("WeightedMatrix is not hashable")
 
     def restrict_rows(self, limit: int):
-        """Drop entries whose row contains a bag larger than `limit`.
+        """Drop entries whose row holds more than `limit` bag atoms.
 
         Row r of f;g depends only on row r of f, so restricting the first
         factor of a composite restricts the composite exactly.
         """
-        rows = _band(self.row_space, limit)
+        rows = frozenset(_band(self.row_space, limit))
         entries = {(r, c): v for (r, c), v in self.entries.items() if r in rows}
         return WeightedMatrix._canonical(self.rig, self.row_space, self.col_space, entries)
 
@@ -325,19 +286,8 @@ class WeightedMatrix:
         ]
         if not differ:
             return None
-        r, c = key = min(differ, key=repr)
-        return (
-            f"entry ({render_point(r)}, {render_point(c)}): "
-            f"{rig.render(a.get(key, rig.zero))} != {rig.render(b.get(key, rig.zero))}"
-        )
-
-
-def _by_row(m: WeightedMatrix):
-    """Row key -> [(column key, value)] over m's entries."""
-    rows = defaultdict(list)
-    for (y, z), c in m.entries.items():
-        rows[y].append((z, c))
-    return rows
+        key = min(differ, key=repr)
+        return _difference_text(rig, key, a.get(key, rig.zero), b.get(key, rig.zero))
 
 
 def mat_compose(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
@@ -345,7 +295,9 @@ def mat_compose(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
     if f.col_space != g.row_space:
         raise ValueError("matrix space mismatch: f.col_space != g.row_space")
     rig = f.rig
-    g_by_row = _by_row(g)
+    g_by_row = defaultdict(list)
+    for (y, z), b in g.entries.items():
+        g_by_row[y].append((z, b))
     entries = {}
     for (x, y), a in f.entries.items():
         for z, b in g_by_row.get(y, ()):
@@ -356,7 +308,11 @@ def mat_compose(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
 
 
 def tensor(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
-    """Kronecker product on pair spaces."""
+    """Kronecker product on pair spaces.
+
+    No law calls it: the benchmark patches it, and a law that tensors acts on
+    one factor of a pair with `ColumnOp.on_left` or `ColumnOp.on_right`.
+    """
     rig = f.rig
     entries = {}
     for (r1, c1), a in f.entries.items():
@@ -367,35 +323,11 @@ def tensor(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
     )
 
 
-def compose_tensor(f: WeightedMatrix, g: WeightedMatrix, h: WeightedMatrix) -> WeightedMatrix:
-    """f;(g x h): equal to `mat_compose(f, tensor(g, h))`, without building g x h.
-
-    Walks f's entries and only the rows of g and h that they reach, so the
-    cost follows f: a row-restricted f pays for its own rows only.
-    """
-    if f.col_space != PairSpace(g.row_space, h.row_space):
-        raise ValueError("matrix space mismatch: f.col_space != g.row_space x h.row_space")
-    rig = f.rig
-    g_by_row, h_by_row = _by_row(g), _by_row(h)
-    entries = {}
-    for (x, (y1, y2)), a in f.entries.items():
-        h_row = h_by_row.get(y2, ())
-        for z1, b in g_by_row.get(y1, ()):
-            ab = rig.mul(a, b)
-            for z2, c in h_row:
-                key = (x, (z1, z2))
-                v = rig.mul(ab, c)
-                entries[key] = rig.add(entries[key], v) if key in entries else v
-    return WeightedMatrix._canonical(
-        rig, f.row_space, PairSpace(g.col_space, h.col_space), drop_cancelled(rig, entries)
-    )
-
-
 def perm_matrix(rig, row_space, col_space, fn) -> WeightedMatrix:
     """Permutation matrix induced by a bijection on points.
 
-    Nothing in `src` calls it: the binding permutes by `relabel`.  It is the
-    reference `relabel` is tested against, and the benchmark reads it.
+    No law calls it: the benchmark patches it, and a law permutes with the
+    column operator `relabel` builds.
     """
     entries = {(p, fn(p)): rig.one for p in row_space.points()}
     return WeightedMatrix._canonical(rig, row_space, col_space, entries)
@@ -414,14 +346,6 @@ def _points(space) -> tuple:
 def _members(space) -> frozenset:
     """The points of `space` as a set, built once per space."""
     return frozenset(_points(space))
-
-
-def _from_columns(rig: Rig, row_space, col_space, column, cols=None) -> WeightedMatrix:
-    """The matrix whose column c holds `column(c)`, over `cols` (by default every point of `col_space`),
-    keeping exactly the rows that lie in `row_space`."""
-    rows, cols = _members(row_space), (_points(col_space) if cols is None else cols)
-    entries = {(r, c): w for c in cols for r, w in column(c).items() if r in rows}
-    return WeightedMatrix._canonical(rig, row_space, col_space, entries)
 
 
 class ColumnOp:
@@ -449,9 +373,32 @@ class ColumnOp:
         f, pairs = self.column, PairSpace(self.col_space, space)
         return ColumnOp(self.rig, pairs, lambda c: {(r, c[1]): w for r, w in f(c[0]).items()})
 
+    def on_right(self, space) -> "ColumnOp":
+        """1 x f: this operator on the second factor of a pair whose first factor is a point of `space`."""
+        f, pairs = self.column, PairSpace(space, self.col_space)
+        return ColumnOp(self.rig, pairs, lambda c: {(c[0], r): w for r, w in f(c[1]).items()})
+
     def matrix(self, row_space) -> WeightedMatrix:
-        """The matrix of this operator, truncated to the rows that lie in `row_space`."""
-        return _from_columns(self.rig, row_space, self.col_space, self.column)
+        """The matrix of this operator on every point of `col_space`, truncated to the rows in `row_space`."""
+        rows = _members(row_space)
+        entries = {(r, c): w for c in _points(self.col_space) for r, w in self.column(c).items() if r in rows}
+        return WeightedMatrix._canonical(self.rig, row_space, self.col_space, entries)
+
+    def first_difference(self, other: "ColumnOp", limit: int):
+        """First entry, in `repr` order of the (row, column) keys, where the operators disagree on the
+        columns of at most `limit` atoms, or None; every row those columns reach is compared."""
+        rig, zero, f, g = self.rig, self.rig.zero, self.column, other.column
+        differ = {}
+        for c in _band(self.col_space, limit):
+            a, b = f(c), g(c)
+            for r in a.keys() | b.keys():
+                x, y = a.get(r, zero), b.get(r, zero)
+                if not rig.eq(x, y):
+                    differ[r, c] = x, y
+        if not differ:
+            return None
+        key = min(differ, key=repr)
+        return _difference_text(rig, key, *differ[key])
 
 
 def _sum(rig: Rig, terms) -> dict:
@@ -463,36 +410,51 @@ def _sum(rig: Rig, terms) -> dict:
 
 
 def col_seq(f: ColumnOp, g: ColumnOp) -> ColumnOp:
-    """f;g, that is g then f: column c sums column y of f weighted by g(y, c), as `mat_compose` does."""
-    rig, fc, gc = f.rig, f.column, g.column
-    return ColumnOp(
-        rig, g.col_space, lambda c: _sum(rig, ((r, rig.mul(a, b)) for y, b in gc(c).items() for r, a in fc(y).items()))
-    )
+    """f;g, that is g then f: column c sums column y of f weighted by g(y, c), as `mat_compose` does.
 
-
-def _bag_union(rig: Rig, row_space: BagSpace, col_space: PairSpace) -> WeightedMatrix:
-    """Delta and chi: column (b1, b2) reaches the one row b1 + b2, the bag union, with weight one.
-
-    Visited over the pairs whose total size fits the row space, the only columns with an entry.
+    A column of g that is the single entry (y, one) gives column y of f itself.
     """
-    left, right = col_space.left, col_space.right
-    cols = [(b1, b2) for b1 in _points(left) for b2 in _points(BagSpace(right.base, row_space.max_size - len(b1)))]
-    return _from_columns(rig, row_space, col_space, lambda c: {bag(*c[0], *c[1]): rig.one}, cols)
+    rig, fc, gc = f.rig, f.column, g.column
+
+    def column(c):
+        through = gc(c)
+        if len(through) == 1:
+            [(y, b)] = through.items()
+            if rig.eq(b, rig.one):
+                return fc(y)
+        return _sum(rig, ((r, rig.mul(a, b)) for y, b in through.items() for r, a in fc(y).items()))
+
+    return ColumnOp(rig, g.col_space, column)
+
+
+def relabel(rig: Rig, space, fn) -> ColumnOp:
+    """The map of points `fn` as an operator: column c, a point of `space`, reaches the one row fn(c) with weight one.
+
+    A bijection gives a permutation (sigma, the associators, the atom swap
+    and pushes along atom permutations), and a projection away from a unit
+    factor a unitor.
+    """
+    return ColumnOp(rig, space, lambda c: {fn(c): rig.one})
+
+
+def merge(rig: Rig, pairs: PairSpace) -> ColumnOp:
+    """Delta and chi: column (b1, b2) reaches the one bag b1 + b2, the bag union, with weight one; memoized."""
+    return ColumnOp(rig, pairs, lambda c: {bag(*c[0], *c[1]): rig.one}, memo=True)
 
 
 class Comonoid(NamedTuple):
-    delta: WeightedMatrix  # bag -> all ordered two-part splits, coefficient-free
-    counit: WeightedMatrix  # bag -> unit, supported on the empty bag
-    eps: WeightedMatrix  # bag -> atom, supported on singletons
+    delta: ColumnOp  # column (b1, b2) reaches b1 + b2: each bag's row holds all its ordered two-part splits
+    counit: ColumnOp  # the unit point reaches the empty bag
+    eps: ColumnOp  # atom x reaches the bag [x]
 
 
-def comonoid_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Comonoid:
+def comonoid_rel(base: BaseSet, rig: Rig, size: int) -> Comonoid:
     """Delta is the bag union; the counit's column reaches the empty bag and eps's column x the bag [x]."""
-    bags = BagSpace(base, trunc.D)
+    bags = BagSpace(base, size)
     return Comonoid(
-        _bag_union(rig, bags, PairSpace(bags, bags)),
-        _from_columns(rig, bags, UnitSpace(), lambda c: {(): rig.one}),
-        _from_columns(rig, bags, AtomSpace(base), lambda x: {(x,): rig.one}),
+        merge(rig, PairSpace(bags, bags)),
+        ColumnOp(rig, UnitSpace(), lambda c: {(): rig.one}),
+        ColumnOp(rig, AtomSpace(base), lambda x: {(x,): rig.one}),
     )
 
 
@@ -506,9 +468,9 @@ def comonoid_rel(base: BaseSet, rig: Rig, trunc: Truncation) -> Comonoid:
 # (`lawsuite.via_unit`).
 
 
-def m_R_rel(rig: Rig, trunc: Truncation) -> WeightedMatrix:
+def m_R_rel(rig: Rig, size: int) -> ColumnOp:
     """m_R: every unit bag's column reaches the unit point."""
-    return _from_columns(rig, UnitSpace(), BagSpace(UNIT_BASE, trunc.D), lambda n: {UNIT_POINT: rig.one})
+    return ColumnOp(rig, BagSpace(UNIT_BASE, size), lambda n: {UNIT_POINT: rig.one})
 
 
 # -- operator sets ----------------------------------------------------------
@@ -555,18 +517,25 @@ def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
 # -- bag splitting over a disjoint union ------------------------------------
 
 
-def seely_rel(base_x: BaseSet, base_y: BaseSet, rig: Rig, trunc: Truncation):
+def seely_rel(base_x: BaseSet, base_y: BaseSet, rig: Rig, size: int):
     """Split a bag over a disjoint union into its two parts.
 
-    Returns (chi, chi_inv); chi is a permutation matrix and chi_inv its
-    transpose.
+    Returns (chi, chi_inv), column operators from the pairs of bags of at
+    most `size` atoms each and from the combined bags of at most `size`
+    atoms: chi is the bag union, as Delta is, and column b of chi_inv reaches
+    the pair of b's atoms in base_x and in base_y.
     """
     if set(base_x.atoms) & set(base_y.atoms):
         raise ValueError("base sets must be disjoint")
     combined = BaseSet(tuple(sorted(base_x.atoms + base_y.atoms)))
-    halves = PairSpace(BagSpace(base_x, trunc.D), BagSpace(base_y, trunc.D))
-    chi = _bag_union(rig, BagSpace(combined, trunc.D), halves)
-    return chi, chi.transpose()
+    left = set(base_x.atoms)
+    chi = merge(rig, PairSpace(BagSpace(base_x, size), BagSpace(base_y, size)))
+    chi_inv = ColumnOp(
+        rig,
+        BagSpace(combined, size),
+        lambda b: {(tuple(a for a in b if a in left), tuple(a for a in b if a not in left)): rig.one},
+    )
+    return chi, chi_inv
 
 
 # -- law binding ------------------------------------------------------------
@@ -594,121 +563,103 @@ def make_rel_binding(
     base_size: int = 2,
     truncation: int = 4,
 ) -> ModelBinding:
-    """Exact law binding for the bag-matrix model.
+    """Exact law binding for the relational model.
 
     `operators_rel` builds one set of column operators on the model's base set
     and one on UNIT_BASE, where the general operators are the unit-level d_R,
     d°_R, s_R, K_R and J_R (d_R and s_R keep the one-point atom factor, as
     `R x 1` in the law citations); every operator is defined once per base
     set.  The laws with equations in their `lawsuite.LAWS` row, L24 among
-    them, run on these two sets: each side is evaluated, untruncated, on
-    every source column of at most D - MARGIN atoms, and every row those
-    columns reach is compared.  The bespoke laws compare matrices on the safe
-    band: d, d° and !(0) are the first set's operators truncated to the bags
-    of at most D atoms, and L10 reads the gate m_{R,A}, m_R x 1, d°_R and
-    `atom` truncated alike, and m_R from `m_R_rel`.  A law that is a list of
-    equations yields one comparison `cmp(lhs, rhs, label[, limit])` per
-    equation, built when the runner reads it, so the runner stops at the
-    first difference and `cases` counts the comparisons made.  Every
-    permutation, of tensor factors (L1, L3, L6, L7) or of atoms (L23), is a key
-    relabel, not a composition with a permutation matrix.
-    The bespoke laws with a large first factor (L1, L3, L7, L21)
-    restrict that factor to the safe-band rows, and L1, L3 and L7 evaluate
-    each f;(g x h) with `compose_tensor`, so their tensor factors are never
-    materialized.
+    them, run on these two sets; the other laws but L21 are lists of
+    equations here between the same operators and those of `comonoid_rel`,
+    `m_R_rel` and `seely_rel`, with `relabel` for every map of points.  Each
+    side of an equation is evaluated, untruncated, on every source column of
+    at most D - MARGIN atoms, and every row those columns reach is compared;
+    the Leibniz rule (L3) takes the columns of D - MARGIN + 1 atoms too,
+    whose rows (b, x) have |b| <= D - MARGIN, and L22 every column of at most
+    D atoms, since chi shifts no sizes.  A law yields one comparison
+    `cmp(lhs, rhs, label[, limit])` per equation, built when the runner reads
+    it, so the runner stops at the first difference and `cases` counts the
+    comparisons made.  The Taylor property (L21) draws random matrices and
+    compares matrices on the safe band, with d and !(0) truncated to the bags
+    of at most D atoms and d restricted to its safe-band rows.
     """
     if not 1 <= base_size <= MAX_BASE_SIZE:
         raise ValueError(f"base_size must be between 1 and {MAX_BASE_SIZE}")
+    if truncation < MARGIN:
+        raise ValueError(f"truncation bound smaller than the margin {MARGIN}")
     base = BaseSet(ATOM_NAMES[:base_size])
-    trunc = Truncation(truncation)
-    limit = trunc.safe_limit
+    limit = truncation - MARGIN
 
-    bags = BagSpace(base, trunc.D)
+    bags = BagSpace(base, truncation)
     atoms = AtomSpace(base)
     pair_ba = PairSpace(bags, atoms)
     pair_baa = PairSpace(pair_ba, atoms)
-    uatoms = AtomSpace(UNIT_BASE)
 
-    o, u = operators_rel(base, rig, trunc.D), operators_rel(UNIT_BASE, rig, trunc.D)
-    d, dc, bang0 = o.d.matrix(pair_ba), o.dc.matrix(bags), o.bang0.matrix(bags)
-    id_bags, id_atoms = WeightedMatrix.identity(rig, bags), WeightedMatrix.identity(rig, atoms)
-    com = comonoid_rel(base, rig, trunc)
-    ucom = comonoid_rel(UNIT_BASE, rig, trunc)
-    m_R = m_R_rel(rig, trunc)
+    o, u = operators_rel(base, rig, truncation), operators_rel(UNIT_BASE, rig, truncation)
+    com = comonoid_rel(base, rig, truncation)
+    ucom = comonoid_rel(UNIT_BASE, rig, truncation)
+    m_R = m_R_rel(rig, truncation)
+    d, seq = o.d, col_seq
+    # sigma of L6 and L7: ((b, x), y) -> ((b, y), x)
+    swap_atoms = relabel(rig, pair_baa, lambda p: ((p[0][0], p[1]), p[0][1]))
 
-    def swap_atoms(p):
-        """((b, x), y) -> ((b, y), x): the symmetry sigma of L6 and L7."""
-        (b, x), y = p
-        return ((b, y), x)
+    def identity(space):
+        return relabel(rig, space, lambda p: p)
 
     def cmp(lhs, rhs, label, lim=limit):
-        """The counterexample of lhs = rhs on rows and columns up to `lim`, or None."""
+        """The counterexample of lhs = rhs on the columns of at most `lim` atoms, or None."""
         diff = lhs.first_difference(rhs, lim)
         return None if diff is None else f"{label}: {diff}"
 
-    def columns(op):
-        """op's columns of at most `limit` atoms, as a matrix whose rows (row space None) are never truncated."""
-        entries = {(r, c): w for c in _band(op.col_space, limit) for r, w in op.column(c).items()}
-        return WeightedMatrix._canonical(rig, None, op.col_space, entries)
-
     def l1(rng, cases):
-        delta = com.delta.restrict_rows(limit)
-        lhs = compose_tensor(delta, com.delta, id_bags)
-        yield cmp(
-            lhs.relabel(lambda p: (p[0][0], (p[0][1], p[1])), PairSpace(bags, PairSpace(bags, bags))),
-            compose_tensor(delta, id_bags, com.delta),
-            "comultiplication not coassociative",
-        )
+        delta = com.delta
+        triples = PairSpace(bags, PairSpace(bags, bags))
+        reassoc = relabel(rig, triples, lambda p: ((p[0], p[1][0]), p[1][1]))
+        lhs = seq(seq(delta, delta.on_left(bags)), reassoc)
+        yield cmp(lhs, seq(delta, delta.on_right(bags)), "comultiplication not coassociative")
         # counit laws, with the unit factor projected away
-        lhs = compose_tensor(delta, com.counit, id_bags)
-        yield cmp(lhs.relabel(lambda p: p[1], bags), id_bags, "left counit fails")
-        lhs = compose_tensor(delta, id_bags, com.counit)
-        yield cmp(lhs.relabel(lambda p: p[0], bags), id_bags, "right counit fails")
-        swapped = delta.relabel(lambda p: (p[1], p[0]), delta.col_space)
+        lhs = seq(seq(delta, com.counit.on_left(bags)), relabel(rig, bags, lambda b: (UNIT_POINT, b)))
+        yield cmp(lhs, o.id, "left counit fails")
+        lhs = seq(seq(delta, com.counit.on_right(bags)), relabel(rig, bags, lambda b: (b, UNIT_POINT)))
+        yield cmp(lhs, o.id, "right counit fails")
+        swapped = seq(delta, relabel(rig, delta.col_space, lambda p: (p[1], p[0])))
         yield cmp(swapped, delta, "comultiplication not cocommutative")
 
     def l2(rng, cases):
-        zero = WeightedMatrix.zero(rig, pair_ba, UnitSpace())
-        yield cmp(mat_compose(d, com.counit), zero, "derivative of a constant is nonzero")
+        zero = ColumnOp(rig, UnitSpace(), lambda c: {})
+        yield cmp(seq(d, com.counit), zero, "derivative of a constant is nonzero")
 
     def l3(rng, cases):
-        split = tensor(com.delta.restrict_rows(limit), id_atoms)  # ((b1, b2), x) columns
-        # summand that differentiates the left split part
-        term1 = compose_tensor(
-            split.relabel(lambda p: ((p[0][0], p[1]), p[0][1]), PairSpace(pair_ba, bags)), d, id_bags
-        )
-        # summand that differentiates the right split part
-        term2 = compose_tensor(
-            split.relabel(lambda p: (p[0][0], (p[0][1], p[1])), PairSpace(bags, pair_ba)), id_bags, d
-        )
-        yield cmp(mat_compose(d.restrict_rows(limit), com.delta), term1 + term2, "Leibniz fails")
+        split = com.delta.on_left(atoms)  # ((b1, b2), x) -> (b1 + b2, x)
+        # summand that differentiates the left split part: ((b, x), b2) -> ((b, b2), x)
+        left = relabel(rig, PairSpace(pair_ba, bags), lambda p: ((p[0][0], p[1]), p[0][1]))
+        # summand that differentiates the right split part: (b1, (b, x)) -> ((b1, b), x)
+        right = relabel(rig, PairSpace(bags, pair_ba), lambda p: ((p[0], p[1][0]), p[1][1]))
+        rhs = seq(split, seq(left, d.on_left(bags))) + seq(split, seq(right, d.on_right(bags)))
+        yield cmp(seq(d, com.delta), rhs, "Leibniz fails", limit + 1)
 
     def l5(rng, cases):
-        rhs = WeightedMatrix(rig, pair_ba, atoms, {(((), x), x): rig.one for x in base.atoms})
-        yield cmp(mat_compose(d, com.eps), rhs, "derivative of a linear map is not constant")
+        yield cmp(seq(d, com.eps), relabel(rig, atoms, lambda x: ((), x)), "derivative of a linear map is not constant")
 
     def l6(rng, cases):
-        lhs = mat_compose(tensor(d, id_atoms), d)
-        yield cmp(lhs, lhs.relabel(swap_atoms, pair_baa, rows=True), "interchange fails")
+        lhs = seq(d.on_left(atoms), d)
+        yield cmp(lhs, seq(swap_atoms, lhs), "interchange fails")
 
     def l7(rng, cases):
-        rhs = compose_tensor(tensor(dc.restrict_rows(limit), id_atoms).relabel(swap_atoms, pair_baa), d, id_atoms)
-        rhs = rhs + WeightedMatrix.identity(rig, pair_ba)
-        yield cmp(mat_compose(d.restrict_rows(limit), dc), rhs, "derive/coderive exchange fails")
+        rhs = seq(o.dc.on_left(atoms), seq(swap_atoms, d.on_left(atoms))) + o.x1(o.id)
+        yield cmp(seq(d, o.dc), rhs, "derive/coderive exchange fails")
 
     def l10(rng, cases):
-        ubags = BagSpace(UNIT_BASE, trunc.D)
-        gate, spread = o.gate.matrix(PairSpace(ubags, bags)), o.spread.matrix(bags)
-        yield cmp(mat_compose(spread, gate), id_bags, "unit pairing is not split by the all-ones row")
-        one_mat = WeightedMatrix(rig, UnitSpace(), uatoms, {(UNIT_POINT, UNIT_POINT): rig.one})
-        yield cmp(mat_compose(m_R, ucom.eps), one_mat, "m_R against the linear counit fails")
-        unit_id = WeightedMatrix.identity(rig, UnitSpace())
-        yield cmp(mat_compose(m_R, ucom.counit), unit_id, "m_R against the comonoid counit fails")
-        u_dc, u_atom = u.dc.matrix(ubags), u.atom.matrix(PairSpace(ubags, uatoms))
-        yield cmp(mat_compose(mat_compose(m_R, u_dc), u_atom), m_R, "m_R is not fixed by the unit coderive")
+        yield cmp(seq(o.spread, o.gate), o.id, "unit pairing is not split by the all-ones row")
+        one = relabel(rig, AtomSpace(UNIT_BASE), lambda x: UNIT_POINT)
+        yield cmp(seq(m_R, ucom.eps), one, "m_R against the linear counit fails")
+        yield cmp(seq(m_R, ucom.counit), identity(UnitSpace()), "m_R against the comonoid counit fails")
+        yield cmp(seq(seq(m_R, u.dc), u.atom), m_R, "m_R is not fixed by the unit coderive")
 
     def l21(rng, cases):
-        d_band = d.restrict_rows(limit)  # !(0) has one row, the empty bag, so it is band-only already
+        # !(0) has one row, the empty bag, so it is band-only already
+        d_band, bang0 = d.matrix(pair_ba).restrict_rows(limit), o.bang0.matrix(bags)
 
         def one(rng):
             f = _random_matrix(rng, rig, bags, atoms)
@@ -722,24 +673,18 @@ def make_rel_binding(
 
     def l22(rng, cases):
         half = max(1, base_size // 2)
-        chi, chi_inv = seely_rel(BaseSet(base.atoms[:half]), BaseSet(base.atoms[half:]), rig, trunc)
-        id_xy = WeightedMatrix.identity(rig, chi.row_space)
-        yield cmp(mat_compose(chi, chi_inv), id_xy, "split;merge is not the identity", trunc.D)
-        # a pair of half-bags only merges back when the combined size fits under
-        # the truncation bound, so quantify over halves of at most D // 2
-        id_split = WeightedMatrix.identity(rig, chi.col_space)
-        yield cmp(mat_compose(chi_inv, chi), id_split, "merge;split is not the identity", min(limit, trunc.D // 2))
+        chi, chi_inv = seely_rel(BaseSet(base.atoms[:half]), BaseSet(base.atoms[half:]), rig, truncation)
+        yield cmp(seq(chi, chi_inv), identity(chi_inv.col_space), "split;merge is not the identity", truncation)
+        yield cmp(seq(chi_inv, chi), identity(chi.col_space), "merge;split is not the identity", truncation)
 
     def l23(rng, cases):
-        bag_points = bags.points()
-
         def one(rng):
             image = list(base.atoms)
             rng.shuffle(image)
-            phi = dict(zip(base.atoms, image))
-            push = {b: tuple(sorted(phi[a] for a in b)) for b in bag_points}
-            moved = d.relabel(lambda p: (push[p[0]], phi[p[1]]), pair_ba, rows=True).relabel(push.__getitem__, bags)
-            return cmp(d, moved, "derivative is not natural along atom permutations")
+            phi, back = dict(zip(base.atoms, image)), dict(zip(image, base.atoms))
+            push = relabel(rig, pair_ba, lambda p: (bag(*(phi[a] for a in p[0])), phi[p[1]]))
+            pull = relabel(rig, bags, lambda b: bag(*(back[a] for a in b)))
+            return cmp(d, seq(push, seq(d, pull)), "derivative is not natural along atom permutations")
 
         return repeat_case(rng, min(cases, 5), one)
 
@@ -756,7 +701,5 @@ def make_rel_binding(
         checks,
         skips,
         {"base_size": base_size, "truncation": truncation, "margin": MARGIN},
-        lambda law, at, rng, cases: (
-            cmp(columns(lhs), columns(rhs), label) for lhs, rhs, label in law(o if at == "general" else u, u)
-        ),
+        lambda law, at, rng, cases: (cmp(lhs, rhs, label) for lhs, rhs, label in law(o if at == "general" else u, u)),
     )

@@ -1,6 +1,7 @@
 """Suite runner: table closure, determinism, masks, and the negative control."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -192,20 +193,30 @@ def test_integral_weighted_by_one_over_n_plus_one_fails_the_second_fundamental_t
         assert failing == [f"L{n}" for n in range(12, 21)], (binding.name, failing)
 
 
+def _mutate_rel(monkeypatch, name, mutant):
+    """Every result of the rel builder `wrel.<name>` from now on is replaced by `mutant(result)`."""
+    build = getattr(wrel, name)
+    monkeypatch.setattr(wrel, name, lambda *args: mutant(build(*args)))
+
+
+def _first_atom(op):
+    """The first atom of the base set of an operator whose columns are (bag, atom) pairs: a, or * on the unit."""
+    return op.col_space.right.base.atoms[0]
+
+
+def _delta_weighting_one_two_splits_by_two(com):
+    delta = com.delta.column
+    rig = com.delta.rig
+
+    def column(c):
+        return {r: rig.nat_value(2) if tuple(map(len, c)) == (1, 2) else w for r, w in delta(c).items()}
+
+    return com._replace(delta=wrel.ColumnOp(rig, com.delta.col_space, column))
+
+
 def test_comultiplication_weighting_one_two_splits_fails_exactly_the_comonoid_and_leibniz_laws(monkeypatch):
-    """Delta weights the splits with |b1| = 1 and |b2| = 2 by 2: L1 and L3 still see it in the safe band."""
-    comonoid_rel = wrel.comonoid_rel
-
-    def comonoid_mutant(base, rig, trunc):
-        com = comonoid_rel(base, rig, trunc)
-        entries = {
-            (b, (b1, b2)): rig.nat_value(2) if (len(b1), len(b2)) == (1, 2) else v
-            for (b, (b1, b2)), v in com.delta.entries.items()
-        }
-        delta = wrel.WeightedMatrix(rig, com.delta.row_space, com.delta.col_space, entries)
-        return wrel.Comonoid(delta, com.counit, com.eps)
-
-    monkeypatch.setattr(wrel, "comonoid_rel", comonoid_mutant)
+    """Delta weights the splits with |b1| = 1 and |b2| = 2 by 2: L1 and L3 see it."""
+    _mutate_rel(monkeypatch, "comonoid_rel", _delta_weighting_one_two_splits_by_two)
     for rig in (NONNEG_RATIONAL, RATIONAL):
         reports = ls.run_suite(make_rel_binding(rig, base_size=3, truncation=6), cases=10, seed=0)
         failing = {r.law_id: r.counterexample for r in reports if r.status == "fail"}
@@ -215,41 +226,169 @@ def test_comultiplication_weighting_one_two_splits_fails_exactly_the_comonoid_an
         }, rig.name
 
 
-@pytest.mark.parametrize(
-    "mutants, failing",
-    [
-        ({"s": _s_over_n_plus_one}, [f"L{n}" for n in range(12, 21)]),
-        ({"K_inv": lambda o, rig: o.J_inv}, ["L8", "L15", "L16", "L17"]),
-        ({"gate": _gate_one_too_large}, ["L11", "L14", "L17"]),
-    ],
-    ids=["s-over-n-plus-one", "K-inverse-is-J-inverse", "gate-one-too-large"],
-)
-def test_each_rel_operator_mutant_fails_exactly_its_laws(monkeypatch, mutants, failing):
+def _counit_reaching_a(com):
+    rig = com.counit.rig
+    return com._replace(counit=wrel.ColumnOp(rig, com.counit.col_space, lambda c: {("a",): rig.one}))
+
+
+def _eps_reaching_a_pair(com):
+    rig = com.eps.rig
+    return com._replace(eps=wrel.ColumnOp(rig, com.eps.col_space, lambda x: {(x, x): rig.one}))
+
+
+def _delta_without_lopsided_splits(com):
+    """Delta without the splits (b1, b2) with |b1| > |b2| + 1."""
+    delta = com.delta.column
+    return com._replace(
+        delta=wrel.ColumnOp(com.delta.rig, com.delta.col_space, lambda c: {} if len(c[0]) > len(c[1]) + 1 else delta(c))
+    )
+
+
+def _chi_inv_splitting_off_the_first_atom(seely):
+    chi, chi_inv = seely
+    return chi, wrel.ColumnOp(chi_inv.rig, chi_inv.col_space, lambda b: {(b[:1], b[1:]): chi_inv.rig.one})
+
+
+def _m_R_weighted_size_plus_one(m_R):
+    rig = m_R.rig
+    return wrel.ColumnOp(rig, m_R.col_space, lambda n: {wrel.UNIT_POINT: rig.nat_value(len(n) + 1)})
+
+
+def _d_doubled_removing_the_smallest_atom(o, rig):
+    d = o.d.column
+    return wrel.ColumnOp(
+        rig, o.d.col_space, lambda b: {(r, x): rig.add(w, w) if x == b[0] else w for (r, x), w in d(b).items()}
+    )
+
+
+def _d_of_the_empty_bag_reaching_the_first_atom(o, rig):
+    d, first = o.d.column, _first_atom(o.dc)
+    return wrel.ColumnOp(rig, o.d.col_space, lambda b: d(b) if b else {((), first): rig.one})
+
+
+def _dc_doubled_on_the_first_atom(o, rig):
+    dc, first = o.dc.column, _first_atom(o.dc)
+    return wrel.ColumnOp(
+        rig, o.dc.col_space, lambda c: {r: rig.add(w, w) if c[1] == first else w for r, w in dc(c).items()}
+    )
+
+
+# (mutant, laws it fails at base 3, D 6): each patches a rel builder where the binding reads it
+REL_MUTANTS = {
+    "s-over-n-plus-one": (partial(_mutate_rel_operators, s=_s_over_n_plus_one), [f"L{n}" for n in range(12, 21)]),
+    "K-inverse-is-J-inverse": (
+        partial(_mutate_rel_operators, K_inv=lambda o, rig: o.J_inv), ["L8", "L15", "L16", "L17"]
+    ),
+    "gate-one-too-large": (partial(_mutate_rel_operators, gate=_gate_one_too_large), ["L11", "L14", "L17"]),
+    "counit-reaching-a": (partial(_mutate_rel, name="comonoid_rel", mutant=_counit_reaching_a), ["L1", "L2"]),
+    "eps-reaching-a-pair": (partial(_mutate_rel, name="comonoid_rel", mutant=_eps_reaching_a_pair), ["L5"]),
+    "delta-without-lopsided-splits": (
+        partial(_mutate_rel, name="comonoid_rel", mutant=_delta_without_lopsided_splits), ["L1", "L3"]
+    ),
+    "chi-inverse-splitting-off-the-first-atom": (
+        partial(_mutate_rel, name="seely_rel", mutant=_chi_inv_splitting_off_the_first_atom), ["L22"]
+    ),
+    "m_R-weighted-size-plus-one": (partial(_mutate_rel, name="m_R_rel", mutant=_m_R_weighted_size_plus_one), ["L10"]),
+    "K-plus-empty-bag-projection": (
+        partial(_mutate_rel_operators, K=lambda o, rig: o.K + o.bang0), ["L8", "L9", "L16"]
+    ),
+    "d-doubled-removing-the-smallest-atom": (
+        partial(_mutate_rel_operators, d=_d_doubled_removing_the_smallest_atom),
+        ["L3", "L5", "L6", "L7", "L12", "L15", "L16", "L18", "L19", "L20", "L23"],
+    ),
+    "d-of-the-empty-bag-reaching-the-first-atom": (
+        partial(_mutate_rel_operators, d=_d_of_the_empty_bag_reaching_the_first_atom),
+        ["L2", "L3", "L6", "L7", "L12", "L15", "L16", "L18", "L21", "L23"],
+    ),
+    "dc-doubled-on-the-first-atom": (
+        partial(_mutate_rel_operators, dc=_dc_doubled_on_the_first_atom), ["L7", "L10", "L13", "L15", "L16", "L17"]
+    ),
+}
+
+
+@pytest.mark.parametrize("mutate, failing", REL_MUTANTS.values(), ids=REL_MUTANTS)
+def test_each_rel_operator_mutant_fails_exactly_its_laws(monkeypatch, mutate, failing):
     """The operator mutants of the relational model, each failing a fixed set of laws at base 3, D 6."""
-    _mutate_rel_operators(monkeypatch, **mutants)
+    mutate(monkeypatch)
     reports = ls.run_suite(make_rel_binding(NONNEG_RATIONAL, base_size=3, truncation=6), cases=50, seed=0)
     assert [r.law_id for r in reports if r.status == "fail"] == failing
 
 
+def test_every_law_the_rel_binding_checks_fails_under_a_named_mutant():
+    # L24, which only the boolean binding checks, fails under the broken integral of
+    # test_a_broken_integral_fails_the_collapse_law_in_both_exact_models
+    caught = {law_id for _, failing in REL_MUTANTS.values() for law_id in failing} | {"L24"}
+    checked = set()
+    for rig in (NONNEG_RATIONAL, BOOLEAN):
+        binding = make_rel_binding(rig, base_size=3, truncation=6)
+        checked |= binding.mask - set(binding.skips)
+    assert caught == checked
+
+
 def test_rel_table_laws_compose_no_matrix(monkeypatch):
-    """The table laws evaluate column operators; only the bespoke laws call `mat_compose` and `tensor`."""
+    """Every rel law but L21, the table laws among them, evaluates column operators: L21 alone calls
+    `mat_compose`, and no law calls `tensor`."""
     calls = Counter()
+    law = None
     for name in ("mat_compose", "tensor"):
         original = getattr(wrel, name)
 
         def counting(*args, name=name, original=original):
-            calls[name] += 1
+            calls[law, name] += 1
             return original(*args)
 
         monkeypatch.setattr(wrel, name, counting)
-    table = [law.id for law in ls.LAWS if law.equations]
     for rig in (NONNEG_RATIONAL, BOOLEAN):
         binding = make_rel_binding(rig, base_size=3, truncation=6)
-        statuses = {ls.run_law(law_id, binding, cases=50, seed=0).status for law_id in table}
-        assert statuses == ({"pass"} if rig.idempotent else {"pass", "skipped"})
-    assert calls == Counter()
-    assert ls.run_law("L6", binding, cases=50, seed=0).status == "pass"
-    assert calls == Counter(mat_compose=1, tensor=1)
+        for law in [law.id for law in ls.LAWS]:
+            assert ls.run_law(law, binding, cases=50, seed=0).status != "fail"
+    assert {key for key in calls} == {("L21", "mat_compose")}
+
+
+# Entries each rel law compares at base 3, D 6 (nonneg-rational, 50 cases, seed 0): the distinct
+# (row, column) keys on either side of the compared columns, summed over the law's comparisons.
+# The structural laws compared these many when they compared truncated matrices on the safe band;
+# L3 now also reads the columns of D - MARGIN + 1 atoms, and L22 every pair of halves of at most D atoms.
+PARENT_STRUCTURAL_KEYS = {
+    "L1": 995, "L2": 0, "L3": 918, "L5": 3, "L6": 90, "L7": 225, "L10": 42, "L22": 124, "L23": 300,
+}
+REL_KEYS = PARENT_STRUCTURAL_KEYS | {"L3": 1008, "L22": 168} | {
+    "L8": 70, "L9": 169, "L11": 70, "L12": 5, "L13": 5, "L14": 15, "L15": 10, "L16": 15,
+    "L17": 175, "L18": 35, "L19": 5, "L20": 60, "L21": 390,
+}
+
+
+def test_each_rel_law_compares_a_pinned_set_of_entries(monkeypatch):
+    """A count of the entries compared, so no law can silently compare fewer; one comparison touches at most 10,000."""
+    keys, largest, law = Counter(), 0, None
+    column_difference, matrix_difference = wrel.ColumnOp.first_difference, wrel.WeightedMatrix.first_difference
+
+    def count(n):
+        nonlocal largest
+        keys[law] += n
+        largest = max(largest, n)
+
+    def counting_columns(self, other, limit):
+        count(sum(len(self.column(c).keys() | other.column(c).keys()) for c in wrel._band(self.col_space, limit)))
+        return column_difference(self, other, limit)
+
+    def counting_matrix(self, other, limit):
+        band = [
+            (r, c)
+            for r, c in self.entries.keys() | other.entries.keys()
+            if wrel.point_weight(self.row_space, r) <= limit and wrel.point_weight(self.col_space, c) <= limit
+        ]
+        count(len(band))
+        return matrix_difference(self, other, limit)
+
+    monkeypatch.setattr(wrel.ColumnOp, "first_difference", counting_columns)
+    monkeypatch.setattr(wrel.WeightedMatrix, "first_difference", counting_matrix)
+    binding = make_rel_binding(NONNEG_RATIONAL, base_size=3, truncation=6)
+    for law in REL_KEYS:
+        assert ls.run_law(law, binding, cases=50, seed=0).status == "pass", law
+    assert keys == REL_KEYS
+    assert all(keys[law] >= n for law, n in PARENT_STRUCTURAL_KEYS.items())
+    assert 0 < largest <= 10_000
 
 
 def test_rel_suite_never_builds_a_matrix_beyond_the_safe_band_rows(monkeypatch):
@@ -268,7 +407,7 @@ def test_rel_suite_never_builds_a_matrix_beyond_the_safe_band_rows(monkeypatch):
         largest = max(largest, len(entries))
         return canonical(rig, row_space, col_space, entries)
 
-    # The validating constructor and the trusted one of relabel, restrict_rows and the identities.
+    # The validating constructor of L21's random maps and the trusted one of everything else.
     monkeypatch.setattr(wrel.WeightedMatrix, "__init__", counting_init)
     monkeypatch.setattr(wrel.WeightedMatrix, "_canonical", classmethod(counting_canonical))
     for rig in (NONNEG_RATIONAL, BOOLEAN):
