@@ -126,8 +126,6 @@ def report_payload(binding, reports, seed: int) -> dict:
 
 def _make_binding(args) -> lawsuite.ModelBinding:
     if args.model == "poly":
-        if args.vars < 1:
-            raise ValueError("--vars must be >= 1")
         from .polyform import make_poly_binding
 
         return make_poly_binding(

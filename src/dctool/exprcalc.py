@@ -35,6 +35,8 @@ from .polyform import Polynomial, PolyBundle
 from .rig import Rig
 
 OP_NAMES = ("d", "int", "K", "Kinv", "J", "Jinv", "s")
+# the operators that map a polynomial to a polynomial of the same variables
+SCALINGS = {"K": pf.K_op, "Kinv": pf.K_inv_op, "J": pf.J_op, "Jinv": pf.J_inv_op}
 VAR_NAMES = pf.DEFAULT_NAMES
 WORK_LIMIT = 100_000  # coefficient-word products per expression
 MAX_NESTING = 100  # parentheses and operator calls, one inside another
@@ -228,6 +230,8 @@ def eval_expr(ast: Node, semiring: Rig, arity: int | None = None):
     needed = infer_arity(ast)
     if arity is None:
         arity = needed
+    elif arity < 1:
+        raise EvalError(f"the variable count must be at least 1, not {arity}")
     elif needed > arity:
         raise EvalError(f"variable {VAR_NAMES[needed - 1]!r} does not fit in {arity} variable(s)")
 
@@ -297,21 +301,13 @@ def eval_expr(ast: Node, semiring: Rig, arity: int | None = None):
             name, arg_node = node.payload
             p = as_poly(arg_node)
             if name == "d":
-                if arity == 1:
-                    return pf.grad1(p)
-                return pf.grad(p)
+                b = pf.grad(p)
+                return b.components[0] if arity == 1 else b
             if name == "int":
                 if arity != 1:
                     raise EvalError("int needs a one-variable expression")
-                return pf.integrate1(p)
-            if name == "K":
-                return pf.K_op(p)
-            if name == "Kinv":
-                return pf.K_inv_op(p)
-            if name == "J":
-                return pf.J_op(p)
-            if name == "Jinv":
-                return pf.J_inv_op(p)
+                return pf.s_op(PolyBundle((p,)))
+            return SCALINGS[name](p)
         raise EvalError(f"unknown node kind {kind!r}")
 
     return evaluate(ast)

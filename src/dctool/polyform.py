@@ -4,8 +4,8 @@ Polynomials over an arbitrary rig, stored sparsely (see "Canonical form" below)
 and rendered in graded-lex order.  On top of the arithmetic sits the operator
 family this package exists to check: the gradient `grad`, multiplication by the
 generators `mul_in`, evaluation at zero `eval0`, the degree-weighted operators
-`K_op`/`J_op` and their inverses, one-variable integration `integrate1`, the
-antiderivative integral `s_op`, the unit-grading maps `t_grade` (m_{R,A}),
+`K_op`/`J_op` and their inverses, the antiderivative integral `s_op`
+(one-variable integration at arity 1), the unit-grading maps `t_grade` (m_{R,A}),
 `eval_at_one` (m_R x 1) and `on_tag` (f x 1) on tagged polynomials,
 variable-set splitting (`seely_split`/`seely_merge`), and coKleisli
 composition of polynomial maps with its Cartesian derivative.
@@ -300,13 +300,6 @@ def grad(p: Polynomial) -> PolyBundle:
     return PolyBundle(tuple(comps))
 
 
-def grad1(p: Polynomial) -> Polynomial:
-    """One-variable derivative."""
-    if p.arity != 1:
-        raise ValueError("grad1 requires arity 1")
-    return grad(p).components[0]
-
-
 def mul_in(b: PolyBundle) -> Polynomial:
     """Multiply each component by its generator and sum: b -> sum_i x_i * b_i.
 
@@ -385,13 +378,6 @@ def s_op(b: PolyBundle) -> Polynomial:
     On a monomial component x^a (tensor) e_i this gives x_i * x^a / (|a|+1).
     """
     return K_inv_op(mul_in(b))
-
-
-def integrate1(p: Polynomial) -> Polynomial:
-    """One-variable integration with zero constant, r*x^k -> r/(k+1) * x^(k+1): s_op on (p,)."""
-    if p.arity != 1:
-        raise ValueError("integrate1 requires arity 1")
-    return s_op(PolyBundle((p,)))
 
 
 # -- unit-grading maps ------------------------------------------------------
@@ -677,6 +663,8 @@ def make_poly_binding(
     The sabotaged gradient is the d of both operator sets; L7, and L6's
     second derivative, use the plain `grad`.
     """
+    if variables < 1:
+        raise ValueError("variables must be >= 1")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
 

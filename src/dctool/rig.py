@@ -45,7 +45,9 @@ class Rig:
 
     Subclasses fix the element representation and provide `zero`, `one`,
     `add`, `mul`, `eq` and a seeded `draw`, which `sample` joins.  Values
-    are immutable; every operation is pure.  `is_zero` and `nat_value` have
+    are immutable; every operation is pure.  Values equal under `==` are
+    equal elements, so a caller may compare whole collections of them with
+    `==` before it asks `eq`.  `is_zero` and `nat_value` have
     generic definitions here; a subclass may override them with a closed
     form that agrees.
 

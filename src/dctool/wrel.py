@@ -21,22 +21,23 @@ whole operator set of one base set, so each operator is defined once for
 every base set: the unit-level operators are the general ones at the
 one-point base `UNIT_BASE`.
 
+The model has one comparison rule: a law compares every entry it computes.
 Every law but L21 compares two column operators (`ColumnOp.first_difference`)
 on every source column of at most N atoms, `point_weight` counting every bag
 atom of a point, and compares every row those columns reach.  N is D -
 `MARGIN` unless a law says otherwise.  The Taylor property (L21) alone
 compares sparse matrices (`WeightedMatrix`) over the bags of at most D
-atoms: `ColumnOp.matrix`, the only code that truncates, keeps exactly the
-rows that lie in the row space, and L21 compares on the "safe band" of rows
-and columns of at most D - `MARGIN` atoms, where a composite of at most two
-size-shifting operators is exact.  Row r of f;g depends only on row r of f,
-so L21 evaluates d;f from the safe-band rows of d (`restrict_rows`).
+atoms, on every entry: `ColumnOp.matrix`, the only code that truncates,
+keeps exactly the rows that lie in the row space, and row (b, x) of d is
+reached only from column b + x, a bag of at most D atoms, so d's matrix and
+every composite L21 builds from it hold their true values.  Both comparisons
+report the first differing (row, column) key in `repr` order.
 
 The public constructor `WeightedMatrix(...)` drops zero entries.  Everything
 else builds through the trusted `WeightedMatrix._canonical`, which tests
 none, because a zero entry can only come from a sum that cancels (the rig
-properties behind this are listed in `rig.Rig`): `restrict_rows`,
-`ColumnOp.matrix` and `perm_matrix` move or select nonzero entries; `tensor`
+properties behind this are listed in `rig.Rig`): `ColumnOp.matrix` and
+`perm_matrix` move or select nonzero entries; `tensor`
 multiplies nonzero entries; `mat_compose` and `+` sum products of them, and
 drop a cancelled sum only over a rig with `has_negatives`, as the column
 operators' `+` and `col_seq` do; and the column formulas are weighted by
@@ -125,8 +126,8 @@ def enumerate_bags(base: BaseSet, max_size: int):
     return out
 
 
-# bag sizes kept free below the truncation bound D: the laws compare the
-# source columns of at most D - MARGIN atoms
+# bag sizes kept free below the truncation bound D: the column-operator laws
+# read the source columns of at most D - MARGIN atoms
 MARGIN = 2
 
 
@@ -205,9 +206,25 @@ def render_point(point) -> str:
 # -- matrices ---------------------------------------------------------------
 
 
-def _difference_text(rig: Rig, key, a, b) -> str:
-    r, c = key
-    return f"entry ({render_point(r)}, {render_point(c)}): {rig.render(a)} != {rig.render(b)}"
+def _first_difference(rig: Rig, columns):
+    """The first entry, in `repr` order of the (row, column) keys, where two maps disagree, rendered, or None.
+
+    `columns` yields (c, a, b): column c of each map as {row: weight}.  Two
+    equal dicts are skipped whole, since values equal under `==` are equal
+    elements (`rig.Rig`); otherwise every row either reaches is compared.
+    """
+    zero, differ = rig.zero, {}
+    for c, a, b in columns:
+        if a != b:
+            for r in a.keys() | b.keys():
+                x, y = a.get(r, zero), b.get(r, zero)
+                if not rig.eq(x, y):
+                    differ[r, c] = x, y
+    if not differ:
+        return None
+    r, c = key = min(differ, key=repr)
+    x, y = differ[key]
+    return f"entry ({render_point(r)}, {render_point(c)}): {rig.render(x)} != {rig.render(y)}"
 
 
 class WeightedMatrix:
@@ -235,9 +252,6 @@ class WeightedMatrix:
         m.entries = entries
         return m
 
-    def entry(self, r, c):
-        return self.entries.get((r, c), self.rig.zero)
-
     def __add__(self, other):
         self._check_spaces(other)
         rig = self.rig
@@ -253,41 +267,20 @@ class WeightedMatrix:
     def __eq__(self, other):
         if not isinstance(other, WeightedMatrix):
             return NotImplemented
-        if self.row_space != other.row_space or self.col_space != other.col_space:
-            return False
-        if set(self.entries) != set(other.entries):
-            return False
-        return all(self.rig.eq(v, other.entries[k]) for k, v in self.entries.items())
+        same_spaces = self.row_space == other.row_space and self.col_space == other.col_space
+        return same_spaces and self.first_difference(other) is None
 
-    def __hash__(self):
-        raise TypeError("WeightedMatrix is not hashable")
+    def _columns(self) -> dict:
+        columns = defaultdict(dict)
+        for (r, c), w in self.entries.items():
+            columns[c][r] = w
+        return columns
 
-    def restrict_rows(self, limit: int):
-        """Drop entries whose row holds more than `limit` bag atoms.
-
-        Row r of f;g depends only on row r of f, so restricting the first
-        factor of a composite restricts the composite exactly.
-        """
-        rows = frozenset(_band(self.row_space, limit))
-        entries = {(r, c): v for (r, c), v in self.entries.items() if r in rows}
-        return WeightedMatrix._canonical(self.rig, self.row_space, self.col_space, entries)
-
-    def first_difference(self, other, limit: int):
-        """First safe-band entry, in `repr` order of the keys, where the matrices disagree, or None."""
+    def first_difference(self, other):
+        """First entry, in `repr` order of the (row, column) keys, where the matrices disagree, or None."""
         self._check_spaces(other)
-        rig, a, b = self.rig, self.entries, other.entries
-        # most keys agree, so weigh only the bags of keys whose values differ
-        differ = [
-            key
-            for key in a.keys() | b.keys()
-            if not rig.eq(a.get(key, rig.zero), b.get(key, rig.zero))
-            and point_weight(self.row_space, key[0]) <= limit
-            and point_weight(self.col_space, key[1]) <= limit
-        ]
-        if not differ:
-            return None
-        key = min(differ, key=repr)
-        return _difference_text(rig, key, a.get(key, rig.zero), b.get(key, rig.zero))
+        a, b = self._columns(), other._columns()
+        return _first_difference(self.rig, ((c, a.get(c, {}), b.get(c, {})) for c in a.keys() | b.keys()))
 
 
 def mat_compose(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
@@ -387,18 +380,8 @@ class ColumnOp:
     def first_difference(self, other: "ColumnOp", limit: int):
         """First entry, in `repr` order of the (row, column) keys, where the operators disagree on the
         columns of at most `limit` atoms, or None; every row those columns reach is compared."""
-        rig, zero, f, g = self.rig, self.rig.zero, self.column, other.column
-        differ = {}
-        for c in _band(self.col_space, limit):
-            a, b = f(c), g(c)
-            for r in a.keys() | b.keys():
-                x, y = a.get(r, zero), b.get(r, zero)
-                if not rig.eq(x, y):
-                    differ[r, c] = x, y
-        if not differ:
-            return None
-        key = min(differ, key=repr)
-        return _difference_text(rig, key, *differ[key])
+        f, g = self.column, other.column
+        return _first_difference(self.rig, ((c, f(c), g(c)) for c in _band(self.col_space, limit)))
 
 
 def _sum(rig: Rig, terms) -> dict:
@@ -580,9 +563,9 @@ def make_rel_binding(
     D atoms, since chi shifts no sizes.  A law yields one comparison
     `cmp(lhs, rhs, label[, limit])` per equation, built when the runner reads
     it, so the runner stops at the first difference and `cases` counts the
-    comparisons made.  The Taylor property (L21) draws random matrices and
-    compares matrices on the safe band, with d and !(0) truncated to the bags
-    of at most D atoms and d restricted to its safe-band rows.
+    comparisons made.  The Taylor property (L21) draws random matrices over
+    the bags of at most D atoms and compares every entry of its composites
+    with d and !(0), which are exact there.
     """
     if not 1 <= base_size <= MAX_BASE_SIZE:
         raise ValueError(f"base_size must be between 1 and {MAX_BASE_SIZE}")
@@ -607,10 +590,12 @@ def make_rel_binding(
     def identity(space):
         return relabel(rig, space, lambda p: p)
 
+    def found(diff, label):
+        return None if diff is None else f"{label}: {diff}"
+
     def cmp(lhs, rhs, label, lim=limit):
         """The counterexample of lhs = rhs on the columns of at most `lim` atoms, or None."""
-        diff = lhs.first_difference(rhs, lim)
-        return None if diff is None else f"{label}: {diff}"
+        return found(lhs.first_difference(rhs, lim), label)
 
     def l1(rng, cases):
         delta = com.delta
@@ -658,15 +643,15 @@ def make_rel_binding(
         yield cmp(seq(seq(m_R, u.dc), u.atom), m_R, "m_R is not fixed by the unit coderive")
 
     def l21(rng, cases):
-        # !(0) has one row, the empty bag, so it is band-only already
-        d_band, bang0 = d.matrix(pair_ba).restrict_rows(limit), o.bang0.matrix(bags)
+        d_matrix, bang0 = d.matrix(pair_ba), o.bang0.matrix(bags)
 
         def one(rng):
             f = _random_matrix(rng, rig, bags, atoms)
             h = _random_matrix(rng, rig, bags, atoms)
             g = f + mat_compose(bang0, h)
-            return cmp(mat_compose(d_band, f), mat_compose(d_band, g), "generator broke the premise") or cmp(
-                f + mat_compose(bang0, g), g + mat_compose(bang0, f), "Taylor fails"
+            d_f, d_g = mat_compose(d_matrix, f), mat_compose(d_matrix, g)
+            return found(d_f.first_difference(d_g), "generator broke the premise") or found(
+                (f + mat_compose(bang0, g)).first_difference(g + mat_compose(bang0, f)), "Taylor fails"
             )
 
         return repeat_case(rng, min(cases, 10), one)

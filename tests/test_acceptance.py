@@ -40,9 +40,6 @@ def test_acceptance_1_polynomial_ftc2(capsys):
         if pf.s_op(pf.grad(p)) + pf.eval0(p) != p:
             ok = False
             break
-        if arity == 1 and pf.integrate1(pf.grad1(p)) + pf.eval0(p) != p:
-            ok = False
-            break
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
     announce(capsys, 1, ok, f"200 exact FTC2 round-trips in {elapsed:.2f}s (< 10s)")
@@ -93,7 +90,7 @@ def test_acceptance_5_unit_reconstruction_round_trip(capsys):
         x = Polynomial.variable(NONNEG_RATIONAL, 1, 0)
         for _ in range(100):
             q = random_poly(rng, NONNEG_RATIONAL, 1, 6)
-            s_prime = pf.K_inv_op(x * pf.grad1(q))
+            s_prime = pf.K_inv_op(x * pf.grad(q).components[0])
             if s_prime + pf.eval0(q) != q:
                 ok = False
                 break

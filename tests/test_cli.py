@@ -131,6 +131,7 @@ def test_smooth_takes_no_semiring(capsys):
         ["poly", "--cases", "0"],
         ["poly", "--cases", "-3"],
         ["poly", "--max-degree", "0"],
+        ["poly", "--vars", "0"],
         ["poly", "--output", "{tmp}/missing/report.json"],
         ["rel", "--base-size", "7"],
         ["smooth", "--tol-abs", "inf"],
@@ -140,7 +141,7 @@ def test_smooth_takes_no_semiring(capsys):
         ["smooth", "--order", "10000000000"],
     ],
     ids=[
-        "zero-cases", "negative-cases", "zero-degree", "unwritable-output", "base-size-above-limit",
+        "zero-cases", "negative-cases", "zero-degree", "zero-vars", "unwritable-output", "base-size-above-limit",
         "infinite-tol-abs", "nan-tol-rel",
         "order-above-limit", "huge-order",
     ],
@@ -312,7 +313,13 @@ def test_calculator_parse_and_eval_errors(capsys):
     assert cli.main(["poly", "--expr", "d(x^2"]) == 2
     assert "position" in capsys.readouterr().err
     assert cli.main(["poly", "--expr", "int(x*y)"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "dctool: int needs a one-variable expression\n"
+    assert cli.main(["poly", "--expr", "int(x)", "--vars", "2"]) == 2
+    assert capsys.readouterr().err == "dctool: int needs a one-variable expression\n"
+    # `1` names no variable: the count itself is refused
+    for count in ("0", "-1"):
+        assert cli.main(["poly", "--expr", "1", "--vars", count]) == 2
+        assert capsys.readouterr().err == f"dctool: the variable count must be at least 1, not {count}\n"
     assert cli.main(["poly", "--expr", "q + 1"]) == 2
     capsys.readouterr()
     assert cli.main(["poly", "--expr", "K(d(x^2*y))"]) == 2

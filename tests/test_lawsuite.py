@@ -325,6 +325,113 @@ def test_every_law_the_rel_binding_checks_fails_under_a_named_mutant():
     assert caught == checked
 
 
+def _arguments_reversed(substitute):
+    return lambda p, args: substitute(p, tuple(reversed(args)))
+
+
+def _derivative_along_x(cartesian_derivative):
+    """D[f](x, v) replaced by D[f](x, x): the direction is the base point."""
+
+    def mutant(f):
+        df = cartesian_derivative(f)
+        xs = tuple(pf.Polynomial.variable(f.rig, df.in_arity, i) for i in range(f.in_arity))
+        return pf.PolyMap(df.in_arity, df.out_arity, tuple(pf.substitute(c, xs + xs) for c in df.coordinates))
+
+    return mutant
+
+
+def _halves_swapped(seely_merge):
+    def mutant(t):
+        swapped = {(r, l): c for (l, r), c in t.terms.items()}
+        return seely_merge(pf.SplitTensor(t.rig, t.right_arity, t.left_arity, swapped))
+
+    return mutant
+
+
+def _entry_0_0_doubled(apply_linear):
+    def mutant(matrix, p):
+        rows = [list(row) for row in matrix]
+        rows[0][0] = p.rig.add(rows[0][0], rows[0][0])
+        return apply_linear(rows, p)
+
+    return mutant
+
+
+def _doubled_at_arity_one(mul_in):
+    return lambda b: mul_in(b) + mul_in(b) if b.arity == 1 else mul_in(b)
+
+
+def _constant_term_doubled(eval_at_one):
+    def mutant(q):
+        r = eval_at_one(q)
+        return r + pf.eval0(r)
+
+    return mutant
+
+
+def _plus_eval0(J_op):
+    return lambda p: J_op(p) + pf.eval0(p)
+
+
+def _y_partial_doubled_on_x_terms(grad):
+    """grad whose second component counts twice the terms of p that contain x."""
+
+    def mutant(p):
+        b = grad(p)
+        if p.arity < 2:
+            return b
+        with_x = pf.Polynomial(p.rig, p.arity, {e: c for e, c in p.terms.items() if e[0]})
+        return pf.PolyBundle((b.components[0], b.components[1] + grad(with_x).components[1]) + b.components[2:])
+
+    return mutant
+
+
+def _tag_one_too_large(t_grade):
+    """m_{R,A} tagging the degree-n block with t^(n + 1)."""
+    return lambda p: pf.on_tag(lambda q: pf.Polynomial.variable(q.rig, 1, 0) * q, t_grade(p))
+
+
+# (function of `polyform` replaced, mutant of it, laws it fails at the default size over nonneg-rational);
+# each mutant calls the function it replaces.  Over the boolean rig a doubling changes nothing.
+POLY_MUTANTS = {
+    "substitute-arguments-reversed": ("substitute", _arguments_reversed, ["L1", "L4", "L23"]),
+    "derivative-along-x": ("cartesian_derivative", _derivative_along_x, ["L4", "L5"]),
+    "seely-merge-halves-swapped": ("seely_merge", _halves_swapped, ["L22"]),
+    "apply-linear-entry-0-0-doubled": ("apply_linear", _entry_0_0_doubled, ["L23"]),
+    "mul-in-doubled-at-arity-one": (
+        "mul_in", _doubled_at_arity_one, ["L10", "L11", "L12", "L13", "L14", "L15", "L16", "L17", "L19"]
+    ),
+    "eval-at-one-constant-term-doubled": ("eval_at_one", _constant_term_doubled, ["L10", "L14", "L17"]),
+    "J-plus-eval0": ("J_op", _plus_eval0, ["L8", "L9", "L13", "L14"]),
+    "grad-y-partial-doubled-on-x-terms": (
+        "grad", _y_partial_doubled_on_x_terms, ["L3", "L4", "L6", "L7", "L8", "L9", "L11", "L18", "L20", "L23"]
+    ),
+    # not L10: (m_R x 1) m_{R,A} = 1 evaluates the tag at one, where t^(n + 1) and t^n agree
+    "t-grade-one-too-large": ("t_grade", _tag_one_too_large, ["L11", "L14", "L17"]),
+}
+
+
+@pytest.mark.parametrize("name, mutant, failing", POLY_MUTANTS.values(), ids=POLY_MUTANTS)
+def test_each_poly_mutant_fails_exactly_its_laws(monkeypatch, name, mutant, failing):
+    """The operator mutants of the polynomial model, patched in before the binding is built."""
+    monkeypatch.setattr(pf, name, mutant(getattr(pf, name)))
+    reports = ls.run_suite(make_poly_binding(NONNEG_RATIONAL), cases=50, seed=0)
+    assert [r.law_id for r in reports if r.status == "fail"] == failing
+
+
+def test_every_law_the_poly_binding_checks_fails_under_a_named_mutant():
+    # the sabotaged gradient is the negative control; L24, which only the boolean binding checks, fails
+    # under the broken integral of test_a_broken_integral_fails_the_collapse_law_in_both_exact_models
+    sabotaged = ls.run_suite(make_poly_binding(NONNEG_RATIONAL, sabotage=True), cases=50, seed=0)
+    caught = {law_id for _, _, failing in POLY_MUTANTS.values() for law_id in failing} | {"L24"}
+    caught |= {r.law_id for r in sabotaged if r.status == "fail"}
+    checked = set()
+    for rig in (NONNEG_RATIONAL, BOOLEAN):
+        binding = make_poly_binding(rig)
+        checked |= binding.mask - set(binding.skips)
+    assert caught == checked
+
+
 def test_rel_table_laws_compose_no_matrix(monkeypatch):
     """Every rel law but L21, the table laws among them, evaluates column operators: L21 alone calls
     `mat_compose`, and no law calls `tensor`."""
@@ -349,12 +456,13 @@ def test_rel_table_laws_compose_no_matrix(monkeypatch):
 # (row, column) keys on either side of the compared columns, summed over the law's comparisons.
 # The structural laws compared these many when they compared truncated matrices on the safe band;
 # L3 now also reads the columns of D - MARGIN + 1 atoms, and L22 every pair of halves of at most D atoms.
+# L21 compares every entry of its matrices.
 PARENT_STRUCTURAL_KEYS = {
     "L1": 995, "L2": 0, "L3": 918, "L5": 3, "L6": 90, "L7": 225, "L10": 42, "L22": 124, "L23": 300,
 }
 REL_KEYS = PARENT_STRUCTURAL_KEYS | {"L3": 1008, "L22": 168} | {
     "L8": 70, "L9": 169, "L11": 70, "L12": 5, "L13": 5, "L14": 15, "L15": 10, "L16": 15,
-    "L17": 175, "L18": 35, "L19": 5, "L20": 60, "L21": 390,
+    "L17": 175, "L18": 35, "L19": 5, "L20": 60, "L21": 674,
 }
 
 
@@ -372,14 +480,9 @@ def test_each_rel_law_compares_a_pinned_set_of_entries(monkeypatch):
         count(sum(len(self.column(c).keys() | other.column(c).keys()) for c in wrel._band(self.col_space, limit)))
         return column_difference(self, other, limit)
 
-    def counting_matrix(self, other, limit):
-        band = [
-            (r, c)
-            for r, c in self.entries.keys() | other.entries.keys()
-            if wrel.point_weight(self.row_space, r) <= limit and wrel.point_weight(self.col_space, c) <= limit
-        ]
-        count(len(band))
-        return matrix_difference(self, other, limit)
+    def counting_matrix(self, other):
+        count(len(self.entries.keys() | other.entries.keys()))
+        return matrix_difference(self, other)
 
     monkeypatch.setattr(wrel.ColumnOp, "first_difference", counting_columns)
     monkeypatch.setattr(wrel.WeightedMatrix, "first_difference", counting_matrix)

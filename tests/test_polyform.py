@@ -28,6 +28,11 @@ def poly(rig, arity, terms):
     return Polynomial(rig, arity, {tuple(k): Fraction(v) for k, v in terms.items()})
 
 
+def s_unit(q):
+    """The one-variable integral: s on the one-component bundle (q,)."""
+    return pf.s_op(PolyBundle((q,)))
+
+
 def limit_partial(p, i):
     """Independent derivative oracle: (p(x_i + t) - p(x)) / t at t = 0.
 
@@ -148,25 +153,25 @@ def test_K_inverse_round_trip_on_200_random_polynomials():
 
 def test_jinv_matches_unit_reconstruction():
     x2y = poly(R, 2, {(2, 1): 1})
-
-    def s_unit(q):
-        return pf.s_op(PolyBundle((q,)))
-
     assert pf.eval_at_one(pf.on_tag(s_unit, pf.t_grade(x2y))) == pf.J_inv_op(x2y)
 
 
 # -- integration -------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "variables, max_degree, message", [(0, 6, "variables"), (-1, 6, "variables"), (3, 0, "max_degree")]
+)
+def test_binding_refuses_an_empty_size(variables, max_degree, message):
+    with pytest.raises(ValueError, match=f"{message} must be >= 1"):
+        make_poly_binding(R, variables=variables, max_degree=max_degree)
+
+
 def test_integrate1_examples():
-    assert pf.integrate1(poly(R, 1, {(2,): 1})) == poly(R, 1, {(3,): Fraction(1, 3)})
-    assert pf.integrate1(Polynomial.zero(R, 1)).is_zero()
-    assert pf.integrate1(poly(R, 1, {(0,): 1, (1,): 2})) == poly(R, 1, {(1,): 1, (2,): 1})
-
-
-def test_integrate1_requires_one_variable():
-    with pytest.raises(ValueError):
-        pf.integrate1(poly(R, 2, {(1, 0): 1}))
+    # one variable: r*x^k -> r/(k+1) * x^(k+1)
+    assert s_unit(poly(R, 1, {(2,): 1})) == poly(R, 1, {(3,): Fraction(1, 3)})
+    assert s_unit(Polynomial.zero(R, 1)).is_zero()
+    assert s_unit(poly(R, 1, {(0,): 1, (1,): 2})) == poly(R, 1, {(1,): 1, (2,): 1})
 
 
 def test_s_op_examples():
@@ -180,23 +185,24 @@ def test_ftc2_one_variable():
     rng = random.Random(3)
     for _ in range(100):
         p = random_poly(rng, R, 1, 6)
-        assert pf.integrate1(pf.grad1(p)) + pf.eval0(p) == p
+        assert pf.s_op(pf.grad(p)) + pf.eval0(p) == p
 
 
 def test_ftc1_at_unit():
     rng = random.Random(4)
     for _ in range(100):
         p = random_poly(rng, R, 1, 6)
-        assert pf.grad1(pf.integrate1(p)) == p
+        assert pf.grad(s_unit(p)) == PolyBundle((p,))
 
 
 def test_one_variable_operators_are_the_general_ones_at_arity_one():
+    """At one variable the general s, grad and mul_in are the textbook integral, derivative and x times."""
     x = Polynomial.variable(R, 1, 0)
     rng = random.Random(6)
     for _ in range(200):
         q = random_poly(rng, R, 1, 6)
-        assert pf.s_op(PolyBundle((q,))) == pf.integrate1(q)
-        assert pf.grad(q) == PolyBundle((pf.grad1(q),))
+        assert s_unit(q) == poly(R, 1, {(k + 1,): Fraction(c) / (k + 1) for (k,), c in q.terms.items()})
+        assert pf.grad(q) == PolyBundle((poly(R, 1, {(k - 1,): k * c for (k,), c in q.terms.items() if k}),))
         assert pf.mul_in(PolyBundle((q,))) == x * q
 
 
@@ -343,10 +349,10 @@ def canonical_results(rig, rng):
     yield "J", pf.J_op(p)
     yield "K inverse", pf.K_inv_op(p)
     yield "J inverse", pf.J_inv_op(p)
-    yield "integrate1", pf.integrate1(u)
+    yield "s at arity 1", s_unit(u)
     yield "t_grade", pf.t_grade(p)
     yield "eval_at_one", pf.eval_at_one(tagged)
-    yield "on_tag", pf.on_tag(pf.integrate1, tagged)
+    yield "on_tag", pf.on_tag(s_unit, tagged)
     yield "on_tag", pf.on_tag(pf.K_inv_op, tagged)
     yield "seely_merge", pf.seely_merge(pf.seely_split(p, k))
     yield "extend_arity", pf.extend_arity(p, 5, rng.randint(0, 2))
@@ -461,7 +467,7 @@ def representation_cases(rig, rng):
     yield "J inverse", pf.J_inv_op(p), weighted(p, lambda e: inv(sum(e) + 1))
     yield "substitute", pf.substitute(p, args), lambda x: at(rig, p.terms, [value(a)(x) for a in args])
     yield "on_tag", pf.on_tag(pf.K_inv_op, tagged), weighted(tagged, lambda e: inv(e[0]) if e[0] else one)
-    yield "on_tag", pf.on_tag(pf.integrate1, tagged), weighted(
+    yield "on_tag", pf.on_tag(s_unit, tagged), weighted(
         tagged, lambda e: inv(e[0] + 1), lambda e: (e[0] + 1,) + e[1:]
     )
 
@@ -602,8 +608,8 @@ def test_interchange_property(p):
 @given(polynomials(arity=1, max_degree=6))
 @settings(max_examples=60, deadline=None)
 def test_ftc_round_trip_property(p):
-    assert pf.integrate1(pf.grad1(p)) + pf.eval0(p) == p
-    assert pf.grad1(pf.integrate1(p)) == p
+    assert pf.s_op(pf.grad(p)) + pf.eval0(p) == p
+    assert pf.grad(s_unit(p)) == PolyBundle((p,))
 
 
 def test_taylor_both_forms():

@@ -449,15 +449,22 @@ def test_a_derivative_weighted_by_the_atom_it_inserts_fails_naturality(monkeypat
 @pytest.mark.parametrize("D", [4, 5, 6])
 @pytest.mark.parametrize("base_size", [1, 2, 3])
 def test_band_first_composite_is_the_full_composite_on_the_safe_band_rows(base_size, D):
-    """L21 compares d;f from the safe-band rows of d outward: row r of d;f depends only on row r of d."""
+    """L21's d;f, built from d's matrix on the bags of at most D atoms, equals the untruncated column
+    composite on every entry: row (b, x) of d is reached only from column b + x."""
     rng = random.Random(base_size * 10 + D)
     base = BaseSet(("a", "b", "c")[:base_size])
-    bags = BagSpace(base, D)
-    d = wr.operators_rel(base, R, D).d.matrix(PairSpace(bags, AtomSpace(base)))
+    bags, atoms = BagSpace(base, D), AtomSpace(base)
+    d = wr.operators_rel(base, R, D).d
+    d_matrix, largest = d.matrix(PairSpace(bags, atoms)), 0
     for _ in range(3):
-        f = _random_fill(rng, bags, AtomSpace(base), 40)
-        assert mat_compose(d.restrict_rows(D - 2), f) == mat_compose(d, f).restrict_rows(D - 2)
-    assert d.restrict_rows(D - 2) != d
+        f = _random_fill(rng, bags, atoms, 40)
+        by_column = wr.ColumnOp(R, atoms, lambda x: {r: w for (r, c), w in f.entries.items() if c == x})
+        composite = wr.col_seq(d, by_column)
+        exact = {(r, x): w for x in atoms.points() for r, w in composite.column(x).items()}
+        assert mat_compose(d_matrix, f) == WeightedMatrix(R, d_matrix.row_space, atoms, exact)
+        largest = max([largest] + [len(b) for (b, _), _ in exact])
+    # rows of more than D - 2 atoms are compared too
+    assert largest == D - 1
 
 
 def test_column_first_difference_reports_the_first_key_in_repr_order_on_every_row():
@@ -475,25 +482,34 @@ def test_column_first_difference_reports_the_first_key_in_repr_order_on_every_ro
 
 
 def test_first_difference_reports_the_first_safe_band_key_in_repr_order():
+    """The first differing key in `repr` order, whatever the size of its bags; equal matrices give None."""
     bags = BagSpace(XY, 4)
     ident = {(b, b): R.one for b in bags.points()}
     changed = {
-        (("x", "x", "x"), ("x", "x", "x")): R.nat_value(2),  # row and column outside the band
-        ((), ("x", "x", "y")): R.one,  # column outside the band
+        (("x", "x", "x"), ("x", "x", "x")): R.nat_value(2),
+        ((), ("x", "x", "y")): R.one,
         (("y",), ("y",)): R.nat_value(3),
         (("x",), ("x",)): R.nat_value(2),
     }
     a = WeightedMatrix(R, bags, bags, ident)
     b = WeightedMatrix(R, bags, bags, {**ident, **changed})
-    assert a.first_difference(b, 2) == "entry ([x], [x]): 1 != 2"
+    # repr puts ('x', 'x', 'x') before ('x',), and both before ()
+    assert a.first_difference(b) == "entry ([x,x,x], [x,x,x]): 1 != 2"
+    del changed[(("x", "x", "x"), ("x", "x", "x"))]
+    b = WeightedMatrix(R, bags, bags, {**ident, **changed})
+    assert a.first_difference(b) == "entry ([x], [x]): 1 != 2"
     del changed[(("x",), ("x",))]
     b = WeightedMatrix(R, bags, bags, {**ident, **changed, (("x", "y"), ("x", "y")): R.zero})
     # repr puts ('x', 'y') before ('x',) and ('y',)
-    assert a.first_difference(b, 2) == "entry ([x,y], [x,y]): 1 != 0"
-    assert b.first_difference(a, 2) == "entry ([x,y], [x,y]): 0 != 1"
+    assert a.first_difference(b) == "entry ([x,y], [x,y]): 1 != 0"
+    assert b.first_difference(a) == "entry ([x,y], [x,y]): 0 != 1"
     b = WeightedMatrix(R, bags, bags, {**ident, **changed})
-    assert a.first_difference(b, 1) == "entry ([y], [y]): 1 != 3"
-    assert a.first_difference(b, 0) is None
+    assert a.first_difference(b) == "entry ([y], [y]): 1 != 3"
+    del changed[(("y",), ("y",))]
+    b = WeightedMatrix(R, bags, bags, {**ident, **changed})
+    assert a.first_difference(b) == "entry ([], [x,x,y]): 0 != 1"
+    assert a != b and a == WeightedMatrix(R, bags, bags, dict(ident))
+    assert a.first_difference(a) is None
 
 
 # -- the zero rule -------------------------------------------------------------
