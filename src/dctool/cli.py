@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     calc.add_argument("--vars", type=int, default=None, help="force the variable count")
     calc.add_argument(
         "--coord", type=int, default=None,
-        help="print only this coordinate (1-based) when the result is a bundle",
+        help="print only this coordinate (1-based) of a bundle; a polynomial is its own coordinate 1",
     )
 
     laws = sub.add_parser("list-laws", help="print the law table")
@@ -170,10 +170,11 @@ def run_calc(args) -> int:
     try:
         ast = exprcalc.parse_expr(args.expr)
         value = exprcalc.eval_expr(ast, rig, arity=args.vars)
-        if isinstance(value, PolyBundle) and args.coord is not None:
-            if not 1 <= args.coord <= value.arity:
-                raise ValueError(f"--coord must be between 1 and {value.arity}")
-            value = value.components[args.coord - 1]
+        if args.coord is not None:
+            coords = value.components if isinstance(value, PolyBundle) else (value,)
+            if not 1 <= args.coord <= len(coords):
+                raise ValueError(f"--coord must be between 1 and {len(coords)}")
+            value = coords[args.coord - 1]
         # ValueError: a number too long for Python's integer-to-text conversion
         text = value.render()
     except (exprcalc.ParseError, exprcalc.EvalError, exprcalc.NegativeNotSupported, ValueError) as exc:

@@ -33,7 +33,9 @@ not have (Delta, sigma, e and eps, chi) or take premises or random maps, so
 each binding states them itself.  The relational binding writes each of them
 but the Taylor property (L21) as (lhs, rhs, label) equations between its
 column operators and compares them as it compares the table laws; L21 draws
-random maps and compares matrices.
+random maps and compares matrices.  The polynomial binding writes each of
+them as equations too, over inputs it draws per case, and one rule compares
+and renders them and the table laws alike.
 
 Each model's binding ends that model's module (`polyform.make_poly_binding`,
 `wrel.make_rel_binding`, `smoothnum.make_smooth_binding`), so a run imports

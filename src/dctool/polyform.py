@@ -174,9 +174,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.num
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.num), default=0)
-
     def evaluate(self, point):
         """Evaluate at a tuple of rig elements."""
         if len(point) != self.arity:
@@ -200,23 +197,17 @@ class Polynomial:
         names = names or var_names(self.arity)
         pieces = []
         for exps in sorted(terms, key=grlex_key):
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            cs = self.rig.render(terms[exps])
-            if not factors:
-                pieces.append(cs)
-            elif cs == "1":
-                pieces.append("*".join(factors))
-            else:
-                pieces.append(cs + "*" + "*".join(factors))
+            m, cs = _monomial(names, exps), self.rig.render(terms[exps])
+            pieces.append(f"{cs}*{m}" if m and cs != "1" else m or cs)
         return " + ".join(pieces)
 
     def __repr__(self):
         return f"Polynomial({self.render()})"
+
+
+def _monomial(names, exps) -> str:
+    """The monomial of `exps` in `names`, such as `x*z^2`; "" for exponents all zero."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
 
 
 def _grow(num: dict, den: int, d: int) -> tuple:
@@ -442,6 +433,16 @@ class SplitTensor:
             and all(self.rig.eq(c, b[k]) for k, c in a.items())
         )
 
+    def render(self) -> str:
+        """Each pair as `coefficient*(left | right)`, named as in the merged polynomial, in its graded-lex order."""
+        names = var_names(self.left_arity + self.right_arity)
+        left, right = names[: self.left_arity], names[self.left_arity :]
+        pieces = [
+            f"{self.rig.render(self.terms[k])}*({_monomial(left, k[0]) or 1} | {_monomial(right, k[1]) or 1})"
+            for k in sorted(self.terms, key=lambda k: grlex_key(tuple(k[0]) + tuple(k[1])))
+        ]
+        return " + ".join(pieces) or "0"
+
 
 def seely_split(p: Polynomial, left_vars: int) -> SplitTensor:
     """Re-index each monomial as (first left_vars variables) tensor (the rest)."""
@@ -630,17 +631,6 @@ def _bundle_map(fn, b: PolyBundle) -> PolyBundle:
     return PolyBundle(tuple(fn(c) for c in b.components))
 
 
-def _asymmetry(b: PolyBundle):
-    """The first (i, j), in row-major order, where d_j b_i != d_i b_j, or None when b is symmetric."""
-    partials = [grad(c).components for c in b.components]
-    for i, row in enumerate(partials):
-        # (j, i) with j < i was compared as (i, j) before
-        for j in range(i + 1, len(partials)):
-            if row[j] != partials[j][i]:
-                return i, j
-    return None
-
-
 def make_poly_binding(
     rig: Rig,
     variables: int = 3,
@@ -656,12 +646,16 @@ def make_poly_binding(
     a one-component bundle).  Both sides of each equation are applied to
     `cases` seeded inputs of its input type, one `random_poly` or
     `random_bundle` per type and case; no law takes a tagged input.  L24 is
-    skipped over a rig that is not additively idempotent.
+    skipped over a rig that is not additively idempotent.  Every other law
+    draws its own inputs per case and yields its equations, each with the
+    inputs it shows, so every law is checked and rendered by one `compare`.
 
     `sabotage` deliberately breaks the gradient so it keeps constant terms;
     used as the negative control that the suite actually detects failures.
-    The sabotaged gradient is the d of both operator sets; L7, and L6's
-    second derivative, use the plain `grad`.
+    The sabotaged gradient is the d of both operator sets and of L2, L3,
+    L5's affine half, L6's first derivative and L21.  L6's second
+    derivative, L7 and L23 call the plain `grad`, and L4 and L5's map half
+    call `cartesian_derivative`.
     """
     if variables < 1:
         raise ValueError("variables must be >= 1")
@@ -697,8 +691,21 @@ def make_poly_binding(
     def rp(rng, arity=None, deg=None):
         return random_poly(rng, rig, arity or variables, deg or max_degree)
 
-    def fail(label, *polys):
-        return f"{label}: " + "; ".join(f"{n} = {v.render() if hasattr(v, 'render') else v}" for n, v in polys)
+    def compare(rng, cases, case):
+        """Check `cases` seeded runs of `case`, a generator of (lhs, rhs, label, inputs) equations.
+
+        A run stops at its first lhs != rhs and renders it as
+        `label: name = value; ...; lhs = ...; rhs = ...`, the inputs first.
+        """
+        def one(rng):
+            for lhs, rhs, label, inputs in case(rng):
+                if lhs != rhs:
+                    shown = (*inputs.items(), ("lhs", lhs), ("rhs", rhs))
+                    text = "; ".join(f"{n} = {v.render() if hasattr(v, 'render') else v}" for n, v in shown)
+                    return f"{label}: {text}"
+            return None
+
+        return repeat_case(rng, cases, one)
 
     def equations(law, at, rng, cases):
         """Apply both sides of each (lhs, rhs, label) `law` yields on the operator set `at` to `cases` seeded inputs."""
@@ -708,172 +715,142 @@ def make_poly_binding(
         draw = {"poly": random_poly, "bundle": random_bundle}
         degree = {"poly": max_degree, "bundle": max_degree - 1}
 
-        def one(rng):
+        def case(rng):
             inputs = {(kind, n): draw[kind](rng, rig, n, degree[kind]) for kind, n in types}
             for lhs, rhs, label in eqs:
                 v = inputs[lhs.src]
-                a, b = lhs.fn(v), rhs.fn(v)
-                if a != b:
-                    return fail(label, ("input", v), ("lhs", a), ("rhs", b))
-            return None
+                yield lhs.fn(v), rhs.fn(v), label, {"input": v}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     # -- individual laws ---------------------------------------------------
 
     def l1(rng, cases):
-        def one(rng):
+        ident = PolyMap.identity(rig, 2)
+
+        def case(rng):
             p, q, r = rp(rng), rp(rng), rp(rng)
-            if (p * q) * r != p * (q * r):
-                return fail("product not associative", ("p", p), ("q", q), ("r", r))
-            if p * q != q * p:
-                return fail("product not commutative", ("p", p), ("q", q))
-            if p * Polynomial.one(rig, p.arity) != p:
-                return fail("one not a unit", ("p", p))
+            yield (p * q) * r, p * (q * r), "product not associative", {"p": p, "q": q, "r": r}
+            yield p * q, q * p, "product not commutative", {"p": p, "q": q}
+            yield p * Polynomial.one(rig, p.arity), p, "one not a unit", {"p": p}
             f = random_polymap(rng, rig, 2, 2, 2)
             g = random_polymap(rng, rig, 2, 2, 2)
             h = random_polymap(rng, rig, 2, 2, 2)
             lhs = cokleisli_compose(cokleisli_compose(h, g), f)
             rhs = cokleisli_compose(h, cokleisli_compose(g, f))
-            if lhs != rhs:
-                return fail("composition not associative", ("f", f.render()), ("g", g.render()))
-            ident = PolyMap.identity(rig, 2)
-            if cokleisli_compose(f, ident) != f or cokleisli_compose(ident, f) != f:
-                return fail("identity not a unit", ("f", f.render()))
-            return None
+            yield lhs, rhs, "composition not associative", {"f": f, "g": g, "h": h}
+            yield cokleisli_compose(f, ident), f, "identity not a unit", {"f": f}
+            yield cokleisli_compose(ident, f), f, "identity not a unit", {"f": f}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     def l2(rng, cases):
-        def one(rng):
-            c = Polynomial.const(rig, variables, rig.sample(rng))
-            if not derive(c).is_zero():
-                return fail("gradient of a constant is nonzero", ("c", c), ("grad", derive(c).render()))
-            p = rp(rng)
-            if derive(p + c) != derive(p):
-                return fail("constant shifts the gradient", ("p", p), ("c", c))
-            return None
+        zero = PolyBundle.zero(rig, variables)
 
-        return repeat_case(rng, cases, one)
+        def case(rng):
+            c = Polynomial.const(rig, variables, rig.sample(rng))
+            yield derive(c), zero, "gradient of a constant is nonzero", {"c": c}
+            p = rp(rng)
+            yield derive(p + c), derive(p), "constant shifts the gradient", {"p": p, "c": c}
+
+        return compare(rng, cases, case)
 
     def l3(rng, cases):
-        def one(rng):
+        def case(rng):
             p, q = rp(rng), rp(rng)
-            lhs = derive(p * q)
             rhs = _bundle_map(lambda c: p * c, derive(q)) + _bundle_map(lambda c: q * c, derive(p))
-            if lhs != rhs:
-                return fail("Leibniz fails", ("p", p), ("q", q), ("lhs", lhs.render()), ("rhs", rhs.render()))
-            return None
+            yield derive(p * q), rhs, "Leibniz fails", {"p": p, "q": q}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     def l4(rng, cases):
-        def one(rng):
+        def case(rng):
             n, m, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
             f = random_polymap(rng, rig, n, m, 3)
             g = random_polymap(rng, rig, m, k, 3)
-            lhs = cartesian_derivative(cokleisli_compose(g, f))
             # (x, v) -> (f(x), D[f](x, v)), then D[g]
-            df = cartesian_derivative(f)
             lifted = tuple(extend_arity(c, 2 * n, 0) for c in f.coordinates)
-            pairing = PolyMap(2 * n, 2 * m, lifted + df.coordinates)
+            pairing = PolyMap(2 * n, 2 * m, lifted + cartesian_derivative(f).coordinates)
             rhs = cokleisli_compose(cartesian_derivative(g), pairing)
-            if lhs != rhs:
-                return fail("chain rule fails", ("f", f.render()), ("g", g.render()))
-            return None
+            yield cartesian_derivative(cokleisli_compose(g, f)), rhs, "chain rule fails", {"f": f, "g": g}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     def l5(rng, cases):
-        def one(rng):
+        def case(rng):
             p = rp(rng, deg=1)
             b = derive(p)
-            if any(c.total_degree() > 0 for c in b.components):
-                return fail("gradient of an affine map is not constant", ("p", p))
+            yield b, _bundle_map(eval0, b), "gradient of an affine map is not constant", {"p": p}
             coords = tuple(Polynomial.variable(rig, variables, i).scale(rig.sample(rng)) for i in range(variables))
             lin = PolyMap(variables, variables, coords)
-            dlin = cartesian_derivative(lin)
-            for c in dlin.coordinates:
-                if any(any(e[:variables]) for e in c.num):
-                    return fail("derivative of a linear map depends on the base point", ("map", lin.render()))
-            return None
+            for c in cartesian_derivative(lin).coordinates:
+                free = _canonical(rig, c.arity, {e: n for e, n in c.num.items() if not any(e[:variables])}, c.den)
+                yield c, free, "derivative of a linear map depends on the base point", {"map": lin}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     def l6(rng, cases):
-        def one(rng):
+        def case(rng):
             p = rp(rng)
-            ij = _asymmetry(derive(p))
-            if ij is not None:
-                return fail("mixed partials differ", ("p", p), ("i", str(ij[0])), ("j", str(ij[1])))
-            return None
+            partials = [grad(c).components for c in derive(p).components]
+            for i, row in enumerate(partials):
+                # (j, i) with j < i was compared as (i, j) before
+                for j in range(i + 1, len(partials)):
+                    yield row[j], partials[j][i], "mixed partials differ", {"p": p, "i": i, "j": j}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     def l7(rng, cases):
-        def one(rng):
+        def case(rng):
             b = random_bundle(rng, rig, variables, max_degree - 1)
-            lhs = grad(mul_in(b))
             partials = [grad(c).components for c in b.components]
             rhs = PolyBundle(tuple(
                 bj + mul_in(PolyBundle(tuple(row[j] for row in partials))) for j, bj in enumerate(b.components)
             ))
-            if lhs != rhs:
-                return fail("derive/coderive exchange fails", ("b", b.render()))
-            return None
+            yield grad(mul_in(b)), rhs, "derive/coderive exchange fails", {"b": b}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     def l10(rng, cases):
-        def one(rng):
+        def case(rng):
             p = rp(rng)
-            if eval_at_one(t_grade(p)) != p:
-                return fail("degree tagging is not split by evaluation at one", ("p", p))
+            yield eval_at_one(t_grade(p)), p, "degree tagging is not split by evaluation at one", {"p": p}
             q = rp(rng, arity=1)
-            if not rig.eq(mul_in(PolyBundle((q,))).evaluate((rig.one,)), q.evaluate((rig.one,))):
-                return fail("unit coderive does not collapse under evaluation at one", ("q", q))
-            return None
+            # m_R d°_R = m_R, with m_R the evaluation at one
+            lhs = eval_at_one(mul_in(PolyBundle((q,))))
+            yield lhs, eval_at_one(q), "unit coderive does not collapse under evaluation at one", {"q": q}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     def l21(rng, cases):
-        def one(rng):
+        def case(rng):
             p = rp(rng)
-            c = Polynomial.const(rig, variables, rig.sample(rng))
-            q = p + c
-            if derive(p) != derive(q):
-                return fail("generator broke the equal-derivative premise", ("p", p))
-            if p + eval0(q) != q + eval0(p):
-                return fail("Taylor (additive form) fails", ("p", p), ("q", q))
+            q = p + Polynomial.const(rig, variables, rig.sample(rng))
+            pq = {"p": p, "q": q}
+            yield derive(p), derive(q), "generator broke the equal-derivative premise", pq
+            yield p + eval0(q), q + eval0(p), "Taylor (additive form) fails", pq
             if rig.has_negatives:
                 minus_one = rig.neg(rig.one)
                 lhs = p + eval0(p).scale(minus_one)
-                rhs = q + eval0(q).scale(minus_one)
-                if lhs != rhs:
-                    return fail("Taylor (subtraction form) fails", ("p", p), ("q", q))
-            return None
+                yield lhs, q + eval0(q).scale(minus_one), "Taylor (subtraction form) fails", pq
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     def l22(rng, cases):
-        def one(rng):
+        def case(rng):
             p = rp(rng)
             k = rng.randint(0, variables)
             t = seely_split(p, k)
-            if seely_merge(t) != p:
-                return fail("merge after split is not the identity", ("p", p))
-            if seely_split(seely_merge(t), k) != t:
-                return fail("split after merge is not the identity", ("p", p))
-            return None
+            yield seely_merge(t), p, "merge after split is not the identity", {"p": p, "k": k}
+            yield seely_split(seely_merge(t), k), t, "split after merge is not the identity", {"p": p, "k": k}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     def l23(rng, cases):
-        def one(rng):
+        def case(rng):
             p = rp(rng)
             rows = rng.randint(1, 3)
             matrix = [[rig.nat_value(rng.randint(0, 3)) for _ in range(variables)] for _ in range(rows)]
-            lhs = grad(apply_linear(matrix, p))
             images = [apply_linear(matrix, c) for c in grad(p).components]
             comps = []
             for i in range(rows):
@@ -882,11 +859,9 @@ def make_poly_binding(
                     acc = acc + image.scale(matrix[i][j])
                 comps.append(acc)
             rhs = PolyBundle(tuple(comps))
-            if lhs != rhs:
-                return fail("gradient is not natural in linear substitution", ("p", p))
-            return None
+            yield grad(apply_linear(matrix, p)), rhs, "gradient is not natural in linear substitution", {"p": p}
 
-        return repeat_case(rng, cases, one)
+        return compare(rng, cases, case)
 
     checks = {
         "L1": l1, "L2": l2, "L3": l3, "L4": l4, "L5": l5, "L6": l6, "L7": l7,

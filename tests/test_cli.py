@@ -302,6 +302,16 @@ def test_tol_rel_reaches_the_mixed_partials_check(tmp_path, monkeypatch):
     assert next(law for law in payload["laws"] if law["id"] == "L6")["status"] == "pass"
 
 
+@pytest.mark.parametrize("expr, value", [("x*y", "x*y"), ("d(x^2)", "2*x")])
+def test_calculator_coord_of_a_polynomial_is_its_only_coordinate(expr, value, capsys):
+    # a one-variable `d` returns a polynomial, not a bundle
+    assert cli.main(["poly", "--expr", expr, "--coord", "1"]) == 0
+    assert capsys.readouterr().out == value + "\n"
+    for coord in ("0", "2"):
+        assert cli.main(["poly", "--expr", expr, "--coord", coord]) == 2
+        assert capsys.readouterr().err == "dctool: --coord must be between 1 and 1\n"
+
+
 def test_calculator_minus_only_over_rational(capsys):
     assert cli.main(["poly", "--expr", "x - y"]) == 2
     assert "rational" in capsys.readouterr().err

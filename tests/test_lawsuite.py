@@ -9,7 +9,7 @@ import dctool.lawsuite as ls
 import dctool.polyform as pf
 import dctool.wrel as wrel
 from dctool import cli
-from dctool.polyform import _asymmetry, make_poly_binding
+from dctool.polyform import make_poly_binding
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL
 from dctool.smoothnum import NonFinite, make_smooth_binding
 from dctool.wrel import make_rel_binding
@@ -432,6 +432,34 @@ def test_every_law_the_poly_binding_checks_fails_under_a_named_mutant():
     assert caught == checked
 
 
+def _poly_failures(monkeypatch, mutant=None, sabotage=False):
+    """{law: counterexample} of the failing laws of a default nonneg-rational poly suite, with `mutant` patched in."""
+    with monkeypatch.context() as patch:
+        if mutant:
+            name, make, _ = POLY_MUTANTS[mutant]
+            patch.setattr(pf, name, make(getattr(pf, name)))
+        reports = ls.run_suite(make_poly_binding(NONNEG_RATIONAL, sabotage=sabotage), cases=50, seed=0)
+    return {r.law_id: r.counterexample for r in reports if r.status == "fail"}
+
+
+@pytest.mark.parametrize("mutant", [None, *POLY_MUTANTS])
+def test_every_failing_poly_counterexample_shows_its_inputs_and_both_sides(monkeypatch, mutant):
+    """Bespoke and table laws render alike: `label: name = value; ...; lhs = ...; rhs = ...`, the same every run."""
+    failures = _poly_failures(monkeypatch, mutant, sabotage=mutant is None)
+    assert failures
+    for law, text in failures.items():
+        assert "; lhs = " in text and "; rhs = " in text, (law, text)
+        assert "object at 0x" not in text, (law, text)
+    assert _poly_failures(monkeypatch, mutant, sabotage=mutant is None) == failures
+
+
+def test_poly_interchange_reports_the_first_asymmetric_pair_in_row_major_order(monkeypatch):
+    # the mutant changes only the y component, so d_y b_x = d_x b_y fails first at (i, j) = (0, 1)
+    text = _poly_failures(monkeypatch, "grad-y-partial-doubled-on-x-terms")["L6"]
+    assert text.startswith("mixed partials differ: p = ")
+    assert "; i = 0; j = 1; lhs = " in text
+
+
 def test_rel_table_laws_compose_no_matrix(monkeypatch):
     """Every rel law but L21, the table laws among them, evaluates column operators: L21 alone calls
     `mat_compose`, and no law calls `tensor`."""
@@ -570,15 +598,6 @@ def test_a_check_that_raises_after_passing_cases_reads_zero_cases():
     report = ls.run_law("L2", _one_law_binding(check), cases=10, seed=0)
     assert (report.status, report.cases) == ("fail", 0)
     assert report.counterexample == "raised NonFinite: third probe returned nan"
-
-
-def test_poly_asymmetry_scan_finds_the_first_asymmetric_pair():
-    x = [pf.Polynomial.variable(NONNEG_RATIONAL, 3, i) for i in range(3)]
-    zero = pf.Polynomial.zero(NONNEG_RATIONAL, 3)
-    assert _asymmetry(pf.grad(x[0] * x[1] * x[2])) is None
-    # d_2 b_1 = 1 but d_1 b_2 = 0; the pairs (0, 1) and (0, 2) are symmetric
-    assert _asymmetry(pf.PolyBundle((zero, x[2], zero))) == (1, 2)
-    assert _asymmetry(pf.PolyBundle((x[2], x[2], zero))) == (0, 2)
 
 
 def test_smooth_suite_is_inexact_everywhere():

@@ -1,0 +1,65 @@
+"""Smoke tests of the scripts under `tools/`, loaded from their files without writing bytecode there."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read tools/, write nothing there
+    spec = importlib.util.spec_from_file_location(f"tool_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SOURCE = '''"""Module docstring,
+on two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        return """a string that is not a docstring,
+        on two lines"""
+'''
+
+
+def test_code_lines_counts_lines_with_a_token_outside_comments_and_docstrings(monkeypatch):
+    tool = load_tool("code_lines", monkeypatch)
+    # import, class, def, and the two lines of the returned string
+    assert tool.code_lines(SOURCE) == 5
+    assert tool.code_lines('def f():\n    """Only a docstring."""\n') == 1
+
+
+def test_code_lines_prints_each_module_and_the_total(monkeypatch, tmp_path, capsys):
+    tool = load_tool("code_lines", monkeypatch)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "b.py").write_text(SOURCE)
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    assert tool.main([str(tmp_path / "pkg")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["2", str(tmp_path / "pkg" / "a.py")],
+        ["5", str(tmp_path / "pkg" / "b.py")],
+        ["7", "total"],
+    ]
+
+
+def test_report_grid_prints_one_report_per_line_with_its_timings_zeroed(monkeypatch):
+    tool = load_tool("report_grid", monkeypatch)
+    flags = ["--base-size", "1", "--truncation", "4", "--seed", "0"]
+    line = tool.report_line("rel", flags)
+    assert "\n" not in line
+    report = json.loads(line)
+    assert report["model"] == "rel" and report["all_pass"] is True
+    assert report["total_ms"] == 0
+    assert report["laws"] and all(law["ms"] == 0 for law in report["laws"])
+    assert tool.report_line("rel", flags) == line
