@@ -41,7 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
         # the smooth model computes over the reals only, so it takes no --semiring
         if semiring:
             p.add_argument("--semiring", choices=SEMIRING_CHOICES, default="nonneg-rational")
-        p.add_argument("--cases", type=int, default=50, help="seeded cases per law (default 50)")
+        p.add_argument(
+            "--cases",
+            type=int,
+            default=50,
+            help="cases per law (default 50); it bounds the monomial basis of the poly table laws, "
+            "and the rel table laws check every column whatever it is",
+        )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", default=None, help="write the report to this path instead of stdout")

@@ -23,10 +23,16 @@ tag, forget the tag.  The Poincare condition (L20), d;s;f = f for a
 symmetric f, is stated on the exact maps f = d;g, which are the symmetric
 maps the models generate, as d;s;d = d.  The idempotent collapse (L24) is
 s = d°; a binding over a rig that is not additively idempotent skips it.
-Each exact model supplies both operator sets and one equality check: the
-relational model evaluates both sides, untruncated, on every column of at
-most D - MARGIN atoms and compares every row they reach; the polynomial model
-applies both sides to seeded inputs.  The smooth model has no operator sets;
+Each exact model supplies both operator sets and one equality check, and
+chooses the inputs of the table laws itself: the relational model evaluates
+both sides, untruncated, on every column of at most D - MARGIN atoms and
+compares every row they reach, whatever `cases` asks; the polynomial model
+applies both sides to every monomial up to the degree that a basis of
+`cases` inputs reaches, one seeded monomial of each higher degree up to its
+maximum degree, and five huge-exponent probes (`polyform.table_inputs`).
+Neither reaches a defect at one exponent pattern (a bag, a monomial) that no
+input hits: a bag above D - MARGIN atoms, or a monomial above the basis
+degree that no seeded input is.  The smooth model has no operator sets;
 its L18-L20 compare the two sides of the same equations, `_ftc2`, `_ftc1`
 and `_poincare`, at probe points.  The other laws need operators the sets do
 not have (Delta, sigma, e and eps, chi) or take premises or random maps, so

@@ -19,7 +19,7 @@ ints; over the boolean rig every `den` is 1.  A `den` is brought to lowest
 terms only when it passes `DEN_BOUND`, and equality cross-multiplies, so
 equal polynomials may hold different `den`s.  A `Fraction` is made only at
 the edges: the read-only view `terms` (an `int` when integral, else a
-`Fraction`), which `evaluate`, `render` and `seely_split` read.
+`Fraction`), which `render` and `seely_split` read.
 
 The public constructor `Polynomial(rig, arity, terms)` validates its input
 (any iterable key, arity, sign of every exponent, each coefficient through
@@ -45,7 +45,7 @@ ends this module, so a run of another model never imports it.
 from __future__ import annotations
 
 from functools import partial
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 from types import MappingProxyType
 from typing import Callable
@@ -174,20 +174,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.num
 
-    def evaluate(self, point):
-        """Evaluate at a tuple of rig elements."""
-        if len(point) != self.arity:
-            raise ValueError("point length does not match arity")
-        rig = self.rig
-        acc = rig.zero
-        for exps, c in self.terms.items():
-            term = c
-            for x, e in zip(point, exps):
-                for _ in range(e):
-                    term = rig.mul(term, x)
-            acc = rig.add(acc, term)
-        return acc
-
     # -- rendering ----------------------------------------------------------
 
     def render(self, names=None) -> str:
@@ -261,9 +247,6 @@ class PolyBundle:
         if not isinstance(other, PolyBundle):
             return NotImplemented
         return self.components == other.components
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
 
     def render(self, names=None) -> str:
         return "[" + ", ".join(c.render(names) for c in self.components) + "]"
@@ -612,6 +595,97 @@ def random_polymap(rng, rig: Rig, in_arity: int, out_arity: int, max_degree: int
     return PolyMap(in_arity, out_arity, tuple(random_poly(rng, rig, in_arity, max_degree) for _ in range(out_arity)))
 
 
+PROBES = 5  # huge-exponent probes per input type of a table law
+PROBE_BITS = 61  # each exponent of a probe is drawn with getrandbits(PROBE_BITS)
+
+
+def _degree_exponents(arity: int, n: int):
+    """Every arity-length exponent tuple of total degree n, in graded-lex order (x^n first)."""
+    if arity == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in _degree_exponents(arity - 1, n - first):
+            yield (first,) + rest
+
+
+def _basis_degree(arity: int, top: int, budget: int, per_monomial: int) -> int:
+    """The largest k <= top whose per_monomial * C(arity + k, k) basis inputs fit in `budget`; at least 0."""
+    k = 0
+    while k < top and per_monomial * comb(arity + k + 1, k + 1) <= budget:
+        k += 1
+    return k
+
+
+def _nonzero_draw(rng, rig: Rig) -> tuple:
+    """`rig.draw` repeated until its numerator is nonzero."""
+    n, d = rig.draw(rng)
+    while rig.is_zero(n):
+        n, d = rig.draw(rng)
+    return n, d
+
+
+def table_inputs(rng, rig: Rig, kind: str, arity: int, top: int, budget: int) -> list:
+    """The inputs a table law applies its equations of input type (`kind`, `arity`) to, in order.
+
+    `kind` is "poly" or "bundle"; a bundle input is one polynomial per variable.
+    (a) Every monomial with coefficient one (bundles: every x^a * e_i), by
+    ascending degree, graded-lex within a degree and e_i innermost, up to the
+    largest degree k <= `top` whose inputs fit in `budget`; degree 0 always.
+    (b) One seeded monomial with coefficient one of each degree k + 1 .. `top`:
+    for a bundle the component i = `randbelow(arity)` first, then one
+    `randbelow(arity)` variable per unit of degree.
+    (c) `PROBES` seeded probes, each the sum of two terms; a term is (for a
+    bundle) its component i, then `arity` exponents of `getrandbits(PROBE_BITS)`
+    and a coefficient from `rig.draw`, drawn again while it is zero.
+    """
+    bundle = kind == "bundle"
+    width = arity if bundle else 1
+    zero = _canonical(rig, arity, {})
+
+    def term(i, exps, n=rig.one, d=1):
+        p = _canonical(rig, arity, {exps: n}, d)
+        return PolyBundle((zero,) * i + (p,) + (zero,) * (arity - i - 1)) if bundle else p
+
+    def component():
+        return randbelow(rng, arity) if bundle else 0
+
+    def probe_term():
+        i = component()
+        exps = tuple(rng.getrandbits(PROBE_BITS) for _ in range(arity))
+        return term(i, exps, *_nonzero_draw(rng, rig))
+
+    k = _basis_degree(arity, top, budget, width)
+    inputs = [term(i, e) for n in range(k + 1) for e in _degree_exponents(arity, n) for i in range(width)]
+    for n in range(k + 1, top + 1):
+        i, exps = component(), [0] * arity
+        for _ in range(n):
+            exps[randbelow(rng, arity)] += 1
+        inputs.append(term(i, tuple(exps)))
+    for _ in range(PROBES):
+        a, b = (probe_term() for _ in range(2))
+        inputs.append(a + b)
+    return inputs
+
+
+def _show(rig: Rig, v) -> str:
+    """An input as a counterexample shows it: by its `render`, a matrix (a list of rows of rig values)
+    entry by entry, anything else by `str`."""
+    if isinstance(v, list):
+        return "[" + ", ".join("[" + ", ".join(map(rig.render, row)) + "]" for row in v) + "]"
+    return v.render() if hasattr(v, "render") else str(v)
+
+
+def _first_failure(rig: Rig, equations) -> str | None:
+    """The first of (lhs, rhs, label, inputs) `equations` with lhs != rhs, rendered as
+    `label: name = value; ...; lhs = ...; rhs = ...`, the inputs first; None when all hold."""
+    for lhs, rhs, label, inputs in equations:
+        if lhs != rhs:
+            shown = (*inputs.items(), ("lhs", lhs), ("rhs", rhs))
+            return f"{label}: " + "; ".join(f"{n} = {_show(rig, v)}" for n, v in shown)
+    return None
+
+
 class PolyOp:
     """An operator `fn` on inputs of type `src`: ("poly", arity), ("bundle", arity) or ("tagged", arity).
 
@@ -644,11 +718,23 @@ def make_poly_binding(
     s = s_op, !(0) = eval0; the unit monoidal maps are t_grade, eval_at_one
     and on_tag, and the one-point atom factor wraps an arity-1 polynomial as
     a one-component bundle).  Both sides of each equation are applied to
-    `cases` seeded inputs of its input type, one `random_poly` or
-    `random_bundle` per type and case; no law takes a tagged input.  L24 is
-    skipped over a rig that is not additively idempotent.  Every other law
-    draws its own inputs per case and yields its equations, each with the
-    inputs it shows, so every law is checked and rendered by one `compare`.
+    every input of its input type in `table_inputs`, and each input is one
+    case; no law takes a tagged input.  Every operator there sends x^a (or
+    x^a * e_i) to a few monomials whose coefficients are rational functions
+    of a, so an equation holds on every input when it holds at the low
+    degrees where an operator branches (!(0) and K^{-1} at degree 0) and the
+    identity of rational functions behind it holds, which a random 61-bit a
+    tests (Schwartz-Zippel).  So the inputs are every monomial up to the
+    largest degree k whose basis fits in `cases` inputs (the budget; degree 0
+    always), one seeded monomial of each degree k + 1 .. `max_degree`
+    (bundles `max_degree` - 1), and `PROBES` sums of two terms with 61-bit
+    exponents.  Out of reach is a defect at one per-variable exponent
+    pattern that no input hits, such as one monomial of a degree above k
+    that is not that degree's seeded one, or one degree above `max_degree`.
+    L24 is skipped over a rig that is not additively idempotent.  Every
+    other law draws its own inputs per case and yields its equations, each
+    with the inputs it shows, so every law is checked and rendered by one
+    rule, `_first_failure`.
 
     `sabotage` deliberately breaks the gradient so it keeps constant terms;
     used as the negative control that the suite actually detects failures.
@@ -692,36 +778,20 @@ def make_poly_binding(
         return random_poly(rng, rig, arity or variables, deg or max_degree)
 
     def compare(rng, cases, case):
-        """Check `cases` seeded runs of `case`, a generator of (lhs, rhs, label, inputs) equations.
-
-        A run stops at its first lhs != rhs and renders it as
-        `label: name = value; ...; lhs = ...; rhs = ...`, the inputs first.
-        """
-        def one(rng):
-            for lhs, rhs, label, inputs in case(rng):
-                if lhs != rhs:
-                    shown = (*inputs.items(), ("lhs", lhs), ("rhs", rhs))
-                    text = "; ".join(f"{n} = {v.render() if hasattr(v, 'render') else v}" for n, v in shown)
-                    return f"{label}: {text}"
-            return None
-
-        return repeat_case(rng, cases, one)
+        """Check `cases` seeded runs of `case`, a generator of (lhs, rhs, label, inputs) equations."""
+        return repeat_case(rng, cases, lambda rng: _first_failure(rig, case(rng)))
 
     def equations(law, at, rng, cases):
-        """Apply both sides of each (lhs, rhs, label) `law` yields on the operator set `at` to `cases` seeded inputs."""
+        """Apply both sides of each (lhs, rhs, label) `law` yields on the operator set `at` to the
+        `table_inputs` of its input type, each input one case and `cases` the basis budget."""
         u = operators("unit")
-        eqs = list(law(u if at == "unit" else operators(at), u))
-        types = list(dict.fromkeys(lhs.src for lhs, _, _ in eqs))
-        draw = {"poly": random_poly, "bundle": random_bundle}
-        degree = {"poly": max_degree, "bundle": max_degree - 1}
-
-        def case(rng):
-            inputs = {(kind, n): draw[kind](rng, rig, n, degree[kind]) for kind, n in types}
-            for lhs, rhs, label in eqs:
-                v = inputs[lhs.src]
-                yield lhs.fn(v), rhs.fn(v), label, {"input": v}
-
-        return compare(rng, cases, case)
+        by_src = {}
+        for lhs, rhs, label in law(u if at == "unit" else operators(at), u):
+            by_src.setdefault(lhs.src, []).append((lhs.fn, rhs.fn, label))
+        for (kind, n), eqs in by_src.items():
+            top = max_degree - 1 if kind == "bundle" else max_degree
+            for v in table_inputs(rng, rig, kind, n, top, cases):
+                yield _first_failure(rig, ((lhs(v), rhs(v), label, {"input": v}) for lhs, rhs, label in eqs))
 
     # -- individual laws ---------------------------------------------------
 
@@ -859,7 +929,8 @@ def make_poly_binding(
                     acc = acc + image.scale(matrix[i][j])
                 comps.append(acc)
             rhs = PolyBundle(tuple(comps))
-            yield grad(apply_linear(matrix, p)), rhs, "gradient is not natural in linear substitution", {"p": p}
+            inputs = {"p": p, "matrix": matrix}
+            yield grad(apply_linear(matrix, p)), rhs, "gradient is not natural in linear substitution", inputs
 
         return compare(rng, cases, case)
 

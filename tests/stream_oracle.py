@@ -1,8 +1,9 @@
 """Reference draws written with the public `random` API, and checks that dctool's draws equal them.
 
-`rig.randbelow`, `Rig.draw` and `polyform.random_poly` read the generator's
-raw bits the way CPython's `randrange` does.  Each check here draws the same
-things through `randrange`/`random` and the validating `Polynomial`
+`rig.randbelow`, `Rig.draw`, `polyform.random_poly` and the seeded parts of
+`polyform.table_inputs` read the generator's raw bits the way CPython's
+`randrange` does.  Each check here draws the same things through
+`randrange`/`random`/`getrandbits` and the validating `Polynomial`
 constructor, and asserts the same values and the same generator state after.
 The pytest cases in `test_rig.py` and `test_polyform.py` call these checks;
 they need neither pytest nor numpy, so they also run as a plain script under
@@ -14,6 +15,7 @@ an interpreter that has neither:
 import random
 import signal
 from fractions import Fraction
+from itertools import product
 
 from dctool import polyform as pf
 from dctool.rig import RIGS, randbelow
@@ -91,6 +93,62 @@ def check_random_polys(seeds=300, arities=range(1, 6), degrees=range(1, 11)):
             assert rng.getstate() == ref.getstate(), (rig.name, seed)
 
 
+def reference_monomials(arity, k):
+    """Every exponent tuple of total degree <= k: by degree, then graded-lex (x^n before y^n)."""
+    exps = (e for e in product(range(k + 1), repeat=arity) if sum(e) <= k)
+    return sorted(exps, key=lambda e: (sum(e), [-x for x in e]))
+
+
+def reference_table_inputs(ref, rig, kind, arity, top, budget):
+    """`polyform.table_inputs`: the basis from `product`, the draws through `randrange` and `getrandbits`."""
+    parts = arity if kind == "bundle" else 1
+    k = 0
+    while k < top and parts * len(reference_monomials(arity, k + 1)) <= budget:
+        k += 1
+
+    def value(terms):
+        """The input with `terms`, a list of (component, exponents, coefficient), summed as rig values."""
+        comps = [{} for _ in range(parts)]
+        for i, exps, c in terms:
+            comps[i][exps] = rig.add(comps[i][exps], c) if exps in comps[i] else c
+        polys = [pf.Polynomial(rig, arity, c) for c in comps]
+        return pf.PolyBundle(polys) if kind == "bundle" else polys[0]
+
+    def component():
+        return ref.randrange(arity) if kind == "bundle" else 0
+
+    inputs = [value([(i, e, rig.one)]) for e in reference_monomials(arity, k) for i in range(parts)]
+    for n in range(k + 1, top + 1):
+        i, exps = component(), [0] * arity
+        for _ in range(n):
+            exps[ref.randrange(arity)] += 1
+        inputs.append(value([(i, tuple(exps), rig.one)]))
+    for _ in range(5):
+        terms = []
+        for _ in range(2):
+            i, exps = component(), tuple(ref.getrandbits(61) for _ in range(arity))
+            c = REFERENCE_SAMPLES[rig.name](ref)
+            while not c:
+                c = REFERENCE_SAMPLES[rig.name](ref)
+            terms.append((i, exps, c))
+        inputs.append(value(terms))
+    return inputs
+
+
+def check_table_inputs(seeds=6, arities=range(1, 6), tops=(0, 1, 2, 5, 8), budgets=(1, 50)):
+    for rig in RIGS.values():
+        for seed in range(seeds):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for kind, arity, top, budget in product(("poly", "bundle"), arities, tops, budgets):
+                got = pf.table_inputs(rng, rig, kind, arity, top, budget)
+                expected = reference_table_inputs(ref, rig, kind, arity, top, budget)
+                assert len(got) == len(expected), (rig.name, seed, kind, arity, top, budget)
+                for v, w in zip(got, expected):
+                    for p, q in zip(*(x.components if kind == "bundle" else [x] for x in (v, w))):
+                        _same_poly(p, dict(q.terms))
+                assert rng.getstate() == ref.getstate(), (rig.name, seed, kind, arity, top, budget)
+
+
 def check_refused_promptly(call, seconds=5):
     """`call()` raises the ValueError of an empty range; an alarm stops it if it runs past `seconds`."""
 
@@ -123,7 +181,7 @@ def check_empty_widths():
 if __name__ == "__main__":
     import sys
 
-    for check in (check_randbelow, check_rig_draws, check_random_polys, check_empty_widths):
+    for check in (check_randbelow, check_rig_draws, check_random_polys, check_table_inputs, check_empty_widths):
         check()
         print(f"{check.__name__}: ok")
     print(f"all draws match on Python {sys.version.split()[0]}")

@@ -1,6 +1,8 @@
 """Suite runner: table closure, determinism, masks, and the negative control."""
 
+import ast
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -8,9 +10,9 @@ import pytest
 import dctool.lawsuite as ls
 import dctool.polyform as pf
 import dctool.wrel as wrel
-from dctool import cli
+from dctool import cli, exprcalc
 from dctool.polyform import make_poly_binding
-from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL
+from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL, NonNegRationalRig
 from dctool.smoothnum import NonFinite, make_smooth_binding
 from dctool.wrel import make_rel_binding
 
@@ -84,7 +86,8 @@ def test_boolean_poly_checks_collapse_law():
     reports = ls.run_suite(binding, cases=10, seed=0)
     assert ls.all_pass(reports)
     l24 = next(r for r in reports if r.law_id == "L24")
-    assert (l24.status, l24.cases) == ("pass", 10)
+    # the 6 bundle monomials of degree <= 1, one of degree 2 and one of degree 3, and 5 probes
+    assert (l24.status, l24.cases) == ("pass", 13)
 
 
 def test_both_exact_models_evaluate_the_operator_table():
@@ -143,14 +146,14 @@ def test_a_broken_integral_fails_the_collapse_law_in_both_exact_models(monkeypat
         bindings = (make_rel_binding(BOOLEAN), make_poly_binding(BOOLEAN))
         return [ls.run_law("L24", binding, cases=10, seed=0) for binding in bindings]
 
-    assert [(r.status, r.cases) for r in l24()] == [("pass", 1), ("pass", 10)]
+    assert [(r.status, r.cases) for r in l24()] == [("pass", 1), ("pass", 13)]
     _mutate_rel_operators(monkeypatch, s=_s_without_row_a)
     monkeypatch.setattr(pf, "s_op", s_op_mutant)
     rel, poly = l24()
     label = "integral does not collapse to the coderive: "
     assert (rel.status, rel.cases, rel.counterexample) == ("fail", 1, label + "entry ([a], ([], a)): 0 != 1")
-    assert (poly.status, poly.cases) == ("fail", 4)
-    assert poly.counterexample.startswith(label + "input = ")
+    # the third input is the constant bundle on the last component
+    assert (poly.status, poly.cases, poly.counterexample) == ("fail", 3, label + "input = [0, 0, 1]; lhs = 0; rhs = z")
 
 
 @pytest.mark.parametrize("name", ["K", "J", "K_inv", "J_inv"])
@@ -458,6 +461,62 @@ def test_poly_interchange_reports_the_first_asymmetric_pair_in_row_major_order(m
     text = _poly_failures(monkeypatch, "grad-y-partial-doubled-on-x-terms")["L6"]
     assert text.startswith("mixed partials differ: p = ")
     assert "; i = 0; j = 1; lhs = " in text
+
+
+def test_a_failing_poly_naturality_report_replays_from_its_text(monkeypatch):
+    """L23 shows p and the substitution matrix it drew, so its lhs can be rebuilt from the text alone."""
+    text = _poly_failures(monkeypatch, "apply-linear-entry-0-0-doubled")["L23"]
+    label, shown = text.split(": ", 1)
+    fields = dict(part.split(" = ", 1) for part in shown.split("; "))
+    assert label == "gradient is not natural in linear substitution"
+    assert list(fields) == ["p", "matrix", "lhs", "rhs"]
+    assert fields["p"] == "5/2*x^2*y^2*z + 7/4*x*y*z + 10/3"
+    assert fields["matrix"] == "[[1, 0, 3], [1, 3, 1], [1, 3, 2]]"
+    p = exprcalc.eval_expr(exprcalc.parse_expr(fields["p"]), NONNEG_RATIONAL, arity=3)
+    name, make, _ = POLY_MUTANTS["apply-linear-entry-0-0-doubled"]
+    monkeypatch.setattr(pf, name, make(getattr(pf, name)))
+    assert pf.grad(pf.apply_linear(ast.literal_eval(fields["matrix"]), p)).render() == fields["lhs"]
+
+
+class _InverseRig(NonNegRationalRig):
+    """The non-negative rationals with `nat_inverse(k)` replaced by `inverse(k)`."""
+
+    def __init__(self, inverse):
+        self.inverse = inverse
+
+    def nat_inverse(self, k):
+        return self.inverse(k)
+
+
+TABLE_LAWS = [law.id for law in ls.LAWS if law.equations]
+# every table law that applies K^{-1}, J^{-1} or s to an input
+READS_AN_INVERSE = ["L8", "L12", "L13", "L14", "L15", "L16", "L18", "L19", "L20"]
+
+
+def _failing_table_laws(rig, **size):
+    binding = make_poly_binding(rig, **size)
+    return [law for law in TABLE_LAWS if ls.run_law(law, binding, cases=50, seed=0).status == "fail"]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_an_inverse_wrong_at_one_degree_fails_the_general_table_at_4_by_8(k):
+    """At 4 variables the basis reaches degree 3 and one seeded monomial of each degree 4 .. 8 the rest,
+    so L8 (K;K^{-1} = 1 = J;J^{-1}, stated at 4 variables) reads every 1/n up to 1/8."""
+    rig = _InverseRig(lambda n: Fraction(2 if n == k else 1, n))
+    assert "L8" in _failing_table_laws(rig, variables=4, max_degree=8)
+
+
+WRONG_FROM_SOME_DEGREE_UP = {
+    # 1/n capped at 1/cap is wrong only from n = cap + 1, which the probes' 61-bit degrees reach; 50 random
+    # inputs of degree at most 6 failed 2, 0 and 0 table laws under these three
+    **{f"capped-at-one-over-{cap}": lambda n, cap=cap: Fraction(1, min(n, cap)) for cap in (6, 8, 9)},
+    **{f"doubled-from-{j}": lambda n, j=j: Fraction(2 if n >= j else 1, n) for j in range(1, 7)},
+}
+
+
+@pytest.mark.parametrize("inverse", WRONG_FROM_SOME_DEGREE_UP.values(), ids=WRONG_FROM_SOME_DEGREE_UP)
+def test_an_inverse_wrong_from_some_degree_up_fails_at_the_default_size(inverse):
+    assert _failing_table_laws(_InverseRig(inverse)) == READS_AN_INVERSE
 
 
 def test_rel_table_laws_compose_no_matrix(monkeypatch):
