@@ -29,9 +29,17 @@ operands through the trusted `_canonical`, which tests nothing:
 a product of nonzero numerators, a multiplicity `nat_value(k)` and an
 inverse `nat_inverse(k)` are never zero (the rig properties behind this are
 listed in `rig.Rig`), so a zero arises only in a sum over a rig with
-`has_negatives`, where `drop_cancelled` drops it, or in a scalar from
-outside (`scale(c)`, `const(c)`) or a draw (`random_poly`), which is tested
-where it enters.
+`has_negatives`, or in a scalar from outside (`scale(c)`, `const(c)`) or a
+draw (`random_poly`), which is tested where it enters.  So a zero is tested
+only where one can appear: `+`, `*`, `substitute`, `mul_in` and
+`eval_at_one` follow the zero rule of `rig.accumulate`, inlined in their
+loops: a sum is tested only where two values land on one monomial, over a
+rig with `has_negatives`, and a cancelled monomial is deleted (and inserted
+afresh if a later value lands on it).
+
+`substitute` and `apply_linear` take a sequence of polynomials and return a
+tuple: every polynomial substituted at one argument tuple shares one table
+of the arguments' powers, which lives for that call only.
 
 All operators act in plain function-application order: `K_op(p)` means "apply
 the operator to p".  The degree-graded operators act block-diagonally on the
@@ -51,7 +59,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from .lawsuite import ModelBinding, Operators, repeat_case
-from .rig import Rig, drop_cancelled, randbelow
+from .rig import Rig, accumulate, randbelow
 
 MultiIndex = tuple  # tuple[int, ...]; arity-length exponent vector
 
@@ -134,20 +142,22 @@ class Polynomial:
         if other.den != den:
             num, den = _grow(num, den, other.den)
             other_num, den = _grow(other_num, other.den, den)
-        for e, n in other_num.items():
-            num[e] = rig.add(num[e], n) if e in num else n
-        return _canonical(rig, self.arity, drop_cancelled(rig, num), den)
+        return _canonical(rig, self.arity, accumulate(rig, num, other_num.items()), den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         _check_arity(self.arity, other.arity)
-        rig = self.rig
-        num = {}
+        rig, num, other_terms = self.rig, {}, other.num.items()
+        mul, plus, is_zero = rig.mul, rig.add, rig.is_zero if rig.has_negatives else None
         for e1, c1 in self.num.items():
-            for e2, c2 in other.num.items():
-                e = tuple(map(add, e1, e2))
-                c = rig.mul(c1, c2)
-                num[e] = rig.add(num[e], c) if e in num else c
-        return _canonical(rig, self.arity, drop_cancelled(rig, num), self.den * other.den)
+            for e2, c2 in other_terms:
+                e, v = tuple(map(add, e1, e2)), mul(c1, c2)
+                if e in num:  # the zero rule of `rig.accumulate`
+                    v = plus(num[e], v)
+                    if is_zero is not None and is_zero(v):
+                        del num[e]
+                        continue
+                num[e] = v
+        return _canonical(rig, self.arity, num, self.den * other.den)
 
     def scale(self, c) -> "Polynomial":
         rig = self.rig
@@ -241,7 +251,7 @@ class PolyBundle:
 
     def __add__(self, other: "PolyBundle") -> "PolyBundle":
         _check_arity(self.arity, other.arity)
-        return PolyBundle(tuple(a + b for a, b in zip(self.components, other.components)))
+        return _bundle(tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyBundle):
@@ -252,6 +262,13 @@ class PolyBundle:
         return "[" + ", ".join(c.render(names) for c in self.components) + "]"
 
 
+def _bundle(components: tuple) -> PolyBundle:
+    """Trusted constructor: `components` is a tuple of polynomials whose arity is its length."""
+    b = object.__new__(PolyBundle)
+    b.components = components
+    return b
+
+
 # -- core operators ---------------------------------------------------------
 
 
@@ -260,18 +277,17 @@ def grad(p: Polynomial) -> PolyBundle:
 
     The exponent k comes out as the coefficient nat_value(k), so this works
     over any rig; nat_value(1) is one, so exponent 1 multiplies by nothing.
+    All components are filled in one sweep over the terms.
     """
-    rig = p.rig
-    comps = []
-    for i in range(p.arity):
-        # lowering exponent i is injective on the monomials it keeps
-        terms = {
-            exps[:i] + (k - 1,) + exps[i + 1 :]: c if k == 1 else rig.mul(rig.nat_value(k), c)
-            for exps, c in p.num.items()
-            if (k := exps[i])
-        }
-        comps.append(_canonical(rig, p.arity, terms, p.den))
-    return PolyBundle(tuple(comps))
+    rig, arity = p.rig, p.arity
+    mul, nat_value = rig.mul, rig.nat_value
+    comps = [{} for _ in range(arity)]
+    for exps, c in p.num.items():
+        for i, k in enumerate(exps):
+            if k:
+                # lowering exponent i is injective on the monomials it keeps
+                comps[i][exps[:i] + (k - 1,) + exps[i + 1 :]] = c if k == 1 else mul(nat_value(k), c)
+    return _bundle(tuple(_canonical(rig, arity, terms, p.den) for terms in comps))
 
 
 def mul_in(b: PolyBundle) -> Polynomial:
@@ -279,17 +295,22 @@ def mul_in(b: PolyBundle) -> Polynomial:
 
     Multiplying by x_i shifts exponent i by one, so no product is formed.
     """
-    rig = b.rig
-    terms, den = {}, 1
+    rig, terms, den = b.rig, {}, 1
+    plus, is_zero = rig.add, rig.is_zero if rig.has_negatives else None
     for i, comp in enumerate(b.components):
         comp_num = comp.num
         if comp.den != den:
             terms, den = _grow(terms, den, comp.den)
             comp_num, den = _grow(comp_num, comp.den, den)
-        for exps, c in comp_num.items():
+        for exps, v in comp_num.items():
             e = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-            terms[e] = rig.add(terms[e], c) if e in terms else c
-    return _canonical(rig, b.arity, drop_cancelled(rig, terms), den)
+            if e in terms:  # the zero rule of `rig.accumulate`
+                v = plus(terms[e], v)
+                if is_zero is not None and is_zero(v):
+                    del terms[e]
+                    continue
+            terms[e] = v
+    return _canonical(rig, b.arity, terms, den)
 
 
 def eval0(p: Polynomial) -> Polynomial:
@@ -369,12 +390,17 @@ def t_grade(p: Polynomial) -> Polynomial:
 
 def eval_at_one(q: Polynomial) -> Polynomial:
     """Forget the tag of a tagged polynomial: substitute t := 1."""
-    rig = q.rig
-    terms = {}
-    for exps, c in q.num.items():
+    rig, terms = q.rig, {}
+    plus, is_zero = rig.add, rig.is_zero if rig.has_negatives else None
+    for exps, v in q.num.items():
         e = exps[1:]
-        terms[e] = rig.add(terms[e], c) if e in terms else c
-    return _canonical(rig, q.arity - 1, drop_cancelled(rig, terms), q.den)
+        if e in terms:  # the zero rule of `rig.accumulate`
+            v = plus(terms[e], v)
+            if is_zero is not None and is_zero(v):
+                del terms[e]
+                continue
+        terms[e] = v
+    return _canonical(rig, q.arity - 1, terms, q.den)
 
 
 def on_tag(fn, q: Polynomial) -> Polynomial:
@@ -481,43 +507,50 @@ class PolyMap:
         return "(" + ", ".join(c.render() for c in self.coordinates) + ")"
 
 
-def substitute(p: Polynomial, args) -> Polynomial:
-    """Evaluate p at a tuple of polynomials (all of one common arity).
+def substitute(ps, args) -> tuple:
+    """Evaluate each polynomial of `ps` at one tuple `args` of polynomials (all of one common arity).
 
-    The powers of each argument are built once per call, each from the one
-    below it, and exponent-0 factors are skipped.  The sum is kept over the
-    least common denominator of the products so far.
+    Returns one result per polynomial of `ps`, in order.  The powers of each
+    argument are built once per call and shared by every polynomial of `ps`,
+    each power from the one below it, and exponent-0 factors are skipped.
+    Each sum is kept over the least common denominator of its products so far.
     """
-    if len(args) != p.arity:
-        raise ValueError("argument count must match arity")
-    rig = p.rig
     arity = args[0].arity if args else 0
-    const = _canonical(rig, arity, {(0,) * arity: rig.one})
     powers = [[None, a] for a in args]  # powers[i][e] is args[i] ** e, e >= 1
-    terms, den = {}, 1
-    for exps, c in p.num.items():
-        term = const
-        for a, pw, e in zip(args, powers, exps):
-            if e == 0:
-                continue
-            while len(pw) <= e:
-                pw.append(pw[-1] * a)
-            term = pw[e] if term is const else term * pw[e]
-        if term.den != den:
-            terms, den = _grow(terms, den, term.den)
-            c *= den // term.den
-        for e, v in term.num.items():
-            v = rig.mul(c, v)
-            terms[e] = rig.add(terms[e], v) if e in terms else v
-    return _canonical(rig, arity, drop_cancelled(rig, terms), p.den * den)
+    out = []
+    for p in ps:
+        if len(args) != p.arity:
+            raise ValueError("argument count must match arity")
+        rig, terms, den = p.rig, {}, 1
+        mul, plus, is_zero = rig.mul, rig.add, rig.is_zero if rig.has_negatives else None
+        const = _canonical(rig, arity, {(0,) * arity: rig.one})
+        for exps, c in p.num.items():
+            term = const
+            for pw, e in zip(powers, exps):
+                if e:
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * pw[1])
+                    term = pw[e] if term is const else term * pw[e]
+            if term.den != den:
+                terms, den = _grow(terms, den, term.den)
+                c *= den // term.den
+            for e, v in term.num.items():
+                v = mul(c, v)
+                if e in terms:  # the zero rule of `rig.accumulate`
+                    v = plus(terms[e], v)
+                    if is_zero is not None and is_zero(v):
+                        del terms[e]
+                        continue
+                terms[e] = v
+        out.append(_canonical(rig, arity, terms, p.den * den))
+    return tuple(out)
 
 
 def cokleisli_compose(g: PolyMap, f: PolyMap) -> PolyMap:
-    """Coordinate-wise substitution: (g . f)(x) = g(f(x))."""
+    """Coordinate-wise substitution: (g . f)(x) = g(f(x)), every coordinate of g through one power table of f's."""
     if g.in_arity != f.out_arity:
         raise ValueError(f"arity mismatch: cannot compose {g.in_arity}-ary map after {f.out_arity} outputs")
-    coords = tuple(substitute(c, f.coordinates) for c in g.coordinates)
-    return PolyMap(f.in_arity, g.out_arity, coords)
+    return PolyMap(f.in_arity, g.out_arity, substitute(g.coordinates, f.coordinates))
 
 
 def extend_arity(p: Polynomial, new_arity: int, offset: int = 0) -> Polynomial:
@@ -538,26 +571,29 @@ def cartesian_derivative(f: PolyMap) -> PolyMap:
     n = 2 * f.in_arity
     zeros = (Polynomial.zero(f.rig, n),) * f.in_arity
     coords = tuple(
-        mul_in(PolyBundle(zeros + tuple(extend_arity(p, n) for p in grad(c).components))) for c in f.coordinates
+        mul_in(_bundle(zeros + tuple(extend_arity(p, n) for p in grad(c).components))) for c in f.coordinates
     )
     return PolyMap(n, f.out_arity, coords)
 
 
-def apply_linear(matrix, p: Polynomial) -> Polynomial:
-    """Substitute x_j := sum_i matrix[i][j] * y_i.
+def apply_linear(matrix, ps) -> tuple:
+    """Substitute x_j := sum_i matrix[i][j] * y_i in each polynomial of `ps`, one result each.
 
     `matrix` is a list of rows of rig elements; the row count is the new
     arity.  Worked 2x2 example over the rationals: with M = [[a, b], [c, d]]
     the monomial x*y becomes (a*y1 + c*y2)*(b*y1 + d*y2).  This contraction
     convention is the one under which the gradient transforms by applying the
-    matrix to the component list (checked by the naturality law).
+    matrix to the component list (checked by the naturality law).  The linear
+    forms and their powers are built once and shared by every polynomial of `ps`.
     """
-    rows = len(matrix)
-    if any(len(row) != p.arity for row in matrix):
+    if not ps:
+        return ()
+    rows, arity = len(matrix), ps[0].arity
+    if any(len(row) != p.arity for row in matrix for p in ps):
         raise ValueError("matrix shape does not match polynomial arity")
     units = [tuple(1 if k == i else 0 for k in range(rows)) for i in range(rows)]
-    images = [Polynomial(p.rig, rows, {units[i]: matrix[i][j] for i in range(rows)}) for j in range(p.arity)]
-    return substitute(p, images)
+    images = [Polynomial(ps[0].rig, rows, {units[i]: matrix[i][j] for i in range(rows)}) for j in range(arity)]
+    return substitute(ps, images)
 
 
 # -- law binding ------------------------------------------------------------
@@ -921,7 +957,7 @@ def make_poly_binding(
             p = rp(rng)
             rows = rng.randint(1, 3)
             matrix = [[rig.nat_value(rng.randint(0, 3)) for _ in range(variables)] for _ in range(rows)]
-            images = [apply_linear(matrix, c) for c in grad(p).components]
+            moved, *images = apply_linear(matrix, (p, *grad(p).components))
             comps = []
             for i in range(rows):
                 acc = Polynomial.zero(rig, rows)
@@ -930,7 +966,7 @@ def make_poly_binding(
                 comps.append(acc)
             rhs = PolyBundle(tuple(comps))
             inputs = {"p": p, "matrix": matrix}
-            yield grad(apply_linear(matrix, p)), rhs, "gradient is not natural in linear substitution", inputs
+            yield grad(moved), rhs, "gradient is not natural in linear substitution", inputs
 
         return compare(rng, cases, case)
 

@@ -52,8 +52,8 @@ class Rig:
     form that agrees.
 
     The polynomial and matrix layers test a coefficient for zero only where a
-    zero can appear, and rely on three properties that `rig_laws_check`
-    checks as axioms:
+    zero can appear (the rule of `accumulate`), and rely on three properties
+    that `rig_laws_check` checks as axioms:
 
     - no zero divisors: a * b = 0 only if a = 0 or b = 0, so a product of
       nonzero coefficients is never dropped;
@@ -232,16 +232,23 @@ class BooleanRig(Rig):
         return self.one
 
 
-def drop_cancelled(rig: Rig, values: dict) -> dict:
-    """`values`, just accumulated over `rig`, without the zeros a cancelling sum left.
+def accumulate(rig: Rig, into: dict, pairs) -> dict:
+    """`into`, mapping keys to nonzero values of `rig`, with each (key, value) of `pairs` added; returned.
 
-    Only a rig with negatives can sum nonzero values to zero, so over any
-    other rig `values` is returned as it is.
+    The zero rule of both exact models: a value is nonzero when it enters, so
+    only a sum at a key already present can vanish, and only over a rig with
+    `has_negatives`.  There the sum is tested and a zero one deletes its key;
+    a later value at that key is inserted afresh.
     """
-    if not rig.has_negatives:
-        return values
-    is_zero = rig.is_zero
-    return {k: v for k, v in values.items() if not is_zero(v)}
+    add, is_zero = rig.add, rig.is_zero if rig.has_negatives else None
+    for k, v in pairs:
+        if k in into:
+            v = add(into[k], v)
+            if is_zero is not None and is_zero(v):
+                del into[k]
+                continue
+        into[k] = v
+    return into
 
 
 NONNEG_RATIONAL = NonNegRationalRig()

@@ -38,9 +38,10 @@ else builds through the trusted `WeightedMatrix._canonical`, which tests
 none, because a zero entry can only come from a sum that cancels (the rig
 properties behind this are listed in `rig.Rig`): `ColumnOp.matrix` and
 `perm_matrix` move or select nonzero entries; `tensor`
-multiplies nonzero entries; `mat_compose` and `+` sum products of them, and
-drop a cancelled sum only over a rig with `has_negatives`, as the column
-operators' `+` and `col_seq` do; and the column formulas are weighted by
+multiplies nonzero entries; `mat_compose` and `+` sum products of them
+through `rig.accumulate`, as the column operators' `+` and `col_seq` do,
+which tests a sum only where two values meet at one key and only over a rig
+with `has_negatives`; and the column formulas are weighted by
 `one`, multiplicities `nat_value(k)` and inverses `nat_inverse(k)` with
 k >= 1.
 
@@ -53,11 +54,11 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 from .lawsuite import ModelBinding, Operators, repeat_case
-from .rig import Rig, drop_cancelled
+from .rig import Rig, accumulate
 
 UNIT_POINT = "*"
 
@@ -254,11 +255,8 @@ class WeightedMatrix:
 
     def __add__(self, other):
         self._check_spaces(other)
-        rig = self.rig
-        entries = dict(self.entries)
-        for key, c in other.entries.items():
-            entries[key] = rig.add(entries[key], c) if key in entries else c
-        return WeightedMatrix._canonical(rig, self.row_space, self.col_space, drop_cancelled(rig, entries))
+        entries = accumulate(self.rig, dict(self.entries), other.entries.items())
+        return WeightedMatrix._canonical(self.rig, self.row_space, self.col_space, entries)
 
     def _check_spaces(self, other):
         if self.row_space != other.row_space or self.col_space != other.col_space:
@@ -291,13 +289,9 @@ def mat_compose(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
     g_by_row = defaultdict(list)
     for (y, z), b in g.entries.items():
         g_by_row[y].append((z, b))
-    entries = {}
-    for (x, y), a in f.entries.items():
-        for z, b in g_by_row.get(y, ()):
-            key = (x, z)
-            v = rig.mul(a, b)
-            entries[key] = rig.add(entries[key], v) if key in entries else v
-    return WeightedMatrix._canonical(rig, f.row_space, g.col_space, drop_cancelled(rig, entries))
+    mul = rig.mul
+    products = (((x, z), mul(a, b)) for (x, y), a in f.entries.items() for z, b in g_by_row.get(y, ()))
+    return WeightedMatrix._canonical(rig, f.row_space, g.col_space, accumulate(rig, {}, products))
 
 
 def tensor(f: WeightedMatrix, g: WeightedMatrix) -> WeightedMatrix:
@@ -359,7 +353,7 @@ class ColumnOp:
 
     def __add__(self, other: "ColumnOp") -> "ColumnOp":
         rig, f, g = self.rig, self.column, other.column
-        return ColumnOp(rig, self.col_space, lambda c: _sum(rig, chain(f(c).items(), g(c).items())))
+        return ColumnOp(rig, self.col_space, lambda c: accumulate(rig, dict(f(c)), g(c).items()))
 
     def on_left(self, space) -> "ColumnOp":
         """f x 1: this operator on the first factor of a pair whose second factor is a point of `space`."""
@@ -384,14 +378,6 @@ class ColumnOp:
         return _first_difference(self.rig, ((c, f(c), g(c)) for c in _band(self.col_space, limit)))
 
 
-def _sum(rig: Rig, terms) -> dict:
-    """{row: the sum of its weights} over the (row, weight) pairs `terms`, without cancelled sums."""
-    out = {}
-    for r, w in terms:
-        out[r] = rig.add(out[r], w) if r in out else w
-    return drop_cancelled(rig, out)
-
-
 def col_seq(f: ColumnOp, g: ColumnOp) -> ColumnOp:
     """f;g, that is g then f: column c sums column y of f weighted by g(y, c), as `mat_compose` does.
 
@@ -405,7 +391,8 @@ def col_seq(f: ColumnOp, g: ColumnOp) -> ColumnOp:
             [(y, b)] = through.items()
             if rig.eq(b, rig.one):
                 return fc(y)
-        return _sum(rig, ((r, rig.mul(a, b)) for y, b in through.items() for r, a in fc(y).items()))
+        mul = rig.mul
+        return accumulate(rig, {}, ((r, mul(a, b)) for y, b in through.items() for r, a in fc(y).items()))
 
     return ColumnOp(rig, g.col_space, column)
 

@@ -329,7 +329,7 @@ def test_every_law_the_rel_binding_checks_fails_under_a_named_mutant():
 
 
 def _arguments_reversed(substitute):
-    return lambda p, args: substitute(p, tuple(reversed(args)))
+    return lambda ps, args: substitute(ps, tuple(reversed(args)))
 
 
 def _derivative_along_x(cartesian_derivative):
@@ -338,7 +338,7 @@ def _derivative_along_x(cartesian_derivative):
     def mutant(f):
         df = cartesian_derivative(f)
         xs = tuple(pf.Polynomial.variable(f.rig, df.in_arity, i) for i in range(f.in_arity))
-        return pf.PolyMap(df.in_arity, df.out_arity, tuple(pf.substitute(c, xs + xs) for c in df.coordinates))
+        return pf.PolyMap(df.in_arity, df.out_arity, pf.substitute(df.coordinates, xs + xs))
 
     return mutant
 
@@ -352,10 +352,10 @@ def _halves_swapped(seely_merge):
 
 
 def _entry_0_0_doubled(apply_linear):
-    def mutant(matrix, p):
+    def mutant(matrix, ps):
         rows = [list(row) for row in matrix]
-        rows[0][0] = p.rig.add(rows[0][0], rows[0][0])
-        return apply_linear(rows, p)
+        rows[0][0] = ps[0].rig.add(rows[0][0], rows[0][0])
+        return apply_linear(rows, ps)
 
     return mutant
 
@@ -475,7 +475,7 @@ def test_a_failing_poly_naturality_report_replays_from_its_text(monkeypatch):
     p = exprcalc.eval_expr(exprcalc.parse_expr(fields["p"]), NONNEG_RATIONAL, arity=3)
     name, make, _ = POLY_MUTANTS["apply-linear-entry-0-0-doubled"]
     monkeypatch.setattr(pf, name, make(getattr(pf, name)))
-    assert pf.grad(pf.apply_linear(ast.literal_eval(fields["matrix"]), p)).render() == fields["lhs"]
+    assert pf.grad(pf.apply_linear(ast.literal_eval(fields["matrix"]), [p])[0]).render() == fields["lhs"]
 
 
 class _InverseRig(NonNegRationalRig):

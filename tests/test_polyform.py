@@ -44,7 +44,7 @@ def limit_partial(p, i):
     wide = pf.extend_arity(p, n + 1, 0)
     args = [Polynomial.variable(rig, n + 1, j) for j in range(n)]
     args[i] = args[i] + Polynomial.variable(rig, n + 1, n)
-    shifted = pf.substitute(wide, args + [Polynomial.zero(rig, n + 1)])
+    [shifted] = pf.substitute([wide], args + [Polynomial.zero(rig, n + 1)])
     diff_terms = {}
     for exps, c in shifted.terms.items():
         base = exps[:n]
@@ -308,11 +308,12 @@ def test_cartesian_derivative_of_linear_map_is_constant_in_x():
 def test_apply_linear_examples():
     p = poly(R, 2, {(2, 1): 1, (0, 1): 2})
     ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert pf.apply_linear(ident, p) == p
+    assert pf.apply_linear(ident, [p]) == (p,)
     zero_m = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
-    assert pf.apply_linear(zero_m, p) == pf.eval0(p)
+    assert pf.apply_linear(zero_m, [p, p]) == (pf.eval0(p), pf.eval0(p))
     x2 = poly(R, 1, {(2,): 1})
-    assert pf.apply_linear([[Fraction(2)]], x2) == poly(R, 1, {(2,): 4})
+    assert pf.apply_linear([[Fraction(2)]], [x2]) == (poly(R, 1, {(2,): 4}),)
+    assert pf.apply_linear([[Fraction(2)]], []) == ()
 
 
 # -- canonical form ----------------------------------------------------------
@@ -356,8 +357,8 @@ def canonical_results(rig, rng):
     yield "on_tag", pf.on_tag(pf.K_inv_op, tagged)
     yield "seely_merge", pf.seely_merge(pf.seely_split(p, k))
     yield "extend_arity", pf.extend_arity(p, 5, rng.randint(0, 2))
-    yield "substitute", pf.substitute(p, args)
-    yield "apply_linear", pf.apply_linear(matrix, p)
+    yield from (("substitute", out) for out in pf.substitute((p, q), args))
+    yield from (("apply_linear", out) for out in pf.apply_linear(matrix, (p, q)))
     yield "zero", Polynomial.zero(rig, 3)
     yield "const", Polynomial.const(rig, 3, rig.sample(rng))
     yield "variable", Polynomial.variable(rig, 3, rng.randrange(3))
@@ -394,10 +395,38 @@ def test_cancelling_sums_and_products_drop_zero_coefficients():
         assert_canonical(merged)
         assert merged.terms == {(2, 0): rig.one}
         p = Polynomial(rig, 2, {(1, 1): rig.one, (2, 0): rig.one})
-        image = pf.apply_linear([[rig.one, rig.zero], [rig.zero, rig.one]], p)
+        [image] = pf.apply_linear([[rig.one, rig.zero], [rig.zero, rig.one]], [p])
         assert_canonical(image)
         assert image == p
-        assert pf.apply_linear([[rig.zero, rig.zero]], p).is_zero()
+        assert pf.apply_linear([[rig.zero, rig.zero]], [p])[0].is_zero()
+
+
+def test_a_cancelling_sum_at_every_accumulation_site_leaves_no_zero():
+    """Over `rational`, each summing operator meets a sum that cancels, and its result holds no zero numerator.
+
+    Each result equals the polynomial the validating constructor builds from
+    the plain sums, zeros included.  In the second product xy is hit three
+    times: x*y, then y*(-x) cancels it, then 1*xy inserts it afresh.
+    """
+    x, y, one = Polynomial.variable(Q, 2, 0), Polynomial.variable(Q, 2, 1), Polynomial.one(Q, 2)
+    z = Polynomial.variable(Q, 1, 0)
+    p = random_poly(random.Random(3), Q, 2, 4) + x.scale(Fraction(1, 3))
+    cases = [
+        (p + p.scale(-1), {e: 0 for e in p.terms}),
+        ((x + y.scale(-1)) * (x + y), {(2, 0): 1, (1, 1): 0, (0, 2): -1}),
+        (
+            (x + y + one) * (y + x.scale(-1) + x * y),
+            {(1, 1): 1, (2, 0): -1, (2, 1): 1, (0, 2): 1, (1, 2): 1, (0, 1): 1, (1, 0): -1},
+        ),
+        (pf.mul_in(PolyBundle((y, x.scale(-1)))), {(1, 1): 0}),
+        (pf.substitute([x + y.scale(-1)], (z, z))[0], {(1,): 0}),
+        (pf.eval_at_one(poly(Q, 2, {(1, 1): 1, (0, 1): -1, (3, 0): 2})), {(1,): 0, (0,): 2}),
+    ]
+    for out, plain in cases:
+        assert 0 not in out.num.values(), out.num
+        assert_canonical(out)
+        assert out == Polynomial(Q, out.arity, plain)
+    assert cases[0][0].is_zero() and cases[3][0].is_zero() and cases[4][0].is_zero()
 
 
 def test_integer_coefficients_stay_ints():
@@ -465,7 +494,8 @@ def representation_cases(rig, rng):
     yield "J", pf.J_op(p), weighted(p, lambda e: nat(sum(e) + 1))
     yield "K inverse", pf.K_inv_op(p), weighted(p, lambda e: inv(sum(e)) if sum(e) else one)
     yield "J inverse", pf.J_inv_op(p), weighted(p, lambda e: inv(sum(e) + 1))
-    yield "substitute", pf.substitute(p, args), lambda x: at(rig, p.terms, [value(a)(x) for a in args])
+    for r, out in zip((p, q), pf.substitute((p, q), args)):
+        yield "substitute", out, lambda x, r=r: at(rig, r.terms, [value(a)(x) for a in args])
     yield "on_tag", pf.on_tag(pf.K_inv_op, tagged), weighted(tagged, lambda e: inv(e[0]) if e[0] else one)
     yield "on_tag", pf.on_tag(s_unit, tagged), weighted(
         tagged, lambda e: inv(e[0] + 1), lambda e: (e[0] + 1,) + e[1:]
@@ -543,12 +573,19 @@ def test_substitute_matches_a_naive_term_by_term_product(rig):
         p = random_poly(rng, rig, 3, 6)
         p = p + Polynomial.const(rig, 3, rig.one) + Polynomial.variable(rig, 3, 1)  # exponents 0 in places
         a, b = random_poly(rng, rig, 2, 2), random_poly(rng, rig, 2, 2)
+        q = random_poly(rng, rig, 3, 6)
         for args in ((a, b, a), (a, a, a), (b, Polynomial.zero(rig, 2), a)):
-            out = pf.substitute(p, args)
-            assert_canonical(out)
-            assert out == naive_substitute(p, args)
+            # p, q and p again share one table of the powers of args
+            outs = pf.substitute((p, q, p), args)
+            assert len(outs) == 3
+            for r, out in zip((p, q, p), outs):
+                assert_canonical(out)
+                assert out == naive_substitute(r, args)
     constant = Polynomial(rig, 0, {(): rig.one})
-    assert pf.substitute(constant, ()) == constant
+    assert pf.substitute([constant], ()) == (constant,)
+    assert pf.substitute([], (a, b)) == ()
+    with pytest.raises(ValueError, match="argument count"):
+        pf.substitute((p, Polynomial.variable(rig, 2, 0)), (a, b, a))
 
 
 def test_apply_linear_matches_substitution_of_linear_forms():
@@ -563,7 +600,8 @@ def test_apply_linear_matches_substitution_of_linear_forms():
                 sum((units[i].scale(matrix[i][j]) for i in range(rows)), Polynomial.zero(rig, rows))
                 for j in range(3)
             ]
-            assert pf.apply_linear(matrix, p) == naive_substitute(p, images)
+            q = random_poly(rng, rig, 3, 5)
+            assert pf.apply_linear(matrix, (p, q)) == (naive_substitute(p, images), naive_substitute(q, images))
 
 
 # -- property tests ----------------------------------------------------------
@@ -638,6 +676,27 @@ def test_table_inputs_are_the_randrange_reference_draws():
 def test_an_empty_width_is_refused_promptly():
     """randbelow(0), and random_poly with no variables or a negative degree, raise and do not hang."""
     stream_oracle.check_empty_widths()
+
+
+def test_poly_product_counts_of_the_substituting_laws(monkeypatch):
+    """`Polynomial.__mul__` calls of L1, L4 and L23 at vars 4, degree 8, nonneg-rational, cases 50, seed 0.
+
+    A count, not a timing: one table of powers per substitution point made
+    these 737, 354 and 1,006 products when each call to `substitute` built
+    its own.
+    """
+    calls = Counter()
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        calls[law] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    binding = make_poly_binding(NONNEG_RATIONAL, variables=4, max_degree=8)
+    for law in ("L1", "L4", "L23"):
+        assert lawsuite.run_law(law, binding, 50, 0).status == "pass"
+    assert calls == {"L1": 719, "L4": 324, "L23": 655}
 
 
 def test_poly_suite_work_counts(monkeypatch):

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -63,3 +65,49 @@ def test_report_grid_prints_one_report_per_line_with_its_timings_zeroed(monkeypa
     assert report["total_ms"] == 0
     assert report["laws"] and all(law["ms"] == 0 for law in report["laws"])
     assert tool.report_line("rel", flags) == line
+
+
+def test_interleave_compares_a_tree_with_itself(monkeypatch, capsys):
+    tool = load_tool("interleave", monkeypatch)
+    root = str(TOOLS.parent)
+    argv = [root, root, "--params", "variables=1", "max_degree=2", "--rounds", "3", "--seed", "5"]
+    assert tool.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "poly variables=1 max_degree=2, cases 50, seeds 5-7"
+    assert [line.split()[:2] for line in lines[1:4]] == [["parent", "median"], ["change", "median"], ["ratio", "median"]]
+    assert lines[4].startswith("change faster in ") and lines[4].endswith("/3 pairs")
+    # both copies are their own packages
+    assert tool.load(root, "dctool_parent") is not tool.load(root, "dctool_change")
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["variables"], "parameter 'variables' is not KEY=INT"),
+        (["degree=3"], "poly has no size 'degree'; its sizes are variables, max_degree"),
+        (["variables=0"], "variables must be >= 1"),
+    ],
+)
+def test_interleave_refuses_a_bad_size_as_a_usage_error(monkeypatch, capsys, params, message):
+    tool = load_tool("interleave", monkeypatch)
+    root = str(TOOLS.parent)
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main([root, root, "--params", *params])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(message)
+
+
+def test_interleave_stops_where_the_trees_report_differently(monkeypatch, capsys, tmp_path):
+    tool = load_tool("interleave", monkeypatch)
+    root = TOOLS.parent
+    copy = tmp_path / "src" / "dctool"
+    copy.mkdir(parents=True)
+    for module in (root / "src" / "dctool").glob("*.py"):
+        (copy / module.name).write_text(module.read_text())
+    polyform = copy / "polyform.py"
+    polyform.write_text(polyform.read_text().replace("\nPROBES = 5", "\nPROBES = 4", 1))  # one table input fewer
+    argv = [str(root), str(tmp_path), "--params", "variables=1", "max_degree=2", "--rounds", "1"]
+    assert tool.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("seed 0: the trees report differently, first at ('nonneg-rational', 'L8', 'pass', ")

@@ -569,6 +569,32 @@ def test_composites_sums_and_tensors_have_no_zero_entry(rig):
     assert (cancelled > 0) == rig.has_negatives
 
 
+def test_a_cancelling_sum_in_every_rel_accumulation_leaves_no_zero_entry():
+    """Over `rational`, a column sum, a column composite, a matrix sum and a matrix product each cancel at one
+    entry: none keeps a zero weight, and each equals what the validating constructor builds from its plain sums."""
+    Q = RIGS["rational"]
+    atoms = AtomSpace(XY)
+    f = wr.ColumnOp(Q, atoms, lambda c: {"x": 1, "y": -1} if c == "x" else {"x": -1, "y": 2})
+    g = wr.ColumnOp(Q, atoms, lambda c: {"x": 3, "y": 1} if c == "x" else {"x": 1, "y": 1})
+    # f + g: column x is {x: 4, y: 0}; f;g (g, then f): column y is f(x) + f(y) = {x: 0, y: 1}
+    for op, plain in (
+        (f + g, {("x", "x"): 4, ("y", "x"): 0, ("x", "y"): 0, ("y", "y"): 3}),
+        (wr.col_seq(f, g), {("x", "x"): 2, ("y", "x"): -1, ("x", "y"): 0, ("y", "y"): 1}),
+    ):
+        cols = columns(op)
+        assert all(0 not in col.values() for col in cols.values()), cols
+        assert {(r, c): w for c, col in cols.items() for r, w in col.items()} == WeightedMatrix(Q, atoms, atoms, plain).entries
+    m = f.matrix(atoms)
+    minus = WeightedMatrix(Q, atoms, atoms, {("x", "x"): -1, ("y", "x"): 1, ("y", "y"): 5})
+    for out, plain in (
+        (m + minus, {("x", "x"): 0, ("y", "x"): 0, ("x", "y"): -1, ("y", "y"): 7}),
+        (mat_compose(m, g.matrix(atoms)), {("x", "x"): 2, ("y", "x"): -1, ("x", "y"): 0, ("y", "y"): 1}),
+    ):
+        assert 0 not in out.entries.values(), out.entries
+        expected = WeightedMatrix(Q, atoms, atoms, plain)
+        assert out == expected and out.entries == expected.entries
+
+
 def test_operator_weights_stay_ints():
     base = BaseSet(("a", "b", "c"))
     com = wr.comonoid_rel(base, R, 5)

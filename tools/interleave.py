@@ -1,0 +1,127 @@
+"""Time one exact model's check in two source trees alternately, in one process, and compare them.
+
+    python3 tools/interleave.py PARENT_TREE CHANGE_TREE --model poly \\
+        --params variables=4 max_degree=8 --rounds 20
+
+Each tree's `src/dctool` is imported under its own package name, so both
+copies run in one interpreter and share its warm-up and the host's drift,
+which a comparison of separate processes (`bench/sweep.py`) does not.  One
+check builds the model's binding and runs `run_suite` on it at 50 cases,
+the `dctool check` default, once for each semiring of the model's benchmark
+workload (poly: nonneg-rational and rational; rel: nonneg-rational and
+boolean).  Both trees first run one untimed check.  Round i then times one check of each tree on
+seed `--seed` + i, the parent first in even rounds and the change first in
+odd ones; a round is a pair.  The tool prints each tree's median wall time,
+the median of the per-pair ratios change / parent and the number of pairs
+in which the change was faster.  The two trees must report the same law
+statuses and case counts on every seed; a difference is printed and exits 1.
+A tree without `src/dctool`, an unknown size name or a size the binding
+refuses is a usage error (exit 2).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SEMIRINGS = {"poly": ("nonneg-rational", "rational"), "rel": ("nonneg-rational", "boolean")}
+CASES = 50  # the `dctool check` default
+DEFAULT_PARAMS = {"poly": {"variables": 4, "max_degree": 8}, "rel": {"base_size": 3, "truncation": 6}}
+
+
+class ReportsDiffer(Exception):
+    """The two trees reported different law statuses or case counts on one seed."""
+
+
+def load(tree, name: str):
+    """The package `src/dctool` of the source tree `tree`, imported afresh as `name`."""
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]  # a module of an earlier load under this name
+    init = Path(tree) / "src" / "dctool" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def check(package, model: str, params: dict, seed: int) -> tuple:
+    """Wall time of one check of `model` with `package` at `CASES`, and its (semiring, law, status, cases) reports."""
+    make = getattr(package, f"make_{model}_binding")
+    start = time.perf_counter()
+    reports = [
+        (semiring, r.law_id, r.status, r.cases)
+        for semiring in SEMIRINGS[model]
+        for r in package.run_suite(make(package.RIGS[semiring], **params), cases=CASES, seed=seed)
+    ]
+    return time.perf_counter() - start, reports
+
+
+def interleave(parent, change, model: str, params: dict, rounds: int, seed: int) -> list:
+    """(parent seconds, change seconds) of each round; raises `ReportsDiffer` where the reports differ."""
+    for package in (parent, change):
+        check(package, model, params, seed)
+    pairs = []
+    for i in range(rounds):
+        order = (parent, change) if i % 2 == 0 else (change, parent)
+        (t0, r0), (t1, r1) = (check(package, model, params, seed + i) for package in order)
+        if r0 != r1:
+            diff = next(a for a, b in zip(r0, r1) if a != b) if len(r0) == len(r1) else "report counts"
+            raise ReportsDiffer(f"seed {seed + i}: the trees report differently, first at {diff}")
+        pairs.append((t0, t1) if order[0] is parent else (t1, t0))
+    return pairs
+
+
+def _params(model: str, items) -> dict:
+    """The sizes of `model`: its benchmark workload's, with each KEY=INT of `items` put in."""
+    params = dict(DEFAULT_PARAMS[model])
+    for item in items:
+        key, sep, value = item.partition("=")
+        if not sep or not value.lstrip("-").isdigit():
+            raise ValueError(f"parameter {item!r} is not KEY=INT")
+        if key not in params:
+            raise ValueError(f"{model} has no size {key!r}; its sizes are {', '.join(params)}")
+        params[key] = int(value)
+    return params
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="root of the parent's source tree (holds src/dctool)")
+    parser.add_argument("change", help="root of the changed source tree")
+    parser.add_argument("--model", choices=sorted(SEMIRINGS), default="poly")
+    parser.add_argument("--params", nargs="+", default=[], metavar="KEY=INT",
+                        help="binding sizes, such as variables=4 max_degree=8 (default: the benchmark workload's)")
+    parser.add_argument("--rounds", type=int, default=10, help="timed pairs (default 10)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the first round; round i uses seed + i")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    for tree in (args.parent, args.change):
+        if not (Path(tree) / "src" / "dctool" / "__init__.py").is_file():
+            parser.error(f"{tree} holds no src/dctool package")
+    sys.dont_write_bytecode = True  # leave no bytecode in either tree
+    parent, change = load(args.parent, "dctool_parent"), load(args.change, "dctool_change")
+    try:
+        params = _params(args.model, args.params)
+        pairs = interleave(parent, change, args.model, params, args.rounds, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    except ReportsDiffer as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    shown = " ".join(f"{k}={v}" for k, v in params.items())
+    print(f"{args.model} {shown}, cases {CASES}, seeds {args.seed}-{args.seed + args.rounds - 1}")
+    print(f"parent median {statistics.median(p for p, _ in pairs):.4f} s")
+    print(f"change median {statistics.median(c for _, c in pairs):.4f} s")
+    print(f"ratio  median {statistics.median(c / p for p, c in pairs):.3f} (change / parent)")
+    print(f"change faster in {sum(c < p for p, c in pairs)}/{len(pairs)} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
