@@ -148,6 +148,18 @@ def _make_binding(args) -> lawsuite.ModelBinding:
     return smoothnum.make_smooth_binding(smoothnum.QuadratureConfig(**given), max_dim=args.dim)
 
 
+# a bad flag value, an unwritable output, a malformed expression (exprcalc's errors are ValueErrors),
+# or an operator's weights over a rig such as the naturals
+USAGE_ERRORS = (ValueError, OSError, NotInvertible)
+
+
+def _usage_error(exc: Exception) -> int:
+    """Print the one `dctool:` line of a usage error and return its exit code, 2."""
+    hint = f"; {NOT_INVERTIBLE_HINT}" if isinstance(exc, NotInvertible) else ""
+    print(f"dctool: {exc}{hint}", file=sys.stderr)
+    return 2
+
+
 def run_check(args) -> int:
     try:
         binding = _make_binding(args)
@@ -159,12 +171,8 @@ def run_check(args) -> int:
                 stream.write("\n")
             else:
                 render_text_report(binding, reports, stream)
-    except (ValueError, OSError) as exc:
-        print(f"dctool: {exc}", file=sys.stderr)
-        return 2
-    except NotInvertible as exc:  # an operator's weights over a rig such as the naturals
-        print(f"dctool: {exc}; {NOT_INVERTIBLE_HINT}", file=sys.stderr)
-        return 2
+    except USAGE_ERRORS as exc:
+        return _usage_error(exc)
     return 0 if lawsuite.all_pass(reports) else 1
 
 
@@ -172,10 +180,8 @@ def run_calc(args) -> int:
     from . import exprcalc
     from .polyform import PolyBundle
 
-    rig = RIGS[args.semiring]
     try:
-        ast = exprcalc.parse_expr(args.expr)
-        value = exprcalc.eval_expr(ast, rig, arity=args.vars)
+        value = exprcalc.eval_expr(args.expr, RIGS[args.semiring], arity=args.vars)
         if args.coord is not None:
             coords = value.components if isinstance(value, PolyBundle) else (value,)
             if not 1 <= args.coord <= len(coords):
@@ -183,12 +189,8 @@ def run_calc(args) -> int:
             value = coords[args.coord - 1]
         # ValueError: a number too long for Python's integer-to-text conversion
         text = value.render()
-    except (exprcalc.ParseError, exprcalc.EvalError, exprcalc.NegativeNotSupported, ValueError) as exc:
-        print(f"dctool: {exc}", file=sys.stderr)
-        return 2
-    except NotInvertible as exc:
-        print(f"dctool: {exc}; {NOT_INVERTIBLE_HINT}", file=sys.stderr)
-        return 2
+    except USAGE_ERRORS as exc:
+        return _usage_error(exc)
     print(text)
     return 0
 

@@ -1,9 +1,9 @@
-"""Parser and evaluator for the polynomial calculator expressions.
+"""One-pass evaluator for the polynomial calculator expressions.
 
 Grammar (whitespace insignificant):
 
-    expr     := term (('+' | '-') term)*          one n-ary "sum" node
-    term     := factor ('*' factor)*               one n-ary "product" node
+    expr     := term (('+' | '-') term)*          summed in one loop
+    term     := factor ('*' factor)*               multiplied in one loop
     factor   := atom ('^' nat)?
     atom     := rational | ident | opcall | '(' expr ')'
     opcall   := ('d' | 'int' | 'K' | 'Kinv' | 'J' | 'Jinv') '(' expr ')'
@@ -14,21 +14,30 @@ Variables are the canonical names x, y, z, w; operator names are reserved.
 '-' evaluates only over a semiring with negatives.  `s(e, x)` integrates the
 coordinate bundle that has `e` in the slot of variable x and zero elsewhere.
 
-A chain of '+'/'-' terms or of '*' factors is one node, evaluated by
-iteration, so a long chain costs no recursion; parentheses and operator calls
-nest at most `MAX_NESTING` deep, and deeper input is a ParseError.
+The expression is evaluated as it is read: each grammar method of
+`_Evaluator` returns the value of what it read, and no syntax tree is built.
+The variable count is read from the tokens before the first value.  A chain
+of '+'/'-' terms or of '*' factors is one loop, so a long chain costs no
+recursion; parentheses and operator calls nest at most `MAX_NESTING` deep,
+and deeper input is a ParseError.  A constant n/d is brought to lowest terms
+before the semiring sees it, so `4/2` needs no inverse.
 
 Products and powers share one work budget per expression, `WORK_LIMIT`
 coefficient-word products (powers by repeated squaring), charged before each
 multiplication runs; an expression over budget is an EvalError, so no input
 makes the calculator run for long.
+
+Of several faults, the one reported is an unreadable character first, then
+the variable count, then the first that reading reaches: a '-' without
+negatives at its sign, `int` over several variables at its name, a bundle
+where it is read as an operand, a syntax fault at its token, and the budget
+at the product that exceeds it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from . import polyform as pf
 from .polyform import Polynomial, PolyBundle
@@ -42,7 +51,7 @@ WORK_LIMIT = 100_000  # coefficient-word products per expression
 MAX_NESTING = 100  # parentheses and operator calls, one inside another
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Malformed expression; carries the character position."""
 
     def __init__(self, message: str, pos: int):
@@ -50,22 +59,10 @@ class ParseError(Exception):
         self.pos = pos
 
 
-class NegativeNotSupported(Exception):
-    """'-' used while evaluating over a semiring without negatives."""
-
-
-class EvalError(Exception):
-    """Structurally valid expression that has no value (for example, a
-    coordinate bundle fed into another operator)."""
-
-
-# -- AST --------------------------------------------------------------------
-
-
-class Node(NamedTuple):
-    kind: str  # const | var | sum | product | pow | op | s
-    # a sum's payload holds (negated, term) pairs, a product's its factors
-    payload: tuple
+class EvalError(ValueError):
+    """Well-formed expression without a value over the chosen semiring and
+    variable count: '-' without negatives, a coordinate bundle fed into
+    another operator, or a product over the work budget."""
 
 
 def _tokenize(source: str):
@@ -100,11 +97,18 @@ def _tokenize(source: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.depth = 0
+def _size(p: Polynomial) -> int:
+    """Terms plus 64-bit words of the coefficients in lowest terms, read from `num` and `den`."""
+    den = p.den
+    return sum(1 + ((n // (g := gcd(n, den))).bit_length() + (den // g).bit_length()) // 64 for n in p.num.values())
+
+
+class _Evaluator:
+    """Recursive descent over the tokens of one expression; each grammar method returns the value it read."""
+
+    def __init__(self, tokens: list, rig: Rig, arity: int):
+        self.tokens, self.pos, self.depth = tokens, 0, 0
+        self.rig, self.arity, self.budget = rig, arity, WORK_LIMIT
 
     def peek(self):
         return self.tokens[self.pos]
@@ -120,194 +124,125 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse(self) -> Node:
-        node = self.expr()
+    @staticmethod
+    def operand(value) -> Polynomial:
+        if isinstance(value, PolyBundle):
+            raise EvalError("a coordinate bundle cannot feed another operator")
+        return value
+
+    def product(self, p: Polynomial, q: Polynomial) -> Polynomial:
+        self.budget -= _size(p) * _size(q)
+        if self.budget < 0:
+            raise EvalError(f"the expression needs more than {WORK_LIMIT} coefficient products; make it smaller")
+        return p * q
+
+    def evaluate(self):
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input starting at {tok[1]!r}", tok[2])
-        return node
+        return value
 
-    def expr(self) -> Node:
-        terms = [(False, self.term())]
-        while self.peek()[0] in ("+", "-"):
-            terms.append((self.advance()[0] == "-", self.term()))
-        return terms[0][1] if len(terms) == 1 else Node("sum", tuple(terms))
+    def expr(self):
+        value = self.term()
+        while (sign := self.peek()[0]) in ("+", "-"):
+            self.advance()
+            if sign == "-" and not self.rig.has_negatives:
+                raise EvalError(f"'-' is not available over {self.rig.name}; use the rational field")
+            acc, p = self.operand(value), self.operand(self.term())
+            value = acc + (p.scale(self.rig.neg(self.rig.one)) if sign == "-" else p)
+        return value
 
-    def term(self) -> Node:
-        factors = [self.factor()]
+    def term(self):
+        value = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else Node("product", tuple(factors))
+            value = self.product(self.operand(value), self.operand(self.factor()))
+        return value
 
-    def nested(self, tok) -> Node:
-        """The expression inside the parenthesis or operator call opened at tok."""
+    def factor(self):
+        value = self.atom()
+        if self.peek()[0] != "^":
+            return value
+        self.advance()
+        p, n = self.operand(value), self.expect("nat")[1]
+        acc = Polynomial.one(self.rig, self.arity)
+        while n:
+            if n & 1:
+                acc = self.product(acc, p)
+            n >>= 1
+            if n:
+                p = self.product(p, p)
+        return acc
+
+    def nested(self, tok):
+        """The value inside the parenthesis or operator call opened at tok."""
         if self.depth == MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
         self.depth += 1
-        node = self.expr()
+        value = self.expr()
         self.depth -= 1
-        return node
+        return value
 
-    def factor(self) -> Node:
-        node = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("nat")
-            node = Node("pow", (node, tok[1]))
-        return node
-
-    def atom(self) -> Node:
+    def atom(self):
         tok = self.advance()
+        rig, arity = self.rig, self.arity
         if tok[0] == "nat":
-            num = tok[1]
+            q = Fraction(tok[1])
             if self.peek()[0] == "/":
                 self.advance()
                 den_tok = self.expect("nat")
                 if den_tok[1] == 0:
                     raise ParseError("zero denominator", den_tok[2])
-                return Node("const", (Fraction(num, den_tok[1]),))
-            return Node("const", (Fraction(num),))
+                q = Fraction(tok[1], den_tok[1])
+            # the rig's own image of n/d, in lowest terms
+            c = rig.nat_value(q.numerator)
+            if q.denominator > 1:
+                c = rig.mul(c, rig.nat_inverse(q.denominator))
+            return Polynomial.const(rig, arity, c)
         if tok[0] == "(":
-            node = self.nested(tok)
+            value = self.nested(tok)
             self.expect(")")
-            return node
-        if tok[0] == "name":
-            name = tok[1]
-            if name in OP_NAMES:
-                arg = self.nested(self.expect("("))
-                if name == "s":
-                    self.expect(",")
-                    var_tok = self.expect("name")
-                    if var_tok[1] not in VAR_NAMES:
-                        raise ParseError(f"unknown variable {var_tok[1]!r}", var_tok[2])
-                    self.expect(")")
-                    return Node("s", (arg, var_tok[1]))
-                self.expect(")")
-                return Node("op", (name, arg))
-            if name in VAR_NAMES:
-                return Node("var", (name,))
+            return value
+        name = tok[1]
+        if tok[0] != "name":
+            raise ParseError(f"unexpected token {name!r}", tok[2])
+        if name in VAR_NAMES:
+            return Polynomial.variable(rig, arity, VAR_NAMES.index(name))
+        if name not in OP_NAMES:
             raise ParseError(f"unknown identifier {name!r}", tok[2])
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+        if name == "int" and arity != 1:
+            raise EvalError("int needs a one-variable expression")
+        p = self.operand(self.nested(self.expect("(")))
+        slot = 0  # int(e) is s(e, x) over one variable
+        if name == "s":
+            self.expect(",")
+            var_tok = self.expect("name")
+            if var_tok[1] not in VAR_NAMES:
+                raise ParseError(f"unknown variable {var_tok[1]!r}", var_tok[2])
+            slot = VAR_NAMES.index(var_tok[1])
+        self.expect(")")
+        if name == "d":
+            b = pf.grad(p)
+            return b.components[0] if arity == 1 else b
+        if name in ("s", "int"):
+            comps = [Polynomial.zero(rig, arity) for _ in range(arity)]
+            comps[slot] = p
+            return pf.s_op(PolyBundle(tuple(comps)))
+        return SCALINGS[name](p)
 
 
-def parse_expr(source: str) -> Node:
-    """Parse a calculator expression into its AST."""
-    return _Parser(source).parse()
-
-
-# -- evaluation -------------------------------------------------------------
-
-
-def _variables(node: Node) -> set:
-    """The variable names the expression mentions."""
-    seen, todo = set(), [node]
-    while todo:
-        node = todo.pop()
-        if node.kind in ("var", "s"):
-            seen.add(node.payload[-1])
-        # a sum's payload holds (negated, term) pairs
-        items = (term for _, term in node.payload) if node.kind == "sum" else node.payload
-        todo.extend(item for item in items if isinstance(item, Node))
-    return seen
-
-
-def infer_arity(node: Node) -> int:
-    """Smallest canonical variable prefix covering the expression; at least 1."""
-    indices = [VAR_NAMES.index(v) for v in _variables(node)]
-    return max(indices, default=0) + 1
-
-
-def _size(p: Polynomial) -> int:
-    """Terms plus 64-bit words of the coefficients in lowest terms, read from `num` and `den`."""
-    den = p.den
-    return sum(1 + ((n // (g := gcd(n, den))).bit_length() + (den // g).bit_length()) // 64 for n in p.num.values())
-
-
-def eval_expr(ast: Node, semiring: Rig, arity: int | None = None):
-    """Evaluate to a Polynomial, or a PolyBundle when the outermost operator is
-    `d` on a multivariate expression."""
-    needed = infer_arity(ast)
+def eval_expr(source: str, semiring: Rig, arity: int | None = None):
+    """Evaluate the expression `source` to a Polynomial, or a PolyBundle when
+    the outermost operator is `d` on a multivariate expression.  Without
+    `arity`, the variables are the smallest canonical prefix covering those
+    the expression names, at least one."""
+    tokens = _tokenize(source)
+    needed = 1 + max((VAR_NAMES.index(t[1]) for t in tokens if t[0] == "name" and t[1] in VAR_NAMES), default=0)
     if arity is None:
         arity = needed
     elif arity < 1:
         raise EvalError(f"the variable count must be at least 1, not {arity}")
     elif needed > arity:
         raise EvalError(f"variable {VAR_NAMES[needed - 1]!r} does not fit in {arity} variable(s)")
-
-    budget = WORK_LIMIT
-
-    def product(p: Polynomial, q: Polynomial) -> Polynomial:
-        nonlocal budget
-        budget -= _size(p) * _size(q)
-        if budget < 0:
-            raise EvalError(f"the expression needs more than {WORK_LIMIT} coefficient products; make it smaller")
-        return p * q
-
-    def power(p: Polynomial, n: int) -> Polynomial:
-        acc = Polynomial.one(semiring, arity)
-        while n:
-            if n & 1:
-                acc = product(acc, p)
-            n >>= 1
-            if n:
-                p = product(p, p)
-        return acc
-
-    def as_poly(node: Node) -> Polynomial:
-        value = evaluate(node)
-        if isinstance(value, PolyBundle):
-            raise EvalError("a coordinate bundle cannot feed another operator")
-        return value
-
-    def evaluate(node: Node):
-        kind = node.kind
-        if kind == "const":
-            (q,) = node.payload
-            # the rig's own image of n/d
-            c = semiring.nat_value(q.numerator)
-            if q.denominator > 1:
-                c = semiring.mul(c, semiring.nat_inverse(q.denominator))
-            return Polynomial.const(semiring, arity, c)
-        if kind == "var":
-            return Polynomial.variable(semiring, arity, VAR_NAMES.index(node.payload[0]))
-        if kind == "sum":
-            if not semiring.has_negatives and any(negated for negated, _ in node.payload):
-                raise NegativeNotSupported(
-                    f"'-' is not available over {semiring.name}; use the rational field"
-                )
-            (_, acc), *rest = node.payload  # the first term is never negated
-            acc = as_poly(acc)
-            for negated, term in rest:
-                p = as_poly(term)
-                acc = acc + (p.scale(semiring.neg(semiring.one)) if negated else p)
-            return acc
-        if kind == "product":
-            acc, *rest = node.payload
-            acc = as_poly(acc)
-            for factor in rest:
-                acc = product(acc, as_poly(factor))
-            return acc
-        if kind == "pow":
-            return power(as_poly(node.payload[0]), node.payload[1])
-        if kind == "s":
-            arg, var = node.payload
-            p = as_poly(arg)
-            i = VAR_NAMES.index(var)
-            comps = [Polynomial.zero(semiring, arity) for _ in range(arity)]
-            comps[i] = p
-            return pf.s_op(PolyBundle(tuple(comps)))
-        if kind == "op":
-            name, arg_node = node.payload
-            p = as_poly(arg_node)
-            if name == "d":
-                b = pf.grad(p)
-                return b.components[0] if arity == 1 else b
-            if name == "int":
-                if arity != 1:
-                    raise EvalError("int needs a one-variable expression")
-                return pf.s_op(PolyBundle((p,)))
-            return SCALINGS[name](p)
-        raise EvalError(f"unknown node kind {kind!r}")
-
-    return evaluate(ast)
+    return _Evaluator(tokens, semiring, arity).evaluate()

@@ -336,6 +336,38 @@ def test_calculator_parse_and_eval_errors(capsys):
     assert "bundle" in capsys.readouterr().err
 
 
+def test_calculator_constants_reach_the_rig_in_lowest_terms(monkeypatch, capsys):
+    # over the naturals only 1 has an inverse: 4/2 and 0/5 need none once reduced, 1/2 needs one
+    monkeypatch.setitem(RIGS, "nonneg-rational", NaturalRig())
+    for expr, value in (("4/2", "2"), ("0/5", "0")):
+        assert cli.main(["poly", "--expr", expr]) == 0
+        assert capsys.readouterr().out == value + "\n"
+    assert cli.main(["poly", "--expr", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dctool: 2 (as a sum of ones) is not invertible in nonneg-rational; {cli.NOT_INVERTIBLE_HINT}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the '-' is read before the unfinished parenthesis
+        (["--expr", "x - ("], "'-' is not available over nonneg-rational; use the rational field"),
+        # the bundle meets K before the unfinished parenthesis is read
+        (["--expr", "K(d(x*y)) + ("], "a coordinate bundle cannot feed another operator"),
+        # the variable count is checked before any token is read
+        (["--expr", "w + (", "--vars", "2"], "variable 'w' does not fit in 2 variable(s)"),
+        # an unreadable character comes before the variable count
+        (["--expr", "w + $", "--vars", "2"], "unexpected character '$' (at position 4)"),
+    ],
+    ids=["minus-then-syntax", "bundle-then-syntax", "count-then-syntax", "character-then-count"],
+)
+def test_calculator_reports_the_first_of_two_faults(argv, message, capsys):
+    assert cli.main(["poly", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"dctool: {message}\n"
+
+
 def test_list_laws(capsys):
     assert cli.main(["list-laws"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]

@@ -472,7 +472,7 @@ def test_a_failing_poly_naturality_report_replays_from_its_text(monkeypatch):
     assert list(fields) == ["p", "matrix", "lhs", "rhs"]
     assert fields["p"] == "5/2*x^2*y^2*z + 7/4*x*y*z + 10/3"
     assert fields["matrix"] == "[[1, 0, 3], [1, 3, 1], [1, 3, 2]]"
-    p = exprcalc.eval_expr(exprcalc.parse_expr(fields["p"]), NONNEG_RATIONAL, arity=3)
+    p = exprcalc.eval_expr(fields["p"], NONNEG_RATIONAL, arity=3)
     name, make, _ = POLY_MUTANTS["apply-linear-entry-0-0-doubled"]
     monkeypatch.setattr(pf, name, make(getattr(pf, name)))
     assert pf.grad(pf.apply_linear(ast.literal_eval(fields["matrix"]), [p])[0]).render() == fields["lhs"]

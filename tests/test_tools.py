@@ -67,6 +67,17 @@ def test_report_grid_prints_one_report_per_line_with_its_timings_zeroed(monkeypa
     assert tool.report_line("rel", flags) == line
 
 
+def test_report_grid_prints_one_calculator_run_per_line(monkeypatch):
+    tool = load_tool("report_grid", monkeypatch)
+    assert len(tool.GRIDS["calc"]) == 3 * len(tool.CALC_INPUTS)
+    assert tool.calc_line(["--expr", "d(x^2*y)", "--semiring", "boolean"]) == "--expr 'd(x^2*y)' --semiring boolean | 0 | [x*y, x^2] | "
+    assert tool.calc_line(["--expr", "x - y"]) == (
+        "--expr 'x - y' | 2 |  | dctool: '-' is not available over nonneg-rational; use the rational field"
+    )
+    long_chain = "+".join(["x"] * 100)
+    assert tool.calc_line(["--expr", long_chain]) == "--expr 'x+x+x+x+x+x+x+x+x+x+x+x+x+x+x+... (199 characters)' | 0 | 100*x | "
+
+
 def test_interleave_compares_a_tree_with_itself(monkeypatch, capsys):
     tool = load_tool("interleave", monkeypatch)
     root = str(TOOLS.parent)
