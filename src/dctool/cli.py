@@ -187,11 +187,9 @@ def run_calc(args) -> int:
             if not 1 <= args.coord <= len(coords):
                 raise ValueError(f"--coord must be between 1 and {len(coords)}")
             value = coords[args.coord - 1]
-        # ValueError: a number too long for Python's integer-to-text conversion
-        text = value.render()
     except USAGE_ERRORS as exc:
         return _usage_error(exc)
-    print(text)
+    print(value.render())
     return 0
 
 

@@ -27,11 +27,18 @@ coefficient-word products (powers by repeated squaring), charged before each
 multiplication runs; an expression over budget is an EvalError, so no input
 makes the calculator run for long.
 
-Of several faults, the one reported is an unreadable character first, then
-the variable count, then the first that reading reaches: a '-' without
-negatives at its sign, `int` over several variables at its name, a bundle
-where it is read as an operand, a syntax fault at its token, and the budget
-at the product that exceeds it.
+A number is a run of ASCII digits, at most `MAX_DIGITS` long, and a result
+coefficient has at most `MAX_DIGITS` digits in its numerator and in its
+denominator, as has a result exponent: the calculator refuses a longer one
+itself, the same on every interpreter, before Python's own limit of
+integer-to-text conversion would.
+
+Of several faults, the one reported is an unreadable character or an
+overlong number first, then the variable count, then the first that reading
+reaches: a '-' without negatives at its sign, `int` over several variables
+at its name, a bundle where it is read as an operand, a syntax fault at its
+token, and the budget at the product that exceeds it; an overlong result
+coefficient, then exponent, is reported last.
 """
 
 from __future__ import annotations
@@ -49,6 +56,10 @@ SCALINGS = {"K": pf.K_op, "Kinv": pf.K_inv_op, "J": pf.J_op, "Jinv": pf.J_inv_op
 VAR_NAMES = pf.DEFAULT_NAMES
 WORK_LIMIT = 100_000  # coefficient-word products per expression
 MAX_NESTING = 100  # parentheses and operator calls, one inside another
+# the longest number read or printed, CPython's default limit of int/str conversion, checked here so
+# that every interpreter answers alike; a number has more digits exactly when it is at least TOO_LONG
+MAX_DIGITS = 4300
+TOO_LONG = 10**MAX_DIGITS
 
 
 class ParseError(ValueError):
@@ -62,7 +73,8 @@ class ParseError(ValueError):
 class EvalError(ValueError):
     """Well-formed expression without a value over the chosen semiring and
     variable count: '-' without negatives, a coordinate bundle fed into
-    another operator, or a product over the work budget."""
+    another operator, a product over the work budget, or a result coefficient
+    or exponent too long to print."""
 
 
 def _tokenize(source: str):
@@ -74,10 +86,12 @@ def _tokenize(source: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"a number longer than {MAX_DIGITS} digits", i)
             tokens.append(("nat", int(source[i:j]), i))
             i = j
             continue
@@ -245,4 +259,10 @@ def eval_expr(source: str, semiring: Rig, arity: int | None = None):
         raise EvalError(f"the variable count must be at least 1, not {arity}")
     elif needed > arity:
         raise EvalError(f"variable {VAR_NAMES[needed - 1]!r} does not fit in {arity} variable(s)")
-    return _Evaluator(tokens, semiring, arity).evaluate()
+    value = _Evaluator(tokens, semiring, arity).evaluate()
+    for p in getattr(value, "components", (value,)):
+        if any(max(abs(c.numerator), c.denominator) >= TOO_LONG for c in p.terms.values()):
+            raise EvalError(f"a coefficient of the result has more than {MAX_DIGITS} digits")
+        if any(e >= TOO_LONG for exps in p.num for e in exps):
+            raise EvalError(f"an exponent of the result has more than {MAX_DIGITS} digits")
+    return value

@@ -1,13 +1,14 @@
 """The closed table of operator laws and the model-generic suite runner.
 
-Each law is a pair of operator composites; a model binding supplies one
-deterministic check per law it supports (and a skip reason for laws it
-deliberately does not).  A check is a callable `(rng, cases)` that yields, for
+Each law is a pair of operator composites, and a model binding answers every
+law: by a deterministic check of its own, by the law's row of the table (the
+binding's `equations`), or by a skip reason for a law it deliberately does
+not check.  A check is a callable `(rng, cases)` that yields, for
 each case it checks in turn, the case's rendered counterexample or None when
 the case holds.  `run_law` is the only reader of these results: it stops at
 the first counterexample, and a law's `cases` counts the cases read up to and
 including it.  A check that yields no case fails.  The runner always runs
-every law in the binding so one failure never hides another: an exception
+every law of the table, so one failure never hides another: an exception
 raised inside a check fails that law with `cases` 0 and the exception as its
 counterexample.
 
@@ -58,7 +59,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class UnboundOperator(Exception):
-    """A binding claims a law it has no check for."""
+    """A binding answers a law by nothing: no check, no table row and no skip."""
 
 
 class Operators(NamedTuple):
@@ -229,8 +230,10 @@ def repeat_case(rng, cases, one_case):
 class ModelBinding(NamedTuple):
     """Everything the runner needs: per-law checks, skips, and metadata.
 
-    Each check is a `LawCheck`: `check(rng, cases)` yields one rendered
-    counterexample, or None, per case it checks, and builds each case only
+    A binding answers every law of `LAWS`: by its skip if it has one, else by
+    its check, else by its table row through `equations`.  Each check is a
+    `LawCheck`: `check(rng, cases)` yields one rendered counterexample, or
+    None, per case it checks, and builds each case only
     when the runner reads it, so the runner can stop at the first
     counterexample.  The `cases` argument asks for a run size; each model
     spreads it over its inputs in its own way, and the report counts the
@@ -250,11 +253,6 @@ class ModelBinding(NamedTuple):
     skips: Mapping[str, str] = MappingProxyType({})
     params: Mapping[str, object] = MappingProxyType({})
     equations: Callable[..., Iterable[str | None]] | None = None
-
-    @property
-    def mask(self):
-        table = {law.id for law in LAWS if law.equations} if self.equations else set()
-        return set(self.checks) | set(self.skips) | table
 
 
 class LawReport(NamedTuple):
@@ -310,9 +308,8 @@ def run_law(law_id: str, binding: ModelBinding, cases: int, seed: int) -> LawRep
 
 
 def run_suite(binding: ModelBinding, cases: int = 50, seed: int = 0) -> list[LawReport]:
-    """Run every law in the binding's mask, in table order."""
-    mask = binding.mask
-    return [run_law(law.id, binding, cases, seed) for law in LAWS if law.id in mask]
+    """Run every row of `LAWS`, in table order; a law the binding answers by nothing raises `UnboundOperator`."""
+    return [run_law(law.id, binding, cases, seed) for law in LAWS]
 
 
 def all_pass(reports) -> bool:

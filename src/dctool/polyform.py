@@ -31,11 +31,11 @@ inverse `nat_inverse(k)` are never zero (the rig properties behind this are
 listed in `rig.Rig`), so a zero arises only in a sum over a rig with
 `has_negatives`, or in a scalar from outside (`scale(c)`, `const(c)`) or a
 draw (`random_poly`), which is tested where it enters.  So a zero is tested
-only where one can appear: `+`, `*`, `substitute`, `mul_in` and
-`eval_at_one` follow the zero rule of `rig.accumulate`, inlined in their
-loops: a sum is tested only where two values land on one monomial, over a
-rig with `has_negatives`, and a cancelled monomial is deleted (and inserted
-afresh if a later value lands on it).
+only where one can appear: `+` and `eval_at_one` sum through
+`rig.accumulate`, and `*`, `substitute` and `mul_in` follow its zero rule
+inlined in their loops: a sum is tested only where two values land on one
+monomial, over a rig with `has_negatives`, and a cancelled monomial is
+deleted (and inserted afresh if a later value lands on it).
 
 `substitute` and `apply_linear` take a sequence of polynomials and return a
 tuple: every polynomial substituted at one argument tuple shares one table
@@ -175,14 +175,6 @@ class Polynomial:
         if d1 == d2:
             return a == b
         return a.keys() == b.keys() and all(n * d2 == b[e] * d1 for e, n in a.items())
-
-    def __hash__(self):
-        raise TypeError("Polynomial is not hashable")
-
-    # -- queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     # -- rendering ----------------------------------------------------------
 
@@ -390,17 +382,8 @@ def t_grade(p: Polynomial) -> Polynomial:
 
 def eval_at_one(q: Polynomial) -> Polynomial:
     """Forget the tag of a tagged polynomial: substitute t := 1."""
-    rig, terms = q.rig, {}
-    plus, is_zero = rig.add, rig.is_zero if rig.has_negatives else None
-    for exps, v in q.num.items():
-        e = exps[1:]
-        if e in terms:  # the zero rule of `rig.accumulate`
-            v = plus(terms[e], v)
-            if is_zero is not None and is_zero(v):
-                del terms[e]
-                continue
-        terms[e] = v
-    return _canonical(rig, q.arity - 1, terms, q.den)
+    terms = accumulate(q.rig, {}, ((e[1:], v) for e, v in q.num.items()))
+    return _canonical(q.rig, q.arity - 1, terms, q.den)
 
 
 def on_tag(fn, q: Polynomial) -> Polynomial:
@@ -464,14 +447,11 @@ def seely_split(p: Polynomial, left_vars: int) -> SplitTensor:
 def seely_merge(t: SplitTensor) -> Polynomial:
     """Two-sided inverse of seely_split: concatenate exponent vectors.
 
-    A `SplitTensor` may be built by hand, so the result is validated.
+    A `SplitTensor` may be built by hand, so the result is validated, and
+    the zeros it may hold, which `rig.accumulate` passes through, are dropped.
     """
-    rig = t.rig
-    terms = {}
-    for (le, re), c in t.terms.items():
-        e = tuple(le) + tuple(re)
-        terms[e] = rig.add(terms[e], c) if e in terms else c
-    return Polynomial(rig, t.left_arity + t.right_arity, terms)
+    terms = accumulate(t.rig, {}, ((tuple(le) + tuple(re), c) for (le, re), c in t.terms.items()))
+    return Polynomial(t.rig, t.left_arity + t.right_arity, terms)
 
 
 # -- polynomial maps --------------------------------------------------------

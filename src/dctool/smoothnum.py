@@ -15,7 +15,9 @@ therefore be complex-analytic (see `SmoothMap`).
 Maps evaluate a batch of points per call: a batch has shape (n, k), one point
 per column, and its values have shape (m, k).  Each quadrature and each
 complex step is therefore one call of the map under test, and a family map
-serves in one call maps that own different columns of a batch.
+serves in one call maps that own different columns of a batch.  A field, such
+as the derivative D[f] that the line integral takes, is a `SmoothMap` of two
+arguments, a point and a direction (`BilinearizedMap`), called the same way.
 
 The model's law binding, `make_smooth_binding`, lives here too, so that numpy
 is imported only by runs of the numerical model.
@@ -105,8 +107,9 @@ class SmoothMap:
 
     Called on a point of shape (n,) it returns shape (m,); called on a batch
     of shape (n, k), one point per column, it makes one call of `fn` and
-    returns shape (m, k).  `fn` and `exact_derivative` must therefore work
-    column-wise: index coordinates as `x[i]` and reduce over axis 0.  A
+    returns shape (m, k).  A field (`BilinearizedMap`) is called on a point
+    and a direction, `fn(x, v)`.  `fn` and `exact_derivative` must therefore
+    work column-wise: index coordinates as `x[i]` and reduce over axis 0.  A
     constant output broadcasts over the batch, and a nested batch (n, *batch)
     is flattened into k.  Points and directions passed together share one
     shape.
@@ -126,23 +129,16 @@ class SmoothMap:
         self.in_dim, self.out_dim, self.fn, self.label = in_dim, out_dim, fn, label
         self.exact_derivative = exact_derivative
 
-    def __call__(self, x) -> np.ndarray:
-        return _evaluate(self.fn, self.out_dim, self.label, x)
+    def __call__(self, *args) -> np.ndarray:
+        return _evaluate(self.fn, self.out_dim, self.label, *args)
 
 
-class BilinearizedMap:
-    """A smooth map R^n x R^n -> R^m that is linear in its second argument.
+class BilinearizedMap(SmoothMap):
+    """A field: a smooth map of two arguments, R^n x R^n -> R^m, linear in the second.
 
-    Takes points and directions in the batch convention of `SmoothMap`.
+    Called on a point and a direction of one shape, in the batch convention of
+    `SmoothMap`.
     """
-
-    __slots__ = ("in_dim", "out_dim", "fn", "label")
-
-    def __init__(self, in_dim: int, out_dim: int, fn, label: str):
-        self.in_dim, self.out_dim, self.fn, self.label = in_dim, out_dim, fn, label
-
-    def __call__(self, x, y) -> np.ndarray:
-        return _evaluate(self.fn, self.out_dim, self.label, x, y)
 
 
 def family(maps: list[SmoothMap]) -> SmoothMap:
@@ -174,7 +170,7 @@ def family(maps: list[SmoothMap]) -> SmoothMap:
 
     exact = None
     if all(f.exact_derivative for f in maps):
-        exact = joined(lambda f, x, v: _evaluate(f.exact_derivative, f.out_dim, f"{f.label} exact derivative", x, v))
+        exact = joined(directional_derivative)
     return SmoothMap(maps[0].in_dim, maps[0].out_dim, joined(lambda f, x: f(x)), "family", exact)
 
 
@@ -415,11 +411,6 @@ def _check(rng, cases, items, decide, directions=False):
         yield from decided[id(b)][r * b.k : (r + 1) * b.k]
 
 
-def _verdicts(label, b, bad, lhs, rhs):
-    """Per column j of batch b: the counterexample where bad[j] holds, else None."""
-    return [_fail(label, b, j, lhs, rhs) if wrong else None for j, wrong in enumerate(bad)]
-
-
 def _fail(label, b, j, lhs, rhs):
     maps = b.owners[j]
     return (
@@ -447,7 +438,8 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
 
     def close(label, b, lhs, rhs):
         """Per column of batch b: None when lhs and rhs agree to the configured tolerances, else the counterexample."""
-        return _verdicts(label, b, ~rel_close(lhs, rhs, cfg.tol_rel, cfg.tol_abs), lhs, rhs)
+        agree = rel_close(lhs, rhs, cfg.tol_rel, cfg.tol_abs)
+        return [None if ok else _fail(label, b, j, lhs, rhs) for j, ok in enumerate(agree)]
 
     def derivative(f, b, V=None):
         return directional_derivative(f, b.X, b.V if V is None else V)

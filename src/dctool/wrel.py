@@ -106,10 +106,6 @@ def bag(*atoms) -> Bag:
     return tuple(sorted(atoms))
 
 
-def bag_add(b: Bag, x) -> Bag:
-    return tuple(sorted(b + (x,)))
-
-
 def bag_remove(b: Bag, x) -> Bag:
     out = list(b)
     out.remove(x)
@@ -469,12 +465,12 @@ def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
     op = functools.partial(ColumnOp, rig, memo=True)  # a memoized operator: op(col_space, column)
 
     d = op(bags, lambda b: {(bag_remove(b, x), x): rig.nat_value(bag_count(b, x)) for x in set(b)})
-    dc = op(pairs, lambda c: {bag_add(*c): one})
+    dc = op(pairs, lambda c: {bag(*c[0], c[1]): one})
     bang0 = op(bags, lambda b: {} if b else {b: one})
-    id_bags = ColumnOp(rig, bags, lambda b: {b: one})
+    id_bags = relabel(rig, bags, lambda b: b)
     dcd = col_seq(dc, d)
     return Operators(
-        d, dc, op(pairs, lambda c: {bag_add(*c): inv[len(c[0]) + 1]}), bang0,
+        d, dc, op(pairs, lambda c: {bag(*c[0], c[1]): inv[len(c[0]) + 1]}), bang0,
         op(bags, (dcd + bang0).column), op(bags, (dcd + id_bags).column),
         op(bags, lambda b: {b: inv[len(b)]}), op(bags, lambda b: {b: inv[len(b) + 1]}),
         id=id_bags, gate=op(bags, lambda b: {((UNIT_POINT,) * len(b), b): one}),

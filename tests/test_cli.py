@@ -368,6 +368,52 @@ def test_calculator_reports_the_first_of_two_faults(argv, message, capsys):
     assert captured.out == "" and captured.err == f"dctool: {message}\n"
 
 
+NINES = "9" * 4300  # the largest number of at most 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--expr", "1" * 4301], "a number longer than 4300 digits (at position 0)"),
+        (["--expr", "x + 1/" + "3" * 4301], "a number longer than 4300 digits (at position 6)"),
+        # the number is read with the characters, before the variable count
+        (["--expr", "w + " + "1" * 5000, "--vars", "2"], "a number longer than 4300 digits (at position 4)"),
+        (["--expr", "10^4300"], "a coefficient of the result has more than 4300 digits"),
+        (["--expr", "2^16000", "--semiring", "rational"], "a coefficient of the result has more than 4300 digits"),
+        # 1/2^14300: the denominator has 4305 digits
+        (["--expr", "(1/2*x)^14300"], "a coefficient of the result has more than 4300 digits"),
+        # exponents of 4,301 and 8,600 digits, each under the work budget
+        (["--expr", f"x^{NINES}*x^{NINES}"], "an exponent of the result has more than 4300 digits"),
+        (["--expr", f"(x^{NINES})^{NINES}"], "an exponent of the result has more than 4300 digits"),
+        (["--expr", "\u00b2"], "unexpected character '\u00b2' (at position 0)"),
+        (["--expr", "x*\u0663"], "unexpected character '\u0663' (at position 2)"),
+    ],
+    ids=["literal", "denominator-literal", "literal-then-count", "result", "result-rational", "result-den",
+         "result-exponent", "result-power-exponent", "superscript-two", "arabic-indic-three"],
+)
+def test_calculator_refuses_a_number_past_the_digit_cap_or_not_in_ascii_digits(argv, message, capsys):
+    """The calculator checks its numbers itself: the same refusal whatever the interpreter's own limit."""
+    default = sys.get_int_max_str_digits()
+    for limit in (default, 0):  # 0: the interpreter converts a number of any length
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert cli.main(["poly", *argv]) == 2
+        finally:
+            sys.set_int_max_str_digits(default)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"dctool: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [("1" * 4300, 10**4300 // 9), ("10^4299", 10**4299), ("2^14000", 2**14000), (f"x^{NINES}", f"x^{NINES}")],
+)
+def test_calculator_prints_a_number_at_the_digit_cap(expr, value, capsys):
+    """4,300 digits, the cap, in a coefficient or an exponent, and the 4,215 of 2^14000 print."""
+    assert cli.main(["poly", "--expr", expr]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+
+
 def test_list_laws(capsys):
     assert cli.main(["list-laws"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]

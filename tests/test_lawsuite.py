@@ -1,4 +1,4 @@
-"""Suite runner: table closure, determinism, masks, and the negative control."""
+"""Suite runner: table closure, determinism, whole-table coverage, and the negative control."""
 
 import ast
 from collections import Counter
@@ -26,16 +26,14 @@ def test_law_table_is_closed_and_annotated():
     assert set(ls.LAW_BY_ID) == {law.id for law in ls.LAWS}
 
 
-def test_masks_cover_the_table():
+def test_every_real_binding_reports_all_laws_in_table_order():
     poly = make_poly_binding(NONNEG_RATIONAL)
     rel = make_rel_binding(NONNEG_RATIONAL)
     rel_bool = make_rel_binding(BOOLEAN)
     smooth = make_smooth_binding()
-    all_ids = {law.id for law in ls.LAWS}
-    assert poly.mask == all_ids
-    assert rel.mask == all_ids
-    assert rel_bool.mask == all_ids
-    assert smooth.mask == all_ids
+    for binding in (poly, rel, rel_bool, smooth):
+        reports = ls.run_suite(binding, cases=5, seed=0)
+        assert [r.law_id for r in reports] == [law.id for law in ls.LAWS], (binding.name, binding.semiring)
     assert set(poly.skips) == {"L24"}
     assert set(rel.skips) == {"L4", "L24"}
     assert set(rel_bool.skips) == {"L4"}
@@ -127,7 +125,7 @@ def _s_without_row_a(o, rig):
 
 def _s_over_n_plus_one(o, rig):
     """s weighted by 1/(n + 1), n the size of the bag it reaches."""
-    return wrel.ColumnOp(rig, o.s.col_space, lambda c: {wrel.bag_add(*c): rig.nat_inverse(len(c[0]) + 2)})
+    return wrel.ColumnOp(rig, o.s.col_space, lambda c: {wrel.bag(*c[0], c[1]): rig.nat_inverse(len(c[0]) + 2)})
 
 
 def _gate_one_too_large(o, rig):
@@ -324,7 +322,7 @@ def test_every_law_the_rel_binding_checks_fails_under_a_named_mutant():
     checked = set()
     for rig in (NONNEG_RATIONAL, BOOLEAN):
         binding = make_rel_binding(rig, base_size=3, truncation=6)
-        checked |= binding.mask - set(binding.skips)
+        checked |= {law.id for law in ls.LAWS} - set(binding.skips)
     assert caught == checked
 
 
@@ -431,7 +429,7 @@ def test_every_law_the_poly_binding_checks_fails_under_a_named_mutant():
     checked = set()
     for rig in (NONNEG_RATIONAL, BOOLEAN):
         binding = make_poly_binding(rig)
-        checked |= binding.mask - set(binding.skips)
+        checked |= {law.id for law in ls.LAWS} - set(binding.skips)
     assert caught == checked
 
 
@@ -692,6 +690,14 @@ def test_unbound_operator_raises():
     binding = ls.ModelBinding(name="hollow", semiring="none", checks={})
     with pytest.raises(ls.UnboundOperator):
         ls.run_law("L1", binding, cases=1, seed=0)
+
+
+def test_a_suite_over_a_binding_that_lacks_a_law_raises_unbound_operator():
+    """The suite runs every row of the table, so a law the binding answers by nothing is an error, not a gap."""
+    checks = {law.id: lambda rng, cases: [None] * cases for law in ls.LAWS if law.id != "L7"}
+    binding = ls.ModelBinding(name="partial", semiring="none", checks=checks, skips={"L1": "not modelled"})
+    with pytest.raises(ls.UnboundOperator, match="partial has no check bound for L7"):
+        ls.run_suite(binding, cases=1, seed=0)
 
 
 def test_skip_report_shape():

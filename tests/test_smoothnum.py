@@ -324,10 +324,14 @@ def test_map_calls_do_not_grow_with_the_quadrature_order(monkeypatch):
 
 
 def _count_calls(monkeypatch, key):
-    """A Counter of key(map) over every SmoothMap and BilinearizedMap call from now on."""
+    """A Counter of key(map) over every SmoothMap and BilinearizedMap call from now on.
+
+    Both originals are resolved before either is patched, so a field's call, which BilinearizedMap
+    inherits from SmoothMap, counts once.
+    """
     calls = collections.Counter()
-    for cls in (SmoothMap, BilinearizedMap):
-        original = cls.__call__
+    originals = {cls: cls.__call__ for cls in (SmoothMap, BilinearizedMap)}
+    for cls, original in originals.items():
 
         def counting(self, *args, original=original):
             calls[key(self)] += 1

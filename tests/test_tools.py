@@ -91,19 +91,36 @@ def test_interleave_compares_a_tree_with_itself(monkeypatch, capsys):
     assert tool.load(root, "dctool_parent") is not tool.load(root, "dctool_change")
 
 
+def test_interleave_compares_a_smooth_tree_with_itself(monkeypatch, capsys):
+    tool = load_tool("interleave", monkeypatch)
+    root = str(TOOLS.parent)
+    assert tool.main([root, root, "--model", "smooth", "--params", "dim=1", "order=8", "--rounds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "smooth dim=1 order=8, cases 50, seeds 0-1"
+    assert lines[4].startswith("change faster in ") and lines[4].endswith("/2 pairs")
+    # each tree's own `cli` builds the binding from the arguments of `dctool check`
+    assert tool.check_argv("smooth", "real", {"dim": 1, "order": 8}) == ["check", "smooth", "--dim=1", "--order=8"]
+    assert tool.check_argv("poly", "rational", {"variables": 4, "max_degree": 8}) == [
+        "check", "poly", "--semiring=rational", "--vars=4", "--max-degree=8"
+    ]
+
+
 @pytest.mark.parametrize(
-    "params, message",
+    "model, params, message",
     [
-        (["variables"], "parameter 'variables' is not KEY=INT"),
-        (["degree=3"], "poly has no size 'degree'; its sizes are variables, max_degree"),
-        (["variables=0"], "variables must be >= 1"),
+        ("poly", ["variables"], "parameter 'variables' is not KEY=INT"),
+        ("poly", ["degree=3"], "poly has no size 'degree'; its sizes are variables, max_degree"),
+        ("poly", ["variables=0"], "variables must be >= 1"),
+        ("smooth", ["max_dim=2"], "smooth has no size 'max_dim'; its sizes are dim, order"),
+        ("smooth", ["dim=4"], "max_dim must be between 1 and 3"),
+        ("smooth", ["order=1"], "quadrature order must be between 2 and 1024"),
     ],
 )
-def test_interleave_refuses_a_bad_size_as_a_usage_error(monkeypatch, capsys, params, message):
+def test_interleave_refuses_a_bad_size_as_a_usage_error(monkeypatch, capsys, model, params, message):
     tool = load_tool("interleave", monkeypatch)
     root = str(TOOLS.parent)
     with pytest.raises(SystemExit) as exit_info:
-        tool.main([root, root, "--params", *params])
+        tool.main([root, root, "--model", model, "--params", *params])
     assert exit_info.value.code == 2
     assert capsys.readouterr().err.rstrip().endswith(message)
 

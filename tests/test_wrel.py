@@ -52,7 +52,7 @@ def columns(op):
 def test_bag_helpers():
     b = bag("y", "x", "y")
     assert b == ("x", "y", "y")
-    assert wr.bag_add(b, "x") == ("x", "x", "y", "y")
+    assert wr.bag(*b, "x") == ("x", "x", "y", "y")
     assert wr.bag_remove(b, "y") == ("x", "y")
     assert wr.bag_count(b, "y") == 2
 

@@ -1,4 +1,4 @@
-"""Time one exact model's check in two source trees alternately, in one process, and compare them.
+"""Time one model's check in two source trees alternately, in one process, and compare them.
 
     python3 tools/interleave.py PARENT_TREE CHANGE_TREE --model poly \\
         --params variables=4 max_degree=8 --rounds 20
@@ -6,12 +6,14 @@
 Each tree's `src/dctool` is imported under its own package name, so both
 copies run in one interpreter and share its warm-up and the host's drift,
 which a comparison of separate processes (`bench/sweep.py`) does not.  One
-check builds the model's binding and runs `run_suite` on it at 50 cases,
-the `dctool check` default, once for each semiring of the model's benchmark
-workload (poly: nonneg-rational and rational; rel: nonneg-rational and
-boolean).  Both trees first run one untimed check.  Round i then times one check of each tree on
-seed `--seed` + i, the parent first in even rounds and the change first in
-odd ones; a round is a pair.  The tool prints each tree's median wall time,
+check builds the model's binding with the tree's own `cli`, from the
+arguments of `dctool check` at the chosen sizes, and runs
+`run_suite` on it at 50 cases, the `dctool check` default, once for each
+semiring of the model's benchmark workload (poly: nonneg-rational and
+rational; rel: nonneg-rational and boolean; smooth: real only, with sizes
+`dim` and `order`).  Both trees first run one untimed check.  Round i then
+times one check of each tree on seed `--seed` + i, the parent first in even
+rounds and the change first in odd ones; a round is a pair.  The tool prints each tree's median wall time,
 the median of the per-pair ratios change / parent and the number of pairs
 in which the change was faster.  The two trees must report the same law
 statuses and case counts on every seed; a difference is printed and exits 1.
@@ -28,9 +30,22 @@ import sys
 import time
 from pathlib import Path
 
-SEMIRINGS = {"poly": ("nonneg-rational", "rational"), "rel": ("nonneg-rational", "boolean")}
+SEMIRINGS = {"poly": ("nonneg-rational", "rational"), "rel": ("nonneg-rational", "boolean"), "smooth": ("real",)}
 CASES = 50  # the `dctool check` default
-DEFAULT_PARAMS = {"poly": {"variables": 4, "max_degree": 8}, "rel": {"base_size": 3, "truncation": 6}}
+DEFAULT_PARAMS = {
+    "poly": {"variables": 4, "max_degree": 8},
+    "rel": {"base_size": 3, "truncation": 6},
+    "smooth": {"dim": 3, "order": 64},
+}
+# the `dctool check` flag of each size
+FLAGS = {
+    "variables": "--vars",
+    "max_degree": "--max-degree",
+    "base_size": "--base-size",
+    "truncation": "--truncation",
+    "dim": "--dim",
+    "order": "--order",
+}
 
 
 class ReportsDiffer(Exception):
@@ -49,14 +64,22 @@ def load(tree, name: str):
     return package
 
 
+def check_argv(model: str, semiring: str, params: dict) -> list:
+    """The arguments of `dctool check` for `model` over `semiring` at the sizes `params`."""
+    argv = ["check", model] + ([f"--semiring={semiring}"] if model != "smooth" else [])
+    return argv + [f"{FLAGS[key]}={value}" for key, value in params.items()]
+
+
 def check(package, model: str, params: dict, seed: int) -> tuple:
     """Wall time of one check of `model` with `package` at `CASES`, and its (semiring, law, status, cases) reports."""
-    make = getattr(package, f"make_{model}_binding")
+    cli = importlib.import_module(f"{package.__name__}.cli")
+    parser = cli.build_parser()
+    runs = [(semiring, parser.parse_args(check_argv(model, semiring, params))) for semiring in SEMIRINGS[model]]
     start = time.perf_counter()
     reports = [
         (semiring, r.law_id, r.status, r.cases)
-        for semiring in SEMIRINGS[model]
-        for r in package.run_suite(make(package.RIGS[semiring], **params), cases=CASES, seed=seed)
+        for semiring, args in runs
+        for r in package.run_suite(cli._make_binding(args), cases=CASES, seed=seed)
     ]
     return time.perf_counter() - start, reports
 

@@ -63,7 +63,7 @@ CALC_INPUTS = [
         ("K(" * 300 + "x" + ")" * 300,), ("1", "--vars", "0"), ("1", "--vars", "-1"), ("w", "--vars", "2"),
         ("int(x*y)",), ("int(x)", "--vars", "2"), ("K(d(x^2*y))",), ("(x+y+z+w)^60",), ("(x+y+z+w)^1000",),
         ("x*y", "--coord", "0"), ("x*y", "--coord", "2"), ("d(x^2*y)", "--coord", "3"), ("2^16000",),
-        ("1" * 5000,),
+        ("1" * 5000,), ("²",), ("x*٣",),
         # two faults: reported in reading order after the characters and the variable count
         ("x - (",), ("K(d(x*y)) + (",), ("w + (", "--vars", "2"),
     )
