@@ -29,13 +29,18 @@ operands through the trusted `_canonical`, which tests nothing:
 a product of nonzero numerators, a multiplicity `nat_value(k)` and an
 inverse `nat_inverse(k)` are never zero (the rig properties behind this are
 listed in `rig.Rig`), so a zero arises only in a sum over a rig with
-`has_negatives`, or in a scalar from outside (`scale(c)`, `const(c)`) or a
-draw (`random_poly`), which is tested where it enters.  So a zero is tested
-only where one can appear: `+` and `eval_at_one` sum through
-`rig.accumulate`, and `*`, `substitute` and `mul_in` follow its zero rule
-inlined in their loops: a sum is tested only where two values land on one
-monomial, over a rig with `has_negatives`, and a cancelled monomial is
+`has_negatives`, or in a scalar from outside (`scale(c)`, `const(c)`, a
+coefficient of `linear_combination`) or a draw (`random_poly`), which is
+tested where it enters.  So a zero is tested only where one can appear: `+`,
+`eval_at_one` and `linear_combination` (the row sums of L23's right side) sum
+through `rig.accumulate`, and `*`, `substitute` and `mul_in` follow its zero
+rule inlined in their loops: a sum is tested only where two values land on
+one monomial, over a rig with `has_negatives`, and a cancelled monomial is
 deleted (and inserted afresh if a later value lands on it).
+`cartesian_derivative` forms no sum: its terms land on distinct monomials.
+A zero summand costs nothing: `+` returns the other operand itself
+(polynomials are immutable, and `_canonical` already shares `num` dicts),
+and the gradient of zero is copies of it.
 
 `substitute` and `apply_linear` take a sequence of polynomials and return a
 tuple: every polynomial substituted at one argument tuple shares one table
@@ -137,6 +142,8 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         _check_arity(self.arity, other.arity)
+        if not (self.num and other.num):  # a zero summand: the other operand, immutable, is the sum
+            return self if self.num else other
         rig = self.rig
         num, den, other_num = dict(self.num), self.den, other.num
         if other.den != den:
@@ -269,9 +276,12 @@ def grad(p: Polynomial) -> PolyBundle:
 
     The exponent k comes out as the coefficient nat_value(k), so this works
     over any rig; nat_value(1) is one, so exponent 1 multiplies by nothing.
-    All components are filled in one sweep over the terms.
+    All components are filled in one sweep over the terms; the gradient of
+    the zero polynomial is `arity` copies of it, with no sweep.
     """
     rig, arity = p.rig, p.arity
+    if not p.num:
+        return _bundle((p,) * arity)
     mul, nat_value = rig.mul, rig.nat_value
     comps = [{} for _ in range(arity)]
     for exps, c in p.num.items():
@@ -542,18 +552,29 @@ def extend_arity(p: Polynomial, new_arity: int, offset: int = 0) -> Polynomial:
 
 
 def cartesian_derivative(f: PolyMap) -> PolyMap:
-    """Directional derivative as a polynomial map on doubled input arity.
+    """Directional derivative D[f](x, v) as a polynomial map on doubled input arity.
 
     Input variables split as (x_1..x_n, v_1..v_n); coordinate i is
-    sum_j (d f_i / d x_j)(x) * v_j, `mul_in` of the 2n-component bundle
-    (0, ..., 0, d f_i / d x_1, ..., d f_i / d x_n).
+    sum_j (d f_i / d x_j)(x) * v_j, read off one `grad(f_i)`: the term x^a of
+    d f_i / d x_j becomes x^a * v_j, the key a + e_j with e_j the unit in the
+    direction slots.  The components are brought onto a common denominator
+    as `mul_in` does.  Distinct (a, j) give distinct keys, so no two terms
+    meet: no sum is formed and no zero is tested.
     """
-    n = 2 * f.in_arity
-    zeros = (Polynomial.zero(f.rig, n),) * f.in_arity
-    coords = tuple(
-        mul_in(_bundle(zeros + tuple(extend_arity(p, n) for p in grad(c).components))) for c in f.coordinates
-    )
-    return PolyMap(n, f.out_arity, coords)
+    n, rig = f.in_arity, f.rig
+    units = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
+    coords = []
+    for c in f.coordinates:
+        terms, den = {}, 1
+        for unit, comp in zip(units, grad(c).components):
+            comp_num = comp.num
+            if comp.den != den:
+                terms, den = _grow(terms, den, comp.den)
+                comp_num, den = _grow(comp_num, comp.den, den)
+            for exps, v in comp_num.items():
+                terms[exps + unit] = v
+        coords.append(_canonical(rig, 2 * n, terms, den))
+    return PolyMap(2 * n, f.out_arity, coords)
 
 
 def apply_linear(matrix, ps) -> tuple:
@@ -574,6 +595,27 @@ def apply_linear(matrix, ps) -> tuple:
     units = [tuple(1 if k == i else 0 for k in range(rows)) for i in range(rows)]
     images = [Polynomial(ps[0].rig, rows, {units[i]: matrix[i][j] for i in range(rows)}) for j in range(arity)]
     return substitute(ps, images)
+
+
+def linear_combination(coefficients, ps) -> Polynomial:
+    """sum_j coefficients[j] * ps[j] for rig values `coefficients` and polynomials `ps` of one arity (at least one).
+
+    One sum over a common denominator, through the zero rule of
+    `rig.accumulate`; a zero coefficient or a zero polynomial adds nothing
+    and costs nothing.
+    """
+    rig = ps[0].rig
+    mul, terms, den = rig.mul, {}, 1
+    for c, p in zip(coefficients, ps):
+        n, d = rig.split(c)
+        if rig.is_zero(n) or not p.num:
+            continue
+        d *= p.den
+        if d != den:
+            terms, den = _grow(terms, den, d)
+            n *= den // d
+        accumulate(rig, terms, ((e, mul(n, v)) for e, v in p.num.items()))
+    return _canonical(rig, ps[0].arity, terms, den)
 
 
 # -- law binding ------------------------------------------------------------
@@ -934,13 +976,7 @@ def make_poly_binding(
             rows = rng.randint(1, 3)
             matrix = [[rig.nat_value(rng.randint(0, 3)) for _ in range(variables)] for _ in range(rows)]
             moved, *images = apply_linear(matrix, (p, *grad(p).components))
-            comps = []
-            for i in range(rows):
-                acc = Polynomial.zero(rig, rows)
-                for j, image in enumerate(images):
-                    acc = acc + image.scale(matrix[i][j])
-                comps.append(acc)
-            rhs = PolyBundle(tuple(comps))
+            rhs = PolyBundle(tuple(linear_combination(row, images) for row in matrix))
             inputs = {"p": p, "matrix": matrix}
             yield grad(moved), rhs, "gradient is not natural in linear substitution", inputs
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -87,8 +88,26 @@ def test_interleave_compares_a_tree_with_itself(monkeypatch, capsys):
     assert lines[0] == "poly variables=1 max_degree=2, cases 50, seeds 5-7"
     assert [line.split()[:2] for line in lines[1:4]] == [["parent", "median"], ["change", "median"], ["ratio", "median"]]
     assert lines[4].startswith("change faster in ") and lines[4].endswith("/3 pairs")
+    # then one line per law of at least LAW_FLOOR_MS, in table order
+    law_line = re.compile(
+        r"(L\d+) +parent (\d+\.\d\d) ms, change \d+\.\d\d ms, ratio \d+\.\d{3}, change faster in [0-3]/3"
+    )
+    matches = [law_line.fullmatch(line) for line in lines[5:]]
+    assert all(matches), lines[5:]
+    laws = [m[1] for m in matches]
+    assert laws == sorted(laws, key=lambda law: int(law[1:]))
+    assert all(float(m[2]) >= tool.LAW_FLOOR_MS for m in matches)
     # both copies are their own packages
     assert tool.load(root, "dctool_parent") is not tool.load(root, "dctool_change")
+
+
+def test_interleave_prints_the_laws_the_parent_spends_a_millisecond_on(monkeypatch):
+    tool = load_tool("interleave", monkeypatch)
+    parent = [{"L1": 4.0, "L2": 0.5, "L3": 0.0}, {"L1": 2.0, "L2": 0.9, "L3": 0.0}, {"L1": 3.0, "L2": 2.0, "L3": 0.0}]
+    change = [{"L1": 3.0, "L2": 0.4, "L3": 0.0}, {"L1": 2.2, "L2": 0.3, "L3": 0.0}, {"L1": 1.5, "L2": 0.2, "L3": 0.0}]
+    pairs = [((0.1, p), (0.1, c)) for p, c in zip(parent, change)]
+    # L2's parent median is 0.9 ms and L3 is skipped (0 ms): neither gets a line
+    assert tool.law_lines(pairs) == ["L1   parent 3.00 ms, change 2.20 ms, ratio 0.750, change faster in 2/3"]
 
 
 def test_interleave_compares_a_smooth_tree_with_itself(monkeypatch, capsys):

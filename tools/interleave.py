@@ -15,8 +15,11 @@ rational; rel: nonneg-rational and boolean; smooth: real only, with sizes
 times one check of each tree on seed `--seed` + i, the parent first in even
 rounds and the change first in odd ones; a round is a pair.  The tool prints each tree's median wall time,
 the median of the per-pair ratios change / parent and the number of pairs
-in which the change was faster.  The two trees must report the same law
-statuses and case counts on every seed; a difference is printed and exits 1.
+in which the change was faster; then the same four numbers for each law
+whose parent median is at least `LAW_FLOOR_MS`, in table order, from the
+reports' `ms` summed over the semirings of one check.  The two trees must
+report the same law statuses and case counts on every seed; a difference is
+printed and exits 1.
 A tree without `src/dctool`, an unknown size name or a size the binding
 refuses is a usage error (exit 2).
 """
@@ -32,6 +35,7 @@ from pathlib import Path
 
 SEMIRINGS = {"poly": ("nonneg-rational", "rational"), "rel": ("nonneg-rational", "boolean"), "smooth": ("real",)}
 CASES = 50  # the `dctool check` default
+LAW_FLOOR_MS = 1.0  # a law whose parent median is below this gets no line of its own
 DEFAULT_PARAMS = {
     "poly": {"variables": 4, "max_degree": 8},
     "rel": {"base_size": 3, "truncation": 6},
@@ -71,32 +75,60 @@ def check_argv(model: str, semiring: str, params: dict) -> list:
 
 
 def check(package, model: str, params: dict, seed: int) -> tuple:
-    """Wall time of one check of `model` with `package` at `CASES`, and its (semiring, law, status, cases) reports."""
+    """One check of `model` with `package` at `CASES`: its wall time in seconds, its
+    (semiring, law, status, cases) reports and {law: ms summed over the semirings}."""
     cli = importlib.import_module(f"{package.__name__}.cli")
     parser = cli.build_parser()
     runs = [(semiring, parser.parse_args(check_argv(model, semiring, params))) for semiring in SEMIRINGS[model]]
     start = time.perf_counter()
     reports = [
-        (semiring, r.law_id, r.status, r.cases)
+        (semiring, r)
         for semiring, args in runs
         for r in package.run_suite(cli._make_binding(args), cases=CASES, seed=seed)
     ]
-    return time.perf_counter() - start, reports
+    seconds = time.perf_counter() - start
+    law_ms = {}
+    for _, r in reports:
+        law_ms[r.law_id] = law_ms.get(r.law_id, 0.0) + r.ms
+    return seconds, [(semiring, r.law_id, r.status, r.cases) for semiring, r in reports], law_ms
 
 
 def interleave(parent, change, model: str, params: dict, rounds: int, seed: int) -> list:
-    """(parent seconds, change seconds) of each round; raises `ReportsDiffer` where the reports differ."""
+    """((parent seconds, parent law ms), (change seconds, change law ms)) of each round, the law ms as
+    `check` returns them; raises `ReportsDiffer` where the reports differ."""
     for package in (parent, change):
         check(package, model, params, seed)
     pairs = []
     for i in range(rounds):
         order = (parent, change) if i % 2 == 0 else (change, parent)
-        (t0, r0), (t1, r1) = (check(package, model, params, seed + i) for package in order)
+        (t0, r0, ms0), (t1, r1, ms1) = (check(package, model, params, seed + i) for package in order)
         if r0 != r1:
             diff = next(a for a, b in zip(r0, r1) if a != b) if len(r0) == len(r1) else "report counts"
             raise ReportsDiffer(f"seed {seed + i}: the trees report differently, first at {diff}")
-        pairs.append((t0, t1) if order[0] is parent else (t1, t0))
+        pairs.append(((t0, ms0), (t1, ms1)) if order[0] is parent else ((t1, ms1), (t0, ms0)))
     return pairs
+
+
+def compared(pairs) -> tuple:
+    """(parent median, change median, median ratio change / parent, pairs the change won) of (parent, change) pairs."""
+    return (
+        statistics.median(p for p, _ in pairs),
+        statistics.median(c for _, c in pairs),
+        statistics.median(c / p for p, c in pairs),
+        sum(c < p for p, c in pairs),
+    )
+
+
+def law_lines(pairs) -> list:
+    """One line per law whose parent median is at least `LAW_FLOOR_MS`, of `interleave`'s pairs, in table order."""
+    lines = []
+    for law in pairs[0][0][1]:
+        law_pairs = [(p[law], c[law]) for (_, p), (_, c) in pairs]
+        if statistics.median(p for p, _ in law_pairs) >= LAW_FLOOR_MS:
+            parent, change, ratio, won = compared(law_pairs)
+            lines.append(f"{law:<4} parent {parent:.2f} ms, change {change:.2f} ms, ratio {ratio:.3f}, "
+                         f"change faster in {won}/{len(pairs)}")
+    return lines
 
 
 def _params(model: str, items) -> dict:
@@ -139,10 +171,13 @@ def main(argv=None) -> int:
         return 1
     shown = " ".join(f"{k}={v}" for k, v in params.items())
     print(f"{args.model} {shown}, cases {CASES}, seeds {args.seed}-{args.seed + args.rounds - 1}")
-    print(f"parent median {statistics.median(p for p, _ in pairs):.4f} s")
-    print(f"change median {statistics.median(c for _, c in pairs):.4f} s")
-    print(f"ratio  median {statistics.median(c / p for p, c in pairs):.3f} (change / parent)")
-    print(f"change faster in {sum(c < p for p, c in pairs)}/{len(pairs)} pairs")
+    parent_s, change_s, ratio, won = compared([(p, c) for (p, _), (c, _) in pairs])
+    print(f"parent median {parent_s:.4f} s")
+    print(f"change median {change_s:.4f} s")
+    print(f"ratio  median {ratio:.3f} (change / parent)")
+    print(f"change faster in {won}/{len(pairs)} pairs")
+    for line in law_lines(pairs):
+        print(line)
     return 0
 
 
