@@ -12,7 +12,7 @@ every law of the table, so one failure never hides another: an exception
 raised inside a check fails that law with `cases` 0 and the exception as its
 counterexample.
 
-The operator-algebra laws L8, L9, L11-L20 and L24 are written once, in their
+The operator-algebra laws L5, L8-L20 and L24 are written once, in their
 rows of the law table `LAWS`: each row names the object the law is stated on
 and a generator of (lhs, rhs, label) equations between composites of d, d°,
 s, !(0), K, J, K^{-1}, J^{-1} and the unit monoidal maps m_{R,A} and
@@ -20,10 +20,13 @@ m_R x 1, taken from an `Operators` set on that object and the one on the
 monoidal unit R.  Composites read in matrix-vector order (`f;g` applied to v
 is f(g(v))).  The unit reconstructions (L14, L17) move a unit operator f to
 the object A along `via_unit`: tag each bag with its size, apply f to the
-tag, forget the tag.  The Poincare condition (L20), d;s;f = f for a
-symmetric f, is stated on the exact maps f = d;g, which are the symmetric
-maps the models generate, as d;s;d = d.  The idempotent collapse (L24) is
-s = d°; a binding over a rig that is not additively idempotent skips it.
+tag, forget the tag.  The linear rule (L5), d;eps = e x 1, reads eps as d°
+on the pairs ((), x), where e x 1 is !(0) x 1, and the unit monoidal laws
+(L10) state m_R d° = m_R on the unit set.  The Poincare condition (L20),
+d;s;f = f for a symmetric f, is stated on the exact maps f = d;g, which are
+the symmetric maps the models generate, as d;s;d = d.  The idempotent
+collapse (L24) is s = d°; a binding over a rig that is not additively
+idempotent skips it.
 Each exact model supplies both operator sets and one equality check, and
 chooses the inputs of the table laws itself: the relational model evaluates
 both sides, untruncated, on every column of at most D - MARGIN atoms and
@@ -34,15 +37,16 @@ maximum degree, and five huge-exponent probes (`polyform.table_inputs`).
 Neither reaches a defect at one exponent pattern (a bag, a monomial) that no
 input hits: a bag above D - MARGIN atoms, or a monomial above the basis
 degree that no seeded input is.  The smooth model has no operator sets;
-its L18-L20 compare the two sides of the same equations, `_ftc2`, `_ftc1`
-and `_poincare`, at probe points.  The other laws need operators the sets do
-not have (Delta, sigma, e and eps, chi) or take premises or random maps, so
-each binding states them itself.  The relational binding writes each of them
-but the Taylor property (L21) as (lhs, rhs, label) equations between its
-column operators and compares them as it compares the table laws; L21 draws
-random maps and compares matrices.  The polynomial binding writes each of
-them as equations too, over inputs it draws per case, and one rule compares
-and renders them and the table laws alike.
+its own checks answer L5 and L18-L20, and L18-L20 compare the two sides of
+the same equations, `_ftc2`, `_ftc1` and `_poincare`, at probe points.  The
+other laws need operators the sets do not have (Delta, sigma, e, chi) or
+take premises or random maps, so each binding states them itself.  The
+relational binding writes each of them but the Taylor property (L21) as
+(lhs, rhs, label) equations between its column operators and compares them
+as it compares the table laws; L21 draws random maps and compares matrices.
+The polynomial binding writes each of them as equations too, over inputs it
+draws per case, and one rule compares and renders them and the table laws
+alike.
 
 Each model's binding ends that model's module (`polyform.make_poly_binding`,
 `wrel.make_rel_binding`, `smoothnum.make_smooth_binding`), so a run imports
@@ -97,6 +101,20 @@ def via_unit(o: Operators, f):
 def _unit_j_inv(o: Operators, u: Operators):
     """J^{-1} from unit integration, (m_R x 1)(s_R x 1) m_{R,A}."""
     return via_unit(o, u.seq(u.s, u.atom))
+
+
+def _linear(o: Operators, u: Operators):
+    # d;eps = e x 1 read through !(0) x 1, which keeps the pairs ((), x)
+    constant = o.x1(o.bang0)
+    yield o.seq(o.seq(o.d, o.dc), constant), constant, "derivative of a linear map is not constant"
+
+
+def _unit_monoidal(o: Operators, u: Operators):
+    # spread is m_R x 1, and gate tags a bag of one atom with eps's bag [*] and
+    # the empty bag with e's [], so the cited m_R eps = 1 and m_R e = 1 are the
+    # first equation at the bags of one atom and of none
+    yield o.seq(o.spread, o.gate), o.id, "m_R x 1 does not split m_{R,A}"
+    yield u.seq(u.spread, u.tag(u.seq(u.dc, u.atom))), u.spread, "m_R is not fixed by the unit coderive"
 
 
 def _inverses(o: Operators, u: Operators):
@@ -193,12 +211,12 @@ LAWS: tuple[Law, ...] = (
     Law("L2", "constant rule", "d ; e = 0  (derivative of a constant vanishes)"),
     Law("L3", "Leibniz rule", "d ; Delta = (Delta x 1)(1 x sigma)(d x 1) + (Delta x 1)(1 x d)"),
     Law("L4", "chain rule", "D[g o f](x, v) = D[g](f(x), D[f](x, v))"),
-    Law("L5", "linear rule", "d ; eps = e x 1  (derivative of a linear map is constant)"),
+    Law("L5", "linear rule", "d ; eps = e x 1  (derivative of a linear map is constant)", "general", _linear),
     Law("L6", "interchange rule", "(d x 1) ; d = (1 x sigma)(d x 1) ; d"),
     Law("L7", "derive/coderive exchange", "d ; d° = (d° x 1)(1 x sigma)(d x 1) + 1"),
     Law("L8", "K and J definitions", "K = d° ; d + !(0)   and   J = d° ; d + 1", "general", _inverses),
     Law("L9", "K/J absorption and intertwining", "K !(0) = !(0) = !(0) K;  K d° = d° (J x 1);  d K = (J x 1) d", "general", _absorption),
-    Law("L10", "unit monoidal laws", "(m_R x 1) m_{R,A} = 1;  m_R eps = 1;  m_R e = 1;  m_R d° = m_R"),
+    Law("L10", "unit monoidal laws", "(m_R x 1) m_{R,A} = 1;  m_R eps = 1;  m_R e = 1;  m_R d° = m_R", "general", _unit_monoidal),
     Law("L11", "K/J respect the unit pairing", "(K_R x 1) m_{R,A} = m_{R,A} K_A  (and the J version)", "general", _unit_pairing),
     Law("L12", "second fundamental theorem at the unit", "s_R d_R + !(0) = 1", "unit", _ftc2),
     Law("L13", "s against J", "s_R J_R = d°_R", "unit", _s_against_j),

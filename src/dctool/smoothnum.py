@@ -472,6 +472,8 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
 
         return _check(rng, cases, [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim], decide, True)
 
+    # L5 states its row, d;eps = e x 1, at probe points: the derivative of a
+    # linear map is the same at every base point
     def l5(rng, cases):
         def decide(b):
             F = b.family()

@@ -157,4 +157,4 @@ def test_interleave_stops_where_the_trees_report_differently(monkeypatch, capsys
     assert tool.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("seed 0: the trees report differently, first at ('nonneg-rational', 'L8', 'pass', ")
+    assert captured.err.startswith("seed 0: the trees report differently, first at ('nonneg-rational', 'L5', 'pass', ")

@@ -10,7 +10,7 @@ import pytest
 
 import dctool.wrel as wr
 from dctool.lawsuite import all_pass, run_law, run_suite
-from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RIGS
+from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RIGS, NonNegRationalRig
 from dctool.wrel import (
     ATOM_NAMES,
     AtomSpace,
@@ -199,12 +199,10 @@ def test_delta_split_count():
     assert set(row) == {((), ("x", "y")), (("x",), ("y",)), (("y",), ("x",)), (("x", "y"), ())}
 
 
-def test_counit_and_eps_support():
+def test_counit_support():
     com = wr.comonoid_rel(XY, R, 4)
-    assert entry(com.counit, (), UNIT_POINT) == Fraction(1)
+    assert columns(com.counit) == {UNIT_POINT: {(): R.one}}
     assert entry(com.counit, ("x",), UNIT_POINT) == Fraction(0)
-    assert entry(com.eps, ("x",), "x") == Fraction(1)
-    assert entry(com.eps, ("x", "y"), "x") == Fraction(0)
 
 
 def test_delta_cocommutative():
@@ -232,13 +230,16 @@ def test_delta_matches_a_reference_built_from_multiset_differences(base_size, D)
 
 
 def test_m_unit_laws():
-    m_R = wr.m_R_rel(R, 4)
-    o = wr.operators_rel(XY, R, 4)
-    assert columns(o.seq(o.spread, o.gate)) == {b: {b: R.one} for b in BagSpace(XY, 4).points()}
-    assert columns(m_R) == {n: {UNIT_POINT: R.one} for n in BagSpace(UNIT_BASE, 4).points()}
-    ucom = wr.comonoid_rel(UNIT_BASE, R, 4)
-    assert columns(wr.col_seq(m_R, ucom.eps)) == {UNIT_POINT: {UNIT_POINT: R.one}}
-    assert columns(wr.col_seq(m_R, ucom.counit)) == {UNIT_POINT: {UNIT_POINT: R.one}}
+    o, u = wr.operators_rel(XY, R, 4), wr.operators_rel(UNIT_BASE, R, 4)
+    ubags, bags = BagSpace(UNIT_BASE, 4).points(), BagSpace(XY, 4).points()
+    # m_R x 1 forgets the tag with weight one: m_R takes every unit bag to the unit point
+    assert columns(o.spread) == {(n, b): {b: R.one} for n in ubags for b in bags}
+    assert columns(o.gate) == {b: {(nb(len(b)), b): R.one} for b in bags}
+    assert columns(o.seq(o.spread, o.gate)) == {b: {b: R.one} for b in bags}
+    # m_R eps = 1 and m_R e = 1: a bag of one atom is tagged with eps's [*], the empty bag with e's []
+    assert o.gate.column(("x",)) == {(nb(1), ("x",)): R.one} and o.gate.column(()) == {(nb(0), ()): R.one}
+    # m_R d° = m_R: the unit coderive adds one point to the tag, which m_R forgets
+    assert columns(u.seq(u.spread, u.tag(u.seq(u.dc, u.atom)))) == columns(u.spread)
 
 
 # -- Seely -------------------------------------------------------------------
@@ -331,8 +332,8 @@ def test_generator_matrices_respect_margin():
     mats = {name: getattr(o, name).matrix(bags) for name in ("dc", "s", "bang0", "K", "J", "K_inv", "J_inv")}
     mats |= {
         "d": o.d.matrix(pairs), "Delta": com.delta.matrix(bags), "counit": com.counit.matrix(bags),
-        "eps": com.eps.matrix(bags), "m_R x 1": o.spread.matrix(bags), "m_{R,A}": o.gate.matrix(PairSpace(ubags, bags)),
-        "m_R": wr.m_R_rel(R, 4).matrix(UnitSpace()), "atom": u.atom.matrix(PairSpace(ubags, AtomSpace(UNIT_BASE))),
+        "m_R x 1": o.spread.matrix(bags), "m_{R,A}": o.gate.matrix(PairSpace(ubags, bags)),
+        "atom": u.atom.matrix(PairSpace(ubags, AtomSpace(UNIT_BASE))),
         "chi": chi.matrix(chi_inv.col_space), "chi^-1": chi_inv.matrix(chi.col_space),
     }
     for name, mat in mats.items():
@@ -599,6 +600,34 @@ def test_operator_weights_stay_ints():
     base = BaseSet(("a", "b", "c"))
     com = wr.comonoid_rel(base, R, 5)
     o = wr.operators_rel(base, R, 5)
-    for op in (com.delta, com.counit, com.eps, o.d, o.dc, o.K, o.J):
+    for op in (com.delta, com.counit, o.d, o.dc, o.K, o.J, o.spread, o.gate):
         weights = [v for column in columns(op).values() for v in column.values()]
         assert weights and all(type(v) is int for v in weights)
+
+
+def test_rel_suite_work_counts():
+    """`rig.mul`, `rig.add` and `rig.is_zero` calls of one binding build and suite at base 3, D 6,
+    nonneg-rational, 50 cases, seed 0, counted by a recording rig.
+
+    A count, not a timing.  Most products are by one: `col_seq` multiplies
+    by the weight-one entries of a `relabel` or `merge` column it sums
+    through.  Over this rig, which has no negatives, `is_zero` is called
+    only by the validating `WeightedMatrix` constructor of L21's random maps.
+    """
+    counts = Counter()
+
+    class CountingRig(NonNegRationalRig):
+        def mul(self, a, b):
+            counts["mul"] += 1
+            return a * b
+
+        def add(self, a, b):
+            counts["add"] += 1
+            return a + b
+
+        def is_zero(self, a):
+            counts["is_zero"] += 1
+            return not a
+
+    assert all_pass(run_suite(make_rel_binding(CountingRig(), base_size=3, truncation=6), cases=50, seed=0))
+    assert counts == {"mul": 4_912, "add": 516, "is_zero": 507}
