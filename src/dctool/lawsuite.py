@@ -1,16 +1,16 @@
 """The closed table of operator laws and the model-generic suite runner.
 
 Each law is a pair of operator composites, and a model binding answers every
-law: by a deterministic check of its own, by the law's row of the table (the
-binding's `equations`), or by a skip reason for a law it deliberately does
-not check.  A check is a callable `(rng, cases)` that yields, for
-each case it checks in turn, the case's rendered counterexample or None when
-the case holds.  `run_law` is the only reader of these results: it stops at
-the first counterexample, and a law's `cases` counts the cases read up to and
-including it.  A check that yields no case fails.  The runner always runs
-every law of the table, so one failure never hides another: an exception
-raised inside a check fails that law with `cases` 0 and the exception as its
-counterexample.
+law: by the law's row of the table (the binding's `equations`), by a
+deterministic check of its own, or by a skip reason for a law it
+deliberately does not check.  A check is a callable `(rng, cases)` that
+yields, for each case it checks in turn, the case's rendered counterexample
+or None when the case holds.  `run_law` is the only reader of these results:
+it stops at the first counterexample, and a law's `cases` counts the cases
+read up to and including it.  A check that yields no case fails.  The runner
+always runs every law of the table, so one failure never hides another: an
+exception raised inside a check fails that law with `cases` 0 and the
+exception as its counterexample.
 
 The operator-algebra laws L5, L8-L20 and L24 are written once, in their
 rows of the law table `LAWS`: each row names the object the law is stated on
@@ -27,20 +27,22 @@ d;s;f = f for a symmetric f, is stated on the exact maps f = d;g, which are
 the symmetric maps the models generate, as d;s;d = d.  The idempotent
 collapse (L24) is s = d°; a binding over a rig that is not additively
 idempotent skips it.
-Each exact model supplies both operator sets and one equality check, and
-chooses the inputs of the table laws itself: the relational model evaluates
-both sides, untruncated, on every column of at most D - MARGIN atoms and
-compares every row they reach, whatever `cases` asks; the polynomial model
-applies both sides to every monomial up to the degree that a basis of
-`cases` inputs reaches, one seeded monomial of each higher degree up to its
-maximum degree, and five huge-exponent probes (`polyform.table_inputs`).
-Neither reaches a defect at one exponent pattern (a bag, a monomial) that no
-input hits: a bag above D - MARGIN atoms, or a monomial above the basis
-degree that no seeded input is.  The smooth model has no operator sets;
-its own checks answer L5 and L18-L20, and L18-L20 compare the two sides of
-the same equations, `_ftc2`, `_ftc1` and `_poincare`, at probe points.  The
-other laws need operators the sets do not have (Delta, sigma, e, chi) or
-take premises or random maps, so each binding states them itself.  The
+Each model supplies its operator sets and one comparison, and chooses the
+inputs of the table laws itself: the relational model evaluates both sides,
+untruncated, on every column of at most D - MARGIN atoms and compares every
+row they reach, whatever `cases` asks; the polynomial model applies both
+sides to every monomial up to the degree that a basis of `cases` inputs
+reaches, one seeded monomial of each higher degree up to its maximum
+degree, and five huge-exponent probes (`polyform.table_inputs`).  Neither
+reaches a defect at one exponent pattern (a bag, a monomial) that no input
+hits: a bag above D - MARGIN atoms, or a monomial above the basis degree
+that no seeded input is.  The smooth model evaluates both sides at seeded
+probe points of its corpus maps and compares them to a tolerance; it has
+d, d°, s and !(0) but no K, J, inverses or unit monoidal maps, so it answers
+L5 and L18-L20 by their rows and skips the laws that read the others.  The
+polynomial and the smooth model wrap each operator as an `Op`.  The other
+laws need operators the sets do not have (Delta, sigma, e, chi) or take
+premises or random maps, so each binding states them itself.  The
 relational binding writes each of them but the Taylor property (L21) as
 (lhs, rhs, label) equations between its column operators and compares them
 as it compares the table laws; L21 draws random maps and compares matrices.
@@ -73,7 +75,8 @@ class Operators(NamedTuple):
     The unit monoidal maps: `gate` = m_{R,A} tags each bag with its size,
     `spread` = m_R x 1 forgets the tag, `tag(f)` = f x 1 applies a unit-set
     operator f on bare unit bags to the tag, and `atom` is bags = bags x atoms
-    on the one-point base (None on any other base).
+    on the one-point base (None on any other base).  A model leaves None an
+    operator that only the laws it skips read.
     """
 
     d: Any
@@ -91,6 +94,23 @@ class Operators(NamedTuple):
     tag: Callable[[Any], Any]
     seq: Callable[[Any, Any], Any]
     x1: Callable[[Any], Any]
+
+
+class Op:
+    """An operator `fn` on inputs of type `src`, which each model names (poly: ("poly", arity), ...).
+
+    `f + g` adds the two values, and `Op.seq(f, g)` is g then f, on g's inputs.
+    """
+
+    def __init__(self, src, fn: Callable):
+        self.src, self.fn = src, fn
+
+    def __add__(self, other: "Op") -> "Op":
+        return Op(self.src, lambda v: self.fn(v) + other.fn(v))
+
+    @staticmethod
+    def seq(f: "Op", g: "Op") -> "Op":
+        return Op(g.src, lambda v: f.fn(g.fn(v)))
 
 
 def via_unit(o: Operators, f):
@@ -248,20 +268,21 @@ def repeat_case(rng, cases, one_case):
 class ModelBinding(NamedTuple):
     """Everything the runner needs: per-law checks, skips, and metadata.
 
-    A binding answers every law of `LAWS`: by its skip if it has one, else by
-    its check, else by its table row through `equations`.  Each check is a
-    `LawCheck`: `check(rng, cases)` yields one rendered counterexample, or
-    None, per case it checks, and builds each case only
-    when the runner reads it, so the runner can stop at the first
+    A binding answers every law of `LAWS`: by its skip if it has one, else
+    by the law's table row through `equations` when both exist, else by its
+    check.  Each check is a `LawCheck`: `check(rng, cases)` yields one
+    rendered counterexample, or None, per case it checks, and builds each
+    case only when the runner reads it, so the runner can stop at the first
     counterexample.  The `cases` argument asks for a run size; each model
     spreads it over its inputs in its own way, and the report counts the
     cases the runner read.  `equations(law, at, rng, cases)`, when given,
     is the model's check for every law whose `LAWS` row has equations, with
     the same yield: it checks the (lhs, rhs, label) equations `law(o, u)`
     yields, where o is the model's operator set `at`, "general" or "unit",
-    and u its unit set.  A table law has no entry in `checks`, which would
-    override its row.  Bindings build it positionally: right after a garbage
-    collection, when a build is timed, a keyword call costs a microsecond more.
+    and u its unit set.  A check of a law whose row has equations is never
+    read when the binding has `equations`.  Bindings build it positionally:
+    right after a garbage collection, when a build is timed, a keyword call
+    costs a microsecond more.
     """
 
     name: str
@@ -305,7 +326,7 @@ def run_law(law_id: str, binding: ModelBinding, cases: int, seed: int) -> LawRep
     if law_id in binding.skips:
         return LawReport(law_id, law.citation, "skipped", 0, None, 0.0, binding.skips[law_id])
     check = binding.checks.get(law_id)
-    if check is None and binding.equations and law.equations:
+    if binding.equations and law.equations:  # the row, never a check of its own
         check = partial(binding.equations, law.equations, law.at)
     if check is None:
         raise UnboundOperator(f"{binding.name} has no check bound for {law_id}")

@@ -61,9 +61,8 @@ from functools import partial
 from math import comb, gcd, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Callable
 
-from .lawsuite import ModelBinding, Operators, repeat_case
+from .lawsuite import ModelBinding, Op, Operators, repeat_case
 from .rig import Rig, accumulate, randbelow
 
 MultiIndex = tuple  # tuple[int, ...]; arity-length exponent vector
@@ -744,21 +743,6 @@ def _first_failure(rig: Rig, equations) -> str | None:
     return None
 
 
-class PolyOp:
-    """An operator `fn` on inputs of type `src`: ("poly", arity), ("bundle", arity) or ("tagged", arity).
-
-    A ("tagged", n) value is a polynomial of arity n + 1 whose variable 0 is the tag.
-    """
-
-    __slots__ = ("src", "fn")
-
-    def __init__(self, src: tuple, fn: Callable):
-        self.src, self.fn = src, fn
-
-    def __add__(self, other: "PolyOp") -> "PolyOp":
-        return PolyOp(self.src, lambda v: self.fn(v) + other.fn(v))
-
-
 def _bundle_map(fn, b: PolyBundle) -> PolyBundle:
     return PolyBundle(tuple(fn(c) for c in b.components))
 
@@ -816,10 +800,11 @@ def make_poly_binding(
     def operators(at):
         """The operator set `at`: "general" at `variables`, "unit" at arity 1."""
         arity = variables if at == "general" else 1
+        # an input type: a ("tagged", n) value is a polynomial of arity n + 1 whose variable 0 is the tag
         poly, bundle, tagged = ("poly", arity), ("bundle", arity), ("tagged", arity)
 
         def op(fn, src=poly):
-            return PolyOp(src, fn)
+            return Op(src, fn)
 
         return Operators(
             op(derive), op(mul_in, bundle), op(s_op, bundle), op(eval0),
@@ -829,7 +814,7 @@ def make_poly_binding(
             spread=op(eval_at_one, tagged),
             atom=op(lambda q: PolyBundle((q,))) if arity == 1 else None,
             tag=lambda f: op(partial(on_tag, f.fn), tagged),
-            seq=lambda f, g: PolyOp(g.src, lambda v: f.fn(g.fn(v))),
+            seq=Op.seq,
             x1=lambda f: op(lambda b: _bundle_map(f.fn, b), bundle),
         )
 

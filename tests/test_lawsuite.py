@@ -5,10 +5,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
 import dctool.lawsuite as ls
 import dctool.polyform as pf
+import dctool.smoothnum as sm
 import dctool.wrel as wrel
 from dctool import cli, exprcalc
 from dctool.polyform import make_poly_binding
@@ -38,7 +40,7 @@ def test_every_real_binding_reports_all_laws_in_table_order():
     assert set(rel.skips) == {"L4", "L24"}
     assert set(rel_bool.skips) == {"L4"}
     assert "L24" not in rel_bool.checks  # its LAWS row checks it
-    assert set(smooth.checks) == {"L2", "L3", "L4", "L5", "L6", "L18", "L19", "L20", "L21"}
+    assert set(smooth.checks) == {"L2", "L3", "L4", "L6", "L21"}
 
 
 def test_reports_are_deterministic():
@@ -99,15 +101,33 @@ def test_both_exact_models_evaluate_the_operator_table():
                 assert ls.run_law(law_id, binding, cases=10, seed=0).status == expected, (binding.name, rig.name, law_id)
 
 
-def test_no_exact_binding_overrides_a_table_law():
-    """`run_law` prefers a binding's own check, which would silently replace the table's equations, so
-    no exact binding over any rig keeps a check of a law whose row has equations.  The smooth binding,
-    which has no operator sets, answers L5 and L18-L20 by its own checks
-    (test_every_real_binding_reports_all_laws_in_table_order pins them)."""
+def test_no_binding_overrides_a_table_law():
+    """Every binding of every model over every rig answers the laws whose rows have equations by those
+    rows: it has `equations` and no check of such a law.  Smooth answers L5 and L18-L20 by their rows."""
     table = {law.id for law in ls.LAWS if law.equations}
+    bindings = [make_smooth_binding(max_dim=dim) for dim in (1, 2, 3)]
     for rig in RIGS.values():
-        for binding in (make_poly_binding(rig), make_rel_binding(rig)):
-            assert binding.equations is not None and not table & set(binding.checks), (binding.name, rig.name)
+        bindings += [make_poly_binding(rig), make_rel_binding(rig)]
+    for binding in bindings:
+        assert binding.equations is not None and not table & set(binding.checks), (binding.name, binding.semiring)
+    for binding in bindings[:3]:
+        assert set(binding.checks) | {"L6"} == {"L2", "L3", "L4", "L6", "L21"}  # dim 1 skips L6
+        assert table - set(binding.skips) == {"L5", "L18", "L19", "L20"}
+
+
+def test_a_table_law_is_answered_by_its_row_even_where_the_binding_has_a_check():
+    read = []
+
+    def equations(law, at, rng, cases):
+        read.append((law, at))
+        yield None
+
+    binding = ls.ModelBinding("both", "none", {"L18": lambda rng, cases: ["the check answered"]}, equations=equations)
+    report = ls.run_law("L18", binding, cases=5, seed=0)
+    assert (report.status, report.cases, report.counterexample) == ("pass", 1, None)
+    assert read == [(ls.LAW_BY_ID["L18"].equations, "general")]
+    # a law whose row has no equations is still answered by the check
+    assert ls.run_law("L2", binding._replace(checks={"L2": lambda rng, cases: [None]}), 5, 0).status == "pass"
 
 
 def _mutate_rel_operators(monkeypatch, **mutants):
@@ -485,6 +505,121 @@ def test_a_failing_poly_naturality_report_replays_from_its_text(monkeypatch):
     assert pf.grad(pf.apply_linear(ast.literal_eval(fields["matrix"]), [p])[0]).render() == fields["lhs"]
 
 
+def _plus_1e_6(fd_directional_derivative):
+    return lambda f, x, v: fd_directional_derivative(f, x, v) + 1e-6
+
+
+def _keeps_the_constant_term(fd_directional_derivative):
+    """D[f](x, v) + f(0) * v[0]: the complex step keeps f's constant term, as the poly `--sabotage` gradient does."""
+    return lambda f, x, v: fd_directional_derivative(f, x, v) + f(np.zeros_like(x)) * np.asarray(v)[0]
+
+
+def _weighted_by_t(line_integral_S):
+    """S weighting its nodes by t, so it computes the integral of t * g(t*x, x)."""
+
+    def mutant(g, x, cfg=sm.DEFAULT_CONFIG):
+        x = np.asarray(x)[..., None]
+        ts, ws = sm.gauss_legendre(cfg.order)
+        nodes = x * ts
+        return np.sum(g(nodes, np.broadcast_to(x, nodes.shape)) * ws * ts, axis=-1)
+
+    return mutant
+
+
+def _gauss3_broken_past_x0_equal_1(builtin_corpus):
+    """gauss3's closed-form derivative doubles the direction's first coordinate where x[0] > 1.
+
+    The broken closed form is complex-analytic off x[0].real = 1, so the complex step sees the same break.
+    """
+
+    def corpus():
+        maps = builtin_corpus()
+        for f in maps:
+            if f.label == "gauss3":
+
+                def broken(x, v, exact=f.exact_derivative):
+                    w = np.array(v)
+                    w[0] = np.where(x[0].real > 1.0, 2.0, 1.0) * v[0]
+                    return exact(x, w)
+
+                f.exact_derivative = broken
+        return maps
+
+    return corpus
+
+
+# (function of `smoothnum` replaced, mutant of it, laws it fails at dim 3, 50 cases, seed 0); each
+# mutant calls the function it replaces but `_weighted_by_t`
+SMOOTH_MUTANTS = {
+    "complex-step-plus-1e-6": ("fd_directional_derivative", _plus_1e_6, ["L2", "L3", "L4", "L5", "L19", "L20"]),
+    # L6 and L21 take a complex step on both sides, and L18 reads only closed forms
+    "complex-step-keeps-the-constant-term": (
+        "fd_directional_derivative", _keeps_the_constant_term, ["L2", "L3", "L4", "L21"]
+    ),
+    "integral-weighted-by-t": ("line_integral_S", _weighted_by_t, ["L18", "L19", "L20"]),
+    "gauss3-derivative-broken-past-x0-equal-1": (
+        "builtin_corpus", _gauss3_broken_past_x0_equal_1, ["L3", "L4", "L6", "L18", "L20"]
+    ),
+}
+
+
+def _smooth_reports(monkeypatch, mutant):
+    """The reports of a dim-3 smooth suite at 50 cases, seed 0, with `mutant` patched in."""
+    name, make, _ = SMOOTH_MUTANTS[mutant]
+    monkeypatch.setattr(sm, name, make(getattr(sm, name)))
+    return ls.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)
+
+
+@pytest.mark.parametrize("mutant", SMOOTH_MUTANTS)
+def test_each_smooth_mutant_fails_exactly_its_laws(monkeypatch, mutant):
+    reports = _smooth_reports(monkeypatch, mutant)
+    assert [r.law_id for r in reports if r.status == "fail"] == SMOOTH_MUTANTS[mutant][2]
+
+
+def test_every_law_the_smooth_binding_checks_fails_under_a_named_mutant():
+    caught = {law_id for _, _, failing in SMOOTH_MUTANTS.values() for law_id in failing}
+    assert caught == {law.id for law in ls.LAWS} - set(make_smooth_binding(max_dim=3).skips)
+
+
+def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_column(monkeypatch):
+    """The failing laws, their case counts and counterexamples of the gauss3 mutant.
+
+    Those of L3, L4 and L6 were computed when each law still evaluated one
+    probe point at a time: batching an item's points must keep the rng
+    stream and stop at the same column.  L18 and L20 evaluate their table
+    rows on the scalar maps, five points each.
+    """
+    reports = _smooth_reports(monkeypatch, "gauss3-derivative-broken-past-x0-equal-1")
+    failing = {r.law_id: (r.cases, r.counterexample) for r in reports if r.status == "fail"}
+    assert failing == {
+        "L3": (42, "Leibniz fails: map=poly3 x=[ 1.339396 -0.879792  1.54241 ] lhs=[0.5439071901] rhs=[0.5456679083]"),
+        "L4": (
+            78,
+            "chain rule fails (id1 o gauss3): map=gauss3 x=[ 1.777488 -0.864492 -0.53423 ] "
+            "lhs=[0.6808976549] rhs=[1.2392769013]",
+        ),
+        # the fourth potential, 12 points: its fifth column
+        "L6": (
+            41,
+            "mixed partials differ: map=gauss3 x=[ 1.76496  -0.690859 -0.221356] "
+            "lhs=[-0.1226612998] rhs=[-0.2453225997]",
+        ),
+        # gauss3 is the last of the ten scalar maps: its second column
+        "L18": (
+            47,
+            "second fundamental theorem fails: map=gauss3 x=[1.854115 0.18272  1.286892] "
+            "lhs=[0.007502118] rhs=[0.2775360183]",
+        ),
+        # and its fifth column
+        "L20": (
+            50,
+            "derivative of the integral loses the field: map=gauss3 x=[ 1.712529  1.267991 -1.589019] "
+            "lhs=[0.073401017] rhs=[0.2585470273]",
+        ),
+    }
+    assert {r.status for r in reports if r.law_id not in failing} == {"pass", "skipped"}
+
+
 class _InverseRig(NonNegRationalRig):
     """The non-negative rationals with `nat_inverse(k)` replaced by `inverse(k)`."""
 
@@ -685,7 +820,7 @@ def test_no_law_passes_on_zero_cases():
             assert r.status != "pass" or r.cases >= 1, (binding.name, binding.params, r.law_id)
         with pytest.raises(ValueError):
             ls.run_law("L2", binding, cases=0, seed=0)
-    assert set(smooth_by_dim[1].skips) == set(smooth_by_dim[3].skips) | {"L6", "L20"}
+    assert set(smooth_by_dim[1].skips) == set(smooth_by_dim[3].skips) | {"L6"}
 
 
 def test_negative_control_fails_with_counterexample():

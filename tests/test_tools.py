@@ -157,4 +157,24 @@ def test_interleave_stops_where_the_trees_report_differently(monkeypatch, capsys
     assert tool.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("seed 0: the trees report differently, first at ('nonneg-rational', 'L5', 'pass', ")
+    assert captured.err.startswith(
+        "seed 0: the trees report differently, first at parent ('nonneg-rational', 'L5', 'pass', "
+    )
+    assert ", change ('nonneg-rational', 'L5', 'pass', " in captured.err
+    # round 1 runs the change first, and the message still shows the parent's report, then the change's
+    parent, change = object(), object()
+
+    def check(package, model, params, seed):
+        cases = 5 if package is change and seed == 1 else 4
+        return 0.1, [("real", "L2", "pass", cases)], {"L2": 1.0}
+
+    monkeypatch.setattr(tool, "check", check)
+    with pytest.raises(tool.ReportsDiffer) as raised:
+        tool.interleave(parent, change, "smooth", {}, rounds=2, seed=0)
+    assert str(raised.value) == (
+        "seed 1: the trees report differently, first at parent ('real', 'L2', 'pass', 4), "
+        "change ('real', 'L2', 'pass', 5)"
+    )
+    monkeypatch.setattr(tool, "check", lambda package, *args: (0.1, [] if package is change else [("real",)], {}))
+    with pytest.raises(tool.ReportsDiffer, match=r"^seed 0: .* first at parent 1 reports, change 0 reports$"):
+        tool.interleave(parent, change, "smooth", {}, rounds=1, seed=0)

@@ -18,8 +18,8 @@ the median of the per-pair ratios change / parent and the number of pairs
 in which the change was faster; then the same four numbers for each law
 whose parent median is at least `LAW_FLOOR_MS`, in table order, from the
 reports' `ms` summed over the semirings of one check.  The two trees must
-report the same law statuses and case counts on every seed; a difference is
-printed and exits 1.
+report the same law statuses and case counts on every seed; the first
+difference is printed, the parent's report and the change's, and exits 1.
 A tree without `src/dctool`, an unknown size name or a size the binding
 refuses is a usage error (exit 2).
 """
@@ -101,11 +101,12 @@ def interleave(parent, change, model: str, params: dict, rounds: int, seed: int)
     pairs = []
     for i in range(rounds):
         order = (parent, change) if i % 2 == 0 else (change, parent)
-        (t0, r0, ms0), (t1, r1, ms1) = (check(package, model, params, seed + i) for package in order)
-        if r0 != r1:
-            diff = next(a for a, b in zip(r0, r1) if a != b) if len(r0) == len(r1) else "report counts"
-            raise ReportsDiffer(f"seed {seed + i}: the trees report differently, first at {diff}")
-        pairs.append(((t0, ms0), (t1, ms1)) if order[0] is parent else ((t1, ms1), (t0, ms0)))
+        runs = {package: check(package, model, params, seed + i) for package in order}
+        (tp, rp, msp), (tc, rc, msc) = runs[parent], runs[change]
+        if rp != rc:
+            first = next(((a, b) for a, b in zip(rp, rc) if a != b), (f"{len(rp)} reports", f"{len(rc)} reports"))
+            raise ReportsDiffer(f"seed {seed + i}: the trees report differently, first at parent {first[0]}, change {first[1]}")
+        pairs.append(((tp, msp), (tc, msc)))
     return pairs
 
 
