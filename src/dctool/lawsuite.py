@@ -12,13 +12,16 @@ always runs every law of the table, so one failure never hides another: an
 exception raised inside a check fails that law with `cases` 0 and the
 exception as its counterexample.
 
-The operator-algebra laws L5, L8-L20 and L24 are written once, in their
+The operator-algebra laws L2, L5, L8-L20 and L24 are written once, in their
 rows of the law table `LAWS`: each row names the object the law is stated on
 and a generator of (lhs, rhs, label) equations between composites of d, d°,
-s, !(0), K, J, K^{-1}, J^{-1} and the unit monoidal maps m_{R,A} and
-m_R x 1, taken from an `Operators` set on that object and the one on the
-monoidal unit R.  Composites read in matrix-vector order (`f;g` applied to v
-is f(g(v))).  The unit reconstructions (L14, L17) move a unit operator f to
+s, !(0), K, J, K^{-1}, J^{-1}, the zero operator and the unit monoidal maps
+m_{R,A} and m_R x 1, taken from an `Operators` set on that object and the
+one on the monoidal unit R.  A composite is written as its citation reads,
+`f @ g` for f;g, in matrix-vector order (f;g applied to v is f(g(v))), so
+"s_R J_R^{-1} d_R + !(0)" is `s @ x1(J_inv) @ d + bang0`.  The constant rule
+(L2), d;e = 0, reads e through !(0), which is e after the counit, as
+d;!(0) = 0.  The unit reconstructions (L14, L17) move a unit operator f to
 the object A along `via_unit`: tag each bag with its size, apply f to the
 tag, forget the tag.  The linear rule (L5), d;eps = e x 1, reads eps as d°
 on the pairs ((), x), where e x 1 is !(0) x 1, and the unit monoidal laws
@@ -38,11 +41,11 @@ reaches a defect at one exponent pattern (a bag, a monomial) that no input
 hits: a bag above D - MARGIN atoms, or a monomial above the basis degree
 that no seeded input is.  The smooth model evaluates both sides at seeded
 probe points of its corpus maps and compares them to a tolerance; it has
-d, d°, s and !(0) but no K, J, inverses or unit monoidal maps, so it answers
-L5 and L18-L20 by their rows and skips the laws that read the others.  The
-polynomial and the smooth model wrap each operator as an `Op`.  The other
-laws need operators the sets do not have (Delta, sigma, e, chi) or take
-premises or random maps, so each binding states them itself.  The
+d, d°, s, !(0) and zero but no K, J, inverses or unit monoidal maps, so it
+answers L2, L5 and L18-L20 by their rows and skips the laws that read the
+others.  The polynomial and the smooth model wrap each operator as an `Op`.
+The other laws need operators the sets do not have (Delta, sigma, chi) or
+take premises or random maps, so each binding states them itself.  The
 relational binding writes each of them but the Taylor property (L21) as
 (lhs, rhs, label) equations between its column operators and compares them
 as it compares the table laws; L21 draws random maps and compares matrices.
@@ -71,11 +74,13 @@ class UnboundOperator(Exception):
 class Operators(NamedTuple):
     """One model's operators on one object, for the equations of the table laws.
 
-    `seq(f, g)` is g then f, `x1(f)` is f x 1, and composites add with `+`.
-    The unit monoidal maps: `gate` = m_{R,A} tags each bag with its size,
-    `spread` = m_R x 1 forgets the tag, `tag(f)` = f x 1 applies a unit-set
-    operator f on bare unit bags to the tag, and `atom` is bags = bags x atoms
-    on the one-point base (None on any other base).  A model leaves None an
+    Operators compose with `@`, `f @ g` being f;g, that is g then f, and add
+    with `+`; `x1(f)` is f x 1.  `zero` is the zero operator from bags to the
+    values of d, the right side of the constant rule (L2).  The unit monoidal
+    maps: `gate` = m_{R,A} tags each bag with its size, `spread` = m_R x 1
+    forgets the tag, `tag(f)` = f x 1 applies a unit-set operator f on bare
+    unit bags to the tag, and `atom` is bags = bags x atoms on the one-point
+    base (None on any other base).  A model leaves None an
     operator that only the laws it skips read.
     """
 
@@ -88,18 +93,18 @@ class Operators(NamedTuple):
     K_inv: Any
     J_inv: Any
     id: Any  # identity on bags
+    zero: Any
     gate: Any
     spread: Any
     atom: Any
     tag: Callable[[Any], Any]
-    seq: Callable[[Any, Any], Any]
     x1: Callable[[Any], Any]
 
 
 class Op:
     """An operator `fn` on inputs of type `src`, which each model names (poly: ("poly", arity), ...).
 
-    `f + g` adds the two values, and `Op.seq(f, g)` is g then f, on g's inputs.
+    `f + g` adds the two values, and `f @ g` is f;g, that is g then f, on g's inputs.
     """
 
     def __init__(self, src, fn: Callable):
@@ -108,33 +113,38 @@ class Op:
     def __add__(self, other: "Op") -> "Op":
         return Op(self.src, lambda v: self.fn(v) + other.fn(v))
 
-    @staticmethod
-    def seq(f: "Op", g: "Op") -> "Op":
-        return Op(g.src, lambda v: f.fn(g.fn(v)))
+    def __matmul__(self, other: "Op") -> "Op":
+        f, g = self.fn, other.fn
+        return Op(other.src, lambda v: f(g(v)))
 
 
 def via_unit(o: Operators, f):
     """The unit-set operator f moved to the object of `o`: (m_R x 1)(f x 1) m_{R,A}."""
-    return o.seq(o.spread, o.seq(o.tag(f), o.gate))
+    return o.spread @ o.tag(f) @ o.gate
 
 
 def _unit_j_inv(o: Operators, u: Operators):
     """J^{-1} from unit integration, (m_R x 1)(s_R x 1) m_{R,A}."""
-    return via_unit(o, u.seq(u.s, u.atom))
+    return via_unit(o, u.s @ u.atom)
+
+
+def _constant(o: Operators, u: Operators):
+    # d;e = 0 read through !(0), which is e after the counit
+    yield o.d @ o.bang0, o.zero, "derivative of a constant is nonzero"
 
 
 def _linear(o: Operators, u: Operators):
     # d;eps = e x 1 read through !(0) x 1, which keeps the pairs ((), x)
     constant = o.x1(o.bang0)
-    yield o.seq(o.seq(o.d, o.dc), constant), constant, "derivative of a linear map is not constant"
+    yield o.d @ o.dc @ constant, constant, "derivative of a linear map is not constant"
 
 
 def _unit_monoidal(o: Operators, u: Operators):
     # spread is m_R x 1, and gate tags a bag of one atom with eps's bag [*] and
     # the empty bag with e's [], so the cited m_R eps = 1 and m_R e = 1 are the
     # first equation at the bags of one atom and of none
-    yield o.seq(o.spread, o.gate), o.id, "m_R x 1 does not split m_{R,A}"
-    yield u.seq(u.spread, u.tag(u.seq(u.dc, u.atom))), u.spread, "m_R is not fixed by the unit coderive"
+    yield o.spread @ o.gate, o.id, "m_R x 1 does not split m_{R,A}"
+    yield u.spread @ u.tag(u.dc @ u.atom), u.spread, "m_R is not fixed by the unit coderive"
 
 
 def _inverses(o: Operators, u: Operators):
@@ -142,50 +152,50 @@ def _inverses(o: Operators, u: Operators):
     # closed-form degree scalings, so each equation holds exactly when the
     # built operator is the degree scaling the citation defines
     for name, op, inv in (("K", o.K, o.K_inv), ("J", o.J, o.J_inv)):
-        yield o.seq(op, inv), o.id, f"{name};{name}^{{-1}} is not the identity"
+        yield op @ inv, o.id, f"{name};{name}^{{-1}} is not the identity"
 
 
 def _ftc2(o: Operators, u: Operators):
-    yield o.seq(o.s, o.d) + o.bang0, o.id, "second fundamental theorem fails"
+    yield o.s @ o.d + o.bang0, o.id, "second fundamental theorem fails"
 
 
 def _absorption(o: Operators, u: Operators):
     for name, op in (("K", o.K), ("J", o.J)):
-        yield o.seq(op, o.bang0), o.bang0, f"{name} does not absorb the empty-bag projection"
-        yield o.seq(o.bang0, op), o.bang0, f"empty-bag projection does not absorb {name}"
-    yield o.seq(o.K, o.dc), o.seq(o.dc, o.x1(o.J)), "K/coderive intertwining fails"
-    yield o.seq(o.d, o.K), o.seq(o.x1(o.J), o.d), "derive/K intertwining fails"
+        yield op @ o.bang0, o.bang0, f"{name} does not absorb the empty-bag projection"
+        yield o.bang0 @ op, o.bang0, f"empty-bag projection does not absorb {name}"
+    yield o.K @ o.dc, o.dc @ o.x1(o.J), "K/coderive intertwining fails"
+    yield o.d @ o.K, o.x1(o.J) @ o.d, "derive/K intertwining fails"
 
 
 def _unit_pairing(o: Operators, u: Operators):
     for name, unit_op, op in (("K", u.K, o.K), ("J", u.J, o.J)):
-        yield o.seq(o.tag(unit_op), o.gate), o.seq(o.gate, op), f"{name} does not respect the unit pairing"
+        yield o.tag(unit_op) @ o.gate, o.gate @ op, f"{name} does not respect the unit pairing"
 
 
 def _s_against_j(o: Operators, u: Operators):
-    yield o.seq(o.s, o.x1(o.J)), o.dc, "s;(J x 1) differs from the coderive"
+    yield o.s @ o.x1(o.J), o.dc, "s;(J x 1) differs from the coderive"
 
 
 def _j_inverse(o: Operators, u: Operators):
     yield _unit_j_inv(o, u), o.J_inv, "unit J-inverse formula fails"
-    yield o.seq(o.J, o.J_inv), o.id, "J;J^{-1} is not the identity"
-    yield o.seq(o.J_inv, o.J), o.id, "J^{-1};J is not the identity"
+    yield o.J @ o.J_inv, o.id, "J;J^{-1} is not the identity"
+    yield o.J_inv @ o.J, o.id, "J^{-1};J is not the identity"
 
 
 def _kinv_formula(o: Operators):
-    return o.seq(o.seq(o.s, o.x1(o.J_inv)), o.d) + o.bang0
+    return o.s @ o.x1(o.J_inv) @ o.d + o.bang0
 
 
 def _k_inverse(o: Operators, u: Operators):
     yield _kinv_formula(o), o.K_inv, "unit K-inverse formula fails"
-    yield o.seq(o.K_inv, o.dc), o.s, "K^{-1};d° differs from unit integration"
+    yield o.K_inv @ o.dc, o.s, "K^{-1};d° differs from unit integration"
 
 
 def _round_trip(o: Operators, u: Operators):
     kinv = _kinv_formula(o)
-    yield o.seq(kinv, o.K), o.id, "constructed inverse fails on the left"
-    yield o.seq(o.K, kinv), o.id, "constructed inverse fails on the right"
-    yield o.seq(o.seq(o.K_inv, o.dc), o.d) + o.bang0, o.id, "extracted integral violates the fundamental theorem"
+    yield kinv @ o.K, o.id, "constructed inverse fails on the left"
+    yield o.K @ kinv, o.id, "constructed inverse fails on the right"
+    yield o.K_inv @ o.dc @ o.d + o.bang0, o.id, "extracted integral violates the fundamental theorem"
 
 
 def _reconstruction(o: Operators, u: Operators):
@@ -194,17 +204,17 @@ def _reconstruction(o: Operators, u: Operators):
     kinv = via_unit(o, u.K_inv)
     yield kinv, o.K_inv, "reconstructed K-inverse differs"
     yield _unit_j_inv(o, u), o.J_inv, "reconstructed J-inverse differs"
-    yield o.seq(kinv, o.dc), o.s, "reconstructed integral differs"
+    yield kinv @ o.dc, o.s, "reconstructed integral differs"
 
 
 def _ftc1(o: Operators, u: Operators):
-    yield o.seq(o.d, o.s), o.x1(o.id), "first fundamental theorem fails"
+    yield o.d @ o.s, o.x1(o.id), "first fundamental theorem fails"
 
 
 def _poincare(o: Operators, u: Operators):
     # every symmetric f the models generate is exact, f = d;g, and d;s;f = f
     # holds for every g exactly when d;s;d = d
-    yield o.seq(o.seq(o.d, o.s), o.d), o.d, "derivative of the integral loses the field"
+    yield o.d @ o.s @ o.d, o.d, "derivative of the integral loses the field"
 
 
 def _collapse(o: Operators, u: Operators):
@@ -228,7 +238,7 @@ class Law(NamedTuple):
 
 LAWS: tuple[Law, ...] = (
     Law("L1", "comonoid / substitution unit", "Delta cocommutative comonoid; coKleisli composition associative and unital"),
-    Law("L2", "constant rule", "d ; e = 0  (derivative of a constant vanishes)"),
+    Law("L2", "constant rule", "d ; e = 0  (derivative of a constant vanishes)", "general", _constant),
     Law("L3", "Leibniz rule", "d ; Delta = (Delta x 1)(1 x sigma)(d x 1) + (Delta x 1)(1 x d)"),
     Law("L4", "chain rule", "D[g o f](x, v) = D[g](f(x), D[f](x, v))"),
     Law("L5", "linear rule", "d ; eps = e x 1  (derivative of a linear map is constant)", "general", _linear),

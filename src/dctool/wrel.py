@@ -12,8 +12,8 @@ by 1/(|b| + 1); K and J are the diagonal bag-size scalings d°;d + !(0) and
 d°;d + 1.  Delta and the split chi of a disjoint union are one formula, bag
 union (`merge`): column (b1, b2) reaches b1 + b2; column b of chi^{-1}
 reaches the pair of b's two parts.  Column operators add, compose
-(`col_seq`: column c of f;g is the columns of f summed along column c of g)
-and act on one factor of a pair (`ColumnOp.on_left`, f x 1, which is also a
+(`f @ g` is f;g: its column c is the columns of f summed along column c of
+g) and act on one factor of a pair (`ColumnOp.on_left`, f x 1, which is also a
 unit operator on the size tag, and `ColumnOp.on_right`, 1 x f).  A map of
 points, such as a permutation of tensor factors or of atoms, an associator
 or a unitor, is the operator `relabel` builds.  `operators_rel` builds the
@@ -39,7 +39,7 @@ none, because a zero entry can only come from a sum that cancels (the rig
 properties behind this are listed in `rig.Rig`): `ColumnOp.matrix` and
 `perm_matrix` move or select nonzero entries; `tensor`
 multiplies nonzero entries; `mat_compose` and `+` sum products of them
-through `rig.accumulate`, as the column operators' `+` and `col_seq` do,
+through `rig.accumulate`, as the column operators' `+` and `@` do,
 which tests a sum only where two values meet at one key and only over a rig
 with `has_negatives`; and the column formulas are weighted by
 `one`, multiplicities `nat_value(k)` and inverses `nat_inverse(k)` with
@@ -351,6 +351,24 @@ class ColumnOp:
         rig, f, g = self.rig, self.column, other.column
         return ColumnOp(rig, self.col_space, lambda c: accumulate(rig, dict(f(c)), g(c).items()))
 
+    def __matmul__(self, other: "ColumnOp") -> "ColumnOp":
+        """f;g, that is g then f: column c sums column y of f weighted by g(y, c), as `mat_compose` does.
+
+        A column of g that is the single entry (y, one) gives column y of f itself.
+        """
+        rig, fc, gc = self.rig, self.column, other.column
+
+        def column(c):
+            through = gc(c)
+            if len(through) == 1:
+                [(y, b)] = through.items()
+                if rig.eq(b, rig.one):
+                    return fc(y)
+            mul = rig.mul
+            return accumulate(rig, {}, ((r, mul(a, b)) for y, b in through.items() for r, a in fc(y).items()))
+
+        return ColumnOp(rig, other.col_space, column)
+
     def on_left(self, space) -> "ColumnOp":
         """f x 1: this operator on the first factor of a pair whose second factor is a point of `space`."""
         f, pairs = self.column, PairSpace(self.col_space, space)
@@ -374,25 +392,6 @@ class ColumnOp:
         return _first_difference(self.rig, ((c, f(c), g(c)) for c in _band(self.col_space, limit)))
 
 
-def col_seq(f: ColumnOp, g: ColumnOp) -> ColumnOp:
-    """f;g, that is g then f: column c sums column y of f weighted by g(y, c), as `mat_compose` does.
-
-    A column of g that is the single entry (y, one) gives column y of f itself.
-    """
-    rig, fc, gc = f.rig, f.column, g.column
-
-    def column(c):
-        through = gc(c)
-        if len(through) == 1:
-            [(y, b)] = through.items()
-            if rig.eq(b, rig.one):
-                return fc(y)
-        mul = rig.mul
-        return accumulate(rig, {}, ((r, mul(a, b)) for y, b in through.items() for r, a in fc(y).items()))
-
-    return ColumnOp(rig, g.col_space, column)
-
-
 def relabel(rig: Rig, space, fn) -> ColumnOp:
     """The map of points `fn` as an operator: column c, a point of `space`, reaches the one row fn(c) with weight one.
 
@@ -409,8 +408,8 @@ def merge(rig: Rig, pairs: PairSpace) -> ColumnOp:
 
 
 class Comonoid(NamedTuple):
-    """Delta and the counit e, which L1-L3 read; the linear counit eps is d° on the pairs ((), x), so the
-    linear rule (L5) states it through the operator set."""
+    """Delta and the counit e, which L1 and L3 read.  The constant rule (L2) reads e through !(0), and the
+    linear rule (L5) the linear counit eps as d° on the pairs ((), x), both through the operator set."""
 
     delta: ColumnOp  # column (b1, b2) reaches b1 + b2: each bag's row holds all its ordered two-part splits
     counit: ColumnOp  # the unit point reaches the empty bag
@@ -433,7 +432,7 @@ def comonoid_rel(base: BaseSet, rig: Rig, size: int) -> Comonoid:
 
 
 def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
-    """d, d°, s, !(0), K, J, K^{-1}, J^{-1} and the unit monoidal maps on the bags of `base`, as column
+    """d, d°, s, !(0), K, J, K^{-1}, J^{-1}, zero and the unit monoidal maps on the bags of `base`, as column
     operators from the bags of at most `size` atoms (paired with an atom, or tagged, where the operator
     needs it).
 
@@ -458,15 +457,16 @@ def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
     dc = op(pairs, lambda c: {bag(*c[0], c[1]): one})
     bang0 = op(bags, lambda b: {} if b else {b: one})
     id_bags = relabel(rig, bags, lambda b: b)
-    dcd = col_seq(dc, d)
+    dcd = dc @ d
     return Operators(
         d, dc, op(pairs, lambda c: {bag(*c[0], c[1]): inv[len(c[0]) + 1]}), bang0,
         op(bags, (dcd + bang0).column), op(bags, (dcd + id_bags).column),
         op(bags, lambda b: {b: inv[len(b)]}), op(bags, lambda b: {b: inv[len(b) + 1]}),
-        id=id_bags, gate=op(bags, lambda b: {((UNIT_POINT,) * len(b), b): one}),
+        id=id_bags, zero=ColumnOp(rig, bags, lambda b: {}),
+        gate=op(bags, lambda b: {((UNIT_POINT,) * len(b), b): one}),
         spread=op(PairSpace(BagSpace(UNIT_BASE, size), bags), lambda c: {c[1]: one}),
         atom=op(bags, lambda n: {(n, UNIT_POINT): one}) if base == UNIT_BASE else None,
-        tag=lambda f: f.on_left(bags), seq=col_seq, x1=lambda f: f.on_left(atoms),
+        tag=lambda f: f.on_left(bags), x1=lambda f: f.on_left(atoms),
     )
 
 
@@ -525,8 +525,8 @@ def make_rel_binding(
     and one on UNIT_BASE, where the general operators are the unit-level d_R,
     d°_R, s_R, K_R and J_R (d_R and s_R keep the one-point atom factor, as
     `R x 1` in the law citations); every operator is defined once per base
-    set.  The laws with equations in their `lawsuite.LAWS` row, L5, L10 and
-    L24 among them, run on these two sets; the other laws but L21 are lists of
+    set.  The laws with equations in their `lawsuite.LAWS` row, L2, L5, L10
+    and L24 among them, run on these two sets; the other laws but L21 are lists of
     equations here between the same operators and those of `comonoid_rel`
     and `seely_rel`, with `relabel` for every map of points.  Each
     side of an equation is evaluated, untruncated, on every source column of
@@ -554,7 +554,7 @@ def make_rel_binding(
 
     o, u = operators_rel(base, rig, truncation), operators_rel(UNIT_BASE, rig, truncation)
     com = comonoid_rel(base, rig, truncation)
-    d, seq = o.d, col_seq
+    d = o.d
     # sigma of L6 and L7: ((b, x), y) -> ((b, y), x)
     swap_atoms = relabel(rig, pair_baa, lambda p: ((p[0][0], p[1]), p[0][1]))
 
@@ -572,19 +572,15 @@ def make_rel_binding(
         delta = com.delta
         triples = PairSpace(bags, PairSpace(bags, bags))
         reassoc = relabel(rig, triples, lambda p: ((p[0], p[1][0]), p[1][1]))
-        lhs = seq(seq(delta, delta.on_left(bags)), reassoc)
-        yield cmp(lhs, seq(delta, delta.on_right(bags)), "comultiplication not coassociative")
+        lhs = delta @ delta.on_left(bags) @ reassoc
+        yield cmp(lhs, delta @ delta.on_right(bags), "comultiplication not coassociative")
         # counit laws, with the unit factor projected away
-        lhs = seq(seq(delta, com.counit.on_left(bags)), relabel(rig, bags, lambda b: (UNIT_POINT, b)))
+        lhs = delta @ com.counit.on_left(bags) @ relabel(rig, bags, lambda b: (UNIT_POINT, b))
         yield cmp(lhs, o.id, "left counit fails")
-        lhs = seq(seq(delta, com.counit.on_right(bags)), relabel(rig, bags, lambda b: (b, UNIT_POINT)))
+        lhs = delta @ com.counit.on_right(bags) @ relabel(rig, bags, lambda b: (b, UNIT_POINT))
         yield cmp(lhs, o.id, "right counit fails")
-        swapped = seq(delta, relabel(rig, delta.col_space, lambda p: (p[1], p[0])))
+        swapped = delta @ relabel(rig, delta.col_space, lambda p: (p[1], p[0]))
         yield cmp(swapped, delta, "comultiplication not cocommutative")
-
-    def l2(rng, cases):
-        zero = ColumnOp(rig, UnitSpace(), lambda c: {})
-        yield cmp(seq(d, com.counit), zero, "derivative of a constant is nonzero")
 
     def l3(rng, cases):
         split = com.delta.on_left(atoms)  # ((b1, b2), x) -> (b1 + b2, x)
@@ -592,16 +588,16 @@ def make_rel_binding(
         left = relabel(rig, PairSpace(pair_ba, bags), lambda p: ((p[0][0], p[1]), p[0][1]))
         # summand that differentiates the right split part: (b1, (b, x)) -> ((b1, b), x)
         right = relabel(rig, PairSpace(bags, pair_ba), lambda p: ((p[0], p[1][0]), p[1][1]))
-        rhs = seq(split, seq(left, d.on_left(bags))) + seq(split, seq(right, d.on_right(bags)))
-        yield cmp(seq(d, com.delta), rhs, "Leibniz fails", limit + 1)
+        rhs = split @ left @ d.on_left(bags) + split @ right @ d.on_right(bags)
+        yield cmp(d @ com.delta, rhs, "Leibniz fails", limit + 1)
 
     def l6(rng, cases):
-        lhs = seq(d.on_left(atoms), d)
-        yield cmp(lhs, seq(swap_atoms, lhs), "interchange fails")
+        lhs = d.on_left(atoms) @ d
+        yield cmp(lhs, swap_atoms @ lhs, "interchange fails")
 
     def l7(rng, cases):
-        rhs = seq(o.dc.on_left(atoms), seq(swap_atoms, d.on_left(atoms))) + o.x1(o.id)
-        yield cmp(seq(d, o.dc), rhs, "derive/coderive exchange fails")
+        rhs = o.dc.on_left(atoms) @ swap_atoms @ d.on_left(atoms) + o.x1(o.id)
+        yield cmp(d @ o.dc, rhs, "derive/coderive exchange fails")
 
     def l21(rng, cases):
         d_matrix, bang0 = d.matrix(pair_ba), o.bang0.matrix(bags)
@@ -620,8 +616,8 @@ def make_rel_binding(
     def l22(rng, cases):
         half = max(1, base_size // 2)
         chi, chi_inv = seely_rel(BaseSet(base.atoms[:half]), BaseSet(base.atoms[half:]), rig, truncation)
-        yield cmp(seq(chi, chi_inv), identity(chi_inv.col_space), "split;merge is not the identity", truncation)
-        yield cmp(seq(chi_inv, chi), identity(chi.col_space), "merge;split is not the identity", truncation)
+        yield cmp(chi @ chi_inv, identity(chi_inv.col_space), "split;merge is not the identity", truncation)
+        yield cmp(chi_inv @ chi, identity(chi.col_space), "merge;split is not the identity", truncation)
 
     def l23(rng, cases):
         def one(rng):
@@ -630,11 +626,11 @@ def make_rel_binding(
             phi, back = dict(zip(base.atoms, image)), dict(zip(image, base.atoms))
             push = relabel(rig, pair_ba, lambda p: (bag(*(phi[a] for a in p[0])), phi[p[1]]))
             pull = relabel(rig, bags, lambda b: bag(*(back[a] for a in b)))
-            return cmp(d, seq(push, seq(d, pull)), "derivative is not natural along atom permutations")
+            return cmp(d, push @ d @ pull, "derivative is not natural along atom permutations")
 
         return repeat_case(rng, min(cases, 5), one)
 
-    checks = {"L1": l1, "L2": l2, "L3": l3, "L6": l6, "L7": l7, "L21": l21, "L22": l22, "L23": l23}
+    checks = {"L1": l1, "L3": l3, "L6": l6, "L7": l7, "L21": l21, "L22": l22, "L23": l23}
     skips = {"L4": "the double-exponential chain rule is out of scope for this model"}
     if not rig.idempotent:
         skips["L24"] = "integral/coderive collapse needs an additively idempotent rig"

@@ -48,7 +48,7 @@ def test_acceptance_1_polynomial_ftc2(capsys):
 def test_acceptance_2_unit_identity_D8(capsys):
     t0 = time.perf_counter()
     u = wr.operators_rel(wr.UNIT_BASE, NONNEG_RATIONAL, 8)
-    ok = is_identity(u.seq(u.s, u.d) + u.bang0, BagSpace(wr.UNIT_BASE, 8).points())
+    ok = is_identity(u.s @ u.d + u.bang0, BagSpace(wr.UNIT_BASE, 8).points())
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     announce(capsys, 2, ok, f"unit s·d + !(0) = identity at D=8, exact, {elapsed:.3f}s (< 1s)")
@@ -59,7 +59,7 @@ def test_acceptance_3_general_bags(capsys):
     base = BaseSet(("a", "b", "c"))
     o = wr.operators_rel(base, NONNEG_RATIONAL, 5)
     bags = BagSpace(base, 5).points()
-    ok = is_identity(o.seq(o.s, o.d) + o.bang0, bags) and is_identity(o.seq(o.K_inv, o.K), bags)
+    ok = is_identity(o.s @ o.d + o.bang0, bags) and is_identity(o.K_inv @ o.K, bags)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     announce(capsys, 3, ok, f"|X|=3, D=5 FTC2 and K-inverse identities exact, {elapsed:.2f}s (< 30s)")
@@ -100,7 +100,7 @@ def test_acceptance_5_unit_reconstruction_round_trip(capsys):
         ok = lawsuite.run_law("L17", binding, cases=100, seed=5).status == "pass"
     if ok:
         u = wr.operators_rel(wr.UNIT_BASE, NONNEG_RATIONAL, 4)
-        lhs = u.seq(u.seq(u.K_inv, u.dc), u.d) + u.bang0
+        lhs = u.K_inv @ u.dc @ u.d + u.bang0
         ok = is_identity(lhs, BagSpace(wr.UNIT_BASE, 4).points())
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0

@@ -1,6 +1,7 @@
 """Suite runner: table closure, determinism, whole-table coverage, and the negative control."""
 
 import ast
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -40,7 +41,7 @@ def test_every_real_binding_reports_all_laws_in_table_order():
     assert set(rel.skips) == {"L4", "L24"}
     assert set(rel_bool.skips) == {"L4"}
     assert "L24" not in rel_bool.checks  # its LAWS row checks it
-    assert set(smooth.checks) == {"L2", "L3", "L4", "L6", "L21"}
+    assert set(smooth.checks) == {"L3", "L4", "L6", "L21"}
 
 
 def test_reports_are_deterministic():
@@ -92,7 +93,7 @@ def test_boolean_poly_checks_collapse_law():
 
 def test_both_exact_models_evaluate_the_operator_table():
     table = [law.id for law in ls.LAWS if law.equations]
-    assert table == ["L5", *(f"L{n}" for n in range(8, 21)), "L24"]
+    assert table == ["L2", "L5", *(f"L{n}" for n in range(8, 21)), "L24"]
     # the rational rigs skip L24, so the boolean bindings run it
     for rig in (RATIONAL, BOOLEAN):
         for binding in (make_poly_binding(rig, variables=2, max_degree=4), make_rel_binding(rig)):
@@ -103,16 +104,19 @@ def test_both_exact_models_evaluate_the_operator_table():
 
 def test_no_binding_overrides_a_table_law():
     """Every binding of every model over every rig answers the laws whose rows have equations by those
-    rows: it has `equations` and no check of such a law.  Smooth answers L5 and L18-L20 by their rows."""
+    rows: it has `equations` and no check of such a law.  Smooth answers L2, L5 and L18-L20 by their
+    rows, and no binding has a check of the constant rule (L2)."""
     table = {law.id for law in ls.LAWS if law.equations}
+    assert "L2" in table
     bindings = [make_smooth_binding(max_dim=dim) for dim in (1, 2, 3)]
     for rig in RIGS.values():
         bindings += [make_poly_binding(rig), make_rel_binding(rig)]
     for binding in bindings:
         assert binding.equations is not None and not table & set(binding.checks), (binding.name, binding.semiring)
+        assert "L2" not in binding.skips, (binding.name, binding.semiring)
     for binding in bindings[:3]:
-        assert set(binding.checks) | {"L6"} == {"L2", "L3", "L4", "L6", "L21"}  # dim 1 skips L6
-        assert table - set(binding.skips) == {"L5", "L18", "L19", "L20"}
+        assert set(binding.checks) | {"L6"} == {"L3", "L4", "L6", "L21"}  # dim 1 skips L6
+        assert table - set(binding.skips) == {"L2", "L5", "L18", "L19", "L20"}
 
 
 def test_a_table_law_is_answered_by_its_row_even_where_the_binding_has_a_check():
@@ -127,7 +131,7 @@ def test_a_table_law_is_answered_by_its_row_even_where_the_binding_has_a_check()
     assert (report.status, report.cases, report.counterexample) == ("pass", 1, None)
     assert read == [(ls.LAW_BY_ID["L18"].equations, "general")]
     # a law whose row has no equations is still answered by the check
-    assert ls.run_law("L2", binding._replace(checks={"L2": lambda rng, cases: [None]}), 5, 0).status == "pass"
+    assert ls.run_law("L3", binding._replace(checks={"L3": lambda rng, cases: [None]}), 5, 0).status == "pass"
 
 
 def _mutate_rel_operators(monkeypatch, **mutants):
@@ -299,7 +303,8 @@ REL_MUTANTS = {
         partial(_mutate_rel_operators, K_inv=lambda o, rig: o.J_inv), ["L8", "L15", "L16", "L17"]
     ),
     "gate-one-too-large": (partial(_mutate_rel_operators, gate=_gate_one_too_large), ["L11", "L14", "L17"]),
-    "counit-reaching-a": (partial(_mutate_rel, name="comonoid_rel", mutant=_counit_reaching_a), ["L1", "L2"]),
+    # L2 reads e through !(0), not the counit
+    "counit-reaching-a": (partial(_mutate_rel, name="comonoid_rel", mutant=_counit_reaching_a), ["L1"]),
     "delta-without-lopsided-splits": (
         partial(_mutate_rel, name="comonoid_rel", mutant=_delta_without_lopsided_splits), ["L1", "L3"]
     ),
@@ -592,11 +597,15 @@ def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_
     reports = _smooth_reports(monkeypatch, "gauss3-derivative-broken-past-x0-equal-1")
     failing = {r.law_id: (r.cases, r.counterexample) for r in reports if r.status == "fail"}
     assert failing == {
-        "L3": (42, "Leibniz fails: map=poly3 x=[ 1.339396 -0.879792  1.54241 ] lhs=[0.5439071901] rhs=[0.5456679083]"),
+        "L3": (
+            42,
+            "Leibniz fails: map=poly3 x=[ 1.339396 -0.879792  1.54241 ] v=[0.384057 0.799161 0.243878] "
+            "lhs=[0.5439071901] rhs=[0.5456679083]",
+        ),
         "L4": (
             78,
             "chain rule fails (id1 o gauss3): map=gauss3 x=[ 1.777488 -0.864492 -0.53423 ] "
-            "lhs=[0.6808976549] rhs=[1.2392769013]",
+            "v=[-1.79191   1.270026 -0.746982] lhs=[0.6808976549] rhs=[1.2392769013]",
         ),
         # the fourth potential, 12 points: its fifth column
         "L6": (
@@ -614,10 +623,24 @@ def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_
         "L20": (
             50,
             "derivative of the integral loses the field: map=gauss3 x=[ 1.712529  1.267991 -1.589019] "
-            "lhs=[0.073401017] rhs=[0.2585470273]",
+            "v=[ 0.405883 -1.769741  1.366241] lhs=[0.073401017] rhs=[0.2585470273]",
         ),
     }
     assert {r.status for r in reports if r.law_id not in failing} == {"pass", "skipped"}
+
+
+def test_a_failing_field_comparison_replays_from_its_printed_point_and_direction(monkeypatch):
+    """L20 compares the fields d;s;d f and d f at (x, v): the x and v its counterexample prints, to 6
+    digits, rebuild its lhs, the complex step of the line integral of D[gauss3], to 1e-5."""
+    reports = _smooth_reports(monkeypatch, "gauss3-derivative-broken-past-x0-equal-1")
+    text = next(r.counterexample for r in reports if r.law_id == "L20")
+    shown = {name: np.array(values.split(), float) for name, values in re.findall(r"(\w+)=\[([^\]]*)\]", text)}
+    assert list(shown) == ["x", "v", "lhs", "rhs"]
+    gauss3 = next(f for f in sm.builtin_corpus() if f.label == "gauss3")
+    integral = sm.SmoothMap(3, 1, lambda y: sm.line_integral_S(sm.bilinearize(gauss3), y), "S[D[gauss3]]")
+    lhs = sm.directional_derivative(integral, shown["x"], shown["v"])
+    assert np.allclose(lhs, shown["lhs"], rtol=1e-5, atol=0)
+    assert not np.allclose(lhs, shown["rhs"], rtol=1e-2, atol=0)
 
 
 class _InverseRig(NonNegRationalRig):
@@ -757,13 +780,13 @@ def test_an_exception_in_one_check_fails_only_that_law(monkeypatch, capsys):
         raise NonFinite("probe returned nan")
 
     checks = {law.id: passes for law in ls.LAWS}
-    checks["L2"] = raises
+    checks["L3"] = raises
     binding = ls.ModelBinding(name="fragile", semiring="none", checks=checks)
     reports = ls.run_suite(binding, cases=3, seed=0)
     assert [r.law_id for r in reports] == [law.id for law in ls.LAWS]
     by_id = {r.law_id: r for r in reports}
-    assert (by_id["L2"].status, by_id["L2"].counterexample) == ("fail", "raised NonFinite: probe returned nan")
-    assert all(r.status == "pass" for r in reports if r.law_id != "L2")
+    assert (by_id["L3"].status, by_id["L3"].counterexample) == ("fail", "raised NonFinite: probe returned nan")
+    assert all(r.status == "pass" for r in reports if r.law_id != "L3")
 
     monkeypatch.setattr(cli, "_make_binding", lambda args: binding)
     assert cli.main(["check", "smooth"]) == 1
@@ -771,11 +794,11 @@ def test_an_exception_in_one_check_fails_only_that_law(monkeypatch, capsys):
 
 
 def _one_law_binding(check):
-    return ls.ModelBinding(name="fake", semiring="none", checks={"L2": check})
+    return ls.ModelBinding(name="fake", semiring="none", checks={"L3": check})
 
 
 def test_a_check_that_yields_no_case_fails():
-    report = ls.run_law("L2", _one_law_binding(lambda rng, cases: iter(())), cases=5, seed=0)
+    report = ls.run_law("L3", _one_law_binding(lambda rng, cases: iter(())), cases=5, seed=0)
     assert (report.status, report.cases, report.counterexample) == ("fail", 0, "no case was checked")
 
 
@@ -787,7 +810,7 @@ def test_the_runner_stops_at_the_first_counterexample_and_counts_the_cases_read(
             evaluated.append(n)
             yield f"case {n} fails" if n >= 3 else None
 
-    report = ls.run_law("L2", _one_law_binding(check), cases=10, seed=0)
+    report = ls.run_law("L3", _one_law_binding(check), cases=10, seed=0)
     assert (report.status, report.cases, report.counterexample) == ("fail", 3, "case 3 fails")
     assert evaluated == [1, 2, 3]
 
@@ -798,7 +821,7 @@ def test_a_check_that_raises_after_passing_cases_reads_zero_cases():
         yield None
         raise NonFinite("third probe returned nan")
 
-    report = ls.run_law("L2", _one_law_binding(check), cases=10, seed=0)
+    report = ls.run_law("L3", _one_law_binding(check), cases=10, seed=0)
     assert (report.status, report.cases) == ("fail", 0)
     assert report.counterexample == "raised NonFinite: third probe returned nan"
 

@@ -343,19 +343,22 @@ def _count_calls(monkeypatch, key):
 
 def test_smooth_suite_work_counts(monkeypatch):
     """Each law draws its probe points as one batch per shape class and evaluates each side once per
-    class, a family map counting as one call besides its members' own: 339 map calls.  The table laws
+    class, a family map counting as one call besides its members' own: 358 map calls.  The table laws
     evaluate each operator's value as a map of its own, so per law, against the bespoke checks they
-    replaced: L5 58 (6), L18 38 (45), L19 20 (17) and L20 12 (6); L2 3, L3 55, L4 95, L6 4 and L21 54
-    as before.  The bespoke suite made 285, against 314 when L18-L20 evaluated f(x) and the field a
-    second time for a residual bound, 329 when they evaluated each item on its own, 735 when L3 and L4
-    also evaluated each pair of maps on its own, and 1,884 when each law evaluated one point at a time."""
+    replaced: L2 22 (3), L5 58 (6), L18 38 (45), L19 20 (17) and L20 12 (6); L3 55, L4 95, L6 4 and
+    L21 54 as before.  Per shape class of the scalar maps, L2's row calls the field d;!(0) f, the map
+    !(0) f it differentiates, the family and its members, and the zero field, where its check took
+    the complex step of each constant map.  The suite made 339 before L2's row, the bespoke suite
+    285, against 314 when L18-L20 evaluated f(x) and the field a second time for a residual bound,
+    329 when they evaluated each item on its own, 735 when L3 and L4 also evaluated each pair of maps
+    on its own, and 1,884 when each law evaluated one point at a time."""
     law = [None]
     calls = _count_calls(monkeypatch, lambda f: law[0])
     binding = make_smooth_binding(max_dim=3)
     for law[0] in [row.id for row in lawsuite.LAWS]:
         assert lawsuite.run_law(law[0], binding, cases=50, seed=0).status != "fail"
     assert {law_id: n for law_id, n in calls.items() if n} == {
-        "L2": 3, "L3": 55, "L4": 95, "L5": 58, "L6": 4, "L18": 38, "L19": 20, "L20": 12, "L21": 54
+        "L2": 22, "L3": 55, "L4": 95, "L5": 58, "L6": 4, "L18": 38, "L19": 20, "L20": 12, "L21": 54
     }
 
 
@@ -568,20 +571,26 @@ def test_a_chain_rule_failing_in_two_shape_classes_reports_the_first_failing_pai
     binding = make_smooth_binding(max_dim=3)
     reports = lawsuite.run_suite(binding, cases=50, seed=105)
     chain_rule_fails = [
-        (47, "chain rule fails (id1 o prod2): map=prod2 x=[1.215426 0.939176] lhs=[1.2973115219] rhs=[2.5946230438]"),
+        (
+            47,
+            "chain rule fails (id1 o prod2): map=prod2 x=[1.215426 0.939176] v=[-0.372021  1.354837] "
+            "lhs=[1.2973115219] rhs=[2.5946230438]",
+        ),
         (
             72,
             "chain rule fails (id1 o poly3): map=poly3 x=[ 1.33028  -1.814027 -1.597353] "
-            "lhs=[11.4998711212] rhs=[22.9997422423]",
+            "v=[ 1.975799 -0.610407  0.322851] lhs=[11.4998711212] rhs=[22.9997422423]",
         ),
     ]
     assert {r.law_id: (r.cases, r.counterexample) for r in reports if r.status == "fail"} == {
-        "L3": (1, "Leibniz fails: map=id1 x=[1.937921] lhs=[3.3105474023] rhs=[6.6210948045]"),
+        "L3": (1, "Leibniz fails: map=id1 x=[1.937921] v=[0.854149] lhs=[3.3105474023] rhs=[6.6210948045]"),
         "L4": chain_rule_fails[0],
         # id1 is the first scalar map of L18 and L20, five points each; in both its fifth is the first above 1
         "L18": (5, "second fundamental theorem fails: map=id1 x=[1.27832] lhs=[1.567116971] rhs=[1.2783196916]"),
         "L20": (
-            5, "derivative of the integral loses the field: map=id1 x=[1.499305] lhs=[2.0391893269] rhs=[3.1099390905]"
+            5,
+            "derivative of the integral loses the field: map=id1 x=[1.499305] v=[1.55497] "
+            "lhs=[2.0391893269] rhs=[3.1099390905]",
         ),
     }
     stream = list(binding.checks["L4"](random.Random("105:L4"), 50))

@@ -158,9 +158,9 @@ def test_interleave_stops_where_the_trees_report_differently(monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "seed 0: the trees report differently, first at parent ('nonneg-rational', 'L5', 'pass', "
+        "seed 0: the trees report differently, first at parent ('nonneg-rational', 'L2', 'pass', "
     )
-    assert ", change ('nonneg-rational', 'L5', 'pass', " in captured.err
+    assert ", change ('nonneg-rational', 'L2', 'pass', " in captured.err
     # round 1 runs the change first, and the message still shows the parent's report, then the change's
     parent, change = object(), object()
 

@@ -124,7 +124,7 @@ def test_bang_zero_instances():
     b0 = wr.operators_rel(XY, R, 4).bang0
     assert entry(b0, (), ()) == Fraction(1)
     assert entry(b0, ("x",), ()) == Fraction(0)
-    assert columns(wr.col_seq(b0, b0)) == columns(b0)
+    assert columns(b0 @ b0) == columns(b0)
 
 
 def test_s_unit_formula_instances():
@@ -160,8 +160,8 @@ def test_unit_K_diagonal():
 def test_K_inverse_inverts_on_safe_band():
     o = wr.operators_rel(XY, R, 4)
     ident = {b: {b: R.one} for b in BagSpace(XY, 4).points()}
-    assert columns(o.seq(o.K_inv, o.K)) == ident
-    assert columns(o.seq(o.K, o.K_inv)) == ident
+    assert columns(o.K_inv @ o.K) == ident
+    assert columns(o.K @ o.K_inv) == ident
 
 
 def test_boolean_K_is_identity():
@@ -235,11 +235,11 @@ def test_m_unit_laws():
     # m_R x 1 forgets the tag with weight one: m_R takes every unit bag to the unit point
     assert columns(o.spread) == {(n, b): {b: R.one} for n in ubags for b in bags}
     assert columns(o.gate) == {b: {(nb(len(b)), b): R.one} for b in bags}
-    assert columns(o.seq(o.spread, o.gate)) == {b: {b: R.one} for b in bags}
+    assert columns(o.spread @ o.gate) == {b: {b: R.one} for b in bags}
     # m_R eps = 1 and m_R e = 1: a bag of one atom is tagged with eps's [*], the empty bag with e's []
     assert o.gate.column(("x",)) == {(nb(1), ("x",)): R.one} and o.gate.column(()) == {(nb(0), ()): R.one}
     # m_R d° = m_R: the unit coderive adds one point to the tag, which m_R forgets
-    assert columns(u.seq(u.spread, u.tag(u.seq(u.dc, u.atom)))) == columns(u.spread)
+    assert columns(u.spread @ u.tag(u.dc @ u.atom)) == columns(u.spread)
 
 
 # -- Seely -------------------------------------------------------------------
@@ -254,8 +254,8 @@ def test_seely_instances():
     assert entry(chi_inv, (("x",), ("y", "y")), ("x", "y", "y")) == Fraction(1)
     combined = BagSpace(BaseSet(("x", "y")), 4)
     assert chi_inv.col_space == combined
-    assert columns(wr.col_seq(chi, chi_inv)) == {b: {b: R.one} for b in combined.points()}
-    assert columns(wr.col_seq(chi_inv, chi)) == {p: {p: R.one} for p in chi.col_space.points()}
+    assert columns(chi @ chi_inv) == {b: {b: R.one} for b in combined.points()}
+    assert columns(chi_inv @ chi) == {p: {p: R.one} for p in chi.col_space.points()}
 
 
 def test_seely_requires_disjoint_atoms():
@@ -394,7 +394,7 @@ def test_relabel_equals_composing_with_the_permutation_matrix():
     # composing with a permutation permutes the columns of the other operator
     delta, swapped = wr.comonoid_rel(XY, R, 3).delta, wr.relabel(R, bb, swap)
     for b1, b2 in bb.points():
-        assert wr.col_seq(delta, swapped).column((b1, b2)) == delta.column((b2, b1))
+        assert (delta @ swapped).column((b1, b2)) == delta.column((b2, b1))
 
 
 def test_band_enumerates_the_points_of_at_most_limit_atoms():
@@ -460,7 +460,7 @@ def test_band_first_composite_is_the_full_composite_on_the_safe_band_rows(base_s
     for _ in range(3):
         f = _random_fill(rng, bags, atoms, 40)
         by_column = wr.ColumnOp(R, atoms, lambda x: {r: w for (r, c), w in f.entries.items() if c == x})
-        composite = wr.col_seq(d, by_column)
+        composite = d @ by_column
         exact = {(r, x): w for x in atoms.points() for r, w in composite.column(x).items()}
         assert mat_compose(d_matrix, f) == WeightedMatrix(R, d_matrix.row_space, atoms, exact)
         largest = max([largest] + [len(b) for (b, _), _ in exact])
@@ -580,7 +580,7 @@ def test_a_cancelling_sum_in_every_rel_accumulation_leaves_no_zero_entry():
     # f + g: column x is {x: 4, y: 0}; f;g (g, then f): column y is f(x) + f(y) = {x: 0, y: 1}
     for op, plain in (
         (f + g, {("x", "x"): 4, ("y", "x"): 0, ("x", "y"): 0, ("y", "y"): 3}),
-        (wr.col_seq(f, g), {("x", "x"): 2, ("y", "x"): -1, ("x", "y"): 0, ("y", "y"): 1}),
+        (f @ g, {("x", "x"): 2, ("y", "x"): -1, ("x", "y"): 0, ("y", "y"): 1}),
     ):
         cols = columns(op)
         assert all(0 not in col.values() for col in cols.values()), cols
@@ -609,9 +609,11 @@ def test_rel_suite_work_counts():
     """`rig.mul`, `rig.add` and `rig.is_zero` calls of one binding build and suite at base 3, D 6,
     nonneg-rational, 50 cases, seed 0, counted by a recording rig.
 
-    A count, not a timing.  Most products are by one: `col_seq` multiplies
+    A count, not a timing.  Most products are by one: `@` multiplies
     by the weight-one entries of a `relabel` or `merge` column it sums
-    through.  Over this rig, which has no negatives, `is_zero` is called
+    through.  `a @ b @ c` is `(a @ b) @ c`, whose weight-one columns of c
+    read columns of a @ b without a product; 4,912 when the composites
+    nested to the right, a;(b;c).  Over this rig, which has no negatives, `is_zero` is called
     only by the validating `WeightedMatrix` constructor of L21's random maps.
     """
     counts = Counter()
@@ -630,4 +632,4 @@ def test_rel_suite_work_counts():
             return not a
 
     assert all_pass(run_suite(make_rel_binding(CountingRig(), base_size=3, truncation=6), cases=50, seed=0))
-    assert counts == {"mul": 4_912, "add": 516, "is_zero": 507}
+    assert counts == {"mul": 3_691, "add": 516, "is_zero": 507}
