@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     smooth.add_argument("--dim", type=int, default=3, help="largest corpus dimension to use (default 3)")
     # unset flags keep smoothnum.QuadratureConfig's defaults, so that parsing imports no numpy
     smooth.add_argument("--order", type=int, help="quadrature order (the report's params show the default)")
-    smooth.add_argument("--tol-abs", type=float)
-    smooth.add_argument("--tol-rel", type=float)
+    bound = "the one bound of every law: |lhs - rhs| <= TOL_REL * max(1, |lhs|, |rhs|) at each probe point"
+    smooth.add_argument("--tol-rel", type=float, help=f"{bound} (default 1e-10)")
 
     calc = sub.add_parser("poly", help="evaluate a calculator expression")
     calc.add_argument("--expr", required=True)
@@ -144,7 +144,7 @@ def _make_binding(args) -> lawsuite.ModelBinding:
     # numpy is imported by the numerical model only
     from . import smoothnum
 
-    given = {k: getattr(args, k) for k in ("order", "tol_abs", "tol_rel") if getattr(args, k) is not None}
+    given = {k: getattr(args, k) for k in ("order", "tol_rel") if getattr(args, k) is not None}
     return smoothnum.make_smooth_binding(smoothnum.QuadratureConfig(**given), max_dim=args.dim)
 
 

@@ -917,9 +917,13 @@ def make_poly_binding(
         def case(rng):
             p = rp(rng)
             k = rng.randint(0, variables)
-            t = seely_split(p, k)
-            yield seely_merge(t), p, "merge after split is not the identity", {"p": p, "k": k}
-            yield seely_split(seely_merge(t), k), t, "split after merge is not the identity", {"p": p, "k": k}
+            yield seely_merge(seely_split(p, k)), p, "merge after split is not the identity", {"p": p, "k": k}
+            # t is drawn, not split from p, so a split that agrees with its own merge still fails: a seeded
+            # polynomial in the first k variables tensored with one in the rest, the constant 1 on no variables
+            halves = [random_poly(rng, rig, n, max_degree).terms if n else {(): rig.one} for n in (k, variables - k)]
+            terms = {(a, b): rig.mul(c, e) for a, c in halves[0].items() for b, e in halves[1].items()}
+            t = SplitTensor(rig, k, variables - k, terms)
+            yield seely_split(seely_merge(t), k), t, "split after merge is not the identity", {"t": t, "k": k}
 
         return compare(rng, cases, case)
 

@@ -4,7 +4,9 @@ A desk-scale, tolerance-based counterpart to the two exact models: smooth maps
 R^n -> R^m with directional derivatives (a complex step, or a supplied closed
 form) and the [0,1] line integral S[g](x) = integral of g(t*x, x) dt computed
 by fixed-order Gauss-Legendre quadrature.  The calculus identities are checked
-to a tolerance (`rel_close`), never as exact equalities.
+to a tolerance, never as exact equalities: every law hands its equations to
+one comparison, `_check`, whose bound on |lhs - rhs| is `tol_rel` times
+max(1, |lhs|, |rhs|), per probe point (`rel_close`).
 
 The complex step Im f(x + i*h*v) / h, with h = 1e-30, is the directional
 derivative of a complex-analytic f to rounding error: it subtracts nothing, so
@@ -49,15 +51,15 @@ class NonFinite(Exception):
 
 
 class QuadratureConfig:
-    __slots__ = ("order", "tol_abs", "tol_rel")
+    __slots__ = ("order", "tol_rel")
 
-    def __init__(self, order: int = 32, tol_abs: float = 1e-12, tol_rel: float = 1e-10):
+    def __init__(self, order: int = 32, tol_rel: float = 1e-10):
         if not 2 <= order <= MAX_ORDER:
             raise ValueError(f"quadrature order must be between 2 and {MAX_ORDER}")
         # a nan fails every comparison and an inf passes every one
-        if not all(0 < v < float("inf") for v in (tol_abs, tol_rel)):
-            raise ValueError("tolerances must be positive and finite")
-        self.order, self.tol_abs, self.tol_rel = order, tol_abs, tol_rel
+        if not 0 < tol_rel < float("inf"):
+            raise ValueError("the tolerance must be positive and finite")
+        self.order, self.tol_rel = order, tol_rel
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -353,11 +355,11 @@ def sample_point(rng, dim: int) -> np.ndarray:
     return _points(rng, dim, 1)[:, 0]
 
 
-def rel_close(a, b, tol_rel: float, tol_abs: float = 1e-12):
-    """Whether a and b agree to tol_rel times max(1, |a|, |b|), or to tol_abs: one verdict per column of a batch."""
+def rel_close(a, b, tol_rel: float):
+    """Whether a and b agree to tol_rel times max(1, |a|, |b|): one verdict per column of a batch."""
     a, b = (np.atleast_1d(np.asarray(v, float)) for v in (a, b))
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0)))
-    return np.max(np.abs(a - b), axis=0) <= np.maximum(tol_abs, tol_rel * scale)
+    return np.max(np.abs(a - b), axis=0) <= tol_rel * scale
 
 
 # -- law binding ------------------------------------------------------------
@@ -407,15 +409,23 @@ def _spread(maps, n):
     return [maps[i * len(maps) // n] for i in range(n)]
 
 
-def _check(rng, cases, items, decide, directions=False):
-    """decide(batch), one verdict per column of each of `_sample`'s batches, yielded item by item in
-    item order; a batch is decided when the first of its items is reached."""
+def _check(tol_rel, rng, cases, items, sides, directions=False):
+    """The model's one comparison: a counterexample or None per column of each of `_sample`'s batches,
+    yielded item by item in item order.
+
+    sides(b) yields the (label, lhs, rhs, directed) equations of batch b, each side one value per
+    column; a column fails at the first equation whose sides `rel_close` at tol_rel refuses, shown by
+    `_fail`.  A batch is compared when the first of its items is reached.
+    """
     where = {i: (b, r) for b in _sample(rng, cases, items, directions) for r, i in enumerate(b.index)}
-    decided = {}
+    verdicts = {}
     for b, r in (where[i] for i in range(len(items))):
-        if id(b) not in decided:
-            decided[id(b)] = decide(b)
-        yield from decided[id(b)][r * b.k : (r + 1) * b.k]
+        if id(b) not in verdicts:
+            found = verdicts[id(b)] = [None] * len(b.owners)
+            for label, lhs, rhs, directed in sides(b):
+                for j in np.flatnonzero(~rel_close(lhs, rhs, tol_rel)):
+                    found[j] = found[j] or _fail(label, b, j, lhs, rhs, directed)
+        yield from verdicts[id(b)][r * b.k : (r + 1) * b.k]
 
 
 def _fail(label, b, j, lhs, rhs, directed):
@@ -443,7 +453,10 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
 
     Each law draws all its probe points first and evaluates each side once per
     shape class of its items, through family maps that call each corpus map
-    once; it yields one counterexample or None per column, in item order.
+    once.  It yields its (label, lhs, rhs, directed) equations on each batch
+    to `_check`, the one comparison, at `cfg.tol_rel`, which yields one
+    counterexample or None per column, in item order: a column's first
+    failing equation.
 
     The laws with equations in their `lawsuite.LAWS` row run on one set of
     operators, which only name their input type and object: d = `bilinearize`
@@ -464,12 +477,7 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
     # belongs to the build, not to the first law that integrates (L18)
     gauss_legendre(cfg.order)
     corpus = [f for f in builtin_corpus() if f.in_dim <= max_dim]
-
-    def close(label, b, lhs, rhs, directed=True):
-        """Per column of batch b: None when lhs and rhs agree to the configured tolerances, else the
-        counterexample, which shows the direction of the column when `directed`."""
-        agree = rel_close(lhs, rhs, cfg.tol_rel, cfg.tol_abs)
-        return [None if ok else _fail(label, b, j, lhs, rhs, directed) for j, ok in enumerate(agree)]
+    check = functools.partial(_check, cfg.tol_rel)
 
     def derivative(f, b):
         return directional_derivative(f, b.X, b.V)
@@ -508,46 +516,43 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
         for (kind, where), eqs in by_src.items():
             field = kind == "field"
 
-            def decide(b):  # called while this source's points are read, so eqs and field are this source's
+            def sides(b):  # called while this source's points are read, so eqs and field are this source's
                 F = b.family()
                 pairing = lambda x, v: np.sum(F(x) * v, axis=0, keepdims=True)  # noqa: E731
                 value = BilinearizedMap(F.in_dim, 1, pairing, F.label) if field else F
-
-                def compare(label, f, g):  # fields at the points and directions, maps at the points
-                    if isinstance(f, BilinearizedMap):
-                        return close(label, b, f(b.X, b.V), g(b.X, b.V))
-                    return close(label, b, f(b.X), g(b.X), directed=False)
-
-                verdicts = [compare(label, lhs(value), rhs(value)) for lhs, rhs, label in eqs]
-                return [next(filter(None, column), None) for column in zip(*verdicts)]
+                for lhs, rhs, label in eqs:  # fields at the points and directions, maps at the points
+                    f, g = lhs(value), rhs(value)
+                    directed = isinstance(f, BilinearizedMap)
+                    at = (b.X, b.V) if directed else (b.X,)
+                    yield label, f(*at), g(*at), directed
 
             shape = (lambda f: f.in_dim == f.out_dim) if field else (lambda f: f.out_dim == 1)
             items = [f for f in corpus if shape(f) and (where == "general" or f.in_dim == 1)]
-            yield from _check(rng, cases, items, decide, directions=True)
+            yield from check(rng, cases, items, sides, directions=True)
 
     def l3(rng, cases):
-        def decide(b):
+        def sides(b):
             F, G = b.family(0), b.family(1)
             lhs = fd(SmoothMap(F.in_dim, 1, lambda z: F(z) * G(z), "prod"), b)
-            return close("Leibniz fails", b, lhs, F(b.X) * derivative(G, b) + G(b.X) * derivative(F, b))
+            yield "Leibniz fails", lhs, F(b.X) * derivative(G, b) + G(b.X) * derivative(F, b), True
 
         scalars = [f for f in corpus if f.out_dim == 1]
-        return _check(rng, cases, [(f, g) for f in scalars for g in scalars if f.in_dim == g.in_dim], decide, True)
+        return check(rng, cases, [(f, g) for f in scalars for g in scalars if f.in_dim == g.in_dim], sides, True)
 
     def l4(rng, cases):
-        def decide(b):
+        def sides(b):
             F, G = b.family(0), b.family(1)
             lhs = fd(SmoothMap(F.in_dim, G.out_dim, lambda z: G(F(z)), "comp"), b)
             rhs = directional_derivative(G, F(b.X), derivative(F, b))
-            return close(lambda f, g: f"chain rule fails ({g.label} o {f.label})", b, lhs, rhs)
+            yield lambda f, g: f"chain rule fails ({g.label} o {f.label})", lhs, rhs, True
 
-        return _check(rng, cases, [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim], decide, True)
+        return check(rng, cases, [(f, g) for f in corpus for g in corpus if g.in_dim == f.out_dim], sides, True)
 
     # scalar maps of two or more variables: the inputs of L6
     potentials = [f for f in corpus if f.out_dim == 1 and f.in_dim >= 2]
 
     def l6(rng, cases):
-        def decide(b):
+        def sides(b):
             F = b.family()
             # the first two unit directions, as (n, 1) columns to broadcast against a batch
             ei, ej = np.eye(F.in_dim)[:2, :, None]
@@ -555,32 +560,31 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
             # closed-form derivative inside, complex step outside, so
             # the two orders really are computed along different routes
             def partial(e):
-                return SmoothMap(
-                    F.in_dim, 1, lambda z: directional_derivative(F, z, np.broadcast_to(e, z.shape)), "d"
-                )
+                return SmoothMap(F.in_dim, 1, lambda z: directional_derivative(F, z, np.broadcast_to(e, z.shape)), "d")
 
             lhs = fd_directional_derivative(partial(ej), b.X, np.broadcast_to(ei, b.X.shape))
             rhs = fd_directional_derivative(partial(ei), b.X, np.broadcast_to(ej, b.X.shape))
-            return close("mixed partials differ", b, lhs, rhs, directed=False)
+            yield "mixed partials differ", lhs, rhs, False
 
-        return _check(rng, cases, potentials, decide)
+        return check(rng, cases, potentials, sides)
 
     def l21(rng, cases):
         # draws each map's shift c before its points, so it keeps its own loop
         for f in _spread(corpus, 6):
             c = rng.uniform(-1, 1)
             g = SmoothMap(f.in_dim, f.out_dim, lambda z, f=f, c=c: f(z) + c, "shift")
-            b = _sample(rng, cases // 6, [f], directions=True)[0]
-            X, zero = b.X, np.zeros_like(b.X)
-            derivatives = close("shifted map changed the derivative", b, fd(f, b), fd(g, b))
-            shifted = f(X) - f(zero), g(X) - g(zero)
-            values = close("maps with equal derivatives differ beyond a constant", b, *shifted, directed=False)
-            yield from (d or v for d, v in zip(derivatives, values))
+
+            def sides(b):  # read before the loop moves on, so f and g are this map's
+                zero = np.zeros_like(b.X)
+                yield "shifted map changed the derivative", fd(f, b), fd(g, b), True
+                yield "maps with equal derivatives differ beyond a constant", f(b.X) - f(zero), g(b.X) - g(zero), False
+
+            yield from check(rng, cases // 6, [f], sides, directions=True)
 
     checks = {"L3": l3, "L4": l4, "L6": l6, "L21": l21}
     skips = dict(_SKIPS)
     if not potentials:
         del checks["L6"]
         skips["L6"] = "the corpus has no scalar map of two or more variables"
-    params = {"max_dim": max_dim, "order": cfg.order, "tol_abs": cfg.tol_abs, "tol_rel": cfg.tol_rel}
+    params = {"max_dim": max_dim, "order": cfg.order, "tol_rel": cfg.tol_rel}
     return ModelBinding("smooth", "real", checks, skips, params, equations)

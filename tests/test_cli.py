@@ -134,7 +134,6 @@ def test_smooth_takes_no_semiring(capsys):
         ["poly", "--vars", "0"],
         ["poly", "--output", "{tmp}/missing/report.json"],
         ["rel", "--base-size", "7"],
-        ["smooth", "--tol-abs", "inf"],
         ["smooth", "--tol-rel", "nan"],
         # refused by QuadratureConfig before any node or batch is built
         ["smooth", "--order", "1025"],
@@ -142,7 +141,7 @@ def test_smooth_takes_no_semiring(capsys):
     ],
     ids=[
         "zero-cases", "negative-cases", "zero-degree", "zero-vars", "unwritable-output", "base-size-above-limit",
-        "infinite-tol-abs", "nan-tol-rel",
+        "nan-tol-rel",
         "order-above-limit", "huge-order",
     ],
 )
@@ -260,19 +259,14 @@ def test_calculator_nesting_at_the_bound_is_evaluated(capsys):
         assert capsys.readouterr().out.strip() in ("x", "x^3")
 
 
-def test_tol_abs_changes_a_smooth_verdict(tmp_path):
-    # every residual law and every law comparing a closed form with a numerical derivative
-    laws = ("L3", "L4", "L18", "L19", "L20")
-
-    def statuses(tol_abs):
-        _status, payload = run_json(
-            tmp_path, ["check", "smooth", "--cases", "10", "--tol-rel", "1e-16", "--tol-abs", tol_abs]
-        )
-        assert payload["params"]["tol_abs"] == float(tol_abs)
-        return [law["status"] for law in payload["laws"] if law["id"] in laws]
-
-    assert statuses("1e-16") == ["fail"] * len(laws)
-    assert statuses("1e-3") == ["pass"] * len(laws)
+def test_smooth_takes_one_tolerance_and_reports_only_it(tmp_path, capsys):
+    # every law's bound is tol_rel * max(1, |lhs|, |rhs|); there is no absolute floor to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "smooth", "--tol-abs", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-abs 1e-9" in capsys.readouterr().err
+    _status, payload = run_json(tmp_path, ["check", "smooth", "--cases", "10"])
+    assert list(payload["params"]) == ["max_dim", "order", "tol_rel"]
 
 
 def test_tol_rel_reaches_the_mixed_partials_check(tmp_path, monkeypatch):
@@ -334,6 +328,22 @@ def test_calculator_parse_and_eval_errors(capsys):
     capsys.readouterr()
     assert cli.main(["poly", "--expr", "K(d(x^2*y))"]) == 2
     assert "bundle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("x y", "trailing input starting at 'y' (at position 2)"),
+        ("1/0", "zero denominator (at position 2)"),
+        ("x + )", "unexpected token ')' (at position 4)"),
+        ("s(x, q)", "unknown variable 'q' (at position 5)"),
+    ],
+    ids=["trailing-input", "zero-denominator", "unexpected-token", "unknown-variable"],
+)
+def test_calculator_parse_errors_name_the_fault_and_its_position(expr, message, capsys):
+    assert cli.main(["poly", "--expr", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"dctool: {message}\n"
 
 
 def test_calculator_constants_reach_the_rig_in_lowest_terms(monkeypatch, capsys):
@@ -480,5 +490,5 @@ def test_the_smooth_binding_keeps_its_old_names():
     for make in (bindings.make_smooth_binding, dctool.make_smooth_binding):
         binding = make(cfg, max_dim=2)
         assert binding.params == sm.make_smooth_binding(cfg, max_dim=2).params == {
-            "max_dim": 2, "order": 8, "tol_abs": 1e-12, "tol_rel": 1e-10,
+            "max_dim": 2, "order": 8, "tol_rel": 1e-10,
         }

@@ -374,6 +374,19 @@ def _halves_swapped(seely_merge):
     return mutant
 
 
+def _split_one_variable_too_far(seely_split):
+    """seely_split cutting each exponent vector after k + 1 variables while declaring k on the left.
+
+    It agrees with its own merge, so merge after split still gives p back.
+    """
+
+    def mutant(p, k):
+        t = seely_split(p, min(k + 1, p.arity))
+        return pf.SplitTensor(t.rig, k, p.arity - k, t.terms)
+
+    return mutant
+
+
 def _entry_0_0_doubled(apply_linear):
     def mutant(matrix, ps):
         rows = [list(row) for row in matrix]
@@ -428,6 +441,7 @@ POLY_MUTANTS = {
     "substitute-arguments-reversed": ("substitute", _arguments_reversed, ["L1", "L4", "L23"]),
     "derivative-along-x": ("cartesian_derivative", _derivative_along_x, ["L4"]),
     "seely-merge-halves-swapped": ("seely_merge", _halves_swapped, ["L22"]),
+    "seely-split-one-variable-too-far": ("seely_split", _split_one_variable_too_far, ["L22"]),
     "apply-linear-entry-0-0-doubled": ("apply_linear", _entry_0_0_doubled, ["L23"]),
     # the identity at arity one, so every unit law holds
     "mul-in-by-the-next-generator": (
@@ -452,6 +466,18 @@ def test_each_poly_mutant_fails_exactly_its_laws(monkeypatch, name, mutant, fail
     monkeypatch.setattr(pf, name, mutant(getattr(pf, name)))
     reports = ls.run_suite(make_poly_binding(NONNEG_RATIONAL), cases=50, seed=0)
     assert [r.law_id for r in reports if r.status == "fail"] == failing
+
+
+@pytest.mark.parametrize("rig", [NONNEG_RATIONAL, RATIONAL, BOOLEAN], ids=lambda rig: rig.name)
+def test_a_split_that_agrees_with_its_own_merge_fails_splitting_at_every_size(monkeypatch, rig):
+    """L22 draws the tensor of its second equation, so split after merge is checked on more than
+    the splits of p, whose merge the first equation already checks."""
+    name, make, _ = POLY_MUTANTS["seely-split-one-variable-too-far"]
+    monkeypatch.setattr(pf, name, make(getattr(pf, name)))
+    for variables in (1, 2, 3, 4):
+        report = ls.run_law("L22", make_poly_binding(rig, variables=variables), cases=50, seed=0)
+        assert report.status == "fail" and report.cases <= 3, (variables, report)
+        assert report.counterexample.startswith("split after merge is not the identity: t = "), report
 
 
 def test_every_law_the_poly_binding_checks_fails_under_a_named_mutant():

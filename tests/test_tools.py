@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from dctool.lawsuite import LAWS
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -144,37 +146,67 @@ def test_interleave_refuses_a_bad_size_as_a_usage_error(monkeypatch, capsys, mod
     assert capsys.readouterr().err.rstrip().endswith(message)
 
 
-def test_interleave_stops_where_the_trees_report_differently(monkeypatch, capsys, tmp_path):
-    tool = load_tool("interleave", monkeypatch)
-    root = TOOLS.parent
+def _tree_copy(tmp_path, module, old, new):
+    """A copy of this tree's `src/dctool` under tmp_path with `old` replaced by `new`, once, in `module`."""
     copy = tmp_path / "src" / "dctool"
     copy.mkdir(parents=True)
-    for module in (root / "src" / "dctool").glob("*.py"):
-        (copy / module.name).write_text(module.read_text())
-    polyform = copy / "polyform.py"
-    polyform.write_text(polyform.read_text().replace("\nPROBES = 5", "\nPROBES = 4", 1))  # one table input fewer
-    argv = [str(root), str(tmp_path), "--params", "variables=1", "max_degree=2", "--rounds", "1"]
+    for source in (TOOLS.parent / "src" / "dctool").glob("*.py"):
+        (copy / source.name).write_text(source.read_text())
+    text = (copy / module).read_text()
+    assert old in text
+    (copy / module).write_text(text.replace(old, new, 1))
+    return str(tmp_path)
+
+
+def test_interleave_stops_where_the_trees_report_differently(monkeypatch, capsys, tmp_path):
+    tool = load_tool("interleave", monkeypatch)
+    # p * 1 = p + p: L1 fails in the copy
+    copy = _tree_copy(tmp_path, "polyform.py", 'p, "one not a unit"', 'p + p, "one not a unit"')
+    argv = [str(TOOLS.parent), copy, "--params", "variables=1", "max_degree=2", "--rounds", "1"]
     assert tool.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "seed 0: the trees report differently, first at parent ('nonneg-rational', 'L2', 'pass', "
+        "seed 0: the trees report differently, first at parent ('nonneg-rational', 'L1', 'pass', 50), "
+        "change ('nonneg-rational', 'L1', 'fail', "
     )
-    assert ", change ('nonneg-rational', 'L2', 'pass', " in captured.err
     # round 1 runs the change first, and the message still shows the parent's report, then the change's
     parent, change = object(), object()
 
     def check(package, model, params, seed):
-        cases = 5 if package is change and seed == 1 else 4
-        return 0.1, [("real", "L2", "pass", cases)], {"L2": 1.0}
+        status = "fail" if package is change and seed == 1 else "pass"
+        return 0.1, [("real", "L2", status, 4)], {"L2": 1.0}
 
     monkeypatch.setattr(tool, "check", check)
     with pytest.raises(tool.ReportsDiffer) as raised:
         tool.interleave(parent, change, "smooth", {}, rounds=2, seed=0)
     assert str(raised.value) == (
         "seed 1: the trees report differently, first at parent ('real', 'L2', 'pass', 4), "
-        "change ('real', 'L2', 'pass', 5)"
+        "change ('real', 'L2', 'fail', 4)"
     )
     monkeypatch.setattr(tool, "check", lambda package, *args: (0.1, [] if package is change else [("real",)], {}))
     with pytest.raises(tool.ReportsDiffer, match=r"^seed 0: .* first at parent 1 reports, change 0 reports$"):
         tool.interleave(parent, change, "smooth", {}, rounds=1, seed=0)
+
+
+def test_interleave_times_trees_whose_case_counts_differ_and_lists_them(monkeypatch, capsys, tmp_path):
+    tool = load_tool("interleave", monkeypatch)
+    # one huge-exponent probe fewer per input type: every poly table law reads fewer inputs
+    copy = _tree_copy(tmp_path, "polyform.py", "\nPROBES = 5", "\nPROBES = 4")
+    argv = [str(TOOLS.parent), copy, "--params", "variables=1", "max_degree=2", "--rounds", "2"]
+    assert tool.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "poly variables=1 max_degree=2, cases 50, seeds 0-1"
+    differ = re.compile(r"cases differ: (nonneg-rational|rational) (L\d+), parent (\d+), change (\d+)")
+    listed = [differ.fullmatch(line) for line in lines[1:] if line.startswith("cases differ: ")]
+    assert all(listed) and len(listed) == len({m.groups() for m in listed}), lines
+    # each table law once per semiring (L24, skipped over both, reads nothing), in table order
+    table = [law.id for law in LAWS if law.equations and law.id != "L24"]
+    for semiring in ("nonneg-rational", "rational"):
+        assert [m[2] for m in listed if m[1] == semiring] == table
+    assert all(int(m[4]) < int(m[3]) for m in listed)
+    timings = lines[1 + len(listed):]
+    assert [line.split()[:2] for line in timings[:3]] == [
+        ["parent", "median"], ["change", "median"], ["ratio", "median"]
+    ]
+    assert timings[3].startswith("change faster in ") and timings[3].endswith("/2 pairs")

@@ -18,8 +18,11 @@ the median of the per-pair ratios change / parent and the number of pairs
 in which the change was faster; then the same four numbers for each law
 whose parent median is at least `LAW_FLOOR_MS`, in table order, from the
 reports' `ms` summed over the semirings of one check.  The two trees must
-report the same law statuses and case counts on every seed; the first
-difference is printed, the parent's report and the change's, and exits 1.
+report the same law statuses on every seed; otherwise the first difference
+is printed, the parent's report and the change's, and the tool exits 1.
+Where only case counts differ, as when a change reads fewer inputs, each
+differing (semiring, law, parent cases, change cases) is printed once,
+before the timings, and the trees are timed as usual.
 A tree without `src/dctool`, an unknown size name or a size the binding
 refuses is a usage error (exit 2).
 """
@@ -53,7 +56,7 @@ FLAGS = {
 
 
 class ReportsDiffer(Exception):
-    """The two trees reported different law statuses or case counts on one seed."""
+    """The two trees reported different law statuses on one seed."""
 
 
 def load(tree, name: str):
@@ -93,21 +96,24 @@ def check(package, model: str, params: dict, seed: int) -> tuple:
     return seconds, [(semiring, r.law_id, r.status, r.cases) for semiring, r in reports], law_ms
 
 
-def interleave(parent, change, model: str, params: dict, rounds: int, seed: int) -> list:
+def interleave(parent, change, model: str, params: dict, rounds: int, seed: int) -> tuple:
     """((parent seconds, parent law ms), (change seconds, change law ms)) of each round, the law ms as
-    `check` returns them; raises `ReportsDiffer` where the reports differ."""
+    `check` returns them, and each (semiring, law, parent cases, change cases) whose cases differ, once,
+    in the order met; raises `ReportsDiffer` where the statuses differ."""
     for package in (parent, change):
         check(package, model, params, seed)
-    pairs = []
+    pairs, cases = [], {}
     for i in range(rounds):
         order = (parent, change) if i % 2 == 0 else (change, parent)
         runs = {package: check(package, model, params, seed + i) for package in order}
         (tp, rp, msp), (tc, rc, msc) = runs[parent], runs[change]
-        if rp != rc:
-            first = next(((a, b) for a, b in zip(rp, rc) if a != b), (f"{len(rp)} reports", f"{len(rc)} reports"))
+        if [r[:3] for r in rp] != [r[:3] for r in rc]:
+            differ = ((a, b) for a, b in zip(rp, rc) if a[:3] != b[:3])
+            first = next(differ, (f"{len(rp)} reports", f"{len(rc)} reports"))
             raise ReportsDiffer(f"seed {seed + i}: the trees report differently, first at parent {first[0]}, change {first[1]}")
+        cases.update(dict.fromkeys((*a[:2], a[3], b[3]) for a, b in zip(rp, rc) if a != b))
         pairs.append(((tp, msp), (tc, msc)))
-    return pairs
+    return pairs, list(cases)
 
 
 def compared(pairs) -> tuple:
@@ -164,7 +170,7 @@ def main(argv=None) -> int:
     parent, change = load(args.parent, "dctool_parent"), load(args.change, "dctool_change")
     try:
         params = _params(args.model, args.params)
-        pairs = interleave(parent, change, args.model, params, args.rounds, args.seed)
+        pairs, cases = interleave(parent, change, args.model, params, args.rounds, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     except ReportsDiffer as exc:
@@ -172,6 +178,8 @@ def main(argv=None) -> int:
         return 1
     shown = " ".join(f"{k}={v}" for k, v in params.items())
     print(f"{args.model} {shown}, cases {CASES}, seeds {args.seed}-{args.seed + args.rounds - 1}")
+    for semiring, law, parent_cases, change_cases in cases:
+        print(f"cases differ: {semiring} {law}, parent {parent_cases}, change {change_cases}")
     parent_s, change_s, ratio, won = compared([(p, c) for (p, _), (c, _) in pairs])
     print(f"parent median {parent_s:.4f} s")
     print(f"change median {change_s:.4f} s")
