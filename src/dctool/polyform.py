@@ -199,9 +199,9 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def _monomial(names, exps) -> str:
-    """The monomial of `exps` in `names`, such as `x*z^2`; "" for exponents all zero."""
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
+def _monomial(names, exps, zeros: bool = False) -> str:
+    """The monomial of `exps` in `names`, such as `x*z^2`, or `x*y^0*z^2` with `zeros`; "" for no factor."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e or zeros)
 
 
 def _grow(num: dict, den: int, d: int) -> tuple:
@@ -435,13 +435,18 @@ class SplitTensor:
         )
 
     def render(self) -> str:
-        """Each pair as `coefficient*(left | right)`, named as in the merged polynomial, in its graded-lex order."""
-        names = var_names(self.left_arity + self.right_arity)
-        left, right = names[: self.left_arity], names[self.left_arity :]
-        pieces = [
-            f"{self.rig.render(self.terms[k])}*({_monomial(left, k[0]) or 1} | {_monomial(right, k[1]) or 1})"
-            for k in sorted(self.terms, key=lambda k: grlex_key(tuple(k[0]) + tuple(k[1])))
-        ]
+        """Each pair as `coefficient*(left | right)`, named as in the merged polynomial, in its graded-lex order.
+
+        Each side is named by the lengths of the key's own two sides, and a
+        key whose lengths are not the declared arities shows its zero
+        exponents too, so that no key renders as another.
+        """
+        pieces = []
+        for left, right in sorted(self.terms, key=lambda k: grlex_key(tuple(k[0]) + tuple(k[1]))):
+            names = var_names(len(left) + len(right))
+            zeros = (len(left), len(right)) != (self.left_arity, self.right_arity)
+            sides = _monomial(names, left, zeros) or 1, _monomial(names[len(left) :], right, zeros) or 1
+            pieces.append(f"{self.rig.render(self.terms[left, right])}*({sides[0]} | {sides[1]})")
         return " + ".join(pieces) or "0"
 
 

@@ -14,9 +14,17 @@ union (`merge`): column (b1, b2) reaches b1 + b2; column b of chi^{-1}
 reaches the pair of b's two parts.  Column operators add, compose
 (`f @ g` is f;g: its column c is the columns of f summed along column c of
 g) and act on one factor of a pair (`ColumnOp.on_left`, f x 1, which is also a
-unit operator on the size tag, and `ColumnOp.on_right`, 1 x f).  A map of
-points, such as a permutation of tensor factors or of atoms, an associator
-or a unitor, is the operator `relabel` builds.  `operators_rel` builds the
+unit operator on the size tag, and `ColumnOp.on_right`, 1 x f).
+
+A map of points is an operator whose column c is the one row fn(c) with
+weight one, for a function fn of points; `relabel` builds it and keeps fn
+as the operator's `point`.  Delta, chi and chi^{-1}, d°, the counit, the
+unit monoidal maps, the permutations of tensor factors or of atoms, the
+associators and the unitors are maps of points, and so is f x 1 or 1 x f of
+one.  `f @ g` forms no product when f or g is one: two maps of points
+compose as functions; a map of points g picks column g(c) of f; a map of
+points f moves each row y of g's column to f(y), summing the weights only
+where two rows meet.  `operators_rel` builds the
 whole operator set of one base set, so each operator is defined once for
 every base set: the unit-level operators are the general ones at the
 one-point base `UNIT_BASE`.
@@ -337,15 +345,19 @@ class ColumnOp:
     The points of `col_space` are the columns a law reads; a formula also
     takes larger columns (`operators_rel` says how large) and truncates no
     row, so a composite is exact on every column.  With `memo`, each column
-    is computed once and shared: a caller must not change it.
+    is computed once and shared: a caller must not change it.  A map of
+    points, which `relabel` builds, also carries its function of points as
+    `point` (None for any other operator): column c is the one row point(c)
+    with weight one.
     """
 
-    __slots__ = ("rig", "col_space", "column")
+    __slots__ = ("rig", "col_space", "column", "point")
 
-    def __init__(self, rig: Rig, col_space, column, memo: bool = False):
+    def __init__(self, rig: Rig, col_space, column, memo: bool = False, point=None):
         self.rig = rig
         self.col_space = col_space
         self.column = functools.cache(column) if memo else column
+        self.point = point
 
     def __add__(self, other: "ColumnOp") -> "ColumnOp":
         rig, f, g = self.rig, self.column, other.column
@@ -354,9 +366,20 @@ class ColumnOp:
     def __matmul__(self, other: "ColumnOp") -> "ColumnOp":
         """f;g, that is g then f: column c sums column y of f weighted by g(y, c), as `mat_compose` does.
 
-        A column of g that is the single entry (y, one) gives column y of f itself.
+        A map of points makes no product:
+        - f and g both maps of points: f;g is the map of points g then f;
+        - g a map of points: column c is column g.point(c) of f;
+        - f a map of points: column c is g's column with each row y moved to
+          f.point(y), the weights summed where two rows meet.
+        Otherwise a column of g that is the single entry (y, one) gives column y of f itself.
         """
-        rig, fc, gc = self.rig, self.column, other.column
+        rig, fc, gc, fp, gp = self.rig, self.column, other.column, self.point, other.point
+        if fp and gp:
+            return relabel(rig, other.col_space, lambda c: fp(gp(c)))
+        if gp:
+            return ColumnOp(rig, other.col_space, lambda c: fc(gp(c)))
+        if fp:
+            return ColumnOp(rig, other.col_space, lambda c: accumulate(rig, {}, ((fp(y), b) for y, b in gc(c).items())))
 
         def column(c):
             through = gc(c)
@@ -371,12 +394,16 @@ class ColumnOp:
 
     def on_left(self, space) -> "ColumnOp":
         """f x 1: this operator on the first factor of a pair whose second factor is a point of `space`."""
-        f, pairs = self.column, PairSpace(self.col_space, space)
+        f, p, pairs = self.column, self.point, PairSpace(self.col_space, space)
+        if p:
+            return relabel(self.rig, pairs, lambda c: (p(c[0]), c[1]))
         return ColumnOp(self.rig, pairs, lambda c: {(r, c[1]): w for r, w in f(c[0]).items()})
 
     def on_right(self, space) -> "ColumnOp":
         """1 x f: this operator on the second factor of a pair whose first factor is a point of `space`."""
-        f, pairs = self.column, PairSpace(space, self.col_space)
+        f, p, pairs = self.column, self.point, PairSpace(space, self.col_space)
+        if p:
+            return relabel(self.rig, pairs, lambda c: (c[0], p(c[1])))
         return ColumnOp(self.rig, pairs, lambda c: {(c[0], r): w for r, w in f(c[1]).items()})
 
     def matrix(self, row_space) -> WeightedMatrix:
@@ -387,9 +414,13 @@ class ColumnOp:
 
     def first_difference(self, other: "ColumnOp", limit: int):
         """First entry, in `repr` order of the (row, column) keys, where the operators disagree on the
-        columns of at most `limit` atoms, or None; every row those columns reach is compared."""
+        columns of at most `limit` atoms, or None; every row those columns reach is compared.  Two maps
+        of points are compared point by point, and through their columns only where a point differs."""
+        band, p, q = _band(self.col_space, limit), self.point, other.point
+        if p and q and all(p(c) == q(c) for c in band):
+            return None
         f, g = self.column, other.column
-        return _first_difference(self.rig, ((c, f(c), g(c)) for c in _band(self.col_space, limit)))
+        return _first_difference(self.rig, ((c, f(c), g(c)) for c in band))
 
 
 def relabel(rig: Rig, space, fn) -> ColumnOp:
@@ -397,14 +428,15 @@ def relabel(rig: Rig, space, fn) -> ColumnOp:
 
     A bijection gives a permutation (sigma, the associators, the atom swap
     and pushes along atom permutations), and a projection away from a unit
-    factor a unitor.
+    factor a unitor.  The operator carries `fn` as its `point`, so that `@`
+    composes it as a function and forms no product.
     """
-    return ColumnOp(rig, space, lambda c: {fn(c): rig.one})
+    return ColumnOp(rig, space, lambda c: {fn(c): rig.one}, point=fn)
 
 
 def merge(rig: Rig, pairs: PairSpace) -> ColumnOp:
-    """Delta and chi: column (b1, b2) reaches the one bag b1 + b2, the bag union, with weight one; memoized."""
-    return ColumnOp(rig, pairs, lambda c: {bag(*c[0], *c[1]): rig.one}, memo=True)
+    """Delta and chi: the map of points taking (b1, b2) to the bag union b1 + b2; each union is computed once."""
+    return relabel(rig, pairs, functools.cache(lambda c: bag(*c[0], *c[1])))
 
 
 class Comonoid(NamedTuple):
@@ -418,7 +450,7 @@ class Comonoid(NamedTuple):
 def comonoid_rel(base: BaseSet, rig: Rig, size: int) -> Comonoid:
     """Delta is the bag union; the counit's column reaches the empty bag."""
     bags = BagSpace(base, size)
-    return Comonoid(merge(rig, PairSpace(bags, bags)), ColumnOp(rig, UnitSpace(), lambda c: {(): rig.one}))
+    return Comonoid(merge(rig, PairSpace(bags, bags)), relabel(rig, UnitSpace(), lambda c: ()))
 
 
 # -- operator sets ----------------------------------------------------------
@@ -437,12 +469,13 @@ def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
     needs it).
 
     K = d°;d + !(0) is diagonal with weight |b| and J = d°;d + 1 with weight
-    |b| + 1; both add to one d°;d.  The columns of the primitive operators and
-    of K and J are memoized, once per operator set.  s, K^{-1} and J^{-1}
-    read one table of the inverses 1/n, n from 1 to size + 2, computed here,
-    so a rig without them raises `NotInvertible` when the set is built, and
-    they take the columns of at most size + 1 atoms, three more than the
-    sources of the table laws.  On
+    |b| + 1; both add to one d°;d.  d° and the unit monoidal maps are maps of
+    points (`relabel`).  The points of d° and the columns of the other
+    primitive operators and of K and J are memoized, once per operator set.
+    s, K^{-1} and J^{-1} read one table of the inverses 1/n, n from 1 to
+    size + 2, computed here, so a rig without them raises `NotInvertible`
+    when the set is built, and they take the columns of at most size + 1
+    atoms, three more than the sources of the table laws.  On
     UNIT_BASE these are the unit-level operators, and `atom` adds the
     one-point atom factor, column n reaching (n, *).  f x 1 is `on_left`,
     with the atoms (`x1`) or the bags (`tag`) as the second factor.
@@ -454,7 +487,7 @@ def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
     op = functools.partial(ColumnOp, rig, memo=True)  # a memoized operator: op(col_space, column)
 
     d = op(bags, lambda b: {(bag_remove(b, x), x): rig.nat_value(bag_count(b, x)) for x in set(b)})
-    dc = op(pairs, lambda c: {bag(*c[0], c[1]): one})
+    dc = relabel(rig, pairs, functools.cache(lambda c: bag(*c[0], c[1])))
     bang0 = op(bags, lambda b: {} if b else {b: one})
     id_bags = relabel(rig, bags, lambda b: b)
     dcd = dc @ d
@@ -463,9 +496,9 @@ def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
         op(bags, (dcd + bang0).column), op(bags, (dcd + id_bags).column),
         op(bags, lambda b: {b: inv[len(b)]}), op(bags, lambda b: {b: inv[len(b) + 1]}),
         id=id_bags, zero=ColumnOp(rig, bags, lambda b: {}),
-        gate=op(bags, lambda b: {((UNIT_POINT,) * len(b), b): one}),
-        spread=op(PairSpace(BagSpace(UNIT_BASE, size), bags), lambda c: {c[1]: one}),
-        atom=op(bags, lambda n: {(n, UNIT_POINT): one}) if base == UNIT_BASE else None,
+        gate=relabel(rig, bags, lambda b: ((UNIT_POINT,) * len(b), b)),
+        spread=relabel(rig, PairSpace(BagSpace(UNIT_BASE, size), bags), lambda c: c[1]),
+        atom=relabel(rig, bags, lambda n: (n, UNIT_POINT)) if base == UNIT_BASE else None,
         tag=lambda f: f.on_left(bags), x1=lambda f: f.on_left(atoms),
     )
 
@@ -486,10 +519,10 @@ def seely_rel(base_x: BaseSet, base_y: BaseSet, rig: Rig, size: int):
     combined = BaseSet(tuple(sorted(base_x.atoms + base_y.atoms)))
     left = set(base_x.atoms)
     chi = merge(rig, PairSpace(BagSpace(base_x, size), BagSpace(base_y, size)))
-    chi_inv = ColumnOp(
+    chi_inv = relabel(
         rig,
         BagSpace(combined, size),
-        lambda b: {(tuple(a for a in b if a in left), tuple(a for a in b if a not in left)): rig.one},
+        lambda b: (tuple(a for a in b if a in left), tuple(a for a in b if a not in left)),
     )
     return chi, chi_inv
 

@@ -480,6 +480,20 @@ def test_a_split_that_agrees_with_its_own_merge_fails_splitting_at_every_size(mo
         assert report.counterexample.startswith("split after merge is not the identity: t = "), report
 
 
+@pytest.mark.parametrize("rig", [NONNEG_RATIONAL, RATIONAL, BOOLEAN], ids=lambda rig: rig.name)
+def test_a_split_too_far_renders_every_exponent_it_moves(monkeypatch, rig):
+    """The too-far split's keys disagree with the arities it declares: its lhs still shows each exponent,
+    a zero one included, so lhs and rhs read differently at every size."""
+    name, make, _ = POLY_MUTANTS["seely-split-one-variable-too-far"]
+    monkeypatch.setattr(pf, name, make(getattr(pf, name)))
+    for variables in (1, 2, 3, 4):
+        report = ls.run_law("L22", make_poly_binding(rig, variables=variables), cases=50, seed=0)
+        lhs, rhs = re.fullmatch(r".*; lhs = (.*); rhs = (.*)", report.counterexample).groups()
+        assert lhs != rhs, (variables, report.counterexample)
+        if variables == 2 and rig is NONNEG_RATIONAL:
+            assert (lhs, rhs) == ("1/3*(x^6*y^3 | 1) + 2*(x^6*y | 1)", "1/3*(x^6 | y^3) + 2*(x^6 | y)")
+
+
 def test_every_law_the_poly_binding_checks_fails_under_a_named_mutant():
     # the sabotaged gradient is the negative control; L24, which only the boolean binding checks, fails
     # under the broken integral of test_a_broken_integral_fails_the_collapse_law_in_both_exact_models

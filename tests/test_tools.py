@@ -89,18 +89,42 @@ def test_interleave_compares_a_tree_with_itself(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "poly variables=1 max_degree=2, cases 50, seeds 5-7"
     assert [line.split()[:2] for line in lines[1:4]] == [["parent", "median"], ["change", "median"], ["ratio", "median"]]
-    assert lines[4].startswith("change faster in ") and lines[4].endswith("/3 pairs")
+    assert re.fullmatch(r"ratio  parent first \d+\.\d{3} over 2 pairs", lines[4])
+    assert re.fullmatch(r"ratio  change first \d+\.\d{3} over 1 pairs", lines[5])
+    assert lines[6].startswith("change faster in ") and lines[6].endswith("/3 pairs")
     # then one line per law of at least LAW_FLOOR_MS, in table order
     law_line = re.compile(
         r"(L\d+) +parent (\d+\.\d\d) ms, change \d+\.\d\d ms, ratio \d+\.\d{3}, change faster in [0-3]/3"
     )
-    matches = [law_line.fullmatch(line) for line in lines[5:]]
-    assert all(matches), lines[5:]
+    matches = [law_line.fullmatch(line) for line in lines[7:]]
+    assert all(matches), lines[7:]
     laws = [m[1] for m in matches]
     assert laws == sorted(laws, key=lambda law: int(law[1:]))
     assert all(float(m[2]) >= tool.LAW_FLOOR_MS for m in matches)
     # both copies are their own packages
     assert tool.load(root, "dctool_parent") is not tool.load(root, "dctool_change")
+
+
+def test_interleave_prints_the_ratio_of_the_pairs_each_tree_ran_first_in(monkeypatch, capsys):
+    """A host on which the second check of a pair always takes twice as long: the overall ratio hides
+    it, and the parent-first and change-first lines, each over half the pairs, show it."""
+    tool = load_tool("interleave", monkeypatch)
+    calls = []
+
+    def check(package, model, params, seed):
+        calls.append(package)
+        return 1.0 if len(calls) % 2 else 2.0, [("real", "L2", "pass", 4)], {"L2": 1.0}
+
+    monkeypatch.setattr(tool, "check", check)
+    root = str(TOOLS.parent)
+    assert tool.main([root, root, "--model", "smooth", "--rounds", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:7] == [
+        "ratio  median 1.250 (change / parent)",
+        "ratio  parent first 2.000 over 2 pairs",
+        "ratio  change first 0.500 over 2 pairs",
+        "change faster in 2/4 pairs",
+    ]
 
 
 def test_interleave_prints_the_laws_the_parent_spends_a_millisecond_on(monkeypatch):
@@ -118,7 +142,7 @@ def test_interleave_compares_a_smooth_tree_with_itself(monkeypatch, capsys):
     assert tool.main([root, root, "--model", "smooth", "--params", "dim=1", "order=8", "--rounds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "smooth dim=1 order=8, cases 50, seeds 0-1"
-    assert lines[4].startswith("change faster in ") and lines[4].endswith("/2 pairs")
+    assert lines[6].startswith("change faster in ") and lines[6].endswith("/2 pairs")
     # each tree's own `cli` builds the binding from the arguments of `dctool check`
     assert tool.check_argv("smooth", "real", {"dim": 1, "order": 8}) == ["check", "smooth", "--dim=1", "--order=8"]
     assert tool.check_argv("poly", "rational", {"variables": 4, "max_degree": 8}) == [
@@ -209,4 +233,4 @@ def test_interleave_times_trees_whose_case_counts_differ_and_lists_them(monkeypa
     assert [line.split()[:2] for line in timings[:3]] == [
         ["parent", "median"], ["change", "median"], ["ratio", "median"]
     ]
-    assert timings[3].startswith("change faster in ") and timings[3].endswith("/2 pairs")
+    assert timings[5].startswith("change faster in ") and timings[5].endswith("/2 pairs")

@@ -513,6 +513,116 @@ def test_first_difference_reports_the_first_safe_band_key_in_repr_order():
     assert a.first_difference(a) is None
 
 
+# -- maps of points -------------------------------------------------------------
+
+
+def _reference_column(f, g, c):
+    """Column c of f;g summed as the matrix product reads it: every fc(y) * b over column c of g, no shortcut."""
+    rig, out = f.rig, {}
+    for y, b in g.column(c).items():
+        for r, a in f.column(y).items():
+            out[r] = rig.add(out[r], rig.mul(a, b)) if r in out else rig.mul(a, b)
+    return {r: w for r, w in out.items() if not rig.is_zero(w)}
+
+
+def _plain(op):
+    """The same operator built from its columns alone, without its `point`: `@` and comparisons take the column path."""
+    return wr.ColumnOp(op.rig, op.col_space, op.column)
+
+
+@pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
+def test_composites_of_maps_of_points_equal_the_column_sums_in_every_case_of_at(rig):
+    """f @ g for each of the four cases (f, g a map of points or not) equals the reference on every column."""
+    o, com = wr.operators_rel(XY, rig, 4), wr.comonoid_rel(XY, rig, 4)
+    bags, atoms = BagSpace(XY, 4), AtomSpace(XY)
+    delta = com.delta
+    swap = wr.relabel(rig, delta.col_space, lambda p: (p[1], p[0]))
+    reassoc = wr.relabel(rig, PairSpace(bags, PairSpace(bags, bags)), lambda p: ((p[0], p[1][0]), p[1][1]))
+    swap_atoms = wr.relabel(rig, PairSpace(PairSpace(bags, atoms), atoms), lambda p: ((p[0][0], p[1]), p[0][1]))
+    right = wr.relabel(rig, PairSpace(bags, PairSpace(bags, atoms)), lambda p: ((p[0], p[1][0]), p[1][1]))
+    cases = {
+        "delta;sigma": (delta, swap, True, True),
+        "(delta x 1);reassoc": (delta.on_left(bags), reassoc, True, True),
+        "d° x 1;sigma": (o.dc.on_left(atoms), swap_atoms, True, True),
+        "d;delta": (o.d, delta, False, True),
+        "d;d°": (o.d, o.dc, False, True),
+        "(d x 1);(d° x 1)": (o.d.on_left(atoms), o.dc.on_left(atoms), False, True),
+        "d°;d": (o.dc, o.d, True, False),
+        "(delta x 1);right;(1 x d)": (delta.on_left(atoms) @ right, o.d.on_right(bags), True, False),
+        "(d x 1);d": (o.d.on_left(atoms), o.d, False, False),
+        "K;d°": (o.K, o.dc, False, True),
+    }
+    # f x 1 and 1 x f of a map of points are maps of points with the columns the column path gives
+    for f, space in ((delta, bags), (o.dc, atoms), (swap, atoms)):
+        assert f.on_left(space).point and f.on_right(space).point
+        for c in PairSpace(f.col_space, space).points():
+            assert f.on_left(space).column(c) == _plain(f).on_left(space).column(c)
+        for c in PairSpace(space, f.col_space).points():
+            assert f.on_right(space).column(c) == _plain(f).on_right(space).column(c)
+    for name, (f, g, f_points, g_points) in cases.items():
+        assert (f.point is not None, g.point is not None) == (f_points, g_points), name
+        composite = f @ g
+        assert (composite.point is not None) == (f_points and g_points), name
+        for c in g.col_space.points():
+            assert composite.column(c) == _reference_column(f, g, c), (name, c)
+            assert composite.column(c) == (_plain(f) @ _plain(g)).column(c), (name, c)
+
+
+@pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
+def test_maps_of_points_that_differ_at_one_point_report_what_their_columns_report(rig):
+    bags = BagSpace(XY, 2)
+    ident = wr.relabel(rig, bags, lambda b: b)
+    moved = wr.relabel(rig, bags, lambda b: ("y",) if b == ("x",) else b)
+    assert ident.point and moved.point
+    text = ident.first_difference(moved, 2)
+    assert text == _plain(ident).first_difference(_plain(moved), 2) == "entry ([x], [x]): 1 != 0"
+    assert moved.first_difference(ident, 2) == _plain(moved).first_difference(_plain(ident), 2)
+    # the moved point lies outside the band of no atoms
+    assert ident.first_difference(moved, 0) is None and _plain(ident).first_difference(_plain(moved), 0) is None
+    # composites of maps of points are maps of points and report alike
+    delta = wr.comonoid_rel(XY, rig, 2).delta
+    pairs = delta.col_space
+    swap = wr.relabel(rig, pairs, lambda p: (p[1], p[0]))
+    bent = wr.relabel(rig, pairs, lambda p: (p[1], p[0]) if p != ((), ("y",)) else ((), ("x",)))
+    lhs, rhs = delta @ swap, delta @ bent
+    assert lhs.point and rhs.point
+    plain_lhs, plain_rhs = _plain(delta) @ _plain(swap), _plain(delta) @ _plain(bent)
+    assert lhs.first_difference(rhs, 2) == plain_lhs.first_difference(plain_rhs, 2)
+    assert lhs.first_difference(rhs, 2) == "entry ([x], ([], [y])): 0 != 1"
+
+
+@pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
+def test_a_composite_of_maps_of_points_makes_no_product(rig):
+    """Neither a composite of two maps of points nor one re-keyed through a map of points calls `rig.mul`;
+    the column path multiplies by one, or tests each weight against one, for every entry it sums through."""
+    calls = Counter()
+
+    def counted(name):
+        def method(self, a, b):
+            calls[name] += 1
+            return getattr(type(rig), name)(self, a, b)
+
+        return method
+
+    counting = type(f"Counting{type(rig).__name__}", (type(rig),), {"mul": counted("mul"), "eq": counted("eq")})()
+    bags = BagSpace(XY, 4)
+    delta, o = wr.comonoid_rel(XY, counting, 4).delta, wr.operators_rel(XY, counting, 4)
+    reassoc = wr.relabel(counting, PairSpace(bags, PairSpace(bags, bags)), lambda p: ((p[0], p[1][0]), p[1][1]))
+    lhs, rhs = delta @ delta.on_left(bags) @ reassoc, delta @ delta.on_right(bags)
+    assert all(lhs.column(c) == rhs.column(c) for c in rhs.col_space.points())
+    assert lhs.first_difference(rhs, 4) is None
+    assert calls == {}
+    (_plain(delta) @ _plain(delta.on_left(bags)) @ _plain(reassoc)).column(((), ((), ())))
+    assert calls["eq"] > 0 and calls["mul"] == 0
+    calls.clear()
+    for b in bags.points():
+        (o.dc @ o.d).column(b)
+    assert calls["mul"] == 0
+    for b in bags.points():
+        (_plain(o.dc) @ o.d).column(b)
+    assert calls["mul"] > 0
+
+
 # -- the zero rule -------------------------------------------------------------
 
 
@@ -609,10 +719,10 @@ def test_rel_suite_work_counts():
     """`rig.mul`, `rig.add` and `rig.is_zero` calls of one binding build and suite at base 3, D 6,
     nonneg-rational, 50 cases, seed 0, counted by a recording rig.
 
-    A count, not a timing.  Most products are by one: `@` multiplies
-    by the weight-one entries of a `relabel` or `merge` column it sums
-    through.  `a @ b @ c` is `(a @ b) @ c`, whose weight-one columns of c
-    read columns of a @ b without a product; 4,912 when the composites
+    A count, not a timing.  `@` forms no product when either factor is a
+    map of points (`relabel`, `merge`, d°, the counit, chi^{-1} and the
+    unit monoidal maps): 3,691 when it multiplied by the weight one of each
+    such column it summed through, and 4,912 when the composites also
     nested to the right, a;(b;c).  Over this rig, which has no negatives, `is_zero` is called
     only by the validating `WeightedMatrix` constructor of L21's random maps.
     """
@@ -632,4 +742,4 @@ def test_rel_suite_work_counts():
             return not a
 
     assert all_pass(run_suite(make_rel_binding(CountingRig(), base_size=3, truncation=6), cases=50, seed=0))
-    assert counts == {"mul": 3_691, "add": 516, "is_zero": 507}
+    assert counts == {"mul": 1_592, "add": 516, "is_zero": 507}

@@ -14,8 +14,11 @@ rational; rel: nonneg-rational and boolean; smooth: real only, with sizes
 `dim` and `order`).  Both trees first run one untimed check.  Round i then
 times one check of each tree on seed `--seed` + i, the parent first in even
 rounds and the change first in odd ones; a round is a pair.  The tool prints each tree's median wall time,
-the median of the per-pair ratios change / parent and the number of pairs
-in which the change was faster; then the same four numbers for each law
+the median of the per-pair ratios change / parent, the same median over the
+pairs that ran the parent first and over those that ran the change first,
+which differ where the place in a pair biases the timing, and the number of
+pairs in which the change was faster; then the two medians, the median
+ratio and the pairs won for each law
 whose parent median is at least `LAW_FLOOR_MS`, in table order, from the
 reports' `ms` summed over the semirings of one check.  The two trees must
 report the same law statuses on every seed; otherwise the first difference
@@ -184,6 +187,9 @@ def main(argv=None) -> int:
     print(f"parent median {parent_s:.4f} s")
     print(f"change median {change_s:.4f} s")
     print(f"ratio  median {ratio:.3f} (change / parent)")
+    for label, first in (("parent first", pairs[0::2]), ("change first", pairs[1::2])):
+        median = statistics.median(c / p for (p, _), (c, _) in first) if first else float("nan")
+        print(f"ratio  {label} {median:.3f} over {len(first)} pairs")
     print(f"change faster in {won}/{len(pairs)} pairs")
     for line in law_lines(pairs):
         print(line)
