@@ -55,7 +55,7 @@ alike.
 
 Each model's binding ends that model's module (`polyform.make_poly_binding`,
 `wrel.make_rel_binding`, `smoothnum.make_smooth_binding`), so a run imports
-only the model it checks; the exact bindings share `repeat_case`.
+only the model it checks.
 """
 
 from __future__ import annotations
@@ -268,11 +268,6 @@ LAW_BY_ID = {law.id: law for law in LAWS}
 
 # A check takes (rng, cases) and yields a counterexample or None per case checked.
 LawCheck = Callable[[random.Random, int], Iterable[str | None]]
-
-
-def repeat_case(rng, cases, one_case):
-    """The counterexamples (or None) of `cases` seeded runs of one_case, each drawn when read."""
-    return (one_case(rng) for _ in range(cases))
 
 
 class ModelBinding(NamedTuple):

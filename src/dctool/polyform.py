@@ -58,11 +58,12 @@ ends this module, so a run of another model never imports it.
 from __future__ import annotations
 
 from functools import partial
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from operator import add
 from types import MappingProxyType
 
-from .lawsuite import ModelBinding, Op, Operators, repeat_case
+from .lawsuite import ModelBinding, Op, Operators
 from .rig import Rig, accumulate, randbelow
 
 MultiIndex = tuple  # tuple[int, ...]; arity-length exponent vector
@@ -661,16 +662,6 @@ PROBES = 5  # huge-exponent probes per input type of a table law
 PROBE_BITS = 61  # each exponent of a probe is drawn with getrandbits(PROBE_BITS)
 
 
-def _degree_exponents(arity: int, n: int):
-    """Every arity-length exponent tuple of total degree n, in graded-lex order (x^n first)."""
-    if arity == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _degree_exponents(arity - 1, n - first):
-            yield (first,) + rest
-
-
 def _basis_degree(arity: int, top: int, budget: int, per_monomial: int) -> int:
     """The largest k <= top whose per_monomial * C(arity + k, k) basis inputs fit in `budget`; at least 0."""
     k = 0
@@ -694,6 +685,8 @@ def table_inputs(rng, rig: Rig, kind: str, arity: int, top: int, budget: int) ->
     (a) Every monomial with coefficient one (bundles: every x^a * e_i), by
     ascending degree, graded-lex within a degree and e_i innermost, up to the
     largest degree k <= `top` whose inputs fit in `budget`; degree 0 always.
+    The monomials of degree n are enumerated, not drawn: they are the bags of
+    n variables that `itertools.combinations_with_replacement` lists.
     (b) One seeded monomial with coefficient one of each degree k + 1 .. `top`:
     for a bundle the component i = `randbelow(arity)` first, then one
     `randbelow(arity)` variable per unit of degree.
@@ -718,7 +711,9 @@ def table_inputs(rng, rig: Rig, kind: str, arity: int, top: int, budget: int) ->
         return term(i, exps, *_nonzero_draw(rng, rig))
 
     k = _basis_degree(arity, top, budget, width)
-    inputs = [term(i, e) for n in range(k + 1) for e in _degree_exponents(arity, n) for i in range(width)]
+    # graded-lex order, as `wrel.enumerate_bags` lists bags
+    bags = (vs for n in range(k + 1) for vs in combinations_with_replacement(range(arity), n))
+    inputs = [term(i, tuple(map(vs.count, range(arity)))) for vs in bags for i in range(width)]
     for n in range(k + 1, top + 1):
         i, exps = component(), [0] * arity
         for _ in range(n):
@@ -829,7 +824,7 @@ def make_poly_binding(
 
     def compare(rng, cases, case):
         """Check `cases` seeded runs of `case`, a generator of (lhs, rhs, label, inputs) equations."""
-        return repeat_case(rng, cases, lambda rng: _first_failure(rig, case(rng)))
+        return (_first_failure(rig, case(rng)) for _ in range(cases))
 
     def equations(law, at, rng, cases):
         """Apply both sides of each (lhs, rhs, label) `law` yields on the operator set `at` to the

@@ -24,9 +24,9 @@ Maps and fields add with `+`.
 
 The model's law binding, `make_smooth_binding`, lives here too, so that numpy
 is imported only by runs of the numerical model.  Its operators d =
-`bilinearize`, d°, s = `line_integral_S`, !(0) and zero take maps and fields
-to maps and fields, so the law table's rows of L2, L5 and L18-L20 run on this
-model as they do on the exact ones.
+`bilinearize`, d°, s = `line_integral_S`, !(0) = `origin` and zero take maps
+and fields to maps and fields, so the law table's rows of L2, L5 and L18-L20
+run on this model as they do on the exact ones.
 """
 
 from __future__ import annotations
@@ -208,6 +208,11 @@ def directional_derivative(f: SmoothMap, x, v):
 def bilinearize(f: SmoothMap) -> BilinearizedMap:
     """The directional derivative of f viewed as a map linear in its second slot."""
     return BilinearizedMap(f.in_dim, f.out_dim, lambda x, y: directional_derivative(f, x, y), f"D[{f.label}]")
+
+
+def origin(f: SmoothMap) -> SmoothMap:
+    """!(0) f, the constant map x -> f(0): one call of f, at a batch of zeros shaped as its points."""
+    return SmoothMap(f.in_dim, f.out_dim, lambda x: f(np.zeros_like(x)), f"{f.label}(0)")
 
 
 def line_integral_S(g: BilinearizedMap, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -461,8 +466,8 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
     The laws with equations in their `lawsuite.LAWS` row run on one set of
     operators, which only name their input type and object: d = `bilinearize`
     (map -> field), d° g = x -> g(x, x), s g = x -> `line_integral_S(g, x)`,
-    !(0) f = x -> f(0), zero is the zero field, and f x 1 applies f to the
-    point argument of a field with its direction held fixed.  A "map" input
+    !(0) f = `origin(f)`, x -> f(0), zero is the zero field, and f x 1 applies
+    f to the point argument of a field with its direction held fixed.  A "map" input
     is a scalar corpus map, and a "field" input a corpus map R^n -> R^n read
     as (x, v) -> sum_i f_i(x) v_i; on the unit R both are the 1-D maps.  Maps are compared at the points
     and fields at the points and directions `_sample` draws, and a
@@ -497,7 +502,7 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
             Op(maps, bilinearize),
             Op(fields, lambda g: SmoothMap(g.in_dim, g.out_dim, lambda x: g(x, x), f"d°[{g.label}]")),
             Op(fields, lambda g: SmoothMap(g.in_dim, g.out_dim, lambda x: line_integral_S(g, x, cfg), f"S[{g.label}]")),
-            Op(maps, lambda f: SmoothMap(f.in_dim, f.out_dim, lambda x: f(np.zeros_like(x)), f"{f.label}(0)")),
+            Op(maps, origin),
             None, None, None, None,
             id=Op(maps, lambda f: f),
             zero=Op(maps, lambda f: BilinearizedMap(
@@ -575,9 +580,10 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
             g = SmoothMap(f.in_dim, f.out_dim, lambda z, f=f, c=c: f(z) + c, "shift")
 
             def sides(b):  # read before the loop moves on, so f and g are this map's
-                zero = np.zeros_like(b.X)
                 yield "shifted map changed the derivative", fd(f, b), fd(g, b), True
-                yield "maps with equal derivatives differ beyond a constant", f(b.X) - f(zero), g(b.X) - g(zero), False
+                # the conclusion f + !(0) g = g + !(0) f, through the model's !(0)
+                lhs, rhs = f(b.X) + origin(g)(b.X), g(b.X) + origin(f)(b.X)
+                yield "maps with equal derivatives differ beyond a constant", lhs, rhs, False
 
             yield from check(rng, cases // 6, [f], sides, directions=True)
 

@@ -1,6 +1,7 @@
 """Command line: golden JSON reports, exit codes, and the calculator."""
 
 import importlib
+import inspect
 import json
 import os
 import random
@@ -492,3 +493,19 @@ def test_the_smooth_binding_keeps_its_old_names():
         assert binding.params == sm.make_smooth_binding(cfg, max_dim=2).params == {
             "max_dim": 2, "order": 8, "tol_rel": 1e-10,
         }
+
+
+def test_check_flag_defaults_are_the_binding_and_suite_defaults():
+    """`dctool check <model>` without a size flag builds the binding `make_*_binding` builds with its
+    own defaults, and runs `run_suite` at that function's default cases and seed: two copies of each
+    default, kept equal here."""
+    from dctool import lawsuite, polyform, wrel
+
+    parser = cli.build_parser()
+    suite = inspect.signature(lawsuite.run_suite).parameters
+    makes = {"poly": polyform.make_poly_binding, "rel": wrel.make_rel_binding, "smooth": sm.make_smooth_binding}
+    for model, make in makes.items():
+        args = parser.parse_args(["check", model])
+        by_default = make() if model == "smooth" else make(RIGS[args.semiring])
+        assert cli._make_binding(args).params == by_default.params, model
+        assert (args.cases, args.seed) == (suite["cases"].default, suite["seed"].default), model

@@ -284,6 +284,24 @@ def _d_doubled_removing_the_smallest_atom(o, rig):
     )
 
 
+def _d_doubled_removing_the_last_atom(o, rig):
+    """d doubled where it removes the base's last atom, which (a b) fixes and the cycle (a b c) moves."""
+    d, last = o.d.column, o.dc.col_space.right.base.atoms[-1]
+    return wrel.ColumnOp(
+        rig, o.d.col_space, lambda b: {(r, x): rig.add(w, w) if x == last else w for (r, x), w in d(b).items()}
+    )
+
+
+def _d_doubled_where_the_successor_stays(o, rig):
+    """d doubled where the removed atom's cyclic successor (a to b, ..., the last atom to a) is in the bag:
+    the cycle (a b c) keeps each atom's successor, and (a b) does not."""
+    d, atoms = o.d.column, o.dc.col_space.right.base.atoms
+    successor = dict(zip(atoms, atoms[1:] + atoms[:1]))
+    return wrel.ColumnOp(
+        rig, o.d.col_space, lambda b: {(r, x): rig.add(w, w) if successor[x] in b else w for (r, x), w in d(b).items()}
+    )
+
+
 def _d_of_the_empty_bag_reaching_the_first_atom(o, rig):
     d, first = o.d.column, _first_atom(o.dc)
     return wrel.ColumnOp(rig, o.d.col_space, lambda b: d(b) if b else {((), first): rig.one})
@@ -329,6 +347,16 @@ REL_MUTANTS = {
         partial(_mutate_rel_operators, dc=_dc_doubled_on_the_first_atom),
         ["L5", "L7", "L10", "L13", "L15", "L16", "L17"],
     ),
+    # natural along the transposition (a b), so only L23's second permutation, the cycle, catches it
+    "d-doubled-removing-the-last-atom": (
+        partial(_mutate_rel_operators, d=_d_doubled_removing_the_last_atom),
+        ["L5", "L7", "L12", "L15", "L16", "L18", "L19", "L20", "L23"],
+    ),
+    # natural along the cycle (a b c), so only L23's first permutation, the transposition, catches it
+    "d-doubled-where-the-successor-stays": (
+        partial(_mutate_rel_operators, d=_d_doubled_where_the_successor_stays),
+        ["L3", "L6", "L7", "L12", "L15", "L16", "L18", "L19", "L20", "L23"],
+    ),
 }
 
 
@@ -338,6 +366,32 @@ def test_each_rel_operator_mutant_fails_exactly_its_laws(monkeypatch, mutate, fa
     mutate(monkeypatch)
     reports = ls.run_suite(make_rel_binding(NONNEG_RATIONAL, base_size=3, truncation=6), cases=50, seed=0)
     assert [r.law_id for r in reports if r.status == "fail"] == failing
+
+
+@pytest.mark.parametrize(
+    "mutant, case", [("d-doubled-removing-the-last-atom", 2), ("d-doubled-where-the-successor-stays", 1)]
+)
+def test_each_generator_of_the_atom_permutations_catches_a_d_natural_along_the_other(monkeypatch, mutant, case):
+    """L23 fails at the comparison along the generator the mutant is not natural along: the
+    transposition (a b) is case 1 and the cycle (a b c) case 2.  Over the boolean rig a doubled
+    weight is the weight itself, so the two rigs with a 2 are the ones checked."""
+    mutate, failing = REL_MUTANTS[mutant]
+    mutate(monkeypatch)
+    for rig in (NONNEG_RATIONAL, RATIONAL):
+        reports = ls.run_suite(make_rel_binding(rig, base_size=3, truncation=6), cases=50, seed=0)
+        assert [r.law_id for r in reports if r.status == "fail"] == failing, rig.name
+        assert {r.law_id: r.cases for r in reports}["L23"] == case, rig.name
+
+
+@pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
+def test_rel_naturality_compares_one_permutation_at_bases_1_and_2_and_two_from_base_3(rig):
+    """L23 reads the transposition and the cycle, which coincide at bases 1 and 2; it draws nothing
+    (its rng is None here) and does not cap them by `cases`."""
+    for base_size in range(1, wrel.MAX_BASE_SIZE + 1):
+        binding = make_rel_binding(rig, base_size=base_size)
+        assert list(binding.checks["L23"](None, 1)) == [None] * (1 if base_size <= 2 else 2), base_size
+        report = ls.run_law("L23", binding, cases=50, seed=0)
+        assert (report.status, report.cases) == ("pass", 1 if base_size <= 2 else 2), base_size
 
 
 def test_every_law_the_rel_binding_checks_fails_under_a_named_mutant():
@@ -559,6 +613,11 @@ def _keeps_the_constant_term(fd_directional_derivative):
     return lambda f, x, v: fd_directional_derivative(f, x, v) + f(np.zeros_like(x)) * np.asarray(v)[0]
 
 
+def _doubled(origin):
+    """!(0) f read as f(0) + f(0)."""
+    return lambda f: origin(f) + origin(f)
+
+
 def _weighted_by_t(line_integral_S):
     """S weighting its nodes by t, so it computes the integral of t * g(t*x, x)."""
 
@@ -602,6 +661,8 @@ SMOOTH_MUTANTS = {
         "fd_directional_derivative", _keeps_the_constant_term, ["L2", "L3", "L4", "L21"]
     ),
     "integral-weighted-by-t": ("line_integral_S", _weighted_by_t, ["L18", "L19", "L20"]),
+    # L2 differentiates a constant, which doubling keeps constant
+    "origin-doubled": ("origin", _doubled, ["L18", "L21"]),
     "gauss3-derivative-broken-past-x0-equal-1": (
         "builtin_corpus", _gauss3_broken_past_x0_equal_1, ["L3", "L4", "L6", "L18", "L20"]
     ),
@@ -750,11 +811,12 @@ def test_rel_table_laws_compose_no_matrix(monkeypatch):
 # L3 now also reads the columns of D - MARGIN + 1 atoms, and L22 every pair of halves of at most D atoms.
 # L10's unit equation m_R d° = m_R reads the 15 pairs of unit bags (n, b) of at most D - MARGIN atoms
 # where it read the 5 unit bags, and m_R eps = 1 and m_R e = 1 (a key each) are now the first equation's.
-# L21 compares every entry of its matrices.
+# L21 compares every entry of its matrices.  L23 compared d along five drawn atom permutations on the
+# safe band (300); it now compares it along the transposition and the cycle on every bag of at most D atoms.
 PARENT_STRUCTURAL_KEYS = {
     "L1": 995, "L2": 0, "L3": 918, "L5": 3, "L6": 90, "L7": 225, "L10": 42, "L22": 124, "L23": 300,
 }
-REL_KEYS = PARENT_STRUCTURAL_KEYS | {"L3": 1008, "L10": 50, "L22": 168} | {
+REL_KEYS = PARENT_STRUCTURAL_KEYS | {"L3": 1008, "L10": 50, "L22": 168, "L23": 336} | {
     "L8": 70, "L9": 169, "L11": 70, "L12": 5, "L13": 5, "L14": 15, "L15": 10, "L16": 15,
     "L17": 175, "L18": 35, "L19": 5, "L20": 60, "L21": 674,
 }

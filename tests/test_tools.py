@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under `tools/`, loaded from their files without writing bytecode there."""
 
+import gc
 import importlib.util
 import json
 import re
@@ -134,6 +135,50 @@ def test_interleave_prints_the_laws_the_parent_spends_a_millisecond_on(monkeypat
     pairs = [((0.1, p), (0.1, c)) for p, c in zip(parent, change)]
     # L2's parent median is 0.9 ms and L3 is skipped (0 ms): neither gets a line
     assert tool.law_lines(pairs) == ["L1   parent 3.00 ms, change 2.20 ms, ratio 0.750, change faster in 2/3"]
+
+
+def test_interleave_times_each_check_with_the_collector_off_and_turns_it_on_again(monkeypatch):
+    """One `gc.collect()`, then the collector off while the check runs, and on again after it, also
+    when the check raises."""
+    tool = load_tool("interleave", monkeypatch)
+    package = tool.load(str(TOOLS.parent), "dctool_collector")
+    run_suite, events = package.run_suite, []
+    monkeypatch.setattr(gc, "collect", lambda *args: events.append("collect"))
+
+    def recording(*args, **kwargs):
+        events.append(gc.isenabled())
+        return run_suite(*args, **kwargs)
+
+    monkeypatch.setattr(package, "run_suite", recording)
+    assert gc.isenabled()
+    tool.check(package, "rel", {"base_size": 1, "truncation": 2}, seed=0)
+    assert events == ["collect", False, False]  # one suite per semiring
+    assert gc.isenabled()
+
+    def raising(*args, **kwargs):
+        events.append(gc.isenabled())
+        raise RuntimeError("a check that breaks")
+
+    events.clear()
+    monkeypatch.setattr(package, "run_suite", raising)
+    with pytest.raises(RuntimeError, match="a check that breaks"):
+        tool.check(package, "rel", {"base_size": 1, "truncation": 2}, seed=0)
+    assert events == ["collect", False]
+    assert gc.isenabled()
+
+
+def test_interleave_sizes_and_semirings_are_the_benchmark_workloads(monkeypatch):
+    """`tools/interleave.py` keeps its own copy of each model's benchmark workload: its sizes and semirings."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read bench/, write nothing there
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "bench"))
+    import harness
+
+    tool = load_tool("interleave", monkeypatch)
+    workloads = {w.model: w for w in harness.WORKLOADS.values()}
+    assert sorted(workloads) == sorted(tool.DEFAULT_PARAMS) == sorted(tool.SEMIRINGS)
+    for model, workload in workloads.items():
+        assert tool.DEFAULT_PARAMS[model] == workload.params, model
+        assert tool.SEMIRINGS[model] == workload.semirings, model
 
 
 def test_interleave_compares_a_smooth_tree_with_itself(monkeypatch, capsys):

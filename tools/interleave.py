@@ -11,7 +11,10 @@ arguments of `dctool check` at the chosen sizes, and runs
 `run_suite` on it at 50 cases, the `dctool check` default, once for each
 semiring of the model's benchmark workload (poly: nonneg-rational and
 rational; rel: nonneg-rational and boolean; smooth: real only, with sizes
-`dim` and `order`).  Both trees first run one untimed check.  Round i then
+`dim` and `order`).  Each check starts after one `gc.collect()` and runs
+with the cyclic collector off, so that no collector pass, set off by
+garbage that another check or tree left, lands inside a law's time.  Both
+trees first run one untimed check.  Round i then
 times one check of each tree on seed `--seed` + i, the parent first in even
 rounds and the change first in odd ones; a round is a pair.  The tool prints each tree's median wall time,
 the median of the per-pair ratios change / parent, the same median over the
@@ -33,6 +36,7 @@ refuses is a usage error (exit 2).
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import statistics
 import sys
@@ -81,18 +85,23 @@ def check_argv(model: str, semiring: str, params: dict) -> list:
 
 
 def check(package, model: str, params: dict, seed: int) -> tuple:
-    """One check of `model` with `package` at `CASES`: its wall time in seconds, its
+    """One check of `model` with `package` at `CASES`, collector off: its wall time in seconds, its
     (semiring, law, status, cases) reports and {law: ms summed over the semirings}."""
     cli = importlib.import_module(f"{package.__name__}.cli")
     parser = cli.build_parser()
     runs = [(semiring, parser.parse_args(check_argv(model, semiring, params))) for semiring in SEMIRINGS[model]]
-    start = time.perf_counter()
-    reports = [
-        (semiring, r)
-        for semiring, args in runs
-        for r in package.run_suite(cli._make_binding(args), cases=CASES, seed=seed)
-    ]
-    seconds = time.perf_counter() - start
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        reports = [
+            (semiring, r)
+            for semiring, args in runs
+            for r in package.run_suite(cli._make_binding(args), cases=CASES, seed=seed)
+        ]
+        seconds = time.perf_counter() - start
+    finally:
+        gc.enable()
     law_ms = {}
     for _, r in reports:
         law_ms[r.law_id] = law_ms.get(r.law_id, 0.0) + r.ms
