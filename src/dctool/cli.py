@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=50,
             help="cases per law (default 50); it bounds the monomial basis of the poly table laws, "
-            "and the rel table laws check every column whatever it is",
+            "and rel reads neither it nor --seed",
         )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     calc = sub.add_parser("poly", help="evaluate a calculator expression")
     calc.add_argument("--expr", required=True)
     calc.add_argument("--semiring", choices=SEMIRING_CHOICES, default="nonneg-rational")
-    calc.add_argument("--vars", type=int, default=None, help="force the variable count")
+    calc.add_argument("--vars", type=int, default=None, help="force the variable count, 1 to 4")
     calc.add_argument(
         "--coord", type=int, default=None,
         help="print only this coordinate (1-based) of a bundle; a polynomial is its own coordinate 1",

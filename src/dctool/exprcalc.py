@@ -10,7 +10,8 @@ Grammar (whitespace insignificant):
               | 's' '(' expr ',' ident ')'
     rational := nat ('/' nat)?
 
-Variables are the canonical names x, y, z, w; operator names are reserved.
+Variables are the canonical names x, y, z, w, so an expression has 1 to 4
+variables; operator names are reserved.
 '-' evaluates only over a semiring with negatives.  `s(e, x)` integrates the
 coordinate bundle that has `e` in the slot of variable x and zero elsewhere.
 
@@ -72,7 +73,8 @@ class ParseError(ValueError):
 
 class EvalError(ValueError):
     """Well-formed expression without a value over the chosen semiring and
-    variable count: '-' without negatives, a coordinate bundle fed into
+    variable count: a count below 1 or above the four names, a variable the
+    count does not reach, '-' without negatives, a coordinate bundle fed into
     another operator, a product over the work budget, or a result coefficient
     or exponent too long to print."""
 
@@ -257,6 +259,9 @@ def eval_expr(source: str, semiring: Rig, arity: int | None = None):
         arity = needed
     elif arity < 1:
         raise EvalError(f"the variable count must be at least 1, not {arity}")
+    elif arity > len(VAR_NAMES):
+        names = ", ".join(VAR_NAMES)
+        raise EvalError(f"the variable count must be at most {len(VAR_NAMES)}, the names {names}, not {arity}")
     elif needed > arity:
         raise EvalError(f"variable {VAR_NAMES[needed - 1]!r} does not fit in {arity} variable(s)")
     value = _Evaluator(tokens, semiring, arity).evaluate()

@@ -45,13 +45,17 @@ d, d°, s, !(0) and zero but no K, J, inverses or unit monoidal maps, so it
 answers L2, L5 and L18-L20 by their rows and skips the laws that read the
 others.  The polynomial and the smooth model wrap each operator as an `Op`.
 The other laws need operators the sets do not have (Delta, sigma, chi) or
-take premises or random maps, so each binding states them itself.  The
-relational binding writes each of them but the Taylor property (L21) as
-(lhs, rhs, label) equations between its column operators and compares them
-as it compares the table laws; L21 draws random maps and compares matrices.
-The polynomial binding writes each of them as equations too, over inputs it
-draws per case, and one rule compares and renders them and the table laws
-alike.
+take premises or random maps, so each binding states them itself.  Every
+model checks the Taylor property (L21), d f = d g implies
+f + !(0) g = g + !(0) f, at one generic pair, f = 0 and g = f + !(0)h with
+h = 1: any pair g = f + !(0)h is this one composed with h, with f added to
+both sides, where it cancels, so the premise is d;!(0) = 0 and the
+conclusion !(0);!(0) = !(0).  The relational binding writes each of the
+other laws as (lhs, rhs, label) equations between its column operators and
+compares them as it compares the table laws; L21 compares matrices.  The
+polynomial binding writes each of them as equations too, over inputs it
+draws per case (L21 over its pair), and one rule compares and renders them
+and the table laws alike.
 
 Each model's binding ends that model's module (`polyform.make_poly_binding`,
 `wrel.make_rel_binding`, `smoothnum.make_smooth_binding`), so a run imports

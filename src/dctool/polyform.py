@@ -774,10 +774,11 @@ def make_poly_binding(
     exponents.  Out of reach is a defect at one per-variable exponent
     pattern that no input hits, such as one monomial of a degree above k
     that is not that degree's seeded one, or one degree above `max_degree`.
-    L24 is skipped over a rig that is not additively idempotent.  Every
-    other law draws its own inputs per case and yields its equations, each
-    with the inputs it shows, so every law is checked and rendered by one
-    rule, `_first_failure`.
+    L24 is skipped over a rig that is not additively idempotent.  The
+    Taylor property (L21) is one case, its generic pair p = 0, q = 1, and
+    every other law draws its own inputs per case; each yields its
+    equations with the inputs it shows, so every law is checked and
+    rendered by one rule, `_first_failure`.
 
     `sabotage` deliberately breaks the gradient so it keeps constant terms;
     used as the negative control that the suite actually detects failures.
@@ -904,14 +905,14 @@ def make_poly_binding(
         return compare(rng, cases, case)
 
     def l21(rng, cases):
-        def case(rng):
-            p = rp(rng)
-            q = p + Polynomial.const(rig, variables, rig.sample(rng))
-            pq = {"p": p, "q": q}
-            yield derive(p), derive(q), "generator broke the equal-derivative premise", pq
-            yield p + eval0(q), q + eval0(p), "Taylor (additive form) fails", pq
-
-        return compare(rng, cases, case)
+        # the generic pair p = 0, q = p + !(0)h with h = 1: a pair q = p + c is this one scaled by c with p
+        # added to both sides, where it cancels, so this one decides the law
+        p, q = Polynomial.zero(rig, variables), Polynomial.one(rig, variables)
+        pq = {"p": p, "q": q}
+        yield _first_failure(rig, (
+            (derive(p), derive(q), "generator broke the equal-derivative premise", pq),
+            (p + eval0(q), q + eval0(p), "Taylor (additive form) fails", pq),
+        ))
 
     def l22(rng, cases):
         def case(rng):

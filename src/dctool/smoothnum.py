@@ -408,12 +408,6 @@ def _sample(rng, cases, items, directions=False):
     return [_ProbeBatch(rows, k) for rows in classes.values()]
 
 
-def _spread(maps, n):
-    """n of `maps` (all of them if fewer), evenly spaced over the list, so a short pick reaches every dimension."""
-    n = min(n, len(maps))
-    return [maps[i * len(maps) // n] for i in range(n)]
-
-
 def _check(tol_rel, rng, cases, items, sides, directions=False):
     """The model's one comparison: a counterexample or None per column of each of `_sample`'s batches,
     yielded item by item in item order.
@@ -474,6 +468,9 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
     counterexample shows the direction where the values compared read it.
     The model has no K, J, inverses or unit monoidal maps, so it answers L2,
     L5 and L18-L20 by their rows and skips the laws that read the rest.
+    The Taylor property (L21) goes through `_check` too, on one item per
+    dimension up to `max_dim`: its generic pair, the zero and the
+    constant-one map.
     """
     cfg = cfg or QuadratureConfig()
     if not 1 <= max_dim <= 3:
@@ -574,18 +571,17 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
         return check(rng, cases, potentials, sides)
 
     def l21(rng, cases):
-        # draws each map's shift c before its points, so it keeps its own loop
-        for f in _spread(corpus, 6):
-            c = rng.uniform(-1, 1)
-            g = SmoothMap(f.in_dim, f.out_dim, lambda z, f=f, c=c: f(z) + c, "shift")
+        # the generic pair f = 0, g = f + !(0)h with h = 1 in each dimension: a pair g = f + c is this one
+        # scaled by c with f added to both sides, where it cancels, so these decide the law
+        def sides(b):
+            F, G = b.family(0), b.family(1)
+            yield "shifted map changed the derivative", fd(F, b), fd(G, b), True
+            # the conclusion f + !(0) g = g + !(0) f, through the model's !(0)
+            lhs, rhs = F(b.X) + origin(G)(b.X), G(b.X) + origin(F)(b.X)
+            yield "maps with equal derivatives differ beyond a constant", lhs, rhs, False
 
-            def sides(b):  # read before the loop moves on, so f and g are this map's
-                yield "shifted map changed the derivative", fd(f, b), fd(g, b), True
-                # the conclusion f + !(0) g = g + !(0) f, through the model's !(0)
-                lhs, rhs = f(b.X) + origin(g)(b.X), g(b.X) + origin(f)(b.X)
-                yield "maps with equal derivatives differ beyond a constant", lhs, rhs, False
-
-            yield from check(rng, cases // 6, [f], sides, directions=True)
+        pairs = [(_const(f"zero{n}", [0.0] * n), _const(f"one{n}", [1.0] * n)) for n in range(1, max_dim + 1)]
+        return check(rng, cases, pairs, sides, True)
 
     checks = {"L3": l3, "L4": l4, "L6": l6, "L21": l21}
     skips = dict(_SKIPS)

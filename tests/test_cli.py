@@ -314,6 +314,16 @@ def test_calculator_minus_only_over_rational(capsys):
     assert capsys.readouterr().out.strip() == "x + -1*y"
 
 
+def test_calculator_refuses_more_variables_than_it_names(capsys):
+    """x, y, z and w name at most four variables: a larger count is refused before any work, however large."""
+    assert cli.main(["poly", "--expr", "d(x*y)", "--vars", "4"]) == 0
+    assert capsys.readouterr().out == "[y, x, 0, 0]\n"
+    for expr, count in (("x", "5"), ("d(x*y)", "1000000")):
+        assert cli.main(["poly", "--expr", expr, "--vars", count]) == 2
+        message = f"dctool: the variable count must be at most 4, the names x, y, z, w, not {count}\n"
+        assert capsys.readouterr() == ("", message)
+
+
 def test_calculator_parse_and_eval_errors(capsys):
     assert cli.main(["poly", "--expr", "d(x^2"]) == 2
     assert "position" in capsys.readouterr().err

@@ -357,6 +357,10 @@ REL_MUTANTS = {
         partial(_mutate_rel_operators, d=_d_doubled_where_the_successor_stays),
         ["L3", "L6", "L7", "L12", "L15", "L16", "L18", "L19", "L20", "L23"],
     ),
+    # K and J are built from the unmutated !(0); over the boolean rig 1 + 1 = 1, so it is no mutant there
+    "bang0-doubled": (
+        partial(_mutate_rel_operators, bang0=lambda o, rig: o.bang0 + o.bang0), ["L12", "L15", "L16", "L18", "L21"]
+    ),
 }
 
 
@@ -392,6 +396,30 @@ def test_rel_naturality_compares_one_permutation_at_bases_1_and_2_and_two_from_b
         assert list(binding.checks["L23"](None, 1)) == [None] * (1 if base_size <= 2 else 2), base_size
         report = ls.run_law("L23", binding, cases=50, seed=0)
         assert (report.status, report.cases) == ("pass", 1 if base_size <= 2 else 2), base_size
+
+
+def test_a_doubled_empty_bag_projection_fails_the_same_laws_over_the_rationals(monkeypatch):
+    """The mutant table runs over nonneg-rational; the rationals, which also have 1 + 1 != 1, agree."""
+    mutate, failing = REL_MUTANTS["bang0-doubled"]
+    mutate(monkeypatch)
+    reports = ls.run_suite(make_rel_binding(RATIONAL, base_size=3, truncation=6), cases=50, seed=0)
+    assert [r.law_id for r in reports if r.status == "fail"] == failing
+
+
+@pytest.mark.parametrize("rig, seed", [(NONNEG_RATIONAL, 0), (BOOLEAN, 2)], ids=["nonneg-rational", "boolean"])
+def test_the_taylor_property_fails_a_derivative_of_the_empty_bag_at_the_default_size(monkeypatch, rig, seed):
+    """L21's generic pair f = 0, g = !(0) reads d;!(0), which this mutant makes nonzero: the premise
+    fails in its one case.  When L21 drew its f and h, it passed at these seeds."""
+    REL_MUTANTS["d-of-the-empty-bag-reaching-the-first-atom"][0](monkeypatch)
+    report = ls.run_law("L21", make_rel_binding(rig, base_size=2, truncation=4), cases=50, seed=seed)
+    assert (report.status, report.cases) == ("fail", 1)
+    assert report.counterexample == "generator broke the premise: entry (([], a), []): 0 != 1"
+
+
+def test_the_taylor_property_fails_the_sabotaged_gradient_in_one_case():
+    """When L21 drew its p and q = p + c, one case passed whenever c was drawn zero, as at seed 6."""
+    report = ls.run_law("L21", make_poly_binding(NONNEG_RATIONAL, sabotage=True), cases=1, seed=6)
+    assert (report.status, report.cases) == ("fail", 1)
 
 
 def test_every_law_the_rel_binding_checks_fails_under_a_named_mutant():
@@ -811,14 +839,16 @@ def test_rel_table_laws_compose_no_matrix(monkeypatch):
 # L3 now also reads the columns of D - MARGIN + 1 atoms, and L22 every pair of halves of at most D atoms.
 # L10's unit equation m_R d° = m_R reads the 15 pairs of unit bags (n, b) of at most D - MARGIN atoms
 # where it read the 5 unit bags, and m_R eps = 1 and m_R e = 1 (a key each) are now the first equation's.
-# L21 compares every entry of its matrices.  L23 compared d along five drawn atom permutations on the
-# safe band (300); it now compares it along the transposition and the cycle on every bag of at most D atoms.
+# L21 compares every entry of its matrices: 674 when it drew f and h, where the 673 entries of f's terms
+# compared f with itself; at its generic pair f = 0, h = 1 it compares !(0);!(0) with !(0).  L23 compared
+# d along five drawn atom permutations on the safe band (300); it now compares it along the transposition
+# and the cycle on every bag of at most D atoms.
 PARENT_STRUCTURAL_KEYS = {
     "L1": 995, "L2": 0, "L3": 918, "L5": 3, "L6": 90, "L7": 225, "L10": 42, "L22": 124, "L23": 300,
 }
 REL_KEYS = PARENT_STRUCTURAL_KEYS | {"L3": 1008, "L10": 50, "L22": 168, "L23": 336} | {
     "L8": 70, "L9": 169, "L11": 70, "L12": 5, "L13": 5, "L14": 15, "L15": 10, "L16": 15,
-    "L17": 175, "L18": 35, "L19": 5, "L20": 60, "L21": 674,
+    "L17": 175, "L18": 35, "L19": 5, "L20": 60, "L21": 1,
 }
 
 
@@ -866,7 +896,7 @@ def test_rel_suite_never_builds_a_matrix_beyond_the_safe_band_rows(monkeypatch):
         largest = max(largest, len(entries))
         return canonical(rig, row_space, col_space, entries)
 
-    # The validating constructor of L21's random maps and the trusted one of everything else.
+    # The validating constructor of L21's f and h and the trusted one of everything else.
     monkeypatch.setattr(wrel.WeightedMatrix, "__init__", counting_init)
     monkeypatch.setattr(wrel.WeightedMatrix, "_canonical", classmethod(counting_canonical))
     for rig in (NONNEG_RATIONAL, BOOLEAN):

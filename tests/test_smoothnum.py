@@ -343,11 +343,13 @@ def _count_calls(monkeypatch, key):
 
 def test_smooth_suite_work_counts(monkeypatch):
     """Each law draws its probe points as one batch per shape class and evaluates each side once per
-    class, a family map counting as one call besides its members' own: 370 map calls.  The table laws
+    class, a family map counting as one call besides its members' own: 328 map calls.  The table laws
     evaluate each operator's value as a map of its own, so per law, against the bespoke checks they
     replaced: L2 22 (3), L5 58 (6), L18 38 (45), L19 20 (17) and L20 12 (6); L3 55, L4 95 and L6 4 as
-    before.  L21 makes 66, where it made 54 when its conclusion compared f(x) - f(0) with g(x) - g(0):
-    f + !(0) g = g + !(0) f calls each !(0) map and the map it evaluates at zero.  Per shape class of the scalar maps, L2's row calls the field d;!(0) f, the map
+    before.  L21 makes 24, 8 per dimension at its generic pair, the zero and the constant-one map:
+    66 when it took six corpus maps and their shifts, and 54 before that, when its conclusion compared
+    f(x) - f(0) with g(x) - g(0); f + !(0) g = g + !(0) f calls each !(0) map and the map it evaluates
+    at zero.  Per shape class of the scalar maps, L2's row calls the field d;!(0) f, the map
     !(0) f it differentiates, the family and its members, and the zero field, where its check took
     the complex step of each constant map.  The suite made 339 before L2's row, the bespoke suite
     285, against 314 when L18-L20 evaluated f(x) and the field a second time for a residual bound,
@@ -359,7 +361,7 @@ def test_smooth_suite_work_counts(monkeypatch):
     for law[0] in [row.id for row in lawsuite.LAWS]:
         assert lawsuite.run_law(law[0], binding, cases=50, seed=0).status != "fail"
     assert {law_id: n for law_id, n in calls.items() if n} == {
-        "L2": 22, "L3": 55, "L4": 95, "L5": 58, "L6": 4, "L18": 38, "L19": 20, "L20": 12, "L21": 66
+        "L2": 22, "L3": 55, "L4": 95, "L5": 58, "L6": 4, "L18": 38, "L19": 20, "L20": 12, "L21": 24
     }
 
 
@@ -517,10 +519,19 @@ def test_a_derivative_bent_in_the_direction_on_every_2d_and_3d_map_fails_the_law
     against the complex step, and the second fundamental theorem and the
     Poincare condition against the integral of the field.  L6 reads the
     closed forms along unit vectors only, where the bend is zero, and L2, L5
-    and L21 read no closed form.  L21 takes its maps evenly spaced over the
-    corpus, so it reaches every dimension.
+    and L21 read no closed form.  L21 checks its generic pair, the zero and
+    the constant-one map, in every dimension.
     """
-    assert {f.in_dim for f in sm._spread(sm.builtin_corpus(), 6)} == {1, 2, 3}
+    checked, check = [], sm._check
+
+    def recording(tol_rel, rng, cases, items, *args):
+        checked.append(items)
+        return check(tol_rel, rng, cases, items, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sm, "_check", recording)
+        assert lawsuite.run_law("L21", make_smooth_binding(max_dim=3), cases=50, seed=0).status == "pass"
+    assert [{(f.in_dim, f.out_dim) for f in pair} for pair in checked[0]] == [{(n, n)} for n in (1, 2, 3)]
     builtin_corpus = sm.builtin_corpus
 
     def corpus():

@@ -61,6 +61,7 @@ CALC_INPUTS = [
         ("x $ y",), ("d(x^2",), ("x y",), ("",), ("x + )",), ("1/0",), ("q + 1",), ("s(x, q)",),
         ("(" * 101 + "x" + ")" * 101,), ("(" * 1000 + "x" + ")" * 1000,), ("(" * 250 + "x" + ")" * 250,),
         ("K(" * 300 + "x" + ")" * 300,), ("1", "--vars", "0"), ("1", "--vars", "-1"), ("w", "--vars", "2"),
+        ("x", "--vars", "5"), ("d(x*y)", "--vars", "1000000"),
         ("int(x*y)",), ("int(x)", "--vars", "2"), ("K(d(x^2*y))",), ("(x+y+z+w)^60",), ("(x+y+z+w)^1000",),
         ("x*y", "--coord", "0"), ("x*y", "--coord", "2"), ("d(x^2*y)", "--coord", "3"), ("2^16000",),
         ("1" * 5000,), ("²",), ("x*٣",),
