@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cases",
             type=int,
             default=50,
-            help="cases per law (default 50); it bounds the monomial basis of the poly table laws, "
+            help="cases per law (default 50); it bounds the monomial basis of the poly table laws and "
+            "L21, smooth spreads it over each law's probe points (L21's at its scalar maps, as L2's), "
             "and rel reads neither it nor --seed",
         )
         p.add_argument("--seed", type=int, default=0)
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     rel = model_sub.add_parser("rel", help="exact truncated bag-matrix model")
     add_common(rel)
     rel.add_argument("--base-size", type=int, default=2, help="atoms in the base set (default 2)")
-    rel.add_argument("--truncation", type=int, default=4, help="maximum bag size D (default 4)")
+    rel.add_argument("--truncation", type=int, default=4, help="maximum bag size D, at least 3 (default 4)")
 
     smooth = model_sub.add_parser("smooth", help="numerical smooth-map model")
     add_common(smooth, semiring=False)

@@ -63,7 +63,7 @@ from math import comb, gcd, lcm
 from operator import add
 from types import MappingProxyType
 
-from .lawsuite import ModelBinding, Op, Operators
+from .lawsuite import ModelBinding, Op, Operators, taylor
 from .rig import Rig, accumulate, randbelow
 
 MultiIndex = tuple  # tuple[int, ...]; arity-length exponent vector
@@ -775,15 +775,16 @@ def make_poly_binding(
     pattern that no input hits, such as one monomial of a degree above k
     that is not that degree's seeded one, or one degree above `max_degree`.
     L24 is skipped over a rig that is not additively idempotent.  The
-    Taylor property (L21) is one case, its generic pair p = 0, q = 1, and
-    every other law draws its own inputs per case; each yields its
+    Taylor property (L21) applies the equations of `lawsuite.taylor`,
+    d;!(0) = 0 and !(0);!(0) = !(0), to the same inputs, as a table law,
+    and every other law draws its own inputs per case; each yields its
     equations with the inputs it shows, so every law is checked and
     rendered by one rule, `_first_failure`.
 
     `sabotage` deliberately breaks the gradient so it keeps constant terms;
     used as the negative control that the suite actually detects failures.
-    The sabotaged gradient is the d of both operator sets, L2's row among
-    their readers, and of L3, L6's first derivative and L21; it keeps L5,
+    The sabotaged gradient is the d of both operator sets, L2's row and
+    L21 among their readers, and of L3 and L6's first derivative; it keeps L5,
     whose d reads only linear polynomials, which have no constant term.
     L6's second derivative, L7 and L23 call the plain `grad`, and L4 calls
     `cartesian_derivative`.
@@ -904,16 +905,6 @@ def make_poly_binding(
 
         return compare(rng, cases, case)
 
-    def l21(rng, cases):
-        # the generic pair p = 0, q = p + !(0)h with h = 1: a pair q = p + c is this one scaled by c with p
-        # added to both sides, where it cancels, so this one decides the law
-        p, q = Polynomial.zero(rig, variables), Polynomial.one(rig, variables)
-        pq = {"p": p, "q": q}
-        yield _first_failure(rig, (
-            (derive(p), derive(q), "generator broke the equal-derivative premise", pq),
-            (p + eval0(q), q + eval0(p), "Taylor (additive form) fails", pq),
-        ))
-
     def l22(rng, cases):
         def case(rng):
             p = rp(rng)
@@ -941,7 +932,8 @@ def make_poly_binding(
         return compare(rng, cases, case)
 
     checks = {
-        "L1": l1, "L3": l3, "L4": l4, "L6": l6, "L7": l7, "L21": l21, "L22": l22, "L23": l23,
+        "L1": l1, "L3": l3, "L4": l4, "L6": l6, "L7": l7, "L21": partial(equations, taylor, "general"),
+        "L22": l22, "L23": l23,
     }
     skips = {}
     if not rig.idempotent:

@@ -35,7 +35,7 @@ import functools
 
 import numpy as np
 
-from .lawsuite import ModelBinding, Op, Operators
+from .lawsuite import ModelBinding, Op, Operators, taylor
 
 # leggauss builds an order x order companion matrix, and a quadrature batch
 # holds order x points floats
@@ -468,9 +468,9 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
     counterexample shows the direction where the values compared read it.
     The model has no K, J, inverses or unit monoidal maps, so it answers L2,
     L5 and L18-L20 by their rows and skips the laws that read the rest.
-    The Taylor property (L21) goes through `_check` too, on one item per
-    dimension up to `max_dim`: its generic pair, the zero and the
-    constant-one map.
+    It answers the Taylor property (L21) as it answers those rows, by the
+    equations of `lawsuite.taylor`, d;!(0) = 0 and !(0);!(0) = !(0), on the
+    scalar corpus maps, which L2 reads too.
     """
     cfg = cfg or QuadratureConfig()
     if not 1 <= max_dim <= 3:
@@ -570,20 +570,7 @@ def make_smooth_binding(cfg: QuadratureConfig | None = None, max_dim: int = 3) -
 
         return check(rng, cases, potentials, sides)
 
-    def l21(rng, cases):
-        # the generic pair f = 0, g = f + !(0)h with h = 1 in each dimension: a pair g = f + c is this one
-        # scaled by c with f added to both sides, where it cancels, so these decide the law
-        def sides(b):
-            F, G = b.family(0), b.family(1)
-            yield "shifted map changed the derivative", fd(F, b), fd(G, b), True
-            # the conclusion f + !(0) g = g + !(0) f, through the model's !(0)
-            lhs, rhs = F(b.X) + origin(G)(b.X), G(b.X) + origin(F)(b.X)
-            yield "maps with equal derivatives differ beyond a constant", lhs, rhs, False
-
-        pairs = [(_const(f"zero{n}", [0.0] * n), _const(f"one{n}", [1.0] * n)) for n in range(1, max_dim + 1)]
-        return check(rng, cases, pairs, sides, True)
-
-    checks = {"L3": l3, "L4": l4, "L6": l6, "L21": l21}
+    checks = {"L3": l3, "L4": l4, "L6": l6, "L21": functools.partial(equations, taylor, "general")}
     skips = dict(_SKIPS)
     if not potentials:
         del checks["L6"]

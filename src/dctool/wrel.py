@@ -33,22 +33,27 @@ The model has one comparison rule: a law compares every entry it computes.
 Every law but L21 compares two column operators (`ColumnOp.first_difference`)
 on every source column of at most N atoms, `point_weight` counting every bag
 atom of a point, and compares every row those columns reach.  N is D -
-`MARGIN` unless a law says otherwise.  The Taylor property (L21) alone
-compares sparse matrices (`WeightedMatrix`) over the bags of at most D
-atoms, on every entry, at its generic pair f = 0, g = !(0):
+`MARGIN` unless a law says otherwise, and D is at least MARGIN + 1: at
+D = MARGIN most laws would read the empty bag's column alone.  The Taylor
+property (L21) alone compares sparse matrices (`WeightedMatrix`) over the
+bags of at most D atoms, on every entry: it evaluates `lawsuite.taylor`,
+d;!(0) = 0 and !(0);!(0) = !(0), on the matrices of d, !(0) and the zero
+operator, which compose with `@`, that is `mat_compose`.
 `ColumnOp.matrix`, the only code that truncates, keeps exactly the rows
 that lie in the row space, and row (b, x) of d is reached only from column
-b + x, a bag of at most D atoms, so d's matrix and every composite L21
-builds from it hold their true values.  Both comparisons report the first
-differing (row, column) key in `repr` order.  No law draws: every input is
-enumerated, so a report reads neither `cases` nor the seed.
+b + x, a bag of at most D atoms, so d's matrix and d;!(0) hold their true
+values.  Both comparisons report the first differing (row, column) key in
+`repr` order.  No law draws: every input is enumerated, so a report reads
+neither `cases` nor the seed.
 
-The public constructor `WeightedMatrix(...)` drops zero entries.  Everything
-else builds through the trusted `WeightedMatrix._canonical`, which tests
-none, because a zero entry can only come from a sum that cancels (the rig
-properties behind this are listed in `rig.Rig`): `ColumnOp.matrix` and
-`perm_matrix` move or select nonzero entries; `tensor`
-multiplies nonzero entries; `mat_compose` and `+` sum products of them
+The public constructor `WeightedMatrix(...)` drops zero entries, and
+`ColumnOp.matrix` builds through it, although it selects nonzero weights
+only, so that a tracer of that constructor counts the matrices L21 builds
+and their entries.  Everything else builds through the trusted
+`WeightedMatrix._canonical`, which tests none, because a zero entry can
+only come from a sum that cancels (the rig properties behind this are
+listed in `rig.Rig`): `perm_matrix` moves nonzero entries; `tensor`
+multiplies nonzero entries; `mat_compose` sums products of them
 through `rig.accumulate`, as the column operators' `+` and `@` do,
 which tests a sum only where two values meet at one key and only over a rig
 with `has_negatives`; and the column formulas are weighted by
@@ -56,8 +61,8 @@ with `has_negatives`; and the column formulas are weighted by
 k >= 1.
 
 The model's law binding, `make_rel_binding`, ends this module.  Only L21
-builds matrices; it reads `mat_compose` as a module global when it runs, so
-a tracer that patches it finds every call.
+builds matrices; their `@` reads `mat_compose` as a module global when it
+runs, so a tracer that patches it finds every call.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from collections import defaultdict
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
-from .lawsuite import ModelBinding, Operators
+from .lawsuite import ModelBinding, Operators, taylor
 from .rig import Rig, accumulate
 
 UNIT_POINT = "*"
@@ -235,7 +240,10 @@ def _first_difference(rig: Rig, columns):
 
 
 class WeightedMatrix:
-    """Sparse exact matrix between two enumerated index spaces; only the Taylor property (L21) builds one."""
+    """Sparse exact matrix between two enumerated index spaces; only the Taylor property (L21) builds one.
+
+    `f @ g` is f;g, `mat_compose(f, g)`.
+    """
 
     __slots__ = ("rig", "row_space", "col_space", "entries")
 
@@ -259,10 +267,9 @@ class WeightedMatrix:
         m.entries = entries
         return m
 
-    def __add__(self, other):
-        self._check_spaces(other)
-        entries = accumulate(self.rig, dict(self.entries), other.entries.items())
-        return WeightedMatrix._canonical(self.rig, self.row_space, self.col_space, entries)
+    def __matmul__(self, other):
+        # `mat_compose` is looked up when called, so a tracer that patches it counts this product
+        return mat_compose(self, other)
 
     def _check_spaces(self, other):
         if self.row_space != other.row_space or self.col_space != other.col_space:
@@ -412,7 +419,7 @@ class ColumnOp:
         """The matrix of this operator on every point of `col_space`, truncated to the rows in `row_space`."""
         rows = _members(row_space)
         entries = {(r, c): w for c in _points(self.col_space) for r, w in self.column(c).items() if r in rows}
-        return WeightedMatrix._canonical(self.rig, row_space, self.col_space, entries)
+        return WeightedMatrix(self.rig, row_space, self.col_space, entries)
 
     def first_difference(self, other: "ColumnOp", limit: int):
         """First entry, in `repr` order of the (row, column) keys, where the operators disagree on the
@@ -563,16 +570,17 @@ def make_rel_binding(
     which are one permutation at bases 1 and 2.  A law yields one comparison
     `cmp(lhs, rhs, label[, limit])` per equation, built when the runner reads
     it, so the runner stops at the first difference and `cases` counts the
-    comparisons made.  The Taylor property (L21) is one case on matrices
-    over the bags of at most D atoms, its generic pair f = 0 and
-    g = f + !(0)h with h = 1, of which it compares every entry of the
-    composites with d and !(0), which are exact there.  No law draws or
-    reads `cases`.
+    comparisons made.  The Taylor property (L21) evaluates
+    `lawsuite.taylor` on a copy of the operator set whose d, !(0) and zero
+    are matrices over the bags of at most D atoms, which are exact there,
+    and compares every entry of each of its two equations, one case each.
+    No law draws or reads `cases`.  D is at least MARGIN + 1: at D = MARGIN
+    every law but L3, L22 and L23 reads only the empty bag's column.
     """
     if not 1 <= base_size <= MAX_BASE_SIZE:
         raise ValueError(f"base_size must be between 1 and {MAX_BASE_SIZE}")
-    if truncation < MARGIN:
-        raise ValueError(f"truncation bound smaller than the margin {MARGIN}")
+    if truncation <= MARGIN:
+        raise ValueError(f"truncation bound must exceed the margin {MARGIN}")
     base = BaseSet(ATOM_NAMES[:base_size])
     limit = truncation - MARGIN
 
@@ -629,15 +637,10 @@ def make_rel_binding(
         yield cmp(d @ o.dc, rhs, "derive/coderive exchange fails")
 
     def l21(rng, cases):
-        # the generic pair f = 0, g = f + !(0)h with h = 1: any other pair is this one composed with h,
-        # plus f on both sides, so this one decides the law
-        d_matrix, bang0 = d.matrix(pair_ba), o.bang0.matrix(bags)
-        f = WeightedMatrix(rig, bags, bags)
-        g = f + mat_compose(bang0, WeightedMatrix(rig, bags, bags, {(b, b): rig.one for b in _points(bags)}))
-        d_f, d_g = mat_compose(d_matrix, f), mat_compose(d_matrix, g)
-        yield found(d_f.first_difference(d_g), "generator broke the premise") or found(
-            (f + mat_compose(bang0, g)).first_difference(g + mat_compose(bang0, f)), "Taylor fails"
-        )
+        # on matrices, not column operators: the benchmark counts the matrix entries and `mat_compose` calls of L21
+        m = o._replace(d=d.matrix(pair_ba), bang0=o.bang0.matrix(bags), zero=WeightedMatrix(rig, pair_ba, bags))
+        for lhs, rhs, label in taylor(m, m):
+            yield found(lhs.first_difference(rhs), label)
 
     def l22(rng, cases):
         half = max(1, base_size // 2)

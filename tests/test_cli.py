@@ -135,6 +135,7 @@ def test_smooth_takes_no_semiring(capsys):
         ["poly", "--vars", "0"],
         ["poly", "--output", "{tmp}/missing/report.json"],
         ["rel", "--base-size", "7"],
+        ["rel", "--truncation", "2"],
         ["smooth", "--tol-rel", "nan"],
         # refused by QuadratureConfig before any node or batch is built
         ["smooth", "--order", "1025"],
@@ -142,7 +143,7 @@ def test_smooth_takes_no_semiring(capsys):
     ],
     ids=[
         "zero-cases", "negative-cases", "zero-degree", "zero-vars", "unwritable-output", "base-size-above-limit",
-        "nan-tol-rel",
+        "truncation-at-the-margin", "nan-tol-rel",
         "order-above-limit", "huge-order",
     ],
 )

@@ -408,12 +408,12 @@ def test_a_doubled_empty_bag_projection_fails_the_same_laws_over_the_rationals(m
 
 @pytest.mark.parametrize("rig, seed", [(NONNEG_RATIONAL, 0), (BOOLEAN, 2)], ids=["nonneg-rational", "boolean"])
 def test_the_taylor_property_fails_a_derivative_of_the_empty_bag_at_the_default_size(monkeypatch, rig, seed):
-    """L21's generic pair f = 0, g = !(0) reads d;!(0), which this mutant makes nonzero: the premise
-    fails in its one case.  When L21 drew its f and h, it passed at these seeds."""
+    """L21's generic pair f = 0, g = !(0) reads d;!(0), which this mutant makes nonzero: the premise,
+    L2's equation, fails in its first comparison.  When L21 drew its f and h, it passed at these seeds."""
     REL_MUTANTS["d-of-the-empty-bag-reaching-the-first-atom"][0](monkeypatch)
     report = ls.run_law("L21", make_rel_binding(rig, base_size=2, truncation=4), cases=50, seed=seed)
     assert (report.status, report.cases) == ("fail", 1)
-    assert report.counterexample == "generator broke the premise: entry (([], a), []): 0 != 1"
+    assert report.counterexample == "derivative of a constant is nonzero: entry (([], a), []): 1 != 0"
 
 
 def test_the_taylor_property_fails_the_sabotaged_gradient_in_one_case():
@@ -490,6 +490,11 @@ def _constant_term_doubled(eval_at_one):
     return mutant
 
 
+def _doubled(bang0):
+    """!(0) f read as f(0) + f(0), in the polynomial (`eval0`) and the smooth (`origin`) model alike."""
+    return lambda f: bang0(f) + bang0(f)
+
+
 def _plus_eval0(J_op):
     return lambda p: J_op(p) + pf.eval0(p)
 
@@ -534,6 +539,9 @@ POLY_MUTANTS = {
     ),
     "eval-at-one-constant-term-doubled": ("eval_at_one", _constant_term_doubled, ["L10", "L14", "L17"]),
     "J-plus-eval0": ("J_op", _plus_eval0, ["L8", "L9", "L13", "L14"]),
+    # K = d°;d + !(0) doubles constants with it and K^{-1} does not; L2 differentiates a constant, which
+    # doubling keeps constant, so L21 fails at its conclusion, !(0);!(0) = !(0)
+    "eval0-doubled": ("eval0", _doubled, ["L8", "L9", "L12", "L15", "L16", "L18", "L21"]),
     "grad-y-partial-doubled-on-x-terms": (
         "grad", _y_partial_doubled_on_x_terms, ["L3", "L4", "L6", "L7", "L8", "L9", "L11", "L18", "L20", "L23"]
     ),
@@ -641,11 +649,6 @@ def _keeps_the_constant_term(fd_directional_derivative):
     return lambda f, x, v: fd_directional_derivative(f, x, v) + f(np.zeros_like(x)) * np.asarray(v)[0]
 
 
-def _doubled(origin):
-    """!(0) f read as f(0) + f(0)."""
-    return lambda f: origin(f) + origin(f)
-
-
 def _weighted_by_t(line_integral_S):
     """S weighting its nodes by t, so it computes the integral of t * g(t*x, x)."""
 
@@ -683,8 +686,11 @@ def _gauss3_broken_past_x0_equal_1(builtin_corpus):
 # (function of `smoothnum` replaced, mutant of it, laws it fails at dim 3, 50 cases, seed 0); each
 # mutant calls the function it replaces but `_weighted_by_t`
 SMOOTH_MUTANTS = {
-    "complex-step-plus-1e-6": ("fd_directional_derivative", _plus_1e_6, ["L2", "L3", "L4", "L5", "L19", "L20"]),
-    # L6 and L21 take a complex step on both sides, and L18 reads only closed forms
+    # L21's premise is L2's equation, d;!(0) = 0
+    "complex-step-plus-1e-6": (
+        "fd_directional_derivative", _plus_1e_6, ["L2", "L3", "L4", "L5", "L19", "L20", "L21"]
+    ),
+    # L6 takes a complex step on both sides, and L18 reads only closed forms
     "complex-step-keeps-the-constant-term": (
         "fd_directional_derivative", _keeps_the_constant_term, ["L2", "L3", "L4", "L21"]
     ),
@@ -708,6 +714,43 @@ def _smooth_reports(monkeypatch, mutant):
 def test_each_smooth_mutant_fails_exactly_its_laws(monkeypatch, mutant):
     reports = _smooth_reports(monkeypatch, mutant)
     assert [r.law_id for r in reports if r.status == "fail"] == SMOOTH_MUTANTS[mutant][2]
+
+
+def _patched(module, mutants, mutant):
+    """The monkeypatch of a `POLY_MUTANTS` or `SMOOTH_MUTANTS` entry, as a `REL_MUTANTS` entry applies it."""
+    name, make, _ = mutants[mutant]
+    return lambda monkeypatch: monkeypatch.setattr(module, name, make(getattr(module, name)))
+
+
+def test_every_model_fails_the_taylor_property_at_the_same_equation(monkeypatch):
+    """L21 is `lawsuite.taylor` in every model: a doubled !(0) keeps d;!(0) = 0, L2's equation and
+    L21's premise, and fails L21's conclusion, !(0);!(0) = !(0); a d that does not vanish on
+    constants fails the premise.  Each model's first L21 counterexample carries that equation's label."""
+    unit = ls.Op(None, None)
+    stub = ls.Operators._make([unit] * len(ls.Operators._fields))
+    premise, conclusion = (label for _, _, label in ls.taylor(stub, stub))
+    assert [label for _, _, label in ls.LAW_BY_ID["L2"].equations(stub, stub)] == [premise]
+    rel, poly = partial(make_rel_binding, NONNEG_RATIONAL, 3, 6), partial(make_poly_binding, NONNEG_RATIONAL)
+    runs = {
+        "rel bang0-doubled": (rel, REL_MUTANTS["bang0-doubled"][0]),
+        "poly eval0-doubled": (poly, _patched(pf, POLY_MUTANTS, "eval0-doubled")),
+        "smooth origin-doubled": (make_smooth_binding, _patched(sm, SMOOTH_MUTANTS, "origin-doubled")),
+        "rel d-of-the-empty-bag-reaching-the-first-atom": (
+            rel, REL_MUTANTS["d-of-the-empty-bag-reaching-the-first-atom"][0]
+        ),
+        "poly --sabotage": (partial(poly, sabotage=True), lambda monkeypatch: None),
+        "smooth complex-step-keeps-the-constant-term": (
+            make_smooth_binding, _patched(sm, SMOOTH_MUTANTS, "complex-step-keeps-the-constant-term")
+        ),
+    }
+    labels = {}
+    for run, (make_binding, mutate) in runs.items():
+        with monkeypatch.context() as patch:
+            mutate(patch)
+            report = ls.run_law("L21", make_binding(), cases=50, seed=0)
+        text = report.counterexample or ""
+        labels[run] = next((label for label in (premise, conclusion) if text.startswith(label + ": ")), text)
+    assert labels == dict.fromkeys(list(runs)[:3], conclusion) | dict.fromkeys(list(runs)[3:], premise)
 
 
 def test_every_law_the_smooth_binding_checks_fails_under_a_named_mutant():

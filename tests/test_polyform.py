@@ -844,8 +844,9 @@ def test_poly_canonical_counts_of_the_rebuilt_laws(monkeypatch):
     and the suite built 19,790 when L2 was a check of its own, a constant
     and a random polynomial per case, where its row applies d;!(0) to the
     table inputs.  L22 draws the two halves of the tensor it splits after
-    merging, where it split p: 19,356 then.  L21 checks its one generic pair,
-    where it drew 50 pairs: 19,433 then.
+    merging, where it split p: 19,356 then.  L21 applies `lawsuite.taylor`,
+    d;!(0) = 0 and !(0);!(0) = !(0), to the table inputs: 18,755 when it
+    checked its one generic pair, and 19,433 when it drew 50 pairs.
     """
     calls = Counter()
     canonical = pf._canonical
@@ -860,7 +861,7 @@ def test_poly_canonical_counts_of_the_rebuilt_laws(monkeypatch):
         assert lawsuite.run_law(law, binding, 50, 0).status == "pass"
     law = "suite"
     assert lawsuite.all_pass(lawsuite.run_suite(binding, cases=50, seed=0))
-    assert calls == {"L4": 1_876, "L5": 333, "L9": 2_970, "L23": 1_602, "suite": 18_755}
+    assert calls == {"L4": 1_876, "L5": 333, "L9": 2_970, "L23": 1_602, "suite": 19_167}
 
 
 def test_poly_suite_work_counts(monkeypatch):

@@ -151,7 +151,7 @@ def test_interleave_times_each_check_with_the_collector_off_and_turns_it_on_agai
 
     monkeypatch.setattr(package, "run_suite", recording)
     assert gc.isenabled()
-    tool.check(package, "rel", {"base_size": 1, "truncation": 2}, seed=0)
+    tool.check(package, "rel", {"base_size": 1, "truncation": 3}, seed=0)
     assert events == ["collect", False, False]  # one suite per semiring
     assert gc.isenabled()
 
@@ -162,7 +162,7 @@ def test_interleave_times_each_check_with_the_collector_off_and_turns_it_on_agai
     events.clear()
     monkeypatch.setattr(package, "run_suite", raising)
     with pytest.raises(RuntimeError, match="a check that breaks"):
-        tool.check(package, "rel", {"base_size": 1, "truncation": 2}, seed=0)
+        tool.check(package, "rel", {"base_size": 1, "truncation": 3}, seed=0)
     assert events == ["collect", False]
     assert gc.isenabled()
 
@@ -269,8 +269,9 @@ def test_interleave_times_trees_whose_case_counts_differ_and_lists_them(monkeypa
     differ = re.compile(r"cases differ: (nonneg-rational|rational) (L\d+), parent (\d+), change (\d+)")
     listed = [differ.fullmatch(line) for line in lines[1:] if line.startswith("cases differ: ")]
     assert all(listed) and len(listed) == len({m.groups() for m in listed}), lines
-    # each table law once per semiring (L24, skipped over both, reads nothing), in table order
-    table = [law.id for law in LAWS if law.equations and law.id != "L24"]
+    # each table law, and L21, which poly checks on the same inputs through `lawsuite.taylor`, once per
+    # semiring (L24, skipped over both, reads nothing), in table order
+    table = [law.id for law in LAWS if (law.equations or law.id == "L21") and law.id != "L24"]
     for semiring in ("nonneg-rational", "rational"):
         assert [m[2] for m in listed if m[1] == semiring] == table
     assert all(int(m[4]) < int(m[3]) for m in listed)

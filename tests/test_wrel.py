@@ -65,9 +65,11 @@ def test_enumerate_bags_counts():
 
 
 def test_truncation_validation():
-    with pytest.raises(ValueError, match="truncation bound smaller than the margin 2"):
-        make_rel_binding(R, truncation=1)
-    assert make_rel_binding(R, truncation=2).params == {"base_size": 2, "truncation": 2, "margin": 2}
+    """At D = MARGIN every law but L3, L22 and L23 reads only the empty bag's column, so D starts one above it."""
+    for truncation in (1, 2):
+        with pytest.raises(ValueError, match="truncation bound must exceed the margin 2"):
+            make_rel_binding(R, truncation=truncation)
+    assert make_rel_binding(R, truncation=3).params == {"base_size": 2, "truncation": 3, "margin": 2}
 
 
 def test_base_set_rejects_duplicates():
@@ -361,8 +363,6 @@ def test_matrix_space_mismatch_raises():
     f = WeightedMatrix(R, UnitSpace(), BagSpace(XY, 2))
     with pytest.raises(ValueError):
         mat_compose(f, WeightedMatrix(R, PairSpace(XY, 2), UnitSpace()))
-    with pytest.raises(ValueError):
-        f + WeightedMatrix(R, UnitSpace(), PairSpace(XY, 2))
 
 
 def _random_fill(rng, rows, cols, n, rig=R):
@@ -657,7 +657,6 @@ def test_composites_sums_and_tensors_have_no_zero_entry(rig):
             f, g = fill(rng, bags, bags, 12, rig), fill(rng, bags, bags, 12, rig)
             h = fill(rng, atoms, atoms, 3, rig)
             cases = [
-                (f + g, lambda r, c: [m.entries[(r, c)] for m in (f, g) if (r, c) in m.entries]),
                 (
                     mat_compose(f, g),
                     lambda r, c: [
@@ -681,8 +680,8 @@ def test_composites_sums_and_tensors_have_no_zero_entry(rig):
 
 
 def test_a_cancelling_sum_in_every_rel_accumulation_leaves_no_zero_entry():
-    """Over `rational`, a column sum, a column composite, a matrix sum and a matrix product each cancel at one
-    entry: none keeps a zero weight, and each equals what the validating constructor builds from its plain sums."""
+    """Over `rational`, a column sum, a column composite and a matrix product each cancel at one entry: none
+    keeps a zero weight, and each equals what the validating constructor builds from its plain sums."""
     Q = RIGS["rational"]
     atoms = AtomSpace(XY)
     f = wr.ColumnOp(Q, atoms, lambda c: {"x": 1, "y": -1} if c == "x" else {"x": -1, "y": 2})
@@ -695,15 +694,10 @@ def test_a_cancelling_sum_in_every_rel_accumulation_leaves_no_zero_entry():
         cols = columns(op)
         assert all(0 not in col.values() for col in cols.values()), cols
         assert {(r, c): w for c, col in cols.items() for r, w in col.items()} == WeightedMatrix(Q, atoms, atoms, plain).entries
-    m = f.matrix(atoms)
-    minus = WeightedMatrix(Q, atoms, atoms, {("x", "x"): -1, ("y", "x"): 1, ("y", "y"): 5})
-    for out, plain in (
-        (m + minus, {("x", "x"): 0, ("y", "x"): 0, ("x", "y"): -1, ("y", "y"): 7}),
-        (mat_compose(m, g.matrix(atoms)), {("x", "x"): 2, ("y", "x"): -1, ("x", "y"): 0, ("y", "y"): 1}),
-    ):
-        assert 0 not in out.entries.values(), out.entries
-        expected = WeightedMatrix(Q, atoms, atoms, plain)
-        assert out == expected and out.entries == expected.entries
+    out = mat_compose(f.matrix(atoms), g.matrix(atoms))
+    assert 0 not in out.entries.values(), out.entries
+    expected = WeightedMatrix(Q, atoms, atoms, {("x", "x"): 2, ("y", "x"): -1, ("x", "y"): 0, ("y", "y"): 1})
+    assert out == expected and out.entries == expected.entries
 
 
 def test_operator_weights_stay_ints():
@@ -724,8 +718,10 @@ def test_rel_suite_work_counts():
     unit monoidal maps): 3,691 when it multiplied by the weight one of each
     such column it summed through, and 4,912 when the composites also
     nested to the right, a;(b;c).  Over this rig, which has no negatives, `is_zero` is called
-    only by the validating `WeightedMatrix` constructor of L21's h = 1, once per bag of at most D
-    atoms.  L21 made 1,592 products, 516 sums and 507 zero tests when it drew 10 random f and h.
+    only by the validating `WeightedMatrix` constructor, through `ColumnOp.matrix`, once per entry
+    of L21's matrices of d and !(0), 168 and 1; L21's one product is !(0);!(0).  The suite made
+    698 products and 84 zero tests when L21 built h = 1, one test per bag of at most D atoms, and
+    1,592 products, 516 sums and 507 zero tests when L21 drew 10 random f and h.
     """
     counts = Counter()
 
@@ -743,13 +739,13 @@ def test_rel_suite_work_counts():
             return not a
 
     assert all_pass(run_suite(make_rel_binding(CountingRig(), base_size=3, truncation=6), cases=50, seed=0))
-    assert counts == {"mul": 698, "add": 512, "is_zero": 84}
+    assert counts == {"mul": 697, "add": 512, "is_zero": 169}
 
 
 @pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
 def test_rel_reports_read_neither_cases_nor_seed(rig):
     """Every rel law enumerates its inputs: a report, `ms` aside, is the same whatever `cases` and `seed` are."""
-    for base_size, truncation in ((1, 2), (2, 4), (3, 6)):
+    for base_size, truncation in ((1, 3), (2, 4), (3, 6)):
         binding = make_rel_binding(rig, base_size=base_size, truncation=truncation)
         reports = [
             [report._replace(ms=0.0) for report in run_suite(binding, cases=cases, seed=seed)]
