@@ -32,8 +32,11 @@ collapse (L24) is s = d°; a binding over a rig that is not additively
 idempotent skips it.
 Each model supplies its operator sets and one comparison, and chooses the
 inputs of the table laws itself: the relational model evaluates both sides,
-untruncated, on every column of at most D - MARGIN atoms and compares every
-row they reach, whatever `cases` asks; the polynomial model applies both
+untruncated, on one column per orbit of the atom permutations among those
+of at most D - MARGIN atoms and compares every row they reach, whatever
+`cases` asks, and its naturality law (L23) checks that every operator it
+supplies commutes with those permutations on every column, the premise that
+makes one column per orbit enough; the polynomial model applies both
 sides to every monomial up to the degree that a basis of `cases` inputs
 reaches, one seeded monomial of each higher degree up to its maximum
 degree, and five huge-exponent probes (`polyform.table_inputs`).  Neither

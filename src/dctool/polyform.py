@@ -863,8 +863,13 @@ def make_poly_binding(
         return compare(rng, cases, case)
 
     def l3(rng, cases):
+        # both factors have a nonzero constant term, one added where the draw has none: a d that keeps
+        # constant terms then adds p(0) q(0) to the left side's first component and p(0) q + q(0) p to
+        # the right side's, whose constant terms differ wherever 1 + 1 != 1
+        constant, one = (0,) * variables, Polynomial.one(rig, variables)
+
         def case(rng):
-            p, q = rp(rng), rp(rng)
+            p, q = (r if constant in r.num else r + one for r in (rp(rng), rp(rng)))
             rhs = _bundle_map(lambda c: p * c, derive(q)) + _bundle_map(lambda c: q * c, derive(p))
             yield derive(p * q), rhs, "Leibniz fails", {"p": p, "q": q}
 

@@ -31,10 +31,23 @@ one-point base `UNIT_BASE`.
 
 The model has one comparison rule: a law compares every entry it computes.
 Every law but L21 compares two column operators (`ColumnOp.first_difference`)
-on every source column of at most N atoms, `point_weight` counting every bag
+on the source columns of at most N atoms, `point_weight` counting every bag
 atom of a point, and compares every row those columns reach.  N is D -
 `MARGIN` unless a law says otherwise, and D is at least MARGIN + 1: at
-D = MARGIN most laws would read the empty bag's column alone.  The Taylor
+D = MARGIN most laws would read the empty bag's column alone.  Such a law
+reads one column per orbit of the permutations pi of the atoms
+(`_orbit_reps`), the first of each orbit in `_band` order.  That is the
+symmetry reduction of model checking: every operator the binding supplies
+commutes with each pi, so each side of an equation does, and lhs(pi c) =
+pi lhs(c) = pi rhs(c) = rhs(pi c).  Naturality (L23) is that premise: it
+checks each supplied operator along the two generators of the permutations
+on every column a law can read it at (`ColumnOp.commutes`), so a defect at
+a column that represents no orbit still fails L23.  The maps of points a
+law builds itself (the associators, sigma, the unitors, L3's split
+summands) move tuple positions or take bag unions and name no atom, so they
+commute with every pi too.  L22 reads every column: chi splits the base
+into two halves, so it commutes only with the permutations that keep each
+half.  The Taylor
 property (L21) alone compares sparse matrices (`WeightedMatrix`) over the
 bags of at most D atoms, on every entry: it evaluates `lawsuite.taylor`,
 d;!(0) = 0 and !(0);!(0) = !(0), on the matrices of d, !(0) and the zero
@@ -42,9 +55,9 @@ operator, which compose with `@`, that is `mat_compose`.
 `ColumnOp.matrix`, the only code that truncates, keeps exactly the rows
 that lie in the row space, and row (b, x) of d is reached only from column
 b + x, a bag of at most D atoms, so d's matrix and d;!(0) hold their true
-values.  Both comparisons report the first differing (row, column) key in
-`repr` order.  No law draws: every input is enumerated, so a report reads
-neither `cases` nor the seed.
+values.  Both comparisons report the first differing (row, column) key, in
+`repr` order, among the columns they compare.  No law draws: every input is
+enumerated, so a report reads neither `cases` nor the seed.
 
 The public constructor `WeightedMatrix(...)` drops zero entries, and
 `ColumnOp.matrix` builds through it, although it selects nonzero weights
@@ -205,6 +218,128 @@ def _band(space, limit: int) -> tuple:
             (l, r) for l in _band(space.left, limit) for r in _band(space.right, limit - point_weight(space.left, l))
         )
     return _points(space)
+
+
+def _generators(atoms: tuple) -> list:
+    """The transposition (a b) and the cycle (a b ...) of `atoms`, each as its (atom, image) pairs.
+
+    They generate every permutation of the atoms; at two atoms they are one
+    permutation, and at one atom the identity.
+    """
+    images = dict.fromkeys((atoms[1::-1] + atoms[2:], atoms[1:] + atoms[:1]))
+    return [tuple(zip(atoms, image)) for image in images]
+
+
+@functools.cache
+def _permuting(phi: tuple):
+    """The atom permutation `phi`, given by its (atom, image) pairs, acting on points.
+
+    An atom moves to its image, a bag to the sorted tuple of its atoms'
+    images, and a pair componentwise.  A tuple is a bag when it is empty or
+    starts and ends with an atom: a pair ends with a tuple or starts with one,
+    and no space pairs two atoms.  An atom `phi` does not name stays, so the
+    unit point and the bags of UNIT_BASE are fixed.  The image of each bag is
+    memoized for the life of the process, as `_band` is; a pair's is rebuilt
+    from its parts, so the memo stays as small as the bag spaces.
+    """
+    get, bags = dict(phi).get, {}
+
+    def act(p):
+        if p.__class__ is str:
+            return get(p, p)
+        if p and (p[0].__class__ is not str or p[-1].__class__ is not str):
+            return (act(p[0]), act(p[1]))
+        image = bags.get(p)
+        if image is None:
+            image = bags[p] = tuple(sorted(map(get, p, p)))
+        return image
+
+    return act
+
+
+@functools.cache
+def _images(space, limit: int, act) -> tuple:
+    """The image under `act` of each point of `_band(space, limit)`, in band order."""
+    return tuple(map(act, _band(space, limit)))
+
+
+@functools.cache
+def _atoms(space) -> tuple:
+    """The atoms of the base sets `space` is built on, UNIT_BASE's aside, in sorted order, that of a bag."""
+    if isinstance(space, PairSpace):
+        return tuple(sorted({*_atoms(space.left), *_atoms(space.right)}))
+    base = getattr(space, "base", UNIT_BASE)
+    return () if base == UNIT_BASE else tuple(sorted(base.atoms))
+
+
+def _refine(cells: tuple, values) -> tuple:
+    """`cells`, split where two neighbouring atoms of a cell take different values.
+
+    `cells` gives each atom, in sorted order, the index of the first atom of
+    its cell, a run of atoms that no earlier factor tells apart.
+    """
+    out = []
+    for i, v in enumerate(values):
+        out.append(out[-1] if i and cells[i] == cells[i - 1] and v == values[i - 1] else i)
+    return tuple(out)
+
+
+def _multiplicities(cells: tuple, total: int, i: int = 0, previous: int = 0):
+    """The multiplicity vectors of the atoms from index i on that sum to `total` and never rise within a cell,
+    in descending lexicographic order, that is the order of their bags."""
+    if i == len(cells):
+        if total == 0:
+            yield ()
+        return
+    top = total if i == 0 or cells[i] != cells[i - 1] else min(total, previous)
+    for m in range(top, -1, -1):
+        for rest in _multiplicities(cells, total - m, i + 1, m):
+            yield (m, *rest)
+
+
+def _canonical(space, limit: int, atoms: tuple, cells: tuple):
+    """Each point of `_band(space, limit)` that no permutation keeping every cell of `cells` moves earlier in
+    band order, in band order, with the cells of the atoms that still agree after it."""
+    if not _atoms(space):  # the unit point and UNIT_BASE's spaces: fixed by every permutation
+        for p in _band(space, limit):
+            yield p, cells
+    elif isinstance(space, PairSpace):
+        for left, inner in _canonical(space.left, limit, atoms, cells):
+            for right, out in _canonical(space.right, limit - point_weight(space.left, left), atoms, inner):
+                yield (left, right), out
+    elif _atoms(space) != atoms:
+        raise ValueError("a space read one column per orbit is built on one base set besides UNIT_BASE")
+    elif isinstance(space, BagSpace):
+        for size in range(min(limit, space.max_size) + 1):
+            for counts in _multiplicities(cells, size):
+                yield tuple(a for a, m in zip(atoms, counts) for _ in range(m)), _refine(cells, counts)
+    else:  # an atom, the first of its cell: the atom points come in sorted order, as every base's atoms do
+        for i, x in enumerate(atoms):
+            if i == 0 or cells[i] != cells[i - 1]:
+                yield x, _refine(cells, [j == i for j in range(len(atoms))])
+
+
+@functools.cache
+def _orbit_reps(space, limit: int) -> tuple:
+    """The first point, in band order, of each orbit of the atom permutations on `_band(space, limit)`.
+
+    A permutation keeps every bag's size, so every point of an orbit has the
+    same sizes, and band order compares two of them factor by factor (left
+    before right), a bag by its sorted atoms: the earlier point gives the
+    earlier atoms more of each factor.  So a point is the first of its orbit
+    exactly when each atom, at the first factor where it differs from the
+    atom before it, has less there: fewer copies in a bag, or, in an atom
+    factor, not being the atom where the atom before it is.  `_canonical`
+    builds these points directly, factor by factor, and keeps as cells the
+    runs of atoms that agree so far; it applies no permutation and builds no
+    other point.
+    `space` is built on at most one base set besides UNIT_BASE, as is every
+    space a law reads one column per orbit of (L22's two halves are read on
+    every column); on none, each point is its own orbit.  Cached once per
+    space and limit, as `_band` is.
+    """
+    atoms = _atoms(space)
+    return tuple(p for p, _ in _canonical(space, limit, atoms, (0,) * len(atoms)))
 
 
 def render_point(point) -> str:
@@ -421,15 +556,27 @@ class ColumnOp:
         entries = {(r, c): w for c in _points(self.col_space) for r, w in self.column(c).items() if r in rows}
         return WeightedMatrix(self.rig, row_space, self.col_space, entries)
 
-    def first_difference(self, other: "ColumnOp", limit: int):
-        """First entry, in `repr` order of the (row, column) keys, where the operators disagree on the
-        columns of at most `limit` atoms, or None; every row those columns reach is compared.  Two maps
-        of points are compared point by point, and through their columns only where a point differs."""
-        band, p, q = _band(self.col_space, limit), self.point, other.point
+    def first_difference(self, other: "ColumnOp", limit: int, orbits: bool = True):
+        """First entry, in `repr` order of the (row, column) keys, where the operators disagree on one column
+        per orbit of the atom permutations among the columns of at most `limit` atoms (`_orbit_reps`), or on
+        every one of them when `orbits` is false, or None; every row those columns reach is compared.  Two
+        maps of points are compared point by point, and through their columns only where a point differs."""
+        band = (_orbit_reps if orbits else _band)(self.col_space, limit)
+        p, q = self.point, other.point
         if p and q and all(p(c) == q(c) for c in band):
             return None
         f, g = self.column, other.column
         return _first_difference(self.rig, ((c, f(c), g(c)) for c in band))
+
+    def commutes(self, act, limit: int) -> bool:
+        """Whether act;f = f;act on every column of at most `limit` atoms, for a bijection `act` of points
+        that keeps their weight: column act(c) holds the rows act(r) of column c, with their weights.  A
+        bijection meets no two rows, so nothing is summed; weights are compared by `==` (`rig.Rig`)."""
+        band, p, col = _band(self.col_space, limit), self.point, self.column
+        pairs = zip(band, _images(self.col_space, limit, act))
+        if p:
+            return all(act(p(c)) == p(image) for c, image in pairs)
+        return all(col(image) == {act(r): w for r, w in col(c).items()} for c, image in pairs)
 
 
 def relabel(rig: Rig, space, fn) -> ColumnOp:
@@ -543,6 +690,10 @@ def seely_rel(base_x: BaseSet, base_y: BaseSet, rig: Rig, size: int):
 # the bag spaces grow as C(n + D, D), so larger bases are refused
 MAX_BASE_SIZE = 6
 ATOM_NAMES = tuple(chr(ord("a") + i) for i in range(MAX_BASE_SIZE))
+# the names L23's labels give the supplied operators whose field name is not their notation
+OPERATOR_NAMES = {
+    "d": "derivative", "dc": "d°", "bang0": "!(0)", "K_inv": "K^{-1}", "J_inv": "J^{-1}", "delta": "Delta",
+}
 
 
 def make_rel_binding(
@@ -560,15 +711,27 @@ def make_rel_binding(
     and L24 among them, run on these two sets; the other laws but L21 are lists of
     equations here between the same operators and those of `comonoid_rel`
     and `seely_rel`, with `relabel` for every map of points.  Each
-    side of an equation is evaluated, untruncated, on every source column of
-    at most D - MARGIN atoms, and every row those columns reach is compared;
-    the Leibniz rule (L3) takes the columns of D - MARGIN + 1 atoms too,
-    whose rows (b, x) have |b| <= D - MARGIN, and L22 and L23 every column of
-    at most D atoms, since chi and the atom permutations shift no sizes.
-    Naturality (L23) compares d with push;d;pull along the two generators of
-    the atom permutations, the transposition (a b) and the cycle (a b ...),
-    which are one permutation at bases 1 and 2.  A law yields one comparison
-    `cmp(lhs, rhs, label[, limit])` per equation, built when the runner reads
+    side of an equation is evaluated, untruncated, on one source column per
+    orbit of the atom permutations among those of at most D - MARGIN atoms,
+    and every row those columns reach is compared; the Leibniz rule (L3)
+    takes the columns of D - MARGIN + 1 atoms too, whose rows (b, x) have
+    |b| <= D - MARGIN, and L22 every column of at most D atoms, since chi
+    shifts no sizes and is natural only along the permutations that keep
+    each half.  Naturality (L23) is the premise of the orbit reduction: along
+    each of the two generators of the atom permutations, the transposition
+    (a b) and the cycle (a b ...), it checks each supplied operator, the
+    column operators of the general set and of `comonoid_rel` in field order
+    (d, d°, s, !(0), K, J, K^{-1}, J^{-1}, id, zero, m_{R,A}, m_R x 1, Delta
+    and the counit), on every column of its space: a point holds at most 2D
+    atoms, m_R x 1's (tag, bag) pairs, which L10 and L17 read up to
+    2(D - MARGIN + 1).  Delta it checks on the columns of at most
+    D - MARGIN + 1 atoms, the largest that L1 and L3 read.  Each check runs
+    `ColumnOp.commutes`, and a failing one renders pi;f against f;pi.  That
+    is 28 comparisons from base 3 and 14 at base 2, where the generators are
+    one permutation; at base 1 it is the identity, and d's one comparison
+    stands for all.  The unit set needs no premise: its bags hold no atom of
+    the base.  A law yields one comparison
+    `cmp(lhs, rhs, label[, limit, orbits])` per equation, built when the runner reads
     it, so the runner stops at the first difference and `cases` counts the
     comparisons made.  The Taylor property (L21) evaluates
     `lawsuite.taylor` on a copy of the operator set whose d, !(0) and zero
@@ -601,9 +764,10 @@ def make_rel_binding(
     def found(diff, label):
         return None if diff is None else f"{label}: {diff}"
 
-    def cmp(lhs, rhs, label, lim=limit):
-        """The counterexample of lhs = rhs on the columns of at most `lim` atoms, or None."""
-        return found(lhs.first_difference(rhs, lim), label)
+    def cmp(lhs, rhs, label, lim=limit, orbits=True):
+        """The counterexample of lhs = rhs on the columns of at most `lim` atoms, one per orbit of the
+        atom permutations unless `orbits` is false, or None."""
+        return found(lhs.first_difference(rhs, lim, orbits), label)
 
     def l1(rng, cases):
         delta = com.delta
@@ -645,19 +809,26 @@ def make_rel_binding(
     def l22(rng, cases):
         half = max(1, base_size // 2)
         chi, chi_inv = seely_rel(BaseSet(base.atoms[:half]), BaseSet(base.atoms[half:]), rig, truncation)
-        yield cmp(chi @ chi_inv, identity(chi_inv.col_space), "split;merge is not the identity", truncation)
-        yield cmp(chi_inv @ chi, identity(chi.col_space), "merge;split is not the identity", truncation)
-
-    # the transposition (a b) and the cycle (a b ...) generate every atom permutation, so d is natural
-    # along all of them when it is along these two; they coincide at bases 1 and 2
-    generators = dict.fromkeys((base.atoms[1::-1] + base.atoms[2:], base.atoms[1:] + base.atoms[:1]))
+        # chi is natural only along the permutations that keep each half, so every column is compared
+        yield cmp(chi @ chi_inv, identity(chi_inv.col_space), "split;merge is not the identity", truncation, False)
+        yield cmp(chi_inv @ chi, identity(chi.col_space), "merge;split is not the identity", truncation, False)
 
     def l23(rng, cases):
-        for image in generators:
-            phi, back = dict(zip(base.atoms, image)), dict(zip(image, base.atoms))
-            push = relabel(rig, pair_ba, lambda p: (bag(*(phi[a] for a in p[0])), phi[p[1]]))
-            pull = relabel(rig, bags, lambda b: bag(*(back[a] for a in b)))
-            yield cmp(d, push @ d @ pull, "derivative is not natural along atom permutations", truncation)
+        # the premise of the other laws' orbit reduction: each supplied operator f commutes with both
+        # generators pi, pi;f = f;pi; at base 1 the one generator is the identity, along which every
+        # operator is natural, and d's comparison stands for all
+        supplied = [(n, f) for n, f in (*o._asdict().items(), *com._asdict().items()) if isinstance(f, ColumnOp)]
+        for phi in _generators(base.atoms):
+            act = _permuting(phi)
+            for name, f in supplied if base_size > 1 else supplied[:1]:
+                # every column of f's space, whose points hold at most 2D atoms (spread's (tag, bag) pairs),
+                # but Delta's only up to the largest columns L1 and L3 read it at
+                lim = limit + 1 if name == "delta" else 2 * truncation
+                if f.commutes(act, lim):
+                    yield None
+                else:  # judged by `rig.eq` and rendered as pi;f against f;pi; `@` does not read pi's space
+                    label = f"{OPERATOR_NAMES.get(name, name)} is not natural along atom permutations"
+                    yield cmp(relabel(rig, None, act) @ f, f @ relabel(rig, f.col_space, act), label, lim, False)
 
     checks = {"L1": l1, "L3": l3, "L6": l6, "L7": l7, "L21": l21, "L22": l22, "L23": l23}
     skips = {"L4": "the double-exponential chain rule is out of scope for this model"}

@@ -302,6 +302,13 @@ def _d_doubled_where_the_successor_stays(o, rig):
     )
 
 
+def _d_doubled_at_b_b(o, rig):
+    d = o.d.column
+    return wrel.ColumnOp(
+        rig, o.d.col_space, lambda b: {r: rig.add(w, w) for r, w in d(b).items()} if b == ("b", "b") else d(b)
+    )
+
+
 def _d_of_the_empty_bag_reaching_the_first_atom(o, rig):
     d, first = o.d.column, _first_atom(o.dc)
     return wrel.ColumnOp(rig, o.d.col_space, lambda b: d(b) if b else {((), first): rig.one})
@@ -321,8 +328,8 @@ REL_MUTANTS = {
         partial(_mutate_rel_operators, K_inv=lambda o, rig: o.J_inv), ["L8", "L15", "L16", "L17"]
     ),
     "gate-one-too-large": (partial(_mutate_rel_operators, gate=_gate_one_too_large), ["L11", "L14", "L17"]),
-    # L2 reads e through !(0), not the counit
-    "counit-reaching-a": (partial(_mutate_rel, name="comonoid_rel", mutant=_counit_reaching_a), ["L1"]),
+    # L2 reads e through !(0), not the counit; the counit's one column reaching a is not natural (L23)
+    "counit-reaching-a": (partial(_mutate_rel, name="comonoid_rel", mutant=_counit_reaching_a), ["L1", "L23"]),
     "delta-without-lopsided-splits": (
         partial(_mutate_rel, name="comonoid_rel", mutant=_delta_without_lopsided_splits), ["L1", "L3"]
     ),
@@ -339,19 +346,24 @@ REL_MUTANTS = {
         partial(_mutate_rel_operators, d=_d_doubled_removing_the_smallest_atom),
         ["L3", "L5", "L6", "L7", "L12", "L15", "L16", "L18", "L19", "L20", "L23"],
     ),
+    # not L6, which sees it only at the bags [b] and [c], whose orbit L6 reads at [a]
     "d-of-the-empty-bag-reaching-the-first-atom": (
         partial(_mutate_rel_operators, d=_d_of_the_empty_bag_reaching_the_first_atom),
-        ["L2", "L3", "L6", "L7", "L12", "L15", "L16", "L18", "L21", "L23"],
+        ["L2", "L3", "L7", "L12", "L15", "L16", "L18", "L21", "L23"],
     ),
     "dc-doubled-on-the-first-atom": (
         partial(_mutate_rel_operators, dc=_dc_doubled_on_the_first_atom),
-        ["L5", "L7", "L10", "L13", "L15", "L16", "L17"],
+        ["L5", "L7", "L10", "L13", "L15", "L16", "L17", "L23"],
     ),
-    # natural along the transposition (a b), so only L23's second permutation, the cycle, catches it
+    # natural along the transposition (a b), so only L23's second permutation, the cycle, catches it;
+    # not L5, which sees it only at the columns ((), c), whose orbit L5 reads at ((), a)
     "d-doubled-removing-the-last-atom": (
         partial(_mutate_rel_operators, d=_d_doubled_removing_the_last_atom),
-        ["L5", "L7", "L12", "L15", "L16", "L18", "L19", "L20", "L23"],
+        ["L7", "L12", "L15", "L16", "L18", "L19", "L20", "L23"],
     ),
+    # wrong at one column that represents no orbit: only L23, and L3, which reads d at [b, b] through a
+    # split of a representative, see it
+    "d-doubled-at-b-b": (partial(_mutate_rel_operators, d=_d_doubled_at_b_b), ["L3", "L23"]),
     # natural along the cycle (a b c), so only L23's first permutation, the transposition, catches it
     "d-doubled-where-the-successor-stays": (
         partial(_mutate_rel_operators, d=_d_doubled_where_the_successor_stays),
@@ -373,12 +385,13 @@ def test_each_rel_operator_mutant_fails_exactly_its_laws(monkeypatch, mutate, fa
 
 
 @pytest.mark.parametrize(
-    "mutant, case", [("d-doubled-removing-the-last-atom", 2), ("d-doubled-where-the-successor-stays", 1)]
+    "mutant, case", [("d-doubled-removing-the-last-atom", 15), ("d-doubled-where-the-successor-stays", 1)]
 )
 def test_each_generator_of_the_atom_permutations_catches_a_d_natural_along_the_other(monkeypatch, mutant, case):
-    """L23 fails at the comparison along the generator the mutant is not natural along: the
-    transposition (a b) is case 1 and the cycle (a b c) case 2.  Over the boolean rig a doubled
-    weight is the weight itself, so the two rigs with a 2 are the ones checked."""
+    """L23 fails at the comparison of d along the generator the mutant is not natural along: each
+    generator checks the 14 supplied operators in turn, d first, so d along the transposition (a b) is
+    case 1 and along the cycle (a b c) case 15.  Over the boolean rig a doubled weight is the weight
+    itself, so the two rigs with a 2 are the ones checked."""
     mutate, failing = REL_MUTANTS[mutant]
     mutate(monkeypatch)
     for rig in (NONNEG_RATIONAL, RATIONAL):
@@ -387,15 +400,71 @@ def test_each_generator_of_the_atom_permutations_catches_a_d_natural_along_the_o
         assert {r.law_id: r.cases for r in reports}["L23"] == case, rig.name
 
 
+# (column, row) of each operator the rel binding supplies: the column, which represents no orbit of the
+# atom permutations at base 3, gains one at the row; the counit's one column, the unit point, is an orbit
+UNNATURAL_AT_ONE_COLUMN = {
+    "d": (("b", "b"), (("b",), "b")),
+    "dc": ((("b", "b"), "a"), ("a", "b", "b")),
+    "s": ((("b", "b"), "a"), ("a", "b", "b")),
+    "bang0": (("b", "b"), ("b", "b")),
+    **{name: (("b", "b"), ("b", "b")) for name in ("K", "J", "K_inv", "J_inv", "id")},
+    "zero": (("b", "b"), (("b",), "b")),
+    "gate": (("b", "b"), (("*", "*"), ("b", "b"))),
+    "spread": (((), ("b", "b")), ("b", "b")),
+    "delta": ((("b",), ("b",)), ("b", "b")),
+    "counit": ("*", ("b",)),
+}
+
+
+def _one_more_at(op, column, row):
+    """`op` with one added at (row, column), a map of points no longer: every other column is op's."""
+    rig, f = op.rig, op.column
+
+    def broken(c):
+        out = dict(f(c))
+        if c == column:
+            out[row] = rig.add(out.get(row, rig.zero), rig.one)
+        return out
+
+    return wrel.ColumnOp(rig, op.col_space, broken)
+
+
+@pytest.mark.parametrize("name", UNNATURAL_AT_ONE_COLUMN)
+def test_each_supplied_operator_broken_at_one_column_that_represents_no_orbit_fails_naturality(monkeypatch, name):
+    """L23 checks each operator the binding supplies on its whole band, so a defect at one column that the
+    other laws' representatives never read still fails it.  Over the boolean rig 1 + 1 = 1, so the two
+    rigs where adding one changes a weight are the ones checked."""
+    column, row = UNNATURAL_AT_ONE_COLUMN[name]
+    base = wrel.BaseSet(wrel.ATOM_NAMES[:3])
+    o, com = wrel.operators_rel(base, NONNEG_RATIONAL, 6), wrel.comonoid_rel(base, NONNEG_RATIONAL, 6)
+    space = {**o._asdict(), **com._asdict()}[name].col_space
+    assert column in wrel._band(space, 6)
+    assert column not in wrel._orbit_reps(space, 6) or name == "counit"
+
+    def broken(ops, rig=None):
+        return _one_more_at(getattr(ops, name), column, row)
+
+    if name in ("delta", "counit"):
+        _mutate_rel(monkeypatch, "comonoid_rel", lambda com: com._replace(**{name: broken(com)}))
+    else:
+        _mutate_rel_operators(monkeypatch, **{name: broken})
+    label = f"{wrel.OPERATOR_NAMES.get(name, name)} is not natural along atom permutations: entry "
+    for rig in (NONNEG_RATIONAL, RATIONAL):
+        report = ls.run_law("L23", make_rel_binding(rig, base_size=3, truncation=6), cases=50, seed=0)
+        assert report.status == "fail" and report.counterexample.startswith(label), (rig.name, report)
+
+
 @pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
 def test_rel_naturality_compares_one_permutation_at_bases_1_and_2_and_two_from_base_3(rig):
-    """L23 reads the transposition and the cycle, which coincide at bases 1 and 2; it draws nothing
-    (its rng is None here) and does not cap them by `cases`."""
+    """L23 reads the transposition and the cycle, which coincide at bases 1 and 2, and compares each of
+    the 14 supplied operators along each; at base 1 the one permutation is the identity, and d's one
+    comparison stands for all.  It draws nothing (its rng is None here) and does not cap them by `cases`."""
     for base_size in range(1, wrel.MAX_BASE_SIZE + 1):
         binding = make_rel_binding(rig, base_size=base_size)
-        assert list(binding.checks["L23"](None, 1)) == [None] * (1 if base_size <= 2 else 2), base_size
+        expected = {1: 1, 2: 14}.get(base_size, 28)
+        assert list(binding.checks["L23"](None, 1)) == [None] * expected, base_size
         report = ls.run_law("L23", binding, cases=50, seed=0)
-        assert (report.status, report.cases) == ("pass", 1 if base_size <= 2 else 2), base_size
+        assert (report.status, report.cases) == ("pass", expected), base_size
 
 
 def test_a_doubled_empty_bag_projection_fails_the_same_laws_over_the_rationals(monkeypatch):
@@ -420,6 +489,17 @@ def test_the_taylor_property_fails_the_sabotaged_gradient_in_one_case():
     """When L21 drew its p and q = p + c, one case passed whenever c was drawn zero, as at seed 6."""
     report = ls.run_law("L21", make_poly_binding(NONNEG_RATIONAL, sabotage=True), cases=1, seed=6)
     assert (report.status, report.cases) == ("fail", 1)
+
+
+@pytest.mark.parametrize("rig", [NONNEG_RATIONAL, RATIONAL], ids=lambda rig: rig.name)
+def test_the_leibniz_rule_fails_the_sabotaged_gradient_in_its_first_case_at_every_seed(rig):
+    """Each L3 factor has a nonzero constant term, so the sabotaged d, which keeps constant terms, adds
+    p(0) q(0) to one side's constant term and 2 p(0) q(0) to the other's.  When L3 read its draws as
+    they came, one case passed at 103 of these seeds, wherever neither factor had a constant term."""
+    sabotaged, plain = make_poly_binding(rig, sabotage=True), make_poly_binding(rig)
+    for seed in range(200):
+        assert ls.run_law("L3", sabotaged, cases=1, seed=seed).status == "fail", seed
+    assert all(ls.run_law("L3", plain, cases=1, seed=seed).status == "pass" for seed in range(200))
 
 
 def test_every_law_the_rel_binding_checks_fails_under_a_named_mutant():
@@ -889,37 +969,62 @@ def test_rel_table_laws_compose_no_matrix(monkeypatch):
 PARENT_STRUCTURAL_KEYS = {
     "L1": 995, "L2": 0, "L3": 918, "L5": 3, "L6": 90, "L7": 225, "L10": 42, "L22": 124, "L23": 300,
 }
-REL_KEYS = PARENT_STRUCTURAL_KEYS | {"L3": 1008, "L10": 50, "L22": 168, "L23": 336} | {
+# The entries on every column of each law's band, which each law but L23 compared before it read one
+# column per orbit of the atom permutations: the orbits of the columns it now compares cover them all.
+BAND_KEYS = PARENT_STRUCTURAL_KEYS | {"L3": 1008, "L10": 50, "L22": 168} | {
     "L8": 70, "L9": 169, "L11": 70, "L12": 5, "L13": 5, "L14": 15, "L15": 10, "L16": 15,
     "L17": 175, "L18": 35, "L19": 5, "L20": 60, "L21": 1,
+}
+BAND_KEYS.pop("L23")
+# One column per orbit; L21 compares matrices and L22 every column, as before.  L23 compared d along the
+# two generators on every bag of at most D atoms (336); it now checks each of the 14 supplied operators
+# along both on its whole band, the rows of each column counted once.
+REL_KEYS = {
+    "L1": 229, "L2": 0, "L3": 221, "L5": 1, "L6": 28, "L7": 46, "L8": 22, "L9": 44, "L10": 26, "L11": 22,
+    "L12": 5, "L13": 5, "L14": 15, "L15": 10, "L16": 15, "L17": 44, "L18": 11, "L19": 5, "L20": 18, "L21": 1,
+    "L22": 168, "L23": 4456,
 }
 
 
 def test_each_rel_law_compares_a_pinned_set_of_entries(monkeypatch):
-    """A count of the entries compared, so no law can silently compare fewer; one comparison touches at most 10,000."""
-    keys, largest, law = Counter(), 0, None
+    """A count of the entries compared, so no law can silently compare fewer, and of those on every
+    column of each law's band, which the orbits of the compared columns cover; one comparison touches
+    at most 10,000."""
+    keys, band_keys, largest, law = Counter(), Counter(), 0, None
     column_difference, matrix_difference = wrel.ColumnOp.first_difference, wrel.WeightedMatrix.first_difference
+    commutes = wrel.ColumnOp.commutes
 
     def count(n):
         nonlocal largest
         keys[law] += n
         largest = max(largest, n)
 
-    def counting_columns(self, other, limit):
-        count(sum(len(self.column(c).keys() | other.column(c).keys()) for c in wrel._band(self.col_space, limit)))
-        return column_difference(self, other, limit)
+    def entries(f, g, columns):
+        return sum(len(f.column(c).keys() | g.column(c).keys()) for c in columns)
+
+    def counting_columns(self, other, limit, orbits=True):
+        count(entries(self, other, (wrel._orbit_reps if orbits else wrel._band)(self.col_space, limit)))
+        band_keys[law] += entries(self, other, wrel._band(self.col_space, limit))
+        return column_difference(self, other, limit, orbits)
 
     def counting_matrix(self, other):
         count(len(self.entries.keys() | other.entries.keys()))
+        band_keys[law] += len(self.entries.keys() | other.entries.keys())
         return matrix_difference(self, other)
+
+    def counting_commutes(self, act, limit):
+        count(entries(self, self, wrel._band(self.col_space, limit)))
+        return commutes(self, act, limit)
 
     monkeypatch.setattr(wrel.ColumnOp, "first_difference", counting_columns)
     monkeypatch.setattr(wrel.WeightedMatrix, "first_difference", counting_matrix)
+    monkeypatch.setattr(wrel.ColumnOp, "commutes", counting_commutes)
     binding = make_rel_binding(NONNEG_RATIONAL, base_size=3, truncation=6)
     for law in REL_KEYS:
         assert ls.run_law(law, binding, cases=50, seed=0).status == "pass", law
     assert keys == REL_KEYS
-    assert all(keys[law] >= n for law, n in PARENT_STRUCTURAL_KEYS.items())
+    assert band_keys == BAND_KEYS
+    assert keys["L23"] >= PARENT_STRUCTURAL_KEYS["L23"]
     assert 0 < largest <= 10_000
 
 

@@ -1,15 +1,15 @@
 """Bag-matrix model: frozen entry oracles and structural invariants."""
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 import dctool.wrel as wr
-from dctool.lawsuite import all_pass, run_law, run_suite
+from dctool.lawsuite import LAWS, all_pass, run_law, run_suite
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RIGS, NonNegRationalRig
 from dctool.wrel import (
     ATOM_NAMES,
@@ -407,6 +407,96 @@ def test_band_enumerates_the_points_of_at_most_limit_atoms():
     assert wr.point_weight(PairSpace(bags, PairSpace(bags, atoms)), (("x",), (("x", "y"), "y"))) == 3
 
 
+def _moved(space, perm, p):
+    """The point p of `space` moved by the atom permutation `perm`, read from the structure of the space."""
+    if isinstance(space, PairSpace):
+        return _moved(space.left, perm, p[0]), _moved(space.right, perm, p[1])
+    if isinstance(space, BagSpace):
+        return bag(*(perm.get(a, a) for a in p))
+    return perm.get(p, p) if isinstance(space, AtomSpace) else p
+
+
+@pytest.mark.parametrize("base_size", [1, 2, 3, 4])
+def test_orbit_representatives_are_the_first_point_of_each_orbit_through_every_permutation(monkeypatch, base_size):
+    """On every space and limit a rel law reads one column per orbit of, at D 3-6, `_orbit_reps` is what a
+    filter through all n! permutations keeps: the first point in band order of each orbit, so the
+    representatives lie in distinct orbits, cover the band and come in band order."""
+    read = set()
+    first_difference = wr.ColumnOp.first_difference
+
+    def recording(self, other, limit, orbits=True):
+        if orbits:
+            read.add((self.col_space, limit))
+        return first_difference(self, other, limit, orbits)
+
+    monkeypatch.setattr(wr.ColumnOp, "first_difference", recording)
+    for D in range(3, 7):
+        assert all_pass(run_suite(make_rel_binding(R, base_size=base_size, truncation=D), cases=50, seed=0))
+    atoms = ATOM_NAMES[:base_size]
+    perms = [dict(zip(atoms, image)) for image in permutations(atoms)]
+    assert len({space for space, _ in read}) >= 10
+    reduced = 0
+    for space, limit in read:
+        band, first, seen = wr._band(space, limit), [], set()
+        for p in band:
+            orbit = frozenset(_moved(space, perm, p) for perm in perms)
+            if orbit not in seen:
+                first.append(p)
+                seen.add(orbit)
+        assert wr._orbit_reps(space, limit) == tuple(first), (space, limit)
+        reduced += len(first) < len(band)
+    assert (reduced > 0) == (base_size > 1)
+
+
+def test_naturality_covers_every_column_a_passing_suite_reads(monkeypatch):
+    """Each law but L23 reads each supplied operator, on its own or inside a composite, only at columns
+    of the band L23 checks it on: every column of its space, at most 2D atoms, but Delta's of at most
+    D - MARGIN + 1 atoms, which L3 reaches.  m_R x 1 reads (tag, bag) pairs, whose tag weighs as much as
+    its bag, up to 2(D - MARGIN + 1) atoms (L17).  A recording operator replaces each one of the general
+    set and of the comonoid; the unit set needs no premise."""
+    read = defaultdict(set)
+    operators_rel, comonoid_rel = wr.operators_rel, wr.comonoid_rel
+
+    def recording(name, f):
+        seen = read[name]
+
+        def column(c):
+            seen.add(c)
+            return f.column(c)
+
+        def point(c):
+            seen.add(c)
+            return f.point(c)
+
+        return wr.ColumnOp(f.rig, f.col_space, column, point=point if f.point else None)
+
+    def wrapped(ops):
+        return ops._replace(**{n: recording(n, f) for n, f in ops._asdict().items() if isinstance(f, wr.ColumnOp)})
+
+    def operators(base, rig, size):
+        o = operators_rel(base, rig, size)
+        return o if base == UNIT_BASE else wrapped(o)
+
+    monkeypatch.setattr(wr, "operators_rel", operators)
+    monkeypatch.setattr(wr, "comonoid_rel", lambda base, rig, size: wrapped(comonoid_rel(base, rig, size)))
+    for base_size, D in ((2, 4), (3, 5), (3, 6)):
+        base, limit = BaseSet(ATOM_NAMES[:base_size]), D - wr.MARGIN
+        supplied = {**wr.operators_rel(base, R, D)._asdict(), **wr.comonoid_rel(base, R, D)._asdict()}
+        read.clear()
+        binding = make_rel_binding(R, base_size=base_size, truncation=D)
+        for law in LAWS:
+            if law.id != "L23":
+                assert run_law(law.id, binding, cases=50, seed=0).status != "fail", law.id
+        assert len(read) == 14
+        for name, columns in read.items():
+            space = supplied[name].col_space
+            assert columns <= set(wr._band(space, limit + 1 if name == "delta" else 2 * D)), (name, base_size, D)
+        weight = {name: max(wr.point_weight(supplied[name].col_space, c) for c in read[name]) for name in read}
+        # L3 reads Delta at its columns of D - MARGIN + 1 atoms, so L23 must check it there
+        assert weight["delta"] == limit + 1
+        assert weight["spread"] == 2 * (limit + 1) > D
+
+
 def test_a_rel_suite_permutes_by_relabel_only(monkeypatch):
     calls = 0
     perm_matrix = wr.perm_matrix
@@ -469,17 +559,23 @@ def test_band_first_composite_is_the_full_composite_on_the_safe_band_rows(base_s
 
 
 def test_column_first_difference_reports_the_first_key_in_repr_order_on_every_row():
+    """On every column of the band (`orbits` false), and on one per orbit of the atom permutations by default:
+    `other` is not natural, so the orbit of [x] hides what it does at [y]."""
     bags = BagSpace(XY, 2)
     ident = wr.relabel(R, bags, lambda b: b)
     changed = {("y",): {("y",): R.nat_value(3)}, ("x",): {("x",): R.nat_value(2)}}
     other = wr.ColumnOp(R, bags, lambda b: changed.get(b, {b: R.one}))
-    assert ident.first_difference(other, 2) == "entry ([x], [x]): 1 != 2"
-    assert other.first_difference(ident, 2) == "entry ([x], [x]): 2 != 1"
+    for orbits in (False, True):
+        assert ident.first_difference(other, 2, orbits) == "entry ([x], [x]): 1 != 2"
+        assert other.first_difference(ident, 2, orbits) == "entry ([x], [x]): 2 != 1"
     # no row is truncated: column [y] also reaches a bag of five atoms, which is compared
     changed[("y",)][("x",) * 5] = R.one
-    assert ident.first_difference(other, 1) == "entry ([x,x,x,x,x], [y]): 0 != 1"
-    assert ident.first_difference(other, 0) is None
-    assert ident.first_difference(ident, 2) is None
+    assert ident.first_difference(other, 1, False) == "entry ([x,x,x,x,x], [y]): 0 != 1"
+    assert ident.first_difference(other, 0, False) is None
+    assert ident.first_difference(ident, 2, False) is None
+    del changed[("x",)]
+    assert ident.first_difference(other, 2, False) == "entry ([x,x,x,x,x], [y]): 0 != 1"
+    assert ident.first_difference(other, 2) is None
 
 
 def test_first_difference_reports_the_first_safe_band_key_in_repr_order():
@@ -587,8 +683,9 @@ def test_maps_of_points_that_differ_at_one_point_report_what_their_columns_repor
     lhs, rhs = delta @ swap, delta @ bent
     assert lhs.point and rhs.point
     plain_lhs, plain_rhs = _plain(delta) @ _plain(swap), _plain(delta) @ _plain(bent)
-    assert lhs.first_difference(rhs, 2) == plain_lhs.first_difference(plain_rhs, 2)
-    assert lhs.first_difference(rhs, 2) == "entry ([x], ([], [y])): 0 != 1"
+    # bent is not natural and moves a column that represents no orbit, so every column is compared
+    assert lhs.first_difference(rhs, 2, False) == plain_lhs.first_difference(plain_rhs, 2, False)
+    assert lhs.first_difference(rhs, 2, False) == "entry ([x], ([], [y])): 0 != 1"
 
 
 @pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
@@ -721,7 +818,9 @@ def test_rel_suite_work_counts():
     only by the validating `WeightedMatrix` constructor, through `ColumnOp.matrix`, once per entry
     of L21's matrices of d and !(0), 168 and 1; L21's one product is !(0);!(0).  The suite made
     698 products and 84 zero tests when L21 built h = 1, one test per bag of at most D atoms, and
-    1,592 products, 516 sums and 507 zero tests when L21 drew 10 random f and h.
+    1,592 products, 516 sums and 507 zero tests when L21 drew 10 random f and h.  It made 697
+    products and 512 sums when every law but L21 compared every column of its band, not one per orbit
+    of the atom permutations; L23's naturality premise compares columns and forms neither.
     """
     counts = Counter()
 
@@ -739,7 +838,7 @@ def test_rel_suite_work_counts():
             return not a
 
     assert all_pass(run_suite(make_rel_binding(CountingRig(), base_size=3, truncation=6), cases=50, seed=0))
-    assert counts == {"mul": 697, "add": 512, "is_zero": 169}
+    assert counts == {"mul": 247, "add": 351, "is_zero": 169}
 
 
 @pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
