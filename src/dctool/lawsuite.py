@@ -47,8 +47,9 @@ probe points of its corpus maps and compares them to a tolerance; it has
 d, d°, s, !(0) and zero but no K, J, inverses or unit monoidal maps, so it
 answers L2, L5 and L18-L20 by their rows and skips the laws that read the
 others.  The polynomial and the smooth model wrap each operator as an `Op`.
-The other laws need operators the sets do not have (Delta, sigma, chi) or
-take random maps, so each binding states them itself, all but the Taylor
+The other laws need operators the sets do not have (sigma and chi, and
+Delta and e outside the relational model) or take random maps, so each
+binding states them itself, all but the Taylor
 property (L21), d f = d g implies f + !(0) g = g + !(0) f.  L21 is written
 once, as the generator `taylor`, at one generic pair, f = 0 and
 g = f + !(0)h with h = 1: any pair g = f + !(0)h is this one composed with
@@ -91,8 +92,13 @@ class Operators(NamedTuple):
     maps: `gate` = m_{R,A} tags each bag with its size, `spread` = m_R x 1
     forgets the tag, `tag(f)` = f x 1 applies a unit-set operator f on bare
     unit bags to the tag, and `atom` is bags = bags x atoms on the one-point
-    base (None on any other base).  A model leaves None an
-    operator that only the laws it skips read.
+    base (None on any other base).  `delta` is the comultiplication Delta,
+    from pairs of bags to bags, and `counit` the counit e, from the unit point
+    to bags, which the comonoid (L1) and Leibniz (L3) checks read.  A model
+    leaves None an operator that only the laws it skips read; poly and smooth
+    leave `delta` and `counit` None, since their L1 and L3 are checks of their
+    own, and rel leaves them None on the one-point base, where no law reads
+    them.
     """
 
     d: Any
@@ -110,6 +116,8 @@ class Operators(NamedTuple):
     atom: Any
     tag: Callable[[Any], Any]
     x1: Callable[[Any], Any]
+    delta: Any = None  # Delta
+    counit: Any = None  # e
 
 
 class Op:

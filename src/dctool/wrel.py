@@ -25,9 +25,9 @@ one.  `f @ g` forms no product when f or g is one: two maps of points
 compose as functions; a map of points g picks column g(c) of f; a map of
 points f moves each row y of g's column to f(y), summing the weights only
 where two rows meet.  `operators_rel` builds the
-whole operator set of one base set, so each operator is defined once for
-every base set: the unit-level operators are the general ones at the
-one-point base `UNIT_BASE`.
+whole operator set of one base set, Delta and the counit with it, so each
+operator is defined once for every base set: the unit-level operators are
+the general ones at the one-point base `UNIT_BASE`.
 
 The model has one comparison rule: a law compares every entry it computes.
 Every law but L21 compares two column operators (`ColumnOp.first_difference`)
@@ -83,7 +83,6 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from itertools import combinations_with_replacement, product
-from typing import NamedTuple
 
 from .lawsuite import ModelBinding, Operators, taylor
 from .rig import Rig, accumulate
@@ -595,20 +594,6 @@ def merge(rig: Rig, pairs: PairSpace) -> ColumnOp:
     return relabel(rig, pairs, functools.cache(lambda c: bag(*c[0], *c[1])))
 
 
-class Comonoid(NamedTuple):
-    """Delta and the counit e, which L1 and L3 read.  The constant rule (L2) reads e through !(0), and the
-    linear rule (L5) the linear counit eps as d° on the pairs ((), x), both through the operator set."""
-
-    delta: ColumnOp  # column (b1, b2) reaches b1 + b2: each bag's row holds all its ordered two-part splits
-    counit: ColumnOp  # the unit point reaches the empty bag
-
-
-def comonoid_rel(base: BaseSet, rig: Rig, size: int) -> Comonoid:
-    """Delta is the bag union; the counit's column reaches the empty bag."""
-    bags = BagSpace(base, size)
-    return Comonoid(merge(rig, PairSpace(bags, bags)), relabel(rig, UnitSpace(), lambda c: ()))
-
-
 # -- operator sets ----------------------------------------------------------
 # The monoidal unit is a singleton base set; its bags are, up to notation, the
 # natural numbers.  The unit-level operators d_R, d°_R, s_R, K_R, J_R and
@@ -620,9 +605,9 @@ def comonoid_rel(base: BaseSet, rig: Rig, size: int) -> Comonoid:
 
 
 def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
-    """d, d°, s, !(0), K, J, K^{-1}, J^{-1}, zero and the unit monoidal maps on the bags of `base`, as column
-    operators from the bags of at most `size` atoms (paired with an atom, or tagged, where the operator
-    needs it).
+    """d, d°, s, !(0), K, J, K^{-1}, J^{-1}, zero, the unit monoidal maps, Delta and the counit e on the bags
+    of `base`, as column operators from the bags of at most `size` atoms (paired with an atom or a bag, or
+    tagged, where the operator needs it).
 
     K = d°;d + !(0) is diagonal with weight |b| and J = d°;d + 1 with weight
     |b| + 1; both add to one d°;d.  d° and the unit monoidal maps are maps of
@@ -635,6 +620,12 @@ def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
     UNIT_BASE these are the unit-level operators, and `atom` adds the
     one-point atom factor, column n reaching (n, *).  f x 1 is `on_left`,
     with the atoms (`x1`) or the bags (`tag`) as the second factor.
+    Delta is the bag union (`merge`), column (b1, b2) reaching b1 + b2, so
+    each bag's row holds all its ordered two-part splits, and the counit's one
+    column, the unit point, reaches the empty bag; both are maps of points,
+    built off UNIT_BASE only, since no law reads them on the unit set.  The
+    constant rule (L2) reads e through !(0), and the linear rule (L5) the
+    linear counit eps as d° on the pairs ((), x).
     """
     one = rig.one
     bags, atoms = BagSpace(base, size), AtomSpace(base)
@@ -647,6 +638,7 @@ def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
     bang0 = op(bags, lambda b: {} if b else {b: one})
     id_bags = relabel(rig, bags, lambda b: b)
     dcd = dc @ d
+    general = base != UNIT_BASE
     return Operators(
         d, dc, op(pairs, lambda c: {bag(*c[0], c[1]): inv[len(c[0]) + 1]}), bang0,
         op(bags, (dcd + bang0).column), op(bags, (dcd + id_bags).column),
@@ -654,8 +646,10 @@ def operators_rel(base: BaseSet, rig: Rig, size: int) -> Operators:
         id=id_bags, zero=ColumnOp(rig, bags, lambda b: {}),
         gate=relabel(rig, bags, lambda b: ((UNIT_POINT,) * len(b), b)),
         spread=relabel(rig, PairSpace(BagSpace(UNIT_BASE, size), bags), lambda c: c[1]),
-        atom=relabel(rig, bags, lambda n: (n, UNIT_POINT)) if base == UNIT_BASE else None,
+        atom=None if general else relabel(rig, bags, lambda n: (n, UNIT_POINT)),
         tag=lambda f: f.on_left(bags), x1=lambda f: f.on_left(atoms),
+        delta=merge(rig, PairSpace(bags, bags)) if general else None,
+        counit=relabel(rig, UnitSpace(), lambda c: ()) if general else None,
     )
 
 
@@ -709,8 +703,8 @@ def make_rel_binding(
     `R x 1` in the law citations); every operator is defined once per base
     set.  The laws with equations in their `lawsuite.LAWS` row, L2, L5, L10
     and L24 among them, run on these two sets; the other laws but L21 are lists of
-    equations here between the same operators and those of `comonoid_rel`
-    and `seely_rel`, with `relabel` for every map of points.  Each
+    equations here between the same operators, Delta and the counit among
+    them, and those of `seely_rel`, with `relabel` for every map of points.  Each
     side of an equation is evaluated, untruncated, on one source column per
     orbit of the atom permutations among those of at most D - MARGIN atoms,
     and every row those columns reach is compared; the Leibniz rule (L3)
@@ -720,7 +714,7 @@ def make_rel_binding(
     each half.  Naturality (L23) is the premise of the orbit reduction: along
     each of the two generators of the atom permutations, the transposition
     (a b) and the cycle (a b ...), it checks each supplied operator, the
-    column operators of the general set and of `comonoid_rel` in field order
+    column operators of the general set in field order
     (d, d°, s, !(0), K, J, K^{-1}, J^{-1}, id, zero, m_{R,A}, m_R x 1, Delta
     and the counit), on every column of its space: a point holds at most 2D
     atoms, m_R x 1's (tag, bag) pairs, which L10 and L17 read up to
@@ -753,7 +747,6 @@ def make_rel_binding(
     pair_baa = PairSpace(pair_ba, atoms)
 
     o, u = operators_rel(base, rig, truncation), operators_rel(UNIT_BASE, rig, truncation)
-    com = comonoid_rel(base, rig, truncation)
     d = o.d
     # sigma of L6 and L7: ((b, x), y) -> ((b, y), x)
     swap_atoms = relabel(rig, pair_baa, lambda p: ((p[0][0], p[1]), p[0][1]))
@@ -770,27 +763,27 @@ def make_rel_binding(
         return found(lhs.first_difference(rhs, lim, orbits), label)
 
     def l1(rng, cases):
-        delta = com.delta
+        delta = o.delta
         triples = PairSpace(bags, PairSpace(bags, bags))
         reassoc = relabel(rig, triples, lambda p: ((p[0], p[1][0]), p[1][1]))
         lhs = delta @ delta.on_left(bags) @ reassoc
         yield cmp(lhs, delta @ delta.on_right(bags), "comultiplication not coassociative")
         # counit laws, with the unit factor projected away
-        lhs = delta @ com.counit.on_left(bags) @ relabel(rig, bags, lambda b: (UNIT_POINT, b))
+        lhs = delta @ o.counit.on_left(bags) @ relabel(rig, bags, lambda b: (UNIT_POINT, b))
         yield cmp(lhs, o.id, "left counit fails")
-        lhs = delta @ com.counit.on_right(bags) @ relabel(rig, bags, lambda b: (b, UNIT_POINT))
+        lhs = delta @ o.counit.on_right(bags) @ relabel(rig, bags, lambda b: (b, UNIT_POINT))
         yield cmp(lhs, o.id, "right counit fails")
         swapped = delta @ relabel(rig, delta.col_space, lambda p: (p[1], p[0]))
         yield cmp(swapped, delta, "comultiplication not cocommutative")
 
     def l3(rng, cases):
-        split = com.delta.on_left(atoms)  # ((b1, b2), x) -> (b1 + b2, x)
+        split = o.delta.on_left(atoms)  # ((b1, b2), x) -> (b1 + b2, x)
         # summand that differentiates the left split part: ((b, x), b2) -> ((b, b2), x)
         left = relabel(rig, PairSpace(pair_ba, bags), lambda p: ((p[0][0], p[1]), p[0][1]))
         # summand that differentiates the right split part: (b1, (b, x)) -> ((b1, b), x)
         right = relabel(rig, PairSpace(bags, pair_ba), lambda p: ((p[0], p[1][0]), p[1][1]))
         rhs = split @ left @ d.on_left(bags) + split @ right @ d.on_right(bags)
-        yield cmp(d @ com.delta, rhs, "Leibniz fails", limit + 1)
+        yield cmp(d @ o.delta, rhs, "Leibniz fails", limit + 1)
 
     def l6(rng, cases):
         lhs = d.on_left(atoms) @ d
@@ -817,7 +810,7 @@ def make_rel_binding(
         # the premise of the other laws' orbit reduction: each supplied operator f commutes with both
         # generators pi, pi;f = f;pi; at base 1 the one generator is the identity, along which every
         # operator is natural, and d's comparison stands for all
-        supplied = [(n, f) for n, f in (*o._asdict().items(), *com._asdict().items()) if isinstance(f, ColumnOp)]
+        supplied = [(n, f) for n, f in o._asdict().items() if isinstance(f, ColumnOp)]
         for phi in _generators(base.atoms):
             act = _permuting(phi)
             for name, f in supplied if base_size > 1 else supplied[:1]:

@@ -222,9 +222,12 @@ def test_integral_weighted_by_one_over_n_plus_one_fails_the_second_fundamental_t
 
 
 def _mutate_rel(monkeypatch, name, mutant):
-    """Every result of the rel builder `wrel.<name>` from now on is replaced by `mutant(result)`."""
+    """Every result of the rel builder `wrel.<name>` from now on is replaced by `mutant(result)`, but the unit
+    operator set, whose Delta and counit are None, is left alone."""
     build = getattr(wrel, name)
-    monkeypatch.setattr(wrel, name, lambda *args: mutant(build(*args)))
+    monkeypatch.setattr(
+        wrel, name, lambda base, *args: build(base, *args) if base == wrel.UNIT_BASE else mutant(build(base, *args))
+    )
 
 
 def _first_atom(op):
@@ -232,19 +235,19 @@ def _first_atom(op):
     return op.col_space.right.base.atoms[0]
 
 
-def _delta_weighting_one_two_splits_by_two(com):
-    delta = com.delta.column
-    rig = com.delta.rig
+def _delta_weighting_one_two_splits_by_two(o):
+    delta = o.delta.column
+    rig = o.delta.rig
 
     def column(c):
         return {r: rig.nat_value(2) if tuple(map(len, c)) == (1, 2) else w for r, w in delta(c).items()}
 
-    return com._replace(delta=wrel.ColumnOp(rig, com.delta.col_space, column))
+    return o._replace(delta=wrel.ColumnOp(rig, o.delta.col_space, column))
 
 
 def test_comultiplication_weighting_one_two_splits_fails_exactly_the_comonoid_and_leibniz_laws(monkeypatch):
     """Delta weights the splits with |b1| = 1 and |b2| = 2 by 2: L1 and L3 see it."""
-    _mutate_rel(monkeypatch, "comonoid_rel", _delta_weighting_one_two_splits_by_two)
+    _mutate_rel(monkeypatch, "operators_rel", _delta_weighting_one_two_splits_by_two)
     for rig in (NONNEG_RATIONAL, RATIONAL):
         reports = ls.run_suite(make_rel_binding(rig, base_size=3, truncation=6), cases=10, seed=0)
         failing = {r.law_id: r.counterexample for r in reports if r.status == "fail"}
@@ -254,16 +257,16 @@ def test_comultiplication_weighting_one_two_splits_fails_exactly_the_comonoid_an
         }, rig.name
 
 
-def _counit_reaching_a(com):
-    rig = com.counit.rig
-    return com._replace(counit=wrel.ColumnOp(rig, com.counit.col_space, lambda c: {("a",): rig.one}))
+def _counit_reaching_a(o):
+    rig = o.counit.rig
+    return o._replace(counit=wrel.ColumnOp(rig, o.counit.col_space, lambda c: {("a",): rig.one}))
 
 
-def _delta_without_lopsided_splits(com):
+def _delta_without_lopsided_splits(o):
     """Delta without the splits (b1, b2) with |b1| > |b2| + 1."""
-    delta = com.delta.column
-    return com._replace(
-        delta=wrel.ColumnOp(com.delta.rig, com.delta.col_space, lambda c: {} if len(c[0]) > len(c[1]) + 1 else delta(c))
+    delta = o.delta.column
+    return o._replace(
+        delta=wrel.ColumnOp(o.delta.rig, o.delta.col_space, lambda c: {} if len(c[0]) > len(c[1]) + 1 else delta(c))
     )
 
 
@@ -329,9 +332,9 @@ REL_MUTANTS = {
     ),
     "gate-one-too-large": (partial(_mutate_rel_operators, gate=_gate_one_too_large), ["L11", "L14", "L17"]),
     # L2 reads e through !(0), not the counit; the counit's one column reaching a is not natural (L23)
-    "counit-reaching-a": (partial(_mutate_rel, name="comonoid_rel", mutant=_counit_reaching_a), ["L1", "L23"]),
+    "counit-reaching-a": (partial(_mutate_rel, name="operators_rel", mutant=_counit_reaching_a), ["L1", "L23"]),
     "delta-without-lopsided-splits": (
-        partial(_mutate_rel, name="comonoid_rel", mutant=_delta_without_lopsided_splits), ["L1", "L3"]
+        partial(_mutate_rel, name="operators_rel", mutant=_delta_without_lopsided_splits), ["L1", "L3"]
     ),
     "chi-inverse-splitting-off-the-first-atom": (
         partial(_mutate_rel, name="seely_rel", mutant=_chi_inv_splitting_off_the_first_atom), ["L22"]
@@ -436,18 +439,14 @@ def test_each_supplied_operator_broken_at_one_column_that_represents_no_orbit_fa
     rigs where adding one changes a weight are the ones checked."""
     column, row = UNNATURAL_AT_ONE_COLUMN[name]
     base = wrel.BaseSet(wrel.ATOM_NAMES[:3])
-    o, com = wrel.operators_rel(base, NONNEG_RATIONAL, 6), wrel.comonoid_rel(base, NONNEG_RATIONAL, 6)
-    space = {**o._asdict(), **com._asdict()}[name].col_space
+    space = getattr(wrel.operators_rel(base, NONNEG_RATIONAL, 6), name).col_space
     assert column in wrel._band(space, 6)
     assert column not in wrel._orbit_reps(space, 6) or name == "counit"
 
-    def broken(ops, rig=None):
-        return _one_more_at(getattr(ops, name), column, row)
+    def broken(o):
+        return _one_more_at(getattr(o, name), column, row)
 
-    if name in ("delta", "counit"):
-        _mutate_rel(monkeypatch, "comonoid_rel", lambda com: com._replace(**{name: broken(com)}))
-    else:
-        _mutate_rel_operators(monkeypatch, **{name: broken})
+    _mutate_rel(monkeypatch, "operators_rel", lambda o: o._replace(**{name: broken(o)}))
     label = f"{wrel.OPERATOR_NAMES.get(name, name)} is not natural along atom permutations: entry "
     for rig in (NONNEG_RATIONAL, RATIONAL):
         report = ls.run_law("L23", make_rel_binding(rig, base_size=3, truncation=6), cases=50, seed=0)

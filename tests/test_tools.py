@@ -4,6 +4,7 @@ import gc
 import importlib.util
 import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from dctool.lawsuite import LAWS
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def load_tool(name, monkeypatch):
@@ -80,6 +82,19 @@ def test_report_grid_prints_one_calculator_run_per_line(monkeypatch):
     )
     long_chain = "+".join(["x"] * 100)
     assert tool.calc_line(["--expr", long_chain]) == "--expr 'x+x+x+x+x+x+x+x+x+x+x+x+x+x+x+... (199 characters)' | 0 | 100*x | "
+
+
+@pytest.mark.parametrize("model", ["poly", "rel", "smooth", "calc"])
+def test_report_grid_matches_its_golden_line_by_line(monkeypatch, model):
+    """Every report of the model's grid, regenerated in this process, equals its line of
+    `tests/golden/grid_<model>.txt`.  A change that alters a report regenerates the file with the command in
+    the tool's docstring, and the file's diff shows what changed."""
+    tool = load_tool("report_grid", monkeypatch)
+    name, runs = f"grid_{model}.txt", len(tool.GRIDS[model])
+    golden = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+    assert len(golden) == runs, f"{name} has {len(golden)} lines for {runs} runs"
+    for n, ((flags, line), expected) in enumerate(zip(tool.grid(model), golden), 1):
+        assert line == expected, f"{name} line {n}, flags {shlex.join(flags)}\nnow:    {line}\ngolden: {expected}"
 
 
 def test_interleave_compares_a_tree_with_itself(monkeypatch, capsys):

@@ -195,20 +195,20 @@ def test_rel_binding_builds_d_and_dcirc_once_per_base_set_and_shares_them_with_K
 
 
 def test_delta_split_count():
-    delta = wr.comonoid_rel(XY, R, 4).delta
+    delta = wr.operators_rel(XY, R, 4).delta
     row = {c: column for c, column in columns(delta).items() if ("x", "y") in column}
     assert all(column == {("x", "y"): R.one} for column in row.values())
     assert set(row) == {((), ("x", "y")), (("x",), ("y",)), (("y",), ("x",)), (("x", "y"), ())}
 
 
 def test_counit_support():
-    com = wr.comonoid_rel(XY, R, 4)
-    assert columns(com.counit) == {UNIT_POINT: {(): R.one}}
-    assert entry(com.counit, ("x",), UNIT_POINT) == Fraction(0)
+    counit = wr.operators_rel(XY, R, 4).counit
+    assert columns(counit) == {UNIT_POINT: {(): R.one}}
+    assert entry(counit, ("x",), UNIT_POINT) == Fraction(0)
 
 
 def test_delta_cocommutative():
-    delta = wr.comonoid_rel(XY, R, 4).delta
+    delta = wr.operators_rel(XY, R, 4).delta
     for (b1, b2), column in columns(delta).items():
         assert delta.column((b2, b1)) == column
 
@@ -224,7 +224,7 @@ def test_delta_matches_a_reference_built_from_multiset_differences(base_size, D)
             rest = Counter(b) - Counter(sub)
             reference[(b, (sub, bag(*rest.elements())))] = R.one
     # the splits of the bags of at most D atoms, read from the columns of Delta that reach them
-    delta = wr.comonoid_rel(base, R, D).delta
+    delta = wr.operators_rel(base, R, D).delta
     assert {(r, c): w for c, column in columns(delta).items() for r, w in column.items() if len(r) <= D} == reference
 
 
@@ -327,13 +327,13 @@ def test_operators_shift_bag_sizes_by_fixed_amounts():
 def test_generator_matrices_respect_margin():
     # every entry of every operator's matrix lies in its declared row and column
     # spaces: a column formula reaching a row outside them is truncated there
-    o, u, com = wr.operators_rel(XY, R, 4), wr.operators_rel(UNIT_BASE, R, 4), wr.comonoid_rel(XY, R, 4)
+    o, u = wr.operators_rel(XY, R, 4), wr.operators_rel(UNIT_BASE, R, 4)
     chi, chi_inv = wr.seely_rel(BaseSet(("x",)), BaseSet(("y",)), R, 4)
     bags, ubags = BagSpace(XY, 4), BagSpace(UNIT_BASE, 4)
     pairs = PairSpace(bags, AtomSpace(XY))
     mats = {name: getattr(o, name).matrix(bags) for name in ("dc", "s", "bang0", "K", "J", "K_inv", "J_inv")}
     mats |= {
-        "d": o.d.matrix(pairs), "Delta": com.delta.matrix(bags), "counit": com.counit.matrix(bags),
+        "d": o.d.matrix(pairs), "Delta": o.delta.matrix(bags), "counit": o.counit.matrix(bags),
         "m_R x 1": o.spread.matrix(bags), "m_{R,A}": o.gate.matrix(PairSpace(ubags, bags)),
         "atom": u.atom.matrix(PairSpace(ubags, AtomSpace(UNIT_BASE))),
         "chi": chi.matrix(chi_inv.col_space), "chi^-1": chi_inv.matrix(chi.col_space),
@@ -351,7 +351,7 @@ def test_generator_matrices_respect_margin():
         assert [len(r) for r in getattr(o, name).column((("x",) * 4, "y"))] == [5]
     # column (b1, b2) of Delta reaches the bag b1 + b2 of up to 2D atoms, and its matrix keeps the rows of at most D
     assert {len(r) for r, _c in mats["Delta"].entries} == set(range(5))
-    assert com.delta.column((("x",) * 4, ("y",) * 4)) == {("x",) * 4 + ("y",) * 4: R.one}
+    assert o.delta.column((("x",) * 4, ("y",) * 4)) == {("x",) * 4 + ("y",) * 4: R.one}
 
 
 def test_matrix_space_mismatch_raises():
@@ -392,7 +392,7 @@ def test_relabel_equals_composing_with_the_permutation_matrix():
     for space, fn, target, inverse in ((left, reassoc, right, unassoc), (bb, swap, bb, swap)):
         assert wr.relabel(R, space, fn).matrix(target) == wr.perm_matrix(R, target, space, inverse)
     # composing with a permutation permutes the columns of the other operator
-    delta, swapped = wr.comonoid_rel(XY, R, 3).delta, wr.relabel(R, bb, swap)
+    delta, swapped = wr.operators_rel(XY, R, 3).delta, wr.relabel(R, bb, swap)
     for b1, b2 in bb.points():
         assert (delta @ swapped).column((b1, b2)) == delta.column((b2, b1))
 
@@ -453,9 +453,9 @@ def test_naturality_covers_every_column_a_passing_suite_reads(monkeypatch):
     of the band L23 checks it on: every column of its space, at most 2D atoms, but Delta's of at most
     D - MARGIN + 1 atoms, which L3 reaches.  m_R x 1 reads (tag, bag) pairs, whose tag weighs as much as
     its bag, up to 2(D - MARGIN + 1) atoms (L17).  A recording operator replaces each one of the general
-    set and of the comonoid; the unit set needs no premise."""
+    set; the unit set needs no premise."""
     read = defaultdict(set)
-    operators_rel, comonoid_rel = wr.operators_rel, wr.comonoid_rel
+    operators_rel = wr.operators_rel
 
     def recording(name, f):
         seen = read[name]
@@ -470,18 +470,16 @@ def test_naturality_covers_every_column_a_passing_suite_reads(monkeypatch):
 
         return wr.ColumnOp(f.rig, f.col_space, column, point=point if f.point else None)
 
-    def wrapped(ops):
-        return ops._replace(**{n: recording(n, f) for n, f in ops._asdict().items() if isinstance(f, wr.ColumnOp)})
-
     def operators(base, rig, size):
         o = operators_rel(base, rig, size)
-        return o if base == UNIT_BASE else wrapped(o)
+        if base == UNIT_BASE:
+            return o
+        return o._replace(**{n: recording(n, f) for n, f in o._asdict().items() if isinstance(f, wr.ColumnOp)})
 
     monkeypatch.setattr(wr, "operators_rel", operators)
-    monkeypatch.setattr(wr, "comonoid_rel", lambda base, rig, size: wrapped(comonoid_rel(base, rig, size)))
     for base_size, D in ((2, 4), (3, 5), (3, 6)):
         base, limit = BaseSet(ATOM_NAMES[:base_size]), D - wr.MARGIN
-        supplied = {**wr.operators_rel(base, R, D)._asdict(), **wr.comonoid_rel(base, R, D)._asdict()}
+        supplied = operators_rel(base, R, D)._asdict()
         read.clear()
         binding = make_rel_binding(R, base_size=base_size, truncation=D)
         for law in LAWS:
@@ -629,9 +627,9 @@ def _plain(op):
 @pytest.mark.parametrize("rig", list(RIGS.values()), ids=list(RIGS))
 def test_composites_of_maps_of_points_equal_the_column_sums_in_every_case_of_at(rig):
     """f @ g for each of the four cases (f, g a map of points or not) equals the reference on every column."""
-    o, com = wr.operators_rel(XY, rig, 4), wr.comonoid_rel(XY, rig, 4)
+    o = wr.operators_rel(XY, rig, 4)
     bags, atoms = BagSpace(XY, 4), AtomSpace(XY)
-    delta = com.delta
+    delta = o.delta
     swap = wr.relabel(rig, delta.col_space, lambda p: (p[1], p[0]))
     reassoc = wr.relabel(rig, PairSpace(bags, PairSpace(bags, bags)), lambda p: ((p[0], p[1][0]), p[1][1]))
     swap_atoms = wr.relabel(rig, PairSpace(PairSpace(bags, atoms), atoms), lambda p: ((p[0][0], p[1]), p[0][1]))
@@ -676,7 +674,7 @@ def test_maps_of_points_that_differ_at_one_point_report_what_their_columns_repor
     # the moved point lies outside the band of no atoms
     assert ident.first_difference(moved, 0) is None and _plain(ident).first_difference(_plain(moved), 0) is None
     # composites of maps of points are maps of points and report alike
-    delta = wr.comonoid_rel(XY, rig, 2).delta
+    delta = wr.operators_rel(XY, rig, 2).delta
     pairs = delta.col_space
     swap = wr.relabel(rig, pairs, lambda p: (p[1], p[0]))
     bent = wr.relabel(rig, pairs, lambda p: (p[1], p[0]) if p != ((), ("y",)) else ((), ("x",)))
@@ -703,7 +701,8 @@ def test_a_composite_of_maps_of_points_makes_no_product(rig):
 
     counting = type(f"Counting{type(rig).__name__}", (type(rig),), {"mul": counted("mul"), "eq": counted("eq")})()
     bags = BagSpace(XY, 4)
-    delta, o = wr.comonoid_rel(XY, counting, 4).delta, wr.operators_rel(XY, counting, 4)
+    o = wr.operators_rel(XY, counting, 4)
+    delta = o.delta
     reassoc = wr.relabel(counting, PairSpace(bags, PairSpace(bags, bags)), lambda p: ((p[0], p[1][0]), p[1][1]))
     lhs, rhs = delta @ delta.on_left(bags) @ reassoc, delta @ delta.on_right(bags)
     assert all(lhs.column(c) == rhs.column(c) for c in rhs.col_space.points())
@@ -799,9 +798,8 @@ def test_a_cancelling_sum_in_every_rel_accumulation_leaves_no_zero_entry():
 
 def test_operator_weights_stay_ints():
     base = BaseSet(("a", "b", "c"))
-    com = wr.comonoid_rel(base, R, 5)
     o = wr.operators_rel(base, R, 5)
-    for op in (com.delta, com.counit, o.d, o.dc, o.K, o.J, o.spread, o.gate):
+    for op in (o.delta, o.counit, o.d, o.dc, o.K, o.J, o.spread, o.gate):
         weights = [v for column in columns(op).values() for v in column.values()]
         assert weights and all(type(v) is int for v in weights)
 

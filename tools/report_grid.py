@@ -9,11 +9,19 @@ compare them with `diff`.
 
     rel     {nonneg-rational, rational, boolean} x base 1-3 x D 4-6 x seed {0, 42}
     poly    {nonneg-rational, rational, boolean} x vars 1-4 x max-degree {3, 6} x seed {0, 42},
+            then the same rigs and seeds at 4 vars, max-degree 8 (the `poly-wide` benchmark size),
             then the `--sabotage` run at the defaults
     smooth  dim 1-3 x order {16, 32, 64} x seed {0, 42}
     calc    `CALC_INPUTS` x {nonneg-rational, rational, boolean}, each line
             `flags | exit | stdout | stderr` of one `dctool poly` run, with an
             expression longer than 60 characters shortened to its head and length
+
+`tests/golden/grid_<model>.txt` holds each grid's output, and
+`tests/test_tools.py` regenerates every grid and compares it with its file
+line by line.  A change
+that alters a report regenerates the four files:
+
+    for m in poly rel smooth calc; do PYTHONPATH=src python3 tools/report_grid.py $m > tests/golden/grid_$m.txt; done
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ GRIDS = {
     ],
     "poly": [
         ["--semiring", rig, "--vars", str(n), "--max-degree", str(degree), "--seed", seed]
-        for rig, n, degree, seed in product(RIGS, (1, 2, 3, 4), (3, 6), SEEDS)
+        for rig, n, degree, seed in (*product(RIGS, (1, 2, 3, 4), (3, 6), SEEDS), *product(RIGS, (4,), (8,), SEEDS))
     ]
     + [["--sabotage"]],
     "smooth": [
@@ -95,12 +103,17 @@ def calc_line(flags: list) -> str:
     return " | ".join((shown, str(code), out.getvalue().rstrip("\n"), err.getvalue().rstrip("\n")))
 
 
+def grid(model: str):
+    """(flags, line) for each run of the model's grid, in grid order."""
+    for flags in GRIDS[model]:
+        yield flags, calc_line(flags) if model == "calc" else report_line(model, flags)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("model", choices=sorted(GRIDS))
-    model = parser.parse_args(argv).model
-    for flags in GRIDS[model]:
-        print(calc_line(flags) if model == "calc" else report_line(model, flags))
+    for _, line in grid(parser.parse_args(argv).model):
+        print(line)
     return 0
 
 
