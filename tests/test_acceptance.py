@@ -17,6 +17,7 @@ from dctool import cli, lawsuite
 from dctool.polyform import Polynomial, make_poly_binding, random_poly
 from dctool.rig import BOOLEAN, NONNEG_RATIONAL, RATIONAL
 from dctool.wrel import BagSpace, BaseSet, make_rel_binding
+from smooth_oracle import DERIVATIVES
 
 
 def is_identity(op, points):
@@ -145,7 +146,7 @@ def test_acceptance_7_numerical_residuals(capsys):
                 x = sm.sample_point(rng, f.in_dim)
                 v = sm.sample_point(rng, f.in_dim)
                 fd = sm.fd_directional_derivative(f, x, v)
-                if not sm.rel_close(fd, f.exact_derivative(x, v), 1e-6):
+                if not sm.rel_close(fd, DERIVATIVES[f.label](x, v), 1e-6):
                     ok = False
                     break
             if not ok:

@@ -272,28 +272,21 @@ def test_smooth_takes_one_tolerance_and_reports_only_it(tmp_path, capsys):
 
 
 def test_tol_rel_reaches_the_mixed_partials_check(tmp_path, monkeypatch):
-    # gauss3's closed form off by 1e-9 along the second coordinate: L6 compares at --tol-rel
-    builtin_corpus = sm.builtin_corpus
+    # the derivative plus 1e-9 * x[1] * v[0] at points of two or more coordinates: the mixed partials
+    # differ by 1e-9 * (x[1] - 1), and L6 compares them at --tol-rel
+    rule = sm.fd_directional_derivative
 
-    def corpus():
-        maps = builtin_corpus()
-        for f in maps:
-            if f.label == "gauss3":
+    def off(f, x, v):
+        x = np.asarray(x)
+        return rule(f, x, v) + (1e-9 * x[1] * np.asarray(v)[0] if len(x) > 1 else 0.0)
 
-                def off(x, v, exact=f.exact_derivative):
-                    w = np.array(v)
-                    w[1] = w[1] * (1.0 + 1e-9)
-                    return exact(x, w)
-
-                f.exact_derivative = off
-        return maps
-
-    monkeypatch.setattr(sm, "builtin_corpus", corpus)
+    monkeypatch.setattr(sm, "fd_directional_derivative", off)
     status, payload = run_json(tmp_path, ["check", "smooth", "--cases", "10"])
     l6 = next(law for law in payload["laws"] if law["id"] == "L6")
     assert status == 1
-    assert (l6["status"], l6["cases"]) == ("fail", 8)
-    assert "mixed partials differ: map=gauss3" in l6["counterexample"]
+    # prod2, the first potential, fails at its first point, where 1e-9 * |x[1] - 1| = 2.7e-9 exceeds 1e-10
+    assert (l6["status"], l6["cases"]) == ("fail", 1)
+    assert l6["counterexample"].startswith("mixed partials differ: map=prod2 x=[ 1.402858 -1.664159] ")
     _status, payload = run_json(tmp_path, ["check", "smooth", "--cases", "10", "--tol-rel", "1e-6"])
     assert next(law for law in payload["laws"] if law["id"] == "L6")["status"] == "pass"
 

@@ -724,8 +724,20 @@ def _plus_1e_6(fd_directional_derivative):
 
 
 def _keeps_the_constant_term(fd_directional_derivative):
-    """D[f](x, v) + f(0) * v[0]: the complex step keeps f's constant term, as the poly `--sabotage` gradient does."""
+    """D[f](x, v) + f(0) * v[0]: the derivative keeps f's constant term, as the poly `--sabotage` gradient does."""
     return lambda f, x, v: fd_directional_derivative(f, x, v) + f(np.zeros_like(x)) * np.asarray(v)[0]
+
+
+def _plus_1e_6_x1_v0(fd_directional_derivative):
+    """D[f](x, v) + 1e-6 * x[1] * v[0] at a point of two or more coordinates: a derivative whose
+    derivative is not symmetric, d/dx0 of the x1 derivative being 1e-6 * x1 smaller than d/dx1 of the
+    x0 one."""
+
+    def mutant(f, x, v):
+        x = np.asarray(x)
+        return fd_directional_derivative(f, x, v) + (1e-6 * x[1] * np.asarray(v)[0] if len(x) > 1 else 0.0)
+
+    return mutant
 
 
 def _weighted_by_t(line_integral_S):
@@ -740,44 +752,27 @@ def _weighted_by_t(line_integral_S):
     return mutant
 
 
-def _gauss3_broken_past_x0_equal_1(builtin_corpus):
-    """gauss3's closed-form derivative doubles the direction's first coordinate where x[0] > 1.
-
-    The broken closed form is complex-analytic off x[0].real = 1, so the complex step sees the same break.
-    """
-
-    def corpus():
-        maps = builtin_corpus()
-        for f in maps:
-            if f.label == "gauss3":
-
-                def broken(x, v, exact=f.exact_derivative):
-                    w = np.array(v)
-                    w[0] = np.where(x[0].real > 1.0, 2.0, 1.0) * v[0]
-                    return exact(x, w)
-
-                f.exact_derivative = broken
-        return maps
-
-    return corpus
-
-
 # (function of `smoothnum` replaced, mutant of it, laws it fails at dim 3, 50 cases, seed 0); each
 # mutant calls the function it replaces but `_weighted_by_t`
 SMOOTH_MUTANTS = {
-    # L21's premise is L2's equation, d;!(0) = 0
+    # L21's premise is L2's equation, d;!(0) = 0.  The derivative is one rule, the complex step outside
+    # any other derivative and a Dual inside one, and a mutant of it changes both.  Not L6 or L20: s
+    # integrates the inner shift into a constant, which the outer d differentiates away before it adds
+    # its own 1e-6, as d f and each of L6's mixed partials do
     "complex-step-plus-1e-6": (
-        "fd_directional_derivative", _plus_1e_6, ["L2", "L3", "L4", "L5", "L19", "L20", "L21"]
+        "fd_directional_derivative", _plus_1e_6, ["L2", "L3", "L4", "L5", "L18", "L19", "L21"]
     ),
-    # L6 takes a complex step on both sides, and L18 reads only closed forms
+    # not L6: its outer derivative along e_0 adds D[f](0, e_1), the first partial at the origin, to one
+    # side only, and that is zero for every potential of the corpus
     "complex-step-keeps-the-constant-term": (
-        "fd_directional_derivative", _keeps_the_constant_term, ["L2", "L3", "L4", "L21"]
+        "fd_directional_derivative", _keeps_the_constant_term, ["L2", "L3", "L4", "L18", "L21"]
     ),
     "integral-weighted-by-t": ("line_integral_S", _weighted_by_t, ["L18", "L19", "L20"]),
     # L2 differentiates a constant, which doubling keeps constant
     "origin-doubled": ("origin", _doubled, ["L18", "L21"]),
-    "gauss3-derivative-broken-past-x0-equal-1": (
-        "builtin_corpus", _gauss3_broken_past_x0_equal_1, ["L3", "L4", "L6", "L18", "L20"]
+    # not L19, which reads the 1-D maps only
+    "derivative-plus-1e-6-x1-v0": (
+        "fd_directional_derivative", _plus_1e_6_x1_v0, ["L2", "L3", "L4", "L5", "L6", "L18", "L20", "L21"]
     ),
 }
 
@@ -837,44 +832,51 @@ def test_every_law_the_smooth_binding_checks_fails_under_a_named_mutant():
     assert caught == {law.id for law in ls.LAWS} - set(make_smooth_binding(max_dim=3).skips)
 
 
-def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_column(monkeypatch):
-    """The failing laws, their case counts and counterexamples of the gauss3 mutant.
+def test_an_asymmetric_derivative_fails_each_law_at_its_first_broken_column(monkeypatch):
+    """The failing laws, their case counts and counterexamples of the derivative plus 1e-6 * x[1] * v[0].
 
-    Those of L3, L4 and L6 were computed when each law still evaluated one
-    probe point at a time: batching an item's points must keep the rng
-    stream and stop at the same column.  L18 and L20 evaluate their table
-    rows on the scalar maps, five points each.
+    The mutant reaches only maps of two or more variables, so each law fails first at the first such
+    map in its item order.  L6 fails at its first column, that of prod2, by 1e-6 * (1 - x[1]), and L2
+    and L21 at the first point of prod2 where the derivative of its constant !(0) f, 1e-6 * x[1] * v[0],
+    exceeds the tolerance.
     """
-    reports = _smooth_reports(monkeypatch, "gauss3-derivative-broken-past-x0-equal-1")
+    reports = _smooth_reports(monkeypatch, "derivative-plus-1e-6-x1-v0")
     failing = {r.law_id: (r.cases, r.counterexample) for r in reports if r.status == "fail"}
     assert failing == {
+        "L2": (
+            31,
+            "derivative of a constant is nonzero: map=prod2 x=[1.786238 1.404413] v=[-0.807394 -0.844912] "
+            "lhs=[-1.1339146715e-06] rhs=[0.]",
+        ),
         "L3": (
-            42,
-            "Leibniz fails: map=poly3 x=[ 1.339396 -0.879792  1.54241 ] v=[0.384057 0.799161 0.243878] "
-            "lhs=[0.5439071901] rhs=[0.5456679083]",
+            37,
+            "Leibniz fails: map=prod2 x=[-1.628225  0.357027] v=[-0.181792  0.161431] "
+            "lhs=[0.3810561372] rhs=[0.3810562775]",
         ),
         "L4": (
-            78,
-            "chain rule fails (id1 o gauss3): map=gauss3 x=[ 1.777488 -0.864492 -0.53423 ] "
-            "v=[-1.79191   1.270026 -0.746982] lhs=[0.6808976549] rhs=[1.2392769013]",
+            37,
+            "chain rule fails (linear2 o linear2): map=linear2 x=[-1.503272 -0.540077] v=[-1.047963 -1.216496] "
+            "lhs=[-5.9139463809 -1.2164954382] rhs=[-5.913943369  -1.2164935582]",
         ),
-        # the fourth potential, 12 points: its fifth column
-        "L6": (
-            41,
-            "mixed partials differ: map=gauss3 x=[ 1.76496  -0.690859 -0.221356] "
-            "lhs=[-0.1226612998] rhs=[-0.2453225997]",
+        "L5": (
+            25,
+            "derivative of a linear map is not constant: map=linear2 x=[0.09083  0.239241] v=[-1.734152  1.999095] "
+            "lhs=[-4.1488024817e-07] rhs=[0.]",
         ),
-        # gauss3 is the last of the ten scalar maps: its second column
+        "L6": (1, "mixed partials differ: map=prod2 x=[ 1.402858 -1.664159] lhs=[0.9999983358] rhs=[1.000001]"),
         "L18": (
-            47,
-            "second fundamental theorem fails: map=gauss3 x=[1.854115 0.18272  1.286892] "
-            "lhs=[0.007502118] rhs=[0.2775360183]",
+            31,
+            "second fundamental theorem fails: map=prod2 x=[0.209345 1.495686] lhs=[0.3131145426] rhs=[0.3131143861]",
         ),
-        # and its fifth column
         "L20": (
-            50,
-            "derivative of the integral loses the field: map=gauss3 x=[ 1.712529  1.267991 -1.589019] "
-            "v=[ 0.405883 -1.769741  1.366241] lhs=[0.073401017] rhs=[0.2585470273]",
+            31,
+            "derivative of the integral loses the field: map=prod2 x=[ 1.535068 -0.799548] v=[ 0.374106 -0.910937] "
+            "lhs=[-1.6974669939] rhs=[-1.6974661451]",
+        ),
+        "L21": (
+            31,
+            "derivative of a constant is nonzero: map=prod2 x=[1.671901 1.974334] v=[0.652375 0.18841 ] "
+            "lhs=[1.2880066957e-06] rhs=[0.]",
         ),
     }
     assert {r.status for r in reports if r.law_id not in failing} == {"pass", "skipped"}
@@ -882,16 +884,20 @@ def test_a_derivative_broken_past_x0_equal_1_fails_each_law_at_its_first_broken_
 
 def test_a_failing_field_comparison_replays_from_its_printed_point_and_direction(monkeypatch):
     """L20 compares the fields d;s;d f and d f at (x, v): the x and v its counterexample prints, to 6
-    digits, rebuild its lhs, the complex step of the line integral of D[gauss3], to 1e-5."""
-    reports = _smooth_reports(monkeypatch, "gauss3-derivative-broken-past-x0-equal-1")
+    digits, rebuild its lhs, the derivative of the line integral of D[prod2], to 1e-5, and its gap to
+    the rhs, which the mutant puts at 1e-6 * (x[0] * v[1] + x[1] * v[0]) / 2, to 1e-3."""
+    reports = _smooth_reports(monkeypatch, "derivative-plus-1e-6-x1-v0")
     text = next(r.counterexample for r in reports if r.law_id == "L20")
     shown = {name: np.array(values.split(), float) for name, values in re.findall(r"(\w+)=\[([^\]]*)\]", text)}
     assert list(shown) == ["x", "v", "lhs", "rhs"]
-    gauss3 = next(f for f in sm.builtin_corpus() if f.label == "gauss3")
-    integral = sm.SmoothMap(3, 1, lambda y: sm.line_integral_S(sm.bilinearize(gauss3), y), "S[D[gauss3]]")
-    lhs = sm.directional_derivative(integral, shown["x"], shown["v"])
+    x, v = shown["x"], shown["v"]
+    prod2 = next(f for f in sm.builtin_corpus() if f.label == "prod2")
+    integral = sm.SmoothMap(2, 1, lambda y: sm.line_integral_S(sm.bilinearize(prod2), y), "S[D[prod2]]")
+    lhs, rhs = sm.fd_directional_derivative(integral, x, v), sm.bilinearize(prod2)(x, v)
     assert np.allclose(lhs, shown["lhs"], rtol=1e-5, atol=0)
-    assert not np.allclose(lhs, shown["rhs"], rtol=1e-2, atol=0)
+    gap = shown["lhs"] - shown["rhs"]
+    assert np.allclose(lhs - rhs, gap, rtol=1e-3, atol=0)
+    assert np.allclose(gap, 1e-6 * (x[0] * v[1] + x[1] * v[0]) / 2, rtol=1e-3, atol=0)
 
 
 class _InverseRig(NonNegRationalRig):

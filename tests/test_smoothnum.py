@@ -9,6 +9,7 @@ import pytest
 
 import dctool.smoothnum as sm
 from dctool import lawsuite
+from smooth_oracle import DERIVATIVES, HESSIANS
 from dctool.smoothnum import (
     BilinearizedMap,
     DEFAULT_CONFIG,
@@ -36,19 +37,23 @@ def test_corpus_shape():
     assert len(corpus) >= 12
     ident = next(f for f in corpus if f.label == "id1")
     v = np.array([1.7])
-    assert np.allclose(ident.exact_derivative(np.array([0.3]), v), v)
+    assert np.allclose(sm.fd_directional_derivative(ident, np.array([0.3]), v), v)
     assert {f.in_dim for f in corpus} == {1, 2, 3}
+    assert set(DERIVATIVES) == set(HESSIANS) == {f.label for f in corpus}
 
 
 def test_every_member_passes_fd_vs_exact_probe():
-    """The complex step matches each closed form to rounding error, 1e-13 relative, at 200 points."""
+    """The complex step and a Dual's tangent both match each hand-written closed form to rounding
+    error, 1e-13 relative, at 200 points."""
     rng = random.Random(0)
     for f in sm.builtin_corpus():
         X = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(200)])
         V = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(200)])
-        step = sm.fd_directional_derivative(f, X, V)
-        exact = sm.directional_derivative(f, X, V)
-        assert sm.rel_close(step, exact, 1e-13).all(), f.label
+        exact = DERIVATIVES[f.label](X, V)
+        assert sm.rel_close(sm.fd_directional_derivative(f, X, V), exact, 1e-13).all(), f.label
+        y = f(sm.Dual(X, V, 1))
+        tangent = y.v if isinstance(y, sm.Dual) else np.zeros_like(y)  # a constant map returns a plain array
+        assert sm.rel_close(tangent, exact, 1e-13).all(), f.label
 
 
 def test_directional_derivative_examples():
@@ -104,35 +109,117 @@ def test_ftc2_residual_examples():
 
 def test_poincare_residual_examples():
     # gradient of the potential x^2 + y^2
-    pot = SmoothMap(
-        2, 1,
-        lambda x: np.array([x[0] ** 2 + x[1] ** 2]),
-        "sumsq",
-        exact_derivative=lambda x, v: np.array([2.0 * x[0] * v[0] + 2.0 * x[1] * v[1]]),
-    )
+    pot = SmoothMap(2, 1, lambda x: np.stack([x[0] ** 2 + x[1] ** 2]), "sumsq")
     field = sm.bilinearize(pot)
     r = _poincare_residual(field, np.array([0.7, -0.3]), np.array([1.0, 0.5]))
-    assert r < 1e-7
+    assert r < 1e-12
     zero = BilinearizedMap(2, 1, lambda x, y: np.zeros(1), "zero")
     assert _poincare_residual(zero, np.ones(2), np.ones(2)) < 1e-12
     one_dim = BilinearizedMap(1, 1, lambda x, y: np.cos(x) * y, "cos*y")
     assert _poincare_residual(one_dim, np.array([1.1]), np.array([0.8])) < 1e-7
 
 
-def test_a_nested_complex_step_is_refused():
-    """Without a closed form, the Poincare check would take a complex step of a complex step.
+def test_nested_derivatives_do_not_confuse_their_perturbations():
+    """D(x -> x * D(y -> x + y)(1))(1) = 1 (Siskind and Pearlmutter).
 
-    The inner step would read the outer one's imaginary part as its own and
-    return a wrong derivative (a residual of 1.1 here), so it raises instead.
+    The inner derivative runs inside the outer complex step, whose perturbation x carries; a second
+    complex step would read it as the inner one's and return 2.  The Poincare check takes the
+    derivative of the integral of a field that has no closed form, as L20 does.
     """
-    pot = SmoothMap(2, 1, lambda x: np.array([x[0] ** 2 + x[1] ** 2]), "sumsq-without-closed-form")
+    one = np.ones(1)
+
+    def inner(x):
+        return sm.fd_directional_derivative(SmoothMap(1, 1, lambda y: x + y, "x + y"), one, one)
+
+    outer = SmoothMap(1, 1, lambda x: x * inner(x), "x * D(x + y)")
+    assert sm.fd_directional_derivative(outer, one, one).tolist() == [1.0]
+    pot = SmoothMap(2, 1, lambda x: np.stack([x[0] ** 2 + x[1] ** 2]), "sumsq")
     field = sm.bilinearize(pot)
     x, v = np.array([0.7, -0.3]), np.array([1.0, 0.5])
     assert np.allclose(field(x, v), [2.0 * 0.7 - 2.0 * 0.3 * 0.5])
-    with pytest.raises(ValueError, match="sumsq-without-closed-form"):
-        sm.fd_directional_derivative(_integral(field), x, v)
-    with pytest.raises(ValueError, match="sumsq-without-closed-form"):
-        sm.fd_directional_derivative(pot, x + 1e-3j, v)
+    assert _poincare_residual(field, x, v) < 1e-12
+    # a complex point outside any derivative takes a Dual too, not a complex step that reads its imaginary part
+    z = x + 1e-3j
+    assert np.allclose(sm.fd_directional_derivative(pot, z, v), [2.0 * z @ v], rtol=1e-15, atol=0)
+    # S[D[pot]] = pot - pot(0), whose second derivative along v and w is 2 v.w: the line integral at a Dual
+    w = np.array([-0.4, 2.0])
+    along_w = SmoothMap(2, 1, lambda z: sm.fd_directional_derivative(_integral(field), z, w), "D_w S[D[sumsq]]")
+    assert np.allclose(sm.fd_directional_derivative(along_w, x, v), [2.0 * v @ w], rtol=1e-12, atol=0)
+    assert sm._depth == 0
+
+
+def test_a_derivative_of_a_map_constant_in_its_point_is_zero_whatever_its_value_carries():
+    """D(x -> x * D(y -> y * D(z -> y)(1))(1))(1) = 0: the innermost map returns y, a Dual of the
+    middle derivative's tag, which is a constant to its own tag.  Reading y's tangent as its own
+    would give 1."""
+    one = np.ones(1)
+
+    def d(fn, at):
+        return sm.fd_directional_derivative(SmoothMap(1, 1, fn, "map"), at, one)
+
+    outer = SmoothMap(1, 1, lambda x: x * d(lambda y: y * d(lambda z: y, one), one), "outer")
+    assert sm.fd_directional_derivative(outer, one, one).tolist() == [0.0]
+
+
+def test_every_operation_a_body_may_use_carries_its_derivative_through_a_dual():
+    """A body built from each operation `SmoothMap` allows, a Dual on either side of it: the tangent
+    of its value at a Dual equals the complex step to rounding error."""
+
+    def body(x):
+        A = np.array([[1.0, -2.0], [0.5, 3.0]])
+        u = (x[0] - 2.0) / (x[1] + 3.0) - 1.0 / (x[0] + 3.0) + (2.0 - x[1]) * (x[0] + x[1]) / 3.0
+        w = A @ x + x * 0.5
+        return np.stack([u, -(w[0] ** 3) + sm.sin(w[1]) * sm.cos(x[0]) + sm.exp(-x[1]), np.sum(x * x, axis=0)])
+
+    f = SmoothMap(2, 3, body, "every operation")
+    rng = random.Random(5)
+    X, V = (np.column_stack([sm.sample_point(rng, 2) for _ in range(40)]) for _ in range(2))
+    assert sm.rel_close(f(sm.Dual(X, V, 1)).v, sm.fd_directional_derivative(f, X, V), 1e-13).all()
+
+
+def test_each_nested_second_derivative_matches_its_closed_form_hessian():
+    """A derivative along w of each corpus map, differentiated along v: a Dual inside the complex step."""
+    rng = random.Random(3)
+    for f in sm.builtin_corpus():
+        X, V, W = (np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(50)]) for _ in range(3))
+        along_w = SmoothMap(f.in_dim, f.out_dim, lambda z, f=f: sm.fd_directional_derivative(f, z, W), "D_w")
+        got = sm.fd_directional_derivative(along_w, X, V)
+        assert sm.rel_close(got, HESSIANS[f.label](X, V, W), 1e-12).all(), f.label
+
+
+def test_a_third_derivative_nests_a_dual_in_a_dual():
+    """Three derivatives one inside another: the complex step outside, then Duals of tags 2 and 3."""
+    rng = random.Random(4)
+    X, U, V, W = (np.column_stack([sm.sample_point(rng, 1) for _ in range(20)]) for _ in range(4))
+    for label, third in (("quartic1", 24.0 * X), ("sin1", -np.cos(X)), ("exp1", 0.027 * np.exp(0.3 * X))):
+        f = next(f for f in sm.builtin_corpus() if f.label == label)
+        along_w = SmoothMap(1, 1, lambda z, f=f: sm.fd_directional_derivative(f, z, W), "D_w")
+        along_vw = SmoothMap(1, 1, lambda z: sm.fd_directional_derivative(along_w, z, V), "D_v D_w")
+        got = sm.fd_directional_derivative(along_vw, X, U)
+        assert sm.rel_close(got, third * U * V * W, 1e-12).all(), label
+
+
+def test_a_non_finite_tangent_inside_a_derivative_names_its_map_and_unwinds_the_nesting():
+    """sqrt has a finite value and an infinite derivative at 0: the Dual's tangent is checked as the
+    value is, and the exception leaves no derivative counted as running."""
+    root = SmoothMap(1, 1, lambda x: x**0.5, "root")
+    at_zero = SmoothMap(1, 1, lambda z: sm.fd_directional_derivative(root, 0.0 * z, np.ones_like(z)), "D[root](0)")
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match=r"^root returned a non-finite value at "):
+        sm.fd_directional_derivative(at_zero, np.ones(1), np.ones(1))
+    assert sm._depth == 0
+    # the next derivative outside any other takes the complex step again
+    assert sm.fd_directional_derivative(root, np.array([4.0]), np.ones(1)).tolist() == [0.25]
+
+
+def test_d_plus_d_of_the_origin_passes_every_smooth_law(monkeypatch):
+    """d;!(0) = 0, so d + d;!(0) is the operator d.  L20 then differentiates the integral of a sum of
+    two derivatives, none of which has a closed form."""
+    bilinearize = sm.bilinearize
+    monkeypatch.setattr(sm, "bilinearize", lambda f: bilinearize(f) + bilinearize(sm.origin(f)))
+    reports = lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)
+    assert lawsuite.all_pass(reports)
+    passed = [r.law_id for r in reports if r.status == "pass"]
+    assert passed == ["L2", "L3", "L4", "L5", "L6", "L18", "L19", "L20", "L21"]
 
 
 def test_linear_maps_pull_through_integrals():
@@ -196,14 +283,12 @@ def test_batched_and_pointwise_evaluation_agree():
         X = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(8)])
         V = np.column_stack([sm.sample_point(rng, f.in_dim) for _ in range(8)])
         values = f(X)
-        exact = sm.directional_derivative(f, X, V)
         fd = sm.fd_directional_derivative(f, X, V)
-        for out in (values, exact, fd):
+        for out in (values, fd):
             assert out.shape == (f.out_dim, 8), f.label
         for j in range(8):
             x = X[:, j]
             assert _relative_gap(values[:, j], f(x)) <= 1e-15, f.label
-            assert _relative_gap(exact[:, j], f.exact_derivative(x, V[:, j])) <= 1e-15, f.label
             assert _relative_gap(fd[:, j], sm.fd_directional_derivative(f, x, V[:, j])) <= 1e-15, f.label
         # a nested batch is flattened into columns and keeps its shape
         nested = f(X.reshape(f.in_dim, 2, 4))
@@ -225,13 +310,12 @@ def test_points_and_directions_of_different_shapes_are_refused():
     X = np.ones((3, 4))
     for v in (np.ones(3), np.ones((3, 1)), np.ones((3, 5)), np.ones((3, 2, 2))):
         with pytest.raises(ValueError, match="shapes"):
-            sm.directional_derivative(f, X, v)
-        with pytest.raises(ValueError, match="shapes"):
             sm.fd_directional_derivative(f, X, v)
         with pytest.raises(ValueError, match="shapes"):
             sm.bilinearize(f)(X, v)
+    assert sm._depth == 0
     # a single point and a single direction still pair up
-    assert sm.directional_derivative(f, X[:, 0], np.ones(3)).shape == (1,)
+    assert sm.fd_directional_derivative(f, X[:, 0], np.ones(3)).shape == (1,)
 
 
 @pytest.mark.parametrize("order", [2, 16, 64])
@@ -343,35 +427,36 @@ def _count_calls(monkeypatch, key):
 
 def test_smooth_suite_work_counts(monkeypatch):
     """Each law draws its probe points as one batch per shape class and evaluates each side once per
-    class, a family map counting as one call besides its members' own: 361 map calls.  The table laws
-    evaluate each operator's value as a map of its own, so per law, against the bespoke checks they
-    replaced: L2 22 (3), L5 58 (6), L18 38 (45), L19 20 (17) and L20 12 (6); L3 55, L4 95 and L6 4 as
-    before.  L21 makes 57, evaluating L2's equation and !(0);!(0) = !(0) at the points of the same
-    scalar maps: 24 (a suite of 328) when it took its generic pair, the zero and the constant-one map
-    of each dimension, 66 when it took six corpus maps and their shifts, and 54 before that, when its
-    conclusion compared f(x) - f(0) with g(x) - g(0).  Per shape class of the scalar maps, L2's row
-    calls the field d;!(0) f, the map !(0) f it differentiates, the family and its members, and the
-    zero field, where its check took the complex step of each constant map.  The suite made 339 before L2's row, the bespoke suite
-    285, against 314 when L18-L20 evaluated f(x) and the field a second time for a residual bound,
-    329 when they evaluated each item on its own, 735 when L3 and L4 also evaluated each pair of maps
-    on its own, and 1,884 when each law evaluated one point at a time."""
+    class, a family map counting as one call besides its members' own: 499 map calls.  Every
+    derivative is one call of the map it differentiates, so per law: L2 22, L3 81, L4 156, L5 58,
+    L6 16, L18 51, L19 20, L20 38 and L21 57.  When the corpus maps carried hand-written derivatives,
+    which were no map calls, the suite made 361, L3 55, L4 95, L6 4, L18 38 and L20 12.  Against the
+    bespoke checks the table laws replaced, L2 made 3, L5 6, L18 45, L19 17 and L20 6.  L21 evaluates
+    L2's equation and !(0);!(0) = !(0) at the points of the same scalar maps: 24 when it took its
+    generic pair, the zero and the constant-one map of each dimension, 66 when it took six corpus
+    maps and their shifts, and 54 before that, when its conclusion compared f(x) - f(0) with
+    g(x) - g(0).  Per shape class of the scalar maps, L2's row calls the field d;!(0) f, the map
+    !(0) f it differentiates, the family and its members, and the zero field.  The suite made 285
+    as bespoke checks, against 314 when L18-L20 evaluated f(x) and the field a second time for a
+    residual bound, 329 when they evaluated each item on its own, 735 when L3 and L4 also evaluated
+    each pair of maps on its own, and 1,884 when each law evaluated one point at a time."""
     law = [None]
     calls = _count_calls(monkeypatch, lambda f: law[0])
     binding = make_smooth_binding(max_dim=3)
     for law[0] in [row.id for row in lawsuite.LAWS]:
         assert lawsuite.run_law(law[0], binding, cases=50, seed=0).status != "fail"
     assert {law_id: n for law_id, n in calls.items() if n} == {
-        "L2": 22, "L3": 55, "L4": 95, "L5": 58, "L6": 4, "L18": 38, "L19": 20, "L20": 12, "L21": 57
+        "L2": 22, "L3": 81, "L4": 156, "L5": 58, "L6": 16, "L18": 51, "L19": 20, "L20": 38, "L21": 57
     }
 
 
 def test_leibniz_and_chain_rule_call_each_corpus_map_once_per_step_and_shape_class(monkeypatch):
     """However many pairs share a map, L3 and L4 evaluate it once per law step and shape class.
 
-    L3 evaluates a scalar map as f and as g of the product f * g, each over two steps: the product's
-    complex step and the plain values.  L4 evaluates a map as f of g o f over two steps, the complex
-    step of g o f and f(X), and as g over one, the complex step.  Closed-form derivatives are not
-    map calls.
+    L3 evaluates a scalar map as f and as g of the product f * g, each over three steps: the
+    product's derivative, the plain values and the map's own derivative.  L4 evaluates a map as f of
+    g o f over three steps, the derivative of g o f, f(X) and f's own derivative, and as g over two,
+    the derivative of g o f and g's own derivative.
     """
     law = [None]
     calls = _count_calls(monkeypatch, lambda f: (law[0], f.label))
@@ -380,26 +465,23 @@ def test_leibniz_and_chain_rule_call_each_corpus_map_once_per_step_and_shape_cla
         assert lawsuite.run_law(law[0], binding, cases=50, seed=0).status == "pass"
     corpus = sm.builtin_corpus()
     for f in corpus:
-        assert calls["L3", f.label] == (4 if f.out_dim == 1 else 0), f.label
+        assert calls["L3", f.label] == (6 if f.out_dim == 1 else 0), f.label
         as_f = {(f.in_dim, f.out_dim, g.out_dim) for g in corpus if g.in_dim == f.out_dim}
         as_g = {(h.in_dim, h.out_dim, f.out_dim) for h in corpus if h.out_dim == f.in_dim}
-        assert calls["L4", f.label] == 2 * len(as_f) + len(as_g), f.label
-    # 552 when each of the 44 Leibniz and 83 chain-rule pairs was evaluated on its own
-    assert sum(n for (law_id, _), n in calls.items() if law_id in ("L3", "L4")) <= 150
+        assert calls["L4", f.label] == 3 * len(as_f) + 2 * len(as_g), f.label
+    # 150 when the maps' own derivatives were hand-written, and 552 when each of the 44 Leibniz and
+    # 83 chain-rule pairs was evaluated on its own
+    assert sum(n for (law_id, _), n in calls.items() if law_id in ("L3", "L4")) == 237
 
 
 def _counted(f, calls):
-    """A copy of the map f whose value and closed-form derivative calls are counted in `calls`."""
+    """A copy of the map f whose calls are counted in `calls`."""
 
     def value(x):
         calls[f.label] += 1
         return f.fn(x)
 
-    def exact(x, v):
-        calls[f"{f.label} exact derivative"] += 1
-        return f.exact_derivative(x, v)
-
-    return SmoothMap(f.in_dim, f.out_dim, value, f.label, exact_derivative=exact)
+    return SmoothMap(f.in_dim, f.out_dim, value, f.label)
 
 
 def test_a_family_map_evaluates_each_member_once_on_its_runs():
@@ -416,25 +498,32 @@ def test_a_family_map_evaluates_each_member_once_on_its_runs():
     runs = [slice(r * k, (r + 1) * k) for r in range(len(owners))]
     cfg = QuadratureConfig(order=16)
 
-    def each_member_once(*suffixes):
-        assert calls == {f"{label}{suffix}": 1 for label in members for suffix in suffixes}
+    def each_member_once():
+        assert calls == dict.fromkeys(members, 1)
         calls.clear()
 
     # a plain batch
     values = F(X)
-    each_member_once("")
+    each_member_once()
     for f, run in zip(owners, runs):
         assert np.array_equal(values[:, run], f(X[:, run])), f.label
     calls.clear()
     # a complex step evaluates the complex batch X + i h V
     fd = sm.fd_directional_derivative(F, X, V)
-    each_member_once("")
+    each_member_once()
     for f, run in zip(owners, runs):
         assert np.array_equal(fd[:, run], sm.fd_directional_derivative(f, X[:, run], V[:, run])), f.label
     calls.clear()
-    # the closed-form derivative at the nodes of a line integral, which repeats each column `order` times
+    # a Dual batch, as a derivative inside another evaluates it: const1's plain values join the tangents
+    dual = F(sm.Dual(X, V, 1))
+    each_member_once()
+    for f, run in zip(owners, runs):
+        assert np.array_equal(dual.x[:, run], values[:, run]), f.label
+        assert sm.rel_close(dual.v[:, run], fd[:, run], 1e-15).all(), f.label
+    calls.clear()
+    # the derivative at the nodes of a line integral, which repeats each column `order` times
     integral = sm.line_integral_S(sm.bilinearize(F), X, cfg)
-    each_member_once(" exact derivative")
+    each_member_once()
     for f, run in zip(owners, runs):
         assert np.array_equal(integral[:, run], sm.line_integral_S(sm.bilinearize(f), X[:, run], cfg)), f.label
     # one member is the member itself, and a batch that does not split into the runs is refused
@@ -445,17 +534,15 @@ def test_a_family_map_evaluates_each_member_once_on_its_runs():
 
 def test_a_non_finite_family_value_names_the_member_and_its_first_bad_column():
     square = next(f for f in sm.builtin_corpus() if f.label == "square1")
-    hole = SmoothMap(
-        1, 1, lambda x: np.where(x > 2.5, np.nan, x), "hole",
-        exact_derivative=lambda x, v: np.where(x > 2.5, np.inf, v),
-    )
+    hole = SmoothMap(1, 1, lambda x: np.where(x.real > 2.5, np.nan, x), "hole")
     F = sm.family([square, hole, square, hole])
     # hole owns columns 2-3 and 6-7; it is non-finite at columns 3 and 6
     X = np.array([[0.1, 0.2, 0.3, 2.7, 0.5, 0.6, 2.9, 0.8]])
     with pytest.raises(NonFinite, match=r"^hole returned a non-finite value at \[2\.7\]$"):
         F(X)
-    with pytest.raises(NonFinite, match=r"^hole exact derivative returned a non-finite value at \[2\.7\]$"):
-        sm.directional_derivative(F, X, np.ones_like(X))
+    # the complex step evaluates the same member at the same column
+    with pytest.raises(NonFinite, match=r"^hole returned a non-finite value at \[2\.7\+1\.e-30j\]$"):
+        sm.fd_directional_derivative(F, X, np.ones_like(X))
     X[0, 3] = 0.4
     with pytest.raises(NonFinite, match=r"\[2\.9\]"):
         F(X)
@@ -489,38 +576,36 @@ def test_rel_close_gives_each_column_of_a_batch_the_verdict_of_its_own_call():
     assert sm.rel_close(small * 1e-3, small * 1e-3 + 5e-7, 1e-6).tolist() == [True]
 
 
+def _patch_the_derivative(monkeypatch, mutant):
+    """Replace the one derivative rule by mutant(f, x, v, the rule), for every derivative, nested ones too."""
+    rule = sm.fd_directional_derivative
+    monkeypatch.setattr(sm, "fd_directional_derivative", lambda f, x, v: mutant(f, np.asarray(x), v, rule))
+
+
 def test_a_derivative_off_by_1e_9_fails_at_the_default_tolerance(monkeypatch):
-    """Every nonlinear closed-form derivative scaled by 1 + 1e-9.
+    """The derivative rule scaled by 1 + 1e-9.
 
-    The complex step is exact to rounding error, so the default --tol-rel of
-    1e-10 sees the error where the closed forms meet a numerical derivative
-    or a quadrature; at 1e-6, the old default, every law passes.
+    The complex step and a Dual's tangent are exact to rounding error, so the
+    default --tol-rel of 1e-10 sees the error where a derivative meets a
+    value or a quadrature; at 1e-6, the old default, every law passes.
     """
-    builtin_corpus = sm.builtin_corpus
-
-    def corpus():
-        maps = builtin_corpus()
-        for f in maps:
-            if not f.label.startswith(("id", "const", "linear")):
-                f.exact_derivative = lambda x, v, exact=f.exact_derivative: exact(x, v) * (1.0 + 1e-9)
-        return maps
-
-    monkeypatch.setattr(sm, "builtin_corpus", corpus)
+    _patch_the_derivative(monkeypatch, lambda f, x, v, rule: rule(f, x, v) * (1.0 + 1e-9))
     reports = lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)
-    assert {r.law_id: r.cases for r in reports if r.status == "fail"} == {"L3": 3, "L4": 4, "L18": 11}
+    assert {r.law_id: r.cases for r in reports if r.status == "fail"} == {
+        "L4": 1, "L5": 5, "L18": 1, "L19": 1, "L20": 1
+    }
     assert lawsuite.all_pass(lawsuite.run_suite(make_smooth_binding(QuadratureConfig(tol_rel=1e-6)), cases=50, seed=0))
 
 
 def test_a_derivative_bent_in_the_direction_on_every_2d_and_3d_map_fails_the_laws_that_read_it(monkeypatch):
-    """Every 2-D and 3-D closed-form derivative gains 1e-6 * v[0] * v[1], which is not linear in v.
+    """The derivative at a point of two or more coordinates gains 1e-6 * v[0] * v[1], which is not linear in v.
 
-    The laws that read a closed-form derivative of a 2-D or 3-D map along a
-    direction that is not a unit vector fail: Leibniz and the chain rule
-    against the complex step, and the second fundamental theorem and the
-    Poincare condition against the integral of the field.  L6 reads the
-    closed forms along unit vectors only, where the bend is zero, and L2, L5
-    and L21 read no closed form.  L21 reads the scalar corpus maps of every
-    dimension, as L2's row does.
+    Every law that reads a derivative of a 2-D or 3-D map along a direction
+    that is not a unit vector fails: Leibniz and the chain rule, the constant
+    and linear rules, the second fundamental theorem and the Poincare
+    condition.  L6 differentiates along unit vectors only, where the bend is
+    zero.  L21 reads the scalar corpus maps of every dimension, as L2's row
+    does, and fails where L2 does.
     """
     checked, check = [], sm._check
 
@@ -533,76 +618,64 @@ def test_a_derivative_bent_in_the_direction_on_every_2d_and_3d_map_fails_the_law
         assert lawsuite.run_law("L21", make_smooth_binding(max_dim=3), cases=50, seed=0).status == "pass"
     scalars = [f.label for f in sm.builtin_corpus() if f.out_dim == 1]
     assert [f.label for f in checked[0]] == scalars and {f.in_dim for f in checked[0]} == {1, 2, 3}
-    builtin_corpus = sm.builtin_corpus
-
-    def corpus():
-        maps = builtin_corpus()
-        for f in maps:
-            if f.in_dim >= 2:
-
-                def bent(x, v, exact=f.exact_derivative, m=f.out_dim):
-                    return np.reshape(exact(x, v), (m, -1)) + 1e-6 * v[0] * v[1]
-
-                f.exact_derivative = bent
-        return maps
-
-    monkeypatch.setattr(sm, "builtin_corpus", corpus)
+    _patch_the_derivative(monkeypatch, lambda f, x, v, rule: rule(f, x, v) + (1e-6 * v[0] * v[1] if len(x) > 1 else 0))
     reports = {r.law_id: r for r in lawsuite.run_suite(make_smooth_binding(max_dim=3), cases=50, seed=0)}
     assert {law_id: r.cases for law_id, r in reports.items() if r.status == "fail"} == {
-        "L3": 37, "L4": 37, "L18": 31, "L20": 31
+        "L2": 31, "L3": 37, "L4": 37, "L5": 25, "L18": 31, "L20": 31, "L21": 31
     }
     assert reports["L18"].counterexample.startswith("second fundamental theorem fails: map=prod2 ")
 
 
 def test_a_chain_rule_failing_in_two_shape_classes_reports_the_first_failing_pair_in_pair_order(monkeypatch):
-    """id1's closed-form derivative doubles the direction where x > 1.
+    """The derivative at a point of two or more coordinates doubles the direction where x[0] > 1.
 
-    L4 then fails on the pairs (id1 o f) whose f leaves a point above 1.  At seed 105 these are
-    (id1 o prod2) and (id1 o poly3), the 47th and 72nd of the 83 pairs, in the shape classes
-    (2, 1, 1) and (3, 1, 1); every pair of the first class (1, 1, 1) passes.  The reports and the
-    stream of L4 verdicts were computed when each pair was evaluated on its own, in pair order; the
-    complex step moved the last digit of the L3 lhs and of the second L4 lhs.  L18 and L20 integrate
-    id1's field and fail at its first point above 1.
+    L4's two sides then differ where g o f doubles and the derivative of g at f(x) does not, or the
+    other way round.  At seed 0, one point per pair, this happens at the pairs (prod2 o linear2),
+    (poly2 o linear2) and (poly2 o poly2), the 39th, 40th and 56th of the 83 pairs, in the shape
+    classes (2, 2, 1) and (2, 2, 2).  The class (2, 2, 2) is compared first, at its first pair, the
+    37th, but the report is the 39th pair's, the first failing pair in pair order.  L5, L18 and L20
+    differentiate 2-D and 3-D maps at their points and along their integrals' paths.
     """
-    builtin_corpus = sm.builtin_corpus
+    def doubled(f, x, v, rule):
+        return rule(f, x, np.where(x[0].real > 1.0, 2.0, 1.0) * v if len(x) > 1 else v)
 
-    def corpus():
-        maps = builtin_corpus()
-        for f in maps:
-            if f.label == "id1":
-
-                def broken(x, v, exact=f.exact_derivative):
-                    return exact(x, np.where(x.real > 1.0, 2.0, 1.0) * v)
-
-                f.exact_derivative = broken
-        return maps
-
-    monkeypatch.setattr(sm, "builtin_corpus", corpus)
+    _patch_the_derivative(monkeypatch, doubled)
     binding = make_smooth_binding(max_dim=3)
-    reports = lawsuite.run_suite(binding, cases=50, seed=105)
+    reports = lawsuite.run_suite(binding, cases=50, seed=0)
     chain_rule_fails = [
         (
-            47,
-            "chain rule fails (id1 o prod2): map=prod2 x=[1.215426 0.939176] v=[-0.372021  1.354837] "
-            "lhs=[1.2973115219] rhs=[2.5946230438]",
+            39,
+            "chain rule fails (prod2 o linear2): map=linear2 x=[-1.446122  1.797871] v=[ 1.985982 -0.585467] "
+            "lhs=[0.2068215307] rhs=[0.4136430613]",
         ),
         (
-            72,
-            "chain rule fails (id1 o poly3): map=poly3 x=[ 1.33028  -1.814027 -1.597353] "
-            "v=[ 1.975799 -0.610407  0.322851] lhs=[11.4998711212] rhs=[22.9997422423]",
+            40,
+            "chain rule fails (poly2 o linear2): map=linear2 x=[1.606334 1.252163] v=[-0.026204  1.687139] "
+            "lhs=[125.950078214   22.5678771129] rhs=[251.900156428   45.1357542257]",
+        ),
+        (
+            56,
+            "chain rule fails (poly2 o poly2): map=poly2 x=[1.090818 1.666644] v=[1.908445 0.831259] "
+            "lhs=[ 429.2424564443 1750.4935360448] rhs=[ 858.4849128885 3500.9870720896]",
         ),
     ]
     assert {r.law_id: (r.cases, r.counterexample) for r in reports if r.status == "fail"} == {
-        "L3": (1, "Leibniz fails: map=id1 x=[1.937921] v=[0.854149] lhs=[3.3105474023] rhs=[6.6210948045]"),
         "L4": chain_rule_fails[0],
-        # id1 is the first scalar map of L18 and L20, five points each; in both its fifth is the first above 1
-        "L18": (5, "second fundamental theorem fails: map=id1 x=[1.27832] lhs=[1.567116971] rhs=[1.2783196916]"),
+        "L5": (
+            42,
+            "derivative of a linear map is not constant: map=const3 x=[1.616673 1.672406 1.301322] "
+            "v=[-1.093472  0.159919  1.722601] lhs=[-3.9095453828] rhs=[-1.9547726914]",
+        ),
+        "L18": (
+            35,
+            "second fundamental theorem fails: map=prod2 x=[1.547497 0.766259] lhs=[1.8814990222] rhs=[1.1857826123]",
+        ),
         "L20": (
-            5,
-            "derivative of the integral loses the field: map=id1 x=[1.499305] v=[1.55497] "
-            "lhs=[2.0391893269] rhs=[3.1099390905]",
+            31,
+            "derivative of the integral loses the field: map=prod2 x=[ 1.535068 -0.799548] v=[ 0.374106 -0.910937] "
+            "lhs=[-5.3867889378] rhs=[-3.394931692]",
         ),
     }
-    stream = list(binding.checks["L4"](random.Random("105:L4"), 50))
+    stream = list(binding.checks["L4"](random.Random("0:L4"), 50))
     assert len(stream) == 83
     assert [(case, text) for case, text in enumerate(stream, 1) if text] == chain_rule_fails
